@@ -34,3 +34,12 @@ pub mod video;
 pub use bulk::{run_bulk, BulkConfig, BulkStats};
 pub use rtc::{RtcConfig, RtcHandle, RtcSource, RtcStats};
 pub use video::{VideoConfig, VideoHandle, VideoSource, VideoStats};
+
+/// Locks the state an app source shares with its stats handle. The
+/// lock is poisoned only if a holder panicked mid-update — the
+/// simulation is already lost then, so the panic propagates.
+fn locked<T>(state: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    state
+        .lock()
+        .expect("app state lock poisoned: a holder panicked")
+}

@@ -11,9 +11,8 @@
 
 use mocc_netsim::app::AppSource;
 use mocc_netsim::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// RTC source parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -92,7 +91,7 @@ impl RtcSource {
 impl RtcHandle {
     /// Computes delivery statistics (call after the simulation).
     pub fn stats(&self) -> RtcStats {
-        let st = self.state.lock();
+        let st = crate::locked(&self.state);
         let mut gaps_ms: Vec<f64> = st
             .deliveries
             .windows(2)
@@ -120,7 +119,7 @@ impl RtcHandle {
 
 impl AppSource for RtcSource {
     fn take(&mut self, now: SimTime, max_bytes: u64) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = crate::locked(&self.state);
         // Encode frames up to now, dropping when the queue is stale.
         let interval = SimDuration::from_secs_f64(1.0 / st.cfg.fps);
         while st.next_frame <= now {
@@ -138,11 +137,11 @@ impl AppSource for RtcSource {
     }
 
     fn on_delivered(&mut self, now: SimTime, _bytes: u64) {
-        self.state.lock().deliveries.push(now);
+        crate::locked(&self.state).deliveries.push(now);
     }
 
     fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
-        Some(self.state.lock().next_frame)
+        Some(crate::locked(&self.state).next_frame)
     }
 }
 

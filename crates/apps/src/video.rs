@@ -11,10 +11,9 @@
 
 use mocc_netsim::app::AppSource;
 use mocc_netsim::time::SimTime;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Video/ABR parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -222,18 +221,18 @@ pub struct VideoHandle {
 impl VideoHandle {
     /// The session statistics (call after the simulation).
     pub fn stats(&self) -> VideoStats {
-        self.state.lock().stats.clone()
+        crate::locked(&self.state).stats.clone()
     }
 
     /// The configured quality ladder size.
     pub fn n_levels(&self) -> usize {
-        self.state.lock().cfg.levels_kbps.len()
+        crate::locked(&self.state).cfg.levels_kbps.len()
     }
 }
 
 impl AppSource for VideoSource {
     fn take(&mut self, now: SimTime, max_bytes: u64) -> u64 {
-        let mut st = self.state.lock();
+        let mut st = crate::locked(&self.state);
         if st.stats.completed {
             return 0;
         }
@@ -249,7 +248,7 @@ impl AppSource for VideoSource {
     }
 
     fn on_delivered(&mut self, now: SimTime, bytes: u64) {
-        let mut st = self.state.lock();
+        let mut st = crate::locked(&self.state);
         if st.stats.completed {
             return;
         }
@@ -262,14 +261,14 @@ impl AppSource for VideoSource {
     fn on_lost(&mut self, _now: SimTime, bytes: u64) {
         // Chunk delivery is reliable (HTTP over a reliable transport):
         // lost bytes are re-supplied for retransmission.
-        let mut st = self.state.lock();
+        let mut st = crate::locked(&self.state);
         if !st.stats.completed {
             st.chunk_to_send += bytes;
         }
     }
 
     fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
-        self.state.lock().wait_until
+        crate::locked(&self.state).wait_until
     }
 }
 
@@ -291,7 +290,7 @@ mod tests {
     fn abr_is_conservative_when_buffer_low() {
         let cfg = VideoConfig::default();
         let (src, _h) = VideoSource::new(cfg);
-        let mut st = src.state.lock();
+        let mut st = crate::locked(&src.state);
         st.predictor.push_back(3.0); // 3 Mbps measured
         st.buffer_secs = 2.0; // Low buffer: safety 0.5 × 0.9.
         let low = st.choose_level();

@@ -11,12 +11,14 @@
 //! is one declarative [`ExperimentSpec`] per scheme, resolved through
 //! the figure [`mocc_bench::figure_registry`] (baselines plus the
 //! cached trained MOCC/Aurora models as pluggable registry schemes)
-//! and executed in parallel by [`SweepRunner::run_in`] (worker count
+//! and executed in parallel by [`SweepRunner::run_with`] (worker count
 //! auto-detected; override with `MOCC_SWEEP_THREADS`).
 
 use mocc_bench::{figure_registry, header, row, run_single, standard_schemes, Scheme};
 use mocc_core::Preference;
-use mocc_eval::{ExperimentSpec, FlowLoad, SchemeRegistry, SweepRunner, SweepSpec, TraceShape};
+use mocc_eval::{
+    ExperimentSpec, FlowLoad, RunOptions, SchemeRegistry, SweepRunner, SweepSpec, TraceShape,
+};
 use mocc_netsim::Scenario;
 
 /// The fixed operating point each sweep varies one axis away from.
@@ -79,7 +81,11 @@ fn run_panel(
                 .parse(&label)
                 .expect("every figure scheme is registered");
             let exp = ExperimentSpec::from_sweep(&label, parsed, &spec);
-            let report = runner.run_in(&exp, registry).expect("valid figure spec");
+            let opts = RunOptions {
+                registry: Some(registry),
+                ..RunOptions::default()
+            };
+            let (report, _) = runner.run_with(&exp, opts).expect("valid figure spec");
             let vals: Vec<f64> = report
                 .cells
                 .iter()

@@ -53,12 +53,12 @@
 //! [`SpecError`]: mocc_eval::SpecError
 //! [`TrainSpec`]: mocc_core::TrainSpec
 
+use mocc_bench::serve::Server;
 use mocc_core::{TrainOptions, TrainSpec};
 use mocc_eval::{ExperimentSpec, SchemeRegistry, SweepRunner};
 use mocc_store::ResultStore;
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -82,8 +82,9 @@ OPTIONS (run):
                   changes report bytes, so it is part of the cache key
     --out FILE    write the canonical-JSON report to FILE instead of stdout
     --cache       memoize cells through the result store (docs/CACHING.md)
-    --cache-dir DIR  store location (implies --cache; default:
-                     $MOCC_CACHE_DIR or target/mocc-cache/store)
+    --cache-dir DIR  store location (implies --cache; default: the `store`
+                     subdirectory of the cache root, which is $MOCC_CACHE_DIR
+                     or target/mocc-cache and also holds trained models)
 
 OPTIONS (hunt):
     --budget N        candidate cells to evaluate (default: 24; each costs
@@ -115,10 +116,6 @@ OPTIONS (audit):
                    working directory to the [workspace] Cargo.toml)
 ";
 
-/// Environment variable naming the default store directory.
-const CACHE_DIR_ENV: &str = "MOCC_CACHE_DIR";
-/// Fallback store directory (relative to the working directory).
-const DEFAULT_CACHE_DIR: &str = "target/mocc-cache/store";
 /// Environment variable naming the default model zoo directory.
 const ZOO_DIR_ENV: &str = "MOCC_ZOO_DIR";
 /// Fallback zoo directory (relative to the working directory).
@@ -150,179 +147,147 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--flag N` style options out of `args`, returning the
-/// remaining positional arguments.
-fn split_options(args: &[String]) -> Result<(Vec<&str>, Options), String> {
+/// What follows a flag on the command line.
+#[derive(Clone, Copy)]
+enum Takes {
+    Nothing,
+    /// An integer of at least this value.
+    Number(u64),
+    /// Free text; the payload completes "`--flag` needs …".
+    Text(&'static str),
+}
+
+/// Every flag of every subcommand. A subcommand accepts only the ones
+/// it names in its [`parse_args`] call.
+const FLAGS: &[(&str, Takes)] = &[
+    ("--threads", Takes::Number(1)),
+    ("--batch", Takes::Number(1)),
+    ("--fast-math", Takes::Nothing),
+    ("--out", Takes::Text("a file path")),
+    ("--cache", Takes::Nothing),
+    ("--cache-dir", Takes::Text("a directory path")),
+    ("--older-than-days", Takes::Number(1)),
+    ("--zoo", Takes::Text("a directory path")),
+    ("--resume", Takes::Text("a checkpoint directory")),
+    ("--max-iters", Takes::Number(1)),
+    ("--budget", Takes::Number(1)),
+    ("--seed", Takes::Number(0)),
+    ("--baseline", Takes::Text("a scheme label")),
+    ("--out-dir", Takes::Text("a directory path")),
+    ("--socket", Takes::Text("a path")),
+    ("--format", Takes::Text("`json` or `text`")),
+    ("--rule", Takes::Text("a rule id")),
+];
+
+/// The checked value one flag carried.
+enum Given {
+    Switch,
+    Number(u64),
+    Text(String),
+}
+
+/// The flags one invocation carried.
+#[derive(Default)]
+struct Flags(BTreeMap<&'static str, Given>);
+
+impl Flags {
+    fn has(&self, flag: &str) -> bool {
+        self.0.contains_key(flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        match self.0.get(flag)? {
+            Given::Text(text) => Some(text),
+            _ => None,
+        }
+    }
+
+    fn number(&self, flag: &str) -> Option<u64> {
+        match self.0.get(flag)? {
+            Given::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn count(&self, flag: &str) -> Option<usize> {
+        self.number(flag).map(|n| n as usize)
+    }
+}
+
+/// Splits `args` into positional arguments and flags. `accepts` is the
+/// subcommand's declaration of the flags it takes: a flag that exists
+/// but belongs to another subcommand is an error naming both, never
+/// silently ignored.
+fn parse_args<'a>(
+    cmd: &str,
+    accepts: &[&str],
+    args: &'a [String],
+) -> Result<(Vec<&'a str>, Flags), String> {
     let mut positional = Vec::new();
-    let mut opts = Options::default();
+    let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" => opts.threads = Some(parse_count(&mut it, "--threads")?),
-            "--batch" => opts.batch = Some(parse_count(&mut it, "--batch")?),
-            "--fast-math" => opts.fast_math = true,
-            "--out" => {
-                opts.out = Some(
-                    it.next()
-                        .ok_or_else(|| "--out needs a file path".to_string())?
-                        .clone(),
-                )
-            }
-            "--cache" => opts.cache = true,
-            "--cache-dir" => {
-                opts.cache = true;
-                opts.cache_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--cache-dir needs a directory path".to_string())?
-                        .clone(),
-                )
-            }
-            "--older-than-days" => {
-                opts.older_than_days = Some(parse_count(&mut it, "--older-than-days")? as u64)
-            }
-            "--zoo" => {
-                opts.zoo = Some(
-                    it.next()
-                        .ok_or_else(|| "--zoo needs a directory path".to_string())?
-                        .clone(),
-                )
-            }
-            "--resume" => {
-                opts.resume = Some(
-                    it.next()
-                        .ok_or_else(|| "--resume needs a checkpoint directory".to_string())?
-                        .clone(),
-                )
-            }
-            "--max-iters" => opts.max_iters = Some(parse_count(&mut it, "--max-iters")?),
-            "--budget" => opts.budget = Some(parse_count(&mut it, "--budget")?),
-            "--seed" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| "--seed needs an unsigned integer".to_string())?;
-                opts.seed = Some(
-                    raw.parse::<u64>()
-                        .map_err(|_| format!("--seed {raw:?} is not an unsigned integer"))?,
-                )
-            }
-            "--baseline" => {
-                opts.baseline = Some(
-                    it.next()
-                        .ok_or_else(|| "--baseline needs a scheme label".to_string())?
-                        .clone(),
-                )
-            }
-            "--out-dir" => {
-                opts.out_dir = Some(
-                    it.next()
-                        .ok_or_else(|| "--out-dir needs a directory path".to_string())?
-                        .clone(),
-                )
-            }
-            "--socket" => {
-                opts.socket = Some(
-                    it.next()
-                        .ok_or_else(|| "--socket needs a path".to_string())?
-                        .clone(),
-                )
-            }
-            "--format" => {
-                opts.format = Some(
-                    it.next()
-                        .ok_or_else(|| "--format needs `json` or `text`".to_string())?
-                        .clone(),
-                )
-            }
-            "--rule" => {
-                opts.rule = Some(
-                    it.next()
-                        .ok_or_else(|| "--rule needs a rule id".to_string())?
-                        .clone(),
-                )
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown option {other:?}\n\n{USAGE}"))
-            }
-            other => positional.push(other),
+        if !arg.starts_with("--") {
+            positional.push(arg.as_str());
+            continue;
         }
+        let Some(&(flag, takes)) = FLAGS.iter().find(|(flag, _)| flag == arg) else {
+            return Err(format!("unknown option {arg:?}\n\n{USAGE}"));
+        };
+        if !accepts.contains(&flag) {
+            return Err(match accepts {
+                [] => format!("`mocc {cmd}` does not take {flag}: it takes no options"),
+                _ => format!(
+                    "`mocc {cmd}` does not take {flag}: it takes only {}",
+                    accepts.join(", ")
+                ),
+            });
+        }
+        let value = match takes {
+            Takes::Nothing => Given::Switch,
+            Takes::Number(min) => {
+                let what = match min {
+                    0 => "an unsigned integer",
+                    _ => "a positive integer",
+                };
+                let raw = it.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+                let n = raw.parse::<u64>().ok().filter(|n| *n >= min);
+                Given::Number(n.ok_or_else(|| format!("{flag} {raw:?} is not {what}"))?)
+            }
+            Takes::Text(what) => Given::Text(
+                it.next()
+                    .ok_or_else(|| format!("{flag} needs {what}"))?
+                    .clone(),
+            ),
+        };
+        flags.0.insert(flag, value);
     }
-    Ok((positional, opts))
+    Ok((positional, flags))
 }
 
-#[derive(Default)]
-struct Options {
-    threads: Option<usize>,
-    batch: Option<usize>,
-    fast_math: bool,
-    out: Option<String>,
-    cache: bool,
-    cache_dir: Option<String>,
-    older_than_days: Option<u64>,
-    socket: Option<String>,
-    zoo: Option<String>,
-    resume: Option<String>,
-    max_iters: Option<usize>,
-    budget: Option<usize>,
-    baseline: Option<String>,
-    out_dir: Option<String>,
-    seed: Option<u64>,
-    format: Option<String>,
-    rule: Option<String>,
+/// Opens the result store: `--cache-dir`, else the `store`
+/// subdirectory of the one cache root ([`mocc_bench::cache_dir`]:
+/// `$MOCC_CACHE_DIR`, else `target/mocc-cache`).
+fn open_store(flags: &Flags) -> Result<ResultStore, String> {
+    let root = match flags.text("--cache-dir") {
+        Some(dir) => PathBuf::from(dir),
+        None => mocc_bench::cache_dir().join("store"),
+    };
+    let store = ResultStore::open(&root).map_err(|e| format!("{}: {e}", root.display()))?;
+    if store.repaired_tail() {
+        eprintln!(
+            "[mocc] cache: repaired a half-written ledger line in {}",
+            root.display()
+        );
+    }
+    Ok(store)
 }
 
-impl Options {
-    /// The store root: `--cache-dir`, else `$MOCC_CACHE_DIR`, else the
-    /// in-repo default.
-    fn store_root(&self) -> PathBuf {
-        match &self.cache_dir {
-            Some(dir) => PathBuf::from(dir),
-            // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_CACHE_DIR in the CLI
-            None => std::env::var(CACHE_DIR_ENV)
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from(DEFAULT_CACHE_DIR)),
-        }
+fn runner(flags: &Flags) -> SweepRunner {
+    match flags.count("--threads") {
+        Some(n) => SweepRunner::with_threads(n),
+        None => SweepRunner::auto(),
     }
-
-    fn open_store(&self) -> Result<ResultStore, String> {
-        let root = self.store_root();
-        let store = ResultStore::open(&root).map_err(|e| format!("{}: {e}", root.display()))?;
-        if store.repaired_tail() {
-            eprintln!(
-                "[mocc] cache: repaired a half-written ledger line in {}",
-                root.display()
-            );
-        }
-        Ok(store)
-    }
-
-    fn runner(&self) -> SweepRunner {
-        match self.threads {
-            Some(n) => SweepRunner::with_threads(n),
-            None => SweepRunner::auto(),
-        }
-    }
-
-    /// The model zoo root: `--zoo`, else `$MOCC_ZOO_DIR`, else the
-    /// in-repo default.
-    fn zoo_root(&self) -> PathBuf {
-        match &self.zoo {
-            Some(dir) => PathBuf::from(dir),
-            // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_ZOO_DIR
-            None => std::env::var(ZOO_DIR_ENV)
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from(DEFAULT_ZOO_DIR)),
-        }
-    }
-}
-
-fn parse_count<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> Result<usize, String> {
-    let raw = it
-        .next()
-        .ok_or_else(|| format!("{flag} needs a positive integer"))?;
-    raw.parse::<usize>()
-        .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| format!("{flag} {raw:?} is not a positive integer"))
 }
 
 /// Unix seconds — the CLI's timestamp chokepoint; libraries take
@@ -368,12 +333,15 @@ fn spec_kind(path: &str) -> Option<String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    if opts.socket.is_some() || opts.older_than_days.is_some() || opts.budget.is_some() {
-        return Err(
-            "`mocc run` does not take --socket, --older-than-days, or --budget".to_string(),
-        );
-    }
+    let accepts = [
+        "--threads",
+        "--batch",
+        "--fast-math",
+        "--out",
+        "--cache",
+        "--cache-dir",
+    ];
+    let (positional, flags) = parse_args("run", &accepts, args)?;
     let &[path] = positional.as_slice() else {
         return Err(format!("`mocc run` takes exactly one spec file\n\n{USAGE}"));
     };
@@ -383,7 +351,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         ));
     }
     let mut exp = load_spec(path)?;
-    if let Some(batch) = opts.batch {
+    if let Some(batch) = flags.count("--batch") {
         match &mut exp.policy {
             Some(policy) => policy.batch = batch,
             None => {
@@ -394,7 +362,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if opts.fast_math {
+    if flags.has("--fast-math") {
         match &mut exp.policy {
             Some(policy) => policy.fast_math = true,
             None => {
@@ -405,15 +373,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let runner = opts.runner();
+    let runner = runner(&flags);
     eprintln!(
         "[mocc] {}: {} cells over {} worker threads",
         exp.name,
         exp.cell_count(),
         runner.threads()
     );
-    let json = if opts.cache {
-        let store = opts.open_store()?;
+    let json = if flags.has("--cache") || flags.has("--cache-dir") {
+        let store = open_store(&flags)?;
         let (report, stats) = mocc_core::run_experiment_cached(&runner, &exp, &store, now_ts())
             .map_err(|e| format!("{path}: {e}"))?;
         eprintln!(
@@ -428,7 +396,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?
             .to_canonical_json()
     };
-    match &opts.out {
+    match flags.text("--out") {
         Some(out) => std::fs::write(out, &json).map_err(|e| format!("{out}: {e}"))?,
         None => println!("{json}"),
     }
@@ -440,13 +408,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// against a baseline scheme per cell, and emit every losing regime
 /// as a ready-to-run spec file.
 fn cmd_hunt(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    if opts.batch.is_some() || opts.fast_math || opts.cache || opts.out.is_some() {
-        return Err(
-            "`mocc hunt` takes only --budget, --baseline, --out-dir, --seed, and --threads"
-                .to_string(),
-        );
-    }
+    let accepts = ["--budget", "--baseline", "--out-dir", "--seed", "--threads"];
+    let (positional, flags) = parse_args("hunt", &accepts, args)?;
     let &[path] = positional.as_slice() else {
         return Err(format!(
             "`mocc hunt` takes exactly one spec file\n\n{USAGE}"
@@ -454,19 +417,19 @@ fn cmd_hunt(args: &[String]) -> Result<(), String> {
     };
     let exp = load_spec(path)?;
     let mut hunt_opts = mocc_core::HuntOptions::default();
-    if let Some(budget) = opts.budget {
+    if let Some(budget) = flags.count("--budget") {
         hunt_opts.budget = budget;
     }
-    if let Some(baseline) = &opts.baseline {
-        hunt_opts.baseline = baseline.clone();
+    if let Some(baseline) = flags.text("--baseline") {
+        hunt_opts.baseline = baseline.to_string();
     }
-    if let Some(dir) = &opts.out_dir {
+    if let Some(dir) = flags.text("--out-dir") {
         hunt_opts.out_dir = PathBuf::from(dir);
     }
-    if let Some(seed) = opts.seed {
+    if let Some(seed) = flags.number("--seed") {
         hunt_opts.seed = seed;
     }
-    let runner = opts.runner();
+    let runner = runner(&flags);
     eprintln!(
         "[mocc] hunt {}: budget {} vs baseline {:?}, seed {}, {} worker threads",
         exp.name,
@@ -500,16 +463,8 @@ fn cmd_hunt(args: &[String]) -> Result<(), String> {
 /// Runs (or resumes) one training spec through the checkpointed
 /// trainer; a completed run lands in the zoo with provenance.
 fn cmd_train(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    if opts.threads.is_some()
-        || opts.batch.is_some()
-        || opts.fast_math
-        || opts.cache
-        || opts.socket.is_some()
-        || opts.older_than_days.is_some()
-    {
-        return Err("`mocc train` takes only --zoo, --resume, --out, and --max-iters".to_string());
-    }
+    let accepts = ["--zoo", "--resume", "--out", "--max-iters"];
+    let (positional, flags) = parse_args("train", &accepts, args)?;
     let &[path] = positional.as_slice() else {
         return Err(format!(
             "`mocc train` takes exactly one spec file\n\n{USAGE}"
@@ -518,15 +473,24 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let spec = TrainSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
     spec.validate().map_err(|e| format!("{path}: {e}"))?;
 
-    let zoo = opts.zoo_root();
-    let checkpoint_dir = match &opts.resume {
+    // The model zoo root: `--zoo`, else `$MOCC_ZOO_DIR`, else the
+    // in-repo default.
+    let zoo = match flags.text("--zoo") {
         Some(dir) => PathBuf::from(dir),
+        // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_ZOO_DIR
+        None => std::env::var(ZOO_DIR_ENV)
+            .map(PathBuf::from)
+            .unwrap_or_else(|_| PathBuf::from(DEFAULT_ZOO_DIR)),
+    };
+    let resume = flags.text("--resume").map(PathBuf::from);
+    let checkpoint_dir = match &resume {
+        Some(dir) => dir.clone(),
         None => zoo.join(&spec.name).join("checkpoints"),
     };
     let train_opts = TrainOptions {
         checkpoint_dir: Some(checkpoint_dir.clone()),
-        resume_from: opts.resume.as_ref().map(PathBuf::from),
-        max_iters: opts.max_iters,
+        resume_from: resume,
+        max_iters: flags.count("--max-iters"),
         // Wall-time logging only; training itself never reads a clock.
         clock: Some(mocc_bench::timing::monotonic_secs),
     };
@@ -560,7 +524,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         run.outcome.wall_secs,
         model_path.display()
     );
-    if let Some(out) = &opts.out {
+    if let Some(out) = flags.text("--out") {
         std::fs::copy(&model_path, out).map_err(|e| format!("{out}: {e}"))?;
         eprintln!("[mocc] train {}: copied model to {out}", spec.name);
     }
@@ -568,24 +532,9 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
+    let (positional, _) = parse_args("validate", &[], args)?;
     if positional.is_empty() {
         return Err(format!("`mocc validate` takes spec files\n\n{USAGE}"));
-    }
-    if opts.threads.is_some()
-        || opts.batch.is_some()
-        || opts.out.is_some()
-        || opts.cache
-        || opts.fast_math
-        || opts.zoo.is_some()
-        || opts.resume.is_some()
-        || opts.max_iters.is_some()
-        || opts.budget.is_some()
-        || opts.baseline.is_some()
-        || opts.out_dir.is_some()
-        || opts.seed.is_some()
-    {
-        return Err("`mocc validate` takes no options".to_string());
     }
     let registry = SchemeRegistry::builtin();
     let mut failures = 0usize;
@@ -656,13 +605,14 @@ fn cmd_list_schemes(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_cache(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
+    let accepts = ["--cache-dir", "--older-than-days"];
+    let (positional, flags) = parse_args("cache", &accepts, args)?;
     let &[action] = positional.as_slice() else {
         return Err(format!(
             "`mocc cache` takes one action: stats, verify, or gc\n\n{USAGE}"
         ));
     };
-    let store = opts.open_store()?;
+    let store = open_store(&flags)?;
     match action {
         "stats" => {
             let s = store.stats().map_err(|e| e.to_string())?;
@@ -704,7 +654,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
             }
         }
         "gc" => {
-            let before = gc_cutoff(now_ts(), opts.older_than_days);
+            let before = gc_cutoff(now_ts(), flags.number("--older-than-days"));
             let report = store.gc(before).map_err(|e| e.to_string())?;
             println!(
                 "{}: kept {} objects, removed {}, dropped {} ledger lines",
@@ -724,16 +674,7 @@ fn cmd_cache(args: &[String]) -> Result<(), String> {
 /// Runs the workspace static-analysis pass (docs/AUDIT.md). Exits
 /// nonzero on any finding, so CI can gate on it directly.
 fn cmd_audit(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
-    if opts.threads.is_some()
-        || opts.batch.is_some()
-        || opts.fast_math
-        || opts.cache
-        || opts.out.is_some()
-        || opts.socket.is_some()
-    {
-        return Err("`mocc audit` takes only --format, --rule, and an optional root".to_string());
-    }
+    let (positional, flags) = parse_args("audit", &["--format", "--rule"], args)?;
     let root = match positional.as_slice() {
         [] => {
             let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
@@ -747,7 +688,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     };
     let mut report = mocc_audit::audit_workspace(&root)
         .map_err(|e| format!("auditing {}: {e}", root.display()))?;
-    if let Some(rule) = &opts.rule {
+    if let Some(rule) = flags.text("--rule") {
         if mocc_audit::rules::rule_by_id(rule).is_none() {
             let known: Vec<&str> = mocc_audit::rules::RULES.iter().map(|r| r.id).collect();
             return Err(format!(
@@ -757,7 +698,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         }
         report.retain_rule(rule);
     }
-    match opts.format.as_deref() {
+    match flags.text("--format") {
         None | Some("text") => print!("{}", report.to_text()),
         Some("json") => print!("{}", report.to_json()),
         Some(other) => return Err(format!("--format takes `json` or `text`, not {other:?}")),
@@ -772,41 +713,32 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     }
 }
 
-// ---- mocc serve -------------------------------------------------------
-
-/// One store-backed daemon serving spec requests over a line-delimited
-/// JSON protocol. Each request is one JSON object per line:
-///
-/// ```text
-/// {"op":"ping"}
-/// {"op":"stats"}
-/// {"op":"run","spec":{...ExperimentSpec...}}
-/// {"op":"run","path":"examples/specs/sweep_cubic.json"}
-/// {"op":"shutdown"}
-/// ```
-///
-/// and each response one JSON object per line: `{"ok":true,...}` with
-/// the canonical report under `"report"` plus `"hits"`/`"misses"`, or
-/// `{"ok":false,"error":"..."}`. Malformed requests answer an error
-/// and keep the session alive; `shutdown` ends the daemon.
+/// Runs the store-backed daemon (`mocc_bench::serve`, protocol in
+/// docs/CACHING.md) over stdin/stdout, or over a Unix socket with
+/// `--socket` — one client session after another until one of them
+/// sends `shutdown`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (positional, opts) = split_options(args)?;
+    let accepts = ["--cache-dir", "--socket", "--threads"];
+    let (positional, flags) = parse_args("serve", &accepts, args)?;
     if !positional.is_empty() {
         return Err(format!(
             "`mocc serve` takes no positional arguments\n\n{USAGE}"
         ));
     }
-    let store = opts.open_store()?;
-    let runner = opts.runner();
-    match &opts.socket {
+    let store = open_store(&flags)?;
+    let runner = runner(&flags);
+    let server = Server {
+        runner: &runner,
+        store: &store,
+        clock: now_ts,
+    };
+    match flags.text("--socket") {
         None => {
             eprintln!(
                 "[mocc] serve: reading ops from stdin, store {}",
                 store.root().display()
             );
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve_session(stdin.lock(), stdout.lock(), &runner, &store)?;
+            server.session(std::io::stdin().lock(), std::io::stdout().lock())?;
             Ok(())
         }
         Some(path) => {
@@ -820,8 +752,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             for conn in listener.incoming() {
                 let conn = conn.map_err(|e| e.to_string())?;
                 let reader = std::io::BufReader::new(conn.try_clone().map_err(|e| e.to_string())?);
-                let shutdown = serve_session(reader, conn, &runner, &store)?;
-                if shutdown {
+                if server.session(reader, conn)? {
                     break;
                 }
             }
@@ -831,209 +762,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Upper bound on one request line. Longer lines are discarded in
-/// bounded chunks and answered with a structured error, so a client
-/// cannot make the daemon buffer an arbitrarily large request.
-const MAX_REQUEST_BYTES: usize = 1 << 20;
-
-/// Serves one client session; returns true when the client asked the
-/// daemon to shut down (not merely disconnected).
-///
-/// Per-request faults — malformed JSON, invalid UTF-8, an oversized
-/// line, or a panic inside op dispatch — answer `{"ok":false,...}` and
-/// keep the session alive; only a transport-level read/write error
-/// ends it.
-fn serve_session(
-    mut reader: impl BufRead,
-    mut writer: impl Write,
-    runner: &SweepRunner,
-    store: &ResultStore,
-) -> Result<bool, String> {
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let n = reader
-            .by_ref()
-            .take(MAX_REQUEST_BYTES as u64 + 1)
-            .read_until(b'\n', &mut buf)
-            .map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Ok(false); // Client disconnected.
-        }
-        let (response, shutdown) = if buf.len() > MAX_REQUEST_BYTES && !buf.ends_with(b"\n") {
-            drain_line(&mut reader)?;
-            (
-                error_response(&format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
-                false,
-            )
-        } else {
-            // Lossy decoding: invalid UTF-8 becomes a JSON parse error
-            // on the replacement characters, not a dead session.
-            let line = String::from_utf8_lossy(&buf);
-            if line.trim().is_empty() {
-                continue;
-            }
-            serve_line(&line, runner, store)
-        };
-        writeln!(writer, "{response}").map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
-        if shutdown {
-            return Ok(true);
-        }
-    }
-}
-
-/// Discards the rest of the current input line (the request already
-/// exceeded [`MAX_REQUEST_BYTES`]), consuming the reader's buffer in
-/// place so memory stays bounded. EOF also ends the line.
-fn drain_line(reader: &mut impl BufRead) -> Result<(), String> {
-    loop {
-        let available = reader.fill_buf().map_err(|e| e.to_string())?;
-        if available.is_empty() {
-            return Ok(());
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                reader.consume(i + 1);
-                return Ok(());
-            }
-            None => {
-                let n = available.len();
-                reader.consume(n);
-            }
-        }
-    }
-}
-
-/// [`serve_one`] behind a panic guard: a panic while dispatching one
-/// request becomes a structured error response instead of unwinding
-/// through the serve loop and killing the daemon.
-fn serve_line(line: &str, runner: &SweepRunner, store: &ResultStore) -> (String, bool) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| serve_one(line, runner, store))) {
-        Ok(result) => result,
-        Err(payload) => (
-            // `&*payload`: deref the box so we downcast the payload,
-            // not the `Box<dyn Any>` itself.
-            error_response(&format!("internal error: {}", panic_message(&*payload))),
-            false,
-        ),
-    }
-}
-
-/// Best-effort text of a caught panic payload (`panic!` carries a
-/// `&str` or `String`; anything else is opaque).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "unknown panic"
-    }
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    let mut map = BTreeMap::new();
-    for (k, v) in fields {
-        map.insert(k.to_string(), v);
-    }
-    Value::Obj(map)
-}
-
-fn error_response(msg: &str) -> String {
-    serde_json::to_string(&obj(vec![
-        ("error", Value::Str(msg.to_string())),
-        ("ok", Value::Bool(false)),
-    ]))
-    .expect("response serializes")
-}
-
-/// Handles one protocol line; returns `(response line, shutdown?)`.
-fn serve_one(line: &str, runner: &SweepRunner, store: &ResultStore) -> (String, bool) {
-    let request: Value = match serde_json::from_str(line) {
-        Ok(v) => v,
-        Err(e) => return (error_response(&format!("bad request JSON: {e}")), false),
-    };
-    let Value::Obj(request) = request else {
-        return (error_response("request must be a JSON object"), false);
-    };
-    let op = match request.get("op") {
-        Some(Value::Str(op)) => op.as_str(),
-        _ => return (error_response("request needs a string `op` field"), false),
-    };
-    match op {
-        "ping" => (
-            serde_json::to_string(&obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("ping".to_string())),
-            ]))
-            .expect("response serializes"),
-            false,
-        ),
-        "shutdown" => (
-            serde_json::to_string(&obj(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str("shutdown".to_string())),
-            ]))
-            .expect("response serializes"),
-            true,
-        ),
-        "stats" => match store.stats() {
-            Err(e) => (error_response(&e.to_string()), false),
-            Ok(s) => (
-                serde_json::to_string(&obj(vec![
-                    ("hits", s.hits.to_value()),
-                    ("keys", s.keys.to_value()),
-                    ("misses", s.misses.to_value()),
-                    ("objects", s.objects.to_value()),
-                    ("ok", Value::Bool(true)),
-                    ("puts", s.puts.to_value()),
-                ]))
-                .expect("response serializes"),
-                false,
-            ),
-        },
-        "run" => {
-            let exp = match (request.get("spec"), request.get("path")) {
-                (Some(spec), None) => {
-                    ExperimentSpec::from_value(spec).map_err(|e| format!("bad spec: {e}"))
-                }
-                (None, Some(Value::Str(path))) => {
-                    ExperimentSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
-                }
-                _ => Err("run needs exactly one of `spec` (inline) or `path`".to_string()),
-            };
-            let result = exp.and_then(|exp| {
-                mocc_core::run_experiment_cached(runner, &exp, store, now_ts())
-                    .map_err(|e| e.to_string())
-            });
-            match result {
-                Err(e) => (error_response(&e), false),
-                Ok((report, stats)) => {
-                    let report_value: Value = serde_json::from_str(&report.to_canonical_json())
-                        .expect("canonical report parses");
-                    (
-                        serde_json::to_string(&obj(vec![
-                            ("hits", stats.hits.to_value()),
-                            ("misses", stats.misses.to_value()),
-                            ("ok", Value::Bool(true)),
-                            ("report", report_value),
-                        ]))
-                        .expect("response serializes"),
-                        false,
-                    )
-                }
-            }
-        }
-        other => (error_response(&format!("unknown op {other:?}")), false),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     #[test]
     fn gc_cutoff_is_now_minus_whole_days() {
@@ -1049,32 +780,5 @@ mod tests {
         // entry at ts 0 still survives (`0 < 0` is false).
         assert_eq!(gc_cutoff(5, Some(1)), Some(0));
         assert_eq!(gc_cutoff(u64::MAX, Some(u64::MAX)), Some(0));
-    }
-
-    #[test]
-    fn drain_line_stops_at_the_newline() {
-        let mut reader = std::io::BufReader::new(&b"tail of oversized line\nnext"[..]);
-        drain_line(&mut reader).unwrap();
-        let mut rest = String::new();
-        reader.read_to_string(&mut rest).unwrap();
-        assert_eq!(rest, "next");
-    }
-
-    #[test]
-    fn drain_line_accepts_eof_as_line_end() {
-        let mut reader = std::io::BufReader::new(&b"no newline at all"[..]);
-        drain_line(&mut reader).unwrap();
-        let mut rest = String::new();
-        reader.read_to_string(&mut rest).unwrap();
-        assert_eq!(rest, "");
-    }
-
-    #[test]
-    fn panic_message_reads_str_and_string_payloads() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let p = catch_unwind(AssertUnwindSafe(|| panic!("plain str"))).unwrap_err();
-        assert_eq!(panic_message(&*p), "plain str");
-        let p = catch_unwind(AssertUnwindSafe(|| panic!("with {}", "args"))).unwrap_err();
-        assert_eq!(panic_message(&*p), "with args");
     }
 }

@@ -7,13 +7,15 @@
 //!
 //! Trained models are cached under `target/mocc-cache/` so the figure
 //! binaries share one offline training run. Delete the directory to
-//! retrain. Set `MOCC_BENCH_FULL=1` for larger (slower, closer to the
+//! retrain. [`serve`] is the `mocc serve` daemon, a library module so
+//! its protocol is testable without spawning the binary. Set `MOCC_BENCH_FULL=1` for larger (slower, closer to the
 //! paper) experiment scales; the default is a reduced scale that keeps
 //! every figure under a few minutes.
 
 #![forbid(unsafe_code)]
 
 pub mod perf;
+pub mod serve;
 pub mod timing;
 
 use mocc_core::{AuroraAgent, AuroraBank, AuroraCc, MoccAgent, MoccCc, MoccConfig, Preference};
@@ -32,7 +34,9 @@ pub fn full_scale() -> bool {
         .unwrap_or(false)
 }
 
-/// Directory caching trained models across figure binaries.
+/// The cache root: `$MOCC_CACHE_DIR`, else `target/mocc-cache`. Holds
+/// the trained models the figure binaries share (`*.json`) and, in its
+/// `store` subdirectory, the `mocc` CLI's default result store.
 pub fn cache_dir() -> PathBuf {
     // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_CACHE_DIR
     let dir = std::env::var("MOCC_CACHE_DIR")

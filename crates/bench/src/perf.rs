@@ -13,7 +13,7 @@
 
 use crate::timing::Stopwatch;
 use mocc_core::{MoccAgent, MoccConfig, Preference};
-use mocc_eval::{BaselineFactory, FlowLoad, SweepRunner, SweepSpec, TraceShape};
+use mocc_eval::{ExperimentSpec, FlowLoad, SchemeSpec, SweepRunner, SweepSpec, TraceShape};
 use mocc_netsim::{Scenario, Simulator};
 use mocc_nn::{Activation, Mlp};
 use mocc_rl::ppo::{Ppo, PpoConfig};
@@ -227,16 +227,13 @@ fn sim_steps_per_sec(reps: u64) -> f64 {
 }
 
 fn sweep_cells_per_sec(threads: usize, reps: u64) -> f64 {
-    let spec = reference_sweep();
-    let cells = spec.cell_count() as f64;
+    let cubic = SchemeSpec::parse("cubic").expect("built-in label");
+    let exp = ExperimentSpec::from_sweep("cubic", cubic, &reference_sweep());
+    let cells = exp.cell_count() as f64;
     let runner = SweepRunner::with_threads(threads);
     let secs = best_of(reps, || {
-        black_box(
-            runner
-                .run_factory(&spec, "cubic", &BaselineFactory::new("cubic"))
-                .summary
-                .mean_utility,
-        );
+        let report = runner.run(&exp).expect("the reference sweep is valid");
+        black_box(report.summary.mean_utility);
     });
     cells / secs
 }
@@ -249,12 +246,8 @@ fn mocc_cells_per_sec(threads: usize, reps: u64) -> f64 {
     let eval = mocc_core::BatchMoccEvaluator::new(&agent, Preference::throughput(), 0.3);
     let runner = SweepRunner::with_threads(threads);
     let secs = best_of(reps, || {
-        black_box(
-            runner
-                .run_cells(&spec, "mocc-batched", &eval)
-                .summary
-                .mean_utility,
-        );
+        let (report, _) = runner.run_cells(&spec, "mocc-batched", &eval, None);
+        black_box(report.summary.mean_utility);
     });
     cells / secs
 }
@@ -317,7 +310,7 @@ impl Env for SyntheticEnv {
 /// Transitions per second collecting rollouts over [`ROLLOUT_ENVS`]
 /// synthetic environments with policy-shaped actor/critic networks —
 /// either the historical per-env scalar loop (bit-exact scalar
-/// kernels, exactly what `collect_rollout` runs), or the lockstep
+/// kernels, exactly what `Ppo::collect_rollout` runs), or the lockstep
 /// batched collector as the batched training pipeline configures it
 /// (`collect_rollouts_batched_tier` on the fast inference tier). Same
 /// seeds, same envs, same step budget either way: the ratio is the

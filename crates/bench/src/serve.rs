@@ -1,0 +1,497 @@
+//! The `mocc serve` daemon: one result store answering spec requests
+//! over a line-delimited JSON protocol (docs/CACHING.md).
+//!
+//! Each request is one JSON object per line:
+//!
+//! ```text
+//! {"op":"ping"}
+//! {"op":"stats"}
+//! {"op":"run","spec":{...ExperimentSpec...}}
+//! {"op":"run","path":"examples/specs/sweep_cubic.json"}
+//! {"op":"shutdown"}
+//! ```
+//!
+//! and each response one JSON object per line: `{"ok":true,...}` with
+//! the canonical report under `"report"` plus `"hits"`/`"misses"`, or
+//! `{"ok":false,"error":"..."}`. Malformed requests answer an error
+//! and keep the session alive; `shutdown` ends the daemon.
+//!
+//! The module is transport- and clock-free: [`Server::session`] is
+//! generic over `BufRead`/`Write` and takes its ledger timestamps from
+//! an injected `fn() -> u64` (the `TrainOptions.clock` pattern), so the
+//! `mocc` binary owns stdin, the Unix socket and the wall clock, and
+//! the whole protocol is testable in process.
+
+use mocc_eval::{ExperimentSpec, SweepRunner};
+use mocc_store::ResultStore;
+use serde::{Deserialize, Serialize, Value};
+use std::io::{BufRead, Read, Write};
+use std::path::Path;
+
+/// Upper bound on one request line. Longer lines are discarded in
+/// bounded chunks and answered with a structured error, so a client
+/// cannot make the daemon buffer an arbitrarily large request.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// What every session of one daemon shares.
+pub struct Server<'a> {
+    /// Executes the cells a `run` request misses.
+    pub runner: &'a SweepRunner,
+    /// The store every client's requests are memoized through.
+    pub store: &'a ResultStore,
+    /// Unix seconds for the store's audit ledger, read once per `run`
+    /// request; timestamps never reach a report.
+    pub clock: fn() -> u64,
+}
+
+impl Server<'_> {
+    /// Serves one client session; returns true when the client asked
+    /// the daemon to shut down (not merely disconnected).
+    ///
+    /// Per-request faults — malformed JSON, invalid UTF-8, an oversized
+    /// line, or a panic inside op dispatch — answer `{"ok":false,...}`
+    /// and keep the session alive; only a transport-level read/write
+    /// error ends it.
+    pub fn session(
+        &self,
+        mut reader: impl BufRead,
+        mut writer: impl Write,
+    ) -> Result<bool, String> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let n = reader
+                .by_ref()
+                .take(MAX_REQUEST_BYTES as u64 + 1)
+                .read_until(b'\n', &mut buf)
+                .map_err(|e| e.to_string())?;
+            if n == 0 {
+                return Ok(false); // Client disconnected.
+            }
+            let (response, shutdown) = if buf.len() > MAX_REQUEST_BYTES && !buf.ends_with(b"\n") {
+                drain_line(&mut reader)?;
+                let cap = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                (error_response(&cap), false)
+            } else {
+                // Lossy decoding: invalid UTF-8 becomes a JSON parse
+                // error on the replacement characters, not a dead
+                // session.
+                let line = String::from_utf8_lossy(&buf);
+                if line.trim().is_empty() {
+                    continue;
+                }
+                self.guarded(&line)
+            };
+            writeln!(writer, "{response}").map_err(|e| e.to_string())?;
+            writer.flush().map_err(|e| e.to_string())?;
+            if shutdown {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// [`Server::dispatch`] behind a panic guard: a panic while
+    /// dispatching one request becomes a structured error response
+    /// instead of unwinding through the serve loop and killing the
+    /// daemon.
+    fn guarded(&self, line: &str) -> (String, bool) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        match catch_unwind(AssertUnwindSafe(|| self.dispatch(line))) {
+            Ok(result) => result,
+            Err(payload) => (
+                // `&*payload`: deref the box so we downcast the
+                // payload, not the `Box<dyn Any>` itself.
+                error_response(&format!("internal error: {}", panic_message(&*payload))),
+                false,
+            ),
+        }
+    }
+
+    /// Handles one protocol line; returns `(response line, shutdown?)`.
+    fn dispatch(&self, line: &str) -> (String, bool) {
+        let request: Value = match serde_json::from_str(line) {
+            Ok(v) => v,
+            Err(e) => return (error_response(&format!("bad request JSON: {e}")), false),
+        };
+        let Value::Obj(request) = request else {
+            return (error_response("request must be a JSON object"), false);
+        };
+        let op = match request.get("op") {
+            Some(Value::Str(op)) => op.as_str(),
+            _ => return (error_response("request needs a string `op` field"), false),
+        };
+        let ack = |op: &str| {
+            response(vec![
+                ("ok", Value::Bool(true)),
+                ("op", Value::Str(op.to_string())),
+            ])
+        };
+        match op {
+            "ping" => (ack("ping"), false),
+            "shutdown" => (ack("shutdown"), true),
+            "stats" => match self.store.stats() {
+                Err(e) => (error_response(&e.to_string()), false),
+                Ok(s) => (
+                    response(vec![
+                        ("hits", s.hits.to_value()),
+                        ("keys", s.keys.to_value()),
+                        ("misses", s.misses.to_value()),
+                        ("objects", s.objects.to_value()),
+                        ("ok", Value::Bool(true)),
+                        ("puts", s.puts.to_value()),
+                    ]),
+                    false,
+                ),
+            },
+            "run" => {
+                let exp = match (request.get("spec"), request.get("path")) {
+                    (Some(spec), None) => {
+                        ExperimentSpec::from_value(spec).map_err(|e| format!("bad spec: {e}"))
+                    }
+                    (None, Some(Value::Str(path))) => {
+                        ExperimentSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+                    }
+                    _ => Err("run needs exactly one of `spec` (inline) or `path`".to_string()),
+                };
+                let result = exp.and_then(|exp| {
+                    let ts = (self.clock)();
+                    mocc_core::run_experiment_cached(self.runner, &exp, self.store, ts)
+                        .map_err(|e| e.to_string())
+                });
+                match result {
+                    Err(e) => (error_response(&e), false),
+                    Ok((report, stats)) => {
+                        let report_value: Value = serde_json::from_str(&report.to_canonical_json())
+                            .expect("canonical report parses");
+                        (
+                            response(vec![
+                                ("hits", stats.hits.to_value()),
+                                ("misses", stats.misses.to_value()),
+                                ("ok", Value::Bool(true)),
+                                ("report", report_value),
+                            ]),
+                            false,
+                        )
+                    }
+                }
+            }
+            other => (error_response(&format!("unknown op {other:?}")), false),
+        }
+    }
+}
+
+/// Discards the rest of the current input line (the request already
+/// exceeded [`MAX_REQUEST_BYTES`]), consuming the reader's buffer in
+/// place so memory stays bounded. EOF also ends the line.
+fn drain_line(reader: &mut impl BufRead) -> Result<(), String> {
+    loop {
+        let available = reader.fill_buf().map_err(|e| e.to_string())?;
+        if available.is_empty() {
+            return Ok(());
+        }
+        match available.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = available.len();
+                reader.consume(n);
+            }
+        }
+    }
+}
+
+/// Best-effort text of a caught panic payload (`panic!` carries a
+/// `&str` or `String`; anything else is opaque).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "unknown panic"
+    }
+}
+
+/// One response line: a JSON object of `fields`.
+fn response(fields: Vec<(&str, Value)>) -> String {
+    let obj = fields
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    serde_json::to_string(&Value::Obj(obj)).expect("response serializes")
+}
+
+fn error_response(msg: &str) -> String {
+    response(vec![
+        ("error", Value::Str(msg.to_string())),
+        ("ok", Value::Bool(false)),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    const PING: &str = "{\"ok\":true,\"op\":\"ping\"}";
+    const SHUTDOWN: &str = "{\"ok\":true,\"op\":\"shutdown\"}";
+
+    fn repo_file(rel: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel)
+    }
+
+    /// A fresh store in a per-test temp directory.
+    fn temp_store(name: &str) -> (PathBuf, ResultStore) {
+        let dir = std::env::temp_dir().join(format!("mocc-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).expect("open store");
+        (dir, store)
+    }
+
+    /// The fake clock: every ledger line a session writes carries it.
+    fn fixed_clock() -> u64 {
+        1_700_000_123
+    }
+
+    /// Runs one in-memory session over `input`; returns the response
+    /// lines and whether the client asked for shutdown.
+    fn session_with(store: &ResultStore, clock: fn() -> u64, input: &[u8]) -> (Vec<String>, bool) {
+        let runner = SweepRunner::with_threads(2);
+        let server = Server {
+            runner: &runner,
+            store,
+            clock,
+        };
+        let mut out = Vec::new();
+        let shutdown = server
+            .session(std::io::BufReader::new(input), &mut out)
+            .expect("in-memory transport cannot fail");
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        (text.lines().map(str::to_string).collect(), shutdown)
+    }
+
+    fn session(store: &ResultStore, input: &[u8]) -> (Vec<String>, bool) {
+        session_with(store, fixed_clock, input)
+    }
+
+    /// The timestamp of every line in the store's ledger.
+    fn ledger_timestamps(dir: &Path) -> Vec<u64> {
+        let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap_or_default();
+        let scan = mocc_store::LedgerScan::parse(&ledger);
+        assert!(scan.bad_lines.is_empty() && !scan.truncated_tail);
+        scan.entries.iter().map(|e| e.ts).collect()
+    }
+
+    /// The whole happy path on one session: ping, a cold run by spec
+    /// path (16 misses, report equal to the golden fixture), the same
+    /// spec inline (16 hits, identical report), an unknown op, stats,
+    /// and shutdown — with every ledger line stamped by the injected
+    /// clock.
+    #[test]
+    fn session_answers_every_op_with_exact_lines() {
+        let (dir, store) = temp_store("ops");
+        let spec_path = repo_file("examples/specs/sweep_cubic.json");
+        let spec_text = std::fs::read_to_string(&spec_path).expect("shipped spec");
+        let golden = std::fs::read_to_string(repo_file("tests/fixtures/golden_cubic.json"))
+            .expect("golden fixture");
+        let input = format!(
+            "{{\"op\":\"ping\"}}\n\
+             {{\"op\":\"run\",\"path\":\"{}\"}}\n\
+             \n\
+             {{\"op\":\"run\",\"spec\":{}}}\n\
+             {{\"op\":\"nonsense\"}}\n\
+             {{\"op\":\"stats\"}}\n\
+             {{\"op\":\"shutdown\"}}\n\
+             {{\"op\":\"ping\"}}\n",
+            spec_path.display(),
+            spec_text.trim()
+        );
+        let (lines, shutdown) = session(&store, input.as_bytes());
+        assert!(
+            shutdown,
+            "shutdown op ends the daemon, not just the session"
+        );
+        assert_eq!(
+            lines.len(),
+            6,
+            "one response per request, blank lines skipped, nothing after shutdown: {lines:#?}"
+        );
+        assert_eq!(lines[0], PING);
+        assert_eq!(
+            lines[1],
+            format!("{{\"hits\":0,\"misses\":16,\"ok\":true,\"report\":{golden}}}")
+        );
+        assert_eq!(
+            lines[2],
+            format!("{{\"hits\":16,\"misses\":0,\"ok\":true,\"report\":{golden}}}")
+        );
+        assert_eq!(
+            lines[3],
+            "{\"error\":\"unknown op \\\"nonsense\\\"\",\"ok\":false}"
+        );
+        assert_eq!(
+            lines[4],
+            "{\"hits\":16,\"keys\":16,\"misses\":16,\"objects\":16,\"ok\":true,\"puts\":16}"
+        );
+        assert_eq!(lines[5], SHUTDOWN);
+        let stamps = ledger_timestamps(&dir);
+        assert_eq!(stamps.len(), 48, "16 misses + 16 puts + 16 hits");
+        assert!(stamps.iter().all(|&ts| ts == fixed_clock()), "{stamps:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A client that just disconnects ends the session without asking
+    /// the daemon to stop.
+    #[test]
+    fn disconnect_is_not_a_shutdown() {
+        let (dir, store) = temp_store("eof");
+        let (lines, shutdown) = session(&store, b"{\"op\":\"ping\"}\n");
+        assert_eq!(lines, [PING]);
+        assert!(!shutdown);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile input keeps the session alive: malformed JSON, a
+    /// non-object request, a missing/non-string `op`, invalid UTF-8,
+    /// and an oversized (>1 MiB) line each answer a structured error
+    /// on their own response line, after which the same session still
+    /// serves a normal `ping` and a clean `shutdown`.
+    #[test]
+    fn session_survives_malformed_oversized_and_binary_requests() {
+        let (dir, store) = temp_store("hostile");
+        let mut input = Vec::new();
+        input.extend_from_slice(b"this is not json\n[1,2,3]\n{\"op\":42}\n");
+        input.extend_from_slice(b"\x80\xff binary \x00 junk\n");
+        input.extend(std::iter::repeat(b'x').take(3 << 20));
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n{\"op\":\"shutdown\"}\n");
+        let (lines, shutdown) = session(&store, &input);
+        assert_eq!(lines.len(), 7, "one response per request: {lines:#?}");
+        for (i, why) in [(0usize, "bad request JSON"), (3, "bad request JSON")] {
+            assert!(
+                lines[i].starts_with(&format!("{{\"error\":\"{why}: "))
+                    && lines[i].ends_with(",\"ok\":false}"),
+                "line {i}: {}",
+                lines[i]
+            );
+        }
+        assert_eq!(
+            lines[1],
+            "{\"error\":\"request must be a JSON object\",\"ok\":false}"
+        );
+        assert_eq!(
+            lines[2],
+            "{\"error\":\"request needs a string `op` field\",\"ok\":false}"
+        );
+        assert_eq!(
+            lines[4],
+            "{\"error\":\"request line exceeds 1048576 bytes\",\"ok\":false}"
+        );
+        assert_eq!(lines[5], PING, "must still serve after hostile input");
+        assert_eq!(lines[6], SHUTDOWN);
+        assert!(shutdown);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line of exactly the cap (newline included) is still a request,
+    /// not an oversized one.
+    #[test]
+    fn a_line_at_the_cap_is_parsed_not_discarded() {
+        let (dir, store) = temp_store("cap");
+        let mut input = vec![b' '; MAX_REQUEST_BYTES - 14];
+        input.extend_from_slice(b"{\"op\":\"ping\"}\n");
+        assert_eq!(input.len(), MAX_REQUEST_BYTES);
+        let (lines, _) = session(&store, &input);
+        assert_eq!(lines, [PING]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic inside op dispatch (here: the injected clock) becomes an
+    /// `internal error` response and the session keeps serving.
+    #[test]
+    fn panic_in_dispatch_keeps_the_session_alive() {
+        fn broken_clock() -> u64 {
+            panic!("clock exploded")
+        }
+        let (dir, store) = temp_store("panic");
+        let input = format!(
+            "{{\"op\":\"run\",\"path\":\"{}\"}}\n{{\"op\":\"ping\"}}\n",
+            repo_file("examples/specs/sweep_cubic.json").display()
+        );
+        let (lines, shutdown) = session_with(&store, broken_clock, input.as_bytes());
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"internal error: clock exploded\",\"ok\":false}",
+                PING
+            ]
+        );
+        assert!(!shutdown);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `run` takes exactly one of `spec` and `path`; bad specs and
+    /// unreadable paths are errors naming the problem, and none of
+    /// them touches the store.
+    #[test]
+    fn run_rejects_ambiguous_missing_and_invalid_specs() {
+        let (dir, store) = temp_store("badrun");
+        let input = b"{\"op\":\"run\",\"spec\":{},\"path\":\"x.json\"}\n\
+                      {\"op\":\"run\"}\n\
+                      {\"op\":\"run\",\"path\":7}\n\
+                      {\"op\":\"run\",\"spec\":{}}\n\
+                      {\"op\":\"run\",\"path\":\"/nonexistent/spec.json\"}\n";
+        let (lines, _) = session(&store, input);
+        assert_eq!(lines.len(), 5, "{lines:#?}");
+        let one_of =
+            "{\"error\":\"run needs exactly one of `spec` (inline) or `path`\",\"ok\":false}";
+        assert_eq!(lines[0], one_of);
+        assert_eq!(lines[1], one_of);
+        assert_eq!(lines[2], one_of);
+        assert!(
+            lines[3].starts_with("{\"error\":\"bad spec: "),
+            "{}",
+            lines[3]
+        );
+        assert!(
+            lines[4].starts_with("{\"error\":\"/nonexistent/spec.json: "),
+            "{}",
+            lines[4]
+        );
+        assert!(
+            ledger_timestamps(&dir).is_empty(),
+            "rejected requests must not reach the store"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_line_stops_at_the_newline() {
+        let mut reader = std::io::BufReader::new(&b"tail of oversized line\nnext"[..]);
+        drain_line(&mut reader).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "next");
+    }
+
+    #[test]
+    fn drain_line_accepts_eof_as_line_end() {
+        let mut reader = std::io::BufReader::new(&b"no newline at all"[..]);
+        drain_line(&mut reader).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        assert_eq!(rest, "");
+    }
+
+    #[test]
+    fn panic_message_reads_str_and_string_payloads() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let p = catch_unwind(AssertUnwindSafe(|| panic!("plain str"))).unwrap_err();
+        assert_eq!(panic_message(&*p), "plain str");
+        let p = catch_unwind(AssertUnwindSafe(|| panic!("with {}", "args"))).unwrap_err();
+        assert_eq!(panic_message(&*p), "with args");
+    }
+}

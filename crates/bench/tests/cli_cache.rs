@@ -1,8 +1,9 @@
 //! End-to-end tests for the `mocc` binary's cache surface: `run
-//! --cache`, the `cache stats|verify|gc` subcommands, and the `serve`
-//! daemon's line-JSON protocol (docs/CACHING.md). Everything runs the
-//! real executable against the shipped example specs and committed
-//! golden fixtures.
+//! --cache`, the `cache stats|verify|gc` subcommands, one smoke test
+//! per `serve` transport (the protocol itself is tested in process, in
+//! `mocc_bench::serve`), and the per-subcommand flag accept-lists.
+//! Everything runs the real executable against the shipped example
+//! specs and committed golden fixtures.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -178,11 +179,12 @@ fn corrupt_object_fails_verify_then_run_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The serve daemon over stdin/stdout: ping, a cached run by spec
-/// path (warm store → zero misses, report matching the golden),
-/// stats, an error answer for junk, and a clean shutdown.
+/// The stdin/stdout transport is wired to the serve module: a warm
+/// store answers a run-by-path all-hit between a ping and a clean
+/// shutdown. (Every protocol case lives in `mocc_bench::serve`'s
+/// in-process tests.)
 #[test]
-fn serve_answers_the_line_json_protocol_over_stdin() {
+fn serve_answers_over_stdin() {
     let dir = temp_dir("serve");
     let store = dir.join("store");
     let store_arg = store.to_str().expect("utf-8 temp path");
@@ -207,98 +209,18 @@ fn serve_answers_the_line_json_protocol_over_stdin() {
     let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
     writeln!(stdin, "{{\"op\":\"ping\"}}").expect("write ping");
     writeln!(stdin, "{{\"op\":\"run\",\"path\":\"{spec}\"}}").expect("write run");
-    writeln!(stdin, "{{\"op\":\"nonsense\"}}").expect("write junk");
-    writeln!(stdin, "{{\"op\":\"stats\"}}").expect("write stats");
     writeln!(stdin, "{{\"op\":\"shutdown\"}}").expect("write shutdown");
     drop(stdin);
 
     let lines: Vec<String> = stdout.lines().map(|l| l.expect("read response")).collect();
-    assert_eq!(lines.len(), 5, "one response per request: {lines:#?}");
+    assert_eq!(lines.len(), 3, "one response per request: {lines:#?}");
     assert_eq!(lines[0], "{\"ok\":true,\"op\":\"ping\"}");
     assert!(
         lines[1].starts_with("{\"hits\":16,\"misses\":0,\"ok\":true,\"report\":"),
         "warm serve run should be all-hit: {}",
         &lines[1][..lines[1].len().min(120)]
     );
-    assert!(
-        lines[2].contains("\"ok\":false") && lines[2].contains("unknown op"),
-        "junk op should answer an error: {}",
-        lines[2]
-    );
-    assert!(
-        lines[3].contains("\"ok\":true") && lines[3].contains("\"objects\":16"),
-        "stats: {}",
-        lines[3]
-    );
-    assert_eq!(lines[4], "{\"ok\":true,\"op\":\"shutdown\"}");
-    let status = child.wait().expect("serve exits");
-    assert!(status.success(), "serve exited with {status}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Hostile input keeps the daemon alive: malformed JSON, a non-object
-/// request, a missing/non-string `op`, invalid UTF-8, and an
-/// oversized (>1 MiB) line each answer a structured `"ok":false`
-/// error on their own response line, after which the session still
-/// serves a normal `ping` and a clean `shutdown`.
-#[test]
-fn serve_survives_malformed_oversized_and_binary_requests() {
-    let dir = temp_dir("serve-hostile");
-    let store = dir.join("store");
-    let store_arg = store.to_str().expect("utf-8 temp path");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mocc"))
-        .args(["serve", "--cache-dir", store_arg])
-        .current_dir(repo_root())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
-    let mut stdin = child.stdin.take().expect("piped stdin");
-    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-
-    writeln!(stdin, "this is not json").expect("write junk");
-    writeln!(stdin, "[1,2,3]").expect("write non-object");
-    writeln!(stdin, "{{\"op\":42}}").expect("write non-string op");
-    stdin
-        .write_all(b"\x80\xff binary \x00 junk\n")
-        .expect("write invalid utf-8");
-    // One request line well past the 1 MiB cap; the daemon must
-    // answer an error without buffering it, then keep serving.
-    let oversized = vec![b'x'; 3 << 20];
-    stdin.write_all(&oversized).expect("write oversized line");
-    stdin.write_all(b"\n").expect("terminate oversized line");
-    writeln!(stdin, "{{\"op\":\"ping\"}}").expect("write ping");
-    writeln!(stdin, "{{\"op\":\"shutdown\"}}").expect("write shutdown");
-    drop(stdin);
-
-    let lines: Vec<String> = stdout.lines().map(|l| l.expect("read response")).collect();
-    assert_eq!(lines.len(), 7, "one response per request: {lines:#?}");
-    for (i, why) in [
-        (0usize, "malformed JSON"),
-        (1, "non-object request"),
-        (2, "non-string op"),
-        (3, "invalid UTF-8"),
-        (4, "oversized line"),
-    ] {
-        assert!(
-            lines[i].contains("\"ok\":false"),
-            "{why} should answer a structured error: {}",
-            lines[i]
-        );
-    }
-    assert!(
-        lines[4].contains("exceeds"),
-        "oversized line should name the cap: {}",
-        lines[4]
-    );
-    assert_eq!(
-        lines[5], "{\"ok\":true,\"op\":\"ping\"}",
-        "daemon must still serve after hostile input"
-    );
-    assert_eq!(lines[6], "{\"ok\":true,\"op\":\"shutdown\"}");
+    assert_eq!(lines[2], "{\"ok\":true,\"op\":\"shutdown\"}");
     let status = child.wait().expect("serve exits");
     assert!(status.success(), "serve exited with {status}");
 
@@ -355,5 +277,96 @@ fn serve_answers_over_a_unix_socket() {
     assert!(status.success(), "serve exited with {status}");
     assert!(!socket.exists(), "socket file left behind");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag that exists but belongs to another subcommand is an error
+/// naming the flag and the subcommand — never silently ignored (a user
+/// passing `--seed` to `run` must not believe the seed changed) — and
+/// nothing is written.
+#[test]
+fn foreign_flags_are_rejected_not_ignored() {
+    let dir = temp_dir("foreign");
+    let out = dir.join("report.json");
+    let out_arg = out.to_str().expect("utf-8 temp path");
+    let zoo = dir.join("zoo");
+    let zoo_arg = zoo.to_str().expect("utf-8 temp path");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf-8 temp path");
+    let sweep = "examples/specs/sweep_cubic.json";
+    let train = "examples/specs/train_smoke.json";
+    let cases: &[(&str, &[&str], &str)] = &[
+        ("run", &[sweep, "--out", out_arg, "--seed", "5"], "--seed"),
+        (
+            "run",
+            &[sweep, "--out", out_arg, "--zoo", "/nonexistent"],
+            "--zoo",
+        ),
+        (
+            "run",
+            &[sweep, "--out", out_arg, "--max-iters", "3"],
+            "--max-iters",
+        ),
+        (
+            "run",
+            &[sweep, "--out", out_arg, "--budget", "3"],
+            "--budget",
+        ),
+        ("train", &[train, "--zoo", zoo_arg, "--seed", "9"], "--seed"),
+        (
+            "train",
+            &[train, "--zoo", zoo_arg, "--budget", "3"],
+            "--budget",
+        ),
+        (
+            "train",
+            &[train, "--zoo", zoo_arg, "--threads", "2"],
+            "--threads",
+        ),
+        ("hunt", &[sweep, "--out", out_arg], "--out"),
+        ("validate", &[sweep, "--rule", "x"], "--rule"),
+        (
+            "cache",
+            &["stats", "--cache-dir", store_arg, "--threads", "3"],
+            "--threads",
+        ),
+        (
+            "serve",
+            &["--cache-dir", store_arg, "--batch", "4"],
+            "--batch",
+        ),
+        (
+            "serve",
+            &["--cache-dir", store_arg, "--out", out_arg],
+            "--out",
+        ),
+        ("audit", &["--threads", "2"], "--threads"),
+    ];
+    for (cmd, rest, flag) in cases {
+        let mut args = vec![*cmd];
+        args.extend_from_slice(rest);
+        let result = mocc(&args);
+        let stderr = stderr_of(&result);
+        assert!(!result.status.success(), "{args:?} was accepted");
+        assert!(
+            stderr.contains(&format!("`mocc {cmd}` does not take {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(result.stdout.is_empty(), "{args:?} printed a result");
+        for path in [&out, &zoo, &store] {
+            assert!(!path.exists(), "{args:?} created {}", path.display());
+        }
+    }
+    // The rejection says what the subcommand does take.
+    let train_err = stderr_of(&mocc(&["train", train, "--seed", "9"]));
+    assert!(
+        train_err.contains("it takes only --zoo, --resume, --out, --max-iters"),
+        "{train_err}"
+    );
+    let validate_err = stderr_of(&mocc(&["validate", sweep, "--threads", "2"]));
+    assert!(
+        validate_err.contains("it takes no options"),
+        "{validate_err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

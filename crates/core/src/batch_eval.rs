@@ -24,11 +24,11 @@ use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_eval::{
-    competition_report, contender_by_name, CellEvaluator, CellReport, CompetitionCell,
-    CompetitionEvaluator, MoccPrefSpec, SchemeKind, SchemeSpec, SpecError, SweepCell,
+    competition_report, CellEvaluator, CellReport, CompetitionCell, CompetitionEvaluator,
+    MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError, SweepCell,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
-use mocc_netsim::Simulator;
+use mocc_netsim::{Scenario, SimResult, Simulator};
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::collections::VecDeque;
@@ -45,6 +45,9 @@ pub struct BatchMoccEvaluator {
     initial_rate_frac: f64,
     batch: usize,
     tier: ForwardTier,
+    /// Builds the non-MOCC contenders of competition cells and their
+    /// all-TCP friendliness control: the built-in vocabulary.
+    registry: SchemeRegistry,
 }
 
 impl BatchMoccEvaluator {
@@ -58,6 +61,7 @@ impl BatchMoccEvaluator {
             initial_rate_frac,
             batch: 32,
             tier: ForwardTier::Scalar,
+            registry: SchemeRegistry::builtin(),
         }
     }
 
@@ -96,6 +100,127 @@ impl BatchMoccEvaluator {
             SchemeKind::Registry => None,
         })
     }
+
+    /// The lockstep driver behind both evaluator traits. `launch`
+    /// names a cell's scenario and how each of its flows is
+    /// controlled; `reduce` turns the finished simulation into the
+    /// cell's report. Every round advances each live simulator to the
+    /// next monitor interval of *any* of its policy-driven flows,
+    /// stacks one observation row per paused cell (conditioned on that
+    /// flow's preference and history), forwards once, and applies each
+    /// decision to the flow that asked for it. A cell's decision
+    /// sequence depends only on its own event order, so reports stay
+    /// byte-identical across batch sizes and worker counts.
+    fn drive<'c, C>(
+        &self,
+        cells: &'c [C],
+        launch: impl Fn(&'c C) -> (&'c Scenario, Vec<FlowControl>),
+        reduce: impl Fn(&C, &SimResult) -> CellReport,
+    ) -> Vec<CellReport> {
+        let obs_dim = self.cfg.obs_dim();
+        let mut scratch = PolicyScratch::default();
+        let mut obs = Matrix::default();
+        let mut means: Vec<f32> = Vec::with_capacity(cells.len());
+        let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
+
+        let mut runs: Vec<CellRun> = cells
+            .iter()
+            .enumerate()
+            .map(|(index, cell)| {
+                let (scenario, controls) = launch(cell);
+                let peak = scenario.link.trace.max_rate();
+                let mut driven = Vec::with_capacity(controls.len());
+                let ccs = controls
+                    .into_iter()
+                    .map(|control| -> Box<dyn CongestionControl> {
+                        match control {
+                            FlowControl::Policy(pref) => {
+                                driven.push(Some(DrivenFlow {
+                                    pref,
+                                    history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
+                                }));
+                                Box::new(ExternalRate {
+                                    initial_rate_bps: self.initial_rate_frac * peak,
+                                })
+                            }
+                            FlowControl::Scheme(cc) => {
+                                driven.push(None);
+                                cc
+                            }
+                        }
+                    })
+                    .collect();
+                CellRun {
+                    index,
+                    sim: Simulator::new(scenario.clone(), ccs),
+                    driven,
+                    paused: 0,
+                }
+            })
+            .collect();
+
+        while !runs.is_empty() {
+            let mut i = 0;
+            while i < runs.len() {
+                let CellRun {
+                    sim,
+                    driven,
+                    paused,
+                    ..
+                } = &mut runs[i];
+                let finished = loop {
+                    let Some((f, stats)) = sim.advance_until_monitor_where(|f| driven[f].is_some())
+                    else {
+                        break true;
+                    };
+                    // A departed flow's monitor intervals keep firing
+                    // until the horizon; steering it would be a no-op
+                    // (it never sends again), so its pauses are drained
+                    // here instead of spending batched inference on
+                    // them.
+                    let departed = sim.scenario().flows[f]
+                        .stop
+                        .is_some_and(|stop| sim.now() >= stop);
+                    if departed {
+                        continue;
+                    }
+                    let flow = driven[f].as_mut().expect("paused flow is policy-driven");
+                    flow.history.pop_front();
+                    flow.history.push_back(stats_features(&stats));
+                    *paused = f;
+                    break false;
+                };
+                if finished {
+                    // Horizon reached: reduce to metrics and drop out
+                    // of the batch.
+                    let run = runs.swap_remove(i);
+                    reports[run.index] = Some(reduce(&cells[run.index], &run.sim.result()));
+                } else {
+                    i += 1;
+                }
+            }
+            if runs.is_empty() {
+                break;
+            }
+            obs.reshape(runs.len(), obs_dim);
+            for (r, run) in runs.iter().enumerate() {
+                let flow = run.driven[run.paused]
+                    .as_ref()
+                    .expect("paused flow is policy-driven");
+                write_obs(&flow.pref, &flow.history, obs.row_mut(r));
+            }
+            self.policy
+                .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
+            for (run, &mean) in runs.iter_mut().zip(&means) {
+                let next = self.cfg.apply_action(run.sim.rate(run.paused), mean);
+                run.sim.set_rate(run.paused, next);
+            }
+        }
+        reports
+            .into_iter()
+            .map(|r| r.expect("every cell produced a report"))
+            .collect()
+    }
 }
 
 /// Maps a declarative [`MoccPrefSpec`] (the parsed `<pref>` part of a
@@ -109,11 +234,35 @@ pub fn preference_from_spec(spec: &MoccPrefSpec) -> Preference {
     }
 }
 
+/// Every spec-driven path validates labels before any cell runs, so a
+/// label that fails to resolve mid-run means a spec bypassed
+/// validation.
+fn unvalidated<T>(e: SpecError) -> T {
+    panic!("{e} (spec not validated?)")
+}
+
+/// How one flow of a batched cell is controlled.
+enum FlowControl {
+    /// Externally driven by the policy under this preference.
+    Policy(Preference),
+    /// Its own congestion controller.
+    Scheme(Box<dyn CongestionControl>),
+}
+
+/// Observation state of one policy-driven flow.
+struct DrivenFlow {
+    pref: Preference,
+    history: VecDeque<[f32; 3]>,
+}
+
 /// Per-cell in-flight state while a batch runs.
 struct CellRun {
     index: usize,
     sim: Simulator,
-    history: VecDeque<[f32; 3]>,
+    /// By flow id: `Some` for every policy-driven flow.
+    driven: Vec<Option<DrivenFlow>>,
+    /// The flow whose monitor interval paused the simulator this round.
+    paused: usize,
 }
 
 impl CellEvaluator for BatchMoccEvaluator {
@@ -122,97 +271,21 @@ impl CellEvaluator for BatchMoccEvaluator {
     }
 
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        let obs_dim = self.cfg.obs_dim();
-        let mut scratch = PolicyScratch::default();
-        let mut obs = Matrix::default();
-        let mut means: Vec<f32> = Vec::with_capacity(cells.len());
-        let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
-
-        // Launch one external-agent simulator per cell.
-        let mut runs: Vec<CellRun> = cells
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| {
+        self.drive(
+            cells,
+            |cell| {
                 let peak = cell.scenario.link.trace.max_rate();
-                let ccs: Vec<Box<dyn CongestionControl>> = (0..cell.scenario.flows.len())
-                    .map(|flow| -> Box<dyn CongestionControl> {
-                        if flow == 0 {
-                            Box::new(ExternalRate {
-                                initial_rate_bps: self.initial_rate_frac * peak,
-                            })
-                        } else {
-                            Box::new(FixedRate::new(peak))
-                        }
+                let controls = (0..cell.scenario.flows.len())
+                    .map(|flow| match flow {
+                        0 => FlowControl::Policy(self.pref),
+                        _ => FlowControl::Scheme(Box::new(FixedRate::new(peak))),
                     })
                     .collect();
-                CellRun {
-                    index,
-                    sim: Simulator::new(cell.scenario.clone(), ccs),
-                    history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
-                }
-            })
-            .collect();
-
-        // Lockstep rounds: advance every live cell to its next monitor
-        // interval, batch all observations into one forward pass, then
-        // apply the Eq. 1 rate update per cell.
-        while !runs.is_empty() {
-            let mut i = 0;
-            while i < runs.len() {
-                match runs[i].sim.advance_until_monitor(0) {
-                    Some(stats) => {
-                        let run = &mut runs[i];
-                        run.history.pop_front();
-                        run.history.push_back(stats_features(&stats));
-                        i += 1;
-                    }
-                    None => {
-                        // Horizon reached: reduce to metrics and drop
-                        // out of the batch.
-                        let run = runs.swap_remove(i);
-                        let cell = &cells[run.index];
-                        reports[run.index] = Some(CellReport::from_sim(cell, &run.sim.result()));
-                    }
-                }
-            }
-            if runs.is_empty() {
-                break;
-            }
-            obs.reshape(runs.len(), obs_dim);
-            for (r, run) in runs.iter().enumerate() {
-                write_obs(&self.pref, &run.history, obs.row_mut(r));
-            }
-            self.policy
-                .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
-            for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = self.cfg.apply_action(run.sim.rate(0), mean);
-                run.sim.set_rate(0, next);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every cell produced a report"))
-            .collect()
+                (&cell.scenario, controls)
+            },
+            CellReport::from_sim,
+        )
     }
-}
-
-/// Per-flow state of one externally driven (MOCC) flow in a
-/// competition cell.
-struct MoccFlow {
-    flow: usize,
-    pref: Preference,
-    history: VecDeque<[f32; 3]>,
-}
-
-/// Per-cell in-flight state while a competition batch runs.
-struct CompetitionRun {
-    index: usize,
-    sim: Simulator,
-    /// `controlled[f]` marks flow `f` as policy-driven.
-    controlled: Vec<bool>,
-    mocc: Vec<MoccFlow>,
-    /// The flow whose monitor interval paused the simulator this round.
-    paused: usize,
 }
 
 /// Competition cells through the same batched policy: every flow whose
@@ -220,143 +293,38 @@ struct CompetitionRun {
 /// cell may hold *several* competing MOCC flows with different
 /// preferences — and every paused flow across the whole chunk is
 /// served from one batched forward pass per lockstep round. Non-MOCC
-/// labels resolve through the `mocc-cc` baseline registry. Each cell's
-/// decision sequence depends only on its own event order, so reports
-/// stay byte-identical across batch sizes and worker counts.
+/// labels, and the all-TCP friendliness control, are built by the
+/// built-in scheme registry.
 impl CompetitionEvaluator for BatchMoccEvaluator {
     fn batch_size(&self) -> usize {
         self.batch
     }
 
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
-        let obs_dim = self.cfg.obs_dim();
-        let mut scratch = PolicyScratch::default();
-        let mut obs = Matrix::default();
-        let mut means: Vec<f32> = Vec::with_capacity(cells.len());
-        let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
-
-        let mut runs: Vec<CompetitionRun> = cells
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| {
-                let peak = cell.scenario.link.trace.max_rate();
-                let mut controlled = vec![false; cell.labels.len()];
-                let mut mocc = Vec::new();
-                let ccs: Vec<Box<dyn CongestionControl>> = cell
+        self.drive(
+            cells,
+            |cell| {
+                let ctx = SchemeCtx {
+                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
+                };
+                let controls = cell
                     .labels
                     .iter()
-                    .enumerate()
-                    .map(|(flow, label)| -> Box<dyn CongestionControl> {
-                        let resolved = self
-                            .mocc_pref(label)
-                            .unwrap_or_else(|e| panic!("{e} (spec not validated?)"));
-                        if let Some(pref) = resolved {
-                            controlled[flow] = true;
-                            mocc.push(MoccFlow {
-                                flow,
-                                pref,
-                                history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
-                            });
-                            Box::new(ExternalRate {
-                                initial_rate_bps: self.initial_rate_frac * peak,
-                            })
-                        } else {
-                            contender_by_name(label).unwrap_or_else(|| {
-                                panic!(
-                                    "{} (spec not validated?)",
-                                    SpecError::UnknownScheme {
-                                        name: label.to_string(),
-                                        known: mocc_eval::SchemeRegistry::builtin()
-                                            .names()
-                                            .iter()
-                                            .map(|s| s.to_string())
-                                            .collect(),
-                                    }
-                                )
-                            })
-                        }
-                    })
+                    .map(
+                        |label| match self.mocc_pref(label).unwrap_or_else(unvalidated) {
+                            Some(pref) => FlowControl::Policy(pref),
+                            None => FlowControl::Scheme(
+                                self.registry
+                                    .instantiate_label(label, &ctx)
+                                    .unwrap_or_else(unvalidated),
+                            ),
+                        },
+                    )
                     .collect();
-                CompetitionRun {
-                    index,
-                    sim: Simulator::new(cell.scenario.clone(), ccs),
-                    controlled,
-                    mocc,
-                    paused: 0,
-                }
-            })
-            .collect();
-
-        // Lockstep rounds: advance every live cell to the next monitor
-        // interval of *any* of its MOCC flows, stack one observation
-        // per paused cell (conditioned on that flow's preference and
-        // history), forward once, apply each decision to the flow that
-        // asked for it.
-        while !runs.is_empty() {
-            let mut i = 0;
-            while i < runs.len() {
-                let cell = &cells[runs[i].index];
-                let finished = loop {
-                    let run = &mut runs[i];
-                    let CompetitionRun {
-                        sim, controlled, ..
-                    } = run;
-                    match sim.advance_until_monitor_where(|f| controlled[f]) {
-                        Some((f, stats)) => {
-                            // A departed flow's monitor intervals keep
-                            // firing until the horizon; steering it
-                            // would be a no-op (it never sends again),
-                            // so its pauses are drained here instead
-                            // of spending batched inference on them.
-                            let departed = cell.scenario.flows[f]
-                                .stop
-                                .is_some_and(|stop| sim.now() >= stop);
-                            if departed {
-                                continue;
-                            }
-                            let mf = run
-                                .mocc
-                                .iter_mut()
-                                .find(|m| m.flow == f)
-                                .expect("paused flow is controlled");
-                            mf.history.pop_front();
-                            mf.history.push_back(stats_features(&stats));
-                            run.paused = f;
-                            break false;
-                        }
-                        None => break true,
-                    }
-                };
-                if finished {
-                    let run = runs.swap_remove(i);
-                    reports[run.index] = Some(competition_report(cell, &run.sim.result()));
-                } else {
-                    i += 1;
-                }
-            }
-            if runs.is_empty() {
-                break;
-            }
-            obs.reshape(runs.len(), obs_dim);
-            for (r, run) in runs.iter().enumerate() {
-                let mf = run
-                    .mocc
-                    .iter()
-                    .find(|m| m.flow == run.paused)
-                    .expect("paused flow is controlled");
-                write_obs(&mf.pref, &mf.history, obs.row_mut(r));
-            }
-            self.policy
-                .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
-            for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = self.cfg.apply_action(run.sim.rate(run.paused), mean);
-                run.sim.set_rate(run.paused, next);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every cell produced a report"))
-            .collect()
+                (&cell.scenario, controls)
+            },
+            |cell, res| competition_report(cell, res, &self.registry),
+        )
     }
 }
 
@@ -396,8 +364,14 @@ mod tests {
         let spec = spec();
         let runner1 = SweepRunner::with_threads(1);
         let runner4 = SweepRunner::with_threads(4);
-        let single = runner1.run_cells(&spec, "mocc-batched", &evaluator().with_batch_size(1));
-        let batched = runner4.run_cells(&spec, "mocc-batched", &evaluator().with_batch_size(32));
+        let (single, _) =
+            runner1.run_cells(&spec, "mocc-batched", &evaluator().with_batch_size(1), None);
+        let (batched, _) = runner4.run_cells(
+            &spec,
+            "mocc-batched",
+            &evaluator().with_batch_size(32),
+            None,
+        );
         assert_eq!(single.to_canonical_json(), batched.to_canonical_json());
         assert_eq!(single.cells.len(), spec.cell_count());
         assert!(single.cells.iter().all(|c| c.goodput_mbps > 0.0));
@@ -438,15 +412,17 @@ mod tests {
     #[test]
     fn competition_batch_size_cannot_change_the_report() {
         let spec = competition_spec();
-        let single = SweepRunner::with_threads(1).run_competition_cells(
+        let (single, _) = SweepRunner::with_threads(1).run_competition_cells(
             &spec,
             "mocc-competition",
             &evaluator().with_batch_size(1),
+            None,
         );
-        let batched = SweepRunner::with_threads(4).run_competition_cells(
+        let (batched, _) = SweepRunner::with_threads(4).run_competition_cells(
             &spec,
             "mocc-competition",
             &evaluator().with_batch_size(8),
+            None,
         );
         assert_eq!(single.to_canonical_json(), batched.to_canonical_json());
         assert_eq!(single.cells.len(), spec.cell_count());

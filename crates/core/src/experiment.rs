@@ -1,21 +1,24 @@
 //! The policy-aware experiment runner: every `ExperimentSpec` — MOCC
 //! or not — end to end.
 //!
-//! `mocc-eval`'s [`SweepRunner::run`] executes any spec whose schemes
-//! the registry can instantiate, but `mocc` / `mocc:<pref>` labels
-//! need a *policy*. [`run_experiment`] closes that gap: it validates
-//! the spec, materializes the agent its [`PolicySpec`] describes
-//! (a saved model file or a seeded fresh agent — both reproducible),
-//! wraps it in the batched [`BatchMoccEvaluator`], and drives the same
-//! sharded runner. Specs without `mocc` schemes are delegated
-//! unchanged, so this is the one entry point a CLI needs.
+//! `mocc-eval`'s [`SweepRunner::run_with`] executes any spec whose
+//! schemes the registry can instantiate, but `mocc` / `mocc:<pref>`
+//! labels need a *policy*. [`run_experiment_with`] closes that gap: it
+//! validates the spec, materializes the agent its [`PolicySpec`]
+//! describes (a saved model file or a seeded fresh agent — both
+//! reproducible), wraps it in the batched [`BatchMoccEvaluator`], and
+//! drives the same sharded runner. Specs without `mocc` schemes are
+//! delegated unchanged, so this is the one entry point a CLI needs;
+//! [`run_experiment`] and [`run_experiment_cached`] are its two common
+//! spellings.
 
 use crate::agent::MoccAgent;
 use crate::batch_eval::{preference_from_spec, BatchMoccEvaluator};
 use crate::config::MoccConfig;
+use crate::preference::Preference;
 use mocc_eval::{
-    CacheStats, ExperimentSpec, PolicyIdentity, PolicySpec, SchemeKind, SchemeRegistry, SchemeSpec,
-    SpecError, SweepReport, SweepRunner, Workload,
+    CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, RunOptions, SchemeRegistry,
+    SchemeSpec, SpecError, SweepReport, SweepRunner, Workload,
 };
 use mocc_store::ResultStore;
 use rand::rngs::StdRng;
@@ -45,75 +48,120 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
     Ok(MoccAgent::new(cfg, &mut rng))
 }
 
-/// Builds the batched evaluator a spec's policy section describes.
-/// The default preference (served to bare `mocc` labels, and to every
-/// competition flow's observation conditioning) is `policy.preference`
-/// unless `pref_override` is given (the sweep path overrides it with
-/// the scheme's explicit `mocc:<pref>`).
-pub fn evaluator_from_policy(
+/// The batched evaluator serving `agent` as a spec's policy section
+/// configures it. The default preference (served to bare `mocc`
+/// labels, and to every competition flow's observation conditioning)
+/// is `policy.preference` unless `pref_override` is given (the sweep
+/// path overrides it with the scheme's explicit `mocc:<pref>`).
+fn evaluator_for(
+    agent: &MoccAgent,
     policy: &PolicySpec,
-    pref_override: Option<crate::Preference>,
-) -> Result<BatchMoccEvaluator, SpecError> {
-    let agent = agent_from_policy(policy)?;
+    pref_override: Option<Preference>,
+) -> BatchMoccEvaluator {
     let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
-    Ok(
-        BatchMoccEvaluator::new(&agent, pref, policy.initial_rate_frac)
-            .with_batch_size(policy.batch)
-            .with_fast_math(policy.fast_math),
-    )
+    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac)
+        .with_batch_size(policy.batch)
+        .with_fast_math(policy.fast_math)
 }
 
-/// Runs any [`ExperimentSpec`] — the complete entry point behind the
-/// `mocc` CLI. Baseline-only specs delegate to
-/// [`SweepRunner::run`]; specs with `mocc` schemes are served by the
-/// batched inference path, reproducibly materialized from the spec's
-/// policy section. The report carries the experiment's name as its
-/// controller label and inherits the runner's byte-identity contract
-/// (any thread count, any batch size).
+/// Builds the batched evaluator a spec's policy section describes:
+/// [`agent_from_policy`], wrapped for `policy.preference` (or
+/// `pref_override`) with the section's batch size and inference tier.
+pub fn evaluator_from_policy(
+    policy: &PolicySpec,
+    pref_override: Option<Preference>,
+) -> Result<BatchMoccEvaluator, SpecError> {
+    Ok(evaluator_for(
+        &agent_from_policy(policy)?,
+        policy,
+        pref_override,
+    ))
+}
+
+/// Runs any [`ExperimentSpec`] against the built-in registry,
+/// uncached: [`run_experiment_with`] under [`RunOptions::default`].
 pub fn run_experiment(
     runner: &SweepRunner,
     exp: &ExperimentSpec,
 ) -> Result<SweepReport, SpecError> {
-    run_experiment_in(runner, exp, &SchemeRegistry::builtin())
+    run_experiment_with(runner, exp, RunOptions::default()).map(|(report, _)| report)
 }
 
-/// [`run_experiment`] against a custom (pluggable) registry.
-///
-/// One restriction: in a competition that mixes `mocc` flows with
-/// registry schemes, the non-MOCC contenders (and the `tcp_baseline`)
-/// must be *built-in* schemes — the batched evaluator resolves them
-/// through the built-in vocabulary. Custom schemes compete freely in
-/// policy-free experiments.
-pub fn run_experiment_in(
+/// Runs any [`ExperimentSpec`] against the built-in registry, serving
+/// every cell it can from `store`: [`run_experiment_with`] with
+/// `cache` set. `ts` is the caller's ledger timestamp — libraries
+/// never read a clock.
+pub fn run_experiment_cached(
     runner: &SweepRunner,
     exp: &ExperimentSpec,
-    registry: &SchemeRegistry,
-) -> Result<SweepReport, SpecError> {
-    exp.validate_in(registry)?;
+    store: &ResultStore,
+    ts: u64,
+) -> Result<(SweepReport, CacheStats), SpecError> {
+    let opts = RunOptions {
+        cache: Some((store, ts)),
+        ..RunOptions::default()
+    };
+    run_experiment_with(runner, exp, opts)
+}
+
+/// Runs any [`ExperimentSpec`] — the complete entry point behind the
+/// `mocc` CLI. Baseline-only specs delegate to
+/// [`SweepRunner::run_with`]; specs with `mocc` schemes are served by
+/// the batched inference path, reproducibly materialized from the
+/// spec's policy section. The report carries the experiment's name as
+/// its controller label and inherits the runner's byte-identity
+/// contract (any thread count, any batch size, with or without a
+/// store). With a store, `mocc` cells are keyed by the agent's
+/// [`policy_digest`], so a retrained or edited model can never be
+/// served another model's cells.
+///
+/// One restriction on custom registries: in a competition that mixes
+/// `mocc` flows with registry schemes, the non-MOCC contenders (and
+/// the `tcp_baseline`) must be *built-in* schemes — the batched
+/// evaluator resolves them through the built-in vocabulary. Custom
+/// schemes compete freely in policy-free experiments.
+pub fn run_experiment_with(
+    runner: &SweepRunner,
+    exp: &ExperimentSpec,
+    opts: RunOptions<'_>,
+) -> Result<(SweepReport, CacheStats), SpecError> {
     if !exp.needs_policy() {
-        return runner.run_in(exp, registry);
+        return runner.run_with(exp, opts);
     }
-    let policy = exp.policy.as_ref().expect("validate_in requires a policy");
-    match &exp.workload {
+    match opts.registry {
+        Some(registry) => exp.validate_in(registry)?,
+        None => exp.validate()?,
+    }
+    let policy = exp.policy.as_ref().expect("validation requires a policy");
+    let agent = agent_from_policy(policy)?;
+    let identity = opts.cache.map(|_| PolicyIdentity {
+        digest: policy_digest(&agent),
+        preference: policy.preference.label(),
+        initial_rate_frac: policy.initial_rate_frac,
+        fast_math: policy.fast_math,
+    });
+    let cache = opts.cache.map(|(store, ts)| CellCache {
+        store,
+        ts,
+        policy: identity.as_ref(),
+    });
+    Ok(match &exp.workload {
         Workload::Sweep(w) => {
-            let pref = match w.scheme.kind() {
-                SchemeKind::Mocc(p) => Some(preference_from_spec(p)),
-                SchemeKind::MoccDefault => None,
-                SchemeKind::Registry => unreachable!("needs_policy implies a mocc scheme"),
-            };
-            let evaluator = evaluator_from_policy(policy, pref)?;
+            let pref = w.scheme.mocc_pref().map(|p| preference_from_spec(&p));
+            let evaluator = evaluator_for(&agent, policy, pref);
             let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-            Ok(runner.run_cells(&spec, &exp.name, &evaluator))
+            let cache = cache.map(|c| (w.scheme.label(), c));
+            runner.run_cells(&spec, &exp.name, &evaluator, cache)
         }
         Workload::Competition(_) => {
             check_builtin_contenders(exp)?;
-            let evaluator = evaluator_from_policy(policy, None)?;
+            let evaluator = evaluator_for(&agent, policy, None);
             let spec = exp
                 .to_competition_spec()
                 .expect("competition workload lowers");
-            Ok(runner.run_competition_cells(&spec, &exp.name, &evaluator))
+            runner.run_competition_cells(&spec, &exp.name, &evaluator, cache)
         }
-    }
+    })
 }
 
 /// Competitions mixing `mocc` flows with registry schemes resolve the
@@ -146,93 +194,9 @@ pub fn policy_digest(agent: &MoccAgent) -> String {
     mocc_store::sha256_hex(agent.to_json().as_bytes())
 }
 
-/// The memoizing counterpart of [`run_experiment`]: serves every cell
-/// it can from `store` and simulates only the misses, with the merged
-/// report byte-identical to an uncached run. Policy-free specs
-/// delegate to [`SweepRunner::run_cached`]; `mocc` specs materialize
-/// the agent first and key their cells by its [`policy_digest`], so a
-/// retrained or edited model can never be served another model's
-/// cells. `ts` is the caller's ledger timestamp — libraries never
-/// read a clock.
-pub fn run_experiment_cached(
-    runner: &SweepRunner,
-    exp: &ExperimentSpec,
-    store: &ResultStore,
-    ts: u64,
-) -> Result<(SweepReport, CacheStats), SpecError> {
-    run_experiment_cached_in(runner, exp, &SchemeRegistry::builtin(), store, ts)
-}
-
-/// [`run_experiment_cached`] against a custom (pluggable) registry;
-/// same restrictions as [`run_experiment_in`].
-pub fn run_experiment_cached_in(
-    runner: &SweepRunner,
-    exp: &ExperimentSpec,
-    registry: &SchemeRegistry,
-    store: &ResultStore,
-    ts: u64,
-) -> Result<(SweepReport, CacheStats), SpecError> {
-    exp.validate_in(registry)?;
-    if !exp.needs_policy() {
-        return runner.run_cached_in(exp, registry, store, ts);
-    }
-    let policy = exp.policy.as_ref().expect("validate_in requires a policy");
-    let agent = agent_from_policy(policy)?;
-    let identity = PolicyIdentity {
-        digest: policy_digest(&agent),
-        preference: policy.preference.label(),
-        initial_rate_frac: policy.initial_rate_frac,
-        fast_math: policy.fast_math,
-    };
-    match &exp.workload {
-        Workload::Sweep(w) => {
-            let pref = match w.scheme.kind() {
-                SchemeKind::Mocc(p) => preference_from_spec(p),
-                SchemeKind::MoccDefault => preference_from_spec(&policy.preference),
-                SchemeKind::Registry => unreachable!("needs_policy implies a mocc scheme"),
-            };
-            let evaluator = BatchMoccEvaluator::new(&agent, pref, policy.initial_rate_frac)
-                .with_batch_size(policy.batch)
-                .with_fast_math(policy.fast_math);
-            let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-            Ok(runner.run_cells_cached(
-                &spec,
-                &exp.name,
-                w.scheme.label(),
-                &evaluator,
-                store,
-                Some(&identity),
-                ts,
-            ))
-        }
-        Workload::Competition(_) => {
-            check_builtin_contenders(exp)?;
-            let evaluator = BatchMoccEvaluator::new(
-                &agent,
-                preference_from_spec(&policy.preference),
-                policy.initial_rate_frac,
-            )
-            .with_batch_size(policy.batch)
-            .with_fast_math(policy.fast_math);
-            let spec = exp
-                .to_competition_spec()
-                .expect("competition workload lowers");
-            Ok(runner.run_competition_cells_cached(
-                &spec,
-                &exp.name,
-                &evaluator,
-                store,
-                Some(&identity),
-                ts,
-            ))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Preference;
     use mocc_eval::{CompetitionSpec, ContenderMix, SweepSpec};
 
     fn policy() -> PolicySpec {
@@ -270,7 +234,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let evaluator = BatchMoccEvaluator::new(&agent, Preference::throughput(), 0.3);
-        let via_code = runner.run_cells(&matrix, "mocc-thr", &evaluator);
+        let (via_code, _) = runner.run_cells(&matrix, "mocc-thr", &evaluator, None);
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());
     }
 
@@ -301,7 +265,8 @@ mod tests {
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let evaluator =
             BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3).with_batch_size(8);
-        let via_code = runner.run_competition_cells(&matrix, "mocc-competition", &evaluator);
+        let (via_code, _) =
+            runner.run_competition_cells(&matrix, "mocc-competition", &evaluator, None);
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());
     }
 
@@ -367,7 +332,7 @@ mod tests {
         let runner = SweepRunner::with_threads(1);
         let via_file = run_experiment(&runner, &exp).unwrap();
         let evaluator = BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3);
-        let via_mem = runner.run_cells(&matrix, "mocc-file", &evaluator);
+        let (via_mem, _) = runner.run_cells(&matrix, "mocc-file", &evaluator, None);
         assert_eq!(via_file.to_canonical_json(), via_mem.to_canonical_json());
         std::fs::remove_file(&path).ok();
     }

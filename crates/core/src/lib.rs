@@ -61,14 +61,12 @@ pub use config::MoccConfig;
 pub use env::{MoccEnv, ScenarioSource};
 pub use experiment::{
     agent_from_policy, evaluator_from_policy, policy_digest, run_experiment, run_experiment_cached,
-    run_experiment_cached_in, run_experiment_in,
+    run_experiment_with,
 };
 pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};
 pub use preference::{landmark_count, landmarks, nearest, Preference};
 pub use prefnet::{PrefNet, PrefNetScratch};
-#[allow(deprecated)]
-pub use train::train_offline;
 pub use train::{evaluate, train_iteration, train_iteration_contrast, TrainOutcome, TrainRegime};
 pub use trainer::{
     build_schedule, load_checkpoint, train_spec, write_checkpoint, ScheduleStep, TrainCheckpoint,

@@ -16,7 +16,6 @@ use mocc_netsim::ScenarioRange;
 use mocc_nn::ForwardTier;
 use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Which training regime to run (the Fig. 19 comparison).
@@ -113,52 +112,6 @@ pub fn train_iteration(
     train_iteration_contrast(agent, pref, &[], range, global_iter, rng)
 }
 
-/// Offline two-phase training over the landmark objectives.
-///
-/// This is a thin compatibility shim over the schedule engine: it
-/// expands the regime with [`crate::trainer::build_schedule`] and
-/// executes it with [`crate::trainer`]'s driver, reproducing the
-/// historical iteration accounting and RNG stream exactly — but
-/// without checkpointing, resume, or provenance. New code should
-/// declare a [`crate::TrainSpec`] and call [`crate::trainer::train_spec`]
-/// (or `mocc train`).
-#[deprecated(
-    since = "0.1.0",
-    note = "use mocc_core::trainer::train_spec with a TrainSpec (or `mocc train`)"
-)]
-pub fn train_offline(
-    agent: &mut MoccAgent,
-    range: ScenarioRange,
-    regime: TrainRegime,
-    seed: u64,
-) -> TrainOutcome {
-    if regime == TrainRegime::TransferParallel && agent.cfg.parallel_envs <= 1 {
-        agent.cfg.parallel_envs = 4;
-    }
-    let (points, schedule) = crate::trainer::build_schedule(&agent.cfg, regime);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut curve = Vec::new();
-    crate::trainer::run_schedule(
-        agent,
-        &points,
-        &schedule,
-        range,
-        0,
-        schedule.len(),
-        &mut rng,
-        &mut curve,
-        &mut |_, _, _, _| Ok(()),
-    )
-    .expect("no checkpointing: the schedule driver cannot fail");
-    TrainOutcome {
-        iterations: schedule.len(),
-        // This deprecated entry point takes no injected clock (see
-        // TrainOptions::clock), so it reports no wall time.
-        wall_secs: 0.0,
-        curve,
-    }
-}
-
 /// Evaluates the deterministic policy for `pref` on a fixed scenario,
 /// returning the mean per-step Eq. 2 reward.
 pub fn evaluate(
@@ -191,6 +144,7 @@ mod tests {
     use super::*;
     use crate::config::MoccConfig;
     use mocc_netsim::Scenario;
+    use rand::SeedableRng;
 
     /// End-to-end smoke test: a few iterations must improve the agent's
     /// throughput-preference reward on a fixed link.
@@ -221,34 +175,5 @@ mod tests {
             "training regressed: before {before}, after {after}"
         );
         assert!(after > 0.3, "post-training reward too low: {after}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn individual_regime_costs_more_iterations_than_transfer() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let cfg = MoccConfig {
-            omega_step: 4, // ω = 3 landmarks: tiny but structurally complete
-            boot_iters: 2,
-            traverse_iters: 1,
-            traverse_cycles: 1,
-            rollout_steps: 40,
-            episode_mis: 40,
-            ..MoccConfig::fast()
-        };
-        let mut a = MoccAgent::new(cfg, &mut rng);
-        let mut b = MoccAgent::new(cfg, &mut rng);
-        let range = ScenarioRange::training();
-        let ind = train_offline(&mut a, range, TrainRegime::Individual, 3);
-        let tra = train_offline(&mut b, range, TrainRegime::Transfer, 3);
-        // Individual: ω × boot = 6. Transfer: 3 pivots × boot + ω ×
-        // traverse = 6 + 3 = 9 here (ω tiny); with realistic ω the
-        // transfer budget is far smaller per objective. What we check
-        // structurally: both complete and record their curves.
-        assert_eq!(ind.iterations, 6);
-        assert_eq!(ind.curve.len(), 6);
-        assert_eq!(tra.iterations, 9);
-        // No injected clock here, so the outcome reports no wall time.
-        assert_eq!(tra.wall_secs, 0.0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The two-phase regime of §4.2 is factored into data plus a driver:
 //! [`build_schedule`] expands a config and [`TrainRegime`] into the
-//! exact iteration sequence `train_offline` used to execute inline
-//! (pivot bootstraps, then Algorithm-1 traversal visits), and
+//! exact iteration sequence of the run (pivot bootstraps, then
+//! Algorithm-1 traversal visits), and
 //! [`train_spec`] walks that schedule with a single RNG stream,
 //! snapshotting policy/value/optimizer weights, the RNG state, and the
 //! training curve into a [`TrainCheckpoint`] every
@@ -45,8 +45,7 @@ pub struct ScheduleStep {
 }
 
 /// Expands a config and regime into the landmark set and the exact
-/// iteration sequence the run will execute. The expansion reproduces
-/// the historical `train_offline` accounting: `Individual` gives every
+/// iteration sequence the run will execute: `Individual` gives every
 /// landmark the full bootstrap budget; `Transfer` (and
 /// `TransferParallel`, which only differs in rollout parallelism)
 /// bootstraps the pivots, then cycles the Algorithm-1 traversal order

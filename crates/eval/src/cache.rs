@@ -7,8 +7,10 @@
 //! [`CellReport`] blob, and serve every later request for the same
 //! cell from disk. This module derives the **cache key** — the
 //! SHA-256 of a canonical-JSON *request document* capturing everything
-//! that determines the cell's bytes — and implements the cached
-//! counterpart of the sharded chunked executor.
+//! that determines the cell's bytes — and implements the one cell
+//! executor every run goes through, with the store as an optional
+//! argument: an uncached run is a cached run in which every cell
+//! misses and nothing is read or written.
 //!
 //! ## Key derivation (frozen; see `docs/CACHING.md`)
 //!
@@ -42,6 +44,7 @@ use crate::spec::SweepCell;
 use crate::{CompetitionSpec, SweepSpec};
 use mocc_store::{sha256_hex, ResultStore};
 use serde::{Serialize, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Schema/version tag baked into every cache key. Bump it whenever the
@@ -110,6 +113,21 @@ impl CacheStats {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
+}
+
+/// The cache context of an evaluator-level run
+/// ([`crate::SweepRunner::run_cells`],
+/// [`crate::SweepRunner::run_competition_cells`]).
+#[derive(Debug, Clone, Copy)]
+pub struct CellCache<'a> {
+    /// Where hits are served from and fresh blobs are written to.
+    pub store: &'a ResultStore,
+    /// The caller's timestamp for the store's audit ledger (the
+    /// library never reads a clock).
+    pub ts: u64,
+    /// Identity of the policy serving the cells' `mocc` flows; `None`
+    /// for policy-free evaluators.
+    pub policy: Option<&'a PolicyIdentity>,
 }
 
 /// The shared prefix of every cell request document. (One parameter
@@ -223,29 +241,32 @@ pub fn competition_cell_key(
     doc_key(obj)
 }
 
-/// Serves what it can from the store, simulates the rest through the
-/// usual chunked executor, and writes the fresh blobs back. Store
-/// writes are best-effort: a full disk degrades the cache, never the
-/// run. Returns reports in `cells` order plus the hit/miss counters.
-#[allow(clippy::too_many_arguments)]
+/// The one cell executor: serves what it can from the store,
+/// simulates the rest through the chunked executor, and writes the
+/// fresh blobs back. `cache` carries the store, the caller's ledger
+/// timestamp, and one key per cell; without it every cell is a miss
+/// and nothing is read or written, which is the plain uncached run.
+/// Store writes are best-effort: a full disk degrades the cache, never
+/// the run. Returns reports in `cells` order plus the hit/miss counters.
 pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     cells: &[T],
-    keys: &[String],
     threads: usize,
     batch: usize,
     eval: &(dyn Fn(&[T]) -> Vec<CellReport> + Sync),
     cell_index: &dyn Fn(&T) -> u64,
-    store: &ResultStore,
-    ts: u64,
+    cache: Option<(&ResultStore, u64, &[String])>,
 ) -> (Vec<CellReport>, CacheStats) {
-    assert_eq!(cells.len(), keys.len(), "one key per cell");
+    if let Some((_, _, keys)) = cache {
+        assert_eq!(cells.len(), keys.len(), "one key per cell");
+    }
     let mut out: Vec<Option<CellReport>> = vec![None; cells.len()];
     let mut missing: Vec<usize> = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        let verified = store.get(key, ts).and_then(|blob| {
+    for (i, cell) in cells.iter().enumerate() {
+        let verified = cache.and_then(|(store, ts, keys)| {
+            let blob = store.get(&keys[i], ts)?;
             let report: CellReport = serde_json::from_str(&blob).ok()?;
             let canonical = serde_json::to_string(&report).expect("report serializes");
-            (canonical == blob && report.index == cell_index(&cells[i])).then_some(report)
+            (canonical == blob && report.index == cell_index(cell)).then_some(report)
         });
         match verified {
             Some(report) => out[i] = Some(report),
@@ -256,11 +277,19 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
         hits: (cells.len() - missing.len()) as u64,
         misses: missing.len() as u64,
     };
-    let miss_cells: Vec<T> = missing.iter().map(|&i| cells[i].clone()).collect();
+    // A run with no hits (every uncached run, every cold fill)
+    // simulates the caller's cells in place instead of copying them.
+    let miss_cells: Cow<'_, [T]> = if missing.len() == cells.len() {
+        Cow::Borrowed(cells)
+    } else {
+        missing.iter().map(|&i| cells[i].clone()).collect()
+    };
     let computed = run_chunked(&miss_cells, threads, batch, eval);
     for (&slot, report) in missing.iter().zip(computed) {
-        let blob = serde_json::to_string(&report).expect("report serializes");
-        let _ = store.put(&keys[slot], &blob, ts);
+        if let Some((store, ts, keys)) = cache {
+            let blob = serde_json::to_string(&report).expect("report serializes");
+            let _ = store.put(&keys[slot], &blob, ts);
+        }
         out[slot] = Some(report);
     }
     let reports = out

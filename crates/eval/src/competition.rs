@@ -35,9 +35,8 @@
 //!   `fair_sustain_s` consecutive seconds; `None` when never reached.
 
 use crate::report::{round6, CellReport};
-use crate::scheme::{SchemeSpec, SpecError};
+use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeSpec, SpecError};
 use crate::spec::cell_seed;
-use mocc_netsim::cc::CongestionControl;
 use mocc_netsim::metrics::{jain_index, time_to_fair_share, window_mbits};
 use mocc_netsim::time::SimDuration;
 use mocc_netsim::{FlowSpec, LinkSpec, MiMode, Scenario, SimResult, Simulator};
@@ -342,7 +341,7 @@ impl CompetitionSpec {
     /// the friendliness control is by definition a classic scheme).
     /// This is the typed, pre-run replacement for the panics that used
     /// to fire mid-run on unknown names.
-    pub fn validate_schemes(&self, registry: &crate::SchemeRegistry) -> Result<(), SpecError> {
+    pub fn validate_schemes(&self, registry: &SchemeRegistry) -> Result<(), SpecError> {
         let base = SchemeSpec::parse(&self.tcp_baseline)?;
         if base.is_mocc() {
             return Err(SpecError::InvalidSpec {
@@ -517,71 +516,6 @@ impl CompetitionCell {
     }
 }
 
-/// Resolves a contender label through the `mocc-cc` baseline registry.
-/// The shared vocabulary every competition path understands; MOCC
-/// labels (`mocc`, `mocc:…`) are *not* resolved here — they need a
-/// policy and are handled by MOCC-aware evaluators.
-pub fn contender_by_name(label: &str) -> Option<Box<dyn CongestionControl>> {
-    mocc_cc::by_name(label)
-}
-
-/// Builds the controller for each flow of a competition cell. Shared
-/// by reference across workers, so it must be [`Sync`].
-pub trait ContenderFactory: Sync {
-    /// Instantiates the controller for flow `flow` of `cell`, whose
-    /// scheme label is `label`.
-    ///
-    /// **Label contract:** a label is the flow's scheme *identity* —
-    /// it is what the report prints and what the analytics reason
-    /// about. An implementation that recognizes a `mocc-cc` registry
-    /// name (e.g. `"cubic"`) must return that scheme, exactly as
-    /// [`contender_by_name`] would; custom controllers need custom
-    /// labels. The friendliness shortcut in [`competition_report`] —
-    /// a cell whose labels all equal `tcp_baseline` is its own
-    /// all-TCP control — is sound precisely because of this contract.
-    fn make(&self, cell: &CompetitionCell, flow: usize, label: &str) -> Box<dyn CongestionControl>;
-}
-
-impl<F> ContenderFactory for F
-where
-    F: Fn(&CompetitionCell, usize, &str) -> Box<dyn CongestionControl> + Sync,
-{
-    fn make(&self, cell: &CompetitionCell, flow: usize, label: &str) -> Box<dyn CongestionControl> {
-        self(cell, flow, label)
-    }
-}
-
-/// The default factory: every label must name a `mocc-cc` baseline.
-///
-/// # Panics
-///
-/// [`ContenderFactory::make`] panics on labels unknown to
-/// [`mocc_cc::by_name`] (including `mocc:*` labels, which need a
-/// MOCC-aware evaluator such as `mocc_core::BatchMoccEvaluator`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineContenders;
-
-impl ContenderFactory for BaselineContenders {
-    fn make(
-        &self,
-        _cell: &CompetitionCell,
-        _flow: usize,
-        label: &str,
-    ) -> Box<dyn CongestionControl> {
-        contender_by_name(label).unwrap_or_else(|| {
-            panic!(
-                "{} — mocc:* labels need a MOCC-aware evaluator; validate specs \
-                 (CompetitionSpec::validate_schemes / ExperimentSpec::validate) \
-                 before simulating",
-                SpecError::UnknownScheme {
-                    name: label.to_string(),
-                    known: mocc_cc::BASELINES.iter().map(|s| s.to_string()).collect(),
-                }
-            )
-        })
-    }
-}
-
 /// Evaluates whole batches of competition cells at once — the hook
 /// that lets learned policies batch inference across cells *and*
 /// across competing flows within a cell. Same contract as
@@ -598,72 +532,55 @@ pub trait CompetitionEvaluator: Sync {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport>;
 }
 
-/// Simulates one competition cell under `factory` and reduces it to a
-/// [`CellReport`] with the competition metrics filled in. The all-TCP
-/// friendliness control is built through the *same factory* (the
-/// `tcp_baseline` label per flow), so custom registries serve the
-/// control exactly like they serve contenders; when every contender
-/// already is the `tcp_baseline`, the finished run is its own control
-/// and the redundant second simulation is skipped.
-pub fn run_competition_cell(cell: &CompetitionCell, factory: &dyn ContenderFactory) -> CellReport {
-    let ccs: Vec<Box<dyn CongestionControl>> = cell
-        .labels
-        .iter()
-        .enumerate()
-        .map(|(flow, label)| factory.make(cell, flow, label))
-        .collect();
-    let res = Simulator::new(cell.scenario.clone(), ccs).run();
-    if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
-        return competition_report_with_baseline(cell, &res, &res);
-    }
-    let base_ccs: Vec<Box<dyn CongestionControl>> = (0..cell.labels.len())
-        .map(|flow| factory.make(cell, flow, &cell.tcp_baseline))
-        .collect();
-    let base = Simulator::new(cell.scenario.clone(), base_ccs).run();
-    competition_report_with_baseline(cell, &res, &base)
-}
-
-/// The all-TCP friendliness control: the same seeded scenario with
-/// every flow running the cell's `tcp_baseline` scheme, resolved
-/// through the built-in baseline vocabulary.
+/// Simulates `cell`'s scenario with flow `i` running the registry
+/// scheme `label_of(i)`.
 ///
 /// # Panics
 ///
-/// Panics if `tcp_baseline` is not a built-in baseline. Spec-driven
-/// paths reject that long before any simulation starts
-/// ([`CompetitionSpec::validate_schemes`] /
+/// Panics (with the typed error's message) on a label `registry`
+/// cannot instantiate; spec-driven paths reject those before any
+/// simulation starts ([`CompetitionSpec::validate_schemes`] /
 /// `ExperimentSpec::validate`), so hitting this means a spec bypassed
 /// validation.
-pub fn baseline_result(cell: &CompetitionCell) -> SimResult {
-    let ccs: Vec<Box<dyn CongestionControl>> = (0..cell.labels.len())
-        .map(|_| {
-            contender_by_name(&cell.tcp_baseline).unwrap_or_else(|| {
-                panic!(
-                    "{} — run CompetitionSpec::validate_schemes / ExperimentSpec::validate \
-                     before simulating",
-                    SpecError::UnknownScheme {
-                        name: cell.tcp_baseline.clone(),
-                        known: mocc_cc::BASELINES.iter().map(|s| s.to_string()).collect(),
-                    }
-                )
-            })
+fn simulate_lineup<'a>(
+    cell: &'a CompetitionCell,
+    registry: &SchemeRegistry,
+    label_of: impl Fn(usize) -> &'a str,
+) -> SimResult {
+    let ctx = SchemeCtx::of(&cell.scenario);
+    let ccs = (0..cell.labels.len())
+        .map(|flow| {
+            registry
+                .instantiate_label(label_of(flow), &ctx)
+                .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
         })
         .collect();
     Simulator::new(cell.scenario.clone(), ccs).run()
 }
 
+/// Simulates one competition cell with every contender built through
+/// `registry` and reduces it with [`competition_report`].
+pub fn run_competition_cell(cell: &CompetitionCell, registry: &SchemeRegistry) -> CellReport {
+    let res = simulate_lineup(cell, registry, |flow| &cell.labels[flow]);
+    competition_report(cell, &res, registry)
+}
+
 /// Reduces a finished competition simulation to a [`CellReport`],
-/// running the all-TCP control internally for the friendliness ratio.
-/// When every contender already *is* the `tcp_baseline` scheme (e.g.
-/// a CUBIC staircase with a CUBIC control), the finished simulation is
-/// its own control — seed, lifecycles, and (by the
-/// [`ContenderFactory`] label contract) controllers are identical —
-/// so the redundant second run is skipped.
-pub fn competition_report(cell: &CompetitionCell, res: &SimResult) -> CellReport {
+/// running the all-TCP friendliness control — the same seeded scenario
+/// with every flow on the cell's `tcp_baseline` scheme — through
+/// `registry`. When every contender already *is* the `tcp_baseline`
+/// (e.g. a CUBIC staircase with a CUBIC control), the finished
+/// simulation is its own control — seed, lifecycles and controllers
+/// are identical — so the redundant second run is skipped.
+pub fn competition_report(
+    cell: &CompetitionCell,
+    res: &SimResult,
+    registry: &SchemeRegistry,
+) -> CellReport {
     if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
         return competition_report_with_baseline(cell, res, res);
     }
-    let base = baseline_result(cell);
+    let base = simulate_lineup(cell, registry, |_| &cell.tcp_baseline);
     competition_report_with_baseline(cell, res, &base)
 }
 
@@ -839,7 +756,7 @@ mod tests {
         let cell = spec.expand().remove(0);
         assert_eq!(cell.labels.len(), 4);
         assert_eq!(cell.overlap_window(), (2, 10));
-        let rep = run_competition_cell(&cell, &BaselineContenders);
+        let rep = run_competition_cell(&cell, &SchemeRegistry::builtin());
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
     }
@@ -898,7 +815,7 @@ mod tests {
     /// instead of panics mid-run.
     #[test]
     fn validate_schemes_catches_bad_specs_before_running() {
-        let reg = crate::SchemeRegistry::builtin();
+        let reg = SchemeRegistry::builtin();
         let mut spec = CompetitionSpec::quick();
         spec.mixes = vec![ContenderMix::duel("mocc:thr", "cubic")];
         assert!(spec.validate_schemes(&reg).is_ok());
@@ -993,7 +910,7 @@ mod tests {
         let mut spec = CompetitionSpec::quick();
         spec.duration_s = 12;
         let cell = spec.expand().remove(0);
-        let rep = run_competition_cell(&cell, &BaselineContenders);
+        let rep = run_competition_cell(&cell, &SchemeRegistry::builtin());
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
         let f = rep.friendliness.expect("control run delivered");

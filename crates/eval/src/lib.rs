@@ -29,8 +29,9 @@
 //! - [`experiment`] makes whole experiments declarative:
 //!   [`ExperimentSpec`] is a canonical-JSON document over either
 //!   workload, validated up front and executed by the single
-//!   [`SweepRunner::run`] entry point (the `mocc` CLI in `mocc-bench`
-//!   runs spec files end-to-end; see `docs/SPECS.md`).
+//!   [`SweepRunner::run`] entry point — or [`SweepRunner::run_with`]
+//!   to name a custom registry or a result store (the `mocc` CLI in
+//!   `mocc-bench` runs spec files end-to-end; see `docs/SPECS.md`).
 //!
 //! [`Scenario`]: mocc_netsim::Scenario
 //! [`CongestionControl`]: mocc_netsim::cc::CongestionControl
@@ -75,18 +76,19 @@ pub mod runner;
 pub mod scheme;
 pub mod spec;
 
-pub use cache::{competition_cell_key, sweep_cell_key, CacheStats, PolicyIdentity, CELL_SCHEMA};
+pub use cache::{
+    competition_cell_key, sweep_cell_key, CacheStats, CellCache, PolicyIdentity, CELL_SCHEMA,
+};
 pub use competition::{
-    baseline_result, competition_report, competition_report_with_baseline, contender_by_name,
-    run_competition_cell, BaselineContenders, CompetitionCell, CompetitionEvaluator,
-    CompetitionSpec, ContenderFactory, ContenderMix,
+    competition_report, competition_report_with_baseline, run_competition_cell, CompetitionCell,
+    CompetitionEvaluator, CompetitionSpec, ContenderMix,
 };
 pub use experiment::{
     Axes, CompetitionWorkload, ExperimentSpec, PolicySpec, SweepWorkload, Workload,
 };
 pub use report::{fmt_opt_metric, round6, CellCoords, CellReport, SweepReport, SweepSummary};
 pub use runner::{
-    parse_threads, run_cell, BaselineFactory, CellEvaluator, CellFactory, SweepRunner, THREADS_ENV,
+    parse_threads, run_cell, CellEvaluator, CellFactory, RunOptions, SweepRunner, THREADS_ENV,
 };
 pub use scheme::{MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError};
 pub use spec::{cell_seed, FlowLoad, ReplayTrace, SweepCell, SweepSpec, TraceShape};

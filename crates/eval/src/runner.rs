@@ -22,10 +22,10 @@
 //! 3. [`std::thread::available_parallelism`].
 
 use crate::cache::{
-    cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, PolicyIdentity,
+    cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, CellCache,
 };
 use crate::competition::{
-    run_competition_cell, CompetitionCell, CompetitionEvaluator, CompetitionSpec, ContenderFactory,
+    run_competition_cell, CompetitionCell, CompetitionEvaluator, CompetitionSpec,
 };
 use crate::experiment::{ExperimentSpec, Workload};
 use crate::report::{CellReport, SweepReport};
@@ -57,34 +57,6 @@ where
     }
 }
 
-/// A factory building the named `mocc-cc` baseline for every flow.
-///
-/// # Panics
-///
-/// [`CellFactory::make`] panics if the name is unknown to
-/// [`mocc_cc::by_name`].
-#[derive(Debug, Clone)]
-pub struct BaselineFactory {
-    name: String,
-}
-
-impl BaselineFactory {
-    /// Creates a factory for the named baseline scheme.
-    pub fn new(name: &str) -> Self {
-        BaselineFactory {
-            name: name.to_string(),
-        }
-    }
-}
-
-impl CellFactory for BaselineFactory {
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        (0..cell.scenario.flows.len())
-            .map(|_| mocc_cc::by_name(&self.name).expect("known baseline"))
-            .collect()
-    }
-}
-
 /// Evaluates whole batches of cells at once — the hook that lets
 /// learned policies batch inference across sweep cells (one forward
 /// pass serves a chunk of simulators). Implementations must return one
@@ -104,81 +76,60 @@ pub trait CellEvaluator: Sync {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport>;
 }
 
-/// A [`CellFactory`] resolving one scheme through a
-/// [`SchemeRegistry`] for every flow of every cell — the spec-driven
-/// sweep path.
+/// What a spec-level run ([`SweepRunner::run_with`]) may vary. The
+/// default — built-in registry, no store — is [`SweepRunner::run`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// A custom (pluggable) scheme vocabulary; `None` is
+    /// [`SchemeRegistry::builtin`].
+    pub registry: Option<&'a SchemeRegistry>,
+    /// A result store memoizing cells, and the caller's timestamp for
+    /// its audit ledger (the library never reads a clock); `None`
+    /// simulates every cell. The key does not name the registry: two
+    /// registries binding one label to different behavior would share
+    /// cache entries — point them at separate stores.
+    pub cache: Option<(&'a ResultStore, u64)>,
+}
+
+/// The sweep evaluator of policy-free specs: `scheme`, built through
+/// `registry`, on every flow of every cell; one cell per chunk.
 ///
 /// # Panics
 ///
-/// [`CellFactory::make`] panics (with the typed error's message) if
-/// the scheme is not instantiable; [`crate::ExperimentSpec::validate_in`]
-/// rejects such specs before any cell runs.
-struct RegistryFactory<'a> {
+/// `eval_batch` panics (with the typed error's message) if the scheme
+/// is not instantiable; [`crate::ExperimentSpec::validate_in`] rejects
+/// such specs before any cell runs.
+struct RegistrySweep<'a> {
     registry: &'a SchemeRegistry,
     scheme: &'a SchemeSpec,
 }
 
-impl CellFactory for RegistryFactory<'_> {
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        let ctx = SchemeCtx {
-            peak_rate_bps: cell.scenario.link.trace.max_rate(),
-        };
-        (0..cell.scenario.flows.len())
-            .map(|_| {
-                self.registry
-                    .instantiate(self.scheme, &ctx)
-                    .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
-            })
-            .collect()
-    }
-}
-
-/// A [`ContenderFactory`] resolving every contender label through a
-/// [`SchemeRegistry`] — the spec-driven competition path. Same
-/// validate-before-run contract as [`RegistryFactory`].
-struct RegistryContenders<'a> {
-    registry: &'a SchemeRegistry,
-}
-
-impl ContenderFactory for RegistryContenders<'_> {
-    fn make(
-        &self,
-        cell: &CompetitionCell,
-        _flow: usize,
-        label: &str,
-    ) -> Box<dyn CongestionControl> {
-        let ctx = SchemeCtx {
-            peak_rate_bps: cell.scenario.link.trace.max_rate(),
-        };
-        self.registry
-            .instantiate_label(label, &ctx)
-            .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
-    }
-}
-
-/// Adapter running a per-cell [`CellFactory`] as a chunk-of-one
-/// [`CellEvaluator`].
-struct FactoryEvaluator<'a> {
-    factory: &'a dyn CellFactory,
-}
-
-impl CellEvaluator for FactoryEvaluator<'_> {
+impl CellEvaluator for RegistrySweep<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        cells.iter().map(|c| run_cell(c, self.factory)).collect()
+        let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
+            let ctx = SchemeCtx::of(&cell.scenario);
+            (0..cell.scenario.flows.len())
+                .map(|_| {
+                    self.registry
+                        .instantiate(self.scheme, &ctx)
+                        .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
+                })
+                .collect()
+        };
+        cells.iter().map(|c| run_cell(c, &factory)).collect()
     }
 }
 
-/// Adapter running a per-cell [`ContenderFactory`] as a chunk-of-one
-/// [`CompetitionEvaluator`].
-struct FactoryCompetitionEvaluator<'a> {
-    factory: &'a dyn ContenderFactory,
-}
+/// The competition evaluator of policy-free specs: every contender
+/// (and the friendliness control) built through the registry; same
+/// validate-before-run contract as [`RegistrySweep`].
+struct RegistryCompetition<'a>(&'a SchemeRegistry);
 
-impl CompetitionEvaluator for FactoryCompetitionEvaluator<'_> {
+impl CompetitionEvaluator for RegistryCompetition<'_> {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
         cells
             .iter()
-            .map(|c| run_competition_cell(c, self.factory))
+            .map(|c| run_competition_cell(c, self.0))
             .collect()
     }
 }
@@ -292,27 +243,42 @@ impl SweepRunner {
         self.threads
     }
 
-    /// **The unified entry point**: validates and runs a declarative
-    /// [`ExperimentSpec`] against the built-in scheme registry,
-    /// returning the canonical report labelled with the experiment's
-    /// name. Subsumes the per-workload `run_*` methods (now thin
-    /// deprecated shims).
+    /// Validates and runs a declarative [`ExperimentSpec`] against the
+    /// built-in scheme registry, uncached, returning the canonical
+    /// report labelled with the experiment's name:
+    /// [`SweepRunner::run_with`] under [`RunOptions::default`].
+    pub fn run(&self, exp: &ExperimentSpec) -> Result<SweepReport, SpecError> {
+        self.run_with(exp, RunOptions::default())
+            .map(|(report, _)| report)
+    }
+
+    /// **The spec-level entry point**: validates `exp` against the
+    /// registry `opts` names and runs it, serving every cell it can
+    /// from the store `opts` names (if any) and simulating only the
+    /// misses. The report is byte-identical with or without a store —
+    /// hits are canonical blobs of exactly the reports a cold run
+    /// would compute, and assembly goes through the same index-sorted
+    /// [`SweepReport::new`]; the counters say how many cells were
+    /// served and how many simulated.
     ///
     /// `mocc` schemes need a policy engine this crate does not have:
     /// they come back as [`SpecError::NeedsPolicyEngine`] — run those
-    /// specs through `mocc_core::run_experiment` (or the `mocc` CLI),
-    /// which handles the batched-inference path and delegates
+    /// specs through `mocc_core::run_experiment_with` (or the `mocc`
+    /// CLI), which handles the batched-inference path and delegates
     /// everything else here.
-    pub fn run(&self, exp: &ExperimentSpec) -> Result<SweepReport, SpecError> {
-        self.run_in(exp, &SchemeRegistry::builtin())
-    }
-
-    /// [`SweepRunner::run`] against a custom (pluggable) registry.
-    pub fn run_in(
+    pub fn run_with(
         &self,
         exp: &ExperimentSpec,
-        registry: &SchemeRegistry,
-    ) -> Result<SweepReport, SpecError> {
+        opts: RunOptions<'_>,
+    ) -> Result<(SweepReport, CacheStats), SpecError> {
+        let builtin;
+        let registry = match opts.registry {
+            Some(registry) => registry,
+            None => {
+                builtin = SchemeRegistry::builtin();
+                &builtin
+            }
+        };
         exp.validate_in(registry)?;
         if exp.needs_policy() {
             let label = exp
@@ -322,284 +288,108 @@ impl SweepRunner {
                 .expect("needs_policy implies a mocc label");
             return Err(SpecError::NeedsPolicyEngine { label });
         }
-        match &exp.workload {
+        let cache = opts.cache.map(|(store, ts)| CellCache {
+            store,
+            ts,
+            policy: None,
+        });
+        Ok(match &exp.workload {
             Workload::Sweep(w) => {
                 let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-                let factory = RegistryFactory {
+                let evaluator = RegistrySweep {
                     registry,
                     scheme: &w.scheme,
                 };
-                Ok(self.run_factory(&spec, &exp.name, &factory))
+                let cache = cache.map(|c| (w.scheme.label(), c));
+                self.run_cells(&spec, &exp.name, &evaluator, cache)
             }
             Workload::Competition(_) => {
                 let spec = exp
                     .to_competition_spec()
                     .expect("competition workload lowers");
-                let factory = RegistryContenders { registry };
-                Ok(self.run_competition_factory(&spec, &exp.name, &factory))
+                let evaluator = RegistryCompetition(registry);
+                self.run_competition_cells(&spec, &exp.name, &evaluator, cache)
             }
-        }
+        })
     }
 
-    /// Programmatic escape hatch: runs every cell of an
-    /// expansion-level [`SweepSpec`] under controllers from an
-    /// arbitrary [`CellFactory`]. Use [`SweepRunner::run`] (with a
-    /// custom registry if needed) when the experiment is expressible
-    /// as a spec document.
-    pub fn run_factory(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        factory: &dyn CellFactory,
-    ) -> SweepReport {
-        self.run_cells(spec, controller, &FactoryEvaluator { factory })
-    }
-
-    /// Programmatic escape hatch: runs every cell of a [`SweepSpec`]
-    /// through a (possibly batched) [`CellEvaluator`], handing each
-    /// worker contiguous chunks of [`CellEvaluator::batch_size`] cells
-    /// so batched evaluators can amortize inference across a chunk.
-    /// Results are slotted back by cell index: the report is
-    /// byte-identical for any worker count and any batch size.
+    /// The evaluator-level entry point for sweeps: runs every cell of
+    /// an expansion-level [`SweepSpec`] through a (possibly batched)
+    /// [`CellEvaluator`], handing each worker contiguous chunks of
+    /// [`CellEvaluator::batch_size`] cells so batched evaluators can
+    /// amortize inference across a chunk. Results are slotted back by
+    /// cell index: the report is byte-identical for any worker count
+    /// and any batch size.
+    ///
+    /// With `cache` — the shared-grammar scheme label keying the cells
+    /// (the report's `controller` name deliberately is not part of the
+    /// key) and the [`CellCache`] context — hits are served from the
+    /// store, only missing cells are simulated, and fresh blobs are
+    /// written back; pass the policy identity whenever the evaluator
+    /// serves `mocc` flows.
     pub fn run_cells(
         &self,
         spec: &SweepSpec,
         controller: &str,
         evaluator: &dyn CellEvaluator,
-    ) -> SweepReport {
+        cache: Option<(&str, CellCache<'_>)>,
+    ) -> (SweepReport, CacheStats) {
         let cells = spec.expand();
-        let reports = run_chunked(&cells, self.threads, evaluator.batch_size(), &|chunk| {
-            evaluator.eval_batch(chunk)
+        let keyed = cache.map(|(scheme, c)| {
+            let keys = cells
+                .iter()
+                .map(|cell| sweep_cell_key(cell, scheme, spec, c.policy));
+            (c.store, c.ts, keys.collect::<Vec<String>>())
         });
-        SweepReport::new(controller, spec.seed, spec.duration_s, reports)
+        let (reports, stats) = cached_cell_reports(
+            &cells,
+            self.threads,
+            evaluator.batch_size(),
+            &|chunk| evaluator.eval_batch(chunk),
+            &|c: &SweepCell| c.index,
+            keyed
+                .as_ref()
+                .map(|(store, ts, keys)| (*store, *ts, &keys[..])),
+        );
+        (
+            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
+            stats,
+        )
     }
 
-    /// Programmatic escape hatch: runs every cell of a
-    /// [`CompetitionSpec`] under controllers from an arbitrary
-    /// [`ContenderFactory`]. Same byte-identity contract as
-    /// [`SweepRunner::run_cells`].
-    pub fn run_competition_factory(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        factory: &dyn ContenderFactory,
-    ) -> SweepReport {
-        self.run_competition_cells(spec, controller, &FactoryCompetitionEvaluator { factory })
-    }
-
-    /// Programmatic escape hatch: runs every cell of a
-    /// [`CompetitionSpec`] through a (possibly batched)
-    /// [`CompetitionEvaluator`] — the hook that lets learned policies
-    /// serve *competing* flows from batched forward passes. The report
-    /// is byte-identical for any worker count and any batch size.
+    /// The evaluator-level entry point for competitions — the hook
+    /// that lets learned policies serve *competing* flows from batched
+    /// forward passes. Same contract as [`SweepRunner::run_cells`]
+    /// (competition cells carry their scheme lineup themselves, so the
+    /// cache context needs no separate label).
     pub fn run_competition_cells(
         &self,
         spec: &CompetitionSpec,
         controller: &str,
         evaluator: &dyn CompetitionEvaluator,
-    ) -> SweepReport {
+        cache: Option<CellCache<'_>>,
+    ) -> (SweepReport, CacheStats) {
         let cells = spec.expand();
-        let reports = run_chunked(&cells, self.threads, evaluator.batch_size(), &|chunk| {
-            evaluator.eval_batch(chunk)
+        let keyed = cache.map(|c| {
+            let keys = cells
+                .iter()
+                .map(|cell| competition_cell_key(cell, spec, c.policy));
+            (c.store, c.ts, keys.collect::<Vec<String>>())
         });
-        SweepReport::new(controller, spec.seed, spec.duration_s, reports)
-    }
-
-    /// The memoizing counterpart of [`SweepRunner::run`]: validates
-    /// and runs a declarative [`ExperimentSpec`], serving every cell
-    /// it can from `store` and simulating only the misses. The merged
-    /// report is byte-identical to an uncached run — hits are
-    /// canonical blobs of exactly the reports a cold run would
-    /// compute, and assembly goes through the same index-sorted
-    /// [`SweepReport::new`]. `ts` is the caller's timestamp for the
-    /// store's audit ledger (the library never reads a clock). `mocc`
-    /// schemes come back as [`SpecError::NeedsPolicyEngine`], exactly
-    /// like [`SweepRunner::run`] — use
-    /// `mocc_core::run_experiment_cached` for those.
-    pub fn run_cached(
-        &self,
-        exp: &ExperimentSpec,
-        store: &ResultStore,
-        ts: u64,
-    ) -> Result<(SweepReport, CacheStats), SpecError> {
-        self.run_cached_in(exp, &SchemeRegistry::builtin(), store, ts)
-    }
-
-    /// [`SweepRunner::run_cached`] against a custom (pluggable)
-    /// registry. Note the key does not name the registry: two
-    /// registries binding the same label to different behavior would
-    /// share cache entries — point them at separate stores.
-    pub fn run_cached_in(
-        &self,
-        exp: &ExperimentSpec,
-        registry: &SchemeRegistry,
-        store: &ResultStore,
-        ts: u64,
-    ) -> Result<(SweepReport, CacheStats), SpecError> {
-        exp.validate_in(registry)?;
-        if exp.needs_policy() {
-            let label = exp
-                .scheme_labels()
-                .into_iter()
-                .find(|l| SchemeSpec::parse(l).is_ok_and(|s| s.is_mocc()))
-                .expect("needs_policy implies a mocc label");
-            return Err(SpecError::NeedsPolicyEngine { label });
-        }
-        match &exp.workload {
-            Workload::Sweep(w) => {
-                let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-                let factory = RegistryFactory {
-                    registry,
-                    scheme: &w.scheme,
-                };
-                let evaluator = FactoryEvaluator { factory: &factory };
-                Ok(self.run_cells_cached(
-                    &spec,
-                    &exp.name,
-                    w.scheme.label(),
-                    &evaluator,
-                    store,
-                    None,
-                    ts,
-                ))
-            }
-            Workload::Competition(_) => {
-                let spec = exp
-                    .to_competition_spec()
-                    .expect("competition workload lowers");
-                let factory = RegistryContenders { registry };
-                let evaluator = FactoryCompetitionEvaluator { factory: &factory };
-                Ok(
-                    self.run_competition_cells_cached(
-                        &spec, &exp.name, &evaluator, store, None, ts,
-                    ),
-                )
-            }
-        }
-    }
-
-    /// The memoizing counterpart of [`SweepRunner::run_cells`]:
-    /// serves hits from `store`, simulates only missing cells (still
-    /// chunked by [`CellEvaluator::batch_size`]), writes fresh blobs
-    /// back, and assembles the same byte-identical report. `scheme`
-    /// is the shared-grammar label keying the cells (the report's
-    /// `controller` name deliberately is not part of the key); pass
-    /// the policy identity whenever the evaluator serves `mocc`
-    /// flows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_cells_cached(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        scheme: &str,
-        evaluator: &dyn CellEvaluator,
-        store: &ResultStore,
-        policy: Option<&PolicyIdentity>,
-        ts: u64,
-    ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keys: Vec<String> = cells
-            .iter()
-            .map(|c| sweep_cell_key(c, scheme, spec, policy))
-            .collect();
         let (reports, stats) = cached_cell_reports(
             &cells,
-            &keys,
-            self.threads,
-            evaluator.batch_size(),
-            &|chunk| evaluator.eval_batch(chunk),
-            &|c: &SweepCell| c.index,
-            store,
-            ts,
-        );
-        (
-            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
-            stats,
-        )
-    }
-
-    /// The memoizing counterpart of
-    /// [`SweepRunner::run_competition_cells`]; same contract as
-    /// [`SweepRunner::run_cells_cached`] (competition cells carry
-    /// their scheme lineup themselves, so no separate label).
-    pub fn run_competition_cells_cached(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        evaluator: &dyn CompetitionEvaluator,
-        store: &ResultStore,
-        policy: Option<&PolicyIdentity>,
-        ts: u64,
-    ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keys: Vec<String> = cells
-            .iter()
-            .map(|c| competition_cell_key(c, spec, policy))
-            .collect();
-        let (reports, stats) = cached_cell_reports(
-            &cells,
-            &keys,
             self.threads,
             evaluator.batch_size(),
             &|chunk| evaluator.eval_batch(chunk),
             &|c: &CompetitionCell| c.index,
-            store,
-            ts,
+            keyed
+                .as_ref()
+                .map(|(store, ts, keys)| (*store, *ts, &keys[..])),
         );
         (
             SweepReport::new(controller, spec.seed, spec.duration_s, reports),
             stats,
         )
-    }
-
-    /// Convenience shim: runs a named `mocc-cc` baseline over the
-    /// spec.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `ExperimentSpec` and call `SweepRunner::run` instead"
-    )]
-    pub fn run_baseline(&self, spec: &SweepSpec, name: &str) -> SweepReport {
-        self.run_factory(spec, name, &BaselineFactory::new(name))
-    }
-
-    /// Renamed shim for [`SweepRunner::run_cells`].
-    #[deprecated(since = "0.2.0", note = "renamed to `SweepRunner::run_cells`")]
-    pub fn run_evaluator(
-        &self,
-        spec: &SweepSpec,
-        controller: &str,
-        evaluator: &dyn CellEvaluator,
-    ) -> SweepReport {
-        self.run_cells(spec, controller, evaluator)
-    }
-
-    /// Renamed shim for [`SweepRunner::run_competition_factory`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "renamed to `SweepRunner::run_competition_factory`; spec-file \
-                competitions go through `SweepRunner::run`"
-    )]
-    pub fn run_competition(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        factory: &dyn ContenderFactory,
-    ) -> SweepReport {
-        self.run_competition_factory(spec, controller, factory)
-    }
-
-    /// Renamed shim for [`SweepRunner::run_competition_cells`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "renamed to `SweepRunner::run_competition_cells`"
-    )]
-    pub fn run_competition_evaluator(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        evaluator: &dyn CompetitionEvaluator,
-    ) -> SweepReport {
-        self.run_competition_cells(spec, controller, evaluator)
     }
 }
 
@@ -613,13 +403,27 @@ pub fn run_cell(cell: &SweepCell, factory: &dyn CellFactory) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::competition::ContenderMix;
     use crate::spec::{FlowLoad, TraceShape};
     use mocc_netsim::cc::Aimd;
 
-    fn aimd_factory(cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        (0..cell.scenario.flows.len())
-            .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
-            .collect()
+    /// The built-in vocabulary plus a test-only `aimd` scheme.
+    fn aimd_registry() -> SchemeRegistry {
+        SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()))
+    }
+
+    /// Runs `spec` under the plugged-in `aimd` scheme through the
+    /// spec-level entry point.
+    fn run_aimd(threads: usize, spec: &SweepSpec) -> SweepReport {
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), spec);
+        let opts = RunOptions {
+            registry: Some(&aimd_registry()),
+            ..RunOptions::default()
+        };
+        SweepRunner::with_threads(threads)
+            .run_with(&exp, opts)
+            .unwrap()
+            .0
     }
 
     fn small_spec() -> SweepSpec {
@@ -638,15 +442,15 @@ mod tests {
     #[test]
     fn parallel_report_is_byte_identical_to_serial() {
         let spec = small_spec();
-        let serial = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &aimd_factory);
-        let parallel = SweepRunner::with_threads(4).run_factory(&spec, "aimd", &aimd_factory);
+        let serial = run_aimd(1, &spec);
+        let parallel = run_aimd(4, &spec);
         assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
     }
 
     #[test]
     fn runner_covers_every_cell_in_order() {
         let spec = small_spec();
-        let rep = SweepRunner::with_threads(3).run_factory(&spec, "aimd", &aimd_factory);
+        let rep = run_aimd(3, &spec);
         assert_eq!(rep.cells.len(), spec.cell_count());
         for (i, c) in rep.cells.iter().enumerate() {
             assert_eq!(c.index, i as u64);
@@ -656,13 +460,13 @@ mod tests {
     }
 
     #[test]
-    fn baseline_factory_runs_cubic() {
+    fn builtin_registry_runs_cubic() {
         let mut spec = small_spec();
         spec.bandwidth_mbps = vec![8.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![0.0];
-        #[allow(deprecated)] // pins the shim's behavior for its final release
-        let rep = SweepRunner::with_threads(2).run_baseline(&spec, "cubic");
+        let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
+        let rep = SweepRunner::with_threads(2).run(&exp).unwrap();
         assert_eq!(rep.controller, "cubic");
         assert!(rep.cells[0].utilization > 0.5, "{:?}", rep.cells[0]);
     }
@@ -672,14 +476,15 @@ mod tests {
     /// NaN-free canonical JSON: Jain degenerates to 1.0 (an all-zero
     /// share vector is trivially "fair"), friendliness/convergence
     /// stay `None`, and the bytes are deterministic across thread
-    /// counts like any other cell.
+    /// counts like any other cell. (Spec validation rejects a loss of
+    /// 1.0, so this drives the evaluator-level entry point.)
     #[test]
     fn all_loss_cell_reduces_without_nan() {
         let mut spec = small_spec();
         spec.bandwidth_mbps = vec![4.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![1.0];
-        let rep = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &aimd_factory);
+        let (rep, _) = SweepRunner::with_threads(1).run_cells(&spec, "aimd", &AimdCells(1), None);
         assert_eq!(rep.cells.len(), 1);
         let c = &rep.cells[0];
         assert_eq!(c.goodput_mbps, 0.0, "nothing can be delivered");
@@ -701,7 +506,7 @@ mod tests {
         }
         let json = rep.to_canonical_json();
         assert!(!json.to_ascii_lowercase().contains("nan"), "{json}");
-        let again = SweepRunner::with_threads(2).run_factory(&spec, "aimd", &aimd_factory);
+        let (again, _) = SweepRunner::with_threads(2).run_cells(&spec, "aimd", &AimdCells(1), None);
         assert_eq!(json, again.to_canonical_json());
     }
 
@@ -728,17 +533,15 @@ mod tests {
     /// `load` column.
     #[test]
     fn competition_parallel_matches_serial_byte_for_byte() {
-        use crate::competition::{BaselineContenders, CompetitionSpec, ContenderMix};
         let mut spec = CompetitionSpec::quick();
         spec.mixes = vec![
             ContenderMix::duel("cubic", "vegas"),
             ContenderMix::staircase("bbr", 2, 2.0),
         ];
         spec.duration_s = 8;
-        let serial =
-            SweepRunner::with_threads(1).run_competition_factory(&spec, "mix", &BaselineContenders);
-        let quad =
-            SweepRunner::with_threads(4).run_competition_factory(&spec, "mix", &BaselineContenders);
+        let exp = ExperimentSpec::from_competition("mix", &spec);
+        let serial = SweepRunner::with_threads(1).run(&exp).unwrap();
+        let quad = SweepRunner::with_threads(4).run(&exp).unwrap();
         assert_eq!(serial.to_canonical_json(), quad.to_canonical_json());
         assert_eq!(serial.cells.len(), 2);
         assert_eq!(serial.cells[0].load, "flows:2");
@@ -747,44 +550,49 @@ mod tests {
         assert_eq!(serial.cells[1].mix.as_deref(), Some("stair:bbr:2x2"));
     }
 
-    /// The unified entry point is behavior-preserving: a declarative
-    /// sweep experiment produces a report byte-identical to the
-    /// factory path it subsumes, and a competition experiment matches
-    /// the competition-factory path.
+    /// The spec-level entry point adds nothing to the cells: a
+    /// declarative sweep equals the evaluator-level path over a
+    /// hand-written `mocc-cc` factory byte for byte, and a competition
+    /// equals the per-cell function over the built-in registry.
     #[test]
-    fn experiment_entry_point_matches_the_legacy_paths() {
-        use crate::experiment::ExperimentSpec;
-        use crate::scheme::SchemeSpec;
+    fn experiment_entry_point_matches_the_evaluator_level_paths() {
+        struct Cubic;
+        impl CellEvaluator for Cubic {
+            fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+                let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
+                    (0..cell.scenario.flows.len())
+                        .map(|_| Box::new(mocc_cc::Cubic::new()) as Box<dyn CongestionControl>)
+                        .collect()
+                };
+                cells.iter().map(|c| run_cell(c, &factory)).collect()
+            }
+        }
+        let runner = SweepRunner::with_threads(2);
         let spec = small_spec();
         let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
-        let unified = SweepRunner::with_threads(2).run(&exp).unwrap();
-        let legacy = SweepRunner::with_threads(2).run_factory(
-            &spec,
-            "cubic",
-            &BaselineFactory::new("cubic"),
-        );
-        assert_eq!(unified.to_canonical_json(), legacy.to_canonical_json());
+        let unified = runner.run(&exp).unwrap();
+        let (by_hand, _) = runner.run_cells(&spec, "cubic", &Cubic, None);
+        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
 
-        use crate::competition::{BaselineContenders, CompetitionSpec, ContenderMix};
         let mut cspec = CompetitionSpec::quick();
         cspec.mixes = vec![ContenderMix::duel("cubic", "vegas")];
         cspec.duration_s = 8;
         let cexp = ExperimentSpec::from_competition("mix", &cspec);
-        let unified = SweepRunner::with_threads(2).run(&cexp).unwrap();
-        let legacy = SweepRunner::with_threads(2).run_competition_factory(
+        let unified = runner.run(&cexp).unwrap();
+        let (by_hand, _) = runner.run_competition_cells(
             &cspec,
             "mix",
-            &BaselineContenders,
+            &RegistryCompetition(&SchemeRegistry::builtin()),
+            None,
         );
-        assert_eq!(unified.to_canonical_json(), legacy.to_canonical_json());
+        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
     }
 
     /// `mocc` schemes cannot run without a policy engine: the unified
     /// entry point reports it as a typed error, not a panic.
     #[test]
     fn mocc_experiments_need_the_policy_engine() {
-        use crate::experiment::{ExperimentSpec, PolicySpec};
-        use crate::scheme::{SchemeSpec, SpecError};
+        use crate::experiment::PolicySpec;
         let mut exp = ExperimentSpec::from_sweep(
             "mocc-thr",
             SchemeSpec::parse("mocc:thr").unwrap(),
@@ -804,46 +612,57 @@ mod tests {
     }
 
     /// Custom registry schemes drive spec-file experiments through
-    /// `run_in`: a plugged-in constructor serves both sweep flows and
-    /// competition contenders (including the friendliness control).
+    /// `run_with`: a plugged-in constructor serves the sweep's flows
+    /// exactly as a hand-written factory building the same controller
+    /// does, and the built-in registry rejects the label up front.
     #[test]
     fn custom_registry_schemes_run_experiments() {
-        use crate::experiment::ExperimentSpec;
-        use crate::scheme::{SchemeRegistry, SchemeSpec};
-        let reg =
-            SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
-        let exp =
-            ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &small_spec());
-        let via_registry = SweepRunner::with_threads(2).run_in(&exp, &reg).unwrap();
-        let via_factory =
-            SweepRunner::with_threads(2).run_factory(&small_spec(), "aimd", &aimd_factory);
+        let spec = small_spec();
+        let via_registry = run_aimd(2, &spec);
+        let reports: Vec<CellReport> = spec
+            .expand()
+            .iter()
+            .map(|c| run_cell(c, &aimd_factory))
+            .collect();
+        let via_factory = SweepReport::new("aimd", spec.seed, spec.duration_s, reports);
         assert_eq!(
             via_registry.to_canonical_json(),
             via_factory.to_canonical_json()
         );
-        // The builtin registry rejects the same spec up front.
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
         assert!(SweepRunner::with_threads(1).run(&exp).is_err());
     }
 
+    fn aimd_factory(cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
+        (0..cell.scenario.flows.len())
+            .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
+            .collect()
+    }
+
+    /// A hand-written evaluator running [`aimd_factory`] in chunks of
+    /// the given size.
+    struct AimdCells(usize);
+
+    impl CellEvaluator for AimdCells {
+        fn batch_size(&self) -> usize {
+            self.0
+        }
+        fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+            cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
+        }
+    }
+
     /// A batched evaluator (chunks of 4) must produce a report
-    /// byte-identical to the per-cell factory path — chunking is pure
+    /// byte-identical to the per-cell registry path — chunking is pure
     /// scheduling.
     #[test]
-    fn chunked_evaluator_matches_factory_byte_for_byte() {
-        struct Chunky;
-        impl CellEvaluator for Chunky {
-            fn batch_size(&self) -> usize {
-                4
-            }
-            fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-                cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
-            }
-        }
+    fn chunked_evaluator_matches_registry_path_byte_for_byte() {
         let spec = small_spec();
-        let via_factory = SweepRunner::with_threads(2).run_factory(&spec, "aimd", &aimd_factory);
-        let via_chunks = SweepRunner::with_threads(3).run_cells(&spec, "aimd", &Chunky);
+        let via_registry = run_aimd(2, &spec);
+        let (via_chunks, _) =
+            SweepRunner::with_threads(3).run_cells(&spec, "aimd", &AimdCells(4), None);
         assert_eq!(
-            via_factory.to_canonical_json(),
+            via_registry.to_canonical_json(),
             via_chunks.to_canonical_json()
         );
     }

@@ -298,6 +298,15 @@ pub struct SchemeCtx {
     pub peak_rate_bps: f64,
 }
 
+impl SchemeCtx {
+    /// The context of a controller about to run in `scenario`.
+    pub(crate) fn of(scenario: &mocc_netsim::Scenario) -> Self {
+        SchemeCtx {
+            peak_rate_bps: scenario.link.trace.max_rate(),
+        }
+    }
+}
+
 type SchemeCtor = Box<dyn Fn(&SchemeCtx) -> Box<dyn CongestionControl> + Sync + Send>;
 
 struct RegistryEntry {

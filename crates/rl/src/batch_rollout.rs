@@ -9,8 +9,8 @@
 //! are sampled from the RNG in env order, and the batched network
 //! forwards are bitwise identical to their scalar counterparts. With a
 //! single environment the collector therefore reproduces the scalar
-//! [`crate::collect_rollout`] loop bit for bit — including the RNG
-//! stream — which is what lets checkpointed training runs resume
+//! act → value → step loop bit for bit — including the RNG stream —
+//! which is what lets checkpointed training runs resume
 //! byte-identically regardless of which path collected the rollout.
 
 use crate::env::Env;
@@ -63,7 +63,7 @@ impl<N: Network> Clone for BatchRolloutScratch<N> {
 /// fills each rollout's bootstrap value.
 ///
 /// With `envs.len() == 1` the result — including the RNG stream — is
-/// bitwise identical to [`crate::collect_rollout`]; with more
+/// bitwise identical to the scalar act → value → step loop; with more
 /// environments it is bitwise identical to interleaving scalar
 /// per-env steps in env order against the same RNG.
 ///

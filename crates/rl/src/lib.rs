@@ -38,7 +38,5 @@ pub use batch_rollout::{
 pub use dqn::{Dqn, DqnConfig};
 pub use env::Env;
 pub use policy::{GaussianPolicy, PolicyScratch};
-#[allow(deprecated)]
-pub use ppo::{collect_rollout, collect_rollouts_parallel};
 pub use ppo::{Ppo, PpoConfig, PpoStats};
 pub use rollout::{normalize, Rollout};

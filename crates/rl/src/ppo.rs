@@ -12,7 +12,7 @@ use crate::rollout::{normalize, Rollout};
 use mocc_nn::{clip_grad_norm, Activation, Adam, Matrix, Mlp, Network};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// PPO hyperparameters. Defaults follow Table 2 of the paper where the
@@ -346,71 +346,11 @@ impl<N: Network> Ppo<N> {
     }
 }
 
-/// Collects one rollout with the given actor and critic.
-///
-/// Thin shim over [`collect_rollouts_batched`] with a batch of one —
-/// bitwise identical to the historical scalar loop, including the RNG
-/// stream.
-#[deprecated(
-    since = "0.1.0",
-    note = "use collect_rollouts_batched (or the TrainSpec runner, mocc_core::trainer)"
-)]
-pub fn collect_rollout<N: Network>(
-    policy: &GaussianPolicy<N>,
-    value: &N,
-    env: &mut dyn Env,
-    steps: usize,
-    rng: &mut StdRng,
-) -> Rollout {
-    let mut scratch = BatchRolloutScratch::default();
-    let mut refs: [&mut dyn Env; 1] = [env];
-    collect_rollouts_batched(policy, value, &mut refs, steps, rng, &mut scratch)
-        .pop()
-        .expect("one env yields one rollout")
-}
-
-/// Collects `n_envs` rollouts.
-///
-/// Thin shim over [`collect_rollouts_batched`]: the historical scoped
-/// threads with per-worker RNG streams are replaced by the lockstep
-/// batched path drawing every env's actions in order from one stream
-/// seeded with `seed`. For `n_envs <= 1` this matches the historical
-/// single-env behaviour bit for bit; for larger batches the rollouts
-/// remain distinct and complete, but the exact action streams differ
-/// from the old threaded implementation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use collect_rollouts_batched (or the TrainSpec runner, mocc_core::trainer)"
-)]
-pub fn collect_rollouts_parallel<N, F>(
-    ppo: &Ppo<N>,
-    make_env: F,
-    n_envs: usize,
-    steps: usize,
-    seed: u64,
-) -> Vec<Rollout>
-where
-    N: Network + Sync,
-    F: Fn(usize) -> Box<dyn Env> + Sync,
-{
-    let mut envs: Vec<Box<dyn Env>> = (0..n_envs.max(1)).map(make_env).collect();
-    let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|b| &mut **b as &mut dyn Env).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut scratch = BatchRolloutScratch::default();
-    collect_rollouts_batched(
-        &ppo.policy,
-        &ppo.value,
-        &mut refs,
-        steps,
-        &mut rng,
-        &mut scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::{IntegratorEnv, TargetEnv};
+    use rand::SeedableRng;
 
     #[test]
     fn ppo_learns_constant_target() {
@@ -463,21 +403,6 @@ mod tests {
         assert!(stats.value_loss.is_finite());
         assert!(stats.approx_kl.is_finite());
         assert!(stats.clip_frac >= 0.0 && stats.clip_frac <= 1.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn parallel_rollouts_distinct_and_complete() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let ppo = Ppo::new(2, &[8], PpoConfig::default(), &mut rng);
-        let rollouts =
-            collect_rollouts_parallel(&ppo, |_| Box::new(TargetEnv::new(0.0, 16)), 4, 32, 7);
-        assert_eq!(rollouts.len(), 4);
-        for r in &rollouts {
-            assert_eq!(r.len(), 32);
-        }
-        // Different seeds produce different action sequences.
-        assert_ne!(rollouts[0].actions, rollouts[1].actions);
     }
 
     #[test]

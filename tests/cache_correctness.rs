@@ -24,7 +24,7 @@ use mocc::eval::{
     MoccPrefSpec, PolicyIdentity, PolicySpec, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
     Workload,
 };
-use mocc::store::{LedgerScan, ResultStore};
+use mocc::store::{sha256_hex, LedgerScan, ResultStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -304,6 +304,46 @@ fn semantic_mutations_move_every_key() {
         for (i, (a, b)) in reference.iter().zip(&keys).enumerate() {
             assert_ne!(a, b, "mutating {what} left cell {i}'s key unchanged");
         }
+    }
+}
+
+/// Literal keys of the three shipped specs, pinned so a refactor that
+/// shifts every key (and so orphans every existing store) fails here
+/// even though each cold/warm test stays self-consistent. `(spec,
+/// cells, first key, sha256 of the newline-joined keys)`; the values
+/// were computed before the run paths were collapsed into one.
+#[test]
+fn shipped_spec_keys_match_the_pinned_literals() {
+    let pinned = [
+        (
+            "examples/specs/sweep_cubic.json",
+            16,
+            "249dedc117590b7a29ceb14eca48d1787aa86e79b4a50a2bfb406ea03fb64ad9",
+            "b1874adca23914b5c8cb240a39bca947be0b6f73ee19f604994f9d25f35a4635",
+        ),
+        (
+            "examples/specs/sweep_replay.json",
+            8,
+            "6fd470ec6232208c074c6734e15b46dc7c786e70e2f4eb0067dc6229689ac8e3",
+            "db98357143491999d0a24b0d9d3fa8c621d37d61e3cb897c70c49738ba5649eb",
+        ),
+        (
+            "examples/specs/competition_mocc.json",
+            2,
+            "23328052bfa5e8758168f381c7a432227eed85dbd585fcfa1a952a34773294f9",
+            "c866dc20305909b9f41258f971cf44eff836233c541ef2b954d87ae9042c5fd0",
+        ),
+    ];
+    for (path, cells, first, digest) in pinned {
+        let exp = ExperimentSpec::load(Path::new(path)).expect("shipped spec loads");
+        let keys = cell_keys(&exp);
+        assert_eq!(keys.len(), cells, "{path}: cell count");
+        assert_eq!(keys[0], first, "{path}: first cell key moved");
+        assert_eq!(
+            sha256_hex(keys.join("\n").as_bytes()),
+            digest,
+            "{path}: some cell key moved"
+        );
     }
 }
 

@@ -17,9 +17,9 @@
 
 use mocc::core::{run_experiment, run_experiment_cached};
 use mocc::eval::{
-    run_cell, BaselineFactory, CellEvaluator, CellReport, CompetitionSpec, ContenderMix,
-    ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec, SchemeSpec, SweepCell, SweepReport,
-    SweepRunner, SweepSpec, TraceShape,
+    run_cell, CellEvaluator, CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad,
+    MoccPrefSpec, PolicySpec, RunOptions, SchemeCtx, SchemeRegistry, SchemeSpec, SweepCell,
+    SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::{Aimd, CongestionControl};
 use mocc::store::ResultStore;
@@ -299,22 +299,32 @@ fn golden_fixtures_byte_identical_via_experiment_spec() {
 #[test]
 fn golden_fixtures_byte_identical_via_batched_runner() {
     struct ChunkedBaseline {
-        factory: BaselineFactory,
+        registry: SchemeRegistry,
+        name: &'static str,
     }
     impl CellEvaluator for ChunkedBaseline {
         fn batch_size(&self) -> usize {
             8
         }
         fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-            cells.iter().map(|c| run_cell(c, &self.factory)).collect()
+            let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
+                let ctx = SchemeCtx {
+                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
+                };
+                (0..cell.scenario.flows.len())
+                    .map(|_| self.registry.instantiate_label(self.name, &ctx).unwrap())
+                    .collect()
+            };
+            cells.iter().map(|c| run_cell(c, &factory)).collect()
         }
     }
     for name in CONTROLLERS {
         let fixture = std::fs::read_to_string(fixture_path(name)).expect("fixture present");
         let evaluator = ChunkedBaseline {
-            factory: BaselineFactory::new(name),
+            registry: SchemeRegistry::builtin(),
+            name,
         };
-        let got = SweepRunner::auto().run_cells(&golden_spec(), name, &evaluator);
+        let (got, _) = SweepRunner::auto().run_cells(&golden_spec(), name, &evaluator, None);
         assert_eq!(
             got.to_canonical_json(),
             fixture,
@@ -449,13 +459,20 @@ fn competition_report_identical_across_threads_and_batches() {
 fn parallel_sweep_is_byte_identical_to_serial() {
     let spec = mocc_bench::perf::reference_sweep();
     assert_eq!(spec.cell_count(), 64);
-    let factory = |cell: &SweepCell| {
-        (0..cell.scenario.flows.len())
-            .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
-            .collect::<Vec<_>>()
+    let registry =
+        SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
+    let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
+    let run = |threads| {
+        let opts = RunOptions {
+            registry: Some(&registry),
+            ..RunOptions::default()
+        };
+        let (report, _) = SweepRunner::with_threads(threads)
+            .run_with(&exp, opts)
+            .expect("aimd is registered");
+        report
     };
-    let serial = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &factory);
-    let quad = SweepRunner::with_threads(4).run_factory(&spec, "aimd", &factory);
+    let (serial, quad) = (run(1), run(4));
     assert_eq!(
         serial.to_canonical_json(),
         quad.to_canonical_json(),

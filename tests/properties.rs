@@ -2,8 +2,8 @@
 
 use mocc::core::{landmark_count, landmarks, run_experiment, Preference, TrainRegime, TrainSpec};
 use mocc::eval::{
-    BaselineContenders, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, PolicySpec,
-    SchemeRegistry, SchemeSpec, SweepCell, SweepRunner, SweepSpec, TraceShape,
+    CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, PolicySpec, RunOptions,
+    SchemeRegistry, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::{Aimd, CongestionControl, FixedRate};
 use mocc::netsim::metrics::jain_index;
@@ -208,14 +208,17 @@ proptest! {
             seed,
             agent_mi: false,
         };
-        let factory = |cell: &SweepCell| {
-            (0..cell.scenario.flows.len())
-                .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
-                .collect::<Vec<_>>()
+        let registry =
+            SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
+        let run = |threads| {
+            let opts = RunOptions { registry: Some(&registry), ..RunOptions::default() };
+            let (report, _) = SweepRunner::with_threads(threads)
+                .run_with(&exp, opts)
+                .expect("aimd is registered");
+            report.to_canonical_json()
         };
-        let serial = SweepRunner::with_threads(1).run_factory(&spec, "aimd", &factory);
-        let parallel = SweepRunner::with_threads(3).run_factory(&spec, "aimd", &factory);
-        prop_assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
+        prop_assert_eq!(run(1), run(3));
     }
 
     /// Flow churn preserves the simulator's core invariants: for any
@@ -269,10 +272,9 @@ proptest! {
             seed,
             ..CompetitionSpec::quick()
         };
-        let serial = SweepRunner::with_threads(1)
-            .run_competition_factory(&spec, "mix", &BaselineContenders);
-        let parallel = SweepRunner::with_threads(3)
-            .run_competition_factory(&spec, "mix", &BaselineContenders);
+        let exp = ExperimentSpec::from_competition("mix", &spec);
+        let serial = SweepRunner::with_threads(1).run(&exp).expect("built-in contenders");
+        let parallel = SweepRunner::with_threads(3).run(&exp).expect("built-in contenders");
         prop_assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
     }
 

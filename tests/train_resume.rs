@@ -6,10 +6,10 @@
 //! and a zoo entry must be loadable and runnable as a registry scheme.
 
 use mocc::core::{
-    load_checkpoint, run_experiment_in, save_trained, train_spec, zoo_registry, TrainOptions,
+    load_checkpoint, run_experiment_with, save_trained, train_spec, zoo_registry, TrainOptions,
     TrainSpec,
 };
-use mocc::eval::{ExperimentSpec, SweepRunner, SweepSpec};
+use mocc::eval::{ExperimentSpec, RunOptions, SweepRunner, SweepSpec};
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -168,7 +168,11 @@ fn zoo_model_runs_as_registry_scheme() {
     matrix.bandwidth_mbps = vec![4.0];
     matrix.duration_s = 8;
     let exp = ExperimentSpec::from_sweep("zoo-deploy", reg.parse("resume-zoo").unwrap(), &matrix);
-    let report = run_experiment_in(&SweepRunner::with_threads(1), &exp, &reg).unwrap();
+    let opts = RunOptions {
+        registry: Some(&reg),
+        ..RunOptions::default()
+    };
+    let (report, _) = run_experiment_with(&SweepRunner::with_threads(1), &exp, opts).unwrap();
     assert_eq!(report.cells.len(), 1);
     let cell = &report.cells[0];
     assert!(
