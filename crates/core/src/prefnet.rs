@@ -161,6 +161,15 @@ impl Network for PrefNet {
         g_pref.hstack(&g_rest)
     }
 
+    fn backward_params(&mut self, cache: &PrefNetCache, grad_out: &Matrix) {
+        // Of the trunk's input gradient only the feature columns feed
+        // a parameter; the history columns and the sub-network's own
+        // input gradient feed nothing, so neither is computed.
+        let pnf = self.pn.out_dim();
+        let g_features = self.main.backward_cols(&cache.main, grad_out, 0..pnf);
+        self.pn.backward_cols(&cache.pn, g_features, 0..0);
+    }
+
     fn zero_grad(&mut self) {
         self.pn.zero_grad();
         self.main.zero_grad();
@@ -314,6 +323,34 @@ mod tests {
         assert!(slots
             .iter()
             .any(|(s, g)| *s >= base && g.iter().any(|&x| x != 0.0)));
+    }
+
+    /// The params-only entry leaves the same bits in every gradient
+    /// slot as the full backward, over two passes without `zero_grad`.
+    #[test]
+    fn backward_params_bitwise_matches_backward() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut full = PrefNet::new(3, 16, 30, &[64, 32], 1, &mut rng);
+        let mut params_only = full.clone();
+        for (pass, batch) in [64usize, 65, 1].into_iter().enumerate() {
+            let x = Matrix::from_fn(batch, full.in_dim(), |r, c| match (r + 3 * c + pass) % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            });
+            let g = Matrix::from_fn(batch, 1, |_, _| rng.gen_range(-1.0f32..1.0));
+            let cache = full.forward_batch(&x);
+            let gin = full.backward(&cache, &g);
+            assert_eq!((gin.rows, gin.cols), (batch, full.in_dim()));
+            params_only.backward_params(&cache, &g);
+            let mut want: Vec<Vec<u32>> = Vec::new();
+            full.for_each_param(|_, _, g| want.push(g.iter().map(|v| v.to_bits()).collect()));
+            assert_eq!(want.len(), full.param_slots());
+            params_only.for_each_param(|slot, _, g| {
+                let got: Vec<u32> = g.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want[slot], "pass {pass} slot {slot}");
+            });
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ## Example
 //!
 //! ```
-//! use mocc_nn::{Activation, Adam, Matrix, Mlp};
+//! use mocc_nn::{Activation, Adam, Matrix, Mlp, Network};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -27,7 +27,7 @@
 //!         *gi = 2.0 * (*gi - 2.0 * xi);
 //!     }
 //!     mlp.zero_grad();
-//!     mlp.backward(&cache, &g);
+//!     mlp.backward_params(&cache, &g);
 //!     adam.begin_step();
 //!     mlp.for_each_param(|slot, p, gr| adam.update_slot(slot, p, gr));
 //! }
@@ -47,6 +47,6 @@ pub mod simd;
 pub use matrix::Matrix;
 pub use mlp::{Activation, Dense, ForwardCache, Mlp, MlpScratch};
 pub use network::Network;
-pub use optim::{clip_grad_norm, Adam, Sgd};
+pub use optim::{Adam, Sgd};
 pub use rng::{gaussian_entropy, gaussian_log_prob, normal, randn};
 pub use simd::{fast_tanh, fast_tanh_slice, ForwardTier};

@@ -1,12 +1,20 @@
 //! Dense row-major matrices over `f32`.
 //!
 //! The MOCC policy networks are tiny (two hidden layers of 64 and 32
-//! units), so a straightforward cache-friendly row-major representation
-//! with naive loops is more than fast enough and keeps the arithmetic
-//! auditable.
+//! units), so a plain row-major representation keeps the arithmetic
+//! auditable — but naive loops are *not* fast enough: a serial dot
+//! product is one floating-point dependency chain the compiler may not
+//! reorder, and it dominated the PPO update until the products were
+//! rewritten (docs/PERFORMANCE.md, "The training update path"). Every
+//! product here therefore updates whole output rows through the
+//! dispatched `simd::axpy` kernel: each output element is still one
+//! accumulator updated in ascending `k`, so results are bitwise equal
+//! to the naive triple loops, which survive as the test oracle.
 
+use crate::simd;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Depth-blocking edge for the blocked matmul kernels: a 64-deep slice
 /// of the right-hand operand (≤ 64 × 64 × 4 B = 16 KiB) stays resident
@@ -143,42 +151,75 @@ impl Matrix {
         Matrix::accumulate(self, other, out);
     }
 
-    /// `selfᵀ · other`, without materializing the transpose.
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
+    /// `selfᵀ · other`, without materializing the transpose, written
+    /// into `out` (reshaped to fit, allocation-free at steady state).
+    /// Element `(k, c)` accumulates
+    /// `self[r][k] · other[r][c]` in ascending `r` from `+0.0`,
+    /// skipping rows where `self[r][k] == 0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts disagree.
+    pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
+        out.reshape_zeroed(self.cols, other.cols);
         for r in 0..self.rows {
-            let srow = self.row(r);
             let orow = other.row(r);
-            for (k, &a) in srow.iter().enumerate() {
+            for (k, &a) in self.row(r).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let out_row = out.row_mut(k);
-                for c in 0..other.cols {
-                    out_row[c] += a * orow[c];
-                }
+                simd::axpy(out.row_mut(k), a, orow);
             }
         }
-        out
     }
 
-    /// `self · otherᵀ`, without materializing the transpose.
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
+    /// Columns `cols` of `self · otherᵀ` written into `out` (reshaped
+    /// to `self.rows × cols.len()`), using `other_t` as the reusable
+    /// buffer for the transposed block of `other`; both are
+    /// allocation-free at steady state. Back-propagation asks only for
+    /// the input-gradient columns somebody reads, down to none.
+    ///
+    /// Rows `cols` of `other` are transposed once, then every output
+    /// row adds `self[r][k] · other_t.row(k)` in ascending `k`: each
+    /// element is one accumulator that starts at `+0.0` and takes the
+    /// same products in the same order as a serial dot product, now
+    /// vectorised across columns. No term is skipped, so NaN and
+    /// infinities propagate exactly as in the dot product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions disagree or `cols` reaches past
+    /// `other.rows`.
+    pub fn matmul_t_into(
+        &self,
+        other: &Matrix,
+        cols: Range<usize>,
+        other_t: &mut Matrix,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let srow = self.row(r);
-            for c in 0..other.rows {
-                let orow = other.row(c);
-                let mut acc = 0.0;
-                for k in 0..self.cols {
-                    acc += srow[k] * orow[k];
-                }
-                out.set(r, c, acc);
+        assert!(
+            cols.start <= cols.end && cols.end <= other.rows,
+            "column range out of bounds"
+        );
+        let n = cols.len();
+        out.reshape_zeroed(self.rows, n);
+        if n == 0 {
+            return;
+        }
+        other_t.reshape(other.cols, n);
+        for (c, r) in cols.enumerate() {
+            for (k, &w) in other.row(r).iter().enumerate() {
+                other_t.data[k * n + c] = w;
             }
         }
-        out
+        for r in 0..self.rows {
+            let out_row = out.row_mut(r);
+            for (k, &g) in self.row(r).iter().enumerate() {
+                simd::axpy(out_row, g, other_t.row(k));
+            }
+        }
     }
 
     /// The transpose as a new matrix.
@@ -232,7 +273,7 @@ impl Matrix {
         // The traversal lives in `simd.rs` so the inner `out += a·w`
         // step can dispatch to the vector backends; every backend is
         // bitwise identical to the plain loop (see `simd::axpy`).
-        crate::simd::accumulate(x, w, out);
+        simd::accumulate(x, w, out);
     }
 
     /// Sums each column into a vector of length `cols`.
@@ -309,11 +350,165 @@ impl Matrix {
     }
 }
 
+/// The naive triple loops the products above replaced, kept verbatim
+/// as the executable reference the fast kernels (and, in `mlp.rs`,
+/// the whole back-propagation) must match bit for bit.
+#[cfg(test)]
+pub(crate) mod naive {
+    use super::Matrix;
+
+    pub(crate) fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols, b.cols);
+        for r in 0..a.rows {
+            let srow = a.row(r);
+            let orow = b.row(r);
+            for (k, &x) in srow.iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                let out_row = out.row_mut(k);
+                for c in 0..b.cols {
+                    out_row[c] += x * orow[c];
+                }
+            }
+        }
+        out
+    }
+
+    pub(crate) fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows, b.rows);
+        for r in 0..a.rows {
+            let srow = a.row(r);
+            for c in 0..b.rows {
+                let orow = b.row(c);
+                let mut acc = 0.0;
+                for k in 0..a.cols {
+                    acc += srow[k] * orow[k];
+                }
+                out.set(r, c, acc);
+            }
+        }
+        out
+    }
+}
+
+/// Bitwise equality of two matrices, shape included.
+#[cfg(test)]
+pub(crate) fn assert_bits_eq(got: &Matrix, want: &Matrix, what: &str) {
+    assert_eq!(
+        (got.rows, got.cols),
+        (want.rows, want.cols),
+        "{what}: shape"
+    );
+    for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// All columns of `a · bᵀ` through fresh scratch.
+    fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_t_into(b, 0..b.rows, &mut Matrix::default(), &mut out);
+        out
+    }
+
+    /// Seeded values in (-1, 1) with exact `0.0` and `-0.0` mixed in.
+    fn with_zeros(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * 7 + c * 3) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+    }
+
+    /// Shapes cover batch 1/16/64/65 and widths that are not multiples
+    /// of the 8-lane vector width on either side of the product.
+    const ORACLE_SHAPES: [(usize, usize, usize); 6] = [
+        (1, 1, 1),
+        (1, 33, 46),
+        (16, 64, 46),
+        (64, 32, 64),
+        (65, 7, 13),
+        (64, 1, 32),
+    ];
+
+    #[test]
+    fn matmul_t_bitwise_matches_naive() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut other_t, mut out) = (Matrix::default(), Matrix::default());
+        for (m, k, n) in ORACLE_SHAPES {
+            let a = with_zeros(m, k, &mut rng);
+            let b = with_zeros(n, k, &mut rng);
+            let want = naive::matmul_t(&a, &b);
+            // Every column range, through warm wrong-shaped scratch,
+            // equals the same columns of the full product.
+            for cols in [0..n, 0..n / 2, n / 3..n, n..n] {
+                a.matmul_t_into(&b, cols.clone(), &mut other_t, &mut out);
+                assert_bits_eq(&out, &want.slice_cols(cols.start, cols.end), "range");
+            }
+        }
+    }
+
+    /// No term is skipped: a NaN or infinite weight reaches every
+    /// output it touches even when the gradient entry is zero. (Which
+    /// NaN comes out is not compared: IEEE 754 leaves the sign and
+    /// payload of a NaN result to the implementation.)
+    #[test]
+    fn matmul_t_propagates_non_finite_like_naive() {
+        let a = m(2, 3, &[0.0, 1.0, -0.0, 2.0, 0.0, 0.5]);
+        let b = m(
+            3,
+            3,
+            &[
+                f32::NAN,
+                1.0,
+                f32::INFINITY,
+                1.0,
+                f32::NEG_INFINITY,
+                2.0,
+                f32::INFINITY,
+                1.0,
+                1.0,
+            ],
+        );
+        let got = matmul_t(&a, &b);
+        let want = naive::matmul_t(&a, &b);
+        for (g, w) in got.data.iter().zip(&want.data) {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{g} vs {w}"
+            );
+        }
+        // 0·NaN, -0·∞ and 0·-∞ are NaN; 2·∞ is ∞.
+        assert!(got.get(0, 0).is_nan() && got.get(1, 1).is_nan());
+        assert_eq!(got.get(1, 2), f32::INFINITY);
+    }
+
+    #[test]
+    fn t_matmul_bitwise_matches_naive() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut out = Matrix::zeros(3, 3); // Wrong shape, stale contents.
+        out.map_inplace(|_| 99.0);
+        for (m, k, n) in ORACLE_SHAPES {
+            let a = with_zeros(m, k, &mut rng);
+            let b = with_zeros(m, n, &mut rng);
+            a.t_matmul_into(&b, &mut out);
+            assert_bits_eq(&out, &naive::t_matmul(&a, &b), "t_matmul");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "column range out of bounds")]
+    fn matmul_t_into_rejects_range_past_other_rows() {
+        let (a, b) = (Matrix::zeros(2, 3), Matrix::zeros(4, 3));
+        a.matmul_t_into(&b, 2..5, &mut Matrix::default(), &mut Matrix::default());
+    }
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
         Matrix::from_vec(rows, cols, v.to_vec())
@@ -331,14 +526,16 @@ mod tests {
     fn t_matmul_matches_explicit_transpose() {
         let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 2, &[1., 0., 0., 1., 1., 1.]);
-        assert_eq!(a.t_matmul(&b).data, a.transpose().matmul(&b).data);
+        let mut out = Matrix::default();
+        a.t_matmul_into(&b, &mut out);
+        assert_eq!(out.data, a.transpose().matmul(&b).data);
     }
 
     #[test]
     fn matmul_t_matches_explicit_transpose() {
         let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
         let b = m(4, 3, &[1., 0., 0., 0., 1., 0., 0., 0., 1., 1., 1., 1.]);
-        assert_eq!(a.matmul_t(&b).data, a.matmul(&b.transpose()).data);
+        assert_eq!(matmul_t(&a, &b).data, a.matmul(&b.transpose()).data);
     }
 
     #[test]

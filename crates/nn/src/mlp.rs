@@ -10,6 +10,7 @@ use crate::matrix::Matrix;
 use crate::simd::{self, ForwardTier};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Activation function applied after a dense layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,11 +159,29 @@ impl ForwardCache {
     }
 }
 
+/// Back-propagation temporaries, kept beside the gradient buffers so a
+/// training loop allocates none of them per minibatch. Never
+/// serialized; contents are unspecified between calls.
+#[derive(Debug, Clone, Default)]
+struct BackwardScratch {
+    /// ∂L/∂(current layer's output), turned into ∂L/∂z in place.
+    grad: Matrix,
+    /// ∂L/∂(current layer's input), swapped into `grad` per layer.
+    grad_in: Matrix,
+    /// `xᵀ · grad`, the minibatch's weight gradient before it is added
+    /// to the accumulated `gw`.
+    xt_grad: Matrix,
+    /// The transposed weight block of [`Matrix::matmul_t_into`].
+    w_t: Matrix,
+}
+
 /// A fully connected feed-forward network.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     /// The layers, applied in order.
     pub layers: Vec<Dense>,
+    #[serde(skip)]
+    scratch: BackwardScratch,
 }
 
 impl Mlp {
@@ -182,7 +201,10 @@ impl Mlp {
                 Dense::new(w[0], w[1], act, rng)
             })
             .collect();
-        Mlp { layers }
+        Mlp {
+            layers,
+            scratch: BackwardScratch::default(),
+        }
     }
 
     /// Input dimensionality.
@@ -287,33 +309,75 @@ impl Mlp {
 
     /// Backpropagates `grad_out` (∂L/∂output, same shape as the cached
     /// output), *accumulating* parameter gradients, and returns
-    /// ∂L/∂input.
+    /// ∂L/∂input. Callers that read only some input columns, or none,
+    /// use [`Mlp::backward_cols`], which leaves the same bits in every
+    /// gradient buffer.
     pub fn backward(&mut self, cache: &ForwardCache, grad_out: &Matrix) -> Matrix {
+        let in_dim = self.in_dim();
+        self.backward_cols(cache, grad_out, 0..in_dim).clone()
+    }
+
+    /// The back-propagation core: accumulates parameter gradients for
+    /// `grad_out` like [`Mlp::backward`] and returns columns
+    /// `input_cols` of ∂L/∂input, borrowed from the network's scratch
+    /// (valid until the next backward call). An empty range computes
+    /// no input gradient at all — a learner that only steps its own
+    /// parameters pays for nothing it would throw away.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not come from this network, if
+    /// `grad_out` is not `batch × out_dim`, or if `input_cols` reaches
+    /// past `in_dim`.
+    pub fn backward_cols(
+        &mut self,
+        cache: &ForwardCache,
+        grad_out: &Matrix,
+        input_cols: Range<usize>,
+    ) -> &Matrix {
         assert_eq!(
             cache.activations.len(),
             self.layers.len() + 1,
             "cache does not match network depth"
         );
-        let mut grad = grad_out.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+        let out = cache.output();
+        assert!(
+            grad_out.rows == out.rows && grad_out.cols == out.cols,
+            "grad_out is {}×{} but the cached output is {}×{}",
+            grad_out.rows,
+            grad_out.cols,
+            out.rows,
+            out.cols
+        );
+        let Mlp { layers, scratch: s } = self;
+        s.grad.reshape(grad_out.rows, grad_out.cols);
+        s.grad.data.copy_from_slice(&grad_out.data);
+        for (i, layer) in layers.iter_mut().enumerate().rev() {
             let y = &cache.activations[i + 1];
             // Through the activation: dL/dz = dL/dy ⊙ act'(y).
-            for (g, &yv) in grad.data.iter_mut().zip(&y.data) {
+            for (g, &yv) in s.grad.data.iter_mut().zip(&y.data) {
                 *g *= layer.act.dydx_from_y(yv);
             }
             let x = &cache.activations[i];
             layer.ensure_grads();
-            layer.gw.as_mut().unwrap().axpy(1.0, &x.t_matmul(&grad));
-            for (gb, s) in layer.gb.as_mut().unwrap().iter_mut().zip(grad.col_sums()) {
-                *gb += s;
+            // The minibatch's product is formed from zero and *then*
+            // added: accumulating straight into a non-zero `gw` would
+            // change the summation order.
+            x.t_matmul_into(&s.grad, &mut s.xt_grad);
+            layer.gw.as_mut().unwrap().axpy(1.0, &s.xt_grad);
+            for (gb, sum) in layer.gb.as_mut().unwrap().iter_mut().zip(s.grad.col_sums()) {
+                *gb += sum;
             }
-            if i > 0 {
-                grad = grad.matmul_t(&layer.w);
+            let cols = if i > 0 {
+                0..layer.w.rows
             } else {
-                return grad.matmul_t(&layer.w);
-            }
+                input_cols.clone()
+            };
+            s.grad
+                .matmul_t_into(&layer.w, cols, &mut s.w_t, &mut s.grad_in);
+            std::mem::swap(&mut s.grad, &mut s.grad_in);
         }
-        unreachable!("loop always returns at i == 0");
+        &s.grad
     }
 
     /// Zeroes all accumulated gradients.
@@ -383,8 +447,116 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::{assert_bits_eq, naive};
+    use crate::network::Network;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The back-propagation [`Mlp::backward_cols`] replaced, kept
+    /// verbatim over the naive matrix products as its reference: a
+    /// fresh matrix per layer per step, the full input gradient always.
+    fn naive_backward(mlp: &mut Mlp, cache: &ForwardCache, grad_out: &Matrix) -> Matrix {
+        let mut grad = grad_out.clone();
+        for (i, layer) in mlp.layers.iter_mut().enumerate().rev() {
+            let y = &cache.activations[i + 1];
+            for (g, &yv) in grad.data.iter_mut().zip(&y.data) {
+                *g *= layer.act.dydx_from_y(yv);
+            }
+            let x = &cache.activations[i];
+            layer.ensure_grads();
+            layer
+                .gw
+                .as_mut()
+                .unwrap()
+                .axpy(1.0, &naive::t_matmul(x, &grad));
+            for (gb, s) in layer.gb.as_mut().unwrap().iter_mut().zip(grad.col_sums()) {
+                *gb += s;
+            }
+            grad = naive::matmul_t(&grad, &layer.w);
+        }
+        grad
+    }
+
+    fn assert_grads_bits_eq(got: &mut Mlp, want: &mut Mlp, what: &str) {
+        let mut slots: Vec<Vec<u32>> = Vec::new();
+        want.for_each_param(|_, _, g| slots.push(g.iter().map(|x| x.to_bits()).collect()));
+        got.for_each_param(|slot, _, g| {
+            let g: Vec<u32> = g.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(g, slots[slot], "{what}: slot {slot}");
+        });
+    }
+
+    /// Every `gw`/`gb` and the returned input gradient equal the naive
+    /// reference bit for bit: three activations, batch 1/16/64/65,
+    /// widths off the vector width, inputs holding exact `0.0` and
+    /// `-0.0`, and a second backward without `zero_grad` in between
+    /// (accumulation into non-zero buffers). The column-range and
+    /// params-only entries leave the same bits in every slot.
+    #[test]
+    fn backward_bitwise_matches_naive_reference() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for hidden in [Activation::Tanh, Activation::Relu, Activation::Linear] {
+            for (sizes, batch) in [
+                (&[46, 64, 32, 1][..], 64usize),
+                (&[5, 7, 3], 1),
+                (&[13, 9, 11, 2], 16),
+                (&[4, 4], 65),
+            ] {
+                let mut fast = Mlp::new(sizes, hidden, Activation::Linear, &mut rng);
+                let mut naive_net = fast.clone();
+                let mut cols_net = fast.clone();
+                let mut params_net = fast.clone();
+                let in_dim = sizes[0];
+                let out_dim = *sizes.last().unwrap();
+                for pass in 0..2 {
+                    let x = Matrix::from_fn(batch, in_dim, |r, c| match (r + 2 * c + pass) % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.5f32..1.5),
+                    });
+                    let gout = Matrix::from_fn(batch, out_dim, |r, _| match r % 5 {
+                        0 => 0.0,
+                        _ => rng.gen_range(-1.0f32..1.0),
+                    });
+                    let cache = fast.forward_batch(&x);
+                    let want = naive_backward(&mut naive_net, &cache, &gout);
+                    let what = format!("{hidden:?} {sizes:?} b{batch} pass {pass}");
+                    assert_bits_eq(&fast.backward(&cache, &gout), &want, &what);
+                    assert_grads_bits_eq(&mut fast, &mut naive_net, &what);
+
+                    let cols = in_dim / 3..in_dim - 1;
+                    let part = cols_net.backward_cols(&cache, &gout, cols.clone());
+                    assert_bits_eq(part, &want.slice_cols(cols.start, cols.end), &what);
+                    assert_grads_bits_eq(&mut cols_net, &mut naive_net, &what);
+
+                    Network::backward_params(&mut params_net, &cache, &gout);
+                    assert_grads_bits_eq(&mut params_net, &mut naive_net, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_out is 3×1 but the cached output is 3×2")]
+    fn backward_rejects_wrong_shaped_gradient() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut mlp = Mlp::new(&[4, 5, 2], Activation::Tanh, Activation::Linear, &mut rng);
+        let cache = mlp.forward_batch(&Matrix::zeros(3, 4));
+        let _ = mlp.backward(&cache, &Matrix::zeros(3, 1));
+    }
+
+    /// Scratch is working memory, not state: it is never serialized,
+    /// so a network that has trained writes the same JSON shape as a
+    /// fresh one.
+    #[test]
+    fn backward_scratch_is_not_serialized() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut mlp = Mlp::new(&[3, 4, 2], Activation::Tanh, Activation::Linear, &mut rng);
+        let before = serde_json::to_string(&mlp).unwrap();
+        let cache = mlp.forward_batch(&Matrix::zeros(2, 3));
+        let _ = mlp.backward(&cache, &Matrix::zeros(2, 2));
+        assert_eq!(serde_json::to_string(&mlp).unwrap(), before);
+    }
 
     #[test]
     fn forward_shapes() {

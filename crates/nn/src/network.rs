@@ -2,10 +2,11 @@
 //!
 //! [`Network`] is the minimal interface the RL layer needs from a
 //! differentiable function approximator: batched forward with a cache,
-//! reverse-mode backward, and parameter/gradient iteration for an
-//! optimizer. [`crate::Mlp`] implements it directly; MOCC's
-//! preference-sub-network composite (Fig. 3 of the paper) implements it
-//! in `mocc-core` by wiring two MLPs together.
+//! reverse-mode backward (with or without the input gradient), and
+//! parameter/gradient iteration for an optimizer. [`crate::Mlp`]
+//! implements it directly; MOCC's preference-sub-network composite
+//! (Fig. 3 of the paper) implements it in `mocc-core` by wiring two
+//! MLPs together.
 
 use crate::matrix::Matrix;
 use crate::mlp::{ForwardCache, Mlp, MlpScratch};
@@ -68,6 +69,11 @@ pub trait Network: Clone + Send {
     /// Backpropagates `grad_out`, accumulating parameter gradients;
     /// returns the gradient with respect to the input batch.
     fn backward(&mut self, cache: &Self::Cache, grad_out: &Matrix) -> Matrix;
+
+    /// [`Network::backward`] for a learner that only steps this
+    /// network's own parameters: leaves the same bits in every gradient
+    /// buffer but computes no gradient with respect to the input batch.
+    fn backward_params(&mut self, cache: &Self::Cache, grad_out: &Matrix);
 
     /// Zeroes accumulated gradients.
     fn zero_grad(&mut self);
@@ -134,6 +140,10 @@ impl Network for Mlp {
 
     fn backward(&mut self, cache: &ForwardCache, grad_out: &Matrix) -> Matrix {
         Mlp::backward(self, cache, grad_out)
+    }
+
+    fn backward_params(&mut self, cache: &ForwardCache, grad_out: &Matrix) {
+        self.backward_cols(cache, grad_out, 0..0);
     }
 
     fn zero_grad(&mut self) {

@@ -49,7 +49,30 @@ impl Adam {
 
     /// Applies the Adam update to one parameter tensor.
     pub fn update_slot(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        debug_assert_eq!(params.len(), grads.len());
+        self.update_slot_clipped(slot, params, grads, None);
+    }
+
+    /// Applies the Adam update to one parameter tensor, first clipping
+    /// its gradient to an L2 norm of at most `max_norm` (standard PPO
+    /// practice; `None` applies the gradient as it is, `Some(0.0)`
+    /// zeroes it). The clip is a scale applied on the fly, so `grads`
+    /// is neither copied nor modified; the norm is summed serially in
+    /// index order, and an unclipped gradient is scaled by exactly
+    /// `1.0`, so every result bit equals clipping a copy and then
+    /// calling [`Adam::update_slot`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads`, or this slot's moment buffers (restored from
+    /// a checkpoint of another architecture, say), differ in length
+    /// from `params`.
+    pub fn update_slot_clipped(
+        &mut self,
+        slot: usize,
+        params: &mut [f32],
+        grads: &[f32],
+        max_norm: Option<f32>,
+    ) {
         let t = self.t.max(1);
         if self.m.len() <= slot {
             self.m.resize(slot + 1, Vec::new());
@@ -61,17 +84,35 @@ impl Adam {
         }
         let m = &mut self.m[slot];
         let v = &mut self.v[slot];
+        // The loop below zips, which would silently stop at the
+        // shortest of the four.
+        let n = params.len();
+        assert_eq!(grads.len(), n, "slot {slot}: gradient length");
+        assert_eq!(m.len(), n, "slot {slot}: first-moment length");
+        assert_eq!(v.len(), n, "slot {slot}: second-moment length");
+        let scale = match max_norm {
+            Some(max_norm) => {
+                let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+                if norm > max_norm && norm > 0.0 {
+                    max_norm / norm
+                } else {
+                    1.0
+                }
+            }
+            None => 1.0,
+        };
+        let (lr, eps) = (self.lr, self.eps);
         let b1 = self.beta1;
         let b2 = self.beta2;
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            m[i] = b1 * m[i] + (1.0 - b1) * g;
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        for (((p, m), v), &g) in params.iter_mut().zip(m).zip(v).zip(grads) {
+            let g = g * scale;
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let mhat = *m / bc1;
+            let vhat = *v / bc2;
+            *p -= lr * mhat / (vhat.sqrt() + eps);
         }
     }
 
@@ -110,22 +151,113 @@ impl Sgd {
     }
 }
 
-/// Clips a gradient vector to a maximum L2 norm, returning the original
-/// norm. Standard PPO practice to stabilize updates.
-pub fn clip_grad_norm(grads: &mut [f32], max_norm: f32) -> f32 {
-    let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            *g *= scale;
-        }
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The clip [`Adam::update_slot_clipped`] fused away, kept verbatim
+    /// as its reference: scales `grads` in place to a maximum L2 norm
+    /// and returns the original norm.
+    fn clip_grad_norm(grads: &mut [f32], max_norm: f32) -> f32 {
+        let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            for g in grads.iter_mut() {
+                *g *= scale;
+            }
+        }
+        norm
+    }
+
+    /// The indexed moment loop `update_slot` ran before it was fused,
+    /// kept verbatim as the reference for the zipped one.
+    fn naive_update_slot(adam: &mut Adam, slot: usize, params: &mut [f32], grads: &[f32]) {
+        let t = adam.t.max(1);
+        if adam.m.len() <= slot {
+            adam.m.resize(slot + 1, Vec::new());
+            adam.v.resize(slot + 1, Vec::new());
+        }
+        if adam.m[slot].is_empty() {
+            adam.m[slot] = vec![0.0; params.len()];
+            adam.v[slot] = vec![0.0; params.len()];
+        }
+        let m = &mut adam.m[slot];
+        let v = &mut adam.v[slot];
+        let b1 = adam.beta1;
+        let b2 = adam.beta2;
+        let bc1 = 1.0 - b1.powi(t as i32);
+        let bc2 = 1.0 - b2.powi(t as i32);
+        for i in 0..params.len() {
+            let g = grads[i];
+            m[i] = b1 * m[i] + (1.0 - b1) * g;
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g;
+            let mhat = m[i] / bc1;
+            let vhat = v[i] / bc2;
+            params[i] -= adam.lr * mhat / (vhat.sqrt() + adam.eps);
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Fused clip+Adam equals clip-a-copy-then-update bit for bit —
+    /// parameters and both moments, over several steps — for gradient
+    /// norms below, exactly at and above `max_norm`, for `max_norm = 0`
+    /// and with no clip at all.
+    #[test]
+    fn fused_clip_adam_bitwise_matches_clip_then_update() {
+        // 67 elements: not a multiple of any vector width. Element 0 is
+        // 0.0 and element 1 is -0.0.
+        let base: Vec<f32> = (0..67)
+            .map(|i| match i {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((i * 37 % 23) as f32 - 11.0) * 0.013,
+            })
+            .collect();
+        let norm = clip_grad_norm(&mut base.clone(), f32::INFINITY);
+        assert!(norm > 0.5 && norm < 2.0, "test premise: norm {norm}");
+        for max_norm in [None, Some(2.0), Some(norm), Some(0.5), Some(0.0)] {
+            let (mut fused, mut naive) = (Adam::new(1e-3), Adam::new(1e-3));
+            let mut p_fused: Vec<f32> = (0..67).map(|i| (i as f32 * 0.1).sin()).collect();
+            let mut p_naive = p_fused.clone();
+            for step in 0..4 {
+                let grads: Vec<f32> = base.iter().map(|g| g * (1.0 + step as f32)).collect();
+                fused.begin_step();
+                fused.update_slot_clipped(0, &mut p_fused, &grads, max_norm);
+                let mut clipped = grads.clone();
+                if let Some(max_norm) = max_norm {
+                    clip_grad_norm(&mut clipped, max_norm);
+                }
+                naive.begin_step();
+                naive_update_slot(&mut naive, 0, &mut p_naive, &clipped);
+                assert_eq!(bits(&p_fused), bits(&p_naive), "{max_norm:?} step {step}");
+                assert_eq!(bits(&fused.m[0]), bits(&naive.m[0]), "{max_norm:?} m");
+                assert_eq!(bits(&fused.v[0]), bits(&naive.v[0]), "{max_norm:?} v");
+            }
+        }
+    }
+
+    /// A moment buffer restored from a checkpoint of another
+    /// architecture must stop the run, not be zipped short.
+    #[test]
+    #[should_panic(expected = "slot 1: first-moment length")]
+    fn foreign_moment_buffer_is_rejected() {
+        let mut adam = Adam::new(0.1);
+        adam.begin_step();
+        adam.update_slot(1, &mut [0.0f32; 3], &[1.0; 3]);
+        adam.begin_step();
+        adam.update_slot(1, &mut [0.0f32; 5], &[1.0; 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 0: gradient length")]
+    fn short_gradient_is_rejected() {
+        let mut adam = Adam::new(0.1);
+        adam.begin_step();
+        adam.update_slot(0, &mut [0.0f32; 3], &[1.0; 2]);
+    }
 
     /// Minimizing f(x) = (x − 3)² with Adam converges to 3.
     #[test]

@@ -6,7 +6,7 @@
 //! poorly, losing to PPO by roughly 3× in reward.
 
 use crate::env::Env;
-use mocc_nn::{Activation, Adam, Matrix, Mlp};
+use mocc_nn::{Activation, Adam, Matrix, Mlp, Network};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -201,14 +201,11 @@ impl Dqn {
             grad.set(j, t.action, 2.0 * (q_sa - target) / b as f32);
         }
         self.q.zero_grad();
-        let _ = self.q.backward(&cache, &grad);
+        self.q.backward_params(&cache, &grad);
         self.opt.begin_step();
         let opt = &mut self.opt;
-        self.q.for_each_param(|slot, p, g| {
-            let mut g = g.to_vec();
-            mocc_nn::clip_grad_norm(&mut g, 1.0);
-            opt.update_slot(slot, p, &g);
-        });
+        self.q
+            .for_each_param(|slot, p, g| opt.update_slot_clipped(slot, p, g, Some(1.0)));
     }
 
     /// Evaluates the greedy policy, returning the mean per-step reward.

@@ -9,7 +9,7 @@ use crate::batch_rollout::{collect_rollouts_batched, BatchRolloutScratch};
 use crate::env::Env;
 use crate::policy::GaussianPolicy;
 use crate::rollout::{normalize, Rollout};
-use mocc_nn::{clip_grad_norm, Activation, Adam, Matrix, Mlp, Network};
+use mocc_nn::{Activation, Adam, Matrix, Mlp, Network};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -272,17 +272,12 @@ impl<N: Network> Ppo<N> {
 
                 self.policy.zero_grad();
                 self.policy.g_log_std = g_log_std;
-                let _ = self.policy.net.backward(&cache, &gmean);
-                let max_norm = self.cfg.max_grad_norm;
+                self.policy.net.backward_params(&cache, &gmean);
+                let max_norm = Some(self.cfg.max_grad_norm).filter(|&m| m > 0.0);
                 self.opt_pi.begin_step();
                 let opt_pi = &mut self.opt_pi;
-                self.policy.for_each_param(|slot, p, g| {
-                    let mut g = g.to_vec();
-                    if max_norm > 0.0 {
-                        clip_grad_norm(&mut g, max_norm);
-                    }
-                    opt_pi.update_slot(slot, p, &g);
-                });
+                self.policy
+                    .for_each_param(|slot, p, g| opt_pi.update_slot_clipped(slot, p, g, max_norm));
 
                 // ---- Critic ----
                 let vcache = self.value.forward_batch(&x);
@@ -295,16 +290,11 @@ impl<N: Network> Ppo<N> {
                     gv.set(j, 0, 2.0 * err / b as f32);
                 }
                 self.value.zero_grad();
-                let _ = self.value.backward(&vcache, &gv);
+                self.value.backward_params(&vcache, &gv);
                 self.opt_v.begin_step();
                 let opt_v = &mut self.opt_v;
-                self.value.for_each_param(|slot, p, g| {
-                    let mut g = g.to_vec();
-                    if max_norm > 0.0 {
-                        clip_grad_norm(&mut g, max_norm);
-                    }
-                    opt_v.update_slot(slot, p, &g);
-                });
+                self.value
+                    .for_each_param(|slot, p, g| opt_v.update_slot_clipped(slot, p, g, max_norm));
 
                 stats.policy_loss += ploss / b as f32;
                 stats.value_loss += vloss;
