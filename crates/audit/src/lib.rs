@@ -127,20 +127,19 @@ fn json_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// True when `dir/Cargo.toml` is readable and declares `[workspace]`.
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Ascends from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.
 pub fn workspace_root_from(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.lines().any(|l| l.trim() == "[workspace]") {
-                return Some(d);
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
+    start
+        .ancestors()
+        .find(|d| is_workspace_root(d))
+        .map(Path::to_path_buf)
 }
 
 /// Audits the whole workspace at `root`: the root package plus every
@@ -148,7 +147,20 @@ pub fn workspace_root_from(start: &Path) -> Option<PathBuf> {
 /// `src/` tree — `tests/`, `benches/`, `examples/`, `vendor/`, and
 /// `target/` are intentionally outside the contract (test code may
 /// freely use clocks, env vars, and hash containers).
+///
+/// A `root` that is missing or has no `[workspace]` manifest is an
+/// error, not an empty report: a gate pointed at the wrong directory
+/// must not read as "clean (0 files scanned)".
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
+    if !is_workspace_root(root) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} is not a workspace root (no readable Cargo.toml with a [workspace] table)",
+                root.display()
+            ),
+        ));
+    }
     let mut report = AuditReport::default();
     let mut crate_dirs = vec![root.to_path_buf()];
     let crates_dir = root.join("crates");

@@ -6,8 +6,9 @@
 //! heuristics' negligible cost. We measure actual per-invocation costs
 //! of this implementation (policy inference, heuristic per-ACK work)
 //! and convert them to CPU utilization at each deployment's invocation
-//! frequency. `cargo bench -p mocc-bench` runs the same measurements
-//! under Criterion for confidence intervals.
+//! frequency. These are single point estimates; for numbers with
+//! run-to-run spread see `nn.forward_ns_b1` and `cc.cubic.ns_per_call`
+//! in a traced `benchmark/run.sh` run (docs/PERFORMANCE.md).
 
 use mocc_bench::timing::Stopwatch;
 use mocc_core::{stats_features, Preference};

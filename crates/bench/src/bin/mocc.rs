@@ -55,7 +55,7 @@
 
 use mocc_bench::serve::Server;
 use mocc_core::{TrainOptions, TrainSpec};
-use mocc_eval::{ExperimentSpec, SchemeRegistry, SweepRunner};
+use mocc_eval::{ExperimentSpec, SchemeRegistry, SpecError, SweepRunner};
 use mocc_store::ResultStore;
 use serde::Value;
 use std::collections::BTreeMap;
@@ -283,10 +283,10 @@ fn open_store(flags: &Flags) -> Result<ResultStore, String> {
     Ok(store)
 }
 
-fn runner(flags: &Flags) -> SweepRunner {
+fn runner(flags: &Flags) -> Result<SweepRunner, String> {
     match flags.count("--threads") {
-        Some(n) => SweepRunner::with_threads(n),
-        None => SweepRunner::auto(),
+        Some(n) => Ok(SweepRunner::with_threads(n)),
+        None => SweepRunner::from_env(),
     }
 }
 
@@ -313,8 +313,17 @@ fn gc_cutoff(now: u64, older_than_days: Option<u64>) -> Option<u64> {
     older_than_days.map(|days| now.saturating_sub(days.saturating_mul(86_400)))
 }
 
+/// Prefixes a spec-level error with the spec file it arose in — except
+/// an I/O error on that very file, which already names it.
+fn in_file(path: &str) -> impl Fn(SpecError) -> String + '_ {
+    move |e| match &e {
+        SpecError::Io { path: p, .. } if p == path => e.to_string(),
+        _ => format!("{path}: {e}"),
+    }
+}
+
 fn load_spec(path: &str) -> Result<ExperimentSpec, String> {
-    ExperimentSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+    ExperimentSpec::load(Path::new(path)).map_err(in_file(path))
 }
 
 /// Best-effort peek at a spec document's `kind` tag, for dispatching
@@ -373,7 +382,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let runner = runner(&flags);
+    let runner = runner(&flags)?;
     eprintln!(
         "[mocc] {}: {} cells over {} worker threads",
         exp.name,
@@ -383,7 +392,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let json = if flags.has("--cache") || flags.has("--cache-dir") {
         let store = open_store(&flags)?;
         let (report, stats) = mocc_core::run_experiment_cached(&runner, &exp, &store, now_ts())
-            .map_err(|e| format!("{path}: {e}"))?;
+            .map_err(in_file(path))?;
         eprintln!(
             "[mocc] cache: {} hits, {} misses ({})",
             stats.hits,
@@ -393,7 +402,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         report.to_canonical_json()
     } else {
         mocc_core::run_experiment(&runner, &exp)
-            .map_err(|e| format!("{path}: {e}"))?
+            .map_err(in_file(path))?
             .to_canonical_json()
     };
     match flags.text("--out") {
@@ -429,7 +438,7 @@ fn cmd_hunt(args: &[String]) -> Result<(), String> {
     if let Some(seed) = flags.number("--seed") {
         hunt_opts.seed = seed;
     }
-    let runner = runner(&flags);
+    let runner = runner(&flags)?;
     eprintln!(
         "[mocc] hunt {}: budget {} vs baseline {:?}, seed {}, {} worker threads",
         exp.name,
@@ -438,7 +447,7 @@ fn cmd_hunt(args: &[String]) -> Result<(), String> {
         hunt_opts.seed,
         runner.threads()
     );
-    let outcome = mocc_core::hunt(&runner, &exp, &hunt_opts).map_err(|e| format!("{path}: {e}"))?;
+    let outcome = mocc_core::hunt(&runner, &exp, &hunt_opts).map_err(in_file(path))?;
     for f in &outcome.findings {
         println!(
             "{}  margin {:+.4} (mocc {:.4} vs {} {:.4})",
@@ -470,8 +479,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             "`mocc train` takes exactly one spec file\n\n{USAGE}"
         ));
     };
-    let spec = TrainSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-    spec.validate().map_err(|e| format!("{path}: {e}"))?;
+    let spec = TrainSpec::load(Path::new(path)).map_err(in_file(path))?;
+    spec.validate().map_err(in_file(path))?;
 
     // The model zoo root: `--zoo`, else `$MOCC_ZOO_DIR`, else the
     // in-repo default.
@@ -494,7 +503,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         // Wall-time logging only; training itself never reads a clock.
         clock: Some(mocc_bench::timing::monotonic_secs),
     };
-    let total = spec.schedule_len().map_err(|e| format!("{path}: {e}"))?;
+    let total = spec.schedule_len().map_err(in_file(path))?;
     eprintln!(
         "[mocc] train {}: {} scheduled iterations, spec digest {}",
         spec.name,
@@ -502,7 +511,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         &spec.digest()[..12]
     );
 
-    let run = mocc_core::train_spec(&spec, &train_opts).map_err(|e| format!("{path}: {e}"))?;
+    let run = mocc_core::train_spec(&spec, &train_opts).map_err(in_file(path))?;
     if !run.completed {
         eprintln!(
             "[mocc] train {}: stopped at iteration {} of {}; resume with \
@@ -542,7 +551,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         if spec_kind(path).as_deref() == Some("train") {
             match TrainSpec::load(Path::new(path))
                 .and_then(|spec| spec.validate().map(|()| spec))
-                .map_err(|e| format!("{path}: {e}"))
+                .map_err(in_file(path))
             {
                 Ok(spec) => {
                     println!(
@@ -559,8 +568,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
             continue;
         }
         match load_spec(path).and_then(|exp| {
-            exp.validate_in(&registry)
-                .map_err(|e| format!("{path}: {e}"))?;
+            exp.validate_in(&registry).map_err(in_file(path))?;
             Ok(exp)
         }) {
             Ok(exp) => {
@@ -686,8 +694,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         [dir] => PathBuf::from(dir),
         _ => return Err(format!("`mocc audit` takes at most one root\n\n{USAGE}")),
     };
-    let mut report = mocc_audit::audit_workspace(&root)
-        .map_err(|e| format!("auditing {}: {e}", root.display()))?;
+    let mut report = mocc_audit::audit_workspace(&root).map_err(|e| format!("audit: {e}"))?;
     if let Some(rule) = flags.text("--rule") {
         if mocc_audit::rules::rule_by_id(rule).is_none() {
             let known: Vec<&str> = mocc_audit::rules::RULES.iter().map(|r| r.id).collect();
@@ -725,8 +732,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "`mocc serve` takes no positional arguments\n\n{USAGE}"
         ));
     }
+    let runner = runner(&flags)?;
     let store = open_store(&flags)?;
-    let runner = runner(&flags);
     let server = Server {
         runner: &runner,
         store: &store,

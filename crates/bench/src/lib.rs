@@ -1,20 +1,22 @@
 //! # mocc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (`fig1`, `fig5`, `fig6`,
-//! `fig7`, `fig8_10`, `fig11_15`, `fig16`, `fig17`, `fig18`, `fig19`),
-//! plus Criterion micro-benchmarks (`cargo bench`) for the Fig. 17
-//! CPU-overhead numbers and raw simulator throughput.
+//! The `mocc` CLI (`src/bin/mocc.rs`) and one binary per table/figure
+//! of the paper (`fig1`, `fig5`, `fig6`, `fig7`, `fig8_10`, `fig11_15`,
+//! `fig16`, `fig17`, `fig18`, `fig19`). Performance is measured by the
+//! repository's one instrument, `benchmark/` (docs/PERFORMANCE.md),
+//! not here; this crate keeps only the two kernel-ratio gates
+//! (`tests/kernel_ratios.rs`).
 //!
 //! Trained models are cached under `target/mocc-cache/` so the figure
 //! binaries share one offline training run. Delete the directory to
 //! retrain. [`serve`] is the `mocc serve` daemon, a library module so
-//! its protocol is testable without spawning the binary. Set `MOCC_BENCH_FULL=1` for larger (slower, closer to the
-//! paper) experiment scales; the default is a reduced scale that keeps
-//! every figure under a few minutes.
+//! its protocol is testable without spawning the binary. Set
+//! `MOCC_BENCH_FULL=1` for larger (slower, closer to the paper)
+//! experiment scales; the default is a reduced scale that keeps every
+//! figure under a few minutes.
 
 #![forbid(unsafe_code)]
 
-pub mod perf;
 pub mod serve;
 pub mod timing;
 

@@ -3,14 +3,15 @@
 //! The byte-determinism contract (docs/PERFORMANCE.md, docs/AUDIT.md)
 //! forbids clock reads in library code: golden reports, the
 //! content-addressed cache, and training checkpoints must not depend
-//! on when they were produced. Timing is still needed — the perf gate
-//! and the figure binaries report wall time — so every monotonic read
-//! in the workspace funnels through this module, which is the one
-//! file on `mocc audit`'s clock-discipline allowlist. Timing values
-//! must only ever flow into logs and perf reports, never into
-//! simulation state or model bytes.
+//! on when they were produced. Timing is still needed — the figure
+//! binaries, the trainer's log lines and the kernel-ratio test
+//! (`tests/kernel_ratios.rs`) report wall time — so every monotonic
+//! read in the workspace funnels through this module, which is the
+//! one file on `mocc audit`'s clock-discipline allowlist. Timing
+//! values must only ever flow into logs and printed measurements,
+//! never into simulation state or model bytes.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Seconds since the first call to any function in this module
 /// (a process-wide monotonic epoch).
@@ -24,7 +25,8 @@ pub fn monotonic_secs() -> f64 {
     epoch.elapsed().as_secs_f64()
 }
 
-/// A started wall-clock measurement, for perf and figure binaries.
+/// A started wall-clock measurement, for the figure binaries and the
+/// kernel-ratio test.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Instant,
@@ -38,19 +40,9 @@ impl Stopwatch {
         }
     }
 
-    /// Time elapsed since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Elapsed time in seconds.
+    /// Seconds elapsed since [`Stopwatch::start`].
     pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed().as_secs_f64()
-    }
-
-    /// Elapsed time in milliseconds.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.elapsed().as_secs_f64() * 1e3
+        self.started.elapsed().as_secs_f64()
     }
 }
 
@@ -71,7 +63,6 @@ mod tests {
         let sw = Stopwatch::start();
         let e1 = sw.elapsed_secs();
         let e2 = sw.elapsed_secs();
-        assert!(e2 >= e1);
-        assert!(sw.elapsed_ms() >= 0.0);
+        assert!(e2 >= e1 && e1 >= 0.0);
     }
 }

@@ -17,12 +17,15 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The built `mocc` binary on `args`, run from the repository root.
+fn mocc_command(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mocc"));
+    cmd.args(args).current_dir(repo_root());
+    cmd
+}
+
 fn mocc(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_mocc"))
-        .args(args)
-        .current_dir(repo_root())
-        .output()
-        .expect("mocc runs")
+    mocc_command(args).output().expect("mocc runs")
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -197,9 +200,7 @@ fn serve_answers_over_stdin() {
         stderr_of(&warmup)
     );
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mocc"))
-        .args(["serve", "--cache-dir", store_arg])
-        .current_dir(repo_root())
+    let mut child = mocc_command(&["serve", "--cache-dir", store_arg])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -236,18 +237,16 @@ fn serve_answers_over_a_unix_socket() {
     let dir = temp_dir("socket");
     let store = dir.join("store");
     let socket = dir.join("mocc.sock");
-    let mut child = Command::new(env!("CARGO_BIN_EXE_mocc"))
-        .args([
-            "serve",
-            "--cache-dir",
-            store.to_str().expect("utf-8"),
-            "--socket",
-            socket.to_str().expect("utf-8"),
-        ])
-        .current_dir(repo_root())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("serve spawns");
+    let mut child = mocc_command(&[
+        "serve",
+        "--cache-dir",
+        store.to_str().expect("utf-8"),
+        "--socket",
+        socket.to_str().expect("utf-8"),
+    ])
+    .stderr(Stdio::null())
+    .spawn()
+    .expect("serve spawns");
 
     let mut conn = None;
     for _ in 0..100 {
@@ -368,5 +367,38 @@ fn foreign_flags_are_rejected_not_ignored() {
         validate_err.contains("it takes no options"),
         "{validate_err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed `MOCC_SWEEP_THREADS` is input, not a bug: every
+/// subcommand that builds a runner reports it like a bad `--threads`
+/// (one `error:` line, exit 1) before touching the disk, never with a
+/// panic and a backtrace.
+#[test]
+fn bad_sweep_threads_env_is_an_error_not_a_panic() {
+    let dir = temp_dir("threads-env");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf-8 temp path");
+    let cases: &[&[&str]] = &[
+        &["run", "examples/specs/sweep_cubic.json"],
+        &["hunt", "examples/specs/hunt_smoke.json", "--budget", "1"],
+        &["serve", "--cache-dir", store_arg],
+    ];
+    for args in cases {
+        let result = mocc_command(args)
+            .env("MOCC_SWEEP_THREADS", "abc")
+            .stdin(Stdio::null())
+            .output()
+            .expect("mocc runs");
+        let stderr = stderr_of(&result);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: MOCC_SWEEP_THREADS=\"abc\" is not a positive integer"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(result.stdout.is_empty(), "{args:?} printed a result");
+    }
+    assert!(!store.exists(), "serve opened a store before failing");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,0 +1,168 @@
+//! The two kernel speed ratios that no other test and no `benchmark/`
+//! workload checks (docs/PERFORMANCE.md): with the AVX2 backend
+//! compiled in, the fast-math tier must forward a 256-row batch at
+//! least 2× faster per row than the scalar tier, and the lockstep
+//! fast-tier rollout collector must move at least 3× the steps per
+//! second of the per-env scalar loop.
+//!
+//! A ratio of two timings taken in one process on one machine needs no
+//! baseline file and no tolerance: both sides run alternately, so they
+//! see the same machine weather, and each side's time is its best of
+//! three. Timing assertions do not belong in an ordinary `cargo test`,
+//! so the test is `#[ignore]`d and meaningful in release mode only:
+//!
+//! ```text
+//! cargo test --release -p mocc-bench --features simd --test kernel_ratios -- --ignored --nocapture
+//! ```
+#![cfg(feature = "simd")]
+
+use mocc_bench::timing::Stopwatch;
+use mocc_nn::{Activation, ForwardTier, Matrix, Mlp, MlpScratch};
+use mocc_rl::ppo::{Ppo, PpoConfig};
+use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env, Rollout};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::hint::black_box;
+
+/// Observation width of the policy-shaped networks (3 preference +
+/// 10 history intervals × 3 statistics).
+const OBS_DIM: usize = 33;
+/// Batched forwards per timing, and environment steps per timing.
+const ITERS: usize = 2000;
+/// Lockstep environments of the rollout comparison.
+const ROLLOUT_ENVS: usize = 16;
+
+/// Wall time of `work(false)` over wall time of `work(true)`, each the
+/// best of three alternated runs.
+fn speedup(mut work: impl FnMut(bool)) -> f64 {
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..3 {
+        for fast in [false, true] {
+            let t = Stopwatch::start();
+            work(fast);
+            best[fast as usize] = best[fast as usize].min(t.elapsed_secs());
+        }
+    }
+    best[0] / best[1]
+}
+
+/// Scalar over fast tier on the paper's 33-64-32-1 trunk at batch 256.
+fn forward_speedup() -> f64 {
+    let mut rng = StdRng::seed_from_u64(97);
+    let mlp = Mlp::new(
+        &[OBS_DIM, 64, 32, 1],
+        Activation::Tanh,
+        Activation::Linear,
+        &mut rng,
+    );
+    let data = (0..256 * OBS_DIM)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let rows = Matrix::from_vec(256, OBS_DIM, data);
+    let mut out = Matrix::zeros(0, 0);
+    let mut scratch = MlpScratch::default();
+    speedup(|fast| {
+        let tier = if fast {
+            ForwardTier::Fast
+        } else {
+            ForwardTier::Scalar
+        };
+        for _ in 0..ITERS {
+            mlp.forward_batch_into_tier(black_box(&rows), &mut out, &mut scratch, tier);
+            black_box(out.data.last());
+        }
+    })
+}
+
+/// A policy-shaped observation computed from a step counter at a few
+/// multiply-adds per element, so the comparison measures the collector
+/// (forwards and bookkeeping) and not an environment.
+struct SyntheticEnv {
+    t: u32,
+    phase: u32,
+}
+
+impl SyntheticEnv {
+    fn obs(&self) -> Vec<f32> {
+        let x = self.t.wrapping_add(self.phase) as f32 * 0.37;
+        let mut v = x - x.floor() - 0.5;
+        (0..OBS_DIM)
+            .map(|_| {
+                v = 1.7 * v * (1.0 - v.abs());
+                v
+            })
+            .collect()
+    }
+}
+
+impl Env for SyntheticEnv {
+    fn obs_dim(&self) -> usize {
+        OBS_DIM
+    }
+
+    fn reset(&mut self) -> Vec<f32> {
+        self.t = 0;
+        self.obs()
+    }
+
+    fn step(&mut self, action: f32) -> (Vec<f32>, f32, bool) {
+        self.t += 1;
+        (self.obs(), -action.abs(), self.t % 200 == 0)
+    }
+}
+
+/// The per-env scalar act/value/step loop (what `Ppo::collect_rollout`
+/// runs) over the lockstep fast-tier collector (what `mocc train` runs
+/// with `batch_envs > 1`): same networks, envs, seeds and step budget.
+fn rollout_speedup() -> f64 {
+    let mut rng = StdRng::seed_from_u64(41);
+    let ppo = Ppo::new(OBS_DIM, &[64, 32], PpoConfig::default(), &mut rng);
+    let steps = ITERS / ROLLOUT_ENVS;
+    let mut scratch = BatchRolloutScratch::default();
+    speedup(|batched| {
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut envs: Vec<SyntheticEnv> = (0..ROLLOUT_ENVS as u32)
+            .map(|i| SyntheticEnv {
+                t: 0,
+                phase: i * 37,
+            })
+            .collect();
+        if batched {
+            let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
+            let rollouts = collect_rollouts_batched_tier(
+                &ppo.policy,
+                &ppo.value,
+                &mut refs,
+                steps,
+                &mut rng,
+                &mut scratch,
+                ForwardTier::Fast,
+            );
+            black_box(rollouts.len());
+        } else {
+            for env in &mut envs {
+                let mut rollout = Rollout::new(OBS_DIM);
+                let mut obs = env.reset();
+                for _ in 0..steps {
+                    let (a, logp) = ppo.policy.act(&obs, &mut rng);
+                    let v = ppo.value.forward(&obs)[0];
+                    let (next, r, done) = env.step(a);
+                    rollout.push(&obs, a, logp, r, v, done);
+                    obs = if done { env.reset() } else { next };
+                }
+                rollout.last_value = ppo.value.forward(&obs)[0];
+                black_box(rollout.len());
+            }
+        }
+    })
+}
+
+#[test]
+#[ignore = "timing assertions: run in release mode, see the module docs"]
+fn fast_tier_and_batched_rollouts_keep_their_speedups() {
+    let (forward, rollout) = (forward_speedup(), rollout_speedup());
+    println!("forward b256: fast tier {forward:.2}x scalar (gate 2x)");
+    println!("rollout 16 envs: batched fast tier {rollout:.2}x per-env scalar (gate 3x)");
+    assert!(forward >= 2.0, "fast tier only {forward:.2}x scalar");
+    assert!(rollout >= 3.0, "batched rollout only {rollout:.2}x scalar");
+}

@@ -13,10 +13,25 @@ use serde::{Deserialize, Serialize};
 /// identically by the training environment, the deployment adapter, and
 /// the library facade so the policy always sees the same distribution.
 pub fn stats_features(stats: &MonitorStats) -> [f32; 3] {
+    ratio_features(
+        stats.send_ratio,
+        stats.latency_ratio,
+        stats.latency_gradient,
+    )
+}
+
+/// The §4.1 feature map itself, on the three raw statistics: the one
+/// copy behind [`stats_features`] (simulator intervals) and
+/// `MoccLib::report_status` (datapath-reported intervals).
+pub(crate) fn ratio_features(
+    send_ratio: f64,
+    latency_ratio: f64,
+    latency_gradient: f64,
+) -> [f32; 3] {
     [
-        (stats.send_ratio as f32 - 1.0).clamp(0.0, 5.0),
-        (stats.latency_ratio as f32 - 1.0).clamp(0.0, 5.0),
-        (stats.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0),
+        (send_ratio as f32 - 1.0).clamp(0.0, 5.0),
+        (latency_ratio as f32 - 1.0).clamp(0.0, 5.0),
+        (latency_gradient as f32 * 10.0).clamp(-1.0, 1.0),
     ]
 }
 

@@ -8,7 +8,7 @@
 //! - `ReportStatus(s_t)` — feed the latest network statistics,
 //! - `GetSendingRate()` — read back the rate for the next interval.
 
-use crate::agent::MoccAgent;
+use crate::agent::{ratio_features, write_obs, MoccAgent};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
@@ -80,13 +80,13 @@ impl MoccLib {
     pub fn report_status(&mut self, s: NetStatus) -> Result<(), MoccLibError> {
         let pref = self.pref.ok_or(MoccLibError::NotRegistered)?;
         self.history.pop_front();
-        self.history.push_back([
-            (s.send_ratio as f32 - 1.0).clamp(0.0, 5.0),
-            (s.latency_ratio as f32 - 1.0).clamp(0.0, 5.0),
-            (s.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0),
-        ]);
+        self.history.push_back(ratio_features(
+            s.send_ratio,
+            s.latency_ratio,
+            s.latency_gradient,
+        ));
         let mut obs = vec![0.0; self.cfg.obs_dim()];
-        crate::agent::write_obs(&pref, &self.history, &mut obs);
+        write_obs(&pref, &self.history, &mut obs);
         let mean = self.policy.mean_action(&obs);
         self.rate_bps = self.cfg.apply_action(self.rate_bps, mean);
         Ok(())
@@ -142,6 +142,43 @@ mod tests {
         assert!(r > 0.0 && r.is_finite());
         // Rate moved by at most the Eq. 1 bound (α × clip = 12.5 %).
         assert!(r / 2e6 < 1.2 && r / 2e6 > 0.8, "rate {r}");
+    }
+
+    /// The §5 library and the in-simulator adapter are one controller:
+    /// fed the monitor intervals a `MoccCc` flow sees, `MoccLib`
+    /// reports bit-identical rates at every interval.
+    #[test]
+    fn library_tracks_the_simulator_adapter_bit_for_bit() {
+        use crate::adapter::MoccCc;
+        use mocc_netsim::{Processed, Scenario, Simulator};
+
+        let mut rng = StdRng::seed_from_u64(3);
+        let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
+        let pref = Preference::latency();
+        let mut lib = MoccLib::new(&agent, 1e6);
+        lib.register(pref);
+        let sc = Scenario::single(5e6, 20, 100, 0.01, 10);
+        let mut sim = Simulator::new(sc, vec![Box::new(MoccCc::new(&agent, pref, 1e6))]);
+        let mut intervals = 0;
+        while let Some(event) = sim.process_next() {
+            let Processed::Monitor(flow, mi) = event else {
+                continue;
+            };
+            lib.report_status(NetStatus {
+                send_ratio: mi.send_ratio,
+                latency_ratio: mi.latency_ratio,
+                latency_gradient: mi.latency_gradient,
+            })
+            .unwrap();
+            let (lib_rate, sim_rate) = (lib.get_sending_rate().unwrap(), sim.rate(flow));
+            assert_eq!(
+                lib_rate.to_bits(),
+                sim_rate.to_bits(),
+                "interval {intervals}: library {lib_rate} vs adapter {sim_rate}"
+            );
+            intervals += 1;
+        }
+        assert!(intervals > 100, "only {intervals} monitor intervals");
     }
 
     #[test]

@@ -181,16 +181,8 @@ impl CongestionControl for AuroraCc {
         self.history.pop_front();
         self.history.push_back(stats_features(mi));
         let obs: Vec<f32> = self.history.iter().flatten().copied().collect();
-        let a = (self.policy.mean_action(&obs) as f64)
-            .clamp(-self.cfg.action_clip, self.cfg.action_clip);
-        let alpha = self.cfg.action_scale;
-        let rate = ctl.pacing_rate_bps;
-        ctl.pacing_rate_bps = if a >= 0.0 {
-            rate * (1.0 + alpha * a)
-        } else {
-            rate / (1.0 - alpha * a)
-        }
-        .clamp(1e4, 1e9);
+        let mean = self.policy.mean_action(&obs);
+        ctl.pacing_rate_bps = self.cfg.apply_action(ctl.pacing_rate_bps, mean);
     }
 }
 

@@ -212,23 +212,29 @@ pub fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
 
 impl SweepRunner {
     /// A runner with the worker count resolved from the environment
-    /// (`MOCC_SWEEP_THREADS`) or the machine's available parallelism.
+    /// (`MOCC_SWEEP_THREADS`) or the machine's available parallelism;
+    /// `Err` with a one-line message when the variable is set to
+    /// anything but a positive integer.
+    pub fn from_env() -> Result<Self, String> {
+        // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_SWEEP_THREADS
+        let env = std::env::var(THREADS_ENV).ok();
+        let threads = parse_threads(env.as_deref())?.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        Ok(SweepRunner { threads })
+    }
+
+    /// [`SweepRunner::from_env`] for callers with no error path (tests,
+    /// examples, figure binaries).
     ///
     /// # Panics
     ///
     /// Panics with a clear message if `MOCC_SWEEP_THREADS` is set to
     /// anything but a positive integer.
     pub fn auto() -> Self {
-        // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_SWEEP_THREADS
-        let env = std::env::var(THREADS_ENV).ok();
-        let threads = match parse_threads(env.as_deref()) {
-            Ok(Some(n)) => n,
-            Ok(None) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Err(msg) => panic!("{msg}"),
-        };
-        SweepRunner { threads }
+        Self::from_env().unwrap_or_else(|msg| panic!("{msg}"))
     }
 
     /// A runner with an explicit worker count (≥ 1).

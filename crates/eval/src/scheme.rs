@@ -61,9 +61,11 @@ pub enum SpecError {
         /// The MOCC label that could not be served.
         label: String,
     },
-    /// A spec file could not be read.
+    /// A file or directory a spec names (the spec itself, a replay
+    /// trace, a model, a checkpoint directory, an output directory)
+    /// could not be read or written.
     Io {
-        /// Path of the file.
+        /// Path of the file or directory.
         path: String,
         /// The underlying I/O error message.
         reason: String,
@@ -97,7 +99,7 @@ impl fmt::Display for SpecError {
                  to the spec and run it through `mocc_core::run_experiment` \
                  (or the `mocc` CLI), not the baseline-only runner"
             ),
-            SpecError::Io { path, reason } => write!(f, "cannot read spec {path:?}: {reason}"),
+            SpecError::Io { path, reason } => write!(f, "{path}: {reason}"),
             SpecError::Json { reason } => write!(f, "spec does not parse: {reason}"),
         }
     }

@@ -42,6 +42,19 @@ fn workspace_is_audit_clean() {
     assert!(report.files_scanned > 50, "the scan must cover the crates");
 }
 
+/// A root that is not a workspace — missing, without a manifest, or
+/// with a member's manifest — is an error naming it, never a clean
+/// report: the CI gate must not pass on a mistyped root.
+#[test]
+fn non_workspace_roots_are_errors_not_clean_reports() {
+    for rel in ["no-such-dir", "docs", "crates/audit"] {
+        let root = repo_root().join(rel);
+        let err = audit_workspace(&root).expect_err("not a workspace root");
+        let msg = err.to_string();
+        assert!(msg.contains(&root.display().to_string()), "{msg}");
+    }
+}
+
 /// The JSON report is canonical: byte-stable across runs, keys in
 /// sorted order, newline-terminated.
 #[test]

@@ -451,13 +451,21 @@ fn competition_report_identical_across_threads_and_batches() {
 
 /// Acceptance gate for the harness itself: a 64-cell matrix sharded
 /// over 4 threads produces canonical JSON byte-identical to a
-/// single-threaded run of the same spec. The spec is the perf
-/// harness's frozen reference sweep — one definition serves both the
-/// byte-identity gate and the throughput baseline, so they can never
-/// measure different work.
+/// single-threaded run of the same spec.
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    let spec = mocc_bench::perf::reference_sweep();
+    let spec = SweepSpec {
+        bandwidth_mbps: vec![2.0, 4.0],
+        owd_ms: vec![10, 30],
+        queue_pkts: vec![50, 200],
+        loss: vec![0.0, 0.01],
+        shapes: vec![TraceShape::Constant, TraceShape::Square { period_s: 2.0 }],
+        loads: vec![FlowLoad::Steady(1), FlowLoad::Steady(2)],
+        duration_s: 4,
+        mss_bytes: 1500,
+        seed: 11,
+        agent_mi: false,
+    };
     assert_eq!(spec.cell_count(), 64);
     let registry =
         SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
