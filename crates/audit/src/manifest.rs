@@ -241,7 +241,7 @@ left-pad = { git = "https://example.invalid/left-pad" }
 
     #[test]
     fn non_dep_sections_are_ignored() {
-        let toml = "[features]\nsimd = []\n[package.metadata.x]\nurl = \"https://example.com\"\n";
+        let toml = "[features]\nextra = []\n[package.metadata.x]\nurl = \"https://example.com\"\n";
         assert!(audit_manifest("crates/x/Cargo.toml", toml).is_empty());
     }
 

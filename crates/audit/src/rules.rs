@@ -41,7 +41,7 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "unsafe-hygiene",
         summary:
-            "every unsafe block/fn needs an adjacent SAFETY comment; non-nn crates forbid unsafe",
+            "every unsafe block/fn needs an adjacent SAFETY comment; every crate root forbids unsafe",
         hint: "state the invariant in a `// SAFETY:` comment directly above the unsafe code",
     },
     Rule {
@@ -259,7 +259,7 @@ fn detect_unsafe(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
             .map(|(_, _, saf)| *saf)
     };
     // Lines whose first token is `#` start an attribute; the walk may
-    // step over them (e.g. `#[target_feature]` between the SAFETY doc
+    // step over them (e.g. `#[inline]` between the SAFETY doc
     // and the fn).
     let mut first_tok_hash: std::collections::BTreeMap<u32, bool> = Default::default();
     for t in &lexed.tokens {
@@ -293,25 +293,18 @@ fn detect_unsafe(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-/// The crate-root half of unsafe-hygiene: every crate except
-/// `mocc-nn` must carry `#![forbid(unsafe_code)]`; `mocc-nn` (the one
-/// crate with SIMD unsafe) must carry `#![deny(unsafe_op_in_unsafe_fn)]`
-/// instead. Not suppressible: fix it by adding the attribute.
+/// The crate-root half of unsafe-hygiene: every crate must carry
+/// `#![forbid(unsafe_code)]`. Not suppressible: fix it by adding the
+/// attribute.
 pub fn check_crate_root(path: &str, src: &str, crate_name: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    let (lint, attr) = if crate_name == "mocc-nn" {
-        ("deny", "unsafe_op_in_unsafe_fn")
-    } else {
-        ("forbid", "unsafe_code")
-    };
-    if has_inner_attr(&lexed.tokens, lint, attr) {
+    if has_inner_attr(&lex(src).tokens, "forbid", "unsafe_code") {
         return Vec::new();
     }
     vec![finding(
         path,
         1,
         "unsafe-hygiene",
-        format!("crate root of {crate_name} is missing #![{lint}({attr})]"),
+        format!("crate root of {crate_name} is missing #![forbid(unsafe_code)]"),
     )]
 }
 
@@ -534,10 +527,10 @@ mod tests {
         assert!(fs[0].message.contains("forbid(unsafe_code)"));
         let ok = "#![forbid(unsafe_code)]\npub fn f() {}";
         assert!(check_crate_root("crates/x/src/lib.rs", ok, "mocc-x").is_empty());
-        let nn = "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}";
-        assert!(check_crate_root("crates/nn/src/lib.rs", nn, "mocc-nn").is_empty());
+        // A weaker lint is not a substitute, whatever the crate.
+        let deny = "#![deny(unsafe_op_in_unsafe_fn)]\npub fn f() {}";
         assert_eq!(
-            check_crate_root("crates/nn/src/lib.rs", plain, "mocc-nn").len(),
+            check_crate_root("crates/nn/src/lib.rs", deny, "mocc-nn").len(),
             1
         );
     }

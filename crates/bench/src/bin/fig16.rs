@@ -48,7 +48,7 @@ fn main() {
 
     for &k in &steps {
         let omega = mocc_core::landmark_count(k);
-        let cache = mocc_bench::cache_dir().join(format!("mocc-omega-{omega}.json"));
+        let cache = mocc_bench::cached_model_path(&format!("mocc-omega-{omega}.json"));
         let (agent, wall, iters) = if let Ok(a) = MoccAgent::load(&cache) {
             (a, f64::NAN, 0)
         } else {

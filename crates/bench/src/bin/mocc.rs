@@ -271,7 +271,7 @@ fn parse_args<'a>(
 fn open_store(flags: &Flags) -> Result<ResultStore, String> {
     let root = match flags.text("--cache-dir") {
         Some(dir) => PathBuf::from(dir),
-        None => mocc_bench::cache_dir().join("store"),
+        None => mocc_bench::cache_dir()?.join("store"),
     };
     let store = ResultStore::open(&root).map_err(|e| format!("{}: {e}", root.display()))?;
     if store.repaired_tail() {

@@ -39,20 +39,32 @@ pub fn full_scale() -> bool {
 /// The cache root: `$MOCC_CACHE_DIR`, else `target/mocc-cache`. Holds
 /// the trained models the figure binaries share (`*.json`) and, in its
 /// `store` subdirectory, the `mocc` CLI's default result store.
-pub fn cache_dir() -> PathBuf {
+/// Created on first use; a root that cannot be created is the error
+/// `<path>: <reason>`.
+pub fn cache_dir() -> Result<PathBuf, String> {
     // audit:allow(env-discipline): strict-parse helper — the one reader of MOCC_CACHE_DIR
     let dir = std::env::var("MOCC_CACHE_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target/mocc-cache"));
-    std::fs::create_dir_all(&dir).expect("create cache dir");
-    dir
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    Ok(dir)
+}
+
+/// Path of `file` under the cache root, for the figure binaries, which
+/// have no error channel.
+///
+/// # Panics
+///
+/// Panics if the cache root cannot be created.
+pub fn cached_model_path(file: &str) -> PathBuf {
+    cache_dir().expect("create cache dir").join(file)
 }
 
 /// Path of the cached offline-trained MOCC agent — the file
 /// [`trained_mocc`] maintains and spec-file `policy.path` sections
 /// point at.
 pub fn trained_mocc_path() -> PathBuf {
-    cache_dir().join("mocc-agent.json")
+    cached_model_path("mocc-agent.json")
 }
 
 /// The [`TrainSpec`] behind the cached figure-binary model: the
@@ -105,7 +117,7 @@ pub fn aurora_iters() -> usize {
 
 /// A cached single-objective Aurora model for `pref` under `tag`.
 pub fn trained_aurora(tag: &str, pref: Preference) -> AuroraAgent {
-    let path = cache_dir().join(format!("aurora-{tag}.json"));
+    let path = cached_model_path(&format!("aurora-{tag}.json"));
     if let Ok(json) = std::fs::read_to_string(&path) {
         if let Ok(agent) = serde_json::from_str(&json) {
             return agent;
@@ -122,7 +134,7 @@ pub fn trained_aurora(tag: &str, pref: Preference) -> AuroraAgent {
 /// The cached "enhanced Aurora" bank of `n` fixed-objective models
 /// (Fig. 6 uses 10).
 pub fn aurora_bank(n: usize) -> AuroraBank {
-    let path = cache_dir().join(format!("aurora-bank-{n}.json"));
+    let path = cached_model_path(&format!("aurora-bank-{n}.json"));
     if let Ok(json) = std::fs::read_to_string(&path) {
         if let Ok(bank) = serde_json::from_str(&json) {
             return bank;

@@ -402,3 +402,37 @@ fn bad_sweep_threads_env_is_an_error_not_a_panic() {
     assert!(!store.exists(), "serve opened a store before failing");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A cache root that cannot be created (`MOCC_CACHE_DIR` under a
+/// regular file) is input, not a bug: every subcommand that opens the
+/// default store reports `error: <path>: <reason>` and exits 1 without
+/// a panic, a backtrace or a result.
+#[test]
+fn uncreatable_cache_root_is_an_error_not_a_panic() {
+    let dir = temp_dir("bad-root");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "x").expect("write blocker file");
+    let root = file.join("cache");
+    let cases: &[&[&str]] = &[
+        &["cache", "stats"],
+        &["run", "examples/specs/sweep_cubic.json", "--cache"],
+        &["serve"],
+    ];
+    for args in cases {
+        let result = mocc_command(args)
+            .env("MOCC_CACHE_DIR", &root)
+            .stdin(Stdio::null())
+            .output()
+            .expect("mocc runs");
+        let stderr = stderr_of(&result);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        let error_line = format!("error: {}: ", root.display());
+        assert!(
+            stderr.lines().any(|l| l.starts_with(&error_line)),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(result.stdout.is_empty(), "{args:?} printed a result");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,9 +1,13 @@
 //! The two kernel speed ratios that no other test and no `benchmark/`
-//! workload checks (docs/PERFORMANCE.md): with the AVX2 backend
-//! compiled in, the fast-math tier must forward a 256-row batch at
-//! least 2× faster per row than the scalar tier, and the lockstep
-//! fast-tier rollout collector must move at least 3× the steps per
-//! second of the per-env scalar loop.
+//! workload checks (docs/PERFORMANCE.md): the fast-math tier must
+//! forward a 256-row batch at least 2× faster per row than the scalar
+//! tier, and the lockstep fast-tier rollout collector must move at
+//! least 1.5× the steps per second of the per-env scalar loop.
+//!
+//! The rollout gate used to read 3×. That figure was a property of the
+//! hand-written AVX2 backend, which no shipped binary contained and
+//! which is gone (docs/PERFORMANCE.md, "Why there is one backend"); the
+//! one backend left reads 1.9× on the reference machine.
 //!
 //! A ratio of two timings taken in one process on one machine needs no
 //! baseline file and no tolerance: both sides run alternately, so they
@@ -12,9 +16,8 @@
 //! so the test is `#[ignore]`d and meaningful in release mode only:
 //!
 //! ```text
-//! cargo test --release -p mocc-bench --features simd --test kernel_ratios -- --ignored --nocapture
+//! cargo test --release -p mocc-bench --test kernel_ratios -- --ignored --nocapture
 //! ```
-#![cfg(feature = "simd")]
 
 use mocc_bench::timing::Stopwatch;
 use mocc_nn::{Activation, ForwardTier, Matrix, Mlp, MlpScratch};
@@ -162,7 +165,7 @@ fn rollout_speedup() -> f64 {
 fn fast_tier_and_batched_rollouts_keep_their_speedups() {
     let (forward, rollout) = (forward_speedup(), rollout_speedup());
     println!("forward b256: fast tier {forward:.2}x scalar (gate 2x)");
-    println!("rollout 16 envs: batched fast tier {rollout:.2}x per-env scalar (gate 3x)");
+    println!("rollout 16 envs: batched fast tier {rollout:.2}x per-env scalar (gate 1.5x)");
     assert!(forward >= 2.0, "fast tier only {forward:.2}x scalar");
-    assert!(rollout >= 3.0, "batched rollout only {rollout:.2}x scalar");
+    assert!(rollout >= 1.5, "batched rollout only {rollout:.2}x scalar");
 }

@@ -35,7 +35,7 @@
 //! assert!((y - 0.5).abs() < 0.1, "y = {y}");
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod matrix;
 pub mod mlp;
@@ -47,6 +47,6 @@ pub mod simd;
 pub use matrix::Matrix;
 pub use mlp::{Activation, Dense, ForwardCache, Mlp, MlpScratch};
 pub use network::Network;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use rng::{gaussian_entropy, gaussian_log_prob, normal, randn};
 pub use simd::{fast_tanh, fast_tanh_slice, ForwardTier};

@@ -7,9 +7,10 @@
 //! reorder, and it dominated the PPO update until the products were
 //! rewritten (docs/PERFORMANCE.md, "The training update path"). Every
 //! product here therefore updates whole output rows through the
-//! dispatched `simd::axpy` kernel: each output element is still one
-//! accumulator updated in ascending `k`, so results are bitwise equal
-//! to the naive triple loops, which survive as the test oracle.
+//! `simd::axpy` row kernel, which the compiler vectorises across
+//! columns: each output element is still one accumulator updated in
+//! ascending `k`, so results are bitwise equal to the naive triple
+//! loops, which survive as the test oracle.
 
 use crate::simd;
 use rand::Rng;
@@ -21,7 +22,7 @@ use std::ops::Range;
 /// in L1 while every output row streams over it. Blocks are visited in
 /// ascending order, so per-element accumulation order — and therefore
 /// every bit of the result — is identical to the naive triple loop.
-pub(crate) const K_BLOCK: usize = 64;
+const K_BLOCK: usize = 64;
 
 /// A dense `rows × cols` matrix of `f32` in row-major order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,11 +72,6 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape mismatch");
         Matrix { rows, cols, data }
-    }
-
-    /// A 1×n row matrix wrapping a slice.
-    pub fn row_vector(xs: &[f32]) -> Self {
-        Matrix::from_vec(1, xs.len(), xs.to_vec())
     }
 
     /// Xavier/Glorot-uniform initialization, the conventional choice for
@@ -244,19 +240,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn hadamard_inplace(&mut self, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x *= y;
-        }
-    }
-
     /// Accumulates `x · w` into the pre-initialized `out` (`+=`, not
     /// `=`): the one blocked kernel behind both [`Matrix::matmul_into`]
     /// (zero-initialized `out`) and the bias-initialized dense-layer
@@ -265,15 +248,24 @@ impl Matrix {
     /// hand-synchronized copies of the same loop. Blocks the shared
     /// dimension in ascending `K_BLOCK` tiles so the active slice of
     /// `w` stays cache-resident across rows; per-element accumulation
-    /// order is ascending `k`, identical to the naive triple loop.
+    /// order is ascending `k` with zero entries of `x` skipped,
+    /// identical to the naive triple loop.
     pub(crate) fn accumulate(x: &Matrix, w: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(x.cols, w.rows);
         debug_assert_eq!(out.rows, x.rows);
         debug_assert_eq!(out.cols, w.cols);
-        // The traversal lives in `simd.rs` so the inner `out += a·w`
-        // step can dispatch to the vector backends; every backend is
-        // bitwise identical to the plain loop (see `simd::axpy`).
-        simd::accumulate(x, w, out);
+        for kk in (0..x.cols).step_by(K_BLOCK) {
+            let kend = (kk + K_BLOCK).min(x.cols);
+            for r in 0..x.rows {
+                let out_row = &mut out.data[r * w.cols..(r + 1) * w.cols];
+                for (dk, &a) in x.row(r)[kk..kend].iter().enumerate() {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    simd::axpy(out_row, a, w.row(kk + dk));
+                }
+            }
+        }
     }
 
     /// Sums each column into a vector of length `cols`.
@@ -342,11 +334,6 @@ impl Matrix {
     /// Sets every element to zero.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -575,12 +562,14 @@ mod tests {
     }
 
     /// The blocked kernel must agree with the naive triple loop to the
-    /// last bit, including across the K_BLOCK boundary.
+    /// last bit, including across the K_BLOCK boundary and over the
+    /// `0.0`/`-0.0` entries it skips (from a `+0.0` start, adding their
+    /// zero products changes no bit).
     #[test]
     fn matmul_into_bitwise_matches_naive() {
         let mut rng = StdRng::seed_from_u64(9);
         for (m, k, n) in [(3, 5, 4), (2, K_BLOCK + 7, 9), (1, 200, 33)] {
-            let a = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0f32..1.0));
+            let a = with_zeros(m, k, &mut rng);
             let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f32..1.0));
             // Naive reference with the documented accumulation order.
             let mut naive = Matrix::zeros(m, n);

@@ -95,7 +95,7 @@ impl Dense {
     /// ascending input order).
     /// One input row through the layer under an explicit kernel tier:
     /// the affine part (bias first, then weight rows in ascending
-    /// input order through the dispatched `axpy`) is bitwise identical
+    /// input order through `simd::axpy`) is bitwise identical
     /// in both tiers; only a tanh activation differs under
     /// [`ForwardTier::Fast`].
     #[inline]
@@ -427,19 +427,6 @@ impl Mlp {
             assert_eq!(a.w.data.len(), b.w.data.len());
             a.w.data.copy_from_slice(&b.w.data);
             a.b.copy_from_slice(&b.b);
-        }
-    }
-
-    /// Blends parameters: `self = (1 − τ)·self + τ·other` (Polyak
-    /// averaging, used for DQN target networks).
-    pub fn soft_update_from(&mut self, other: &Mlp, tau: f32) {
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            for (x, y) in a.w.data.iter_mut().zip(&b.w.data) {
-                *x = (1.0 - tau) * *x + tau * y;
-            }
-            for (x, y) in a.b.iter_mut().zip(&b.b) {
-                *x = (1.0 - tau) * *x + tau * y;
-            }
         }
     }
 }
@@ -774,15 +761,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_and_soft_update() {
+    fn copy_params() {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Mlp::new(&[2, 3, 1], Activation::Tanh, Activation::Linear, &mut rng);
         let mut b = Mlp::new(&[2, 3, 1], Activation::Tanh, Activation::Linear, &mut rng);
         b.copy_params_from(&a);
         assert_eq!(a.layers[0].w.data, b.layers[0].w.data);
-        let c = Mlp::new(&[2, 3, 1], Activation::Tanh, Activation::Linear, &mut rng);
-        b.soft_update_from(&c, 1.0);
-        assert_eq!(b.layers[0].w.data, c.layers[0].w.data);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! First-order optimizers.
 //!
-//! The paper trains with Adam at learning rate 1e-3 (Table 2); plain
-//! SGD is provided for ablations and tests.
+//! The paper trains with Adam at learning rate 1e-3 (Table 2).
 
 use serde::{Deserialize, Serialize};
 
@@ -113,40 +112,6 @@ impl Adam {
             let mhat = *m / bc1;
             let vhat = *v / bc2;
             *p -= lr * mhat / (vhat.sqrt() + eps);
-        }
-    }
-
-    /// Resets moment state (used when restarting training on a
-    /// transferred model).
-    pub fn reset(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
-
-    /// Number of completed steps.
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies `params -= lr * grads`.
-    pub fn update(&self, params: &mut [f32], grads: &[f32]) {
-        for (p, g) in params.iter_mut().zip(grads) {
-            *p -= self.lr * g;
         }
     }
 }
@@ -289,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_step() {
-        let sgd = Sgd::new(0.5);
-        let mut p = vec![1.0f32, 2.0];
-        sgd.update(&mut p, &[2.0, -2.0]);
-        assert_eq!(p, vec![0.0, 3.0]);
-    }
-
-    #[test]
     fn grad_clip() {
         let mut g = vec![3.0f32, 4.0]; // norm 5
         let n = clip_grad_norm(&mut g, 1.0);
@@ -322,16 +279,5 @@ mod tests {
         assert_eq!(adam.m.len(), 3);
         assert!(adam.m[1].is_empty());
         assert_eq!(adam.m[0].len(), 2);
-    }
-
-    #[test]
-    fn adam_reset_clears_state() {
-        let mut adam = Adam::new(0.1);
-        let mut x = vec![0.0f32];
-        adam.begin_step();
-        adam.update_slot(0, &mut x, &[1.0]);
-        assert_eq!(adam.steps(), 1);
-        adam.reset();
-        assert_eq!(adam.steps(), 0);
     }
 }

@@ -1,5 +1,5 @@
-//! The SIMD kernel layer: a vendored portable lane type, an optional
-//! AVX2 backend, and the opt-in fast-math forward tier.
+//! The kernel layer: the row kernel every matrix product is built on,
+//! and the opt-in fast-math forward tier.
 //!
 //! ## Tiers
 //!
@@ -18,14 +18,17 @@
 //!
 //! The fast tier is *approximate relative to scalar* but still fully
 //! deterministic in itself: every kernel here uses only IEEE-754
-//! single-precision `+`, `*`, `/`, and SSE-style `min`/`max` — all
-//! correctly rounded (or, for min/max, exactly specified) per lane —
-//! and never FMA, and never reorders an accumulation. A lane of the
-//! portable `F32x8` type therefore computes bit-for-bit the same
-//! value as the corresponding AVX2 lane, which is what licenses
-//! runtime dispatch: results cannot depend on the `simd` feature flag,
-//! the CPU the run landed on, or slice alignment. Cached blobs
-//! produced under `fast_math` are byte-stable across machines.
+//! single-precision `+`, `*`, `/` and comparisons — all correctly
+//! rounded — and never FMA, and never reorders an accumulation. The
+//! loops are written so the compiler may vectorise *across* elements
+//! (each element is its own accumulator), which cannot move a bit, so
+//! results do not depend on the CPU the run landed on or on slice
+//! alignment. Cached blobs produced under `fast_math` are byte-stable
+//! across machines.
+//!
+//! There is one backend, plain safe Rust. A hand-written AVX2 backend
+//! behind a cargo feature was measured end to end and deleted
+//! (docs/PERFORMANCE.md, "Why there is one backend").
 //!
 //! ## `fast_tanh` error bound
 //!
@@ -38,17 +41,6 @@
 //! tighter than the control loop's own rounding (reports round to
 //! 1e-6) but far looser than the 0-ULP scalar contract — which is why
 //! the tier is opt-in and carried in the cache key.
-//!
-//! ## Feature flag and dispatch
-//!
-//! The portable path compiles everywhere and needs no feature. The
-//! `simd` cargo feature additionally compiles the AVX2 backend
-//! (x86_64 only); at run time each kernel picks AVX2 when
-//! `is_x86_feature_detected!("avx2")` says so and falls back to the
-//! portable lanes otherwise. Because backends are bitwise identical,
-//! the feature is purely a performance knob.
-
-use crate::matrix::Matrix;
 
 /// Which forward-pass kernel tier an inference path runs. See the
 /// module docs for the contract; `Scalar` is the default everywhere.
@@ -97,9 +89,9 @@ const BETA_4: f32 = 1.185_347_1e-4;
 const BETA_6: f32 = 1.198_258_4e-6;
 
 /// SSE-semantics minimum: returns `b` when the comparison is
-/// unordered (matches `_mm256_min_ps(a, b)` exactly, unlike
-/// `f32::min`), so the scalar clamp is bitwise equal to the vector
-/// clamp even for NaN inputs.
+/// unordered (unlike `f32::min`), so the clamp maps a NaN input to
+/// its upper bound — the behaviour the fast tier's bytes were frozen
+/// with.
 #[inline(always)]
 fn sse_min(a: f32, b: f32) -> f32 {
     if a < b {
@@ -122,8 +114,7 @@ fn sse_max(a: f32, b: f32) -> f32 {
 /// Fast hyperbolic tangent: clamp to ±[`FAST_TANH_CLAMP`], then a
 /// degree-13/6 rational polynomial in f32. Maximum absolute error
 /// below [`FAST_TANH_MAX_ABS_ERROR`]; uses only correctly rounded
-/// `+`/`*`/`/` and SSE min/max, so it is bitwise identical to one
-/// lane of the vector backends.
+/// `+`/`*`/`/` and the SSE-style clamp, never FMA.
 #[inline(always)]
 pub fn fast_tanh(x: f32) -> f32 {
     let x = sse_max(sse_min(x, FAST_TANH_CLAMP), -FAST_TANH_CLAMP);
@@ -143,133 +134,21 @@ pub fn fast_tanh(x: f32) -> f32 {
     p / q
 }
 
-/// The vendored portable lane type: eight f32 lanes computed with
-/// plain scalar IEEE arithmetic. This is the reference backend the
-/// AVX2 path must (and does) match bit for bit; on non-x86 targets or
-/// `simd`-feature-off builds it is also the only backend.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct F32x8(pub(crate) [f32; 8]);
-
-impl F32x8 {
-    /// Number of lanes.
-    pub(crate) const LANES: usize = 8;
-
-    #[inline(always)]
-    pub(crate) fn splat(v: f32) -> Self {
-        F32x8([v; 8])
-    }
-
-    #[inline(always)]
-    pub(crate) fn load(slice: &[f32]) -> Self {
-        let mut lanes = [0.0f32; 8];
-        lanes.copy_from_slice(&slice[..8]);
-        F32x8(lanes)
-    }
-
-    #[inline(always)]
-    pub(crate) fn store(self, slice: &mut [f32]) {
-        slice[..8].copy_from_slice(&self.0);
-    }
-
-    #[inline(always)]
-    fn map2(self, o: Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        let mut lanes = [0.0f32; 8];
-        for ((out, a), b) in lanes.iter_mut().zip(self.0).zip(o.0) {
-            *out = f(a, b);
-        }
-        F32x8(lanes)
-    }
-
-    #[inline(always)]
-    pub(crate) fn add(self, o: Self) -> Self {
-        self.map2(o, |a, b| a + b)
-    }
-
-    #[inline(always)]
-    pub(crate) fn mul(self, o: Self) -> Self {
-        self.map2(o, |a, b| a * b)
-    }
-
-    #[inline(always)]
-    pub(crate) fn div(self, o: Self) -> Self {
-        self.map2(o, |a, b| a / b)
-    }
-
-    #[inline(always)]
-    pub(crate) fn min(self, o: Self) -> Self {
-        self.map2(o, sse_min)
-    }
-
-    #[inline(always)]
-    pub(crate) fn max(self, o: Self) -> Self {
-        self.map2(o, sse_max)
-    }
-}
-
-/// [`fast_tanh`] over one portable lane vector — the same Horner
-/// chain, lane-wise.
-#[inline(always)]
-fn fast_tanh_lanes(x: F32x8) -> F32x8 {
-    let clamp = F32x8::splat(FAST_TANH_CLAMP);
-    let x = x.min(clamp).max(F32x8::splat(-FAST_TANH_CLAMP));
-    let x2 = x.mul(x);
-    let mut p = F32x8::splat(ALPHA_13);
-    p = p.mul(x2).add(F32x8::splat(ALPHA_11));
-    p = p.mul(x2).add(F32x8::splat(ALPHA_9));
-    p = p.mul(x2).add(F32x8::splat(ALPHA_7));
-    p = p.mul(x2).add(F32x8::splat(ALPHA_5));
-    p = p.mul(x2).add(F32x8::splat(ALPHA_3));
-    p = p.mul(x2).add(F32x8::splat(ALPHA_1));
-    let p = p.mul(x);
-    let mut q = F32x8::splat(BETA_6);
-    q = q.mul(x2).add(F32x8::splat(BETA_4));
-    q = q.mul(x2).add(F32x8::splat(BETA_2));
-    q = q.mul(x2).add(F32x8::splat(BETA_0));
-    p.div(q)
-}
-
-/// True when the CPU has AVX2 (only compiled alongside the AVX2
-/// backend; the stdlib caches the cpuid probe, so this is a load and a
-/// branch).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline(always)]
-fn use_avx2() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// Applies [`fast_tanh`] to every element in place, runtime-dispatched
-/// to the best available backend. All backends are bitwise identical.
+/// Applies [`fast_tanh`] to every element in place.
 pub fn fast_tanh_slice(xs: &mut [f32]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_avx2() {
-        // SAFETY: AVX2 availability was just verified at run time.
-        unsafe { avx2::fast_tanh_slice(xs) };
-        return;
-    }
-    let mut chunks = xs.chunks_exact_mut(F32x8::LANES);
-    for chunk in &mut chunks {
-        fast_tanh_lanes(F32x8::load(chunk)).store(chunk);
-    }
-    for x in chunks.into_remainder() {
+    for x in xs {
         *x = fast_tanh(*x);
     }
 }
 
 /// `out[i] += a * w[i]` with one rounding per element (mul then add,
-/// no FMA) — the inner kernel of [`Matrix::accumulate`] and the dense
+/// no FMA) — the inner kernel of every `Matrix` product and the dense
 /// layers' row forward. Each output element is an independent
-/// accumulator, so vectorizing across elements preserves the scalar
-/// accumulation order exactly: every backend is bitwise identical to
-/// the plain loop.
+/// accumulator, so the compiler vectorising across elements preserves
+/// the scalar accumulation order exactly.
 #[inline]
 pub(crate) fn axpy(out: &mut [f32], a: f32, w: &[f32]) {
     debug_assert_eq!(out.len(), w.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_avx2() {
-        // SAFETY: AVX2 availability was just verified at run time.
-        unsafe { avx2::axpy(out, a, w) };
-        return;
-    }
     for (o, &b) in out.iter_mut().zip(w) {
         *o += a * b;
     }
@@ -285,232 +164,6 @@ pub(crate) fn apply_activation(act: crate::mlp::Activation, tier: ForwardTier, x
         (act, _) => {
             for x in xs {
                 *x = act.apply(*x);
-            }
-        }
-    }
-}
-
-/// The accumulation step of a batched matmul, `out += x · w`, with the
-/// frozen per-element semantics (ascending `k`, zero-skip) and a
-/// backend-dispatched traversal. Bitwise identical to the historical
-/// scalar loop on every backend: each output element is a single
-/// accumulator updated by `mul` + `add` in ascending-`k` order, so
-/// reordering *across* elements (row-group register blocking on AVX2,
-/// K_BLOCK cache tiling on the portable path) cannot move a bit.
-pub(crate) fn accumulate(x: &Matrix, w: &Matrix, out: &mut Matrix) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if use_avx2() {
-        // SAFETY: AVX2 availability was just verified at run time.
-        unsafe { avx2::accumulate(x, w, out) };
-        return;
-    }
-    accumulate_portable(x, w, out);
-}
-
-/// The portable accumulate traversal: K_BLOCK tiles of ascending `k`
-/// over the dispatched [`axpy`] row kernel. Also the bitwise reference
-/// the AVX2 register-blocked kernel is tested against.
-pub(crate) fn accumulate_portable(x: &Matrix, w: &Matrix, out: &mut Matrix) {
-    let width = w.cols;
-    for kk in (0..x.cols).step_by(crate::matrix::K_BLOCK) {
-        let kend = (kk + crate::matrix::K_BLOCK).min(x.cols);
-        for r in 0..x.rows {
-            let xrow = x.row(r);
-            let out_row = &mut out.data[r * width..(r + 1) * width];
-            for (dk, &a) in xrow[kk..kend].iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                axpy(out_row, a, w.row(kk + dk));
-            }
-        }
-    }
-}
-
-/// The AVX2 backend, compiled only under `--features simd` on x86_64
-/// and entered only after runtime detection. Every intrinsic used is a
-/// per-lane correctly rounded IEEE op (`mul_ps`/`add_ps`/`div_ps`) or
-/// the exactly specified `min_ps`/`max_ps`, mirroring the portable
-/// lanes bit for bit; FMA is deliberately never used.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use super::*;
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fast_tanh_slice(xs: &mut [f32]) {
-        // SAFETY: the caller guarantees AVX2; every load/store is the
-        // unaligned variant over an exact 8-lane chunk of `xs`.
-        unsafe {
-            let hi = _mm256_set1_ps(FAST_TANH_CLAMP);
-            let lo = _mm256_set1_ps(-FAST_TANH_CLAMP);
-            let mut chunks = xs.chunks_exact_mut(8);
-            for chunk in &mut chunks {
-                let x = _mm256_loadu_ps(chunk.as_ptr());
-                let x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
-                let x2 = _mm256_mul_ps(x, x);
-                let mut p = _mm256_set1_ps(ALPHA_13);
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_11));
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_9));
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_7));
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_5));
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_3));
-                p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(ALPHA_1));
-                let p = _mm256_mul_ps(p, x);
-                let mut q = _mm256_set1_ps(BETA_6);
-                q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(BETA_4));
-                q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(BETA_2));
-                q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(BETA_0));
-                _mm256_storeu_ps(chunk.as_mut_ptr(), _mm256_div_ps(p, q));
-            }
-            for x in chunks.into_remainder() {
-                *x = fast_tanh(*x);
-            }
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy(out: &mut [f32], a: f32, w: &[f32]) {
-        // SAFETY: the caller guarantees AVX2; `n` is rounded down to a
-        // multiple of 8 and both slices are at least `n` long (equal
-        // lengths asserted above), so every 8-lane unaligned
-        // load/store at offset `i` stays in bounds.
-        unsafe {
-            debug_assert_eq!(out.len(), w.len());
-            let av = _mm256_set1_ps(a);
-            let n = out.len() / 8 * 8;
-            for i in (0..n).step_by(8) {
-                let o = _mm256_loadu_ps(out.as_ptr().add(i));
-                let b = _mm256_loadu_ps(w.as_ptr().add(i));
-                _mm256_storeu_ps(
-                    out.as_mut_ptr().add(i),
-                    _mm256_add_ps(o, _mm256_mul_ps(av, b)),
-                );
-            }
-            for i in n..out.len() {
-                out[i] += a * w[i];
-            }
-        }
-    }
-
-    /// Register-blocked `out += x · w`: 4 output rows × 16 columns of
-    /// accumulators live in ymm registers across the whole `k` loop,
-    /// so the per-`k` cost is two weight-row loads shared by four
-    /// batch rows — no load/store round-trip on `out` per step, which
-    /// is what makes the batched forward genuinely faster per row than
-    /// the single-row kernel. Each output element remains one
-    /// accumulator updated by `mul` + `add` in ascending-`k` order
-    /// with the zero-skip, hence bitwise identical to
-    /// [`accumulate_portable`].
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accumulate(x: &Matrix, w: &Matrix, out: &mut Matrix) {
-        // SAFETY: the caller guarantees AVX2. All pointer offsets are
-        // derived from the matrices' own row/col dimensions: the 4×16
-        // tile pointers `o0..o3` stay inside `out.data` because
-        // `r + 3 < rows` and `j + 15 < n`, weight loads read 16
-        // in-bounds floats of row `k`, and `get_unchecked(k)` has
-        // `k < kdim = x.cols`.
-        unsafe {
-            let kdim = x.cols;
-            let n = w.cols;
-            let rows = x.rows;
-            let full_r = rows / 4 * 4;
-            let full_j = n / 16 * 16;
-            for r in (0..full_r).step_by(4) {
-                let x0 = x.row(r);
-                let x1 = x.row(r + 1);
-                let x2 = x.row(r + 2);
-                let x3 = x.row(r + 3);
-                for j in (0..full_j).step_by(16) {
-                    let o0 = out.data.as_mut_ptr().add(r * n + j);
-                    let o1 = o0.add(n);
-                    let o2 = o1.add(n);
-                    let o3 = o2.add(n);
-                    let mut a00 = _mm256_loadu_ps(o0);
-                    let mut a01 = _mm256_loadu_ps(o0.add(8));
-                    let mut a10 = _mm256_loadu_ps(o1);
-                    let mut a11 = _mm256_loadu_ps(o1.add(8));
-                    let mut a20 = _mm256_loadu_ps(o2);
-                    let mut a21 = _mm256_loadu_ps(o2.add(8));
-                    let mut a30 = _mm256_loadu_ps(o3);
-                    let mut a31 = _mm256_loadu_ps(o3.add(8));
-                    for k in 0..kdim {
-                        let wrow = w.row(k).as_ptr().add(j);
-                        let w0 = _mm256_loadu_ps(wrow);
-                        let w1 = _mm256_loadu_ps(wrow.add(8));
-                        let a = *x0.get_unchecked(k);
-                        if a != 0.0 {
-                            let av = _mm256_set1_ps(a);
-                            a00 = _mm256_add_ps(a00, _mm256_mul_ps(av, w0));
-                            a01 = _mm256_add_ps(a01, _mm256_mul_ps(av, w1));
-                        }
-                        let a = *x1.get_unchecked(k);
-                        if a != 0.0 {
-                            let av = _mm256_set1_ps(a);
-                            a10 = _mm256_add_ps(a10, _mm256_mul_ps(av, w0));
-                            a11 = _mm256_add_ps(a11, _mm256_mul_ps(av, w1));
-                        }
-                        let a = *x2.get_unchecked(k);
-                        if a != 0.0 {
-                            let av = _mm256_set1_ps(a);
-                            a20 = _mm256_add_ps(a20, _mm256_mul_ps(av, w0));
-                            a21 = _mm256_add_ps(a21, _mm256_mul_ps(av, w1));
-                        }
-                        let a = *x3.get_unchecked(k);
-                        if a != 0.0 {
-                            let av = _mm256_set1_ps(a);
-                            a30 = _mm256_add_ps(a30, _mm256_mul_ps(av, w0));
-                            a31 = _mm256_add_ps(a31, _mm256_mul_ps(av, w1));
-                        }
-                    }
-                    _mm256_storeu_ps(o0, a00);
-                    _mm256_storeu_ps(o0.add(8), a01);
-                    _mm256_storeu_ps(o1, a10);
-                    _mm256_storeu_ps(o1.add(8), a11);
-                    _mm256_storeu_ps(o2, a20);
-                    _mm256_storeu_ps(o2.add(8), a21);
-                    _mm256_storeu_ps(o3, a30);
-                    _mm256_storeu_ps(o3.add(8), a31);
-                }
-                // Column tail (< 16 columns) for this row group.
-                if full_j < n {
-                    for rr in r..r + 4 {
-                        tail_row(x.row(rr), w, out, rr, full_j);
-                    }
-                }
-            }
-            // Row tail (< 4 rows): the plain per-row traversal.
-            for rr in full_r..rows {
-                tail_row(x.row(rr), w, out, rr, 0);
-            }
-        }
-    }
-
-    /// Accumulates `out[rr][j0..] += xrow · w[:, j0..]` with the frozen
-    /// ascending-`k`, zero-skip order — the tail path of the blocked
-    /// kernel.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tail_row(xrow: &[f32], w: &Matrix, out: &mut Matrix, rr: usize, j0: usize) {
-        // SAFETY: the caller guarantees AVX2, which is the only
-        // precondition of the dispatched `axpy`; slice indexing here
-        // is bounds-checked as usual.
-        unsafe {
-            let n = w.cols;
-            let out_row = &mut out.data[rr * n + j0..(rr + 1) * n];
-            for (k, &a) in xrow.iter().enumerate() {
-                if a != 0.0 {
-                    axpy(out_row, a, &w.row(k)[j0..]);
-                }
             }
         }
     }
@@ -554,9 +207,9 @@ mod tests {
         assert!((fast_tanh(f32::INFINITY) - 1.0).abs() < 1e-6);
     }
 
-    /// The slice kernel (whatever backend dispatch picked) is bitwise
-    /// identical to the scalar reference on every element — including
-    /// lengths that exercise the vector tail.
+    /// The slice kernel is bitwise identical to the scalar reference on
+    /// every element, at lengths on both sides of any vector width the
+    /// compiler may pick.
     #[test]
     fn fast_tanh_slice_is_bitwise_identical_to_scalar() {
         for len in [0usize, 1, 7, 8, 9, 16, 33, 1000] {
@@ -569,63 +222,7 @@ mod tests {
                 assert_eq!(
                     g.to_bits(),
                     fast_tanh(x).to_bits(),
-                    "lane {i} of {len} diverged from the scalar reference"
-                );
-            }
-        }
-    }
-
-    /// The dispatched axpy is bitwise identical to the plain loop —
-    /// the property that lets [`accumulate`] keep the frozen golden
-    /// bytes regardless of backend.
-    #[test]
-    fn axpy_is_bitwise_identical_to_the_plain_loop() {
-        for len in [0usize, 1, 5, 8, 13, 64, 100] {
-            let w: Vec<f32> = (0..len).map(|i| (i as f32 * 0.713).sin()).collect();
-            let base: Vec<f32> = (0..len).map(|i| (i as f32 * 1.37).cos()).collect();
-            let a = 0.8137f32;
-            let mut got = base.clone();
-            axpy(&mut got, a, &w);
-            let mut want = base.clone();
-            for (o, &b) in want.iter_mut().zip(&w) {
-                *o += a * b;
-            }
-            for (i, (g, e)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.to_bits(), e.to_bits(), "element {i} of {len} diverged");
-            }
-        }
-    }
-
-    /// The dispatched accumulate (register-blocked on AVX2) is bitwise
-    /// identical to the portable K_BLOCK traversal on shapes that
-    /// exercise full 4×16 tiles, the column tail, the row tail, and
-    /// the zero-skip (including negative zero in `x`).
-    #[test]
-    fn accumulate_is_bitwise_identical_to_the_portable_traversal() {
-        for (m, k, n) in [
-            (9, 70, 40),
-            (16, 33, 64),
-            (5, 33, 32),
-            (4, 16, 16),
-            (3, 8, 7),
-            (1, 200, 33),
-        ] {
-            let x = Matrix::from_fn(m, k, |r, c| match (r * k + c) % 7 {
-                0 => 0.0,
-                1 => -0.0,
-                v => (r as f32 * 0.83 + c as f32 * 0.47 + v as f32).sin(),
-            });
-            let w = Matrix::from_fn(k, n, |r, c| (r as f32 * 1.19 - c as f32 * 0.31).cos());
-            let bias = Matrix::from_fn(m, n, |r, c| (r as f32 - c as f32) * 0.013);
-            let mut got = bias.clone();
-            accumulate(&x, &w, &mut got);
-            let mut want = bias.clone();
-            accumulate_portable(&x, &w, &mut want);
-            for (i, (g, e)) in got.data.iter().zip(&want.data).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    e.to_bits(),
-                    "element {i} of {m}x{k}x{n} diverged from the portable kernel"
+                    "element {i} of {len} diverged from the scalar reference"
                 );
             }
         }

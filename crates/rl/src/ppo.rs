@@ -148,13 +148,6 @@ impl<N: Network> Ppo<N> {
         }
     }
 
-    /// Resets optimizer state (after transferring weights to a new
-    /// objective, stale Adam moments would bias the first updates).
-    pub fn reset_optimizers(&mut self) {
-        self.opt_pi.reset();
-        self.opt_v.reset();
-    }
-
     /// Collects one on-policy rollout of `steps` transitions, resetting
     /// the environment at episode boundaries. Runs on the lockstep
     /// batched collector with a batch of one, which is bitwise

@@ -22,7 +22,7 @@ use mocc::eval::{
     SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::{Aimd, CongestionControl};
-use mocc::store::ResultStore;
+use mocc::store::{sha256_hex, ResultStore};
 use std::path::PathBuf;
 
 /// Controllers with golden fixtures.
@@ -445,6 +445,26 @@ fn competition_report_identical_across_threads_and_batches() {
             convergence.is_finite() && convergence >= 0.0,
             "{}: convergence {convergence}",
             cell.load
+        );
+    }
+}
+
+/// Absolute bytes of the *fast* tier, which the scalar-tier fixtures do
+/// not cover: the shipped MOCC competition spec with
+/// `policy.fast_math = true` hashes to one frozen literal at every
+/// thread count and batch size. A kernel change that moves a bit of
+/// `fast_tanh_slice` or of the batched accumulate shows up here.
+#[test]
+fn fast_tier_competition_report_matches_the_pinned_digest() {
+    let mut exp = ExperimentSpec::load(&example_spec_path("competition_mocc")).expect("spec loads");
+    exp.policy.as_mut().unwrap().fast_math = true;
+    for (threads, batch) in [(1, 1), (4, 32)] {
+        exp.policy.as_mut().unwrap().batch = batch;
+        let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
+        assert_eq!(
+            sha256_hex(report.to_canonical_json().as_bytes()),
+            "5b241686de97e7bdaa87921172f54f9a8ebabf9288dcf4e2b182eea8fd6656b8",
+            "fast-tier report moved at {threads} thread(s), batch {batch}"
         );
     }
 }

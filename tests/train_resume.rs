@@ -10,6 +10,7 @@ use mocc::core::{
     TrainSpec,
 };
 use mocc::eval::{ExperimentSpec, RunOptions, SweepRunner, SweepSpec};
+use mocc::store::sha256_hex;
 use std::path::PathBuf;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -237,6 +238,43 @@ fn checkpoint_bytes_identical_across_processes() {
         "model artifact bytes must not depend on the producing process"
     );
     for d in [parent_out, child_out] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
+/// Absolute trained bytes: the shipped `train_smoke.json` (two lockstep
+/// envs, so its rollouts run the fast tier) must leave exactly this zoo
+/// model and this final checkpoint (Adam moments included). The other
+/// tests here compare runs with each other; this one pins the learner
+/// to literals, so a kernel or optimizer change that moves a bit fails
+/// even when it moves it identically on every run.
+#[test]
+fn train_smoke_model_and_checkpoint_match_the_pinned_digests() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/train_smoke.json");
+    let spec = TrainSpec::load(&path).unwrap();
+    let ck_dir = tmp_dir("pinned-ck");
+    let run = train_spec(
+        &spec,
+        &TrainOptions {
+            checkpoint_dir: Some(ck_dir.clone()),
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap();
+    let zoo = tmp_dir("pinned-zoo");
+    let model = save_trained(&zoo, &spec, &run.agent, run.outcome.iterations).unwrap();
+    let digest = |p: &std::path::Path| sha256_hex(&std::fs::read(p).unwrap());
+    assert_eq!(
+        digest(&model),
+        "0f008d7142188dc515ffebb8de8ee316cfe9c9ec88f5b99bbe6194513970f52a",
+        "train_smoke model.json moved"
+    );
+    assert_eq!(
+        digest(&ck_dir.join("checkpoint.json")),
+        "dbd887d2526d93739685536c4ed613b7d8314d41eafeb190c89384b950fe0c14",
+        "train_smoke final checkpoint.json moved"
+    );
+    for d in [ck_dir, zoo] {
         let _ = std::fs::remove_dir_all(&d);
     }
 }
