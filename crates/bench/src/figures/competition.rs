@@ -8,7 +8,7 @@
 //! ratio against an all-CUBIC control run, and time to fair share.
 //!
 //! The trained agent is cached under `target/mocc-cache/` (shared with
-//! the other figure binaries); the first run trains it once, and the
+//! the other figures); the first run trains it once, and the
 //! experiment itself is a declarative [`ExperimentSpec`] whose policy
 //! section points at that cache file — the same document `mocc run`
 //! would accept. Set `MOCC_BENCH_FULL=1` for longer horizons.
@@ -18,12 +18,13 @@ use mocc_eval::{
     SweepRunner,
 };
 
-fn main() {
-    let full = mocc_bench::full_scale();
+/// Prints the competition matrix.
+pub fn run() -> Result<(), String> {
+    let full = crate::full_scale();
     // Train (or load) the cached agent so the spec's policy path
     // resolves.
-    let _ = mocc_bench::trained_mocc();
-    let agent_path = mocc_bench::trained_mocc_path();
+    super::trained_mocc()?;
+    let agent_path = crate::cache_dir()?.join(super::MOCC_AGENT_FILE);
     let duration_s: u64 = if full { 60 } else { 24 };
 
     let mut mixes = vec![
@@ -53,7 +54,7 @@ fn main() {
         ..CompetitionSpec::quick()
     };
 
-    let runner = SweepRunner::auto();
+    let runner = SweepRunner::from_env()?;
     println!(
         "== Competition matrix: {} cells ({duration_s} s each), {} worker threads ==",
         spec.cell_count(),
@@ -75,7 +76,7 @@ fn main() {
         preference: MoccPrefSpec::Balanced,
         ..PolicySpec::default()
     });
-    let report = mocc_core::run_experiment(&runner, &exp).expect("valid competition spec");
+    let report = mocc_core::run_experiment(&runner, &exp).map_err(|e| e.to_string())?;
 
     println!(
         "{:<26} {:>6} {:>12} {:>8} {:>8} {:>10} {:>8}",
@@ -99,4 +100,5 @@ fn main() {
     );
     println!("(paper: larger w_thr is more aggressive, no mix starves a contender;");
     println!(" canonical report is byte-identical for any thread count or batch size)");
+    Ok(())
 }

@@ -7,9 +7,10 @@
 //! (c) Re-training Aurora from scratch for a new objective takes a long
 //!     time to converge (the motivation for MOCC's transfer learning).
 
-use mocc_bench::{header, row, with_agent_mi, Scheme};
+use super::{header, mean_over, row, run_flows, Scheme, HEURISTICS};
+use crate::timing::Stopwatch;
 use mocc_core::{convergence_iter, AuroraAgent, MoccConfig, Preference};
-use mocc_netsim::{BandwidthTrace, Scenario, ScenarioRange, Simulator};
+use mocc_netsim::{BandwidthTrace, Scenario, ScenarioRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,79 +20,63 @@ fn varying_link_scenario(dur_s: u64) -> Scenario {
     sc
 }
 
-fn main() {
+/// Prints Figure 1.
+pub fn run() -> Result<(), String> {
     println!("== Figure 1(a): throughput on a varying 20-30 Mbps link ==");
     println!("(per-10s mean delivered Mbps; link alternates 20/30 Mbps)");
-    let schemes = vec![
-        Scheme::Baseline("cubic"),
-        Scheme::Baseline("vegas"),
-        Scheme::Aurora("thr", Preference::throughput()),
-        Scheme::Baseline("orca"),
-        Scheme::Mocc(Preference::throughput()),
+    let schemes = [
+        Scheme::baseline("cubic")?,
+        Scheme::baseline("vegas")?,
+        Scheme::aurora("thr")?,
+        Scheme::baseline("orca")?,
+        Scheme::mocc(Preference::throughput())?,
     ];
     let buckets = 5usize;
-    header(
-        "scheme",
-        &(0..buckets)
-            .map(|b| format!("{}-{}s", b * 10, (b + 1) * 10))
-            .collect::<Vec<_>>(),
-        10,
-    );
-    let mut fig_a: Vec<(String, f64)> = Vec::new();
+    let spans: Vec<String> = (0..buckets)
+        .map(|b| format!("{}-{}s", b * 10, (b + 1) * 10))
+        .collect();
+    header("scheme", &spans, 10);
+    let mut best = (String::new(), f64::MIN);
     for s in &schemes {
-        let sc = with_agent_mi(varying_link_scenario(50));
-        let initial = 6e6;
-        let res = Simulator::new(sc, vec![s.make(initial)]).run();
-        let f = &res.flows[0];
+        let f = run_flows(vec![s.make(6e6)], varying_link_scenario(50)).swap_remove(0);
         let per_bucket: Vec<f64> = (0..buckets)
-            .map(|b| {
-                let lo = b * 10;
-                let hi = ((b + 1) * 10).min(f.per_sec_mbits.len());
-                if lo >= hi {
-                    return 0.0;
-                }
-                f.per_sec_mbits[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-            })
+            .map(|b| mean_over(&f.per_sec_mbits, b * 10, (b + 1) * 10))
             .collect();
         row(&s.label(), &per_bucket, 10, 2);
-        fig_a.push((s.label(), f.throughput_bps / 1e6));
+        if f.throughput_bps / 1e6 >= best.1 {
+            best = (s.label(), f.throughput_bps / 1e6);
+        }
     }
 
     println!("\n== Figure 1(b): throughput-latency plane (60 s runs, 5 seeds) ==");
-    header("scheme", &["thr Mbps".into(), "rtt ms".into()], 12);
-    let plane_schemes = vec![
-        Scheme::Baseline("cubic"),
-        Scheme::Baseline("vegas"),
-        Scheme::Baseline("bbr"),
-        Scheme::Baseline("copa"),
-        Scheme::Baseline("pcc-allegro"),
-        Scheme::Baseline("pcc-vivace"),
-        Scheme::Aurora("thr", Preference::throughput()),
-        Scheme::Aurora("lat", Preference::latency()),
-        Scheme::Baseline("orca"),
-        Scheme::Mocc(Preference::throughput()),
-        Scheme::Mocc(Preference::balanced()),
-        Scheme::Mocc(Preference::latency()),
-    ];
+    header("scheme", &["thr Mbps", "rtt ms"], 12);
+    let mut plane_schemes = Scheme::baselines(&HEURISTICS)?;
+    plane_schemes.extend([
+        Scheme::aurora("thr")?,
+        Scheme::aurora("lat")?,
+        Scheme::baseline("orca")?,
+        Scheme::mocc(Preference::throughput())?,
+        Scheme::mocc(Preference::balanced())?,
+        Scheme::mocc(Preference::latency())?,
+    ]);
     for s in &plane_schemes {
         let (mut thr, mut rtt) = (0.0, 0.0);
         let seeds = 5u64;
         for seed in 0..seeds {
             let mut sc = varying_link_scenario(60);
             sc.seed = 100 + seed;
-            let sc = with_agent_mi(sc);
-            let res = Simulator::new(sc, vec![s.make(6e6)]).run();
-            thr += res.flows[0].throughput_bps / 1e6 / seeds as f64;
-            rtt += res.flows[0].mean_rtt_ms / seeds as f64;
+            let f = run_flows(vec![s.make(6e6)], sc).swap_remove(0);
+            thr += f.throughput_bps / 1e6 / seeds as f64;
+            rtt += f.mean_rtt_ms / seeds as f64;
         }
         row(&s.label(), &[thr, rtt], 12, 2);
     }
 
     println!("\n== Figure 1(c): Aurora re-training from scratch ==");
-    let iters = if mocc_bench::full_scale() { 600 } else { 250 };
+    let iters = if crate::full_scale() { 600 } else { 250 };
     let mut rng = StdRng::seed_from_u64(5);
     let mut aurora = AuroraAgent::new(MoccConfig::default(), Preference::latency(), &mut rng);
-    let t0 = mocc_bench::timing::Stopwatch::start();
+    let t0 = Stopwatch::start();
     let curve = aurora.train(ScenarioRange::training(), iters, 5);
     let smooth: Vec<f32> = curve
         .windows(10)
@@ -110,9 +95,9 @@ fn main() {
         println!("  iter {i:>4}: reward {r:.3}");
     }
 
-    let best_varying = fig_a.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
     println!(
         "\nsummary: best mean throughput on varying link = {} ({:.2} Mbps)",
-        best_varying.0, best_varying.1
+        best.0, best.1
     );
+    Ok(())
 }

@@ -10,47 +10,37 @@
 //! run-to-run spread see `nn.forward_ns_b1` and `cc.cubic.ns_per_call`
 //! in a traced `benchmark/run.sh` run (docs/PERFORMANCE.md).
 
-use mocc_bench::timing::Stopwatch;
+use super::{trained_aurora, trained_mocc};
+use crate::timing::Stopwatch;
 use mocc_core::{stats_features, Preference};
 use mocc_netsim::cc::{AckInfo, CongestionControl, RateControl, SenderView};
 use mocc_netsim::time::{SimDuration, SimTime};
+use std::hint::black_box;
 
-fn measure<F: FnMut()>(mut f: F, iters: usize) -> f64 {
-    // Warmup.
+/// Seconds per call of `f`, over `iters` calls after a 10 % warm-up;
+/// every result is kept from the optimizer.
+fn measure<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
     for _ in 0..iters / 10 {
-        f();
+        black_box(f());
     }
     let t0 = Stopwatch::start();
     for _ in 0..iters {
-        f();
+        black_box(f());
     }
     t0.elapsed_secs() / iters as f64
 }
 
-fn main() {
-    let agent = mocc_bench::trained_mocc();
-    let aurora = mocc_bench::trained_aurora("thr", Preference::throughput());
+/// Prints Figure 17.
+pub fn run() -> Result<(), String> {
+    let agent = trained_mocc()?;
+    let aurora = trained_aurora("thr")?;
 
     // Inference cost of the two model families.
     let hist = vec![0.1f32; 30];
-    let mocc_inf = measure(
-        || {
-            std::hint::black_box(agent.act(&Preference::throughput(), std::hint::black_box(&hist)));
-        },
-        200_000,
-    );
-    let aurora_obs = vec![0.1f32; 30];
-    let aurora_inf = measure(
-        || {
-            std::hint::black_box(
-                aurora
-                    .ppo
-                    .policy
-                    .mean_action(std::hint::black_box(&aurora_obs)),
-            );
-        },
-        200_000,
-    );
+    let mocc_inf = measure(200_000, || {
+        agent.act(&Preference::throughput(), black_box(&hist))
+    });
+    let aurora_inf = measure(200_000, || aurora.ppo.policy.mean_action(black_box(&hist)));
 
     // Heuristic per-ACK cost (CUBIC's window arithmetic).
     let mut cubic = mocc_cc::Cubic::new();
@@ -71,12 +61,7 @@ fn main() {
         acked_bytes: 1500,
     };
     cubic.init(&view, &mut ctl);
-    let cubic_ack = measure(
-        || {
-            cubic.on_ack(&view, std::hint::black_box(&ack), &mut ctl);
-        },
-        2_000_000,
-    );
+    let cubic_ack = measure(2_000_000, || cubic.on_ack(&view, black_box(&ack), &mut ctl));
 
     // Feature extraction cost (shared by both deployments).
     let mi = mocc_netsim::MonitorStats {
@@ -93,27 +78,17 @@ fn main() {
         latency_ratio: 1.2,
         latency_gradient: 0.001,
     };
-    let feat = measure(
-        || {
-            std::hint::black_box(stats_features(std::hint::black_box(&mi)));
-        },
-        2_000_000,
-    );
+    let feat = measure(2_000_000, || stats_features(black_box(&mi)));
 
     println!("== Figure 17: per-invocation costs and modeled CPU utilization ==");
-    println!(
-        "policy inference (MOCC, PrefNet):  {:>9.2} ns",
-        mocc_inf * 1e9
-    );
-    println!(
-        "policy inference (Aurora, MLP):    {:>9.2} ns",
-        aurora_inf * 1e9
-    );
-    println!(
-        "heuristic per-ACK (CUBIC):         {:>9.2} ns",
-        cubic_ack * 1e9
-    );
-    println!("MI feature extraction:             {:>9.2} ns", feat * 1e9);
+    for (what, secs) in [
+        ("policy inference (MOCC, PrefNet):", mocc_inf),
+        ("policy inference (Aurora, MLP):", aurora_inf),
+        ("heuristic per-ACK (CUBIC):", cubic_ack),
+        ("MI feature extraction:", feat),
+    ] {
+        println!("{what:<35}{:>9.2} ns", secs * 1e9);
+    }
 
     // Deployment model: a 40 Mbps flow, 20 ms RTT (the paper's setup).
     // - user-space: inference every MI (= RTT = 20 ms) + per-packet
@@ -130,22 +105,15 @@ fn main() {
     let kernel_heur = cubic_ack * pkts_per_sec;
 
     println!("\nmodeled CPU utilization on a 40 Mbps / 20 ms flow (one core):");
-    println!(
-        "  user-space MOCC   (per-MI inference + shim): {:>8.4} %",
-        user_mocc * 100.0
-    );
-    println!(
-        "  user-space Aurora (per-MI inference + shim): {:>8.4} %",
-        user_aurora * 100.0
-    );
-    println!(
-        "  kernel-space MOCC (CCP, batched reports):    {:>8.4} %",
-        kernel_mocc * 100.0
-    );
-    println!(
-        "  kernel heuristics (CUBIC/Vegas/BBR/Orca):    {:>8.4} %",
-        kernel_heur * 100.0
-    );
+    for (what, share) in [
+        ("user-space MOCC   (per-MI inference + shim):", user_mocc),
+        ("user-space Aurora (per-MI inference + shim):", user_aurora),
+        ("kernel-space MOCC (CCP, batched reports):   ", kernel_mocc),
+        ("kernel heuristics (CUBIC/Vegas/BBR/Orca):   ", kernel_heur),
+    ] {
+        println!("  {what} {:>8.4} %", share * 100.0);
+    }
     println!("\n(paper's shape: user-space MOCC ≈ Aurora ≫ kernel-space MOCC ≈ Orca ≈ heuristics;");
     println!(" absolute percentages differ — the paper measures a Python/TensorFlow stack, this is Rust)");
+    Ok(())
 }

@@ -7,10 +7,12 @@
 //! from parallelism (Ray); our parallel factor is bounded by the
 //! machine's cores.
 
+use super::train_mocc;
 use mocc_core::{TrainRegime, TrainSpec};
 
-fn main() {
-    let full = mocc_bench::full_scale();
+/// Prints Figure 19.
+pub fn run() -> Result<(), String> {
+    let full = crate::full_scale();
     // A reduced-but-proportional budget: individual training gives each
     // of the ω landmarks the full bootstrap budget; transfer gives it
     // only to the 3 pivots plus a few traversal iterations per landmark.
@@ -28,7 +30,7 @@ fn main() {
         batch_envs: 1,
         ..TrainSpec::default()
     };
-    let cfg = base.resolved_config().expect("fig19 base spec is valid");
+    let cfg = base.resolved_config().map_err(|e| e.to_string())?;
 
     println!(
         "== Figure 19: training time by regime (omega = {}) ==",
@@ -45,11 +47,7 @@ fn main() {
             regime,
             ..base.clone()
         };
-        let opts = mocc_core::TrainOptions {
-            clock: Some(mocc_bench::timing::monotonic_secs),
-            ..mocc_core::TrainOptions::default()
-        };
-        let run = mocc_core::train_spec(&spec, &opts).expect("fig19 spec is valid");
+        let run = train_mocc(&spec)?;
         println!(
             "{name:<20} {:>7} iterations {:>9.1} s wall",
             run.outcome.iterations, run.outcome.wall_secs
@@ -65,4 +63,5 @@ fn main() {
     }
     println!("(paper: transfer 18x — 6d7.2h -> 8.4h — and parallel a further 4x -> 2.1h;");
     println!(" our parallel gain is rollout-collection only and bounded by core count)");
+    Ok(())
 }

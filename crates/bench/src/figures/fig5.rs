@@ -9,12 +9,12 @@
 //!
 //! Driven by the unified experiment API: each panel's parameter sweep
 //! is one declarative [`ExperimentSpec`] per scheme, resolved through
-//! the figure [`mocc_bench::figure_registry`] (baselines plus the
-//! cached trained MOCC/Aurora models as pluggable registry schemes)
-//! and executed in parallel by [`SweepRunner::run_with`] (worker count
-//! auto-detected; override with `MOCC_SWEEP_THREADS`).
+//! `figure_registry` (baselines plus the cached trained MOCC/Aurora
+//! models as pluggable registry schemes) and executed in parallel by
+//! [`SweepRunner::run_with`] (worker count auto-detected; override with
+//! `MOCC_SWEEP_THREADS`).
 
-use mocc_bench::{figure_registry, header, row, run_single, standard_schemes, Scheme};
+use super::{figure_registry, header, row, run_flows, Scheme, HEURISTICS};
 use mocc_core::Preference;
 use mocc_eval::{
     ExperimentSpec, FlowLoad, RunOptions, SchemeRegistry, SweepRunner, SweepSpec, TraceShape,
@@ -61,31 +61,37 @@ fn sweeps(dur: u64) -> Vec<(&'static str, Vec<f64>, SweepSpec)> {
     out
 }
 
+/// The standard scheme lineup of §6.1.
+fn standard_schemes(mocc_pref: Preference) -> Result<Vec<Scheme>, String> {
+    let mut schemes = vec![Scheme::mocc(mocc_pref)?];
+    schemes.extend(Scheme::baselines(&HEURISTICS)?);
+    schemes.extend([
+        Scheme::aurora("thr")?,
+        Scheme::aurora("lat")?,
+        Scheme::baseline("orca")?,
+    ]);
+    Ok(schemes)
+}
+
 fn run_panel(
     metric: &str,
     pref: Preference,
     registry: &SchemeRegistry,
     runner: SweepRunner,
     dur: u64,
-) {
+) -> Result<(), String> {
+    let schemes = standard_schemes(pref)?;
     for (name, values, spec) in sweeps(dur) {
         println!("\n-- sweep: {name} ({metric}) --");
-        header(
-            "scheme",
-            &values.iter().map(|v| format!("{v}")).collect::<Vec<_>>(),
-            9,
-        );
-        for scheme in standard_schemes(pref) {
-            let label = scheme.label();
-            let parsed = registry
-                .parse(&label)
-                .expect("every figure scheme is registered");
+        header("scheme", &values, 9);
+        for label in schemes.iter().map(Scheme::label) {
+            let parsed = registry.parse(&label).map_err(|e| e.to_string())?;
             let exp = ExperimentSpec::from_sweep(&label, parsed, &spec);
             let opts = RunOptions {
                 registry: Some(registry),
                 ..RunOptions::default()
             };
-            let (report, _) = runner.run_with(&exp, opts).expect("valid figure spec");
+            let (report, _) = runner.run_with(&exp, opts).map_err(|e| e.to_string())?;
             let vals: Vec<f64> = report
                 .cells
                 .iter()
@@ -97,40 +103,40 @@ fn run_panel(
             row(&label, &vals, 9, 3);
         }
     }
+    Ok(())
 }
 
-fn main() {
-    let full = mocc_bench::full_scale();
-    let dur: u64 = if full { 60 } else { 30 };
+/// Prints Figure 5.
+pub fn run() -> Result<(), String> {
+    let dur: u64 = if crate::full_scale() { 60 } else { 30 };
     // Building the registry trains/loads every cached model once, up
     // front, before the parallel sweep workers need them.
-    let registry = figure_registry();
-    let runner = SweepRunner::auto();
+    let registry = figure_registry()?;
+    let runner = SweepRunner::from_env()?;
     println!(
         "(sweeps sharded over {} worker threads; set MOCC_SWEEP_THREADS to override)",
         runner.threads()
     );
 
     println!("\n== Figure 5(a-d): link utilization, MOCC preference <0.8,0.1,0.1> ==");
-    run_panel(
-        "utilization",
-        Preference::throughput(),
-        &registry,
-        runner,
-        dur,
-    );
+    let thr = Preference::throughput();
+    run_panel("utilization", thr, &registry, runner, dur)?;
 
     println!("\n== Figure 5(e-h): latency ratio, MOCC preference <0.1,0.8,0.1> ==");
-    run_panel("latency", Preference::latency(), &registry, runner, dur);
+    run_panel("latency", Preference::latency(), &registry, runner, dur)?;
 
     // Headline comparisons the paper calls out in §6.1.
     println!("\n== headline checks ==");
-    let sc = Scenario::single(20e6, 20, 1000, 0.0, 30);
-    let mocc = run_single(&Scheme::Mocc(Preference::latency()), sc.clone());
-    let bbr = run_single(&Scheme::Baseline("bbr"), sc.clone());
-    let cubic = run_single(&Scheme::Baseline("cubic"), sc);
+    let latency_ratio = |scheme: Scheme| {
+        let sc = Scenario::single(20e6, 20, 1000, 0.0, 30);
+        let initial = 0.3 * sc.link.trace.max_rate();
+        run_flows(vec![scheme.make(initial)], sc)[0].latency_ratio
+    };
     println!(
         "latency ratio: mocc-lat {:.3} vs bbr {:.3} vs cubic {:.3} (paper: MOCC up to 18.8% below BBR, ~15% below CUBIC)",
-        mocc.latency_ratio, bbr.latency_ratio, cubic.latency_ratio
+        latency_ratio(Scheme::mocc(Preference::latency())?),
+        latency_ratio(Scheme::baseline("bbr")?),
+        latency_ratio(Scheme::baseline("cubic")?)
     );
+    Ok(())
 }

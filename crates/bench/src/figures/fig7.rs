@@ -6,14 +6,16 @@
 //! (b) While adapting, MOCC's requirement replay preserves the old
 //!     application's reward; Aurora's fine-tuning forgets it.
 
+use super::{trained_aurora, trained_mocc};
+use crate::timing::Stopwatch;
 use mocc_core::{convergence_iter, AuroraAgent, MoccConfig, OnlineAdapter, Preference};
 use mocc_netsim::{Scenario, ScenarioRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() {
-    let full = mocc_bench::full_scale();
-    let iters = if full { 400 } else { 240 };
+/// Prints Figure 7.
+pub fn run() -> Result<(), String> {
+    let iters = if crate::full_scale() { 400 } else { 240 };
     let eval_every = 8usize; // The paper snapshots every 8 iterations.
 
     // The "new application": an off-lattice preference never used as a
@@ -26,9 +28,8 @@ fn main() {
     println!("== Figure 7(a/b): online adaptation to new preference <0.25,0.55,0.20> ==");
 
     // --- MOCC: transfer + requirement replay ---
-    let agent = mocc_bench::trained_mocc();
-    let mut adapter = OnlineAdapter::new(agent, vec![old_pref], 11);
-    let t0 = mocc_bench::timing::Stopwatch::start();
+    let mut adapter = OnlineAdapter::new(trained_mocc()?.clone(), vec![old_pref], 11);
+    let t0 = Stopwatch::start();
     let mocc_curve = adapter.adapt(
         new_pref,
         range,
@@ -41,23 +42,19 @@ fn main() {
     // --- Aurora: from scratch on the new objective ---
     let mut rng = StdRng::seed_from_u64(3);
     let mut aurora = AuroraAgent::new(MoccConfig::default(), new_pref, &mut rng);
-    let t1 = mocc_bench::timing::Stopwatch::start();
+    let t1 = Stopwatch::start();
     let aurora_curve = aurora.train(range, iters, 3);
     let aurora_wall = t1.elapsed_secs();
 
     // --- Aurora forgetting: fine-tune the *old* thr model to the new
     // objective and watch the old objective's reward collapse ---
-    let mut aurora_old = mocc_bench::trained_aurora("thr", old_pref);
+    let mut aurora_old = trained_aurora("thr")?.clone();
     aurora_old.pref = new_pref; // Its reward function switches.
     let mut aurora_old_curve = Vec::new();
     for i in 0..iters {
         let c = aurora_old.train(range, 1, 400 + i as u64);
         if i % eval_every == 0 {
-            let old_r = {
-                let mut a = aurora_old.clone();
-                a.pref = old_pref;
-                a.evaluate(eval_sc.clone(), 1)
-            };
+            let old_r = aurora_old.evaluate_for(old_pref, eval_sc.clone(), 1);
             aurora_old_curve.push((i, c[0], old_r));
         }
     }
@@ -132,6 +129,7 @@ fn main() {
             first.2, last.2
         );
     }
+    Ok(())
 }
 
 fn smooth(xs: &[f32]) -> Vec<f32> {

@@ -3,8 +3,8 @@
 //! The byte-determinism contract (docs/PERFORMANCE.md, docs/AUDIT.md)
 //! forbids clock reads in library code: golden reports, the
 //! content-addressed cache, and training checkpoints must not depend
-//! on when they were produced. Timing is still needed — the figure
-//! binaries, the trainer's log lines and the kernel-ratio test
+//! on when they were produced. Timing is still needed — the figures,
+//! the trainer's log lines and the kernel-ratio test
 //! (`tests/kernel_ratios.rs`) report wall time — so every monotonic
 //! read in the workspace funnels through this module, which is the
 //! one file on `mocc audit`'s clock-discipline allowlist. Timing
@@ -25,7 +25,7 @@ pub fn monotonic_secs() -> f64 {
     epoch.elapsed().as_secs_f64()
 }
 
-/// A started wall-clock measurement, for the figure binaries and the
+/// A started wall-clock measurement, for the figures and the
 /// kernel-ratio test.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {

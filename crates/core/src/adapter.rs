@@ -1,49 +1,83 @@
-//! Deployment adapter: a trained MOCC policy as a [`CongestionControl`].
+//! Deployment adapter: a trained policy as a [`CongestionControl`].
 //!
-//! This is how MOCC runs *inside* multi-flow simulations (fairness,
-//! friendliness, application experiments): the policy network performs
-//! inference at each monitor interval and applies the Eq. 1 rate
-//! update, exactly like the user-space/kernel-space deployments in §5.
+//! This is how learned policies run *inside* multi-flow simulations
+//! (fairness, friendliness, application experiments): at each monitor
+//! interval the policy performs inference on the feature history and
+//! the Eq. 1 rate update is applied, exactly like the user-space and
+//! kernel-space deployments in §5. [`PolicyCc`] is the one shim behind
+//! MOCC, the Aurora baseline and the DQN ablation; they differ only in
+//! the action function and in whether the observation starts with a
+//! registered preference.
 
-use crate::agent::{stats_features, write_obs, MoccAgent};
+use crate::agent::{stats_features, MoccAgent};
+use crate::aurora::AuroraAgent;
 use crate::config::MoccConfig;
 use crate::preference::Preference;
-use crate::prefnet::PrefNet;
 use mocc_netsim::cc::{CongestionControl, MonitorStats, RateControl, SenderView};
-use mocc_rl::GaussianPolicy;
 use std::collections::VecDeque;
 
-/// A deployed MOCC flow with a registered preference.
-pub struct MoccCc {
-    policy: GaussianPolicy<PrefNet>,
+/// Observation → raw Eq. 1 action.
+type Act = Box<dyn Fn(&[f32]) -> f32 + Send>;
+
+/// A deployed learned policy: feature-history ring → optional
+/// preference prefix → action function → [`MoccConfig::apply_action`].
+pub struct PolicyCc {
+    name: &'static str,
     cfg: MoccConfig,
-    pref: Preference,
+    pref: Option<Preference>,
+    act: Act,
     history: VecDeque<[f32; 3]>,
+    obs: Vec<f32>,
     initial_rate_bps: f64,
 }
 
-impl MoccCc {
-    /// Wraps a trained agent's policy for the given application
-    /// preference (the `Register(w)` step of §5).
-    pub fn new(agent: &MoccAgent, pref: Preference, initial_rate_bps: f64) -> Self {
-        MoccCc {
-            policy: agent.ppo.policy.clone(),
-            cfg: agent.cfg,
+impl PolicyCc {
+    /// Deploys `act`, a map from the observation — `pref` when given,
+    /// then `cfg.history` intervals of features, oldest first — to the
+    /// raw Eq. 1 action, starting at `initial_rate_bps`.
+    pub fn new(
+        name: &'static str,
+        cfg: MoccConfig,
+        pref: Option<Preference>,
+        initial_rate_bps: f64,
+        act: impl Fn(&[f32]) -> f32 + Send + 'static,
+    ) -> Self {
+        PolicyCc {
+            name,
+            cfg,
             pref,
+            act: Box::new(act),
             history: VecDeque::new(),
+            obs: Vec::new(),
             initial_rate_bps,
         }
     }
 
-    /// The registered preference.
-    pub fn pref(&self) -> Preference {
-        self.pref
+    /// A trained MOCC agent's policy under the given application
+    /// preference (the `Register(w)` step of §5).
+    pub fn mocc(agent: &MoccAgent, pref: Preference, initial_rate_bps: f64) -> Self {
+        let policy = agent.ppo.policy.clone();
+        Self::new(
+            "mocc",
+            agent.cfg,
+            Some(pref),
+            initial_rate_bps,
+            move |obs| policy.mean_action(obs),
+        )
+    }
+
+    /// A trained fixed-objective Aurora policy (no preference input).
+    pub fn aurora(agent: &AuroraAgent, initial_rate_bps: f64) -> Self {
+        let policy = agent.ppo.policy.clone();
+        Self::new("aurora", agent.cfg, None, initial_rate_bps, move |obs| {
+            policy.mean_action(obs)
+        })
     }
 }
 
-impl CongestionControl for MoccCc {
+impl CongestionControl for PolicyCc {
     fn name(&self) -> &'static str {
-        "mocc"
+        self.name
     }
 
     fn init(&mut self, _view: &SenderView, ctl: &mut RateControl) {
@@ -55,10 +89,12 @@ impl CongestionControl for MoccCc {
     fn on_monitor(&mut self, _view: &SenderView, mi: &MonitorStats, ctl: &mut RateControl) {
         self.history.pop_front();
         self.history.push_back(stats_features(mi));
-        let mut obs = vec![0.0; self.cfg.obs_dim()];
-        write_obs(&self.pref, &self.history, &mut obs);
-        let mean = self.policy.mean_action(&obs);
-        ctl.pacing_rate_bps = self.cfg.apply_action(ctl.pacing_rate_bps, mean);
+        let pref = self.pref.map(|p| p.as_array());
+        self.obs.clear();
+        self.obs.extend(pref.iter().flatten());
+        self.obs.extend(self.history.iter().flatten());
+        let action = (self.act)(&self.obs);
+        ctl.pacing_rate_bps = self.cfg.apply_action(ctl.pacing_rate_bps, action);
     }
 }
 
@@ -74,8 +110,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let sc = Scenario::single(5e6, 20, 500, 0.0, 10);
-        let cc = MoccCc::new(&agent, Preference::throughput(), 1e6);
-        assert_eq!(cc.pref(), Preference::throughput());
+        let cc = PolicyCc::mocc(&agent, Preference::throughput(), 1e6);
+        assert_eq!(cc.name(), "mocc");
         let res = Simulator::new(sc, vec![Box::new(cc)]).run();
         assert!(res.flows[0].total_sent > 0);
         assert!(res.flows[0].total_acked > 0);
@@ -89,12 +125,34 @@ mod tests {
         let res = Simulator::new(
             sc,
             vec![
-                Box::new(MoccCc::new(&agent, Preference::throughput(), 1e6)),
-                Box::new(MoccCc::new(&agent, Preference::latency(), 1e6)),
+                Box::new(PolicyCc::mocc(&agent, Preference::throughput(), 1e6)),
+                Box::new(PolicyCc::mocc(&agent, Preference::latency(), 1e6)),
             ],
         )
         .run();
         assert!(res.flows[0].total_acked > 0);
         assert!(res.flows[1].total_acked > 0);
+    }
+
+    #[test]
+    fn observation_is_the_optional_preference_then_the_history() {
+        use std::sync::{Arc, Mutex};
+        for pref in [None, Some(Preference::latency())] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let sink = seen.clone();
+            let cfg = MoccConfig::fast();
+            let cc = PolicyCc::new("probe", cfg, pref, 1e6, move |obs| {
+                *sink.lock().unwrap() = obs.to_vec();
+                0.0
+            });
+            let sc = Scenario::single(5e6, 20, 500, 0.0, 2);
+            let _ = Simulator::new(sc, vec![Box::new(cc)]).run();
+            let obs = seen.lock().unwrap().clone();
+            let prefix = pref.map_or(0, |_| 3);
+            assert_eq!(obs.len(), prefix + 3 * cfg.history);
+            if let Some(p) = pref {
+                assert_eq!(obs[..3], p.as_array());
+            }
+        }
     }
 }

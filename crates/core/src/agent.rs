@@ -37,9 +37,11 @@ pub(crate) fn ratio_features(
 
 /// Assembles the policy observation — the preference followed by the
 /// η-interval feature history — into `out` (length
-/// [`MoccConfig::obs_dim`]). One writer serves the deployment adapter,
-/// the library facade, and the batched evaluator, so their observation
-/// layouts can never drift apart.
+/// [`MoccConfig::obs_dim`]). One writer serves the library facade and
+/// the batched evaluator, so their observation layouts can never drift
+/// apart; the deployment adapter, whose preference prefix is optional,
+/// appends the same layout and is pinned to this one bit for bit
+/// (`api::tests`).
 ///
 /// # Panics
 ///

@@ -145,11 +145,11 @@ mod tests {
     }
 
     /// The §5 library and the in-simulator adapter are one controller:
-    /// fed the monitor intervals a `MoccCc` flow sees, `MoccLib`
+    /// fed the monitor intervals a `PolicyCc::mocc` flow sees, `MoccLib`
     /// reports bit-identical rates at every interval.
     #[test]
     fn library_tracks_the_simulator_adapter_bit_for_bit() {
-        use crate::adapter::MoccCc;
+        use crate::adapter::PolicyCc;
         use mocc_netsim::{Processed, Scenario, Simulator};
 
         let mut rng = StdRng::seed_from_u64(3);
@@ -158,7 +158,7 @@ mod tests {
         let mut lib = MoccLib::new(&agent, 1e6);
         lib.register(pref);
         let sc = Scenario::single(5e6, 20, 100, 0.01, 10);
-        let mut sim = Simulator::new(sc, vec![Box::new(MoccCc::new(&agent, pref, 1e6))]);
+        let mut sim = Simulator::new(sc, vec![Box::new(PolicyCc::mocc(&agent, pref, 1e6))]);
         let mut intervals = 0;
         while let Some(event) = sim.process_next() {
             let Processed::Monitor(flow, mi) = event else {

@@ -4,18 +4,16 @@
 //! with a *fixed* reward weighting and no preference in the state
 //! (Fig. 2a): one trained model per objective. "Enhanced Aurora"
 //! (Fig. 6) is a bank of such models dispatched by nearest preference.
+//! Deployment is [`crate::PolicyCc::aurora`].
 
-use crate::agent::stats_features;
 use crate::config::MoccConfig;
 use crate::env::MoccEnv;
 use crate::preference::Preference;
-use mocc_netsim::cc::{CongestionControl, MonitorStats, RateControl, SenderView};
 use mocc_nn::Mlp;
-use mocc_rl::{Env, GaussianPolicy, Ppo, PpoConfig};
+use mocc_rl::{Ppo, PpoConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// A single-objective Aurora agent.
 #[derive(Clone, Serialize, Deserialize)]
@@ -83,23 +81,8 @@ impl AuroraAgent {
         scenario: mocc_netsim::Scenario,
         episodes: usize,
     ) -> f32 {
-        let mut env = MoccEnv::fixed(self.cfg, pref, scenario, 7).without_pref_obs();
-        let mut total = 0.0f32;
-        let mut count = 0usize;
-        for _ in 0..episodes {
-            let mut obs = env.reset();
-            loop {
-                let a = self.ppo.policy.mean_action(&obs);
-                let (next, r, done) = env.step(a);
-                total += r;
-                count += 1;
-                obs = next;
-                if done {
-                    break;
-                }
-            }
-        }
-        total / count.max(1) as f32
+        let env = MoccEnv::fixed(self.cfg, pref, scenario, 7).without_pref_obs();
+        crate::train::mean_step_reward(env, episodes, |obs| self.ppo.policy.mean_action(obs))
     }
 }
 
@@ -132,57 +115,24 @@ impl AuroraBank {
         AuroraBank { models }
     }
 
-    /// The model whose training objective is nearest (L1) to `pref`.
+    /// Index of the model whose training objective is nearest (L1) to
+    /// `pref`.
     ///
     /// # Panics
     ///
     /// Panics if the bank is empty.
-    pub fn best_for(&self, pref: &Preference) -> &AuroraAgent {
-        self.models
-            .iter()
-            .min_by(|a, b| a.pref.l1(pref).total_cmp(&b.pref.l1(pref)))
+    pub fn index_for(&self, pref: &Preference) -> usize {
+        (0..self.models.len())
+            .min_by(|&a, &b| {
+                let (a, b) = (self.models[a].pref.l1(pref), self.models[b].pref.l1(pref));
+                a.total_cmp(&b)
+            })
             .expect("nonempty bank")
     }
-}
 
-/// Deployment shim: runs a trained Aurora policy as a
-/// [`CongestionControl`] inside multi-flow simulations.
-pub struct AuroraCc {
-    policy: GaussianPolicy<Mlp>,
-    cfg: MoccConfig,
-    history: VecDeque<[f32; 3]>,
-    initial_rate_bps: f64,
-}
-
-impl AuroraCc {
-    /// Wraps a trained agent's policy for deployment.
-    pub fn new(agent: &AuroraAgent, initial_rate_bps: f64) -> Self {
-        AuroraCc {
-            policy: agent.ppo.policy.clone(),
-            cfg: agent.cfg,
-            history: VecDeque::new(),
-            initial_rate_bps,
-        }
-    }
-}
-
-impl CongestionControl for AuroraCc {
-    fn name(&self) -> &'static str {
-        "aurora"
-    }
-
-    fn init(&mut self, _view: &SenderView, ctl: &mut RateControl) {
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
-        ctl.pacing_rate_bps = self.initial_rate_bps;
-        ctl.cwnd_pkts = f64::INFINITY;
-    }
-
-    fn on_monitor(&mut self, _view: &SenderView, mi: &MonitorStats, ctl: &mut RateControl) {
-        self.history.pop_front();
-        self.history.push_back(stats_features(mi));
-        let obs: Vec<f32> = self.history.iter().flatten().copied().collect();
-        let mean = self.policy.mean_action(&obs);
-        ctl.pacing_rate_bps = self.cfg.apply_action(ctl.pacing_rate_bps, mean);
+    /// The model [`AuroraBank::index_for`] selects.
+    pub fn best_for(&self, pref: &Preference) -> &AuroraAgent {
+        &self.models[self.index_for(pref)]
     }
 }
 
@@ -229,7 +179,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let agent = AuroraAgent::new(small_cfg(), Preference::throughput(), &mut rng);
         let sc = Scenario::single(5e6, 20, 500, 0.0, 10);
-        let res = Simulator::new(sc, vec![Box::new(AuroraCc::new(&agent, 1e6))]).run();
+        let cc = crate::PolicyCc::aurora(&agent, 1e6);
+        let res = Simulator::new(sc, vec![Box::new(cc)]).run();
         assert!(res.flows[0].total_sent > 0, "untrained policy still paces");
     }
 }

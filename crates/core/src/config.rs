@@ -9,7 +9,8 @@ use serde::{Deserialize, Serialize};
 /// iteration counts) default to a reduced but honest budget so the full
 /// pipeline — bootstrapping, fast traversal, online adaptation — runs
 /// in minutes on one machine instead of the paper's multi-hour GPU
-/// training; EXPERIMENTS.md records the scale used for every figure.
+/// training; `crates/bench/tests/fixtures/figures/` records what every
+/// figure measured at that scale.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MoccConfig {
     /// History length η: how many monitor intervals of statistics are

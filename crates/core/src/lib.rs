@@ -52,10 +52,10 @@ pub mod trainer;
 pub mod trainspec;
 pub mod zoo;
 
-pub use adapter::MoccCc;
+pub use adapter::PolicyCc;
 pub use agent::{stats_features, write_obs, MoccAgent};
 pub use api::{MoccLib, MoccLibError, NetStatus};
-pub use aurora::{AuroraAgent, AuroraBank, AuroraCc};
+pub use aurora::{AuroraAgent, AuroraBank};
 pub use batch_eval::{preference_from_spec, BatchMoccEvaluator};
 pub use config::MoccConfig;
 pub use env::{MoccEnv, ScenarioSource};

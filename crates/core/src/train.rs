@@ -120,14 +120,24 @@ pub fn evaluate(
     scenario: mocc_netsim::Scenario,
     episodes: usize,
 ) -> f32 {
-    let mut env = MoccEnv::fixed(agent.cfg, pref, scenario, 7);
+    let env = MoccEnv::fixed(agent.cfg, pref, scenario, 7);
+    mean_step_reward(env, episodes, |obs| agent.ppo.policy.mean_action(obs))
+}
+
+/// Mean per-step reward of `episodes` episodes of the deterministic
+/// policy `act` in `env` — the one evaluation loop behind [`evaluate`]
+/// and `AuroraAgent::evaluate_for`.
+pub(crate) fn mean_step_reward(
+    mut env: MoccEnv,
+    episodes: usize,
+    act: impl Fn(&[f32]) -> f32,
+) -> f32 {
     let mut total = 0.0f32;
     let mut count = 0usize;
     for _ in 0..episodes {
         let mut obs = env.reset();
         loop {
-            let a = agent.ppo.policy.mean_action(&obs);
-            let (next, r, done) = env.step(a);
+            let (next, r, done) = env.step(act(&obs));
             total += r;
             count += 1;
             obs = next;

@@ -10,12 +10,12 @@
 //! provenance alone.
 //!
 //! [`zoo_registry`] turns a zoo directory into a [`SchemeRegistry`]:
-//! every model becomes a named scheme (driving [`MoccCc`] under the
+//! every model becomes a named scheme (driving [`PolicyCc::mocc`] under the
 //! balanced preference from 30 % of the link's peak rate, the §6
 //! initialization convention), so experiment specs can reference
 //! trained models by name exactly like built-in baselines.
 
-use crate::adapter::MoccCc;
+use crate::adapter::PolicyCc;
 use crate::agent::MoccAgent;
 use crate::preference::Preference;
 use crate::train::evaluate;
@@ -161,7 +161,7 @@ pub fn list_models(zoo_dir: &Path) -> Vec<String> {
 
 /// Builds a [`SchemeRegistry`] of the built-in baselines plus every
 /// model in the zoo, each registered under its zoo name and driving
-/// [`MoccCc`] with the balanced preference from 30 % of the link's
+/// [`PolicyCc::mocc`] with the balanced preference from 30 % of the link's
 /// peak rate.
 pub fn zoo_registry(zoo_dir: &Path) -> Result<SchemeRegistry, SpecError> {
     let mut reg = SchemeRegistry::builtin();
@@ -173,7 +173,7 @@ pub fn zoo_registry(zoo_dir: &Path) -> Result<SchemeRegistry, SpecError> {
             provenance.iterations
         );
         reg = reg.with_scheme(&name, &summary, move |ctx| {
-            Box::new(MoccCc::new(
+            Box::new(PolicyCc::mocc(
                 &agent,
                 Preference::balanced(),
                 0.3 * ctx.peak_rate_bps,

@@ -227,7 +227,7 @@ impl SweepRunner {
     }
 
     /// [`SweepRunner::from_env`] for callers with no error path (tests,
-    /// examples, figure binaries).
+    /// examples).
     ///
     /// # Panics
     ///

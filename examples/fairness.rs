@@ -62,6 +62,6 @@ fn main() {
             fmt_opt_metric(cell.convergence_s),
         );
     }
-    println!("\n(see `cargo run -p mocc-bench --bin competition` for the MOCC variants");
+    println!("\n(see `cargo run -p mocc-bench --bin figures -- competition` for the MOCC variants");
     println!(" driven by batched policy inference, and fig11_15 for the full §6.4 set)");
 }

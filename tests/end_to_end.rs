@@ -2,7 +2,7 @@
 //! simulator + baselines + MOCC training + deployment adapters.
 
 use mocc::cc;
-use mocc::core::{MoccAgent, MoccCc, MoccConfig, MoccLib, NetStatus, Preference};
+use mocc::core::{MoccAgent, MoccConfig, MoccLib, NetStatus, PolicyCc, Preference};
 use mocc::netsim::{Scenario, ScenarioRange, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +47,7 @@ fn offline_pipeline_to_deployment() {
     assert_eq!(run.outcome.curve.len(), run.outcome.iterations);
 
     let sc = Scenario::single(4e6, 20, 500, 0.0, 20);
-    let cc = MoccCc::new(&run.agent, Preference::throughput(), 1e6);
+    let cc = PolicyCc::mocc(&run.agent, Preference::throughput(), 1e6);
     let res = Simulator::new(sc, vec![Box::new(cc)]).run();
     assert!(
         res.flows[0].utilization > 0.1,
@@ -93,7 +93,7 @@ fn mocc_against_every_baseline() {
         let res = Simulator::new(
             sc,
             vec![
-                Box::new(MoccCc::new(&agent, Preference::throughput(), 1e6)),
+                Box::new(PolicyCc::mocc(&agent, Preference::throughput(), 1e6)),
                 cc::by_name(name).unwrap(),
             ],
         )
@@ -143,7 +143,7 @@ fn model_roundtrip_identical_behaviour() {
         let sc = Scenario::single(5e6, 20, 400, 0.0, 10);
         let res = Simulator::new(
             sc,
-            vec![Box::new(MoccCc::new(a, Preference::balanced(), 1e6))],
+            vec![Box::new(PolicyCc::mocc(a, Preference::balanced(), 1e6))],
         )
         .run();
         (res.flows[0].total_sent, res.flows[0].total_acked)
