@@ -396,6 +396,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// 300 000 unclosed brackets fit under the line cap and used to
+    /// overflow the parser's stack, killing the daemon; the parser's
+    /// nesting limit makes them one more bad request.
+    #[test]
+    fn deeply_nested_request_is_an_error_not_a_stack_overflow() {
+        let (dir, store) = temp_store("deep");
+        let mut input = vec![b'['; 300_000];
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+        let (lines, _) = session(&store, &input);
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"bad request JSON: nesting deeper than 128 at byte 128\",\"ok\":false}",
+                PING
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A line of exactly the cap (newline included) is still a request,
     /// not an oversized one.
     #[test]

@@ -436,3 +436,29 @@ fn uncreatable_cache_root_is_an_error_not_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A document of 300 000 unclosed brackets used to overflow the JSON
+/// parser's stack (`fatal runtime error`, exit 134). The parser's
+/// nesting limit makes it an ordinary bad file: its own line saying
+/// why, one `error:` line, exit 1.
+#[test]
+fn deeply_nested_spec_is_an_error_not_a_stack_overflow() {
+    let dir = temp_dir("deep-spec");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(300_000)).expect("write hostile spec");
+    let result = mocc(&["validate", deep.to_str().expect("utf-8 temp path")]);
+    let stderr = stderr_of(&result);
+    assert_eq!(result.status.code(), Some(1), "{stderr}");
+    assert_eq!(
+        stderr.lines().collect::<Vec<_>>(),
+        [
+            &format!(
+                "{}: spec does not parse: nesting deeper than 128 at byte 128",
+                deep.display()
+            ),
+            "error: 1 of 1 specs invalid"
+        ]
+    );
+    assert!(result.stdout.is_empty(), "validate printed a result");
+    let _ = std::fs::remove_dir_all(&dir);
+}

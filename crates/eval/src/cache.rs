@@ -43,6 +43,7 @@ use crate::runner::run_chunked;
 use crate::spec::SweepCell;
 use crate::{CompetitionSpec, SweepSpec};
 use mocc_store::{sha256_hex, ResultStore};
+use serde::json::ObjectWriter;
 use serde::{Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -77,7 +78,7 @@ pub struct PolicyIdentity {
     pub fast_math: bool,
 }
 
-impl PolicyIdentity {
+impl Serialize for PolicyIdentity {
     fn to_value(&self) -> Value {
         let mut obj = BTreeMap::new();
         obj.insert("digest".to_string(), self.digest.to_value());
@@ -90,6 +91,17 @@ impl PolicyIdentity {
             obj.insert("fast_math".to_string(), self.fast_math.to_value());
         }
         Value::Obj(obj)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::begin(out);
+        w.field("digest", &self.digest);
+        if self.fast_math {
+            w.field("fast_math", &self.fast_math);
+        }
+        w.field("initial_rate_frac", &self.initial_rate_frac);
+        w.field("preference", &self.preference);
+        w.end();
     }
 }
 
@@ -130,85 +142,47 @@ pub struct CellCache<'a> {
     pub policy: Option<&'a PolicyIdentity>,
 }
 
-/// The shared prefix of every cell request document. (One parameter
-/// per key field, deliberately: adding a semantic input here forces
-/// every caller to thread it through, which is the point.)
-#[allow(clippy::too_many_arguments)]
-fn base_doc(
-    kind: &str,
-    index: u64,
-    seed: u64,
-    bandwidth_mbps: f64,
-    owd_ms: u64,
-    queue_pkts: usize,
-    duration_s: u64,
-    mss_bytes: u32,
-    agent_mi: bool,
-    policy: Option<&PolicyIdentity>,
-) -> BTreeMap<String, Value> {
-    let mut obj = BTreeMap::new();
-    let mut put = |k: &str, v: Value| {
-        obj.insert(k.to_string(), v);
-    };
-    put("schema", Value::Str(CELL_SCHEMA.to_string()));
-    put("kind", Value::Str(kind.to_string()));
-    put("index", index.to_value());
-    put("seed", seed.to_value());
-    put("bandwidth_mbps", bandwidth_mbps.to_value());
-    put("owd_ms", owd_ms.to_value());
-    put("queue_pkts", queue_pkts.to_value());
-    put("duration_s", duration_s.to_value());
-    put("mss_bytes", mss_bytes.to_value());
-    put("agent_mi", agent_mi.to_value());
-    put(
-        "policy",
-        match policy {
-            None => Value::Null,
-            Some(p) => p.to_value(),
-        },
-    );
-    obj
-}
-
-/// Hashes a finished request document into its 64-hex cache key.
-fn doc_key(obj: BTreeMap<String, Value>) -> String {
-    let doc = serde_json::to_string(&Value::Obj(obj)).expect("key document serializes");
-    sha256_hex(doc.as_bytes())
-}
+/// Room for a typical request document (≈300 bytes), so writing one
+/// does not grow its buffer step by step.
+const DOC_CAPACITY: usize = 512;
 
 /// The cache key of one classic sweep cell run under `scheme` (a
-/// shared-grammar label) with `spec`'s global knobs.
+/// shared-grammar label) with `spec`'s global knobs: the SHA-256 of
+/// its request document, a canonical-JSON object streamed in key
+/// order.
 pub fn sweep_cell_key(
     cell: &SweepCell,
     scheme: &str,
     spec: &SweepSpec,
     policy: Option<&PolicyIdentity>,
 ) -> String {
-    let mut obj = base_doc(
-        "sweep",
-        cell.index,
-        cell.scenario.seed,
-        cell.bandwidth_mbps,
-        cell.owd_ms,
-        cell.queue_pkts,
-        spec.duration_s,
-        spec.mss_bytes,
-        spec.agent_mi,
-        policy,
-    );
-    obj.insert("loss".to_string(), cell.loss.to_value());
-    obj.insert("shape".to_string(), Value::Str(cell.shape.label()));
-    obj.insert("load".to_string(), Value::Str(cell.load.label()));
-    obj.insert("scheme".to_string(), Value::Str(scheme.to_string()));
+    let mut doc = String::with_capacity(DOC_CAPACITY);
+    let mut w = ObjectWriter::begin(&mut doc);
+    w.field("agent_mi", &spec.agent_mi);
+    w.field("bandwidth_mbps", &cell.bandwidth_mbps);
+    w.field("duration_s", &spec.duration_s);
+    w.field("index", &cell.index);
+    w.field("kind", "sweep");
+    w.field("load", &cell.load.label());
+    w.field("loss", &cell.loss);
+    w.field("mss_bytes", &spec.mss_bytes);
+    w.field("owd_ms", &cell.owd_ms);
+    w.field("policy", &policy);
+    w.field("queue_pkts", &cell.queue_pkts);
+    w.field("schema", CELL_SCHEMA);
+    w.field("scheme", scheme);
+    w.field("seed", &cell.scenario.seed);
+    w.field("shape", &cell.shape.label());
     // Replay cells only: the shape label names a *file*, so the file's
     // content digest must be part of the identity (editing a recording
     // invalidates its cached cells). Generator-shape documents are
     // byte-identical to the pre-replay key schema, so existing stores
     // keep hitting.
     if let Some(digest) = cell.shape.trace_digest() {
-        obj.insert("trace_digest".to_string(), Value::Str(digest.to_string()));
+        w.field("trace_digest", digest);
     }
-    doc_key(obj)
+    w.end();
+    sha256_hex(doc.as_bytes())
 }
 
 /// The cache key of one competition cell (the mix, its resolved
@@ -218,27 +192,26 @@ pub fn competition_cell_key(
     spec: &CompetitionSpec,
     policy: Option<&PolicyIdentity>,
 ) -> String {
-    let mut obj = base_doc(
-        "competition",
-        cell.index,
-        cell.scenario.seed,
-        cell.bandwidth_mbps,
-        cell.owd_ms,
-        cell.queue_pkts,
-        spec.duration_s,
-        spec.mss_bytes,
-        spec.agent_mi,
-        policy,
-    );
-    obj.insert("mix".to_string(), Value::Str(cell.mix.label()));
-    obj.insert("labels".to_string(), cell.labels.to_value());
-    obj.insert(
-        "tcp_baseline".to_string(),
-        cell.tcp_baseline.clone().to_value(),
-    );
-    obj.insert("fair_jain".to_string(), cell.fair_jain.to_value());
-    obj.insert("fair_sustain_s".to_string(), cell.fair_sustain_s.to_value());
-    doc_key(obj)
+    let mut doc = String::with_capacity(DOC_CAPACITY);
+    let mut w = ObjectWriter::begin(&mut doc);
+    w.field("agent_mi", &spec.agent_mi);
+    w.field("bandwidth_mbps", &cell.bandwidth_mbps);
+    w.field("duration_s", &spec.duration_s);
+    w.field("fair_jain", &cell.fair_jain);
+    w.field("fair_sustain_s", &cell.fair_sustain_s);
+    w.field("index", &cell.index);
+    w.field("kind", "competition");
+    w.field("labels", &cell.labels);
+    w.field("mix", &cell.mix.label());
+    w.field("mss_bytes", &spec.mss_bytes);
+    w.field("owd_ms", &cell.owd_ms);
+    w.field("policy", &policy);
+    w.field("queue_pkts", &cell.queue_pkts);
+    w.field("schema", CELL_SCHEMA);
+    w.field("seed", &cell.scenario.seed);
+    w.field("tcp_baseline", &cell.tcp_baseline);
+    w.end();
+    sha256_hex(doc.as_bytes())
 }
 
 /// The one cell executor: serves what it can from the store,
@@ -261,16 +234,22 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     }
     let mut out: Vec<Option<CellReport>> = vec![None; cells.len()];
     let mut missing: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let verified = cache.and_then(|(store, ts, keys)| {
-            let blob = store.get(&keys[i], ts)?;
-            let report: CellReport = serde_json::from_str(&blob).ok()?;
-            let canonical = serde_json::to_string(&report).expect("report serializes");
-            (canonical == blob && report.index == cell_index(cell)).then_some(report)
-        });
-        match verified {
-            Some(report) => out[i] = Some(report),
-            None => missing.push(i),
+    match cache {
+        None => missing.extend(0..cells.len()),
+        Some((store, ts, keys)) => {
+            let mut canonical = String::new();
+            store.get_each(keys, ts, |i, blob| {
+                let verified = blob.and_then(|blob| {
+                    let report: CellReport = serde_json::from_str(blob).ok()?;
+                    canonical.clear();
+                    report.write_json(&mut canonical);
+                    (canonical == blob && report.index == cell_index(&cells[i])).then_some(report)
+                });
+                match verified {
+                    Some(report) => out[i] = Some(report),
+                    None => missing.push(i),
+                }
+            });
         }
     }
     let stats = CacheStats {

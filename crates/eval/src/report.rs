@@ -3,8 +3,9 @@
 //! Every simulated cell is reduced to one [`CellReport`] of summary
 //! metrics; a whole sweep is a [`SweepReport`] with a cross-cell
 //! [`SweepSummary`]. Reports serialize to *canonical JSON*: object keys
-//! are emitted in sorted order (the vendored serde shim stores objects
-//! in a `BTreeMap`), floats are rounded to six decimals and printed
+//! are emitted in sorted order (the vendored serde shim's tree stores
+//! objects in a `BTreeMap`, and its streaming writers are held to the
+//! tree's bytes), floats are rounded to six decimals and printed
 //! with Rust's shortest round-trip formatting, and cells appear in
 //! expansion-index order. Two runs of the same [`crate::SweepSpec`] —
 //! regardless of worker-thread count — therefore produce byte-identical
@@ -47,8 +48,9 @@ pub fn round6(x: f64) -> f64 {
 /// schema change that introduced it stayed additive — classic sweep
 /// fixtures are byte-identical with and without it. (`friendliness` /
 /// `convergence_s` predate that policy and keep serializing as
-/// explicit `null`s; goldens depend on it.)
-#[derive(Debug, Clone, PartialEq)]
+/// explicit `null`s; goldens depend on it.) Reading needs no such
+/// care: an absent `Option` is `None` under the derive.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct CellReport {
     /// Cell index in spec expansion order.
     pub index: u64,
@@ -133,36 +135,33 @@ impl Serialize for CellReport {
         put("convergence_s", self.convergence_s.to_value());
         serde::Value::Obj(obj)
     }
-}
 
-impl<'de> Deserialize<'de> for CellReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Obj(obj) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected CellReport object, got {v:?}"
-            )));
-        };
-        Ok(CellReport {
-            index: serde::from_field(obj, "index", "CellReport")?,
-            seed: serde::from_field(obj, "seed", "CellReport")?,
-            bandwidth_mbps: serde::from_field(obj, "bandwidth_mbps", "CellReport")?,
-            owd_ms: serde::from_field(obj, "owd_ms", "CellReport")?,
-            queue_pkts: serde::from_field(obj, "queue_pkts", "CellReport")?,
-            loss_cfg: serde::from_field(obj, "loss_cfg", "CellReport")?,
-            shape: serde::from_field(obj, "shape", "CellReport")?,
-            load: serde::from_field(obj, "load", "CellReport")?,
-            mix: serde::from_field(obj, "mix", "CellReport")?,
-            goodput_mbps: serde::from_field(obj, "goodput_mbps", "CellReport")?,
-            mean_rtt_ms: serde::from_field(obj, "mean_rtt_ms", "CellReport")?,
-            p95_rtt_ms: serde::from_field(obj, "p95_rtt_ms", "CellReport")?,
-            loss_rate: serde::from_field(obj, "loss_rate", "CellReport")?,
-            utilization: serde::from_field(obj, "utilization", "CellReport")?,
-            latency_ratio: serde::from_field(obj, "latency_ratio", "CellReport")?,
-            jain: serde::from_field(obj, "jain", "CellReport")?,
-            utility: serde::from_field(obj, "utility", "CellReport")?,
-            friendliness: serde::from_field(obj, "friendliness", "CellReport")?,
-            convergence_s: serde::from_field(obj, "convergence_s", "CellReport")?,
-        })
+    /// The same object streamed: keys in the order the tree's map
+    /// sorts them into.
+    fn write_json(&self, out: &mut String) {
+        let mut w = serde::json::ObjectWriter::begin(out);
+        w.field("bandwidth_mbps", &self.bandwidth_mbps);
+        w.field("convergence_s", &self.convergence_s);
+        w.field("friendliness", &self.friendliness);
+        w.field("goodput_mbps", &self.goodput_mbps);
+        w.field("index", &self.index);
+        w.field("jain", &self.jain);
+        w.field("latency_ratio", &self.latency_ratio);
+        w.field("load", &self.load);
+        w.field("loss_cfg", &self.loss_cfg);
+        w.field("loss_rate", &self.loss_rate);
+        w.field("mean_rtt_ms", &self.mean_rtt_ms);
+        if let Some(mix) = &self.mix {
+            w.field("mix", mix);
+        }
+        w.field("owd_ms", &self.owd_ms);
+        w.field("p95_rtt_ms", &self.p95_rtt_ms);
+        w.field("queue_pkts", &self.queue_pkts);
+        w.field("seed", &self.seed);
+        w.field("shape", &self.shape);
+        w.field("utility", &self.utility);
+        w.field("utilization", &self.utilization);
+        w.end();
     }
 }
 

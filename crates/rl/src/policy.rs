@@ -61,6 +61,13 @@ impl<N: Network + Serialize> Serialize for GaussianPolicy<N> {
         m.insert("log_std".to_string(), self.log_std.to_value());
         serde::Value::Obj(m)
     }
+
+    fn write_json(&self, out: &mut String) {
+        let mut w = serde::json::ObjectWriter::begin(out);
+        w.field("log_std", &self.log_std);
+        w.field("net", &self.net);
+        w.end();
+    }
 }
 
 impl<'de, N: Network + for<'a> Deserialize<'a>> Deserialize<'de> for GaussianPolicy<N> {
@@ -73,6 +80,24 @@ impl<'de, N: Network + for<'a> Deserialize<'a>> Deserialize<'de> for GaussianPol
             }),
             _ => Err(serde::Error::custom("expected object for GaussianPolicy")),
         }
+    }
+
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        use serde::json::take_field;
+        if p.peek_token() != Some(b'{') {
+            return serde::json::from_tree(p);
+        }
+        let (mut net, mut log_std) = (None, None);
+        p.object(|key, p| match &*key {
+            "net" => p.field(&mut net),
+            "log_std" => p.field(&mut log_std),
+            _ => p.skip_value(),
+        })?;
+        Ok(GaussianPolicy {
+            net: take_field(net, "net", "GaussianPolicy")?,
+            log_std: take_field(log_std, "log_std", "GaussianPolicy")?,
+            g_log_std: 0.0,
+        })
     }
 }
 

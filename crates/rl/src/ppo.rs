@@ -99,6 +99,16 @@ impl<N: Network + Serialize> Serialize for Ppo<N> {
         m.insert("opt_v".to_string(), self.opt_v.to_value());
         serde::Value::Obj(m)
     }
+
+    fn write_json(&self, out: &mut String) {
+        let mut w = serde::json::ObjectWriter::begin(out);
+        w.field("cfg", &self.cfg);
+        w.field("opt_pi", &self.opt_pi);
+        w.field("opt_v", &self.opt_v);
+        w.field("policy", &self.policy);
+        w.field("value", &self.value);
+        w.end();
+    }
 }
 
 impl<'de, N: Network + Serialize + for<'a> Deserialize<'a>> Deserialize<'de> for Ppo<N> {
@@ -113,6 +123,30 @@ impl<'de, N: Network + Serialize + for<'a> Deserialize<'a>> Deserialize<'de> for
             }),
             _ => Err(serde::Error::custom("expected object for Ppo")),
         }
+    }
+
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        use serde::json::take_field;
+        if p.peek_token() != Some(b'{') {
+            return serde::json::from_tree(p);
+        }
+        let (mut policy, mut value, mut cfg, mut opt_pi, mut opt_v) =
+            (None, None, None, None, None);
+        p.object(|key, p| match &*key {
+            "policy" => p.field(&mut policy),
+            "value" => p.field(&mut value),
+            "cfg" => p.field(&mut cfg),
+            "opt_pi" => p.field(&mut opt_pi),
+            "opt_v" => p.field(&mut opt_v),
+            _ => p.skip_value(),
+        })?;
+        Ok(Ppo {
+            policy: take_field(policy, "policy", "Ppo")?,
+            value: take_field(value, "value", "Ppo")?,
+            cfg: take_field(cfg, "cfg", "Ppo")?,
+            opt_pi: take_field(opt_pi, "opt_pi", "Ppo")?,
+            opt_v: take_field(opt_v, "opt_v", "Ppo")?,
+        })
     }
 }
 

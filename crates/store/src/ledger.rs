@@ -16,6 +16,7 @@
 //! that lets [`crate::ResultStore`] verify objects it did not write
 //! itself.
 
+use serde::json::{self, ObjectWriter, Parser};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -49,6 +50,24 @@ impl LedgerEvent {
             "hit" => Some(LedgerEvent::Hit),
             "miss" => Some(LedgerEvent::Miss),
             _ => None,
+        }
+    }
+
+    fn from_label(s: &str) -> Result<Self, SerdeError> {
+        Self::parse(s).ok_or_else(|| SerdeError::custom(format!("unknown ledger event {s:?}")))
+    }
+}
+
+/// An event reads from its canonical label.
+impl<'de> Deserialize<'de> for LedgerEvent {
+    fn from_value(v: &Value) -> Result<Self, SerdeError> {
+        Self::from_label(&String::from_value(v)?)
+    }
+
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
+        match p.peek_token() {
+            Some(b'"') => Self::from_label(&p.parse_str()?),
+            _ => json::from_tree(p),
         }
     }
 }
@@ -85,6 +104,41 @@ impl Serialize for LedgerEntry {
         obj.insert("ts".to_string(), self.ts.to_value());
         Value::Obj(obj)
     }
+
+    fn write_json(&self, out: &mut String) {
+        write_entry(
+            out,
+            &self.key,
+            self.event,
+            self.content.as_deref(),
+            self.path.as_deref(),
+            self.ts,
+        );
+    }
+}
+
+/// Streams one entry from borrowed fields (the store appends lookup
+/// lines without building a [`LedgerEntry`]): the keys of
+/// [`LedgerEntry::to_value`], in its map's order.
+pub(crate) fn write_entry(
+    out: &mut String,
+    key: &str,
+    event: LedgerEvent,
+    content: Option<&str>,
+    path: Option<&str>,
+    ts: u64,
+) {
+    let mut w = ObjectWriter::begin(out);
+    if let Some(content) = content {
+        w.field("content", content);
+    }
+    w.field("event", event.label());
+    w.field("key", key);
+    if let Some(path) = path {
+        w.field("path", path);
+    }
+    w.field("ts", &ts);
+    w.end();
 }
 
 impl<'de> Deserialize<'de> for LedgerEntry {
@@ -94,9 +148,6 @@ impl<'de> Deserialize<'de> for LedgerEntry {
                 "expected ledger entry object, got {v:?}"
             )));
         };
-        let event: String = serde::from_field(obj, "event", "LedgerEntry")?;
-        let event = LedgerEvent::parse(&event)
-            .ok_or_else(|| SerdeError::custom(format!("unknown ledger event {event:?}")))?;
         let content: Option<String> = match obj.get("content") {
             None => None,
             Some(v) => Some(String::from_value(v).map_err(SerdeError::custom)?),
@@ -107,10 +158,35 @@ impl<'de> Deserialize<'de> for LedgerEntry {
         };
         Ok(LedgerEntry {
             key: serde::from_field(obj, "key", "LedgerEntry")?,
-            event,
+            event: serde::from_field(obj, "event", "LedgerEntry")?,
             content,
             path,
             ts: serde::from_field(obj, "ts", "LedgerEntry")?,
+        })
+    }
+
+    /// The same rules without the tree: `content` and `path` may be
+    /// absent but, when present, must be strings (not `null`).
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
+        if p.peek_token() != Some(b'{') {
+            return json::from_tree(p);
+        }
+        let (mut key, mut event, mut ts) = (None, None, None);
+        let (mut content, mut path) = (None::<Result<String, _>>, None::<Result<String, _>>);
+        p.object(|name, p| match &*name {
+            "content" => p.field(&mut content),
+            "event" => p.field(&mut event),
+            "key" => p.field(&mut key),
+            "path" => p.field(&mut path),
+            "ts" => p.field(&mut ts),
+            _ => p.skip_value(),
+        })?;
+        Ok(LedgerEntry {
+            key: json::take_field(key, "key", "LedgerEntry")?,
+            event: json::take_field(event, "event", "LedgerEntry")?,
+            content: content.transpose()?,
+            path: path.transpose()?,
+            ts: json::take_field(ts, "ts", "LedgerEntry")?,
         })
     }
 }
@@ -142,6 +218,16 @@ impl LedgerScan {
     /// Parses ledger text. Never fails: damage is reported, not fatal
     /// — recovery means recomputing, never serving bad bytes.
     pub fn parse(text: &str) -> Self {
+        let mut entries = Vec::new();
+        let mut scan = LedgerScan::visit(text, |entry| entries.push(entry));
+        scan.entries = entries;
+        scan
+    }
+
+    /// [`LedgerScan::parse`] for a reader that folds the entries as
+    /// they come (in append order) instead of keeping them: `entries`
+    /// stays empty in the scan returned.
+    pub fn visit(text: &str, mut visit: impl FnMut(LedgerEntry)) -> Self {
         let mut scan = LedgerScan::default();
         let complete = match text.rfind('\n') {
             Some(last_nl) => {
@@ -158,7 +244,7 @@ impl LedgerScan {
                 continue;
             }
             match serde_json::from_str::<LedgerEntry>(line) {
-                Ok(entry) => scan.entries.push(entry),
+                Ok(entry) => visit(entry),
                 Err(_) => scan.bad_lines.push(i + 1),
             }
         }

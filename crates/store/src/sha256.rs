@@ -104,11 +104,11 @@ fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
 /// The SHA-256 digest of `data` as a 64-character lowercase hex string
 /// — the store's canonical key/content-digest form.
 pub fn sha256_hex(data: &[u8]) -> String {
-    let digest = sha256(data);
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
-    for byte in digest {
-        use std::fmt::Write;
-        write!(out, "{byte:02x}").expect("hex formatting is infallible");
+    for byte in sha256(data) {
+        out.push(HEX[usize::from(byte >> 4)] as char);
+        out.push(HEX[usize::from(byte & 0xf)] as char);
     }
     out
 }

@@ -1,9 +1,9 @@
 //! The content-addressed object store: sharded blobs + audit ledger.
 
-use crate::ledger::{LedgerEntry, LedgerEvent, LedgerScan};
+use crate::ledger::{write_entry, LedgerEntry, LedgerEvent, LedgerScan};
 use crate::sha256::sha256_hex;
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -42,8 +42,9 @@ struct PutRecord {
 ///
 /// Writes are atomic (temp file + rename in the same directory), and
 /// ledger appends happen under an in-process lock with one `write`
-/// call per line, so concurrent runners sharing one store cannot
-/// interleave partial lines. Opening a store after a crash repairs a
+/// call per append — one `put` line, or all the lookup lines of one
+/// [`ResultStore::get_each`] — so concurrent runners sharing one store
+/// cannot interleave partial lines. Opening a store after a crash repairs a
 /// half-written ledger tail by truncating the incomplete final line
 /// (its blob, if the rename completed, is re-adopted on the next
 /// `put`; if not, nothing references it and `gc` removes the orphan).
@@ -109,12 +110,7 @@ impl ResultStore {
     pub fn open(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(root.join(OBJECTS_DIR))?;
-        let ledger_path = root.join(LEDGER_FILE);
-        let text = match std::fs::read_to_string(&ledger_path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
+        let text = read_ledger(&root)?;
         // Crash recovery: drop an incomplete final line so future
         // appends start on a fresh line. The scan below never parses
         // the partial tail either way; the truncation just keeps the
@@ -122,16 +118,18 @@ impl ResultStore {
         let mut repaired_tail = false;
         if !text.is_empty() && !text.ends_with('\n') {
             let keep = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            std::fs::write(&ledger_path, &text[..keep])?;
+            std::fs::write(root.join(LEDGER_FILE), &text[..keep])?;
             repaired_tail = true;
         }
-        let scan = LedgerScan::parse(&text);
+        // In append order, so a key's latest `put` is the one kept.
         let mut index = BTreeMap::new();
-        for (key, entry) in scan.latest_puts() {
-            let path = entry.path.unwrap_or_else(|| object_rel_path(&key));
-            let content = entry.content.unwrap_or_default();
-            index.insert(key, PutRecord { content, path });
-        }
+        LedgerScan::visit(&text, |entry| {
+            if entry.event == LedgerEvent::Put {
+                let path = entry.path.unwrap_or_else(|| object_rel_path(&entry.key));
+                let content = entry.content.unwrap_or_default();
+                index.insert(entry.key, PutRecord { content, path });
+            }
+        });
         Ok(ResultStore {
             root,
             index: Mutex::new(index),
@@ -165,29 +163,61 @@ impl ResultStore {
     /// the caller-supplied timestamp. A blob that cannot be read, or
     /// whose bytes do not hash to the digest recorded when it was
     /// written, is treated as a miss — corruption degrades to
-    /// recomputation, never to bad bytes.
+    /// recomputation, never to bad bytes. The one-key case of
+    /// [`ResultStore::get_each`].
     pub fn get(&self, key: &str, ts: u64) -> Option<String> {
-        let guard = self.index.lock().expect("store lock");
-        let blob = guard.get(key).and_then(|rec| {
-            let bytes = std::fs::read(self.root.join(&rec.path)).ok()?;
-            (sha256_hex(&bytes) == rec.content)
-                .then(|| String::from_utf8(bytes).ok())
-                .flatten()
-        });
-        let event = if blob.is_some() {
-            LedgerEvent::Hit
-        } else {
-            LedgerEvent::Miss
-        };
-        let _ = self.append_with_guard(&LedgerEntry {
-            key: key.to_string(),
-            event,
-            content: None,
-            path: None,
-            ts,
-        });
-        drop(guard);
-        blob
+        let mut served = None;
+        self.get_each(&[key], ts, |_, blob| served = blob.map(str::to_owned));
+        served
+    }
+
+    /// Looks up every key of one run: `visit(i, blob)` is called once
+    /// per key, in order, with the verified blob of `keys[i]` or `None`
+    /// for a miss (see [`ResultStore::get`]); the blob is only borrowed,
+    /// from a buffer the next lookup reuses. Then the run's `hit` and
+    /// `miss` lines are appended, in key order, as **one** write.
+    ///
+    /// The index lock is held to copy a key's record and, at the end,
+    /// for the append — never across a file read or a digest, so
+    /// concurrent readers of one store share no I/O wait. A `put` that
+    /// lands between the copy and the read can only turn the lookup
+    /// into a miss (the digest no longer matches).
+    ///
+    /// A caller that stops before this returns — a killed process —
+    /// loses that run's lookup lines. They feed `stats` and `gc`'s
+    /// last-touch time, never correctness. The batched append still
+    /// leaves only whole lines: a write cut short is the half-line
+    /// tail [`ResultStore::open`] already repairs.
+    pub fn get_each<K: AsRef<str>>(
+        &self,
+        keys: &[K],
+        ts: u64,
+        mut visit: impl FnMut(usize, Option<&str>),
+    ) {
+        let mut lines = String::new();
+        let mut bytes = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let key = key.as_ref();
+            let record = self.index.lock().expect("store lock").get(key).cloned();
+            let blob = record.and_then(|record| {
+                bytes.clear();
+                std::fs::File::open(self.root.join(&record.path))
+                    .and_then(|mut file| file.read_to_end(&mut bytes))
+                    .ok()?;
+                (sha256_hex(&bytes) == record.content).then_some(())?;
+                std::str::from_utf8(&bytes).ok()
+            });
+            let event = if blob.is_some() {
+                LedgerEvent::Hit
+            } else {
+                LedgerEvent::Miss
+            };
+            write_entry(&mut lines, key, event, None, None, ts);
+            lines.push('\n');
+            visit(i, blob);
+        }
+        let _guard = self.index.lock().expect("store lock");
+        let _ = self.append_locked(&lines);
     }
 
     /// Stores `blob` under `key` (a 64-char hex digest of the
@@ -208,29 +238,35 @@ impl ResultStore {
         std::fs::write(&tmp, blob)?;
         std::fs::rename(&tmp, &path)?;
         let content = sha256_hex(blob.as_bytes());
-        let mut guard = self.index.lock().expect("store lock");
-        self.append_with_guard(&LedgerEntry {
-            key: key.to_string(),
-            event: LedgerEvent::Put,
-            content: Some(content.clone()),
-            path: Some(rel.clone()),
+        let mut line = String::new();
+        write_entry(
+            &mut line,
+            key,
+            LedgerEvent::Put,
+            Some(&content),
+            Some(&rel),
             ts,
-        })?;
+        );
+        line.push('\n');
+        let mut guard = self.index.lock().expect("store lock");
+        self.append_locked(&line)?;
         guard.insert(key.to_string(), PutRecord { content, path: rel });
         Ok(())
     }
 
-    /// Appends one ledger line as a single `write` call (callers hold
-    /// the index lock, so in-process concurrent writers cannot
-    /// interleave; cross-process writers rely on `O_APPEND` whole-line
+    /// Appends whole ledger lines as a single `write` call (callers
+    /// hold the index lock, so in-process concurrent writers cannot
+    /// interleave; cross-process writers rely on `O_APPEND` whole-write
     /// atomicity).
-    fn append_with_guard(&self, entry: &LedgerEntry) -> io::Result<()> {
-        use std::io::Write;
+    fn append_locked(&self, lines: &str) -> io::Result<()> {
+        if lines.is_empty() {
+            return Ok(());
+        }
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .create(true)
             .open(self.root.join(LEDGER_FILE))?;
-        file.write_all(format!("{}\n", entry.to_line()).as_bytes())
+        file.write_all(lines.as_bytes())
     }
 
     /// Every object file currently on disk as `(relative path, bytes)`.
@@ -259,29 +295,26 @@ impl ResultStore {
         Ok(out)
     }
 
-    /// Scans the on-disk ledger (ignoring the in-memory index, so
-    /// damage inflicted after `open` is still visible).
-    fn scan_disk(&self) -> io::Result<LedgerScan> {
-        let text = match std::fs::read_to_string(self.root.join(LEDGER_FILE)) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        Ok(LedgerScan::parse(&text))
-    }
-
     /// Aggregate counters over the ledger and the objects directory.
     pub fn stats(&self) -> io::Result<StoreStats> {
-        let scan = self.scan_disk()?;
+        let (mut puts, mut hits, mut misses) = (0, 0, 0);
+        let mut keys = std::collections::BTreeSet::new();
+        let scan = LedgerScan::visit(&read_ledger(&self.root)?, |entry| match entry.event {
+            LedgerEvent::Put => {
+                puts += 1;
+                keys.insert(entry.key);
+            }
+            LedgerEvent::Hit => hits += 1,
+            LedgerEvent::Miss => misses += 1,
+        });
         let objects = self.walk_objects()?;
-        let count = |ev: LedgerEvent| scan.entries.iter().filter(|e| e.event == ev).count() as u64;
         Ok(StoreStats {
             objects: objects.len() as u64,
             object_bytes: objects.iter().map(|(_, n)| n).sum(),
-            keys: scan.latest_puts().len() as u64,
-            puts: count(LedgerEvent::Put),
-            hits: count(LedgerEvent::Hit),
-            misses: count(LedgerEvent::Miss),
+            keys: keys.len() as u64,
+            puts,
+            hits,
+            misses,
             bad_ledger_lines: scan.bad_lines.len() as u64,
             truncated_ledger_tail: scan.truncated_tail,
         })
@@ -292,7 +325,7 @@ impl ResultStore {
     /// digest, and every object file is referenced by the ledger.
     /// Detects truncation, bit flips, and half-written ledger tails.
     pub fn verify(&self) -> io::Result<VerifyReport> {
-        let scan = self.scan_disk()?;
+        let scan = LedgerScan::parse(&read_ledger(&self.root)?);
         let mut report = VerifyReport::default();
         if scan.truncated_tail {
             report
@@ -344,7 +377,7 @@ impl ResultStore {
     /// the space the collection reclaims). The rewrite is atomic.
     pub fn gc(&self, before: Option<u64>) -> io::Result<GcReport> {
         let mut guard = self.index.lock().expect("store lock");
-        let scan = self.scan_disk()?;
+        let scan = LedgerScan::parse(&read_ledger(&self.root)?);
         let puts = scan.latest_puts();
         let touch = scan.last_touch();
         let mut survivors: BTreeMap<String, LedgerEntry> = BTreeMap::new();
@@ -406,6 +439,17 @@ impl ResultStore {
     }
 }
 
+/// The ledger text of the store at `root`, empty when there is no
+/// ledger yet. `stats`, `verify` and `gc` read it from disk, not from
+/// the in-memory index, so damage inflicted after `open` is visible.
+fn read_ledger(root: &Path) -> io::Result<String> {
+    match std::fs::read_to_string(root.join(LEDGER_FILE)) {
+        Ok(text) => Ok(text),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
+        Err(e) => Err(e),
+    }
+}
+
 /// The object path for a key, relative to the store root: sharded by
 /// the first two hex characters so no directory grows unboundedly.
 pub fn object_rel_path(key: &str) -> String {
@@ -458,6 +502,48 @@ mod tests {
         assert_eq!((stats.puts, stats.hits, stats.misses), (1, 1, 1));
         assert!(!stats.truncated_ledger_tail);
         assert!(store.verify().unwrap().is_clean());
+    }
+
+    /// One run's lookups: visited in key order with the verified blob
+    /// or `None`, with the index lock free while `visit` runs (it is
+    /// held only to copy a record and for the append), and logged
+    /// afterwards as one batch of whole lines in the same order.
+    #[test]
+    fn get_each_visits_in_key_order_and_appends_the_lookups_together() {
+        let store = temp_store("each");
+        let (good, absent, corrupt) = (key("good"), key("absent"), key("corrupt"));
+        store.put(&good, "good blob", 1).unwrap();
+        store.put(&corrupt, "doomed blob", 2).unwrap();
+        std::fs::write(store.root().join(object_rel_path(&corrupt)), "doomed blXb").unwrap();
+        let ledger = || std::fs::read_to_string(store.root().join(LEDGER_FILE)).unwrap();
+        let before = ledger();
+        let mut seen = Vec::new();
+        store.get_each(&[&good, &absent, &corrupt, &good], 9, |i, blob| {
+            assert_eq!(store.len(), 2, "the index is not locked during a visit");
+            assert_eq!(ledger(), before, "nothing is logged before the last visit");
+            seen.push((i, blob.map(str::to_owned)));
+        });
+        let hit = Some("good blob".to_string());
+        assert_eq!(seen, [(0, hit.clone()), (1, None), (2, None), (3, hit)]);
+        let appended: Vec<LedgerEntry> = LedgerScan::parse(&ledger()[before.len()..]).entries;
+        let lookups: Vec<(&str, LedgerEvent, u64)> = appended
+            .iter()
+            .map(|e| (e.key.as_str(), e.event, e.ts))
+            .collect();
+        assert_eq!(
+            lookups,
+            [
+                (good.as_str(), LedgerEvent::Hit, 9),
+                (absent.as_str(), LedgerEvent::Miss, 9),
+                (corrupt.as_str(), LedgerEvent::Miss, 9),
+                (good.as_str(), LedgerEvent::Hit, 9),
+            ]
+        );
+        // No keys, no append.
+        let after = ledger();
+        store.get_each(&[] as &[&str], 10, |_, _| unreachable!("no key to visit"));
+        assert_eq!(ledger(), after);
+        assert_eq!(store.stats().unwrap().hits, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cache-correctness battery for the content-addressed result store
 //! (`docs/CACHING.md`).
 //!
-//! Four contracts, each with its own section below:
+//! Five contracts, each with its own section below:
 //!
 //! 1. **Key stability** — a cell's cache key is a pure function of
 //!    the semantic inputs: invariant under spec-document field
@@ -17,6 +17,8 @@
 //!    never to wrong bytes; `verify` reports each kind of damage.
 //! 4. **Concurrency** — racing runners sharing one store produce the
 //!    same bytes as a cold solo run and leave a clean ledger.
+//! 5. **Pinned store bytes** — the ledger, the objects and the
+//!    reports of one cold and one warm pass hash to fixed literals.
 
 use mocc::core::{agent_from_policy, policy_digest, run_experiment, run_experiment_cached};
 use mocc::eval::{
@@ -551,5 +553,94 @@ fn half_written_and_garbled_ledger_lines_are_survivable() {
         cache.misses
     );
     assert_eq!(warm.to_canonical_json(), cold.to_canonical_json());
+    drop_store(&dir);
+}
+
+// ---- 5. pinned store bytes ----------------------------------------------
+
+/// The store's on-disk bytes, pinned: a replay sweep and a
+/// competition (the `mix` column) run cold then warm against one
+/// fresh store with a constant `ts`. The ledger's line order — every
+/// lookup line of a run in cell order, then its `put` lines in slot
+/// order — the object bytes, and both reports are fixed points a
+/// codec or store change must reproduce with these literals.
+#[test]
+fn store_bytes_match_the_pinned_digests() {
+    const TS: u64 = 7;
+    let sweep = ExperimentSpec::from_json(
+        r#"{"agent_mi":true,"bandwidth_mbps":[6.0,12.0],"duration_s":3,"kind":"sweep",
+            "loads":["steady:1"],"loss":[0.0,0.01],"mss_bytes":1500,"name":"pinned-sweep",
+            "owd_ms":[20],"policy":null,"queue_pkts":[100],"scheme":"cubic","seed":42,
+            "shapes":["replay:examples/traces/lte_drive.json"]}"#,
+    )
+    .expect("sweep spec parses");
+    let competition = ExperimentSpec::from_json(
+        r#"{"agent_mi":true,"bandwidth_mbps":[8.0],"duration_s":4,"fair_jain":0.75,
+            "fair_sustain_s":2,"kind":"competition","mixes":["duel:cubic+bbr","duel:vegas+cubic"],
+            "mss_bytes":1500,"name":"pinned-competition","owd_ms":[20],"policy":null,
+            "queue_pkts":[120],"seed":42,"tcp_baseline":"cubic"}"#,
+    )
+    .expect("competition spec parses");
+    let (dir, store) = temp_store("pinned-bytes");
+    let runner = SweepRunner::with_threads(2);
+    let ledger = || sha256_hex(&std::fs::read(dir.join("ledger.jsonl")).expect("ledger exists"));
+    let pass = |warm: bool| -> Vec<String> {
+        [&sweep, &competition]
+            .iter()
+            .map(|exp| {
+                let (report, stats) =
+                    run_experiment_cached(&runner, exp, &store, TS).expect("pinned spec runs");
+                assert_eq!(stats.all_hits(), warm, "{}: {stats:?}", exp.name);
+                assert_eq!(stats.hits == 0, !warm, "{}: {stats:?}", exp.name);
+                report.to_canonical_json()
+            })
+            .collect()
+    };
+    let cold = pass(false);
+    let ledger_after_fill = ledger();
+    let warm = pass(true);
+    assert_eq!(warm, cold, "warm reports differ from cold");
+    // `object_paths` sorts by path, which is key order (the shard is
+    // the key's own prefix).
+    let objects: Vec<u8> = object_paths(&dir)
+        .iter()
+        .flat_map(|p| std::fs::read(p).expect("object reads"))
+        .collect();
+    let pinned = [
+        (
+            "ledger after the fill pass",
+            ledger_after_fill,
+            "d4b7685e97eb27a1ce80e53b89a14eb6582a33ba906a3cdc1b0e24943adc892e",
+        ),
+        (
+            "ledger after the hit pass",
+            ledger(),
+            "95e6b031d08d4c8b3f51d18d8caf98beebfa7574dcc8051ea0d87b7c66ba079d",
+        ),
+        (
+            "objects in key order",
+            sha256_hex(&objects),
+            "b905e9faaaada1c2488daf268c51a96467a25d407287c68e4a9d1111151e46cd",
+        ),
+        (
+            "sweep report",
+            sha256_hex(cold[0].as_bytes()),
+            "7ecaa3b158dffbd7ed7b9ee95f930f03ae9a2b9ba1c92bbd7dbb67417e0ae2ca",
+        ),
+        (
+            "competition report",
+            sha256_hex(cold[1].as_bytes()),
+            "23176bad572508d3f92fb84a01395aba5b20c0a79643d1f502ee9fdc83878f95",
+        ),
+    ];
+    for (what, got, pinned) in pinned {
+        assert_eq!(got, pinned, "{what} moved");
+    }
+    assert!(
+        cold[1].contains("\"mix\":\"duel:cubic+bbr\""),
+        "{}",
+        cold[1]
+    );
+    assert!(store.verify().expect("verify runs").is_clean());
     drop_store(&dir);
 }
