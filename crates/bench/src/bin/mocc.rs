@@ -2,7 +2,7 @@
 //! experiments end to end, no recompilation.
 //!
 //! ```text
-//! mocc run <spec.json> [--threads N] [--batch N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
+//! mocc run <spec.json> [--threads N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
 //! mocc hunt <spec.json> [--budget N] [--baseline SCHEME] [--out-dir DIR] [--seed N] [--threads N]
 //! mocc train <spec.json> [--zoo DIR] [--resume DIR] [--out FILE] [--max-iters N]
 //! mocc validate <spec.json>...
@@ -66,7 +66,7 @@ const USAGE: &str = "\
 mocc — run declarative MOCC experiment specs (docs/SPECS.md)
 
 USAGE:
-    mocc run <spec.json> [--threads N] [--batch N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
+    mocc run <spec.json> [--threads N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
     mocc hunt <spec.json> [--budget N] [--baseline SCHEME] [--out-dir DIR] [--seed N] [--threads N]
     mocc train <spec.json> [--zoo DIR] [--resume DIR] [--out FILE] [--max-iters N]
     mocc validate <spec.json>...
@@ -77,7 +77,6 @@ USAGE:
 
 OPTIONS (run):
     --threads N   worker threads (default: MOCC_SWEEP_THREADS or all cores)
-    --batch N     override the policy section's inference batch size
     --fast-math   select the approximate-tanh inference tier (docs/PERFORMANCE.md);
                   changes report bytes, so it is part of the cache key
     --out FILE    write the canonical-JSON report to FILE instead of stdout
@@ -161,7 +160,6 @@ enum Takes {
 /// it names in its [`parse_args`] call.
 const FLAGS: &[(&str, Takes)] = &[
     ("--threads", Takes::Number(1)),
-    ("--batch", Takes::Number(1)),
     ("--fast-math", Takes::Nothing),
     ("--out", Takes::Text("a file path")),
     ("--cache", Takes::Nothing),
@@ -344,7 +342,6 @@ fn spec_kind(path: &str) -> Option<String> {
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let accepts = [
         "--threads",
-        "--batch",
         "--fast-math",
         "--out",
         "--cache",
@@ -360,17 +357,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         ));
     }
     let mut exp = load_spec(path)?;
-    if let Some(batch) = flags.count("--batch") {
-        match &mut exp.policy {
-            Some(policy) => policy.batch = batch,
-            None => {
-                return Err(format!(
-                    "{path}: --batch overrides the spec's policy section, \
-                     but this spec has none (no `mocc` schemes)"
-                ))
-            }
-        }
-    }
     if flags.has("--fast-math") {
         match &mut exp.policy {
             Some(policy) => policy.fast_math = true,

@@ -2,7 +2,7 @@
 //! (§6.4 on the sweep harness).
 //!
 //! Runs the full contender-mix matrix through the competition runner
-//! with batched MOCC inference: mixed-preference MOCC pairs, MOCC
+//! with the policy evaluator: mixed-preference MOCC pairs, MOCC
 //! against each classic baseline, and N-flow staircase churn for both
 //! MOCC and CUBIC. Per cell: overlap-window Jain index, friendliness
 //! ratio against an all-CUBIC control run, and time to fair share.

@@ -415,6 +415,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A model file whose `cfg.history` was edited away from its
+    /// networks used to panic a worker at the first forward pass
+    /// (`internal error`); it is a refused model naming the file, and
+    /// the session keeps serving.
+    #[test]
+    fn model_disagreeing_with_its_config_is_an_error_not_a_panic() {
+        use mocc_eval::PolicySpec;
+        let (dir, store) = temp_store("badmodel");
+        let model = dir.join("edited-model.json");
+        let agent = mocc_core::agent_from_policy(&PolicySpec::default()).expect("seeded agent");
+        let json = agent.to_json();
+        assert!(json.contains("\"history\":10"));
+        std::fs::write(&model, json.replace("\"history\":10", "\"history\":5")).unwrap();
+        let spec = std::fs::read_to_string(repo_file("examples/specs/competition_mocc.json"))
+            .expect("shipped spec")
+            .replace(
+                "\"path\":null",
+                &format!("\"path\":\"{}\"", model.display()),
+            );
+        let input = format!("{{\"op\":\"run\",\"spec\":{spec}}}\n{{\"op\":\"ping\"}}\n");
+        let (lines, _) = session(&store, input.as_bytes());
+        assert_eq!(
+            lines,
+            [
+                format!(
+                    "{{\"error\":\"{}: cfg.history 5 means 18 observation inputs, \
+                     but the policy network takes 33\",\"ok\":false}}",
+                    model.display()
+                )
+                .as_str(),
+                PING
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A line of exactly the cap (newline included) is still a request,
     /// not an oversized one.
     #[test]

@@ -331,8 +331,8 @@ fn foreign_flags_are_rejected_not_ignored() {
         ),
         (
             "serve",
-            &["--cache-dir", store_arg, "--batch", "4"],
-            "--batch",
+            &["--cache-dir", store_arg, "--fast-math"],
+            "--fast-math",
         ),
         (
             "serve",
@@ -356,6 +356,15 @@ fn foreign_flags_are_rejected_not_ignored() {
             assert!(!path.exists(), "{args:?} created {}", path.display());
         }
     }
+    // A flag no subcommand has (`--batch` selected lockstep inference
+    // until cells were evaluated one at a time) is the plain
+    // unknown-option error, and equally writes nothing.
+    let policy_spec = "examples/specs/competition_mocc.json";
+    let result = mocc(&["run", policy_spec, "--out", out_arg, "--batch", "4"]);
+    assert!(!result.status.success(), "--batch was accepted");
+    let stderr = stderr_of(&result);
+    assert!(stderr.contains("unknown option \"--batch\""), "{stderr}");
+    assert!(!out.exists(), "--batch run wrote {}", out.display());
     // The rejection says what the subcommand does take.
     let train_err = stderr_of(&mocc(&["train", train, "--seed", "9"]));
     assert!(
@@ -460,5 +469,49 @@ fn deeply_nested_spec_is_an_error_not_a_stack_overflow() {
         ]
     );
     assert!(result.stdout.is_empty(), "validate printed a result");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A saved model whose `cfg.history` no longer matches its networks is
+/// refused when `policy.path` loads it — one `error:` line naming the
+/// file and both sizes, exit 1 — instead of panicking a worker thread
+/// at the first forward pass (exit 101).
+#[test]
+fn model_disagreeing_with_its_config_is_an_error_not_a_panic() {
+    let dir = temp_dir("bad-model");
+    let model = dir.join("edited-model.json");
+    let agent = mocc_core::agent_from_policy(&mocc_eval::PolicySpec::default()).expect("agent");
+    for (history, problem) in [
+        (
+            5,
+            "cfg.history 5 means 18 observation inputs, but the policy network takes 33",
+        ),
+        (0, "cfg.history is 0; it must be >= 1"),
+    ] {
+        let edited = agent
+            .to_json()
+            .replace("\"history\":10", &format!("\"history\":{history}"));
+        std::fs::write(&model, edited).expect("write edited model");
+        let spec = dir.join("spec.json");
+        let text =
+            std::fs::read_to_string(repo_root().join("examples/specs/competition_mocc.json"))
+                .expect("shipped spec")
+                .replace(
+                    "\"path\":null",
+                    &format!("\"path\":\"{}\"", model.display()),
+                );
+        std::fs::write(&spec, text).expect("write spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        let result = mocc(&["run", spec_arg]);
+        let stderr = stderr_of(&result);
+        assert_eq!(result.status.code(), Some(1), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(
+            stderr.lines().last(),
+            Some(format!("error: {spec_arg}: {}: {problem}", model.display()).as_str()),
+            "{stderr}"
+        );
+        assert!(result.stdout.is_empty(), "a refused model printed a report");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

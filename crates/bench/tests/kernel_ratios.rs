@@ -1,10 +1,29 @@
-//! The two kernel speed ratios that no other test and no `benchmark/`
-//! workload checks (docs/PERFORMANCE.md): the fast-math tier must
-//! forward a 256-row batch at least 2× faster per row than the scalar
-//! tier, and the lockstep fast-tier rollout collector must move at
-//! least 1.5× the steps per second of the per-env scalar loop.
+//! The kernel speed ratios that no other test and no `benchmark/`
+//! workload checks (docs/PERFORMANCE.md). All three concern
+//! `mocc train` only — evaluation (`mocc run`, `mocc serve`) forwards
+//! one row per monitor interval and steps no simulators in lockstep.
 //!
-//! The rollout gate used to read 3×. That figure was a property of the
+//! 1. **Tier** (asserted, ≥ 2×): the fast-math tier forwards a 256-row
+//!    batch faster per row than the scalar tier. Isolates the tanh
+//!    kernel; nothing else differs between the two sides.
+//! 2. **The training collector against the textbook loop** (asserted,
+//!    ≥ 1.5×): the lockstep, fast-tier, allocation-free collector
+//!    (`collect_rollouts_batched_tier`, what `mocc train` runs with
+//!    `batch_envs > 1`) against the per-env, scalar-tier, allocating
+//!    act/value/step loop. Three things differ at once — tier,
+//!    allocation, lockstep — so this number says the collector as a
+//!    whole is worth having and says nothing about lockstep alone.
+//! 3. **Lockstep alone** (printed, not asserted): the same collector
+//!    over 16 envs in one call against sixteen calls of one env each —
+//!    same tier, same scratch, same step budget. Only the number of
+//!    rows per forward differs. This is the decomposition ROADMAP item
+//!    3(a) asked for; it is reported so that a reader can see how much
+//!    of ratio 2 is lockstep, and it gates nothing because
+//!    `batch_envs` is a semantic training knob (it is in the
+//!    `TrainSpec` digest and changes how experience is split), not a
+//!    speed setting to be tuned.
+//!
+//! Ratio 2's gate used to read 3×. That figure was a property of the
 //! hand-written AVX2 backend, which no shipped binary contained and
 //! which is gone (docs/PERFORMANCE.md, "Why there is one backend"); the
 //! one backend left reads 1.9× on the reference machine.
@@ -114,49 +133,93 @@ impl Env for SyntheticEnv {
     }
 }
 
-/// The per-env scalar act/value/step loop (what `Ppo::collect_rollout`
-/// runs) over the lockstep fast-tier collector (what `mocc train` runs
-/// with `batch_envs > 1`): same networks, envs, seeds and step budget.
-fn rollout_speedup() -> f64 {
-    let mut rng = StdRng::seed_from_u64(41);
-    let ppo = Ppo::new(OBS_DIM, &[64, 32], PpoConfig::default(), &mut rng);
-    let steps = ITERS / ROLLOUT_ENVS;
-    let mut scratch = BatchRolloutScratch::default();
-    speedup(|batched| {
-        let mut rng = StdRng::seed_from_u64(43);
-        let mut envs: Vec<SyntheticEnv> = (0..ROLLOUT_ENVS as u32)
-            .map(|i| SyntheticEnv {
-                t: 0,
-                phase: i * 37,
-            })
-            .collect();
-        if batched {
-            let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
+/// The environments of both rollout comparisons, phases staggered so
+/// no two see the same observations.
+fn rollout_envs() -> Vec<SyntheticEnv> {
+    (0..ROLLOUT_ENVS as u32)
+        .map(|i| SyntheticEnv {
+            t: 0,
+            phase: i * 37,
+        })
+        .collect()
+}
+
+/// What both rollout comparisons share: the networks, the step budget
+/// per env and the collector's reusable scratch.
+struct RolloutBench {
+    ppo: Ppo,
+    steps: usize,
+    scratch: BatchRolloutScratch<Mlp>,
+}
+
+impl RolloutBench {
+    fn new() -> Self {
+        let mut rng = StdRng::seed_from_u64(41);
+        RolloutBench {
+            ppo: Ppo::new(OBS_DIM, &[64, 32], PpoConfig::default(), &mut rng),
+            steps: ITERS / ROLLOUT_ENVS,
+            scratch: BatchRolloutScratch::default(),
+        }
+    }
+
+    /// `envs` through the fast-tier lockstep collector (what
+    /// `mocc train` runs with `batch_envs > 1`), `per_call` at a time.
+    fn collect_fast(&mut self, envs: &mut [SyntheticEnv], per_call: usize, rng: &mut StdRng) {
+        let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
+        for group in refs.chunks_mut(per_call) {
             let rollouts = collect_rollouts_batched_tier(
-                &ppo.policy,
-                &ppo.value,
-                &mut refs,
-                steps,
-                &mut rng,
-                &mut scratch,
+                &self.ppo.policy,
+                &self.ppo.value,
+                group,
+                self.steps,
+                rng,
+                &mut self.scratch,
                 ForwardTier::Fast,
             );
             black_box(rollouts.len());
-        } else {
-            for env in &mut envs {
-                let mut rollout = Rollout::new(OBS_DIM);
-                let mut obs = env.reset();
-                for _ in 0..steps {
-                    let (a, logp) = ppo.policy.act(&obs, &mut rng);
-                    let v = ppo.value.forward(&obs)[0];
-                    let (next, r, done) = env.step(a);
-                    rollout.push(&obs, a, logp, r, v, done);
-                    obs = if done { env.reset() } else { next };
-                }
-                rollout.last_value = ppo.value.forward(&obs)[0];
-                black_box(rollout.len());
-            }
         }
+    }
+}
+
+/// The per-env scalar act/value/step loop (what `Ppo::collect_rollout`
+/// runs) over the lockstep fast-tier collector: same networks, envs,
+/// seeds and step budget.
+fn rollout_speedup() -> f64 {
+    let mut bench = RolloutBench::new();
+    speedup(|batched| {
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut envs = rollout_envs();
+        if batched {
+            bench.collect_fast(&mut envs, ROLLOUT_ENVS, &mut rng);
+            return;
+        }
+        let ppo = &bench.ppo;
+        for env in &mut envs {
+            let mut rollout = Rollout::new(OBS_DIM);
+            let mut obs = env.reset();
+            for _ in 0..bench.steps {
+                let (a, logp) = ppo.policy.act(&obs, &mut rng);
+                let v = ppo.value.forward(&obs)[0];
+                let (next, r, done) = env.step(a);
+                rollout.push(&obs, a, logp, r, v, done);
+                obs = if done { env.reset() } else { next };
+            }
+            rollout.last_value = ppo.value.forward(&obs)[0];
+            black_box(rollout.len());
+        }
+    })
+}
+
+/// Lockstep and nothing else: the fast-tier collector called once per
+/// env (sixteen one-row forwards per step) over the same collector
+/// called once for all sixteen (one sixteen-row forward per step) —
+/// same tier, same scratch, same networks and step budget.
+fn lockstep_speedup() -> f64 {
+    let mut bench = RolloutBench::new();
+    speedup(|lockstep| {
+        let per_call = if lockstep { ROLLOUT_ENVS } else { 1 };
+        let mut rng = StdRng::seed_from_u64(43);
+        bench.collect_fast(&mut rollout_envs(), per_call, &mut rng);
     })
 }
 
@@ -164,8 +227,24 @@ fn rollout_speedup() -> f64 {
 #[ignore = "timing assertions: run in release mode, see the module docs"]
 fn fast_tier_and_batched_rollouts_keep_their_speedups() {
     let (forward, rollout) = (forward_speedup(), rollout_speedup());
-    println!("forward b256: fast tier {forward:.2}x scalar (gate 2x)");
-    println!("rollout 16 envs: batched fast tier {rollout:.2}x per-env scalar (gate 1.5x)");
-    assert!(forward >= 2.0, "fast tier only {forward:.2}x scalar");
-    assert!(rollout >= 1.5, "batched rollout only {rollout:.2}x scalar");
+    let lockstep = lockstep_speedup();
+    println!("1. forward b256: fast tier {forward:.2}x scalar tier (gate 2x)");
+    println!(
+        "2. training collector, 16 envs: lockstep + fast tier + no allocation \
+         {rollout:.2}x the per-env scalar allocating loop (gate 1.5x)"
+    );
+    println!(
+        "3. lockstep alone, fast tier, same scratch: one call of 16 envs \
+         {lockstep:.2}x sixteen calls of one env (no gate)"
+    );
+    assert!(
+        forward >= 2.0,
+        "fast tier forwards a 256-row batch only {forward:.2}x the scalar tier (mocc train only)"
+    );
+    assert!(
+        rollout >= 1.5,
+        "the training collector (lockstep, fast tier, allocation-free) is only {rollout:.2}x \
+         the per-env scalar allocating loop; this compares collectors for `mocc train`, \
+         not lockstep against one-at-a-time (ratio 3 does)"
+    );
 }

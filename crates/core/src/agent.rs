@@ -4,6 +4,7 @@ use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_netsim::MonitorStats;
+use mocc_nn::Network;
 use mocc_rl::{GaussianPolicy, Ppo, PpoConfig};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -38,7 +39,7 @@ pub(crate) fn ratio_features(
 /// Assembles the policy observation — the preference followed by the
 /// η-interval feature history — into `out` (length
 /// [`MoccConfig::obs_dim`]). One writer serves the library facade and
-/// the batched evaluator, so their observation layouts can never drift
+/// the sweep evaluator, so their observation layouts can never drift
 /// apart; the deployment adapter, whose preference prefix is optional,
 /// appends the same layout and is pinned to this one bit for bit
 /// (`api::tests`).
@@ -101,9 +102,38 @@ impl MoccAgent {
         serde_json::to_string(self).expect("agent serialization")
     }
 
-    /// Restores an agent from [`MoccAgent::to_json`] output.
+    /// Restores an agent from [`MoccAgent::to_json`] output. A
+    /// document whose `cfg` disagrees with its networks (an edited
+    /// `cfg.history`, a network of another shape) is an error here, not
+    /// a slice-length panic at the first forward pass.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let agent: MoccAgent = serde_json::from_str(json)?;
+        let history = agent.cfg.history;
+        if history == 0 {
+            return Err(serde_json::Error::custom(
+                "cfg.history is 0; it must be >= 1",
+            ));
+        }
+        let obs_dim = agent.cfg.obs_dim();
+        for (name, net) in [
+            ("policy", &agent.ppo.policy.net),
+            ("value", &agent.ppo.value),
+        ] {
+            if net.in_dim() != obs_dim {
+                return Err(serde_json::Error::custom(format!(
+                    "cfg.history {history} means {obs_dim} observation inputs, \
+                     but the {name} network takes {}",
+                    net.in_dim()
+                )));
+            }
+            if net.out_dim() != 1 {
+                return Err(serde_json::Error::custom(format!(
+                    "the {name} network has {} outputs; it must have 1",
+                    net.out_dim()
+                )));
+            }
+        }
+        Ok(agent)
     }
 
     /// Saves the agent to a file.
@@ -144,6 +174,39 @@ mod tests {
         assert_eq!(
             agent.act(&Preference::balanced(), &hist),
             back.act(&Preference::balanced(), &hist)
+        );
+    }
+
+    /// A model file whose config disagrees with its networks is
+    /// refused at decode time, naming both numbers.
+    #[test]
+    fn config_and_networks_must_agree() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let json = MoccAgent::new(MoccConfig::fast(), &mut rng).to_json();
+        assert!(
+            json.contains("\"history\":10"),
+            "fast preset stacks 10 intervals"
+        );
+        for (history, want) in [
+            (
+                5,
+                "cfg.history 5 means 18 observation inputs, but the policy network takes 33",
+            ),
+            (0, "cfg.history is 0"),
+        ] {
+            let edited = json.replace("\"history\":10", &format!("\"history\":{history}"));
+            let err = MoccAgent::from_json(&edited).map(|_| ()).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
+        // A value network of another width is caught as well.
+        let mut agent = MoccAgent::from_json(&json).unwrap();
+        agent.ppo.value = PrefNet::new(3, 4, 12, &[8], 1, &mut rng);
+        let err = MoccAgent::from_json(&agent.to_json())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("the value network takes 15"),
+            "{err}"
         );
     }
 

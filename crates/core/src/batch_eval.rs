@@ -1,23 +1,26 @@
-//! Batched MOCC policy evaluation across sweep cells.
+//! MOCC policy evaluation of sweep and competition cells.
 //!
 //! [`BatchMoccEvaluator`] implements [`mocc_eval::CellEvaluator`] by
-//! stepping a whole chunk of simulators in lockstep: each simulator
-//! runs in external-agent mode and pauses at its flow's monitor
-//! intervals; the paused cells' observations are stacked into one
-//! matrix and a single batched forward pass
-//! ([`GaussianPolicy::mean_action_batch`]) produces every cell's next
-//! rate. One matmul serves many cells, so the per-interval inference
-//! cost is amortized `B`-fold while each cell's trajectory stays
-//! bitwise identical to a batch of one — the batched forward is pinned
-//! (by property test) to equal the scalar path bit for bit, and each
-//! simulator only ever consumes its own decisions.
+//! running each cell's simulator in external-agent mode: the simulator
+//! pauses at its policy-driven flow's monitor intervals, the flow's
+//! observation goes through one forward pass
+//! ([`GaussianPolicy::mean_action_batch_tier`] on a one-row matrix,
+//! which is what the paper's deployment does — one inference per flow
+//! per monitor interval), and the resulting rate is applied before the
+//! simulator resumes. Cells are evaluated one at a time, each to its
+//! horizon; a cell's trajectory depends on nothing but its own events.
 //!
 //! The same evaluator also implements
 //! [`mocc_eval::CompetitionEvaluator`]: in competition cells every
 //! `mocc`/`mocc:<pref>`-labelled flow runs in external-agent mode, so
 //! several preference-conditioned MOCC flows can *compete* on one
-//! bottleneck while the chunk's monitor-interval decisions are still
-//! served from batched forward passes.
+//! bottleneck, each paused and steered at its own monitor intervals.
+//!
+//! Nothing here batches across cells: stepping a chunk of simulators
+//! in lockstep behind one matmul was measured slower at every chunk
+//! size (docs/PERFORMANCE.md, "Why cells are evaluated one at a
+//! time"). The type and `eval_batch` keep their names because the
+//! frozen benchmark harness imports them.
 
 use crate::agent::{stats_features, write_obs, MoccAgent};
 use crate::config::MoccConfig;
@@ -33,17 +36,15 @@ use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::collections::VecDeque;
 
-/// Evaluates sweep cells under a trained MOCC policy with batched
-/// inference. The policy drives flow 0 of every cell; any remaining
-/// flows are cross traffic paced by [`FixedRate`] at the cell's peak
-/// bandwidth (their application pattern, e.g. on/off, still limits
-/// what they offer).
+/// Evaluates sweep cells under a trained MOCC policy. The policy
+/// drives flow 0 of every cell; any remaining flows are cross traffic
+/// paced by [`FixedRate`] at the cell's peak bandwidth (their
+/// application pattern, e.g. on/off, still limits what they offer).
 pub struct BatchMoccEvaluator {
     policy: GaussianPolicy<PrefNet>,
     cfg: MoccConfig,
     pref: Preference,
     initial_rate_frac: f64,
-    batch: usize,
     tier: ForwardTier,
     /// Builds the non-MOCC contenders of competition cells and their
     /// all-TCP friendliness control: the built-in vocabulary.
@@ -59,23 +60,23 @@ impl BatchMoccEvaluator {
             cfg: agent.cfg,
             pref,
             initial_rate_frac,
-            batch: 32,
             tier: ForwardTier::Scalar,
             registry: SchemeRegistry::builtin(),
         }
     }
 
-    /// Overrides the number of cells evaluated per batch (≥ 1).
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
+    /// Does nothing: cells are evaluated one at a time whatever the
+    /// argument. Kept only because the frozen benchmark harness calls
+    /// it (`benchmark/src/layers/sweep.rs`, `policy_metrics`).
+    pub fn with_batch_size(self, _batch: usize) -> Self {
         self
     }
 
     /// Selects the approximate fast-math forward tier
     /// (`mocc_nn::simd`) for this evaluator's inference. Off (the
-    /// bit-exact scalar reference) by default; unlike `--threads` and
-    /// `--batch` this knob *does* change report bytes, so callers must
-    /// carry it in the cache-key policy identity.
+    /// bit-exact scalar reference) by default; unlike `--threads` this
+    /// knob *does* change report bytes, so callers must carry it in
+    /// the cache-key policy identity.
     pub fn with_fast_math(mut self, enabled: bool) -> Self {
         self.tier = if enabled {
             ForwardTier::Fast
@@ -101,34 +102,30 @@ impl BatchMoccEvaluator {
         })
     }
 
-    /// The lockstep driver behind both evaluator traits. `launch`
-    /// names a cell's scenario and how each of its flows is
-    /// controlled; `reduce` turns the finished simulation into the
-    /// cell's report. Every round advances each live simulator to the
-    /// next monitor interval of *any* of its policy-driven flows,
-    /// stacks one observation row per paused cell (conditioned on that
-    /// flow's preference and history), forwards once, and applies each
-    /// decision to the flow that asked for it. A cell's decision
-    /// sequence depends only on its own event order, so reports stay
-    /// byte-identical across batch sizes and worker counts.
+    /// The driver behind both evaluator traits. `launch` names a
+    /// cell's scenario and how each of its flows is controlled;
+    /// `reduce` turns the finished simulation into the cell's report.
+    /// Each cell's simulator advances to the next monitor interval of
+    /// *any* of its policy-driven flows, that flow's observation
+    /// (conditioned on its preference and history) is forwarded, and
+    /// the decision is applied to the flow that asked for it — until
+    /// the horizon.
     fn drive<'c, C>(
         &self,
         cells: &'c [C],
         launch: impl Fn(&'c C) -> (&'c Scenario, Vec<FlowControl>),
         reduce: impl Fn(&C, &SimResult) -> CellReport,
     ) -> Vec<CellReport> {
-        let obs_dim = self.cfg.obs_dim();
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
-        let mut means: Vec<f32> = Vec::with_capacity(cells.len());
-        let mut reports: Vec<Option<CellReport>> = (0..cells.len()).map(|_| None).collect();
-
-        let mut runs: Vec<CellRun> = cells
+        obs.reshape(1, self.cfg.obs_dim());
+        let mut means: Vec<f32> = Vec::with_capacity(1);
+        cells
             .iter()
-            .enumerate()
-            .map(|(index, cell)| {
+            .map(|cell| {
                 let (scenario, controls) = launch(cell);
                 let peak = scenario.link.trace.max_rate();
+                // By flow id: `Some` for every policy-driven flow.
                 let mut driven = Vec::with_capacity(controls.len());
                 let ccs = controls
                     .into_iter()
@@ -150,34 +147,14 @@ impl BatchMoccEvaluator {
                         }
                     })
                     .collect();
-                CellRun {
-                    index,
-                    sim: Simulator::new(scenario.clone(), ccs),
-                    driven,
-                    paused: 0,
-                }
-            })
-            .collect();
-
-        while !runs.is_empty() {
-            let mut i = 0;
-            while i < runs.len() {
-                let CellRun {
-                    sim,
-                    driven,
-                    paused,
-                    ..
-                } = &mut runs[i];
-                let finished = loop {
-                    let Some((f, stats)) = sim.advance_until_monitor_where(|f| driven[f].is_some())
-                    else {
-                        break true;
-                    };
+                let mut sim = Simulator::new(scenario.clone(), ccs);
+                while let Some((f, stats)) =
+                    sim.advance_until_monitor_where(|f| driven[f].is_some())
+                {
                     // A departed flow's monitor intervals keep firing
                     // until the horizon; steering it would be a no-op
                     // (it never sends again), so its pauses are drained
-                    // here instead of spending batched inference on
-                    // them.
+                    // here instead of spending inference on them.
                     let departed = sim.scenario().flows[f]
                         .stop
                         .is_some_and(|stop| sim.now() >= stop);
@@ -187,38 +164,14 @@ impl BatchMoccEvaluator {
                     let flow = driven[f].as_mut().expect("paused flow is policy-driven");
                     flow.history.pop_front();
                     flow.history.push_back(stats_features(&stats));
-                    *paused = f;
-                    break false;
-                };
-                if finished {
-                    // Horizon reached: reduce to metrics and drop out
-                    // of the batch.
-                    let run = runs.swap_remove(i);
-                    reports[run.index] = Some(reduce(&cells[run.index], &run.sim.result()));
-                } else {
-                    i += 1;
+                    write_obs(&flow.pref, &flow.history, obs.row_mut(0));
+                    self.policy
+                        .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
+                    let next = self.cfg.apply_action(sim.rate(f), means[0]);
+                    sim.set_rate(f, next);
                 }
-            }
-            if runs.is_empty() {
-                break;
-            }
-            obs.reshape(runs.len(), obs_dim);
-            for (r, run) in runs.iter().enumerate() {
-                let flow = run.driven[run.paused]
-                    .as_ref()
-                    .expect("paused flow is policy-driven");
-                write_obs(&flow.pref, &flow.history, obs.row_mut(r));
-            }
-            self.policy
-                .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
-            for (run, &mean) in runs.iter_mut().zip(&means) {
-                let next = self.cfg.apply_action(run.sim.rate(run.paused), mean);
-                run.sim.set_rate(run.paused, next);
-            }
-        }
-        reports
-            .into_iter()
-            .map(|r| r.expect("every cell produced a report"))
+                reduce(cell, &sim.result())
+            })
             .collect()
     }
 }
@@ -241,7 +194,7 @@ fn unvalidated<T>(e: SpecError) -> T {
     panic!("{e} (spec not validated?)")
 }
 
-/// How one flow of a batched cell is controlled.
+/// How one flow of a cell is controlled.
 enum FlowControl {
     /// Externally driven by the policy under this preference.
     Policy(Preference),
@@ -255,21 +208,7 @@ struct DrivenFlow {
     history: VecDeque<[f32; 3]>,
 }
 
-/// Per-cell in-flight state while a batch runs.
-struct CellRun {
-    index: usize,
-    sim: Simulator,
-    /// By flow id: `Some` for every policy-driven flow.
-    driven: Vec<Option<DrivenFlow>>,
-    /// The flow whose monitor interval paused the simulator this round.
-    paused: usize,
-}
-
 impl CellEvaluator for BatchMoccEvaluator {
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
         self.drive(
             cells,
@@ -288,18 +227,13 @@ impl CellEvaluator for BatchMoccEvaluator {
     }
 }
 
-/// Competition cells through the same batched policy: every flow whose
-/// label is `mocc` / `mocc:<pref>` runs in external-agent mode — so one
-/// cell may hold *several* competing MOCC flows with different
-/// preferences — and every paused flow across the whole chunk is
-/// served from one batched forward pass per lockstep round. Non-MOCC
-/// labels, and the all-TCP friendliness control, are built by the
-/// built-in scheme registry.
+/// Competition cells through the same policy: every flow whose label
+/// is `mocc` / `mocc:<pref>` runs in external-agent mode — so one cell
+/// may hold *several* competing MOCC flows with different preferences,
+/// each served at its own monitor intervals. Non-MOCC labels, and the
+/// all-TCP friendliness control, are built by the built-in scheme
+/// registry.
 impl CompetitionEvaluator for BatchMoccEvaluator {
-    fn batch_size(&self) -> usize {
-        self.batch
-    }
-
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
         self.drive(
             cells,
@@ -356,23 +290,18 @@ mod tests {
         BatchMoccEvaluator::new(&agent, Preference::throughput(), 0.3)
     }
 
-    /// The core determinism contract: the report is byte-identical
-    /// whether cells are evaluated one at a time or 32 at a time, on
-    /// one worker or several — batching is pure amortization.
+    /// The core determinism contract: the report is byte-identical on
+    /// one worker or several — a cell's trajectory depends on nothing
+    /// but its own events.
     #[test]
-    fn batch_size_cannot_change_the_report() {
+    fn thread_count_cannot_change_the_report() {
         let spec = spec();
-        let runner1 = SweepRunner::with_threads(1);
-        let runner4 = SweepRunner::with_threads(4);
-        let (single, _) =
-            runner1.run_cells(&spec, "mocc-batched", &evaluator().with_batch_size(1), None);
-        let (batched, _) = runner4.run_cells(
-            &spec,
-            "mocc-batched",
-            &evaluator().with_batch_size(32),
-            None,
-        );
-        assert_eq!(single.to_canonical_json(), batched.to_canonical_json());
+        let run = |threads| {
+            let runner = SweepRunner::with_threads(threads);
+            runner.run_cells(&spec, "mocc", &evaluator(), None).0
+        };
+        let (single, quad) = (run(1), run(4));
+        assert_eq!(single.to_canonical_json(), quad.to_canonical_json());
         assert_eq!(single.cells.len(), spec.cell_count());
         assert!(single.cells.iter().all(|c| c.goodput_mbps > 0.0));
     }
@@ -406,25 +335,20 @@ mod tests {
         }
     }
 
-    /// The competition determinism contract (acceptance criterion):
-    /// the report is byte-identical whether competing-MOCC cells are
-    /// evaluated one at a time on one worker or 8 at a time on four.
+    /// The competition determinism contract: the report is
+    /// byte-identical whether competing-MOCC cells run on one worker
+    /// or four.
     #[test]
-    fn competition_batch_size_cannot_change_the_report() {
+    fn competition_thread_count_cannot_change_the_report() {
         let spec = competition_spec();
-        let (single, _) = SweepRunner::with_threads(1).run_competition_cells(
-            &spec,
-            "mocc-competition",
-            &evaluator().with_batch_size(1),
-            None,
-        );
-        let (batched, _) = SweepRunner::with_threads(4).run_competition_cells(
-            &spec,
-            "mocc-competition",
-            &evaluator().with_batch_size(8),
-            None,
-        );
-        assert_eq!(single.to_canonical_json(), batched.to_canonical_json());
+        let run = |threads| {
+            let runner = SweepRunner::with_threads(threads);
+            runner
+                .run_competition_cells(&spec, "mocc-competition", &evaluator(), None)
+                .0
+        };
+        let (single, quad) = (run(1), run(4));
+        assert_eq!(single.to_canonical_json(), quad.to_canonical_json());
         assert_eq!(single.cells.len(), spec.cell_count());
         assert!(single.cells.iter().all(|c| c.goodput_mbps > 0.0));
     }

@@ -103,8 +103,8 @@ impl MoccConfig {
     /// `±action_clip`, scales by `action_scale`, and applies it to
     /// `rate_bps` (symmetric: `×(1 + αa)` up, `÷(1 − αa)` down),
     /// bounded to [10 kbps, 1 Gbps]. The single implementation behind
-    /// the deployment adapter, the library facade, and the batched
-    /// evaluator — the deployed and batch-evaluated controllers apply
+    /// the deployment adapter, the library facade, and the sweep
+    /// evaluator — the deployed and sweep-evaluated controllers apply
     /// identical arithmetic by construction.
     pub fn apply_action(&self, rate_bps: f64, mean: f32) -> f64 {
         let a = (mean as f64).clamp(-self.action_clip, self.action_clip);

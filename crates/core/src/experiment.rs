@@ -6,9 +6,9 @@
 //! labels need a *policy*. [`run_experiment_with`] closes that gap: it
 //! validates the spec, materializes the agent its [`PolicySpec`]
 //! describes (a saved model file or a seeded fresh agent — both
-//! reproducible), wraps it in the batched [`BatchMoccEvaluator`], and
-//! drives the same sharded runner. Specs without `mocc` schemes are
-//! delegated unchanged, so this is the one entry point a CLI needs;
+//! reproducible), wraps it in a [`BatchMoccEvaluator`], and drives the
+//! same sharded runner, one cell per call. Specs without `mocc` schemes
+//! are delegated unchanged, so this is the one entry point a CLI needs;
 //! [`run_experiment`] and [`run_experiment_cached`] are its two common
 //! spellings.
 
@@ -48,8 +48,9 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
     Ok(MoccAgent::new(cfg, &mut rng))
 }
 
-/// The batched evaluator serving `agent` as a spec's policy section
-/// configures it. The default preference (served to bare `mocc`
+/// The evaluator serving `agent` as a spec's policy section
+/// configures it (`policy.batch` is accepted by the parser and read by
+/// nothing). The default preference (served to bare `mocc`
 /// labels, and to every competition flow's observation conditioning)
 /// is `policy.preference` unless `pref_override` is given (the sweep
 /// path overrides it with the scheme's explicit `mocc:<pref>`).
@@ -59,14 +60,12 @@ fn evaluator_for(
     pref_override: Option<Preference>,
 ) -> BatchMoccEvaluator {
     let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
-    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac)
-        .with_batch_size(policy.batch)
-        .with_fast_math(policy.fast_math)
+    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac).with_fast_math(policy.fast_math)
 }
 
-/// Builds the batched evaluator a spec's policy section describes:
+/// Builds the evaluator a spec's policy section describes:
 /// [`agent_from_policy`], wrapped for `policy.preference` (or
-/// `pref_override`) with the section's batch size and inference tier.
+/// `pref_override`) with the section's inference tier.
 pub fn evaluator_from_policy(
     policy: &PolicySpec,
     pref_override: Option<Preference>,
@@ -107,17 +106,17 @@ pub fn run_experiment_cached(
 /// Runs any [`ExperimentSpec`] — the complete entry point behind the
 /// `mocc` CLI. Baseline-only specs delegate to
 /// [`SweepRunner::run_with`]; specs with `mocc` schemes are served by
-/// the batched inference path, reproducibly materialized from the
-/// spec's policy section. The report carries the experiment's name as
-/// its controller label and inherits the runner's byte-identity
-/// contract (any thread count, any batch size, with or without a
-/// store). With a store, `mocc` cells are keyed by the agent's
+/// the policy path ([`BatchMoccEvaluator`]), reproducibly materialized
+/// from the spec's policy section. The report carries the
+/// experiment's name as its controller label and inherits the runner's
+/// byte-identity contract (any thread count, with or without a store).
+/// With a store, `mocc` cells are keyed by the agent's
 /// [`policy_digest`], so a retrained or edited model can never be
 /// served another model's cells.
 ///
 /// One restriction on custom registries: in a competition that mixes
 /// `mocc` flows with registry schemes, the non-MOCC contenders (and
-/// the `tcp_baseline`) must be *built-in* schemes — the batched
+/// the `tcp_baseline`) must be *built-in* schemes — the policy
 /// evaluator resolves them through the built-in vocabulary. Custom
 /// schemes compete freely in policy-free experiments.
 pub fn run_experiment_with(
@@ -166,7 +165,7 @@ pub fn run_experiment_with(
 
 /// Competitions mixing `mocc` flows with registry schemes resolve the
 /// non-MOCC contenders (and the `tcp_baseline`) through the built-in
-/// vocabulary only — the batched evaluator has no custom registry.
+/// vocabulary only — the policy evaluator has no custom registry.
 fn check_builtin_contenders(exp: &ExperimentSpec) -> Result<(), SpecError> {
     let builtin = SchemeRegistry::builtin();
     for label in exp.scheme_labels() {
@@ -254,17 +253,13 @@ mod tests {
             ..CompetitionSpec::quick()
         };
         let mut exp = ExperimentSpec::from_competition("mocc-competition", &matrix);
-        exp.policy = Some(PolicySpec {
-            batch: 8,
-            ..policy()
-        });
+        exp.policy = Some(policy());
         let runner = SweepRunner::with_threads(2);
         let via_spec = run_experiment(&runner, &exp).unwrap();
 
         let mut rng = StdRng::seed_from_u64(11);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
-        let evaluator =
-            BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3).with_batch_size(8);
+        let evaluator = BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3);
         let (via_code, _) =
             runner.run_competition_cells(&matrix, "mocc-competition", &evaluator, None);
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());

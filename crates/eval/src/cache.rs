@@ -2,8 +2,8 @@
 //! path.
 //!
 //! Every cell report in this crate is deterministic and canonical-JSON
-//! (byte-identical across thread counts and batch sizes), so a cell is
-//! perfectly memoizable: simulate it once, store the canonical
+//! (byte-identical across thread counts), so a cell is perfectly
+//! memoizable: simulate it once, store the canonical
 //! [`CellReport`] blob, and serve every later request for the same
 //! cell from disk. This module derives the **cache key** — the
 //! SHA-256 of a canonical-JSON *request document* capturing everything
@@ -22,9 +22,9 @@
 //! mix/lineup/fairness parameters for competitions), and the policy
 //! identity (`null` for policy-free schemes). Notably **excluded**:
 //! the experiment *name* (it only labels the report), the worker
-//! thread count, and the inference batch size — the runner's
-//! byte-identity contract proves none of them can change a cell's
-//! bytes. Any semantic change — a different seed, axis value, scheme,
+//! thread count — the runner's byte-identity contract proves it cannot
+//! change a cell's bytes — and `policy.batch`, a spec field nothing
+//! reads. Any semantic change — a different seed, axis value, scheme,
 //! or policy artifact — lands in the document and produces a
 //! different key.
 //!
@@ -39,7 +39,7 @@
 
 use crate::competition::CompetitionCell;
 use crate::report::CellReport;
-use crate::runner::run_chunked;
+use crate::runner::run_each;
 use crate::spec::SweepCell;
 use crate::{CompetitionSpec, SweepSpec};
 use mocc_store::{sha256_hex, ResultStore};
@@ -215,16 +215,16 @@ pub fn competition_cell_key(
 }
 
 /// The one cell executor: serves what it can from the store,
-/// simulates the rest through the chunked executor, and writes the
-/// fresh blobs back. `cache` carries the store, the caller's ledger
-/// timestamp, and one key per cell; without it every cell is a miss
-/// and nothing is read or written, which is the plain uncached run.
+/// simulates the rest one cell per `eval` call through the sharded
+/// executor, and writes the fresh blobs back. `cache` carries the
+/// store, the caller's ledger timestamp, and one key per cell; without
+/// it every cell is a miss and nothing is read or written, which is the
+/// plain uncached run.
 /// Store writes are best-effort: a full disk degrades the cache, never
 /// the run. Returns reports in `cells` order plus the hit/miss counters.
 pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     cells: &[T],
     threads: usize,
-    batch: usize,
     eval: &(dyn Fn(&[T]) -> Vec<CellReport> + Sync),
     cell_index: &dyn Fn(&T) -> u64,
     cache: Option<(&ResultStore, u64, &[String])>,
@@ -263,7 +263,11 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     } else {
         missing.iter().map(|&i| cells[i].clone()).collect()
     };
-    let computed = run_chunked(&miss_cells, threads, batch, eval);
+    let computed = run_each(&miss_cells, threads, &|cell| {
+        eval(std::slice::from_ref(cell))
+            .pop()
+            .expect("evaluator returns one report per cell")
+    });
     for (&slot, report) in missing.iter().zip(computed) {
         if let Some((store, ts, keys)) = cache {
             let blob = serde_json::to_string(&report).expect("report serializes");

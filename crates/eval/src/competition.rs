@@ -516,19 +516,14 @@ impl CompetitionCell {
     }
 }
 
-/// Evaluates whole batches of competition cells at once — the hook
-/// that lets learned policies batch inference across cells *and*
-/// across competing flows within a cell. Same contract as
+/// Evaluates competition cells — the hook that lets a learned policy
+/// serve the competing flows within a cell. Same contract as
 /// [`crate::CellEvaluator`]: one report per input cell, in order, each
-/// cell evaluated independently of its chunk-mates.
+/// cell evaluated independently of its neighbours in the slice; the
+/// runner passes one-cell slices.
 pub trait CompetitionEvaluator: Sync {
-    /// Preferred cells per chunk (≥ 1).
-    fn batch_size(&self) -> usize {
-        1
-    }
-
-    /// Evaluates a contiguous batch of cells, returning one report per
-    /// cell in input order.
+    /// Evaluates a slice of cells, returning one report per cell in
+    /// input order.
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport>;
 }
 

@@ -109,13 +109,16 @@ pub struct PolicySpec {
     /// Flow 0 starts at this fraction of the cell's peak bandwidth
     /// (default 0.3).
     pub initial_rate_frac: f64,
-    /// Cells per batched-inference chunk (default 32).
+    /// Accepted and ignored (default 32; must be ≥ 1). Cells are
+    /// evaluated one at a time, so nothing reads it; it stays parsed,
+    /// validated and serialized because committed and third-party
+    /// documents carry it and the parser rejects unknown keys.
     pub batch: usize,
     /// Run inference on the approximate fast-math kernel tier
-    /// (`mocc_nn::simd`; default `false`). Unlike `batch`, this is a
-    /// *semantic* knob: reports are still deterministic but not
-    /// byte-identical to the scalar reference, so it participates in
-    /// cache-key identity (see `docs/CACHING.md`).
+    /// (`mocc_nn::simd`; default `false`). This is a *semantic* knob:
+    /// reports are still deterministic but not byte-identical to the
+    /// scalar reference, so it participates in cache-key identity (see
+    /// `docs/CACHING.md`).
     pub fast_math: bool,
 }
 

@@ -7,12 +7,12 @@
 //! back by cell index and the assembled [`SweepReport`] is identical —
 //! byte for byte in canonical JSON — whatever the worker count.
 //!
-//! Work is pulled in contiguous *chunks* of cells sized by the
-//! [`CellEvaluator`]: per-cell controllers (any [`CellFactory`]) use
-//! chunks of one, while batched evaluators (e.g. a learned policy
-//! running one matmul across many cells) claim whole chunks and
-//! amortize inference over them. Chunking only changes scheduling —
-//! never results.
+//! Work is pulled one cell at a time, whatever the [`CellEvaluator`]:
+//! a worker that finishes a cell takes the next unclaimed index, so a
+//! run with no more cells than workers gives every cell its own worker
+//! and a straggler cell delays nothing but itself. Larger work units
+//! were measured and lost at every size (docs/PERFORMANCE.md, "Why
+//! cells are evaluated one at a time").
 //!
 //! Worker count resolution, highest priority first:
 //! 1. [`SweepRunner::with_threads`],
@@ -57,22 +57,16 @@ where
     }
 }
 
-/// Evaluates whole batches of cells at once — the hook that lets
-/// learned policies batch inference across sweep cells (one forward
-/// pass serves a chunk of simulators). Implementations must return one
-/// report per input cell, in order, and must evaluate each cell
-/// independently of its chunk-mates: the runner's byte-identity
-/// contract (same report for any thread count or batch size) relies on
-/// it.
+/// Evaluates sweep cells — the hook through which anything other than
+/// a registry scheme (a learned policy, a hand-written factory) drives
+/// a sweep. Implementations must return one report per input cell, in
+/// order, and must evaluate each cell independently of its neighbours
+/// in the slice: the runner's byte-identity contract (same report for
+/// any thread count) relies on it. The runner always passes one-cell
+/// slices; other callers may pass any length.
 pub trait CellEvaluator: Sync {
-    /// Preferred cells per chunk (≥ 1). The runner never hands a chunk
-    /// larger than this.
-    fn batch_size(&self) -> usize {
-        1
-    }
-
-    /// Evaluates a contiguous batch of cells, returning one report per
-    /// cell in input order.
+    /// Evaluates a slice of cells, returning one report per cell in
+    /// input order.
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport>;
 }
 
@@ -92,7 +86,7 @@ pub struct RunOptions<'a> {
 }
 
 /// The sweep evaluator of policy-free specs: `scheme`, built through
-/// `registry`, on every flow of every cell; one cell per chunk.
+/// `registry`, on every flow of every cell.
 ///
 /// # Panics
 ///
@@ -134,42 +128,30 @@ impl CompetitionEvaluator for RegistryCompetition<'_> {
     }
 }
 
-/// The shared sharded executor: distributes contiguous chunks of
-/// `batch` items over `threads` scoped workers pulling from an atomic
-/// queue, slotting results back by item index. Scheduling order can
-/// never change the output vector — the byte-identity foundation both
-/// the classic sweep and the competition sweep build on.
-pub(crate) fn run_chunked<T: Sync, R: Send>(
+/// The shared sharded executor: `threads` scoped workers each pull the
+/// next unclaimed item index from an atomic counter, evaluate that one
+/// item and slot the result back by index. Scheduling order can never
+/// change the output vector — the byte-identity foundation both the
+/// classic sweep and the competition sweep build on — and `n` items on
+/// at least `n` workers run fully in parallel.
+pub(crate) fn run_each<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
-    batch: usize,
-    eval: &(dyn Fn(&[T]) -> Vec<R> + Sync),
+    eval: &(dyn Fn(&T) -> R + Sync),
 ) -> Vec<R> {
     let n = items.len();
-    let batch = batch.max(1);
-    let chunks = n.div_ceil(batch).max(1);
-    let workers = threads.min(chunks).max(1);
+    let workers = threads.min(n).max(1);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
                     break;
                 }
-                let lo = c * batch;
-                let hi = (lo + batch).min(n);
-                let results = eval(&items[lo..hi]);
-                assert_eq!(
-                    results.len(),
-                    hi - lo,
-                    "evaluator must return one result per item"
-                );
-                let mut locked = slots.lock().expect("slot lock");
-                for (i, r) in results.into_iter().enumerate() {
-                    locked[lo + i] = Some(r);
-                }
+                let result = eval(&items[i]);
+                slots.lock().expect("slot lock")[i] = Some(result);
             });
         }
     });
@@ -270,8 +252,8 @@ impl SweepRunner {
     /// `mocc` schemes need a policy engine this crate does not have:
     /// they come back as [`SpecError::NeedsPolicyEngine`] — run those
     /// specs through `mocc_core::run_experiment_with` (or the `mocc`
-    /// CLI), which handles the batched-inference path and delegates
-    /// everything else here.
+    /// CLI), which handles the policy path and delegates everything
+    /// else here.
     pub fn run_with(
         &self,
         exp: &ExperimentSpec,
@@ -320,12 +302,9 @@ impl SweepRunner {
     }
 
     /// The evaluator-level entry point for sweeps: runs every cell of
-    /// an expansion-level [`SweepSpec`] through a (possibly batched)
-    /// [`CellEvaluator`], handing each worker contiguous chunks of
-    /// [`CellEvaluator::batch_size`] cells so batched evaluators can
-    /// amortize inference across a chunk. Results are slotted back by
-    /// cell index: the report is byte-identical for any worker count
-    /// and any batch size.
+    /// an expansion-level [`SweepSpec`] through a [`CellEvaluator`],
+    /// one cell per call. Results are slotted back by cell index: the
+    /// report is byte-identical for any worker count.
     ///
     /// With `cache` — the shared-grammar scheme label keying the cells
     /// (the report's `controller` name deliberately is not part of the
@@ -350,8 +329,7 @@ impl SweepRunner {
         let (reports, stats) = cached_cell_reports(
             &cells,
             self.threads,
-            evaluator.batch_size(),
-            &|chunk| evaluator.eval_batch(chunk),
+            &|cells| evaluator.eval_batch(cells),
             &|c: &SweepCell| c.index,
             keyed
                 .as_ref()
@@ -364,8 +342,8 @@ impl SweepRunner {
     }
 
     /// The evaluator-level entry point for competitions — the hook
-    /// that lets learned policies serve *competing* flows from batched
-    /// forward passes. Same contract as [`SweepRunner::run_cells`]
+    /// that lets a learned policy serve *competing* flows. Same
+    /// contract as [`SweepRunner::run_cells`]
     /// (competition cells carry their scheme lineup themselves, so the
     /// cache context needs no separate label).
     pub fn run_competition_cells(
@@ -385,8 +363,7 @@ impl SweepRunner {
         let (reports, stats) = cached_cell_reports(
             &cells,
             self.threads,
-            evaluator.batch_size(),
-            &|chunk| evaluator.eval_batch(chunk),
+            &|cells| evaluator.eval_batch(cells),
             &|c: &CompetitionCell| c.index,
             keyed
                 .as_ref()
@@ -490,7 +467,7 @@ mod tests {
         spec.bandwidth_mbps = vec![4.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![1.0];
-        let (rep, _) = SweepRunner::with_threads(1).run_cells(&spec, "aimd", &AimdCells(1), None);
+        let (rep, _) = SweepRunner::with_threads(1).run_cells(&spec, "aimd", &AimdCells, None);
         assert_eq!(rep.cells.len(), 1);
         let c = &rep.cells[0];
         assert_eq!(c.goodput_mbps, 0.0, "nothing can be delivered");
@@ -512,7 +489,7 @@ mod tests {
         }
         let json = rep.to_canonical_json();
         assert!(!json.to_ascii_lowercase().contains("nan"), "{json}");
-        let (again, _) = SweepRunner::with_threads(2).run_cells(&spec, "aimd", &AimdCells(1), None);
+        let (again, _) = SweepRunner::with_threads(2).run_cells(&spec, "aimd", &AimdCells, None);
         assert_eq!(json, again.to_canonical_json());
     }
 
@@ -645,31 +622,59 @@ mod tests {
             .collect()
     }
 
-    /// A hand-written evaluator running [`aimd_factory`] in chunks of
-    /// the given size.
-    struct AimdCells(usize);
+    /// A hand-written evaluator running [`aimd_factory`].
+    struct AimdCells;
 
     impl CellEvaluator for AimdCells {
-        fn batch_size(&self) -> usize {
-            self.0
-        }
         fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
             cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
         }
     }
 
-    /// A batched evaluator (chunks of 4) must produce a report
-    /// byte-identical to the per-cell registry path — chunking is pure
-    /// scheduling.
+    /// No more cells than workers means every cell has a worker of its
+    /// own: each of two cells waits (bounded) until the other has
+    /// started, which only two concurrent workers can satisfy. An
+    /// executor that hands both cells to one worker leaves the first
+    /// waiting out its deadline with the count at 1.
     #[test]
-    fn chunked_evaluator_matches_registry_path_byte_for_byte() {
-        let spec = small_spec();
-        let via_registry = run_aimd(2, &spec);
-        let (via_chunks, _) =
-            SweepRunner::with_threads(3).run_cells(&spec, "aimd", &AimdCells(4), None);
+    fn cells_up_to_the_worker_count_each_get_their_own_worker() {
+        #[derive(Default)]
+        struct Rendezvous {
+            started: AtomicUsize,
+            /// What each cell read once its wait ended.
+            seen: Mutex<Vec<usize>>,
+        }
+        impl CellEvaluator for Rendezvous {
+            fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+                cells
+                    .iter()
+                    .map(|cell| {
+                        self.started.fetch_add(1, Ordering::SeqCst);
+                        // Bounded: 5 000 sleeps of a millisecond.
+                        for _ in 0..5_000 {
+                            if self.started.load(Ordering::SeqCst) >= 2 {
+                                break;
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        let seen = self.started.load(Ordering::SeqCst);
+                        self.seen.lock().unwrap().push(seen);
+                        run_cell(cell, &aimd_factory)
+                    })
+                    .collect()
+            }
+        }
+        let mut spec = small_spec();
+        spec.owd_ms = vec![10];
+        spec.loss = vec![0.0];
+        spec.duration_s = 1;
+        assert_eq!(spec.cell_count(), 2);
+        let evaluator = Rendezvous::default();
+        SweepRunner::with_threads(2).run_cells(&spec, "aimd", &evaluator, None);
         assert_eq!(
-            via_registry.to_canonical_json(),
-            via_chunks.to_canonical_json()
+            *evaluator.seen.lock().unwrap(),
+            [2, 2],
+            "a cell ran before its neighbour had a worker"
         );
     }
 }

@@ -63,5 +63,5 @@ fn main() {
         );
     }
     println!("\n(see `cargo run -p mocc-bench --bin figures -- competition` for the MOCC variants");
-    println!(" driven by batched policy inference, and fig11_15 for the full §6.4 set)");
+    println!(" driven by policy inference, and fig11_15 for the full §6.4 set)");
 }

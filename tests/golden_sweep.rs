@@ -17,11 +17,10 @@
 
 use mocc::core::{run_experiment, run_experiment_cached};
 use mocc::eval::{
-    run_cell, CellEvaluator, CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad,
-    MoccPrefSpec, PolicySpec, RunOptions, SchemeCtx, SchemeRegistry, SchemeSpec, SweepCell,
-    SweepReport, SweepRunner, SweepSpec, TraceShape,
+    CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec,
+    RunOptions, SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
-use mocc::netsim::cc::{Aimd, CongestionControl};
+use mocc::netsim::cc::Aimd;
 use mocc::store::{sha256_hex, ResultStore};
 use std::path::PathBuf;
 
@@ -120,7 +119,7 @@ fn golden_competition_spec() -> CompetitionSpec {
 }
 
 /// The frozen MOCC competition matrix: a mixed-preference MOCC pair
-/// and a MOCC-vs-TCP duel, driven through the batched evaluator. The
+/// and a MOCC-vs-TCP duel, driven through the policy evaluator. The
 /// fair-share bar is the paper's qualitative no-starvation claim
 /// (Jain ≥ 0.75 sustained), not strict equality — an untrained
 /// fixed-seed policy reliably clears it, which keeps the fixture
@@ -290,49 +289,6 @@ fn golden_fixtures_byte_identical_via_experiment_spec() {
     }
 }
 
-/// The batched execution path cannot disturb the goldens: running the
-/// frozen golden spec through `run_cells` with multi-cell chunks
-/// must reproduce every committed fixture byte for byte. (The learned
-/// policy's batched-inference equivalence is pinned separately by the
-/// `act_batch` property test and the `BatchMoccEvaluator` unit tests;
-/// this guards the sweep-runner side of the contract.)
-#[test]
-fn golden_fixtures_byte_identical_via_batched_runner() {
-    struct ChunkedBaseline {
-        registry: SchemeRegistry,
-        name: &'static str,
-    }
-    impl CellEvaluator for ChunkedBaseline {
-        fn batch_size(&self) -> usize {
-            8
-        }
-        fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-            let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
-                let ctx = SchemeCtx {
-                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
-                };
-                (0..cell.scenario.flows.len())
-                    .map(|_| self.registry.instantiate_label(self.name, &ctx).unwrap())
-                    .collect()
-            };
-            cells.iter().map(|c| run_cell(c, &factory)).collect()
-        }
-    }
-    for name in CONTROLLERS {
-        let fixture = std::fs::read_to_string(fixture_path(name)).expect("fixture present");
-        let evaluator = ChunkedBaseline {
-            registry: SchemeRegistry::builtin(),
-            name,
-        };
-        let (got, _) = SweepRunner::auto().run_cells(&golden_spec(), name, &evaluator, None);
-        assert_eq!(
-            got.to_canonical_json(),
-            fixture,
-            "{name}: batched runner drifted from the golden fixture"
-        );
-    }
-}
-
 /// Golden replay fixture: recorded-trace cells reproduce
 /// `golden_replay.json` byte for byte, through the spec-driven path.
 /// The `sweep-regression` CI job runs this at 1 thread and at the
@@ -383,7 +339,7 @@ fn golden_competition_baselines() {
 }
 
 /// Golden MOCC competition fixture: mixed-preference MOCC duels driven
-/// through the batched evaluator reproduce
+/// through the policy evaluator reproduce
 /// `golden_competition_mocc.json` byte for byte.
 #[test]
 fn golden_competition_mocc() {
@@ -406,22 +362,19 @@ fn golden_competition_mocc() {
 }
 
 /// Acceptance gate for the competition subsystem: the report is
-/// byte-identical across 1 vs 4 worker threads and across batched-
-/// inference chunk sizes, and the paper's qualitative fairness claims
-/// come out finite — the mixed-preference MOCC pair and the
-/// MOCC-vs-cubic cell each produce a Jain index, a friendliness ratio,
-/// and a time-to-fair-share.
+/// byte-identical across 1 vs 4 worker threads, and the paper's
+/// qualitative fairness claims come out finite — the mixed-preference
+/// MOCC pair and the MOCC-vs-cubic cell each produce a Jain index, a
+/// friendliness ratio, and a time-to-fair-share.
 #[test]
-fn competition_report_identical_across_threads_and_batches() {
-    let mut exp = golden_competition_mocc_experiment();
-    exp.policy.as_mut().unwrap().batch = 1;
+fn competition_report_identical_across_threads() {
+    let exp = golden_competition_mocc_experiment();
     let serial = run_experiment(&SweepRunner::with_threads(1), &exp).unwrap();
-    exp.policy.as_mut().unwrap().batch = 8;
-    let batched = run_experiment(&SweepRunner::with_threads(4), &exp).unwrap();
+    let quad = run_experiment(&SweepRunner::with_threads(4), &exp).unwrap();
     assert_eq!(
         serial.to_canonical_json(),
-        batched.to_canonical_json(),
-        "thread count or batch size changed the competition report"
+        quad.to_canonical_json(),
+        "thread count changed the competition report"
     );
     for cell in &serial.cells {
         assert!(
@@ -452,20 +405,114 @@ fn competition_report_identical_across_threads_and_batches() {
 /// Absolute bytes of the *fast* tier, which the scalar-tier fixtures do
 /// not cover: the shipped MOCC competition spec with
 /// `policy.fast_math = true` hashes to one frozen literal at every
-/// thread count and batch size. A kernel change that moves a bit of
-/// `fast_tanh_slice` or of the batched accumulate shows up here.
+/// thread count. A kernel change that moves a bit of `fast_tanh_slice`
+/// or of the forward accumulate shows up here.
 #[test]
 fn fast_tier_competition_report_matches_the_pinned_digest() {
     let mut exp = ExperimentSpec::load(&example_spec_path("competition_mocc")).expect("spec loads");
     exp.policy.as_mut().unwrap().fast_math = true;
-    for (threads, batch) in [(1, 1), (4, 32)] {
-        exp.policy.as_mut().unwrap().batch = batch;
+    for threads in [1, 4] {
         let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
         assert_eq!(
             sha256_hex(report.to_canonical_json().as_bytes()),
             "5b241686de97e7bdaa87921172f54f9a8ebabf9288dcf4e2b182eea8fd6656b8",
-            "fast-tier report moved at {threads} thread(s), batch {batch}"
+            "fast-tier report moved at {threads} thread(s)"
         );
+    }
+}
+
+/// A `mocc:thr` policy *sweep* — steady, on/off and RPC loads over a
+/// constant and an oscillating link, so cells finish at different
+/// monitor intervals — under [`golden_policy`]. The goldens pin policy
+/// cells only inside competitions; this pins the sweep side.
+fn pinned_policy_sweep() -> ExperimentSpec {
+    let spec = SweepSpec {
+        bandwidth_mbps: vec![6.0, 12.0],
+        owd_ms: vec![20],
+        queue_pkts: vec![120],
+        loss: vec![0.0, 0.01],
+        shapes: vec![
+            TraceShape::Constant,
+            TraceShape::Oscillating {
+                steps: 2,
+                dwell_s: 2.0,
+            },
+        ],
+        loads: vec![
+            FlowLoad::Steady(2),
+            FlowLoad::OnOffCross(1),
+            FlowLoad::RpcCross(1),
+        ],
+        duration_s: 3,
+        mss_bytes: 1500,
+        seed: 5,
+        agent_mi: true,
+    };
+    let scheme = SchemeSpec::parse("mocc:thr").expect("mocc:thr parses");
+    let mut exp = ExperimentSpec::from_sweep("policy-sweep", scheme, &spec);
+    exp.policy = Some(golden_policy());
+    exp
+}
+
+/// A 30 s policy competition: three policy flows pausing one simulator,
+/// a policy flow against cubic, and a staircase whose early flows
+/// depart (their monitor intervals are drained, not inferred).
+fn pinned_policy_competition() -> ExperimentSpec {
+    let spec = CompetitionSpec {
+        mixes: vec![
+            ContenderMix::parse("duel:mocc:thr+mocc:lat+mocc:bal").expect("mix parses"),
+            ContenderMix::duel("mocc:bal", "cubic"),
+            ContenderMix::staircase("mocc:bal", 3, 4.0),
+        ],
+        bandwidth_mbps: vec![12.0],
+        owd_ms: vec![20],
+        queue_pkts: vec![120],
+        duration_s: 30,
+        mss_bytes: 1500,
+        seed: 5,
+        agent_mi: true,
+        tcp_baseline: "cubic".to_string(),
+        fair_jain: 0.75,
+        fair_sustain_s: 3,
+    };
+    let mut exp = ExperimentSpec::from_competition("policy-competition", &spec);
+    exp.policy = Some(golden_policy());
+    exp
+}
+
+/// Absolute bytes of the policy path on both inference tiers: each
+/// canonical report hashes to one frozen literal at every worker count,
+/// and whatever `policy.batch` says — the field is parsed and carried
+/// but nothing reads it.
+#[test]
+fn policy_reports_match_the_pinned_digests() {
+    for (exp, scalar, fast) in [
+        (
+            pinned_policy_sweep(),
+            "84f4d23e732e3bd8da2114c71809f3ac036f4023bd201637d985a3da28ec9842",
+            "9b230bd745f994d00f79c7574ad8f8b64aa227bf3c81d54e132cfeb7931003e2",
+        ),
+        (
+            pinned_policy_competition(),
+            "eebf51f83b5529a67a6fac427d0386f88bcb24f97b738f3400b2c0dfa65e5d6c",
+            "45eb3c33158460616c49ef41ce3ecac08b45ccfcb3b7c1fac261fe5b657eb7c7",
+        ),
+    ] {
+        for (fast_math, want) in [(false, scalar), (true, fast)] {
+            for (threads, batch) in [(1, 1), (4, 32)] {
+                let mut exp = exp.clone();
+                let policy = exp.policy.as_mut().unwrap();
+                policy.fast_math = fast_math;
+                policy.batch = batch;
+                let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
+                assert_eq!(
+                    sha256_hex(report.to_canonical_json().as_bytes()),
+                    want,
+                    "{} (fast_math {fast_math}) moved at {threads} thread(s), policy.batch {batch}",
+                    exp.name
+                );
+            }
+        }
     }
 }
 

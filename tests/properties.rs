@@ -310,11 +310,11 @@ proptest! {
 
     /// Replay cells keep the canonical-report determinism contract: a
     /// spec over a recorded trace file produces byte-identical reports
-    /// across worker-thread counts and policy batch sizes — the same
-    /// guarantee the golden replay fixture pins for the committed
-    /// corpus, here over randomized traces.
+    /// across worker-thread counts — the same guarantee the golden
+    /// replay fixture pins for the committed corpus, here over
+    /// randomized traces.
     #[test]
-    fn replay_reports_identical_across_threads_and_batches(seed in 0u64..100_000) {
+    fn replay_reports_identical_across_threads(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut samples = Vec::new();
         let mut t = 0.0f64;
@@ -348,10 +348,9 @@ proptest! {
             SchemeSpec::parse("mocc").expect("mocc parses"),
             &matrix,
         );
-        exp.policy = Some(PolicySpec { batch: 1, ..PolicySpec::default() });
+        exp.policy = Some(PolicySpec::default());
         let serial =
             run_experiment(&SweepRunner::with_threads(1), &exp).expect("replay spec runs");
-        exp.policy = Some(PolicySpec { batch: 8, ..PolicySpec::default() });
         let parallel =
             run_experiment(&SweepRunner::with_threads(3), &exp).expect("replay spec runs");
         std::fs::remove_file(&path).ok();
