@@ -451,6 +451,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An inline spec whose `owd_ms` overflows the simulator's
+    /// nanosecond clock used to be answered with an all-zero report
+    /// (release) or to panic a worker (debug); it is refused as an
+    /// invalid spec, nothing is stored, and the session keeps serving.
+    #[test]
+    fn clock_overflowing_spec_is_refused_and_the_session_keeps_serving() {
+        let (dir, store) = temp_store("clock");
+        let spec = std::fs::read_to_string(repo_file("examples/specs/sweep_cubic.json"))
+            .expect("shipped spec")
+            .replace("\"owd_ms\":[10,40]", "\"owd_ms\":[10000000000000]");
+        let input = format!("{{\"op\":\"run\",\"spec\":{spec}}}\n{{\"op\":\"ping\"}}\n");
+        let (lines, _) = session(&store, input.as_bytes());
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"invalid spec: owd_ms value 10000000000000 does not fit \
+                 the simulator clock\",\"ok\":false}",
+                PING
+            ]
+        );
+        assert!(ledger_timestamps(&dir).is_empty(), "nothing was looked up");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A line of exactly the cap (newline included) is still a request,
     /// not an oversized one.
     #[test]

@@ -515,3 +515,55 @@ fn model_disagreeing_with_its_config_is_an_error_not_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An `owd_ms` or `duration_s` beyond the simulator's u64 nanosecond
+/// clock used to pass `mocc validate` and then wrap in the release
+/// binary — an all-zero report, exit 0, memoised under `--cache-dir` —
+/// or panic in a debug build (`attempt to multiply with overflow`). It
+/// is an invalid spec: one `error:` line, exit 1, nothing stored.
+#[test]
+fn clock_overflowing_spec_is_an_error_not_a_wrap() {
+    let dir = temp_dir("clock-overflow");
+    let shipped = std::fs::read_to_string(repo_root().join("examples/specs/sweep_cubic.json"))
+        .expect("shipped spec");
+    for (field, shipped_value, value) in [
+        ("owd_ms", "[10,40]", "[10000000000000]"),
+        ("duration_s", "8", "18446744073"),
+    ] {
+        let from = format!("\"{field}\":{shipped_value}");
+        assert!(shipped.contains(&from), "shipped spec lost {from}");
+        let spec = dir.join(format!("{field}.json"));
+        std::fs::write(
+            &spec,
+            shipped.replace(&from, &format!("\"{field}\":{value}")),
+        )
+        .expect("write spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        let store = dir.join("store");
+        let store_arg = store.to_str().expect("utf-8 temp path");
+        let problem = format!(
+            "invalid spec: {field} value {} does not fit the simulator clock",
+            value.trim_matches(['[', ']'])
+        );
+        for args in [
+            vec!["validate", spec_arg],
+            vec!["run", spec_arg],
+            vec!["run", spec_arg, "--cache-dir", store_arg],
+        ] {
+            let result = mocc(&args);
+            let stderr = stderr_of(&result);
+            assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(stderr.contains(&problem), "{args:?}: {stderr}");
+            let last = stderr.lines().last().unwrap_or_default();
+            assert!(last.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(result.stdout.is_empty(), "{args:?} printed a result");
+        }
+        let ledger = std::fs::read_to_string(store.join("ledger.jsonl")).unwrap_or_default();
+        assert!(
+            ledger.is_empty(),
+            "a refused spec reached the store: {ledger}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -337,6 +337,36 @@ impl ExperimentSpec {
         if self.mss_bytes == 0 {
             return invalid("mss_bytes must be >= 1".to_string());
         }
+        // The simulator keeps time in u64 nanoseconds, and the latest
+        // instant it computes is the horizon plus twice a delay (an ACK
+        // due `now + owd + owd`, a monitor tick one RTT after the last).
+        // A value that overflows that sum would wrap silently in a
+        // release build. Flow start and stop times need no check of
+        // their own: cross flows join a whole number of seconds apart,
+        // one per flow, and `validate_windows` keeps every competition
+        // window inside the horizon.
+        let horizon_ns = self.duration_s.checked_mul(1_000_000_000);
+        let fits_clock = |ns: Option<u64>| {
+            ns.and_then(|t| t.checked_mul(2))
+                .zip(horizon_ns)
+                .is_some_and(|(t, horizon)| t.checked_add(horizon).is_some())
+        };
+        if !fits_clock(horizon_ns) {
+            return invalid(format!(
+                "duration_s value {} does not fit the simulator clock",
+                self.duration_s
+            ));
+        }
+        if let Some(bad) = self
+            .axes
+            .owd_ms
+            .iter()
+            .find(|ms| !fits_clock(ms.checked_mul(1_000_000)))
+        {
+            return invalid(format!(
+                "owd_ms value {bad} does not fit the simulator clock"
+            ));
+        }
         for (axis, empty) in [
             ("bandwidth_mbps", self.axes.bandwidth_mbps.is_empty()),
             ("owd_ms", self.axes.owd_ms.is_empty()),
@@ -819,6 +849,42 @@ mod tests {
         let mut exp = competition_exp();
         exp.policy.as_mut().unwrap().batch = 0;
         assert!(exp.validate().is_err());
+    }
+
+    /// Times the u64 nanosecond clock cannot hold — the value itself,
+    /// or twice it plus the horizon — are typed errors for sweeps and
+    /// competitions alike; the largest values that do fit still pass.
+    #[test]
+    fn times_beyond_the_simulator_clock_are_rejected() {
+        for base in [sweep_exp(), competition_exp()] {
+            let mut exp = base.clone();
+            exp.axes.owd_ms = vec![20, 10_000_000_000_000];
+            let err = exp.validate().unwrap_err().to_string();
+            assert_eq!(
+                err,
+                "invalid spec: owd_ms value 10000000000000 does not fit the simulator clock"
+            );
+            // 2 · 9.2e18 ns fits a u64, but not with the horizon on top.
+            exp.axes.owd_ms = vec![9_223_372_036_854];
+            assert!(exp.validate().is_err());
+            exp.axes.owd_ms = vec![9_000_000_000_000];
+            exp.validate().expect("2 * 9e18 ns + horizon fits");
+
+            for duration_s in [18_446_744_073, 6_200_000_000] {
+                let mut exp = base.clone();
+                exp.duration_s = duration_s;
+                let err = exp.validate().unwrap_err().to_string();
+                assert!(
+                    err.ends_with(&format!(
+                        "duration_s value {duration_s} does not fit the simulator clock"
+                    )),
+                    "{err}"
+                );
+            }
+            let mut exp = base.clone();
+            exp.duration_s = 6_000_000_000;
+            exp.validate().expect("3 * 6e18 ns fits");
+        }
     }
 
     /// A misspelled field name must be an error, not a silently

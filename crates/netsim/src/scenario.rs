@@ -52,7 +52,12 @@ impl LinkSpec {
     /// learned and heuristic schemes always see the same interval
     /// boundaries.
     pub fn agent_mi(&self) -> SimDuration {
-        SimDuration((2 * self.base_rtt().0).clamp(10_000_000, 200_000_000))
+        SimDuration(
+            self.base_rtt()
+                .0
+                .saturating_mul(2)
+                .clamp(10_000_000, 200_000_000),
+        )
     }
 }
 

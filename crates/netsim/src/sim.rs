@@ -14,6 +14,16 @@
 //! - [`Simulator::advance_until_monitor`] yields control to an external
 //!   agent (the RL training loop) at each monitor interval of a chosen
 //!   flow, which then sets the next rate with [`Simulator::set_rate`].
+//!
+//! Events are totally ordered by `(time, schedule order)` and processed
+//! one per [`Simulator::process_next`] call. There is no event queue as
+//! such: almost every pending event is the only one, or the oldest one,
+//! of the source that scheduled it — the link's next departure, a
+//! flow's pacing timer, its monitor tick, its ACKs in flight — so each
+//! source keeps its own (a key slot or a FIFO) and the scheduler takes
+//! the minimum across sources. Only flow starts, stops and application
+//! wake-ups go through a heap. A pacing timer that is re-armed replaces
+//! the one before it, so superseded timers are never processed.
 
 use crate::app::{AppSource, GreedySource, OnOffSource, PeriodicSource, RpcSource};
 use crate::cc::{
@@ -24,7 +34,8 @@ use crate::time::{tx_time, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Index of a flow within a scenario.
 pub type FlowId = usize;
@@ -52,117 +63,222 @@ struct Packet {
     size_bytes: u32,
 }
 
-/// A scheduled event. Kept small (16 bytes) so heap sifts move as
-/// little memory as possible: the ACK variant carries only the flow and
-/// sequence number — the packet's size and emission time live in the
-/// flow's [`OutstandingRing`] until the ACK (or a loss declaration)
-/// resolves it.
-#[derive(Debug, Clone, Copy)]
+/// A scheduled event, as [`EventSources::schedule`] takes it and
+/// [`EventSources::pop`] hands it back. The ACK variant carries only
+/// the flow and sequence number — the packet's size and emission time
+/// live in the flow's [`OutstandingRing`] until the ACK (or a loss
+/// declaration) resolves it. `Ord` exists for the timer heap only,
+/// where the key decides before the kind is ever compared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     FlowStart(u32),
     FlowStop(u32),
-    Pacing { flow: u32, epoch: u64 },
+    Pacing(u32),
     Departure,
     Ack { flow: u32, seq: u64 },
     Monitor(u32),
     AppWake(u32),
 }
 
-/// A scheduled event. Time (nanoseconds) and the scheduling sequence
-/// number are packed into one `u128` key — `time << 64 | order` — so
-/// the hot heap comparisons are a single wide integer compare instead
-/// of a two-field tuple compare, while the ordering (earliest time
-/// first, FIFO within a timestamp) is exactly the same as the previous
-/// `(SimTime, u64)` tuple.
-#[derive(Debug, Clone, Copy)]
-struct EventEntry {
-    key: u128,
-    kind: EventKind,
+/// The total order of events: time (nanoseconds) and the scheduling
+/// sequence number packed as `time << 64 | order`, so "earliest time
+/// first, schedule order within a timestamp" is one wide integer
+/// compare. `order` increments on every schedule call, so keys are
+/// unique.
+#[inline]
+fn event_key(time: u64, order: u64) -> u128 {
+    (time as u128) << 64 | order as u128
 }
 
-impl EventEntry {
-    #[inline]
-    fn new(time: SimTime, order: u64, kind: EventKind) -> Self {
-        EventEntry {
-            key: (time.0 as u128) << 64 | order as u128,
-            kind,
-        }
-    }
+/// Key of a slot with nothing pending; it sorts after every real key.
+const IDLE: u128 = u128::MAX;
 
-    #[inline]
-    fn time(&self) -> SimTime {
-        SimTime((self.key >> 64) as u64)
-    }
-}
+/// Entries per block of an [`AckFifo`] (3 KiB).
+const ACK_BLOCK: usize = 128;
 
-/// A 4-ary min-heap of pending events. Compared with the binary
-/// `std::collections::BinaryHeap` it halves the sift depth (one extra
-/// key compare per visited level buys two fewer levels), which is a
-/// measurable win at millions of heap operations per second. Keys are
-/// unique — `order` increments on every schedule — so the pop sequence
-/// is the fully sorted key order, identical to any other correct
-/// priority queue.
+/// The ACKs of one flow on their way back, oldest first, each
+/// `[time, order, seq]` — three words, not `(u128, u64)`: the padded
+/// form is a third larger, and an overdriven cell holds tens of
+/// thousands of these. Stored in fixed-size blocks rather than one
+/// `VecDeque`: a ring that doubles touches its whole capacity and, while
+/// it grows, the old buffer as well, which showed as peak RSS
+/// (docs/PERFORMANCE.md); blocks touch the live entries only and are
+/// never copied.
 #[derive(Debug, Default)]
-struct EventHeap {
-    items: Vec<EventEntry>,
+struct AckFifo {
+    /// Every block but the last is full; the front block's first
+    /// `head` entries are already popped.
+    blocks: VecDeque<Vec<[u64; 3]>>,
+    head: usize,
+    /// The last block emptied, kept for the next push.
+    spare: Option<Vec<[u64; 3]>>,
 }
 
-impl EventHeap {
-    fn with_capacity(n: usize) -> Self {
-        EventHeap {
-            items: Vec::with_capacity(n),
+impl AckFifo {
+    #[inline]
+    fn front(&self) -> Option<&[u64; 3]> {
+        self.blocks.front()?.get(self.head)
+    }
+
+    /// The entry pushed last (popped or not).
+    fn last_pushed(&self) -> Option<&[u64; 3]> {
+        self.blocks.back()?.last()
+    }
+
+    fn push(&mut self, entry: [u64; 3]) {
+        match self.blocks.back_mut() {
+            Some(block) if block.len() < ACK_BLOCK => block.push(entry),
+            _ => {
+                let mut block = self
+                    .spare
+                    .take()
+                    .unwrap_or_else(|| Vec::with_capacity(ACK_BLOCK));
+                block.push(entry);
+                self.blocks.push_back(block);
+            }
         }
     }
 
-    /// Hole-insertion sift-up: ancestors slide down into the hole and
-    /// the new entry is written once, instead of swapping at each level.
-    fn push(&mut self, e: EventEntry) {
-        let mut i = self.items.len();
-        self.items.push(e);
-        while i > 0 {
-            let p = (i - 1) / 4;
-            if self.items[p].key <= e.key {
-                break;
-            }
-            self.items[i] = self.items[p];
-            i = p;
+    /// Drops the front entry, which must exist.
+    fn pop(&mut self) {
+        self.head += 1;
+        if self.head == ACK_BLOCK {
+            let mut block = self.blocks.pop_front().expect("the front entry existed");
+            block.clear();
+            self.spare = Some(block);
+            self.head = 0;
         }
-        self.items[i] = e;
+    }
+}
+
+/// The pending events of one flow.
+#[derive(Debug)]
+struct FlowSources {
+    /// Key of the flow's pacing timer. Re-arming overwrites it: only
+    /// the latest timer of a flow ever does anything.
+    pacing: u128,
+    /// Key of the flow's next monitor tick.
+    monitor: u128,
+    /// The return delay is constant per flow and departures are serial,
+    /// so ACKs are scheduled in key order and the front is the flow's
+    /// earliest.
+    acks: AckFifo,
+}
+
+/// Every pending event, held by the source that produced it.
+///
+/// The bottleneck has at most one departure pending, and a flow at most
+/// one pacing timer and one monitor tick that matter: those are plain
+/// key slots. A flow's ACKs are scheduled in key order: a FIFO. Only
+/// flow starts, stops and application wake-ups arrive in no particular
+/// order, and only they go through a heap. [`Self::pop`] takes the
+/// smallest key across all of them — the order one priority queue over
+/// every event would produce, since keys are unique.
+#[derive(Debug)]
+struct EventSources {
+    next_order: u64,
+    /// Key of the last event handed out (debug builds check that keys
+    /// only grow).
+    last_popped: Option<u128>,
+    departure: u128,
+    flows: Vec<FlowSources>,
+    timers: BinaryHeap<Reverse<(u128, EventKind)>>,
+}
+
+impl EventSources {
+    fn new(flows: usize) -> Self {
+        EventSources {
+            next_order: 0,
+            last_popped: None,
+            departure: IDLE,
+            flows: (0..flows)
+                .map(|_| FlowSources {
+                    pacing: IDLE,
+                    monitor: IDLE,
+                    acks: AckFifo::default(),
+                })
+                .collect(),
+            timers: BinaryHeap::new(),
+        }
     }
 
-    /// Hole-insertion sift-down of the detached last element.
-    fn pop(&mut self) -> Option<EventEntry> {
-        let top = *self.items.first()?;
-        let last = self.items.pop().expect("nonempty");
-        if self.items.is_empty() {
-            return Some(top);
-        }
-        let n = self.items.len();
-        let mut i = 0;
-        loop {
-            let c0 = 4 * i + 1;
-            if c0 >= n {
-                break;
+    fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        let order = self.next_order;
+        self.next_order += 1;
+        let key = event_key(time.0, order);
+        match kind {
+            EventKind::Departure => {
+                debug_assert_eq!(self.departure, IDLE, "the link serves one packet at a time");
+                self.departure = key;
             }
-            let cend = (c0 + 4).min(n);
-            let mut m = c0;
-            let mut mk = self.items[c0].key;
-            for c in c0 + 1..cend {
-                let k = self.items[c].key;
-                if k < mk {
-                    m = c;
-                    mk = k;
+            EventKind::Pacing(f) => self.flows[f as usize].pacing = key,
+            EventKind::Monitor(f) => {
+                let slot = &mut self.flows[f as usize].monitor;
+                debug_assert_eq!(*slot, IDLE, "one monitor tick per flow");
+                *slot = key;
+            }
+            EventKind::Ack { flow, seq } => {
+                let acks = &mut self.flows[flow as usize].acks;
+                debug_assert!(
+                    acks.last_pushed()
+                        .map_or(true, |&[t, o, _]| event_key(t, o) < key),
+                    "a flow's ACKs are scheduled in key order"
+                );
+                acks.push([time.0, order, seq]);
+            }
+            EventKind::FlowStart(_) | EventKind::FlowStop(_) | EventKind::AppWake(_) => {
+                self.timers.push(Reverse((key, kind)));
+            }
+        }
+    }
+
+    /// Removes and returns the earliest pending event, unless there is
+    /// none or it lies beyond `end`.
+    fn pop(&mut self, end: SimTime) -> Option<(SimTime, EventKind)> {
+        let mut key = self.departure;
+        let mut kind = EventKind::Departure;
+        for (f, fl) in self.flows.iter().enumerate() {
+            if fl.pacing < key {
+                key = fl.pacing;
+                kind = EventKind::Pacing(f as u32);
+            }
+            if fl.monitor < key {
+                key = fl.monitor;
+                kind = EventKind::Monitor(f as u32);
+            }
+            if let Some(&[t, o, seq]) = fl.acks.front() {
+                let ack = event_key(t, o);
+                if ack < key {
+                    key = ack;
+                    kind = EventKind::Ack {
+                        flow: f as u32,
+                        seq,
+                    };
                 }
             }
-            if mk < last.key {
-                self.items[i] = self.items[m];
-                i = m;
-            } else {
-                break;
+        }
+        if let Some(&Reverse((k, timer))) = self.timers.peek() {
+            if k < key {
+                key = k;
+                kind = timer;
             }
         }
-        self.items[i] = last;
-        Some(top)
+        let time = SimTime((key >> 64) as u64);
+        if key == IDLE || time > end {
+            return None;
+        }
+        debug_assert!(Some(key) > self.last_popped, "event keys only grow");
+        self.last_popped = Some(key);
+        match kind {
+            EventKind::Departure => self.departure = IDLE,
+            EventKind::Pacing(f) => self.flows[f as usize].pacing = IDLE,
+            EventKind::Monitor(f) => self.flows[f as usize].monitor = IDLE,
+            EventKind::Ack { flow, .. } => self.flows[flow as usize].acks.pop(),
+            EventKind::FlowStart(_) | EventKind::FlowStop(_) | EventKind::AppWake(_) => {
+                self.timers.pop();
+            }
+        }
+        Some((time, kind))
     }
 }
 
@@ -312,7 +428,6 @@ struct FlowState {
     next_seq: u64,
     outstanding: OutstandingRing,
     next_send_time: SimTime,
-    pacing_epoch: u64,
     app_bytes_avail: u64,
     inflight_bytes: u64,
     // RTT estimation (RFC 6298).
@@ -373,7 +488,6 @@ impl FlowState {
             next_seq: 0,
             outstanding: OutstandingRing::default(),
             next_send_time: SimTime::ZERO,
-            pacing_epoch: 0,
             app_bytes_avail: 0,
             inflight_bytes: 0,
             min_rtt: None,
@@ -508,8 +622,7 @@ pub enum Processed {
 pub struct Simulator {
     now: SimTime,
     end: SimTime,
-    events: EventHeap,
-    next_order: u64,
+    events: EventSources,
     flows: Vec<FlowState>,
     bottleneck: Bottleneck,
     scenario: Scenario,
@@ -543,8 +656,7 @@ impl Simulator {
         let mut sim = Simulator {
             now: SimTime::ZERO,
             end: SimTime::ZERO + scenario.duration,
-            events: EventHeap::with_capacity(256),
-            next_order: 0,
+            events: EventSources::new(flows.len()),
             flows,
             bottleneck: Bottleneck {
                 queue: VecDeque::new(),
@@ -556,9 +668,9 @@ impl Simulator {
         };
         for f in 0..sim.flows.len() {
             let start = sim.flows[f].spec.start;
-            sim.schedule(start, EventKind::FlowStart(f as u32));
+            sim.events.schedule(start, EventKind::FlowStart(f as u32));
             if let Some(stop) = sim.flows[f].spec.stop {
-                sim.schedule(stop, EventKind::FlowStop(f as u32));
+                sim.events.schedule(stop, EventKind::FlowStop(f as u32));
             }
         }
         sim
@@ -600,12 +712,6 @@ impl Simulator {
     /// Minimum RTT observed so far by `flow`.
     pub fn min_rtt(&self, flow: FlowId) -> Option<SimDuration> {
         self.flows[flow].min_rtt
-    }
-
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        let order = self.next_order;
-        self.next_order += 1;
-        self.events.push(EventEntry::new(time, order, kind));
     }
 
     fn view(&self, f: FlowId) -> SenderView {
@@ -664,16 +770,8 @@ impl Simulator {
             }
             // Pacing gate.
             if fl.ctl.pacing_rate_bps.is_finite() && fl.next_send_time > self.now {
-                let when = self.flows[f].next_send_time;
-                self.flows[f].pacing_epoch += 1;
-                let epoch = self.flows[f].pacing_epoch;
-                self.schedule(
-                    when,
-                    EventKind::Pacing {
-                        flow: f as u32,
-                        epoch,
-                    },
-                );
+                self.events
+                    .schedule(fl.next_send_time, EventKind::Pacing(f as u32));
                 return;
             }
             // Application-data gate.
@@ -708,7 +806,7 @@ impl Simulator {
                 // App-limited: wake up when the source produces more.
                 if let Some(when) = self.flows[f].app.next_wakeup(self.now) {
                     if when > self.now {
-                        self.schedule(when, EventKind::AppWake(f as u32));
+                        self.events.schedule(when, EventKind::AppWake(f as u32));
                     }
                 }
                 return;
@@ -766,7 +864,7 @@ impl Simulator {
             let rate = self.scenario.link.trace.rate_at(self.now);
             let t = tx_time(head.size_bytes as f64 * 8.0, rate);
             self.bottleneck.busy = true;
-            self.schedule(self.now + t, EventKind::Departure);
+            self.events.schedule(self.now + t, EventKind::Departure);
         } else {
             self.bottleneck.busy = false;
         }
@@ -791,9 +889,9 @@ impl Simulator {
         // lossless and uncongested, so delivery plus acknowledgement is
         // one event at `now + 2·owd` — there is nothing for a separate
         // arrival event to decide, and skipping it removes a third of
-        // the per-packet heap traffic.
+        // the per-packet events.
         let owd = self.scenario.link.one_way_delay + self.flows[pkt.flow].spec.extra_owd;
-        self.schedule(
+        self.events.schedule(
             self.now + owd + owd,
             EventKind::Ack {
                 flow: pkt.flow as u32,
@@ -941,7 +1039,7 @@ impl Simulator {
             fl.mi_rtt_samples.clear();
         }
         let next = self.now + self.mi_len(f);
-        self.schedule(next, EventKind::Monitor(f as u32));
+        self.events.schedule(next, EventKind::Monitor(f as u32));
         Some(stats)
     }
 
@@ -994,13 +1092,9 @@ impl Simulator {
     /// Returns `None` when the horizon is reached or no events remain.
     pub fn process_next(&mut self) -> Option<Processed> {
         loop {
-            let entry = self.events.pop()?;
-            let time = entry.time();
-            if time > self.end {
-                return None;
-            }
+            let (time, kind) = self.events.pop(self.end)?;
             self.now = time;
-            match entry.kind {
+            match kind {
                 EventKind::FlowStart(f) => {
                     let f = f as FlowId;
                     // A degenerate lifecycle (stop at or before start)
@@ -1016,7 +1110,7 @@ impl Simulator {
                     self.flows[f].next_send_time = self.now;
                     self.with_cc(f, |cc, v, ctl| cc.init(v, ctl));
                     let tick = self.now + self.mi_len(f);
-                    self.schedule(tick, EventKind::Monitor(f as u32));
+                    self.events.schedule(tick, EventKind::Monitor(f as u32));
                     self.try_send(f);
                     return Some(Processed::Other);
                 }
@@ -1024,11 +1118,8 @@ impl Simulator {
                     self.flows[f as FlowId].active = false;
                     return Some(Processed::Other);
                 }
-                EventKind::Pacing { flow, epoch } => {
-                    let flow = flow as FlowId;
-                    if self.flows[flow].pacing_epoch == epoch {
-                        self.try_send(flow);
-                    }
+                EventKind::Pacing(f) => {
+                    self.try_send(f as FlowId);
                     return Some(Processed::Other);
                 }
                 EventKind::Departure => {
@@ -1446,6 +1537,67 @@ mod tests {
         let res = sim.result();
         assert!(res.flows[0].throughput_bps > 1e6);
         assert!(res.flows[1].throughput_bps > 1e6);
+    }
+
+    /// The block FIFO hands entries back in push order across block
+    /// boundaries, whether it drains completely or stays part full.
+    #[test]
+    fn ack_fifo_is_first_in_first_out_across_blocks() {
+        let mut fifo = AckFifo::default();
+        let (mut pushed, mut popped) = (0u64, 0u64);
+        // Bursts longer and shorter than a block, draining in between.
+        for (push, pop) in [(3, 3), (2500, 1000), (10, 1510), (1024, 1024), (1, 1)] {
+            for _ in 0..push {
+                fifo.push([pushed, 0, 0]);
+                assert_eq!(fifo.last_pushed(), Some(&[pushed, 0, 0]));
+                pushed += 1;
+            }
+            for _ in 0..pop {
+                assert_eq!(fifo.front(), Some(&[popped, 0, 0]));
+                fifo.pop();
+                popped += 1;
+            }
+        }
+        assert_eq!(pushed, popped);
+        assert_eq!(fifo.front(), None);
+    }
+
+    /// Two flows paced at exactly the link rate: with a 1 ms
+    /// serialization time, a 1 ms pacing gap and a 20 ms return path,
+    /// every `Pacing`, `Departure` and `Ack` — and the second flow's
+    /// `FlowStop` — lands on one 1 ms grid, so almost every pop is
+    /// decided by schedule order alone. Which flow's packet finds the
+    /// queue slot a same-instant departure freed depends on it; the
+    /// counts are the single-heap scheduler's.
+    #[test]
+    fn same_instant_events_keep_schedule_order() {
+        let mut sc = Scenario::dumbbell(12e6, 10, 20, 2, 0.0, 4);
+        sc.flows[1].stop = Some(SimTime::from_secs(2));
+        let res = Simulator::new(
+            sc,
+            vec![
+                Box::new(FixedRate::new(12e6)),
+                Box::new(FixedRate::new(12e6)),
+            ],
+        )
+        .run();
+        let counts: Vec<[u64; 5]> = res
+            .flows
+            .iter()
+            .map(|f| {
+                [
+                    f.total_sent,
+                    f.total_acked,
+                    f.total_lost,
+                    f.pkts_in_flight,
+                    f.mi_records.len() as u64,
+                ]
+            })
+            .collect();
+        assert_eq!(
+            counts,
+            [[4001, 3048, 914, 39, 103], [2000, 932, 1068, 0, 58]]
+        );
     }
 
     #[test]

@@ -143,12 +143,15 @@ impl fmt::Display for SimDuration {
 /// Converts a transmission of `bits` at `rate_bps` into a duration.
 ///
 /// Rates at or below zero yield an effectively infinite duration so that
-/// a paused link never services packets.
+/// a paused link never services packets, and a rate so small that the
+/// quotient overflows the clock yields the same: added to any instant a
+/// validated scenario reaches, it stays a `u64`.
 pub fn tx_time(bits: f64, rate_bps: f64) -> SimDuration {
+    const FOREVER: u64 = u64::MAX / 4;
     if rate_bps <= 0.0 {
-        return SimDuration(u64::MAX / 4);
+        return SimDuration(FOREVER);
     }
-    SimDuration(((bits / rate_bps) * 1e9).round() as u64)
+    SimDuration((((bits / rate_bps) * 1e9).round() as u64).min(FOREVER))
 }
 
 #[cfg(test)]
@@ -180,6 +183,9 @@ mod tests {
     #[test]
     fn tx_time_zero_rate_is_effectively_infinite() {
         assert!(tx_time(8.0, 0.0).as_secs_f64() > 1e6);
+        // A vanishing rate is the same thing, not `u64::MAX` — which
+        // wrapped `now + tx_time` into the past.
+        assert_eq!(tx_time(12_000.0, 1e-294), tx_time(8.0, 0.0));
     }
 
     #[test]

@@ -516,6 +516,120 @@ fn policy_reports_match_the_pinned_digests() {
     }
 }
 
+/// The benchmark harness's `pcc-vivace` document (216 cells, seed 2).
+/// Cell 100 — 12 Mbps, 10 ms, queue 400, loss 0.01, constant link,
+/// `onoff:1` — is its 3.3 M-event straggler: an app-limited paced
+/// cross flow whose wake-ups, pacing timers, departures and ACKs pile
+/// onto the same nanoseconds, so the report depends on every
+/// same-instant tie-break of the scheduler.
+fn pinned_vivace_grid() -> ExperimentSpec {
+    let spec = SweepSpec {
+        bandwidth_mbps: vec![6.0, 12.0, 24.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100, 400],
+        loss: vec![0.0, 0.01],
+        shapes: vec![
+            TraceShape::Constant,
+            TraceShape::Oscillating {
+                steps: 2,
+                dwell_s: 2.0,
+            },
+            TraceShape::replay("examples/traces/nr5g_blockage.json"),
+        ],
+        loads: vec![
+            FlowLoad::Steady(1),
+            FlowLoad::OnOffCross(1),
+            FlowLoad::RpcCross(1),
+        ],
+        duration_s: 5,
+        mss_bytes: 1500,
+        seed: 2,
+        agent_mi: true,
+    };
+    let scheme = SchemeSpec::parse("pcc-vivace").expect("pcc-vivace parses");
+    ExperimentSpec::from_sweep("pcc-vivace", scheme, &spec)
+}
+
+/// 16 externally paced `mocc:thr` cells against the on/off cross flow.
+fn pinned_onoff_policy_sweep() -> ExperimentSpec {
+    let spec = SweepSpec {
+        bandwidth_mbps: vec![6.0, 12.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100, 400],
+        loss: vec![0.0],
+        shapes: vec![
+            TraceShape::Constant,
+            TraceShape::Oscillating {
+                steps: 2,
+                dwell_s: 2.0,
+            },
+        ],
+        loads: vec![FlowLoad::OnOffCross(1)],
+        duration_s: 2,
+        mss_bytes: 1500,
+        seed: 1,
+        agent_mi: true,
+    };
+    let scheme = SchemeSpec::parse("mocc:thr").expect("mocc:thr parses");
+    let mut exp = ExperimentSpec::from_sweep("mocc-thr-onoff", scheme, &spec);
+    exp.policy = Some(golden_policy());
+    exp
+}
+
+/// bbr — the one scheme that is both windowed and paced — with many
+/// flows, staggered joins and departures.
+fn pinned_bbr_churn() -> ExperimentSpec {
+    let spec = CompetitionSpec {
+        mixes: vec![
+            ContenderMix::parse("incast:bbr:8x0.5").expect("mix parses"),
+            ContenderMix::staircase("bbr", 3, 4.0),
+            ContenderMix::duel("bbr", "cubic"),
+        ],
+        bandwidth_mbps: vec![12.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100],
+        duration_s: 20,
+        mss_bytes: 1500,
+        seed: 3,
+        agent_mi: true,
+        tcp_baseline: "cubic".to_string(),
+        fair_jain: 0.9,
+        fair_sustain_s: 3,
+    };
+    ExperimentSpec::from_competition("bbr-churn", &spec)
+}
+
+/// Absolute bytes of the reports most sensitive to the simulator's
+/// event order: whatever structure holds pending events, it must pop
+/// them in `(time, schedule order)` order or one of these moves.
+#[test]
+fn event_order_reports_match_the_pinned_digests() {
+    for (exp, want) in [
+        (
+            pinned_vivace_grid(),
+            "3c700995a37f78fe30f8f874fdb29ebee4cdc8696010c7a2571f07ec625db3f5",
+        ),
+        (
+            pinned_onoff_policy_sweep(),
+            "6e5d10ead59afe470092139216d3bc9e34c59d2be521ea5b416c271dd442e7db",
+        ),
+        (
+            pinned_bbr_churn(),
+            "08d3166711d3effb6a50a2946aa65a559127166a8961839e49c7b7ca0f2114cf",
+        ),
+    ] {
+        for threads in [1, 4] {
+            let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
+            assert_eq!(
+                sha256_hex(report.to_canonical_json().as_bytes()),
+                want,
+                "{} moved at {threads} thread(s)",
+                exp.name
+            );
+        }
+    }
+}
+
 /// Acceptance gate for the harness itself: a 64-cell matrix sharded
 /// over 4 threads produces canonical JSON byte-identical to a
 /// single-threaded run of the same spec.

@@ -7,12 +7,28 @@ use mocc::eval::{
 };
 use mocc::netsim::cc::{Aimd, CongestionControl, FixedRate};
 use mocc::netsim::metrics::jain_index;
-use mocc::netsim::{BandwidthTrace, FlowSpec, Scenario, Simulator};
+use mocc::netsim::{AppPattern, BandwidthTrace, FlowSpec, Scenario, Simulator};
 use mocc::nn::{Activation, ForwardTier, Matrix, Mlp, MlpScratch};
 use mocc::rl::{GaussianPolicy, PolicyScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A flow over `[start_s, stop_s)` whose source is chosen by `app`:
+/// greedy, on/off or RPC. Under [`FixedRate`] the last two are paced
+/// *and* application-limited, so pacing timers, application wake-ups
+/// and ACKs of one flow share timestamps.
+fn flow_with_app(app: u8, start_s: f64, stop_s: f64) -> FlowSpec {
+    let app = match app {
+        0 => AppPattern::Greedy,
+        1 => FlowSpec::on_off_cross(0.0, 0.3, 0.2, 6e6).app,
+        _ => FlowSpec::rpc_cross(0.0, 40_000, 0.05).app,
+    };
+    FlowSpec {
+        app,
+        ..FlowSpec::running(start_s, stop_s)
+    }
+}
 
 /// Deterministically generates a randomized-but-valid-shaped
 /// [`ExperimentSpec`] from a seed: random axes, every shape/load/mix
@@ -181,9 +197,13 @@ proptest! {
         bw_mbps in 1.0f64..20.0,
         owd_ms in 5u64..80,
         loss in 0.0f64..0.1,
+        cross_app in 0u8..3,
     ) {
-        let sc = Scenario::single(bw_mbps * 1e6, owd_ms, 100, loss, 5);
-        let mut sim = Simulator::new(sc, vec![Box::new(Aimd::new())]);
+        let mut sc = Scenario::single(bw_mbps * 1e6, owd_ms, 100, loss, 5);
+        sc.flows.push(flow_with_app(cross_app, 0.0, 5.0));
+        let ccs: Vec<Box<dyn CongestionControl>> =
+            vec![Box::new(Aimd::new()), Box::new(FixedRate::new(bw_mbps * 1e6))];
+        let mut sim = Simulator::new(sc, ccs);
         let mut last = sim.now();
         while sim.process_next().is_some() {
             prop_assert!(sim.now() >= last, "clock ran backwards: {} < {}", sim.now(), last);
@@ -229,7 +249,7 @@ proptest! {
     #[test]
     fn churn_conserves_packets_and_clock(
         lifecycles in proptest::collection::vec(
-            (0.0f64..9.0, 0.1f64..10.0, 0.5f64..12.0), 1..4),
+            (0.0f64..9.0, 0.1f64..10.0, 0.5f64..12.0, 0u8..3), 1..4),
         owd_ms in 5u64..60,
         queue in 20usize..500,
         loss in 0.0f64..0.1,
@@ -237,8 +257,8 @@ proptest! {
         let mut sc = Scenario::single(8e6, owd_ms, queue, loss, 8);
         sc.flows.clear();
         let mut ccs: Vec<Box<dyn CongestionControl>> = Vec::new();
-        for &(start, len, rate_mbps) in &lifecycles {
-            sc.flows.push(FlowSpec::running(start, start + len));
+        for &(start, len, rate_mbps, app) in &lifecycles {
+            sc.flows.push(flow_with_app(app, start, start + len));
             ccs.push(Box::new(FixedRate::new(rate_mbps * 1e6)));
         }
         let mut sim = Simulator::new(sc, ccs);
