@@ -16,15 +16,20 @@
 //! `{"ok":false,"error":"..."}`. Malformed requests answer an error
 //! and keep the session alive; `shutdown` ends the daemon.
 //!
+//! Response lines are streamed, keys in canonical (byte) order, the
+//! report written straight into its line; building each line as a
+//! `Value` tree instead is the reference the tests hold them to.
+//!
 //! The module is transport- and clock-free: [`Server::session`] is
 //! generic over `BufRead`/`Write` and takes its ledger timestamps from
 //! an injected `fn() -> u64` (the `TrainOptions.clock` pattern), so the
 //! `mocc` binary owns stdin, the Unix socket and the wall clock, and
 //! the whole protocol is testable in process.
 
-use mocc_eval::{ExperimentSpec, SweepRunner};
-use mocc_store::ResultStore;
-use serde::{Deserialize, Serialize, Value};
+use mocc_eval::{CacheStats, ExperimentSpec, SweepReport, SweepRunner};
+use mocc_store::{ResultStore, StoreStats};
+use serde::json::ObjectWriter;
+use serde::{Deserialize, Value};
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
 
@@ -120,28 +125,12 @@ impl Server<'_> {
             Some(Value::Str(op)) => op.as_str(),
             _ => return (error_response("request needs a string `op` field"), false),
         };
-        let ack = |op: &str| {
-            response(vec![
-                ("ok", Value::Bool(true)),
-                ("op", Value::Str(op.to_string())),
-            ])
-        };
         match op {
-            "ping" => (ack("ping"), false),
-            "shutdown" => (ack("shutdown"), true),
+            "ping" => (ack_response("ping"), false),
+            "shutdown" => (ack_response("shutdown"), true),
             "stats" => match self.store.stats() {
                 Err(e) => (error_response(&e.to_string()), false),
-                Ok(s) => (
-                    response(vec![
-                        ("hits", s.hits.to_value()),
-                        ("keys", s.keys.to_value()),
-                        ("misses", s.misses.to_value()),
-                        ("objects", s.objects.to_value()),
-                        ("ok", Value::Bool(true)),
-                        ("puts", s.puts.to_value()),
-                    ]),
-                    false,
-                ),
+                Ok(stats) => (stats_response(&stats), false),
             },
             "run" => {
                 let exp = match (request.get("spec"), request.get("path")) {
@@ -160,19 +149,7 @@ impl Server<'_> {
                 });
                 match result {
                     Err(e) => (error_response(&e), false),
-                    Ok((report, stats)) => {
-                        let report_value: Value = serde_json::from_str(&report.to_canonical_json())
-                            .expect("canonical report parses");
-                        (
-                            response(vec![
-                                ("hits", stats.hits.to_value()),
-                                ("misses", stats.misses.to_value()),
-                                ("ok", Value::Bool(true)),
-                                ("report", report_value),
-                            ]),
-                            false,
-                        )
-                    }
+                    Ok((report, stats)) => (run_response(&report, stats), false),
                 }
             }
             other => (error_response(&format!("unknown op {other:?}")), false),
@@ -214,20 +191,50 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// One response line: a JSON object of `fields`.
-fn response(fields: Vec<(&str, Value)>) -> String {
-    let obj = fields
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    serde_json::to_string(&Value::Obj(obj)).expect("response serializes")
+/// One response line: the object `fields` writes, keys ascending.
+fn response(fields: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut line = String::new();
+    let mut w = ObjectWriter::begin(&mut line);
+    fields(&mut w);
+    w.end();
+    line
+}
+
+fn ack_response(op: &str) -> String {
+    response(|w| {
+        w.field("ok", &true);
+        w.field("op", op);
+    })
 }
 
 fn error_response(msg: &str) -> String {
-    response(vec![
-        ("error", Value::Str(msg.to_string())),
-        ("ok", Value::Bool(false)),
-    ])
+    response(|w| {
+        w.field("error", msg);
+        w.field("ok", &false);
+    })
+}
+
+fn stats_response(stats: &StoreStats) -> String {
+    response(|w| {
+        w.field("hits", &stats.hits);
+        w.field("keys", &stats.keys);
+        w.field("misses", &stats.misses);
+        w.field("objects", &stats.objects);
+        w.field("ok", &true);
+        w.field("puts", &stats.puts);
+    })
+}
+
+/// A `run` response. `report` sorts last, so the canonical report is
+/// streamed into the line as its tail — not parsed back into a tree to
+/// be printed again.
+fn run_response(report: &SweepReport, stats: CacheStats) -> String {
+    response(|w| {
+        w.field("hits", &stats.hits);
+        w.field("misses", &stats.misses);
+        w.field("ok", &true);
+        w.field("report", report);
+    })
 }
 
 #[cfg(test)]
@@ -341,6 +348,54 @@ mod tests {
         let stamps = ledger_timestamps(&dir);
         assert_eq!(stamps.len(), 48, "16 misses + 16 puts + 16 hits");
         assert!(stamps.iter().all(|&ts| ts == fixed_clock()), "{stamps:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `stats` lines pinned while the ledger changes underneath the
+    /// daemon's store handle: its own run lines, then a second handle
+    /// on the same directory (another process) appending, compacting
+    /// the ledger away and growing it past its old length.
+    #[test]
+    fn stats_lines_follow_a_ledger_that_grows_and_is_replaced() {
+        let (dir, store) = temp_store("stats-tail");
+        let run = format!(
+            "{{\"op\":\"run\",\"path\":\"{}\"}}\n{{\"op\":\"stats\"}}\n",
+            repo_file("examples/specs/sweep_cubic.json").display()
+        );
+        let stats_after = |input: &str| {
+            let (lines, _) = session(&store, input.as_bytes());
+            lines.last().expect("a stats line").clone()
+        };
+        assert_eq!(
+            stats_after(&run),
+            "{\"hits\":0,\"keys\":16,\"misses\":16,\"objects\":16,\"ok\":true,\"puts\":16}"
+        );
+        assert_eq!(
+            stats_after(&run),
+            "{\"hits\":16,\"keys\":16,\"misses\":16,\"objects\":16,\"ok\":true,\"puts\":16}"
+        );
+        let other = ResultStore::open(&dir).expect("second handle");
+        let (fresh, absent) = ("a".repeat(64), "b".repeat(64));
+        other.put(&fresh, "foreign blob", 5).expect("foreign put");
+        assert!(other.get(&fresh, 6).is_some());
+        assert!(other.get(&absent, 7).is_none());
+        assert_eq!(
+            stats_after("{\"op\":\"stats\"}\n"),
+            "{\"hits\":17,\"keys\":17,\"misses\":17,\"objects\":17,\"ok\":true,\"puts\":17}"
+        );
+        let ledger_len = || std::fs::metadata(dir.join("ledger.jsonl")).unwrap().len();
+        let before_gc = ledger_len();
+        assert_eq!(other.gc(None).expect("foreign gc").kept, 17);
+        assert!(ledger_len() < before_gc, "gc compacts the ledger");
+        for i in 0..40 {
+            let key = if i % 4 == 0 { &absent } else { &fresh };
+            other.get(key, 8);
+        }
+        assert!(ledger_len() > before_gc, "and the lookups outgrow it");
+        assert_eq!(
+            stats_after("{\"op\":\"stats\"}\n"),
+            "{\"hits\":30,\"keys\":17,\"misses\":10,\"objects\":17,\"ok\":true,\"puts\":17}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -510,6 +565,131 @@ mod tests {
         );
         assert!(!shutdown);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic in the run executor's share of the work that the serving
+    /// thread does itself (one worker: all of it) reaches the guard
+    /// with its own message. The injected clock is the one hook a
+    /// session offers, so the clock runs the sweep that panics.
+    #[test]
+    fn panic_on_the_serving_threads_share_of_a_run_is_an_internal_error() {
+        use mocc_eval::{CellEvaluator, CellReport, SweepCell, SweepSpec};
+        struct Exploding;
+        impl CellEvaluator for Exploding {
+            fn eval_batch(&self, _: &[SweepCell]) -> Vec<CellReport> {
+                panic!("cell exploded")
+            }
+        }
+        fn clock_running_a_sweep() -> u64 {
+            let spec = SweepSpec::single_cell();
+            SweepRunner::with_threads(1).run_cells(&spec, "boom", &Exploding, None);
+            unreachable!("the evaluator panics")
+        }
+        let (dir, store) = temp_store("panic-run");
+        let input = format!(
+            "{{\"op\":\"run\",\"path\":\"{}\"}}\n{{\"op\":\"ping\"}}\n",
+            repo_file("examples/specs/sweep_cubic.json").display()
+        );
+        let (lines, _) = session_with(&store, clock_running_a_sweep, input.as_bytes());
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"internal error: cell exploded\",\"ok\":false}",
+                PING
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The reference for every response line: the same fields as a
+    /// `Value` tree, the report parsed back into one, printed by the
+    /// tree writer.
+    fn tree_response(fields: Vec<(&str, Value)>) -> String {
+        let obj = fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        serde_json::to_string(&Value::Obj(obj)).expect("response serializes")
+    }
+
+    /// Streamed lines are the tree's lines byte for byte: a `run`
+    /// response for every shipped golden report (sweeps, a replay and
+    /// two competitions), errors whose text needs escaping, the acks
+    /// and `stats`.
+    #[test]
+    fn streamed_responses_equal_the_tree_built_lines() {
+        use serde::Serialize;
+        let mut goldens = 0;
+        for entry in std::fs::read_dir(repo_file("tests/fixtures")).expect("fixtures") {
+            let path = entry.expect("fixture entry").path();
+            if !path.extension().is_some_and(|ext| ext == "json") {
+                continue;
+            }
+            goldens += 1;
+            let text = std::fs::read_to_string(&path).expect("golden fixture");
+            let report = SweepReport::from_json(&text).expect("golden parses");
+            let stats = CacheStats {
+                hits: report.cells.len() as u64,
+                misses: goldens,
+            };
+            let report_value: Value =
+                serde_json::from_str(&report.to_canonical_json()).expect("canonical report parses");
+            assert_eq!(
+                run_response(&report, stats),
+                tree_response(vec![
+                    ("hits", stats.hits.to_value()),
+                    ("misses", stats.misses.to_value()),
+                    ("ok", Value::Bool(true)),
+                    ("report", report_value),
+                ]),
+                "{}",
+                path.display()
+            );
+        }
+        assert_eq!(goldens, 7, "every shipped golden report");
+        for msg in [
+            "plain",
+            "quote \" slash \\ tab \t nul \0 del \x7f",
+            "naïve ∞ \u{1F980}",
+        ] {
+            assert_eq!(
+                error_response(msg),
+                tree_response(vec![
+                    ("error", Value::Str(msg.to_string())),
+                    ("ok", Value::Bool(false)),
+                ])
+            );
+        }
+        for op in ["ping", "shutdown"] {
+            assert_eq!(
+                ack_response(op),
+                tree_response(vec![
+                    ("ok", Value::Bool(true)),
+                    ("op", Value::Str(op.to_string())),
+                ])
+            );
+        }
+        let stats = StoreStats {
+            objects: 4,
+            object_bytes: 5,
+            keys: 3,
+            puts: u64::MAX,
+            hits: 2,
+            misses: 1,
+            bad_ledger_lines: 6,
+            truncated_ledger_tail: true,
+        };
+        assert_eq!(
+            stats_response(&stats),
+            tree_response(vec![
+                ("hits", stats.hits.to_value()),
+                ("keys", stats.keys.to_value()),
+                ("misses", stats.misses.to_value()),
+                ("objects", stats.objects.to_value()),
+                ("ok", Value::Bool(true)),
+                ("puts", stats.puts.to_value()),
+            ])
+        );
     }
 
     /// `run` takes exactly one of `spec` and `path`; bad specs and

@@ -182,6 +182,56 @@ fn corrupt_object_fails_verify_then_run_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The issue's reproducer, both forms: a copied cache directory whose
+/// ledger holds `put` lines naming a file outside the store — an
+/// absolute path and a `..` one, with a digest that cannot match, so a
+/// `gc` that believed them would remove the "corrupt object". They are
+/// bad lines: `gc` exits 0 and leaves both victims in place, `stats`
+/// reports them as damage.
+#[test]
+fn hostile_ledger_path_cannot_reach_outside_the_store() {
+    let dir = temp_dir("hostile");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf-8 temp path");
+    std::fs::create_dir_all(store.join("objects")).expect("store skeleton");
+    let victims = [dir.join("thesis.tex"), dir.join("victim.txt")];
+    let named = [victims[0].to_str().expect("utf-8"), "../victim.txt"];
+    let mut ledger = String::new();
+    for (i, (victim, path)) in victims.iter().zip(named).enumerate() {
+        std::fs::write(victim, "years of work").expect("victim");
+        ledger += &format!(
+            "{{\"content\":\"{}\",\"event\":\"put\",\"key\":\"{}{i}\",\"path\":\"{path}\",\"ts\":1}}\n",
+            "0".repeat(64),
+            "0".repeat(63),
+        );
+    }
+    std::fs::write(store.join("ledger.jsonl"), ledger).expect("hostile ledger");
+
+    let stats = mocc(&["cache", "stats", "--cache-dir", store_arg]);
+    assert!(stats.status.success(), "stats: {}", stderr_of(&stats));
+    let stats_text = String::from_utf8_lossy(&stats.stdout).into_owned();
+    assert!(stats_text.contains("keys:         0"), "{stats_text}");
+    assert!(
+        stats_text.contains("damage:       2 bad lines, truncated tail: false"),
+        "{stats_text}"
+    );
+
+    let gc = mocc(&["cache", "gc", "--cache-dir", store_arg]);
+    assert!(gc.status.success(), "gc: {}", stderr_of(&gc));
+    let gc_text = String::from_utf8_lossy(&gc.stdout).into_owned();
+    assert!(
+        gc_text.contains("kept 0 objects, removed 0, dropped 2 ledger lines"),
+        "gc: {gc_text}"
+    );
+    for victim in &victims {
+        assert_eq!(
+            std::fs::read_to_string(victim).expect("victim survives gc"),
+            "years of work"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The stdin/stdout transport is wired to the serve module: a warm
 /// store answers a run-by-path all-hit between a ping and a clean
 /// shutdown. (Every protocol case lives in `mocc_bench::serve`'s

@@ -1,11 +1,12 @@
 //! The sharded sweep executor.
 //!
 //! A [`SweepRunner`] expands a [`SweepSpec`] and distributes the cells
-//! over `std::thread::scope` workers pulling from a shared atomic work
-//! queue. Each cell is simulated independently with its own derived
-//! seed, so the *execution* order is irrelevant: results are slotted
-//! back by cell index and the assembled [`SweepReport`] is identical —
-//! byte for byte in canonical JSON — whatever the worker count.
+//! over workers — the calling thread and `std::thread::scope` threads
+//! beside it — pulling from a shared atomic work queue. Each cell is
+//! simulated independently with its own derived seed, so the
+//! *execution* order is irrelevant: results are slotted back by cell
+//! index and the assembled [`SweepReport`] is identical — byte for byte
+//! in canonical JSON — whatever the worker count.
 //!
 //! Work is pulled one cell at a time, whatever the [`CellEvaluator`]:
 //! a worker that finishes a cell takes the next unclaimed index, so a
@@ -128,12 +129,18 @@ impl CompetitionEvaluator for RegistryCompetition<'_> {
     }
 }
 
-/// The shared sharded executor: `threads` scoped workers each pull the
-/// next unclaimed item index from an atomic counter, evaluate that one
-/// item and slot the result back by index. Scheduling order can never
-/// change the output vector — the byte-identity foundation both the
-/// classic sweep and the competition sweep build on — and `n` items on
-/// at least `n` workers run fully in parallel.
+/// The shared sharded executor: `threads` workers each pull the next
+/// unclaimed item index from an atomic counter, evaluate that one item
+/// and slot the result back by index. Scheduling order can never change
+/// the output vector — the byte-identity foundation both the classic
+/// sweep and the competition sweep build on — and `n` items on at least
+/// `n` workers run fully in parallel.
+///
+/// The calling thread is one of the workers: only the others are
+/// spawned (scoped), so one worker, one item or nothing to do — every
+/// `--threads 1` run, every all-hit cached run — starts no thread, and
+/// a panic in the caller's share unwinds to the caller with its own
+/// message once the scope has joined the rest.
 pub(crate) fn run_each<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -143,17 +150,19 @@ pub(crate) fn run_each<T: Sync, R: Send>(
     let workers = threads.min(n).max(1);
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = eval(&items[i]);
-                slots.lock().expect("slot lock")[i] = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let result = eval(&items[i]);
+        slots.lock().expect("slot lock")[i] = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_inner()
@@ -629,6 +638,48 @@ mod tests {
         fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
             cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
         }
+    }
+
+    /// The calling thread is one of the workers and only the others
+    /// are spawned: one worker, one item or no item runs `eval` on the
+    /// caller alone (an all-hit cached run starts no thread), and two
+    /// workers are the caller and exactly one thread beside it — held
+    /// to that by the first two items each waiting (bounded) for the
+    /// other to have started.
+    #[test]
+    fn the_caller_is_a_worker_and_only_the_others_are_spawned() {
+        use std::thread::ThreadId;
+        let me = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let threads_used = |n: usize, threads: usize, meet: bool| -> Vec<ThreadId> {
+            let items: Vec<usize> = (0..n).collect();
+            let out = run_each(&items, threads, &|&i| {
+                if meet && i < 2 {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    for _ in 0..5_000 {
+                        if started.load(Ordering::SeqCst) >= 2 {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                (i, std::thread::current().id())
+            });
+            let (order, ids): (Vec<usize>, Vec<ThreadId>) = out.into_iter().unzip();
+            assert_eq!(order, items, "results are slotted by index");
+            let mut distinct = Vec::new();
+            for id in ids {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            distinct
+        };
+        assert_eq!(threads_used(8, 1, false), [me]);
+        assert_eq!(threads_used(1, 4, false), [me]);
+        assert_eq!(threads_used(0, 4, false), []);
+        let two = threads_used(8, 2, true);
+        assert!(two.len() == 2 && two.contains(&me), "{two:?} from {me:?}");
     }
 
     /// No more cells than workers means every cell has a worker of its

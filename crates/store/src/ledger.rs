@@ -16,6 +16,7 @@
 //! that lets [`crate::ResultStore`] verify objects it did not write
 //! itself.
 
+use crate::store::{is_object_rel_path, validate_key};
 use serde::json::{self, ObjectWriter, Parser};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeMap;
@@ -197,6 +198,19 @@ impl LedgerEntry {
     pub fn to_line(&self) -> String {
         serde_json::to_string(self).expect("ledger serialization is infallible")
     }
+
+    /// False for a `put` line no reader may act on: its key is not a
+    /// store key, or it names an object path other than its key's own.
+    /// A ledger is outside input — a copied or corrupted cache
+    /// directory — and a believed `path` is a file `gc` may delete.
+    fn names_its_own_object(&self) -> bool {
+        self.event != LedgerEvent::Put
+            || (validate_key(&self.key).is_ok()
+                && self
+                    .path
+                    .as_ref()
+                    .map_or(true, |path| is_object_rel_path(path, &self.key)))
+    }
 }
 
 /// The result of scanning a ledger file: every parseable entry in file
@@ -205,8 +219,9 @@ impl LedgerEntry {
 pub struct LedgerScan {
     /// Entries in append order.
     pub entries: Vec<LedgerEntry>,
-    /// 1-based line numbers that were present but unparseable
-    /// (bit flips, manual edits).
+    /// 1-based line numbers that were present but unparseable (bit
+    /// flips, manual edits), or a `put` whose key is not a store key or
+    /// whose `path` is not that key's object path.
     pub bad_lines: Vec<usize>,
     /// True when the file ends without a newline — the signature of a
     /// process killed mid-append. The partial tail is *not* included
@@ -244,8 +259,8 @@ impl LedgerScan {
                 continue;
             }
             match serde_json::from_str::<LedgerEntry>(line) {
-                Ok(entry) => visit(entry),
-                Err(_) => scan.bad_lines.push(i + 1),
+                Ok(entry) if entry.names_its_own_object() => visit(entry),
+                _ => scan.bad_lines.push(i + 1),
             }
         }
         scan
@@ -276,13 +291,19 @@ impl LedgerScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::object_rel_path;
 
-    fn put(key: &str, ts: u64) -> LedgerEntry {
+    /// A store key starting with `tag` (hex), zero-padded.
+    fn key(tag: &str) -> String {
+        format!("{tag:0<64}")
+    }
+
+    fn put(tag: &str, ts: u64) -> LedgerEntry {
         LedgerEntry {
-            key: key.to_string(),
+            key: key(tag),
             event: LedgerEvent::Put,
             content: Some("c".repeat(64)),
-            path: Some(format!("objects/{}/{key}.json", &key[..2])),
+            path: Some(object_rel_path(&key(tag))),
             ts,
         }
     }
@@ -292,7 +313,7 @@ mod tests {
         let entries = [
             put("ab12", 7),
             LedgerEntry {
-                key: "ab12".into(),
+                key: key("ab12"),
                 event: LedgerEvent::Hit,
                 content: None,
                 path: None,
@@ -328,7 +349,7 @@ mod tests {
         let scan = LedgerScan::parse(&format!("{a}\n{b}\n{c}\n"));
         assert_eq!(scan.entries.len(), 2);
         assert_eq!(scan.bad_lines, vec![2]);
-        assert_eq!(scan.entries[1].key, "ef56");
+        assert_eq!(scan.entries[1].key, key("ef56"));
     }
 
     #[test]
@@ -337,7 +358,7 @@ mod tests {
         old.content = Some("d".repeat(64));
         let newer = put("ab12", 5);
         let hit = LedgerEntry {
-            key: "ab12".into(),
+            key: key("ab12"),
             event: LedgerEvent::Hit,
             content: None,
             path: None,
@@ -351,7 +372,7 @@ mod tests {
         );
         let scan = LedgerScan::parse(&text);
         let puts = scan.latest_puts();
-        assert_eq!(puts["ab12"], newer);
-        assert_eq!(scan.last_touch()["ab12"], 9);
+        assert_eq!(puts[&key("ab12")], newer);
+        assert_eq!(scan.last_touch()[&key("ab12")], 9);
     }
 }

@@ -3,7 +3,7 @@
 use crate::ledger::{write_entry, LedgerEntry, LedgerEvent, LedgerScan};
 use crate::sha256::sha256_hex;
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -16,12 +16,88 @@ const OBJECTS_DIR: &str = "objects";
 /// Monotone counter making temp-file names unique within a process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// What the store knows about one key: the digest and location of its
-/// current blob.
-#[derive(Debug, Clone)]
-struct PutRecord {
-    content: String,
-    path: String,
+/// The ledger as far as this handle has read it: the key index (each
+/// key's latest `put`, as its blob's content digest — the blob's place
+/// is always [`object_rel_path`] of the key) and the line counts
+/// `stats` reports, with where the reading stopped.
+#[derive(Debug, Default)]
+struct Folded {
+    index: BTreeMap<String, String>,
+    puts: u64,
+    hits: u64,
+    misses: u64,
+    bad_lines: u64,
+    /// Ledger bytes folded so far; always just past a newline.
+    offset: u64,
+    /// The last line folded, newline included: the bytes a ledger must
+    /// still hold before `offset` to be the file that was folded.
+    anchor: String,
+}
+
+impl Folded {
+    /// Folds the complete lines of `text`, the ledger from `offset`
+    /// on, in append order (a key's latest `put` is the one kept);
+    /// returns whether a half-written line is left after them.
+    fn fold(&mut self, text: &str) -> bool {
+        let scan = LedgerScan::visit(text, |entry| match entry.event {
+            LedgerEvent::Put => {
+                self.puts += 1;
+                self.index
+                    .insert(entry.key, entry.content.unwrap_or_default());
+            }
+            LedgerEvent::Hit => self.hits += 1,
+            LedgerEvent::Miss => self.misses += 1,
+        });
+        self.bad_lines += scan.bad_lines.len() as u64;
+        if let Some(last_nl) = text.rfind('\n') {
+            let start = text[..last_nl].rfind('\n').map_or(0, |nl| nl + 1);
+            self.anchor.clear();
+            self.anchor.push_str(&text[start..=last_nl]);
+            self.offset += last_nl as u64 + 1;
+        }
+        scan.truncated_tail
+    }
+
+    /// Brings the fold up to the ledger's current end by reading only
+    /// what was appended since the last call, and returns whether the
+    /// ledger ends in a half-written line.
+    ///
+    /// The whole ledger is folded again from its start when it is not
+    /// the file that was folded — it does not hold the last folded line
+    /// just before `offset`: it is shorter, or `gc` (this process's or
+    /// another's) renamed a compacted ledger into place — and when the
+    /// appended lines hold a bad one: a writer that appends onto
+    /// another's half-written tail loses its first line to it, and if
+    /// that was a `put` of this handle's, the index holds a key the
+    /// ledger does not.
+    fn catch_up(&mut self, root: &Path) -> io::Result<bool> {
+        let mut file = match std::fs::File::open(root.join(LEDGER_FILE)) {
+            Ok(file) => file,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                *self = Folded::default();
+                return Ok(false);
+            }
+            Err(e) => return Err(e),
+        };
+        // Nothing folded or indexed yet (every `open`): the first fold
+        // below is the fold from the start.
+        let from_start = self.offset == 0 && self.index.is_empty();
+        let bad_lines = self.bad_lines;
+        let mut bytes = Vec::new();
+        file.seek(SeekFrom::Start(self.offset - self.anchor.len() as u64))?;
+        file.read_to_end(&mut bytes)?;
+        if bytes.starts_with(self.anchor.as_bytes()) {
+            let truncated = self.fold(utf8(&bytes[self.anchor.len()..])?);
+            if from_start || self.bad_lines == bad_lines {
+                return Ok(truncated);
+            }
+        }
+        *self = Folded::default();
+        bytes.clear();
+        file.rewind()?;
+        file.read_to_end(&mut bytes)?;
+        Ok(self.fold(utf8(&bytes)?))
+    }
 }
 
 /// A content-addressed on-disk result store.
@@ -51,7 +127,7 @@ struct PutRecord {
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
-    index: Mutex<BTreeMap<String, PutRecord>>,
+    folded: Mutex<Folded>,
     repaired_tail: bool,
 }
 
@@ -70,7 +146,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// `miss` ledger entries.
     pub misses: u64,
-    /// Unparseable ledger lines.
+    /// Ledger lines no reader acts on: unparseable, or a `put` naming
+    /// an object that is not its key's own.
     pub bad_ledger_lines: u64,
     /// True when the ledger ends in a half-written line.
     pub truncated_ledger_tail: bool,
@@ -104,35 +181,28 @@ pub struct GcReport {
 }
 
 impl ResultStore {
-    /// Opens (creating if necessary) a store rooted at `root`,
-    /// repairing a crash-truncated ledger tail and loading the key
-    /// index from the ledger.
+    /// Opens (creating if necessary) a store rooted at `root`: folds
+    /// the whole ledger once, into the key index and the counts
+    /// [`ResultStore::stats`] reports, and repairs a crash-truncated
+    /// ledger tail.
     pub fn open(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
         std::fs::create_dir_all(root.join(OBJECTS_DIR))?;
-        let text = read_ledger(&root)?;
-        // Crash recovery: drop an incomplete final line so future
-        // appends start on a fresh line. The scan below never parses
-        // the partial tail either way; the truncation just keeps the
-        // on-disk file canonical.
-        let mut repaired_tail = false;
-        if !text.is_empty() && !text.ends_with('\n') {
-            let keep = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            std::fs::write(root.join(LEDGER_FILE), &text[..keep])?;
-            repaired_tail = true;
+        let mut folded = Folded::default();
+        let repaired_tail = folded.catch_up(&root)?;
+        if repaired_tail {
+            // Crash recovery: drop the incomplete final line so future
+            // appends start on a fresh line. Cut in place — the lines
+            // before it are never rewritten, so a second crash here
+            // cannot lose them.
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(root.join(LEDGER_FILE))?
+                .set_len(folded.offset)?;
         }
-        // In append order, so a key's latest `put` is the one kept.
-        let mut index = BTreeMap::new();
-        LedgerScan::visit(&text, |entry| {
-            if entry.event == LedgerEvent::Put {
-                let path = entry.path.unwrap_or_else(|| object_rel_path(&entry.key));
-                let content = entry.content.unwrap_or_default();
-                index.insert(entry.key, PutRecord { content, path });
-            }
-        });
         Ok(ResultStore {
             root,
-            index: Mutex::new(index),
+            folded: Mutex::new(folded),
             repaired_tail,
         })
     }
@@ -150,7 +220,7 @@ impl ResultStore {
 
     /// Number of keys with a live blob record.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("store lock").len()
+        self.folded.lock().expect("store lock").index.len()
     }
 
     /// True when no key has a live blob record.
@@ -198,13 +268,19 @@ impl ResultStore {
         let mut bytes = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             let key = key.as_ref();
-            let record = self.index.lock().expect("store lock").get(key).cloned();
-            let blob = record.and_then(|record| {
+            let content = self
+                .folded
+                .lock()
+                .expect("store lock")
+                .index
+                .get(key)
+                .cloned();
+            let blob = content.and_then(|content| {
                 bytes.clear();
-                std::fs::File::open(self.root.join(&record.path))
+                std::fs::File::open(self.root.join(object_rel_path(key)))
                     .and_then(|mut file| file.read_to_end(&mut bytes))
                     .ok()?;
-                (sha256_hex(&bytes) == record.content).then_some(())?;
+                (sha256_hex(&bytes) == content).then_some(())?;
                 std::str::from_utf8(&bytes).ok()
             });
             let event = if blob.is_some() {
@@ -216,7 +292,7 @@ impl ResultStore {
             lines.push('\n');
             visit(i, blob);
         }
-        let _guard = self.index.lock().expect("store lock");
+        let _guard = self.folded.lock().expect("store lock");
         let _ = self.append_locked(&lines);
     }
 
@@ -248,9 +324,9 @@ impl ResultStore {
             ts,
         );
         line.push('\n');
-        let mut guard = self.index.lock().expect("store lock");
+        let mut guard = self.folded.lock().expect("store lock");
         self.append_locked(&line)?;
-        guard.insert(key.to_string(), PutRecord { content, path: rel });
+        guard.index.insert(key.to_string(), content);
         Ok(())
     }
 
@@ -295,28 +371,35 @@ impl ResultStore {
         Ok(out)
     }
 
-    /// Aggregate counters over the ledger and the objects directory.
+    /// Aggregate counters over the ledger, as of its current end, and
+    /// the objects directory.
+    ///
+    /// Only the lines appended since [`ResultStore::open`] or the last
+    /// call are read — by any writer, so another process's `put` lines
+    /// enter this handle's index here exactly as they would at the
+    /// next `open`. The lines already folded are trusted until the
+    /// ledger shrinks or is replaced, or a bad line is appended, each
+    /// of which folds it again from its start;
+    /// [`ResultStore::verify`] is the full scan that sees damage done
+    /// to them since. Replacement is recognised by the last folded
+    /// line no longer sitting where it did, so a compacted ledger that
+    /// happens to hold those same bytes there is taken for the old one
+    /// until the next `open`.
     pub fn stats(&self) -> io::Result<StoreStats> {
-        let (mut puts, mut hits, mut misses) = (0, 0, 0);
-        let mut keys = std::collections::BTreeSet::new();
-        let scan = LedgerScan::visit(&read_ledger(&self.root)?, |entry| match entry.event {
-            LedgerEvent::Put => {
-                puts += 1;
-                keys.insert(entry.key);
-            }
-            LedgerEvent::Hit => hits += 1,
-            LedgerEvent::Miss => misses += 1,
-        });
+        // Walked before the lock is taken: lookups wait for the
+        // catch-up only.
         let objects = self.walk_objects()?;
+        let mut folded = self.folded.lock().expect("store lock");
+        let truncated_ledger_tail = folded.catch_up(&self.root)?;
         Ok(StoreStats {
             objects: objects.len() as u64,
             object_bytes: objects.iter().map(|(_, n)| n).sum(),
-            keys: keys.len() as u64,
-            puts,
-            hits,
-            misses,
-            bad_ledger_lines: scan.bad_lines.len() as u64,
-            truncated_ledger_tail: scan.truncated_tail,
+            keys: folded.index.len() as u64,
+            puts: folded.puts,
+            hits: folded.hits,
+            misses: folded.misses,
+            bad_ledger_lines: folded.bad_lines,
+            truncated_ledger_tail,
         })
     }
 
@@ -333,13 +416,13 @@ impl ResultStore {
                 .push("ledger: half-written final line (crashed writer); reopen to repair".into());
         }
         for line in &scan.bad_lines {
-            report
-                .issues
-                .push(format!("ledger: line {line} is unparseable"));
+            report.issues.push(format!(
+                "ledger: line {line} is unparseable, or a put naming an object not its key's"
+            ));
         }
         let puts = scan.latest_puts();
         for (key, entry) in &puts {
-            let rel = entry.path.clone().unwrap_or_else(|| object_rel_path(key));
+            let rel = object_rel_path(key);
             match std::fs::read(self.root.join(&rel)) {
                 Err(_) => report.issues.push(format!("object {rel}: missing blob")),
                 Ok(bytes) => {
@@ -355,10 +438,8 @@ impl ResultStore {
                 }
             }
         }
-        let referenced: std::collections::BTreeSet<String> = puts
-            .iter()
-            .map(|(k, e)| e.path.clone().unwrap_or_else(|| object_rel_path(k)))
-            .collect();
+        let referenced: std::collections::BTreeSet<String> =
+            puts.keys().map(|k| object_rel_path(k)).collect();
         for (rel, _) in self.walk_objects()? {
             if !referenced.contains(&rel) {
                 report
@@ -376,15 +457,14 @@ impl ResultStore {
     /// timestamps preserved; hit/miss history is dropped — that is
     /// the space the collection reclaims). The rewrite is atomic.
     pub fn gc(&self, before: Option<u64>) -> io::Result<GcReport> {
-        let mut guard = self.index.lock().expect("store lock");
+        let mut guard = self.folded.lock().expect("store lock");
         let scan = LedgerScan::parse(&read_ledger(&self.root)?);
         let puts = scan.latest_puts();
         let touch = scan.last_touch();
         let mut survivors: BTreeMap<String, LedgerEntry> = BTreeMap::new();
         let mut removed_objects = 0u64;
         for (key, entry) in &puts {
-            let rel = entry.path.clone().unwrap_or_else(|| object_rel_path(key));
-            let full = self.root.join(&rel);
+            let full = self.root.join(object_rel_path(key));
             let expired = before.is_some_and(|b| touch.get(key).copied().unwrap_or(0) < b);
             let live = !expired
                 && std::fs::read(&full)
@@ -396,10 +476,8 @@ impl ResultStore {
                 removed_objects += 1;
             }
         }
-        let kept_paths: std::collections::BTreeSet<String> = survivors
-            .iter()
-            .map(|(k, e)| e.path.clone().unwrap_or_else(|| object_rel_path(k)))
-            .collect();
+        let kept_paths: std::collections::BTreeSet<String> =
+            survivors.keys().map(|k| object_rel_path(k)).collect();
         for (rel, _) in self.walk_objects()? {
             if !kept_paths.contains(&rel) && std::fs::remove_file(self.root.join(&rel)).is_ok() {
                 removed_objects += 1;
@@ -419,18 +497,8 @@ impl ResultStore {
         std::fs::rename(&tmp, self.root.join(LEDGER_FILE))?;
         let before_lines =
             scan.entries.len() + scan.bad_lines.len() + usize::from(scan.truncated_tail);
-        *guard = survivors
-            .iter()
-            .map(|(k, e)| {
-                (
-                    k.clone(),
-                    PutRecord {
-                        content: e.content.clone().unwrap_or_default(),
-                        path: e.path.clone().unwrap_or_else(|| object_rel_path(k)),
-                    },
-                )
-            })
-            .collect();
+        *guard = Folded::default();
+        guard.fold(&compacted);
         Ok(GcReport {
             kept: survivors.len() as u64,
             removed_objects,
@@ -439,9 +507,9 @@ impl ResultStore {
     }
 }
 
-/// The ledger text of the store at `root`, empty when there is no
-/// ledger yet. `stats`, `verify` and `gc` read it from disk, not from
-/// the in-memory index, so damage inflicted after `open` is visible.
+/// The whole ledger text of the store at `root`, empty when there is
+/// no ledger yet. `verify` and `gc` read it from disk, not from the
+/// in-memory fold, so damage inflicted after `open` is visible to them.
 fn read_ledger(root: &Path) -> io::Result<String> {
     match std::fs::read_to_string(root.join(LEDGER_FILE)) {
         Ok(text) => Ok(text),
@@ -450,20 +518,37 @@ fn read_ledger(root: &Path) -> io::Result<String> {
     }
 }
 
-/// The object path for a key, relative to the store root: sharded by
-/// the first two hex characters so no directory grows unboundedly.
-pub fn object_rel_path(key: &str) -> String {
+/// Ledger bytes as text; a ledger that is not UTF-8 is an error, as it
+/// is to `read_to_string`.
+fn utf8(bytes: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// The pieces of a key's object path, in order: sharded by the first
+/// two hex characters so no directory grows unboundedly.
+fn object_path_parts(key: &str) -> [&str; 6] {
     let shard = key.get(..2).unwrap_or("xx");
-    format!("{OBJECTS_DIR}/{shard}/{key}.json")
+    [OBJECTS_DIR, "/", shard, "/", key, ".json"]
+}
+
+/// The object path for a key, relative to the store root.
+pub fn object_rel_path(key: &str) -> String {
+    object_path_parts(key).concat()
+}
+
+/// Whether `path` is exactly [`object_rel_path`] of `key`, without
+/// building it: every `put` line folded is checked.
+pub(crate) fn is_object_rel_path(path: &str, key: &str) -> bool {
+    object_path_parts(key)
+        .iter()
+        .try_fold(path, |rest, part| rest.strip_prefix(part))
+        == Some("")
 }
 
 /// Keys must be 64-char lowercase hex (a SHA-256 digest): anything
 /// else would be a caller bug and could escape the objects directory.
-fn validate_key(key: &str) -> io::Result<()> {
-    let ok = key.len() == 64
-        && key
-            .chars()
-            .all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase());
+pub(crate) fn validate_key(key: &str) -> io::Result<()> {
+    let ok = key.len() == 64 && key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
     if ok {
         Ok(())
     } else {
@@ -594,8 +679,8 @@ mod tests {
         store.put(&k, "blob", 1).unwrap();
         let root = store.root().to_path_buf();
         drop(store);
+        let intact = std::fs::read(root.join(LEDGER_FILE)).unwrap();
         // Simulate a crash mid-append: a partial line, no newline.
-        use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(root.join(LEDGER_FILE))
@@ -605,11 +690,106 @@ mod tests {
         let store = ResultStore::open(&root).unwrap();
         assert!(store.repaired_tail());
         assert_eq!(store.len(), 1, "intact entries survive the repair");
+        assert_eq!(
+            std::fs::read(root.join(LEDGER_FILE)).unwrap(),
+            intact,
+            "the repair cuts the tail off and leaves every byte before it"
+        );
         assert_eq!(store.get(&k, 2).as_deref(), Some("blob"));
         assert!(
             store.verify().unwrap().is_clean(),
             "repair leaves a clean store"
         );
+    }
+
+    /// A ledger is outside input (a copied or corrupted cache
+    /// directory): a `put` line whose key is not a store key, or whose
+    /// `path` is not that key's object path, is a bad line — never
+    /// indexed, never joined to the root — so neither `get` nor `gc`
+    /// can be pointed at a file that is not the store's.
+    #[test]
+    fn put_lines_naming_a_foreign_path_are_bad_lines() {
+        let store = temp_store("hostile");
+        let root = store.root().to_path_buf();
+        let good = key("good");
+        store.put(&good, "good blob", 100).unwrap();
+        drop(store);
+        let outside = |tag: &str| format!("mocc-store-victim-{tag}-{}", std::process::id());
+        let tmp = root.parent().unwrap();
+        let wrong_shard = format!("{OBJECTS_DIR}/zz/{}.json", key("shard"));
+        let hostile = [
+            // (key, path as the ledger names it, the file that names)
+            (
+                key("abs"),
+                Some(tmp.join(outside("abs")).display().to_string()),
+                tmp.join(outside("abs")),
+            ),
+            (
+                key("dots"),
+                Some(format!("../{}", outside("dots"))),
+                tmp.join(outside("dots")),
+            ),
+            (
+                key("inside"),
+                Some("notes.txt".to_string()),
+                root.join("notes.txt"),
+            ),
+            (
+                key("shard"),
+                Some(wrong_shard.clone()),
+                root.join(&wrong_shard),
+            ),
+            // No path at all, but a key whose object path climbs out.
+            (
+                format!("../{}", outside("key")),
+                None,
+                tmp.join(outside("key") + ".json"),
+            ),
+        ];
+        let mut lines = String::new();
+        for (key, path, victim) in &hostile {
+            std::fs::create_dir_all(victim.parent().unwrap()).unwrap();
+            std::fs::write(victim, "thesis").unwrap();
+            let entry = LedgerEntry {
+                key: key.clone(),
+                event: LedgerEvent::Put,
+                // The victim's true digest: nothing but the path rule
+                // stands between this line and a served blob.
+                content: Some(sha256_hex(b"thesis")),
+                path: path.clone(),
+                ts: 1,
+            };
+            lines += &(entry.to_line() + "\n");
+        }
+        let mut ledger = std::fs::OpenOptions::new()
+            .append(true)
+            .open(root.join(LEDGER_FILE))
+            .unwrap();
+        ledger.write_all(lines.as_bytes()).unwrap();
+        drop(ledger);
+
+        let store = ResultStore::open(&root).unwrap();
+        assert_eq!(store.len(), 1, "no hostile line is indexed");
+        for (key, _, _) in &hostile {
+            assert!(store.get(key, 2).is_none(), "{key} must miss");
+        }
+        assert_eq!(store.stats().unwrap().bad_ledger_lines, 5);
+        let issues = store.verify().unwrap().issues;
+        for line in 2..=6 {
+            let named = format!("ledger: line {line} is");
+            assert!(issues.iter().any(|i| i.starts_with(&named)), "{issues:?}");
+        }
+        // Every hostile line is older than the cutoff: an indexed one
+        // would be expired and its file removed.
+        let report = store.gc(Some(50)).unwrap();
+        assert_eq!(report.kept, 1);
+        for (key, _, victim) in &hostile {
+            let orphan = victim.starts_with(root.join(OBJECTS_DIR));
+            assert_eq!(victim.exists(), !orphan, "{key}: {victim:?}");
+            let _ = std::fs::remove_file(victim);
+        }
+        assert_eq!(store.get(&good, 101).as_deref(), Some("good blob"));
+        assert!(store.verify().unwrap().is_clean());
     }
 
     #[test]
@@ -668,6 +848,24 @@ mod tests {
             "a hit at ts 120 outlives the put at ts 50"
         );
         assert!(store.get(&older, 132).is_none(), "ts 99 < 100 is dropped");
+    }
+
+    #[test]
+    fn the_path_check_accepts_exactly_the_path_built() {
+        let k = key("cell");
+        let own = object_rel_path(&k);
+        assert_eq!(own, format!("objects/{}/{k}.json", &k[..2]));
+        assert!(is_object_rel_path(&own, &k));
+        let longer = format!("{own}x");
+        for other in [
+            "",
+            "objects",
+            &own[1..],
+            &longer,
+            &object_rel_path(&key("other")),
+        ] {
+            assert!(!is_object_rel_path(other, &k), "{other:?}");
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!    same bytes as a cold solo run and leave a clean ledger.
 //! 5. **Pinned store bytes** — the ledger, the objects and the
 //!    reports of one cold and one warm pass hash to fixed literals.
+//! 6. **`stats` over a moving ledger** — a long-lived handle that reads
+//!    only what was appended reports what a scan from scratch reports,
+//!    whoever appended, compacted, cut or tore the ledger meanwhile.
 
 use mocc::core::{agent_from_policy, policy_digest, run_experiment, run_experiment_cached};
 use mocc::eval::{
@@ -26,7 +29,7 @@ use mocc::eval::{
     MoccPrefSpec, PolicyIdentity, PolicySpec, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
     Workload,
 };
-use mocc::store::{sha256_hex, LedgerScan, ResultStore};
+use mocc::store::{sha256_hex, LedgerEvent, LedgerScan, ResultStore, StoreStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -643,4 +646,111 @@ fn store_bytes_match_the_pinned_digests() {
     );
     assert!(store.verify().expect("verify runs").is_clean());
     drop_store(&dir);
+}
+
+// ---- 6. stats over a moving ledger --------------------------------------
+
+/// What `stats` must report: the whole ledger and the objects
+/// directory read from scratch, nothing remembered between calls.
+fn stats_from_scratch(dir: &Path) -> StoreStats {
+    let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap_or_default();
+    let scan = LedgerScan::parse(&ledger);
+    let count = |event| scan.entries.iter().filter(|e| e.event == event).count() as u64;
+    let objects = object_paths(dir);
+    StoreStats {
+        objects: objects.len() as u64,
+        object_bytes: objects
+            .iter()
+            .map(|p| std::fs::metadata(p).expect("object metadata").len())
+            .sum(),
+        keys: scan.latest_puts().len() as u64,
+        puts: count(LedgerEvent::Put),
+        hits: count(LedgerEvent::Hit),
+        misses: count(LedgerEvent::Miss),
+        bad_ledger_lines: scan.bad_lines.len() as u64,
+        truncated_ledger_tail: scan.truncated_tail,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One long-lived handle against every way a ledger moves: its own
+    /// `put`s and lookups, another handle's (another process's), lines
+    /// appended by hand (garbage, and a `put` naming a foreign path),
+    /// `gc` through either handle, a cut at any byte, a half-written
+    /// tail left for the next writer to append onto. After every step
+    /// its `stats` — which read only what was appended — equal a scan
+    /// from scratch, its index is no larger than the ledger's keys (no
+    /// key is remembered anywhere else), and whenever another process
+    /// opens the store (repairing a torn tail as it does) the two
+    /// handles agree.
+    #[test]
+    fn stats_equal_a_scan_from_scratch_after_every_step(
+        steps in proptest::collection::vec((0u8..8, 0usize..4096), 1..24),
+    ) {
+        use std::io::Write;
+        let (dir, store) = temp_store("stats-steps");
+        let ledger = dir.join("ledger.jsonl");
+        let append = |bytes: &[u8]| {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .create(true)
+                .open(&ledger)
+                .and_then(|mut f| f.write_all(bytes))
+                .expect("append to the ledger by hand");
+        };
+        let keys: Vec<String> = (0..5u8).map(|i| sha256_hex(&[i])).collect();
+        for (n, &(op, arg)) in steps.iter().enumerate() {
+            // Few timestamps and few keys: equal lines recur, so a
+            // replaced ledger can resemble the one that was folded.
+            let ts = (arg % 3) as u64;
+            let key = &keys[arg % keys.len()];
+            match op {
+                0 => store.put(key, &format!("own blob {}", arg % 7), ts).expect("own put"),
+                1 => store.get_each(&keys[..arg % (keys.len() + 1)], ts, |_, _| {}),
+                2 => {
+                    let other = ResultStore::open(&dir).expect("second handle");
+                    other.put(key, &format!("foreign blob {}", arg % 7), ts).expect("foreign put");
+                    other.get(&keys[arg % 2], ts);
+                }
+                3 if arg % 2 == 0 => append(b"not a ledger line\n\n"),
+                3 => append(
+                    format!(
+                        "{{\"content\":\"{}\",\"event\":\"put\",\"key\":\"{key}\",\"path\":\"../{key}\",\"ts\":{ts}}}\n",
+                        sha256_hex(b"x")
+                    )
+                    .as_bytes(),
+                ),
+                4 => drop(store.gc((arg % 2 == 0).then_some(ts)).expect("own gc")),
+                5 => {
+                    let other = ResultStore::open(&dir).expect("second handle");
+                    other.gc((arg % 2 == 0).then_some(ts)).expect("foreign gc");
+                }
+                6 => {
+                    let len = std::fs::metadata(&ledger).map(|m| m.len()).unwrap_or(0);
+                    if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&ledger) {
+                        file.set_len(arg as u64 % (len + 1)).expect("cut the ledger");
+                    }
+                }
+                _ => append(b"{\"event\":\"hi"),
+            }
+            let got = store.stats().expect("stats");
+            let want = stats_from_scratch(&dir);
+            prop_assert!(got == want, "step {n}: {got:?}, from scratch {want:?}");
+            prop_assert!(store.len() as u64 == got.keys, "step {n}: index of {}", store.len());
+            if arg % 4 == 0 {
+                let fresh = ResultStore::open(&dir).expect("fresh handle");
+                let (fresh_stats, got) = (fresh.stats().expect("stats"), store.stats().expect("stats"));
+                prop_assert!(got == fresh_stats, "step {n}: {got:?}, fresh open {fresh_stats:?}");
+                for key in &keys {
+                    prop_assert!(
+                        store.get(key, ts) == fresh.get(key, ts),
+                        "step {n}: the handles serve {key} differently"
+                    );
+                }
+            }
+        }
+        drop_store(&dir);
+    }
 }
