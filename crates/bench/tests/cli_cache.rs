@@ -522,25 +522,37 @@ fn deeply_nested_spec_is_an_error_not_a_stack_overflow() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A saved model whose `cfg.history` no longer matches its networks is
-/// refused when `policy.path` loads it — one `error:` line naming the
-/// file and both sizes, exit 1 — instead of panicking a worker thread
-/// at the first forward pass (exit 101).
+/// A saved model whose `cfg.history` no longer matches its networks,
+/// or whose networks are not consistent in themselves (no layers, a
+/// weight matrix one value short), is refused when `policy.path` loads
+/// it — one `error:` line naming the file and the disagreement, exit 1
+/// — instead of panicking in the decoder or in a worker thread at the
+/// first forward pass (exit 101).
 #[test]
 fn model_disagreeing_with_its_config_is_an_error_not_a_panic() {
     let dir = temp_dir("bad-model");
     let model = dir.join("edited-model.json");
     let agent = mocc_core::agent_from_policy(&mocc_eval::PolicySpec::default()).expect("agent");
-    for (history, problem) in [
+    let with_history = |history: usize| {
+        agent
+            .to_json()
+            .replace("\"history\":10", &format!("\"history\":{history}"))
+    };
+    let (mut no_layers, mut short_data) = (agent.clone(), agent.clone());
+    no_layers.ppo.policy.net.main.layers.clear();
+    short_data.ppo.value.pn.layers[0].w.data.pop();
+    for (edited, problem) in [
         (
-            5,
+            with_history(5),
             "cfg.history 5 means 18 observation inputs, but the policy network takes 33",
         ),
-        (0, "cfg.history is 0; it must be >= 1"),
+        (with_history(0), "cfg.history is 0; it must be >= 1"),
+        (no_layers.to_json(), "policy.main has no layers"),
+        (
+            short_data.to_json(),
+            "value.pn layer 0: a 3x16 weight matrix holds 47 values",
+        ),
     ] {
-        let edited = agent
-            .to_json()
-            .replace("\"history\":10", &format!("\"history\":{history}"));
         std::fs::write(&model, edited).expect("write edited model");
         let spec = dir.join("spec.json");
         let text =

@@ -1,32 +1,25 @@
 //! The kernel speed ratios that no other test and no `benchmark/`
-//! workload checks (docs/PERFORMANCE.md). All three concern
-//! `mocc train` only — evaluation (`mocc run`, `mocc serve`) forwards
-//! one row per monitor interval and steps no simulators in lockstep.
+//! workload checks (docs/PERFORMANCE.md). Both concern `mocc train`
+//! only — evaluation (`mocc run`, `mocc serve`) forwards one row per
+//! monitor interval and steps no simulators in lockstep.
 //!
 //! 1. **Tier** (asserted, ≥ 2×): the fast-math tier forwards a 256-row
 //!    batch faster per row than the scalar tier. Isolates the tanh
 //!    kernel; nothing else differs between the two sides.
-//! 2. **The training collector against the textbook loop** (asserted,
-//!    ≥ 1.5×): the lockstep, fast-tier, allocation-free collector
-//!    (`collect_rollouts_batched_tier`, what `mocc train` runs with
-//!    `batch_envs > 1`) against the per-env, scalar-tier, allocating
-//!    act/value/step loop. Three things differ at once — tier,
-//!    allocation, lockstep — so this number says the collector as a
-//!    whole is worth having and says nothing about lockstep alone.
-//! 3. **Lockstep alone** (printed, not asserted): the same collector
-//!    over 16 envs in one call against sixteen calls of one env each —
-//!    same tier, same scratch, same step budget. Only the number of
-//!    rows per forward differs. This is the decomposition ROADMAP item
-//!    3(a) asked for; it is reported so that a reader can see how much
-//!    of ratio 2 is lockstep, and it gates nothing because
+//! 2. **Lockstep alone** (printed, not asserted): the training
+//!    collector (`collect_rollouts_batched_tier`, what `mocc train`
+//!    runs) over 16 envs in one call against sixteen calls of one env
+//!    each — same tier, same scratch, same step budget. Only the number
+//!    of rows per forward differs. It gates nothing because
 //!    `batch_envs` is a semantic training knob (it is in the
 //!    `TrainSpec` digest and changes how experience is split), not a
 //!    speed setting to be tuned.
 //!
-//! Ratio 2's gate used to read 3×. That figure was a property of the
-//! hand-written AVX2 backend, which no shipped binary contained and
-//! which is gone (docs/PERFORMANCE.md, "Why there is one backend"); the
-//! one backend left reads 1.9× on the reference machine.
+//! A third ratio used to compare the collector with a per-env,
+//! scalar-tier, allocating act/value/step loop; that loop went with
+//! the row kernel it ran on (docs/PERFORMANCE.md, "Why there is one
+//! inference kernel"), and a ratio against code nobody can run gates
+//! nothing.
 //!
 //! A ratio of two timings taken in one process on one machine needs no
 //! baseline file and no tolerance: both sides run alternately, so they
@@ -41,7 +34,7 @@
 use mocc_bench::timing::Stopwatch;
 use mocc_nn::{Activation, ForwardTier, Matrix, Mlp, MlpScratch};
 use mocc_rl::ppo::{Ppo, PpoConfig};
-use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env, Rollout};
+use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -133,8 +126,8 @@ impl Env for SyntheticEnv {
     }
 }
 
-/// The environments of both rollout comparisons, phases staggered so
-/// no two see the same observations.
+/// The environments of the rollout comparison, phases staggered so no
+/// two see the same observations.
 fn rollout_envs() -> Vec<SyntheticEnv> {
     (0..ROLLOUT_ENVS as u32)
         .map(|i| SyntheticEnv {
@@ -144,8 +137,8 @@ fn rollout_envs() -> Vec<SyntheticEnv> {
         .collect()
 }
 
-/// What both rollout comparisons share: the networks, the step budget
-/// per env and the collector's reusable scratch.
+/// What both sides of the rollout comparison share: the networks, the
+/// step budget per env and the collector's reusable scratch.
 struct RolloutBench {
     ppo: Ppo,
     steps: usize,
@@ -163,7 +156,7 @@ impl RolloutBench {
     }
 
     /// `envs` through the fast-tier lockstep collector (what
-    /// `mocc train` runs with `batch_envs > 1`), `per_call` at a time.
+    /// `mocc train` runs), `per_call` at a time.
     fn collect_fast(&mut self, envs: &mut [SyntheticEnv], per_call: usize, rng: &mut StdRng) {
         let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
         for group in refs.chunks_mut(per_call) {
@@ -179,35 +172,6 @@ impl RolloutBench {
             black_box(rollouts.len());
         }
     }
-}
-
-/// The per-env scalar act/value/step loop (what `Ppo::collect_rollout`
-/// runs) over the lockstep fast-tier collector: same networks, envs,
-/// seeds and step budget.
-fn rollout_speedup() -> f64 {
-    let mut bench = RolloutBench::new();
-    speedup(|batched| {
-        let mut rng = StdRng::seed_from_u64(43);
-        let mut envs = rollout_envs();
-        if batched {
-            bench.collect_fast(&mut envs, ROLLOUT_ENVS, &mut rng);
-            return;
-        }
-        let ppo = &bench.ppo;
-        for env in &mut envs {
-            let mut rollout = Rollout::new(OBS_DIM);
-            let mut obs = env.reset();
-            for _ in 0..bench.steps {
-                let (a, logp) = ppo.policy.act(&obs, &mut rng);
-                let v = ppo.value.forward(&obs)[0];
-                let (next, r, done) = env.step(a);
-                rollout.push(&obs, a, logp, r, v, done);
-                obs = if done { env.reset() } else { next };
-            }
-            rollout.last_value = ppo.value.forward(&obs)[0];
-            black_box(rollout.len());
-        }
-    })
 }
 
 /// Lockstep and nothing else: the fast-tier collector called once per
@@ -226,25 +190,14 @@ fn lockstep_speedup() -> f64 {
 #[test]
 #[ignore = "timing assertions: run in release mode, see the module docs"]
 fn fast_tier_and_batched_rollouts_keep_their_speedups() {
-    let (forward, rollout) = (forward_speedup(), rollout_speedup());
-    let lockstep = lockstep_speedup();
+    let (forward, lockstep) = (forward_speedup(), lockstep_speedup());
     println!("1. forward b256: fast tier {forward:.2}x scalar tier (gate 2x)");
     println!(
-        "2. training collector, 16 envs: lockstep + fast tier + no allocation \
-         {rollout:.2}x the per-env scalar allocating loop (gate 1.5x)"
-    );
-    println!(
-        "3. lockstep alone, fast tier, same scratch: one call of 16 envs \
+        "2. lockstep alone, fast tier, same scratch: one call of 16 envs \
          {lockstep:.2}x sixteen calls of one env (no gate)"
     );
     assert!(
         forward >= 2.0,
         "fast tier forwards a 256-row batch only {forward:.2}x the scalar tier (mocc train only)"
-    );
-    assert!(
-        rollout >= 1.5,
-        "the training collector (lockstep, fast tier, allocation-free) is only {rollout:.2}x \
-         the per-env scalar allocating loop; this compares collectors for `mocc train`, \
-         not lockstep against one-at-a-time (ratio 3 does)"
     );
 }

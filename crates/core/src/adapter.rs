@@ -9,25 +9,23 @@
 //! the action function and in whether the observation starts with a
 //! registered preference.
 
-use crate::agent::{stats_features, MoccAgent};
+use crate::agent::{stats_features, MoccAgent, PolicyFlow};
 use crate::aurora::AuroraAgent;
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use mocc_netsim::cc::{CongestionControl, MonitorStats, RateControl, SenderView};
-use std::collections::VecDeque;
 
 /// Observation → raw Eq. 1 action.
 type Act = Box<dyn Fn(&[f32]) -> f32 + Send>;
 
-/// A deployed learned policy: feature-history ring → optional
-/// preference prefix → action function → [`MoccConfig::apply_action`].
+/// A deployed learned policy: feature history → optional preference
+/// prefix → action function → [`MoccConfig::apply_action`], once per
+/// monitor interval.
 pub struct PolicyCc {
     name: &'static str,
     cfg: MoccConfig,
-    pref: Option<Preference>,
+    flow: PolicyFlow,
     act: Act,
-    history: VecDeque<[f32; 3]>,
-    obs: Vec<f32>,
     initial_rate_bps: f64,
 }
 
@@ -45,10 +43,8 @@ impl PolicyCc {
         PolicyCc {
             name,
             cfg,
-            pref,
+            flow: PolicyFlow::new(&cfg, pref),
             act: Box::new(act),
-            history: VecDeque::new(),
-            obs: Vec::new(),
             initial_rate_bps,
         }
     }
@@ -81,20 +77,17 @@ impl CongestionControl for PolicyCc {
     }
 
     fn init(&mut self, _view: &SenderView, ctl: &mut RateControl) {
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
         ctl.pacing_rate_bps = self.initial_rate_bps;
         ctl.cwnd_pkts = f64::INFINITY;
     }
 
     fn on_monitor(&mut self, _view: &SenderView, mi: &MonitorStats, ctl: &mut RateControl) {
-        self.history.pop_front();
-        self.history.push_back(stats_features(mi));
-        let pref = self.pref.map(|p| p.as_array());
-        self.obs.clear();
-        self.obs.extend(pref.iter().flatten());
-        self.obs.extend(self.history.iter().flatten());
-        let action = (self.act)(&self.obs);
-        ctl.pacing_rate_bps = self.cfg.apply_action(ctl.pacing_rate_bps, action);
+        ctl.pacing_rate_bps = self.flow.decide(
+            &self.cfg,
+            stats_features(mi),
+            ctl.pacing_rate_bps,
+            &self.act,
+        );
     }
 }
 

@@ -8,13 +8,12 @@
 //! - `ReportStatus(s_t)` — feed the latest network statistics,
 //! - `GetSendingRate()` — read back the rate for the next interval.
 
-use crate::agent::{ratio_features, write_obs, MoccAgent};
+use crate::agent::{ratio_features, MoccAgent, PolicyFlow};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_rl::GaussianPolicy;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// One interval's network status, as reported by the datapath.
 /// Mirrors the state statistics of §4.1.
@@ -51,8 +50,8 @@ impl std::error::Error for MoccLibError {}
 pub struct MoccLib {
     policy: GaussianPolicy<PrefNet>,
     cfg: MoccConfig,
-    pref: Option<Preference>,
-    history: VecDeque<[f32; 3]>,
+    /// The registered application's flow; `None` before `register`.
+    flow: Option<PolicyFlow>,
     rate_bps: f64,
 }
 
@@ -63,39 +62,33 @@ impl MoccLib {
         MoccLib {
             policy: agent.ppo.policy.clone(),
             cfg: agent.cfg,
-            pref: None,
-            history: VecDeque::from(vec![[0.0; 3]; agent.cfg.history]),
+            flow: None,
             rate_bps: initial_rate_bps,
         }
     }
 
-    /// `Register(w)`: declares the application's requirement.
+    /// `Register(w)`: declares the application's requirement and
+    /// starts from an empty history.
     pub fn register(&mut self, w: Preference) {
-        self.pref = Some(w);
-        self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
+        self.flow = Some(PolicyFlow::new(&self.cfg, Some(w)));
     }
 
     /// `ReportStatus(s_t)`: feeds the latest interval statistics and
     /// advances the rate decision.
     pub fn report_status(&mut self, s: NetStatus) -> Result<(), MoccLibError> {
-        let pref = self.pref.ok_or(MoccLibError::NotRegistered)?;
-        self.history.pop_front();
-        self.history.push_back(ratio_features(
-            s.send_ratio,
-            s.latency_ratio,
-            s.latency_gradient,
-        ));
-        let mut obs = vec![0.0; self.cfg.obs_dim()];
-        write_obs(&pref, &self.history, &mut obs);
-        let mean = self.policy.mean_action(&obs);
-        self.rate_bps = self.cfg.apply_action(self.rate_bps, mean);
+        let flow = self.flow.as_mut().ok_or(MoccLibError::NotRegistered)?;
+        let features = ratio_features(s.send_ratio, s.latency_ratio, s.latency_gradient);
+        let policy = &self.policy;
+        self.rate_bps = flow.decide(&self.cfg, features, self.rate_bps, |obs| {
+            policy.mean_action(obs)
+        });
         Ok(())
     }
 
     /// `GetSendingRate()`: the rate (bits per second) for the next
     /// interval.
     pub fn get_sending_rate(&self) -> Result<f64, MoccLibError> {
-        if self.pref.is_none() {
+        if self.flow.is_none() {
             return Err(MoccLibError::NotRegistered);
         }
         Ok(self.rate_bps)

@@ -22,7 +22,7 @@
 //! time"). The type and `eval_batch` keep their names because the
 //! frozen benchmark harness imports them.
 
-use crate::agent::{stats_features, write_obs, MoccAgent};
+use crate::agent::{stats_features, MoccAgent, PolicyFlow};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
@@ -34,7 +34,6 @@ use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
 use mocc_netsim::{Scenario, SimResult, Simulator};
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
-use std::collections::VecDeque;
 
 /// Evaluates sweep cells under a trained MOCC policy. The policy
 /// drives flow 0 of every cell; any remaining flows are cross traffic
@@ -132,10 +131,7 @@ impl BatchMoccEvaluator {
                     .map(|control| -> Box<dyn CongestionControl> {
                         match control {
                             FlowControl::Policy(pref) => {
-                                driven.push(Some(DrivenFlow {
-                                    pref,
-                                    history: VecDeque::from(vec![[0.0; 3]; self.cfg.history]),
-                                }));
+                                driven.push(Some(PolicyFlow::new(&self.cfg, Some(pref))));
                                 Box::new(ExternalRate {
                                     initial_rate_bps: self.initial_rate_frac * peak,
                                 })
@@ -162,12 +158,16 @@ impl BatchMoccEvaluator {
                         continue;
                     }
                     let flow = driven[f].as_mut().expect("paused flow is policy-driven");
-                    flow.history.pop_front();
-                    flow.history.push_back(stats_features(&stats));
-                    write_obs(&flow.pref, &flow.history, obs.row_mut(0));
-                    self.policy
-                        .mean_action_batch_tier(&obs, &mut means, &mut scratch, self.tier);
-                    let next = self.cfg.apply_action(sim.rate(f), means[0]);
+                    let next = flow.decide(&self.cfg, stats_features(&stats), sim.rate(f), |row| {
+                        obs.row_mut(0).copy_from_slice(row);
+                        self.policy.mean_action_batch_tier(
+                            &obs,
+                            &mut means,
+                            &mut scratch,
+                            self.tier,
+                        );
+                        means[0]
+                    });
                     sim.set_rate(f, next);
                 }
                 reduce(cell, &sim.result())
@@ -200,12 +200,6 @@ enum FlowControl {
     Policy(Preference),
     /// Its own congestion controller.
     Scheme(Box<dyn CongestionControl>),
-}
-
-/// Observation state of one policy-driven flow.
-struct DrivenFlow {
-    pref: Preference,
-    history: VecDeque<[f32; 3]>,
 }
 
 impl CellEvaluator for BatchMoccEvaluator {

@@ -103,10 +103,15 @@ impl MoccConfig {
     /// `±action_clip`, scales by `action_scale`, and applies it to
     /// `rate_bps` (symmetric: `×(1 + αa)` up, `÷(1 − αa)` down),
     /// bounded to [10 kbps, 1 Gbps]. The single implementation behind
-    /// the deployment adapter, the library facade, and the sweep
-    /// evaluator — the deployed and sweep-evaluated controllers apply
-    /// identical arithmetic by construction.
+    /// every deployed and sweep-evaluated controller.
     pub fn apply_action(&self, rate_bps: f64, mean: f32) -> f64 {
+        self.scale_rate(rate_bps, mean).clamp(1e4, 1e9)
+    }
+
+    /// Eq. 1 before any bound on the resulting rate — the step
+    /// [`MoccConfig::apply_action`] bounds for deployment and the
+    /// training environment bounds by its episode's link capacity.
+    pub(crate) fn scale_rate(&self, rate_bps: f64, mean: f32) -> f64 {
         let a = (mean as f64).clamp(-self.action_clip, self.action_clip);
         let alpha = self.action_scale;
         if a >= 0.0 {
@@ -114,7 +119,6 @@ impl MoccConfig {
         } else {
             rate_bps / (1.0 - alpha * a)
         }
-        .clamp(1e4, 1e9)
     }
 
     /// Entropy coefficient at training iteration `iter` (linear decay,

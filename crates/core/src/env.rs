@@ -6,6 +6,7 @@
 //! gradient), applies the continuous rate update of Eq. 1, and computes
 //! the dynamically parameterized reward of Eq. 2.
 
+use crate::agent::{stats_features, PolicyFlow};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use mocc_netsim::cc::ExternalRate;
@@ -15,7 +16,6 @@ use mocc_netsim::{MonitorStats, Scenario, ScenarioRange, Simulator};
 use mocc_rl::Env;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// Where the environment's episode scenarios come from.
 #[derive(Debug, Clone)]
@@ -30,13 +30,13 @@ pub enum ScenarioSource {
 pub struct MoccEnv {
     cfg: MoccConfig,
     pref: Preference,
-    /// Whether the preference is part of the observation. MOCC sets
-    /// this; the single-objective Aurora baseline observes only the
-    /// network history (Fig. 2a vs 2b).
-    include_pref: bool,
     source: ScenarioSource,
     sim: Option<Simulator>,
-    history: VecDeque<[f32; 3]>,
+    /// The agent flow's history and observation. Its preference prefix
+    /// is present for MOCC and absent for the single-objective Aurora
+    /// baseline, which observes only the network history (Fig. 2a vs
+    /// 2b).
+    flow: PolicyFlow,
     steps: usize,
     rng: StdRng,
     capacity_bps: f64,
@@ -44,41 +44,33 @@ pub struct MoccEnv {
 }
 
 impl MoccEnv {
-    /// A training environment sampling scenarios from `range`.
-    pub fn training(cfg: MoccConfig, pref: Preference, range: ScenarioRange, seed: u64) -> Self {
+    fn new(cfg: MoccConfig, pref: Preference, source: ScenarioSource, seed: u64) -> Self {
         MoccEnv {
             cfg,
             pref,
-            include_pref: true,
-            source: ScenarioSource::Random(range),
+            source,
             sim: None,
-            history: VecDeque::new(),
+            flow: PolicyFlow::new(&cfg, Some(pref)),
             steps: 0,
             rng: StdRng::seed_from_u64(seed),
             capacity_bps: 1.0,
             base_rtt_s: 0.04,
         }
+    }
+
+    /// A training environment sampling scenarios from `range`.
+    pub fn training(cfg: MoccConfig, pref: Preference, range: ScenarioRange, seed: u64) -> Self {
+        Self::new(cfg, pref, ScenarioSource::Random(range), seed)
     }
 
     /// An evaluation environment replaying one fixed scenario.
     pub fn fixed(cfg: MoccConfig, pref: Preference, scenario: Scenario, seed: u64) -> Self {
-        MoccEnv {
-            cfg,
-            pref,
-            include_pref: true,
-            source: ScenarioSource::Fixed(scenario),
-            sim: None,
-            history: VecDeque::new(),
-            steps: 0,
-            rng: StdRng::seed_from_u64(seed),
-            capacity_bps: 1.0,
-            base_rtt_s: 0.04,
-        }
+        Self::new(cfg, pref, ScenarioSource::Fixed(scenario), seed)
     }
 
     /// Makes the observation preference-free (Aurora mode, Fig. 2a).
     pub fn without_pref_obs(mut self) -> Self {
-        self.include_pref = false;
+        self.flow.pref = None;
         self
     }
 
@@ -86,6 +78,9 @@ impl MoccEnv {
     /// the state input both follow).
     pub fn set_pref(&mut self, pref: Preference) {
         self.pref = pref;
+        if self.flow.pref.is_some() {
+            self.flow.pref = Some(pref);
+        }
     }
 
     /// The active preference.
@@ -111,26 +106,6 @@ impl MoccEnv {
             sc.seed = self.rng.gen();
         }
         sc
-    }
-
-    /// The observation built from the current history.
-    fn obs(&self) -> Vec<f32> {
-        let mut v = Vec::with_capacity(self.obs_dim());
-        if self.include_pref {
-            v.extend_from_slice(&self.pref.as_array());
-        }
-        for h in &self.history {
-            v.extend_from_slice(h);
-        }
-        v
-    }
-
-    fn push_stats(&mut self, stats: &MonitorStats) {
-        let l = (stats.send_ratio as f32 - 1.0).clamp(0.0, 5.0);
-        let p = (stats.latency_ratio as f32 - 1.0).clamp(0.0, 5.0);
-        let q = (stats.latency_gradient as f32 * 10.0).clamp(-1.0, 1.0);
-        self.history.pop_front();
-        self.history.push_back([l, p, q]);
     }
 
     /// The Eq. 2 reward for one monitor interval under preference `w`.
@@ -173,12 +148,7 @@ fn mi_for(base_rtt: SimDuration) -> SimDuration {
 
 impl Env for MoccEnv {
     fn obs_dim(&self) -> usize {
-        let hist = 3 * self.cfg.history;
-        if self.include_pref {
-            3 + hist
-        } else {
-            hist
-        }
+        self.flow.obs_dim()
     }
 
     fn reset(&mut self) -> Vec<f32> {
@@ -192,41 +162,34 @@ impl Env for MoccEnv {
                 initial_rate_bps: initial,
             })],
         );
+        self.flow = PolicyFlow::new(&self.cfg, self.flow.pref);
         // Prime the pipeline for one interval so the first observation
         // carries real statistics.
         if let Some(stats) = sim.advance_until_monitor(0) {
-            self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
-            self.push_stats(&stats);
-        } else {
-            self.history = VecDeque::from(vec![[0.0; 3]; self.cfg.history]);
+            self.flow.push(stats_features(&stats));
         }
         self.sim = Some(sim);
         self.steps = 0;
-        self.obs()
+        self.flow.obs().to_vec()
     }
 
     fn step(&mut self, action: f32) -> (Vec<f32>, f32, bool) {
         let sim = self.sim.as_mut().expect("reset before step");
-        let a = (action as f64).clamp(-self.cfg.action_clip, self.cfg.action_clip);
-        let alpha = self.cfg.action_scale;
-        let rate = sim.rate(0);
-        // Eq. 1: multiplicative rate update, damped by α.
-        let new_rate = if a >= 0.0 {
-            rate * (1.0 + alpha * a)
-        } else {
-            rate / (1.0 - alpha * a)
-        };
-        let new_rate = new_rate.clamp(1e4, 4.0 * self.capacity_bps);
+        // Eq. 1, bounded by what this episode's link could ever carry.
+        let new_rate = self
+            .cfg
+            .scale_rate(sim.rate(0), action)
+            .clamp(1e4, 4.0 * self.capacity_bps);
         sim.set_rate(0, new_rate);
         match sim.advance_until_monitor(0) {
             Some(stats) => {
                 let r = Self::reward_of(&self.pref, &stats, self.capacity_bps, self.base_rtt_s);
-                self.push_stats(&stats);
+                self.flow.push(stats_features(&stats));
                 self.steps += 1;
                 let done = self.steps >= self.cfg.episode_mis;
-                (self.obs(), r, done)
+                (self.flow.obs().to_vec(), r, done)
             }
-            None => (self.obs(), 0.0, true),
+            None => (self.flow.obs().to_vec(), 0.0, true),
         }
     }
 }
@@ -362,7 +325,7 @@ mod tests {
         let _ = env.reset();
         env.set_pref(Preference::latency());
         assert_eq!(env.pref(), Preference::latency());
-        let obs = env.obs();
+        let obs = env.flow.obs();
         assert!((obs[1] - 0.8).abs() < 1e-6, "latency weight in obs");
     }
 }

@@ -16,6 +16,13 @@
 //!    requirement replay so old ones are not forgotten ([`online`],
 //!    §4.3).
 //!
+//! Wherever a policy drives a flow — [`PolicyCc`] inside the
+//! simulator, [`MoccLib`] beside an external datapath, the sweep
+//! evaluator, [`MoccEnv`] in training — one private type owns the
+//! per-interval step: features into the η-interval history
+//! ([`stats_features`]), the observation ([`write_obs`]), and Eq. 1
+//! ([`MoccConfig::apply_action`]).
+//!
 //! ## Quickstart
 //!
 //! ```

@@ -33,13 +33,12 @@ pub struct PrefNetCache {
 
 /// Reusable inference buffers for [`PrefNet`] (see
 /// [`Network::Scratch`]): sub-network and trunk scratch plus the
-/// intermediate preference/feature/joint buffers, so repeated inference
-/// allocates nothing at steady state.
+/// intermediate preference/feature/joint matrices, so repeated
+/// inference allocates nothing at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct PrefNetScratch {
     pn: MlpScratch,
     main: MlpScratch,
-    joint: Vec<f32>,
     wm: Matrix,
     pn_out: Matrix,
     jointm: Matrix,
@@ -89,29 +88,6 @@ impl Network for PrefNet {
 
     fn out_dim(&self) -> usize {
         self.main.out_dim()
-    }
-
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.in_dim());
-        let f = self.pn.forward(&x[..self.pref_dim]);
-        let mut joint = f;
-        joint.extend_from_slice(&x[self.pref_dim..]);
-        self.main.forward(&joint)
-    }
-
-    fn forward_into(&self, x: &[f32], out: &mut Vec<f32>, scratch: &mut PrefNetScratch) {
-        debug_assert_eq!(x.len(), self.in_dim());
-        let f = self.pn.forward_into(&x[..self.pref_dim], &mut scratch.pn);
-        scratch.joint.clear();
-        scratch.joint.extend_from_slice(f);
-        scratch.joint.extend_from_slice(&x[self.pref_dim..]);
-        let y = self.main.forward_into(&scratch.joint, &mut scratch.main);
-        out.clear();
-        out.extend_from_slice(y);
-    }
-
-    fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut PrefNetScratch) {
-        self.forward_batch_into_tier(x, out, scratch, ForwardTier::Scalar);
     }
 
     fn forward_batch_into_tier(
@@ -231,27 +207,73 @@ mod tests {
         }
     }
 
+    /// One observation through an [`Mlp`] as one would write it first
+    /// (bias, then inputs in ascending order with zeros skipped; no
+    /// matrix kernel) — the twin of `mocc-nn`'s test-only
+    /// `naive_forward`, which this crate's tests cannot reach.
+    fn naive_mlp(mlp: &Mlp, x: &[f32], tanh: fn(f32) -> f32) -> Vec<f32> {
+        let mut cur = x.to_vec();
+        for layer in &mlp.layers {
+            cur = (0..layer.w.cols)
+                .map(|j| {
+                    let mut acc = layer.b[j];
+                    for (i, &xi) in cur.iter().enumerate() {
+                        if xi != 0.0 {
+                            acc += xi * layer.w.get(i, j);
+                        }
+                    }
+                    match layer.act {
+                        Activation::Tanh => tanh(acc),
+                        Activation::Relu => acc.max(0.0),
+                        Activation::Linear => acc,
+                    }
+                })
+                .collect();
+        }
+        cur
+    }
+
+    /// The composite kernel equals the naive reference — sub-network,
+    /// concatenation, trunk — bit for bit on both tiers at 1, 3 and 70
+    /// rows through one warm scratch, and row *r* of an *n*-row call
+    /// equals that row sent alone.
     #[test]
-    fn scratch_paths_bitwise_match_forward() {
+    fn forward_bitwise_matches_naive_reference() {
         let mut rng = StdRng::seed_from_u64(6);
-        let n = net(&mut rng);
-        let rows = 5;
-        let batch = Matrix::from_fn(rows, 9, |r, c| {
-            if (r + c) % 4 == 0 {
-                0.0
-            } else {
-                ((r * 13 + c * 3) % 11) as f32 * 0.17 - 0.8
-            }
-        });
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = PrefNetScratch::default();
-        let mut out = Matrix::default();
-        n.forward_batch_into(&batch, &mut out, &mut scratch);
-        let mut single_out = Vec::new();
-        for r in 0..rows {
-            let reference = n.forward(batch.row(r));
-            n.forward_into(batch.row(r), &mut single_out, &mut scratch);
-            assert_eq!(reference[0].to_bits(), single_out[0].to_bits());
-            assert_eq!(reference[0].to_bits(), out.get(r, 0).to_bits(), "row {r}");
+        let (mut out, mut alone) = (Matrix::default(), Matrix::default());
+        for n in [
+            net(&mut rng),
+            PrefNet::new(3, 16, 30, &[64, 32], 1, &mut rng),
+        ] {
+            for rows in [1usize, 3, 70] {
+                let x = Matrix::from_fn(rows, n.in_dim(), |r, c| match (r + 3 * c) % 6 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.gen_range(-1.0f32..1.0),
+                });
+                for (tier, tanh) in [
+                    (ForwardTier::Scalar, f32::tanh as fn(f32) -> f32),
+                    (ForwardTier::Fast, mocc_nn::fast_tanh),
+                ] {
+                    n.forward_batch_into_tier(&x, &mut out, &mut scratch, tier);
+                    assert_eq!((out.rows, out.cols), (rows, 1));
+                    for r in 0..rows {
+                        let mut joint = naive_mlp(&n.pn, &x.row(r)[..3], tanh);
+                        joint.extend_from_slice(&x.row(r)[3..]);
+                        let want = naive_mlp(&n.main, &joint, tanh);
+                        assert_eq!(
+                            bits(out.row(r)),
+                            bits(&want),
+                            "{rows} rows {tier:?} row {r}"
+                        );
+                        let row = Matrix::from_vec(1, x.cols, x.row(r).to_vec());
+                        n.forward_batch_into_tier(&row, &mut alone, &mut scratch, tier);
+                        assert_eq!(bits(&alone.data), bits(&want), "row {r} alone, {tier:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -175,9 +175,10 @@ pub fn write_checkpoint(dir: &Path, ck: &TrainCheckpoint) -> Result<(), SpecErro
 }
 
 /// Loads the freshest readable checkpoint from `dir`: the current
-/// snapshot if it parses, otherwise the previous one (a torn current
-/// write degrades, it doesn't fail). Errors only when neither yields a
-/// valid checkpoint.
+/// snapshot if it parses and its agent's shapes are consistent
+/// (`MoccAgent::from_json`'s checks), otherwise the previous one (a
+/// torn current write degrades, it doesn't fail). Errors only when
+/// neither yields a valid checkpoint.
 pub fn load_checkpoint(dir: &Path) -> Result<TrainCheckpoint, SpecError> {
     let mut last_reason = "no checkpoint.json or checkpoint.prev.json".to_string();
     for name in ["checkpoint.json", "checkpoint.prev.json"] {
@@ -185,7 +186,12 @@ pub fn load_checkpoint(dir: &Path) -> Result<TrainCheckpoint, SpecError> {
         match std::fs::read_to_string(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => last_reason = format!("{name}: {e}"),
-            Ok(text) => match serde_json::from_str::<TrainCheckpoint>(&text) {
+            // The derived decoder checks no shapes; an agent that
+            // fails them is as unreadable as a torn file.
+            Ok(text) => match serde_json::from_str::<TrainCheckpoint>(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|ck| ck.agent.validate().map(|()| ck))
+            {
                 Ok(ck) => return Ok(ck),
                 Err(e) => last_reason = format!("{name}: {e}"),
             },

@@ -7,6 +7,10 @@
 //! policy. Everything is `f32`, serde-serializable, and deterministic
 //! given a seeded RNG.
 //!
+//! Inference is one kernel, [`Network::forward_batch_into_tier`]: any
+//! number of observations, one per row, each row's output depending on
+//! that row alone. [`Network::forward`] is that kernel on one row.
+//!
 //! ## Example
 //!
 //! ```

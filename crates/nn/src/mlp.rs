@@ -88,35 +88,14 @@ impl Dense {
         }
     }
 
-    /// One input row through the layer: `out = act(b + x · W)`,
-    /// skipping zero inputs. This is the single kernel every inference
-    /// path shares — scalar and batched forwards are bitwise identical
-    /// because they both reduce to it (bias first, then weight rows in
-    /// ascending input order).
-    /// One input row through the layer under an explicit kernel tier:
-    /// the affine part (bias first, then weight rows in ascending
-    /// input order through `simd::axpy`) is bitwise identical
-    /// in both tiers; only a tanh activation differs under
-    /// [`ForwardTier::Fast`].
-    #[inline]
-    fn forward_row_into_tier(&self, x: &[f32], out: &mut [f32], tier: ForwardTier) {
-        out.copy_from_slice(&self.b);
-        for (i, &xi) in x.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            simd::axpy(out, xi, self.w.row(i));
-        }
-        simd::apply_activation(self.act, tier, out);
-    }
-
     /// Batched layer application `out = act(bias ⊕ x · W)`, reshaping
     /// `out` to fit (allocation-free at steady state). The accumulation
     /// is [`Matrix::accumulate`] — the same blocked kernel behind
-    /// `matmul_into` — over bias-initialized rows, so per-element order
-    /// matches [`Dense::forward_row_into_tier`] exactly and every
-    /// output row is bitwise identical to the single-row path of the
-    /// same tier.
+    /// `matmul_into` — over bias-initialized rows: per output element,
+    /// bias first, then the weight rows in ascending input order with
+    /// zero inputs skipped, whatever the number of rows. The affine
+    /// part is identical in both tiers; only a tanh activation differs
+    /// under [`ForwardTier::Fast`].
     fn forward_batch_into_tier(&self, x: &Matrix, out: &mut Matrix, tier: ForwardTier) {
         assert_eq!(x.cols, self.w.rows, "layer input dimension mismatch");
         out.reshape(x.rows, self.w.cols);
@@ -129,16 +108,13 @@ impl Dense {
 }
 
 /// Reusable buffers for allocation-free inference. One scratch serves
-/// any number of [`Mlp::forward_into`] / [`Mlp::forward_batch_into`]
-/// calls; buffers grow to the largest layer width seen and are then
-/// reused verbatim. Cheap to create, but meant to live as long as the
-/// caller's inference loop.
+/// any number of [`Mlp::forward_batch_into_tier`] calls; buffers grow
+/// to the largest activation matrix seen and are then reused verbatim.
+/// Cheap to create, but meant to live as long as the caller's
+/// inference loop.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
-    /// Ping-pong row buffers for the scalar path.
-    v0: Vec<f32>,
-    v1: Vec<f32>,
-    /// Ping-pong activation matrices for the batched path.
+    /// Ping-pong activation matrices.
     m0: Matrix,
     m1: Matrix,
 }
@@ -230,62 +206,15 @@ impl Mlp {
         ForwardCache { activations }
     }
 
-    /// Single-sample forward pass (no cache) — the inference path used
-    /// by the deployed congestion controller. Allocates per call;
-    /// steady-state callers should hold an [`MlpScratch`] and use
-    /// [`Mlp::forward_into`] instead (bitwise-identical results).
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut scratch = MlpScratch::default();
-        self.forward_into(x, &mut scratch).to_vec()
-    }
-
-    /// Single-sample forward pass into reusable scratch buffers —
-    /// allocation-free once the scratch has warmed up. Returns the
-    /// output slice (borrowed from `scratch`), bitwise identical to
-    /// [`Mlp::forward`].
-    pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut MlpScratch) -> &'s [f32] {
-        self.forward_into_tier(x, scratch, ForwardTier::Scalar)
-    }
-
-    /// [`Mlp::forward_into`] under an explicit kernel tier.
-    /// [`ForwardTier::Scalar`] is bitwise identical to
-    /// [`Mlp::forward_into`]; [`ForwardTier::Fast`] swaps tanh
-    /// activations for `fast_tanh` (see `simd` module docs for the
-    /// error bound and determinism contract).
-    pub fn forward_into_tier<'s>(
-        &self,
-        x: &[f32],
-        scratch: &'s mut MlpScratch,
-        tier: ForwardTier,
-    ) -> &'s [f32] {
-        scratch.v0.clear();
-        scratch.v0.extend_from_slice(x);
-        for layer in &self.layers {
-            // Length-set only: forward_row_into overwrites every
-            // element starting from the bias, so zeroing would be a
-            // wasted memset on the per-interval inference hot path.
-            scratch.v1.resize(layer.w.cols, 0.0);
-            layer.forward_row_into_tier(&scratch.v0, &mut scratch.v1, tier);
-            std::mem::swap(&mut scratch.v0, &mut scratch.v1);
-        }
-        &scratch.v0
-    }
-
-    /// Batched inference without a backprop cache: `x` is one
-    /// observation per row, `out` receives one output row per input row
-    /// (reshaped to fit). Allocation-free at steady state, and each
-    /// output row is bitwise identical to [`Mlp::forward`] of the
-    /// corresponding input row — one matmul serves many flows or sweep
-    /// cells without perturbing a single trajectory.
-    pub fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut MlpScratch) {
-        self.forward_batch_into_tier(x, out, scratch, ForwardTier::Scalar);
-    }
-
-    /// [`Mlp::forward_batch_into`] under an explicit kernel tier. Each
-    /// output row is bitwise identical to
-    /// [`Mlp::forward_into_tier`] of the corresponding input row under
-    /// the same tier (pre-activations are tier-independent; only tanh
-    /// evaluation differs under [`ForwardTier::Fast`]).
+    /// Inference without a backprop cache — the one forward kernel:
+    /// `x` is one observation per row, `out` receives one output row
+    /// per input row (reshaped to fit). Allocation-free at steady
+    /// state. A row's output depends on that row alone, so one call
+    /// may serve many flows or environments without perturbing any of
+    /// them. [`ForwardTier::Scalar`] evaluates tanh through libm;
+    /// [`ForwardTier::Fast`] swaps in `fast_tanh` (see the `simd`
+    /// module docs for the error bound and determinism contract);
+    /// pre-activations are tier-independent.
     pub fn forward_batch_into_tier(
         &self,
         x: &Matrix,
@@ -561,83 +490,72 @@ mod tests {
         assert_eq!(y.len(), 2);
     }
 
-    #[test]
-    fn forward_into_bitwise_matches_forward() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for sizes in [&[5, 64, 32, 1][..], &[3, 8, 2], &[4, 4]] {
-            let mlp = Mlp::new(sizes, Activation::Tanh, Activation::Linear, &mut rng);
-            let x: Vec<f32> = (0..sizes[0]).map(|i| (i as f32 - 1.5) * 0.3).collect();
-            let mut scratch = MlpScratch::default();
-            let a = mlp.forward(&x);
-            let b = mlp.forward_into(&x, &mut scratch).to_vec();
-            // Twice through the same scratch: warm buffers must not leak.
-            let c = mlp.forward_into(&x, &mut scratch).to_vec();
-            for ((p, q), r) in a.iter().zip(&b).zip(&c) {
-                assert_eq!(p.to_bits(), q.to_bits());
-                assert_eq!(p.to_bits(), r.to_bits());
-            }
+    /// The forward pass as one would write it first, kept as the
+    /// executable reference of the one inference kernel: a row at a
+    /// time, every output starts at its bias and adds `x[i] · w[i][j]`
+    /// in ascending `i` with zero inputs skipped — no blocking, no row
+    /// kernel. `tanh` is libm's for the scalar tier; the fast tier's
+    /// reference passes `fast_tanh`, whose distance from libm the
+    /// dense-grid test in `simd.rs` bounds.
+    fn naive_forward(mlp: &Mlp, x: &Matrix, tanh: fn(f32) -> f32) -> Matrix {
+        let mut cur = x.clone();
+        for layer in &mlp.layers {
+            cur = Matrix::from_fn(cur.rows, layer.w.cols, |r, j| {
+                let mut acc = layer.b[j];
+                for (i, &xi) in cur.row(r).iter().enumerate() {
+                    if xi != 0.0 {
+                        acc += xi * layer.w.get(i, j);
+                    }
+                }
+                match layer.act {
+                    Activation::Tanh => tanh(acc),
+                    act => act.apply(acc),
+                }
+            });
         }
+        cur
     }
 
+    /// The kernel equals the naive reference bit for bit on both tiers
+    /// at 1, 3 and 70 rows — over the paper's trunk, layers wider than
+    /// `K_BLOCK` on either side, a single-layer network and inputs
+    /// holding exact `0.0` and `-0.0` — through one warm scratch of
+    /// the wrong shape; and row *r* of an *n*-row call equals that row
+    /// sent alone.
     #[test]
-    fn forward_batch_into_bitwise_matches_scalar_rows() {
+    fn forward_bitwise_matches_naive_reference() {
         let mut rng = StdRng::seed_from_u64(8);
-        for (sizes, rows) in [
-            (&[5, 64, 32, 1][..], 7usize),
-            (&[3, 8, 2], 70), // spans a K_BLOCK boundary inside no layer, many rows
-            (&[6, 6], 3),     // single-layer network
-        ] {
-            let mlp = Mlp::new(sizes, Activation::Tanh, Activation::Linear, &mut rng);
-            let batch = Matrix::from_fn(rows, sizes[0], |r, c| {
-                // Include exact zeros to exercise the sparsity skip.
-                if (r + c) % 5 == 0 {
-                    0.0
-                } else {
-                    ((r * 31 + c * 7) % 13) as f32 * 0.21 - 1.2
-                }
-            });
-            let mut scratch = MlpScratch::default();
-            let mut out = Matrix::default();
-            mlp.forward_batch_into(&batch, &mut out, &mut scratch);
-            assert_eq!(out.rows, rows);
-            assert_eq!(out.cols, *sizes.last().unwrap());
-            for r in 0..rows {
-                let single = mlp.forward(batch.row(r));
-                for (a, b) in single.iter().zip(out.row(r)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {r} drifted");
+        let mut scratch = MlpScratch::default();
+        let (mut out, mut alone) = (Matrix::zeros(5, 5), Matrix::default());
+        for hidden in [Activation::Tanh, Activation::Relu] {
+            for sizes in [&[33, 64, 32, 1][..], &[70, 100, 3], &[3, 8, 2], &[6, 6]] {
+                let mlp = Mlp::new(sizes, hidden, Activation::Linear, &mut rng);
+                for rows in [1usize, 3, 70] {
+                    let x = Matrix::from_fn(rows, sizes[0], |r, c| match (r + 2 * c) % 7 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-1.5f32..1.5),
+                    });
+                    for (tier, tanh) in [
+                        (ForwardTier::Scalar, f32::tanh as fn(f32) -> f32),
+                        (ForwardTier::Fast, simd::fast_tanh),
+                    ] {
+                        let what = format!("{hidden:?} {sizes:?} {rows} rows {tier:?}");
+                        mlp.forward_batch_into_tier(&x, &mut out, &mut scratch, tier);
+                        assert_bits_eq(&out, &naive_forward(&mlp, &x, tanh), &what);
+                        for r in 0..rows {
+                            let row = Matrix::from_vec(1, x.cols, x.row(r).to_vec());
+                            mlp.forward_batch_into_tier(&row, &mut alone, &mut scratch, tier);
+                            assert_eq!(bits(alone.row(0)), bits(out.row(r)), "{what} row {r}");
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// The fast tier keeps the "batched == scalar rows, bitwise"
-    /// contract *within the tier*: fast batched rows are bitwise equal
-    /// to fast single-row forwards.
-    #[test]
-    fn fast_tier_batch_rows_bitwise_match_fast_single_rows() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for (sizes, rows) in [
-            (&[5, 64, 32, 1][..], 7usize),
-            (&[3, 8, 2], 19),
-            (&[6, 6], 3),
-        ] {
-            let mlp = Mlp::new(sizes, Activation::Tanh, Activation::Linear, &mut rng);
-            let batch = Matrix::from_fn(rows, sizes[0], |r, c| {
-                ((r * 17 + c * 5) % 11) as f32 * 0.33 - 1.5
-            });
-            let mut scratch = MlpScratch::default();
-            let mut out = Matrix::default();
-            mlp.forward_batch_into_tier(&batch, &mut out, &mut scratch, ForwardTier::Fast);
-            let mut row_scratch = MlpScratch::default();
-            for r in 0..rows {
-                let single = mlp
-                    .forward_into_tier(batch.row(r), &mut row_scratch, ForwardTier::Fast)
-                    .to_vec();
-                for (a, b) in single.iter().zip(out.row(r)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "fast row {r} drifted");
-                }
-            }
-        }
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     /// With no tanh layer there is nothing for the fast tier to
@@ -672,7 +590,7 @@ mod tests {
         let mut scratch = MlpScratch::default();
         let (mut fast, mut scalar) = (Matrix::default(), Matrix::default());
         mlp.forward_batch_into_tier(&batch, &mut fast, &mut scratch, ForwardTier::Fast);
-        mlp.forward_batch_into(&batch, &mut scalar, &mut scratch);
+        mlp.forward_batch_into_tier(&batch, &mut scalar, &mut scratch, ForwardTier::Scalar);
         for (i, (a, b)) in fast.data.iter().zip(&scalar.data).enumerate() {
             // Per-tanh error ≤ 4e-6 amplified through two hidden
             // layers of this width stays well under 1e-3.

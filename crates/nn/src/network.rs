@@ -1,7 +1,8 @@
 //! The trainable-network abstraction.
 //!
 //! [`Network`] is the minimal interface the RL layer needs from a
-//! differentiable function approximator: batched forward with a cache,
+//! differentiable function approximator: cache-free inference (one
+//! kernel, any number of rows), batched forward with a cache,
 //! reverse-mode backward (with or without the input gradient), and
 //! parameter/gradient iteration for an optimizer. [`crate::Mlp`]
 //! implements it directly; MOCC's preference-sub-network composite
@@ -17,8 +18,8 @@ pub trait Network: Clone + Send {
     /// Opaque forward-pass cache consumed by [`Network::backward`].
     type Cache;
 
-    /// Reusable inference buffers consumed by [`Network::forward_into`]
-    /// and [`Network::forward_batch_into`]. Implementations size the
+    /// Reusable inference buffers consumed by
+    /// [`Network::forward_batch_into_tier`]. Implementations size the
     /// scratch lazily; a `Default` scratch works with any network of
     /// the implementing type.
     type Scratch: Default + Clone + Send;
@@ -29,35 +30,34 @@ pub trait Network: Clone + Send {
     /// Output dimensionality.
     fn out_dim(&self) -> usize;
 
-    /// Single-sample forward pass (inference path).
-    fn forward(&self, x: &[f32]) -> Vec<f32>;
-
-    /// Single-sample forward pass into `out` using reusable `scratch`
-    /// buffers — allocation-free at steady state and bitwise identical
-    /// to [`Network::forward`].
-    fn forward_into(&self, x: &[f32], out: &mut Vec<f32>, scratch: &mut Self::Scratch);
-
-    /// Batched inference without a backprop cache: one observation per
-    /// row of `x`, one output per row of `out` (reshaped to fit). Each
-    /// output row is bitwise identical to [`Network::forward`] of the
-    /// corresponding input row.
-    fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut Self::Scratch);
-
-    /// [`Network::forward_batch_into`] under an explicit kernel tier
-    /// (see `mocc_nn::simd`). The default implementation ignores the
-    /// tier and runs the scalar reference — implementations without a
-    /// fast tier treat [`ForwardTier::Fast`] as
-    /// [`ForwardTier::Scalar`], which is always correct (the fast tier
-    /// is an approximation license, never an obligation).
+    /// Inference without a backprop cache — the only inference kernel:
+    /// one observation per row of `x`, one output per row of `out`
+    /// (reshaped to fit), allocation-free once `scratch` has warmed
+    /// up. Row *r* of an *n*-row call equals that row sent alone, bit
+    /// for bit. `tier` selects the activation kernels (see
+    /// `mocc_nn::simd`); an implementation without a fast tier may
+    /// treat [`ForwardTier::Fast`] as [`ForwardTier::Scalar`] — the
+    /// fast tier is an approximation license, never an obligation.
     fn forward_batch_into_tier(
         &self,
         x: &Matrix,
         out: &mut Matrix,
         scratch: &mut Self::Scratch,
         tier: ForwardTier,
-    ) {
-        let _ = tier;
-        self.forward_batch_into(x, out, scratch);
+    );
+
+    /// One observation through [`Network::forward_batch_into_tier`] as
+    /// a one-row scalar-tier batch, with a fresh scratch: the
+    /// convenience for callers outside a steady-state loop.
+    fn forward(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = Matrix::default();
+        self.forward_batch_into_tier(
+            &Matrix::from_vec(1, x.len(), x.to_vec()),
+            &mut out,
+            &mut Self::Scratch::default(),
+            ForwardTier::Scalar,
+        );
+        out.data
     }
 
     /// Batched forward pass returning a cache for backprop.
@@ -104,20 +104,6 @@ impl Network for Mlp {
 
     fn out_dim(&self) -> usize {
         Mlp::out_dim(self)
-    }
-
-    fn forward(&self, x: &[f32]) -> Vec<f32> {
-        Mlp::forward(self, x)
-    }
-
-    fn forward_into(&self, x: &[f32], out: &mut Vec<f32>, scratch: &mut MlpScratch) {
-        let y = Mlp::forward_into(self, x, scratch);
-        out.clear();
-        out.extend_from_slice(y);
-    }
-
-    fn forward_batch_into(&self, x: &Matrix, out: &mut Matrix, scratch: &mut MlpScratch) {
-        Mlp::forward_batch_into(self, x, out, scratch)
     }
 
     fn forward_batch_into_tier(
@@ -170,17 +156,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn generic_roundtrip<N: Network>(net: &N, x: &[f32]) -> Vec<f32> {
-        net.forward(x)
-    }
-
+    /// The provided single-observation entry is a one-row call of the
+    /// required kernel, on the scalar tier.
     #[test]
-    fn mlp_usable_through_trait() {
+    fn provided_forward_is_a_one_row_scalar_batch() {
         let mut rng = StdRng::seed_from_u64(0);
         let mlp = Mlp::new(&[3, 4, 2], Activation::Tanh, Activation::Linear, &mut rng);
-        let direct = mlp.forward(&[0.1, 0.2, 0.3]);
-        let via_trait = generic_roundtrip(&mlp, &[0.1, 0.2, 0.3]);
-        assert_eq!(direct, via_trait);
+        let x = [0.1, 0.0, 0.3];
+        let mut out = Matrix::default();
+        mlp.forward_batch_into_tier(
+            &Matrix::from_vec(1, 3, x.to_vec()),
+            &mut out,
+            &mut MlpScratch::default(),
+            ForwardTier::Scalar,
+        );
+        assert_eq!(mlp.forward(&x), out.data);
         assert_eq!(Network::in_dim(&mlp), 3);
         assert_eq!(Network::out_dim(&mlp), 2);
     }

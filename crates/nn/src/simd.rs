@@ -3,7 +3,8 @@
 //!
 //! ## Tiers
 //!
-//! Every inference entry point takes (or defaults) a [`ForwardTier`]:
+//! The inference kernel (`Network::forward_batch_into_tier`) takes a
+//! [`ForwardTier`]:
 //!
 //! - [`ForwardTier::Scalar`] is the bit-exact golden reference — the
 //!   exact kernels the goldens, the content-addressed cache, and the
@@ -26,7 +27,7 @@
 //! alignment. Cached blobs produced under `fast_math` are byte-stable
 //! across machines.
 //!
-//! There is one backend, plain safe Rust. A hand-written AVX2 backend
+//! There is one backend, plain safe Rust. A hand-written vector backend
 //! behind a cargo feature was measured end to end and deleted
 //! (docs/PERFORMANCE.md, "Why there is one backend").
 //!
@@ -142,8 +143,8 @@ pub fn fast_tanh_slice(xs: &mut [f32]) {
 }
 
 /// `out[i] += a * w[i]` with one rounding per element (mul then add,
-/// no FMA) — the inner kernel of every `Matrix` product and the dense
-/// layers' row forward. Each output element is an independent
+/// no FMA) — the inner kernel of every `Matrix` product, the dense
+/// layers' forward among them. Each output element is an independent
 /// accumulator, so the compiler vectorising across elements preserves
 /// the scalar accumulation order exactly.
 #[inline]

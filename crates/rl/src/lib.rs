@@ -5,7 +5,7 @@
 //! diagonal-Gaussian [`GaussianPolicy`], the [`Ppo`] learner with the
 //! clipped surrogate and entropy bonus of Eqs. 3–5 of the paper, a
 //! [`Dqn`] baseline for the Fig. 18 ablation, and lockstep batched
-//! rollout collection ([`collect_rollouts_batched`]) standing in for
+//! rollout collection ([`collect_rollouts_batched_tier`]) standing in for
 //! the paper's Ray/RLlib parallel-training setup.
 //!
 //! ## Example
@@ -32,9 +32,7 @@ pub mod policy;
 pub mod ppo;
 pub mod rollout;
 
-pub use batch_rollout::{
-    collect_rollouts_batched, collect_rollouts_batched_tier, BatchRolloutScratch,
-};
+pub use batch_rollout::{collect_rollouts_batched_tier, BatchRolloutScratch};
 pub use dqn::{Dqn, DqnConfig};
 pub use env::Env;
 pub use policy::{GaussianPolicy, PolicyScratch};

@@ -14,8 +14,8 @@ use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for allocation-free (batched) policy inference:
 /// the network's own scratch plus the batched-mean output matrix. One
-/// scratch serves any number of [`GaussianPolicy::act_batch`] /
-/// [`GaussianPolicy::mean_action_batch`] calls.
+/// scratch serves any number of [`GaussianPolicy::act_batch_tier`] /
+/// [`GaussianPolicy::mean_action_batch_tier`] calls.
 pub struct PolicyScratch<N: Network> {
     net: N::Scratch,
     means: Matrix,
@@ -137,24 +137,16 @@ impl<N: Network> GaussianPolicy<N> {
         self.log_std.exp().max(1e-4)
     }
 
-    /// Deterministic action: the mean (used at deployment time).
+    /// Deterministic action: the mean (used at deployment time), a
+    /// one-row scalar-tier forward with a fresh scratch.
     pub fn mean_action(&self, obs: &[f32]) -> f32 {
         self.net.forward(obs)[0]
     }
 
-    /// Samples an action, returning `(action, log_prob)`.
-    pub fn act<R: Rng>(&self, obs: &[f32], rng: &mut R) -> (f32, f32) {
-        let mean = self.mean_action(obs);
-        let std = self.std();
-        let a = normal(rng, mean, std);
-        (a, gaussian_log_prob(a, mean, std))
-    }
-
-    /// Deterministic actions for a whole batch: one observation per row
-    /// of `obs`, one mean per entry of `out`. One batched matmul serves
-    /// every row, and each entry is bitwise identical to
-    /// [`GaussianPolicy::mean_action`] on that row — batching flows or
-    /// sweep cells cannot perturb a trajectory.
+    /// Deterministic actions on the scalar tier: one observation per
+    /// row of `obs`, one mean per entry of `out`. Each entry depends on
+    /// its own row alone — batching flows or sweep cells cannot perturb
+    /// a trajectory.
     pub fn mean_action_batch(
         &self,
         obs: &Matrix,
@@ -181,23 +173,11 @@ impl<N: Network> GaussianPolicy<N> {
         out.extend((0..scratch.means.rows).map(|r| scratch.means.get(r, 0)));
     }
 
-    /// Samples one `(action, log_prob)` per row of `obs`. Rows are
-    /// sampled in order from `rng`, so the result — including the RNG
-    /// stream — is bitwise identical to calling [`GaussianPolicy::act`]
-    /// on each row in sequence.
-    pub fn act_batch<R: Rng>(
-        &self,
-        obs: &Matrix,
-        rng: &mut R,
-        out: &mut Vec<(f32, f32)>,
-        scratch: &mut PolicyScratch<N>,
-    ) {
-        self.act_batch_tier(obs, rng, out, scratch, ForwardTier::Scalar)
-    }
-
-    /// [`GaussianPolicy::act_batch`] under an explicit forward kernel
-    /// tier: the affine sampling around each row's mean is identical in
-    /// both tiers, and each mean follows the tier contract of
+    /// Samples one `(action, log_prob)` per row of `obs`, rows in
+    /// order from `rng` — so one call over *n* rows consumes the stream
+    /// exactly like *n* one-row calls in sequence. The affine sampling
+    /// around each row's mean is identical in both tiers, and each
+    /// mean follows the tier contract of
     /// [`GaussianPolicy::mean_action_batch_tier`]. Both tiers are fully
     /// deterministic; `Fast` trades ≤ 4e-6 of mean accuracy for the
     /// approximate tanh kernels on networks that implement them.
@@ -261,6 +241,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One sampled `(action, log_prob)` through a one-row call.
+    fn act_one(pol: &GaussianPolicy, obs: &[f32], rng: &mut StdRng) -> (f32, f32) {
+        let row = Matrix::from_vec(1, obs.len(), obs.to_vec());
+        let mut out = Vec::new();
+        let mut scratch = PolicyScratch::default();
+        pol.act_batch_tier(&row, rng, &mut out, &mut scratch, ForwardTier::Scalar);
+        out[0]
+    }
+
     #[test]
     fn sampled_actions_concentrate_near_mean() {
         let mut rng = StdRng::seed_from_u64(0);
@@ -268,7 +257,7 @@ mod tests {
         let obs = [0.2, -0.1, 0.4];
         let mean = pol.mean_action(&obs);
         let n = 4000;
-        let avg: f32 = (0..n).map(|_| pol.act(&obs, &mut rng).0).sum::<f32>() / n as f32;
+        let avg: f32 = (0..n).map(|_| act_one(&pol, &obs, &mut rng).0).sum::<f32>() / n as f32;
         assert!((avg - mean).abs() < 0.05, "avg {avg} vs mean {mean}");
     }
 
@@ -281,8 +270,12 @@ mod tests {
         assert!(pol.log_prob(&obs, m) > pol.log_prob(&obs, m + 3.0 * pol.std()));
     }
 
+    /// Row *r* of an *n*-row call equals that row sent alone, on both
+    /// tiers: the same action, log-probability and mean bits, and the
+    /// same RNG stream as the one-row calls made in row order. A
+    /// second pass through the warm scratch does not drift.
     #[test]
-    fn act_batch_bitwise_matches_scalar_act() {
+    fn each_row_equals_that_row_sent_alone() {
         let mut rng = StdRng::seed_from_u64(3);
         let pol = GaussianPolicy::new(4, &[8, 6], &mut rng);
         let rows = 9;
@@ -293,36 +286,29 @@ mod tests {
                 ((r * 7 + c) % 5) as f32 * 0.4 - 0.9
             }
         });
-        // Two fresh RNGs with the same seed: the batched path must
-        // consume the stream exactly like the sequential scalar path.
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let mut rng_b = StdRng::seed_from_u64(42);
         let mut scratch = PolicyScratch::default();
-        let mut batched = Vec::new();
-        pol.act_batch(&obs, &mut rng_a, &mut batched, &mut scratch);
-        assert_eq!(batched.len(), rows);
-        for (r, &(a, lp)) in batched.iter().enumerate() {
-            let (sa, slp) = pol.act(obs.row(r), &mut rng_b);
-            assert_eq!(a.to_bits(), sa.to_bits(), "action row {r}");
-            assert_eq!(lp.to_bits(), slp.to_bits(), "log_prob row {r}");
-        }
-    }
-
-    #[test]
-    fn mean_action_batch_bitwise_matches_scalar() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let pol = GaussianPolicy::new(3, &[8], &mut rng);
-        let obs = Matrix::from_fn(6, 3, |r, c| (r as f32 - 2.0) * 0.3 + c as f32 * 0.1);
-        let mut scratch = PolicyScratch::default();
-        let mut means = Vec::new();
-        pol.mean_action_batch(&obs, &mut means, &mut scratch);
-        // A second pass through warm scratch must not drift either.
-        let mut means2 = Vec::new();
-        pol.mean_action_batch(&obs, &mut means2, &mut scratch);
-        for r in 0..obs.rows {
-            let m = pol.mean_action(obs.row(r));
-            assert_eq!(m.to_bits(), means[r].to_bits(), "row {r}");
-            assert_eq!(m.to_bits(), means2[r].to_bits(), "warm row {r}");
+        let mut lone = PolicyScratch::default();
+        let (mut acts, mut means, mut one) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut act1, mut row) = (Vec::new(), Matrix::default());
+        for tier in [ForwardTier::Scalar, ForwardTier::Fast, ForwardTier::Scalar] {
+            let mut rng_a = StdRng::seed_from_u64(42);
+            let mut rng_b = StdRng::seed_from_u64(42);
+            pol.act_batch_tier(&obs, &mut rng_a, &mut acts, &mut scratch, tier);
+            pol.mean_action_batch_tier(&obs, &mut means, &mut scratch, tier);
+            assert_eq!((acts.len(), means.len()), (rows, rows));
+            for r in 0..rows {
+                row.reshape(1, 4);
+                row.row_mut(0).copy_from_slice(obs.row(r));
+                pol.act_batch_tier(&row, &mut rng_b, &mut act1, &mut lone, tier);
+                pol.mean_action_batch_tier(&row, &mut one, &mut lone, tier);
+                assert_eq!(acts[r].0.to_bits(), act1[0].0.to_bits(), "action row {r}");
+                assert_eq!(acts[r].1.to_bits(), act1[0].1.to_bits(), "log_prob row {r}");
+                assert_eq!(means[r].to_bits(), one[0].to_bits(), "mean row {r}");
+                if tier == ForwardTier::Scalar {
+                    assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
+                }
+            }
+            assert_eq!(rng_a.state(), rng_b.state());
         }
     }
 

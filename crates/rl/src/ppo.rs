@@ -5,11 +5,11 @@
 //! actor-critic with separate Adam optimizers — the paper's training
 //! algorithm (§4.2, "Policy optimization algorithm").
 
-use crate::batch_rollout::{collect_rollouts_batched, BatchRolloutScratch};
+use crate::batch_rollout::{collect_rollouts_batched_tier, BatchRolloutScratch};
 use crate::env::Env;
 use crate::policy::GaussianPolicy;
 use crate::rollout::{normalize, Rollout};
-use mocc_nn::{Activation, Adam, Matrix, Mlp, Network};
+use mocc_nn::{Activation, Adam, ForwardTier, Matrix, Mlp, Network};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -183,20 +183,19 @@ impl<N: Network> Ppo<N> {
     }
 
     /// Collects one on-policy rollout of `steps` transitions, resetting
-    /// the environment at episode boundaries. Runs on the lockstep
-    /// batched collector with a batch of one, which is bitwise
-    /// identical to the historical scalar loop (see
-    /// [`collect_rollouts_batched`]).
+    /// the environment at episode boundaries: the lockstep collector
+    /// ([`collect_rollouts_batched_tier`]) over one environment, on
+    /// the scalar tier.
     pub fn collect_rollout(&self, env: &mut dyn Env, steps: usize, rng: &mut StdRng) -> Rollout {
-        let mut scratch = BatchRolloutScratch::default();
         let mut refs: [&mut dyn Env; 1] = [env];
-        collect_rollouts_batched(
+        collect_rollouts_batched_tier(
             &self.policy,
             &self.value,
             &mut refs,
             steps,
             rng,
-            &mut scratch,
+            &mut BatchRolloutScratch::default(),
+            ForwardTier::Scalar,
         )
         .pop()
         .expect("one env yields one rollout")
@@ -340,17 +339,21 @@ impl<N: Network> Ppo<N> {
         stats.entropy = self.policy.entropy();
         stats
     }
+}
 
-    /// Evaluates the deterministic (mean-action) policy for `episodes`
-    /// episodes, returning the mean per-step reward.
-    pub fn evaluate(&self, env: &mut dyn Env, episodes: usize, max_steps: usize) -> f32 {
-        let mut total = 0.0f32;
-        let mut count = 0usize;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::env::{IntegratorEnv, TargetEnv};
+    use rand::SeedableRng;
+
+    /// Mean per-step reward of the deterministic (mean-action) policy.
+    fn mean_reward(ppo: &Ppo, env: &mut dyn Env, episodes: usize, max_steps: usize) -> f32 {
+        let (mut total, mut count) = (0.0f32, 0usize);
         for _ in 0..episodes {
             let mut o = env.reset();
             for _ in 0..max_steps {
-                let a = self.policy.mean_action(&o);
-                let (next, r, done) = env.step(a);
+                let (next, r, done) = env.step(ppo.policy.mean_action(&o));
                 total += r;
                 count += 1;
                 o = next;
@@ -361,13 +364,6 @@ impl<N: Network> Ppo<N> {
         }
         total / count.max(1) as f32
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::env::{IntegratorEnv, TargetEnv};
-    use rand::SeedableRng;
 
     #[test]
     fn ppo_learns_constant_target() {
@@ -398,11 +394,11 @@ mod tests {
         };
         let mut ppo = Ppo::new(2, &[16, 16], cfg, &mut rng);
         let mut env = IntegratorEnv::new(1.5, 32, 0.0);
-        let before = ppo.evaluate(&mut env, 5, 32);
+        let before = mean_reward(&ppo, &mut env, 5, 32);
         for _ in 0..150 {
             ppo.train_iteration(&mut env, 256, &mut rng);
         }
-        let after = ppo.evaluate(&mut env, 5, 32);
+        let after = mean_reward(&ppo, &mut env, 5, 32);
         assert!(
             after > before + 0.1,
             "no improvement: before {before}, after {after}"
@@ -420,15 +416,5 @@ mod tests {
         assert!(stats.value_loss.is_finite());
         assert!(stats.approx_kl.is_finite());
         assert!(stats.clip_frac >= 0.0 && stats.clip_frac <= 1.0);
-    }
-
-    #[test]
-    fn evaluate_uses_deterministic_policy() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let ppo = Ppo::new(2, &[8], PpoConfig::default(), &mut rng);
-        let mut env = TargetEnv::new(0.0, 8);
-        let a = ppo.evaluate(&mut env, 2, 8);
-        let b = ppo.evaluate(&mut env, 2, 8);
-        assert_eq!(a, b, "deterministic evaluation must be reproducible");
     }
 }

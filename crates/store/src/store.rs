@@ -355,15 +355,19 @@ impl ResultStore {
                 continue;
             }
             for obj in std::fs::read_dir(&shard)? {
-                let obj = obj?;
-                let path = obj.path();
-                if path.is_file() {
+                let path = obj?.path();
+                // One stat per blob, symlinks followed as `is_file`
+                // follows them; anything it cannot stat is not a file.
+                let Ok(meta) = std::fs::metadata(&path) else {
+                    continue;
+                };
+                if meta.is_file() {
                     let rel = path
                         .strip_prefix(&self.root)
                         .expect("object under root")
                         .to_string_lossy()
                         .replace('\\', "/");
-                    out.push((rel, obj.metadata()?.len()));
+                    out.push((rel, meta.len()));
                 }
             }
         }

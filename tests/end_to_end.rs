@@ -150,3 +150,87 @@ fn model_roundtrip_identical_behaviour() {
     };
     assert_eq!(run(&agent), run(&loaded));
 }
+
+/// SHA-256 of a finished simulation's canonical JSON.
+fn result_digest(res: &mocc::netsim::SimResult) -> String {
+    mocc::store::sha256_hex(serde_json::to_string(res).unwrap().as_bytes())
+}
+
+/// Absolute bytes of the *deployed* policy path — `PolicyCc` inside
+/// the simulator and `MoccLib` outside it — which the sweep goldens
+/// (external-agent evaluator) and the training pins (collector) never
+/// run: one MOCC flow, two MOCC flows of different preferences on a
+/// dumbbell, one Aurora flow, and 120 library rate decisions, all over
+/// seeded untrained `MoccConfig::fast()` agents. A change to the
+/// forward kernel, the observation layout, the feature clamps or Eq. 1
+/// moves a literal here.
+#[test]
+fn deployed_policy_results_match_the_pinned_digests() {
+    use mocc::core::AuroraAgent;
+
+    let mut rng = StdRng::seed_from_u64(21);
+    let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
+    let aurora = AuroraAgent::new(MoccConfig::fast(), Preference::throughput(), &mut rng);
+
+    let one = Simulator::new(
+        Scenario::single(6e6, 15, 120, 0.01, 8),
+        vec![Box::new(PolicyCc::mocc(&agent, Preference::latency(), 1e6))],
+    )
+    .run();
+    assert!(one.flows[0].mi_records.len() > 100);
+    let two = Simulator::new(
+        Scenario::dumbbell(10e6, 10, 200, 2, 0.0, 8),
+        vec![
+            Box::new(PolicyCc::mocc(&agent, Preference::throughput(), 1e6)),
+            Box::new(PolicyCc::mocc(&agent, Preference::latency(), 2e6)),
+        ],
+    )
+    .run();
+    let plain = Simulator::new(
+        Scenario::single(4e6, 25, 300, 0.0, 8),
+        vec![Box::new(PolicyCc::aurora(&aurora, 1e6))],
+    )
+    .run();
+
+    // The library facade, fed a fixed integer-derived status sequence
+    // that visits both feature clamps and both signs of the gradient.
+    let mut lib = MoccLib::new(&agent, 2e6);
+    lib.register(Preference::balanced());
+    let mut rates = String::new();
+    for i in 0..120u32 {
+        lib.report_status(NetStatus {
+            send_ratio: 0.9 + f64::from(i * 7 % 13) * 0.5,
+            latency_ratio: 1.0 + f64::from(i * 5 % 11) * 0.07,
+            latency_gradient: (f64::from(i * 3 % 7) - 3.0) * 0.04,
+        })
+        .unwrap();
+        rates += &format!("{:016x}", lib.get_sending_rate().unwrap().to_bits());
+    }
+
+    assert_eq!(
+        [
+            ("one mocc flow", result_digest(&one)),
+            ("two mocc flows", result_digest(&two)),
+            ("one aurora flow", result_digest(&plain)),
+            ("library rates", mocc::store::sha256_hex(rates.as_bytes())),
+        ],
+        [
+            (
+                "one mocc flow",
+                "aae8d388e7c2b6d3d7ec3c3c540404225f50f7474a4a5e21727bc7f35f3fcc7e".to_string()
+            ),
+            (
+                "two mocc flows",
+                "b2ae1363146c4850cf0a767424797e4d0313bc304c9eded6adc7a3e9ef5380ed".to_string()
+            ),
+            (
+                "one aurora flow",
+                "d386fdabbd0e649cd15965e83502865f921c982cae47f31712510a8f8712020f".to_string()
+            ),
+            (
+                "library rates",
+                "84a956ce2b17bef52087bf77845200fb284fb56400c86a6e715e266431b9e5d4".to_string()
+            ),
+        ]
+    );
+}

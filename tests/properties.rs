@@ -429,19 +429,22 @@ proptest! {
         }
     }
 
-    /// Batched policy inference is bitwise identical to the scalar
-    /// path — across layer shapes, batch sizes, and RNG streams. This
-    /// pins the contract that batching flows/cells can never perturb a
-    /// trajectory.
+    /// Row *r* of an *n*-row policy call equals that row sent alone —
+    /// action, log-probability, mean and RNG stream — across layer
+    /// shapes, batch sizes, both tiers and RNG seeds. This pins the
+    /// contract that batching flows, cells or environments can never
+    /// perturb a trajectory.
     #[test]
-    fn act_batch_bitwise_equals_scalar(
+    fn each_policy_row_equals_that_row_sent_alone(
         net_seed in 0u64..1_000,
         rng_seed in 0u64..1_000,
         obs_dim in 1usize..12,
         h1 in 1usize..48,
         h2 in 0usize..24,
         rows in 1usize..40,
+        fast in 0u8..2,
     ) {
+        let tier = if fast == 1 { ForwardTier::Fast } else { ForwardTier::Scalar };
         let mut nrng = StdRng::seed_from_u64(net_seed);
         let hidden: Vec<usize> = if h2 == 0 { vec![h1] } else { vec![h1, h2] };
         let pol = GaussianPolicy::new(obs_dim, &hidden, &mut nrng);
@@ -449,28 +452,33 @@ proptest! {
             // Deterministic mix with exact zeros to hit the sparsity skip.
             if (r + c) % 4 == 0 { 0.0 } else { ((r * 31 + c * 7) % 17) as f32 * 0.13 - 1.0 }
         });
-        let mut scratch = PolicyScratch::default();
-        let mut batched = Vec::new();
-        let mut rng_batch = StdRng::seed_from_u64(rng_seed);
-        pol.act_batch(&obs, &mut rng_batch, &mut batched, &mut scratch);
-        let mut means = Vec::new();
-        pol.mean_action_batch(&obs, &mut means, &mut scratch);
-        let mut rng_scalar = StdRng::seed_from_u64(rng_seed);
-        prop_assert_eq!(batched.len(), rows);
+        let (mut scratch, mut lone) = (PolicyScratch::default(), PolicyScratch::default());
+        let (mut acts, mut means, mut act1, mut mean1) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut rng_all = StdRng::seed_from_u64(rng_seed);
+        pol.act_batch_tier(&obs, &mut rng_all, &mut acts, &mut scratch, tier);
+        pol.mean_action_batch_tier(&obs, &mut means, &mut scratch, tier);
+        let mut rng_rows = StdRng::seed_from_u64(rng_seed);
+        prop_assert_eq!(acts.len(), rows);
         for r in 0..rows {
-            let (a, lp) = pol.act(obs.row(r), &mut rng_scalar);
-            prop_assert_eq!(batched[r].0.to_bits(), a.to_bits());
-            prop_assert_eq!(batched[r].1.to_bits(), lp.to_bits());
-            prop_assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
+            let row = Matrix::from_vec(1, obs_dim, obs.row(r).to_vec());
+            pol.act_batch_tier(&row, &mut rng_rows, &mut act1, &mut lone, tier);
+            pol.mean_action_batch_tier(&row, &mut mean1, &mut lone, tier);
+            prop_assert_eq!(acts[r].0.to_bits(), act1[0].0.to_bits());
+            prop_assert_eq!(acts[r].1.to_bits(), act1[0].1.to_bits());
+            prop_assert_eq!(means[r].to_bits(), mean1[0].to_bits());
+            if tier == ForwardTier::Scalar {
+                prop_assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
+            }
         }
+        prop_assert_eq!(rng_all.state(), rng_rows.state());
     }
 
     /// The fast-math tier tracks the scalar reference across random
     /// layer shapes and batch sizes: pre-activations are bitwise
     /// shared, so the whole-network divergence stays within a small
     /// multiple of the documented per-tanh kernel bound
-    /// (`mocc::nn::simd::FAST_TANH_MAX_ABS_ERROR`), and batched fast
-    /// rows are bitwise identical to single-row fast inference.
+    /// (`mocc::nn::simd::FAST_TANH_MAX_ABS_ERROR`), and a fast row of
+    /// a batch is bitwise identical to that row sent alone.
     #[test]
     fn fast_tier_tracks_scalar_forward_within_bound(
         net_seed in 0u64..1_000,
@@ -500,8 +508,9 @@ proptest! {
                 (f - s).abs() <= 1e-3,
                 "row {}: fast {} vs scalar {} diverged past the bound", r, f, s
             );
-            let single = mlp.forward_into_tier(obs.row(r), &mut scratch, ForwardTier::Fast)[0];
-            prop_assert_eq!(single.to_bits(), f.to_bits());
+            let row = Matrix::from_vec(1, obs_dim, obs.row(r).to_vec());
+            mlp.forward_batch_into_tier(&row, &mut fast, &mut scratch, ForwardTier::Fast);
+            prop_assert_eq!(fast.get(0, 0).to_bits(), f.to_bits());
         }
     }
 

@@ -153,6 +153,49 @@ fn torn_checkpoint_degrades_to_previous_snapshot() {
     let _ = std::fs::remove_dir_all(&ck_dir);
 }
 
+/// A checkpoint whose agent's shapes are inconsistent — a weight
+/// matrix one value short, which the derived decoder accepts — is as
+/// unreadable as a torn one: `load_checkpoint` falls back to the
+/// previous snapshot, and with none left `--resume` is a typed error
+/// naming the disagreement instead of a panic at the first rollout.
+#[test]
+fn checkpoint_with_inconsistent_agent_is_refused() {
+    let spec = tiny_spec("resume-hostile");
+    let ck_dir = tmp_dir("hostile-ck");
+    let resume = TrainOptions {
+        resume_from: Some(ck_dir.clone()),
+        ..TrainOptions::default()
+    };
+    train_spec(
+        &spec,
+        &TrainOptions {
+            checkpoint_dir: Some(ck_dir.clone()),
+            max_iters: Some(4),
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap();
+    let mut ck = load_checkpoint(&ck_dir).unwrap();
+    assert_eq!(ck.iteration, 4);
+    ck.agent.ppo.policy.net.main.layers[0].w.data.pop();
+    let (main, prev) = (
+        ck_dir.join("checkpoint.json"),
+        ck_dir.join("checkpoint.prev.json"),
+    );
+    std::fs::write(&main, serde_json::to_string(&ck).unwrap()).unwrap();
+    assert_eq!(load_checkpoint(&ck_dir).unwrap().iteration, 2);
+    assert!(train_spec(&spec, &resume).unwrap().completed);
+
+    std::fs::copy(&main, &prev).unwrap();
+    let err = train_spec(&spec, &resume).map(|_| ()).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("policy.main layer 0: a 46x64 weight matrix holds 2943 values"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&ck_dir);
+}
+
 /// A trained zoo model registers as a scheme and drives a spec-file
 /// experiment through the custom-registry entry point.
 #[test]
