@@ -47,6 +47,7 @@ use serde::json::ObjectWriter;
 use serde::{Serialize, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Schema/version tag baked into every cache key. Bump it whenever the
 /// report schema or any simulation semantics change: old blobs then
@@ -214,44 +215,79 @@ pub fn competition_cell_key(
     sha256_hex(doc.as_bytes())
 }
 
+/// Fewest lookups that earn a worker of their own. A verified hit
+/// costs about 10 µs (key, read, SHA-256, decode, re-encode), so 512
+/// of them are 5 ms of work against the 15–100 µs a thread costs to
+/// start: a 4 096-cell warm run at two workers read 1.3× faster
+/// (docs/PERFORMANCE.md, "Verified hits run on every worker"), while a
+/// 16-cell `serve` request and every shipped example spec stay on the
+/// caller and start no thread.
+const MIN_LOOKUPS_PER_WORKER: usize = 512;
+
+/// Derives a cell's cache key, on whichever worker looks the cell up.
+pub(crate) type KeyOf<'a, T> = &'a (dyn Fn(&T) -> String + Sync);
+
 /// The one cell executor: serves what it can from the store,
 /// simulates the rest one cell per `eval` call through the sharded
 /// executor, and writes the fresh blobs back. `cache` carries the
-/// store, the caller's ledger timestamp, and one key per cell; without
-/// it every cell is a miss and nothing is read or written, which is the
-/// plain uncached run.
+/// store, the caller's ledger timestamp, and the function from a cell
+/// to its key; without it every cell is a miss and nothing is read or
+/// written, which is the plain uncached run.
+///
+/// Lookups are shared out in contiguous chunks of cells, one per
+/// worker (as many as `threads` and [`MIN_LOOKUPS_PER_WORKER`] allow,
+/// the caller being the first): a worker derives its cells' keys,
+/// looks them up and verifies what is served straight into its own
+/// slots of the result. The chunks' ledger lines are joined in cell
+/// order and appended as one write, so the ledger's bytes do not
+/// depend on the worker count. No key outlives its lookup: a miss
+/// derives its key again for the write-back — microseconds beside its
+/// simulation, where 4 096 kept keys were 0.4 of a warm run's 9.6 MB.
+///
 /// Store writes are best-effort: a full disk degrades the cache, never
 /// the run. Returns reports in `cells` order plus the hit/miss counters.
 pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     cells: &[T],
     threads: usize,
     eval: &(dyn Fn(&[T]) -> Vec<CellReport> + Sync),
-    cell_index: &dyn Fn(&T) -> u64,
-    cache: Option<(&ResultStore, u64, &[String])>,
+    cell_index: &(dyn Fn(&T) -> u64 + Sync),
+    cache: Option<(&ResultStore, u64, KeyOf<'_, T>)>,
 ) -> (Vec<CellReport>, CacheStats) {
-    if let Some((_, _, keys)) = cache {
-        assert_eq!(cells.len(), keys.len(), "one key per cell");
-    }
     let mut out: Vec<Option<CellReport>> = vec![None; cells.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    match cache {
-        None => missing.extend(0..cells.len()),
-        Some((store, ts, keys)) => {
-            let mut canonical = String::new();
-            store.get_each(keys, ts, |i, blob| {
-                let verified = blob.and_then(|blob| {
+    if let Some((store, ts, key_of)) = cache {
+        let workers = threads.min(cells.len() / MIN_LOOKUPS_PER_WORKER).max(1);
+        let len = cells.len().div_ceil(workers).max(1);
+        // `run_each` shares its items and a chunk is written to, so
+        // each sits behind a lock that only its one worker takes.
+        let chunks: Vec<_> = cells
+            .chunks(len)
+            .zip(out.chunks_mut(len))
+            .map(Mutex::new)
+            .collect();
+        let lines = run_each(&chunks, workers, &|chunk| {
+            let mut chunk = chunk.lock().expect("a chunk has one worker");
+            let (cells, out) = &mut *chunk;
+            let (mut bytes, mut canonical, mut lines) = (Vec::new(), String::new(), String::new());
+            for (cell, slot) in cells.iter().zip(out.iter_mut()) {
+                let blob = store.lookup(&key_of(cell), ts, &mut bytes, &mut lines);
+                *slot = blob.and_then(|blob| {
                     let report: CellReport = serde_json::from_str(blob).ok()?;
                     canonical.clear();
                     report.write_json(&mut canonical);
-                    (canonical == blob && report.index == cell_index(&cells[i])).then_some(report)
+                    (canonical == blob && report.index == cell_index(cell)).then_some(report)
                 });
-                match verified {
-                    Some(report) => out[i] = Some(report),
-                    None => missing.push(i),
-                }
-            });
-        }
+            }
+            lines
+        });
+        // Joined into the first chunk's buffer: one chunk is appended
+        // as it is, without a copy.
+        let joined = lines.into_iter().reduce(|mut joined, chunk| {
+            joined.push_str(&chunk);
+            joined
+        });
+        store.append_lookups(&joined.unwrap_or_default());
     }
+    let missing: Vec<usize> = (0..cells.len()).filter(|&i| out[i].is_none()).collect();
     let stats = CacheStats {
         hits: (cells.len() - missing.len()) as u64,
         misses: missing.len() as u64,
@@ -269,9 +305,9 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
             .expect("evaluator returns one report per cell")
     });
     for (&slot, report) in missing.iter().zip(computed) {
-        if let Some((store, ts, keys)) = cache {
+        if let Some((store, ts, key_of)) = cache {
             let blob = serde_json::to_string(&report).expect("report serializes");
-            let _ = store.put(&keys[slot], &blob, ts);
+            let _ = store.put(&key_of(&cells[slot]), &blob, ts);
         }
         out[slot] = Some(report);
     }
@@ -285,12 +321,277 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mocc_store::{LedgerEvent, LedgerScan};
 
     fn spec() -> SweepSpec {
         let mut s = SweepSpec::single_cell();
         s.bandwidth_mbps = vec![5.0, 10.0];
         s.duration_s = 5;
         s
+    }
+
+    /// A store in a fresh temp directory.
+    fn temp_store(name: &str) -> ResultStore {
+        let dir =
+            std::env::temp_dir().join(format!("mocc-eval-cache-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        ResultStore::open(&dir).expect("open store")
+    }
+
+    /// The report of synthetic cell `index`: no simulation behind it,
+    /// distinct and canonical per index.
+    fn synthetic_report(index: u64) -> CellReport {
+        CellReport {
+            index,
+            seed: index.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            bandwidth_mbps: 1.5 + index as f64,
+            owd_ms: 20,
+            queue_pkts: 100,
+            loss_cfg: 0.01,
+            shape: "constant".to_string(),
+            load: "steady:1".to_string(),
+            mix: None,
+            goodput_mbps: 0.25 * index as f64,
+            mean_rtt_ms: 41.5,
+            p95_rtt_ms: 55.0,
+            loss_rate: 0.0,
+            utilization: 0.9,
+            latency_ratio: 1.0375,
+            jain: 1.0,
+            utility: 0.8,
+            friendliness: None,
+            convergence_s: None,
+        }
+    }
+
+    fn synthetic_key(index: &u64) -> String {
+        sha256_hex(format!("synthetic cell {index}").as_bytes())
+    }
+
+    /// One pass of `cells` through the executor over `store` at `ts`;
+    /// returns the reports, the counters and the cells `eval` was asked
+    /// for, in the order the results were slotted (index order).
+    fn synthetic_pass(
+        cells: &[u64],
+        threads: usize,
+        store: &ResultStore,
+        ts: u64,
+        key_of: KeyOf<'_, u64>,
+    ) -> (Vec<CellReport>, CacheStats, Vec<u64>) {
+        let simulated = Mutex::new(Vec::new());
+        let (reports, stats) = cached_cell_reports(
+            cells,
+            threads,
+            &|cells| {
+                simulated.lock().unwrap().extend_from_slice(cells);
+                cells.iter().map(|&i| synthetic_report(i)).collect()
+            },
+            &|&i| i,
+            Some((store, ts, key_of)),
+        );
+        let mut simulated = simulated.into_inner().unwrap();
+        simulated.sort_unstable();
+        (reports, stats, simulated)
+    }
+
+    /// The ledger lines after the first `skip` bytes, as
+    /// `(event, key)` in file order; every line must parse.
+    fn ledger_from(store: &ResultStore, skip: usize) -> Vec<(LedgerEvent, String)> {
+        let text = std::fs::read_to_string(store.root().join("ledger.jsonl")).unwrap();
+        let scan = LedgerScan::parse(&text[skip..]);
+        assert!(scan.bad_lines.is_empty() && !scan.truncated_tail);
+        scan.entries.into_iter().map(|e| (e.event, e.key)).collect()
+    }
+
+    fn ledger_len(store: &ResultStore) -> usize {
+        std::fs::metadata(store.root().join("ledger.jsonl")).map_or(0, |m| m.len() as usize)
+    }
+
+    /// Lookups get a worker per [`MIN_LOOKUPS_PER_WORKER`] cells and
+    /// never more than `threads`: a run below twice the floor, and any
+    /// run at one thread, looks everything up on the caller and starts
+    /// no thread; four times the floor at two threads is the caller
+    /// and exactly one thread beside it — held to that by the first
+    /// cell of each chunk waiting (bounded) for the other's.
+    #[test]
+    fn lookups_below_the_floor_or_at_one_thread_stay_on_the_caller() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::thread::ThreadId;
+        let me = std::thread::current().id();
+        let store = temp_store("floor");
+        let lookup_threads = |n: u64, threads: usize, meet: bool| -> Vec<ThreadId> {
+            let cells: Vec<u64> = (0..n).collect();
+            let started = AtomicUsize::new(0);
+            let ids = Mutex::new(Vec::new());
+            let key_of = |i: &u64| {
+                let id = std::thread::current().id();
+                let mut ids = ids.lock().unwrap();
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+                drop(ids);
+                if meet && *i % (n / 2) == 0 {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    for _ in 0..5_000 {
+                        if started.load(Ordering::SeqCst) >= 2 {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+                synthetic_key(i)
+            };
+            let before = ledger_len(&store);
+            let (reports, stats, _) = synthetic_pass(&cells, threads, &store, 1, &key_of);
+            assert_eq!(stats.total(), n);
+            assert!(reports.iter().map(|r| r.index).eq(0..n));
+            // Every lookup is logged, in cell order, whoever made it.
+            let lookups = ledger_from(&store, before)
+                .into_iter()
+                .filter(|(event, _)| *event != LedgerEvent::Put)
+                .map(|(_, key)| key);
+            assert!(lookups.eq(cells.iter().map(synthetic_key)));
+            ids.into_inner().unwrap()
+        };
+        let floor = MIN_LOOKUPS_PER_WORKER as u64;
+        assert_eq!(lookup_threads(2 * floor - 1, 4, false), [me]);
+        assert_eq!(lookup_threads(4 * floor, 1, false), [me]);
+        assert_eq!(lookup_threads(16, 4, false), [me]);
+        let two = lookup_threads(4 * floor, 2, true);
+        assert!(two.len() == 2 && two.contains(&me), "{two:?} from {me:?}");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// Damage in the middle of the second worker's chunk: a flipped
+    /// byte, a deleted blob and a truncated one demote exactly those
+    /// three cells. They alone are simulated again and written back,
+    /// their `miss` lines sit at their cell positions among the `hit`
+    /// lines, the report is the cold one, and the next pass is all
+    /// hits over a clean store.
+    #[test]
+    fn damage_in_a_second_workers_chunk_demotes_exactly_those_cells() {
+        let n = 4 * MIN_LOOKUPS_PER_WORKER as u64;
+        let cells: Vec<u64> = (0..n).collect();
+        let store = temp_store("damage");
+        let (cold, stats, simulated) = synthetic_pass(&cells, 2, &store, 1, &synthetic_key);
+        assert_eq!((stats.hits, stats.misses), (0, n));
+        assert_eq!(simulated, cells);
+
+        // Two workers: the second chunk starts at n / 2.
+        let (flipped, deleted, truncated) = (n / 2 + 400, n / 2 + 500, n / 2 + 600);
+        let path = |i: u64| {
+            store
+                .root()
+                .join(mocc_store::object_rel_path(&synthetic_key(&i)))
+        };
+        let mut bytes = std::fs::read(path(flipped)).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(path(flipped), &bytes).unwrap();
+        std::fs::remove_file(path(deleted)).unwrap();
+        std::fs::write(path(truncated), &bytes[..mid]).unwrap();
+        assert_eq!(store.verify().unwrap().issues.len(), 3);
+
+        let damaged = [flipped, deleted, truncated];
+        let before = ledger_len(&store);
+        let (healed, stats, simulated) = synthetic_pass(&cells, 2, &store, 2, &synthetic_key);
+        assert_eq!((stats.hits, stats.misses), (n - 3, 3));
+        assert_eq!(simulated, damaged);
+        assert_eq!(healed, cold);
+        let want: Vec<(LedgerEvent, String)> = cells
+            .iter()
+            .map(|i| {
+                let event = if damaged.contains(i) {
+                    LedgerEvent::Miss
+                } else {
+                    LedgerEvent::Hit
+                };
+                (event, synthetic_key(i))
+            })
+            .chain(damaged.iter().map(|i| (LedgerEvent::Put, synthetic_key(i))))
+            .collect();
+        assert_eq!(ledger_from(&store, before), want);
+        assert!(store.verify().unwrap().is_clean());
+
+        let (warm, stats, simulated) = synthetic_pass(&cells, 2, &store, 3, &synthetic_key);
+        assert!(stats.all_hits() && simulated.is_empty(), "{stats:?}");
+        assert_eq!(warm, cold);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A second handle (another process) overwriting blobs while two
+    /// workers look them up can cost hits, never correctness: this
+    /// handle's index still holds the digest of what it wrote, so a
+    /// foreign blob fails verification whenever it lands, is demoted
+    /// to a miss and recomputed. The barrier starts the writer and
+    /// both workers together; the writer's targets lie near the end of
+    /// each chunk, so its `put`s land on both sides of their lookups.
+    #[test]
+    fn a_foreign_put_racing_a_parallel_hit_pass_can_only_cost_hits() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        let n = 4 * MIN_LOOKUPS_PER_WORKER as u64;
+        let cells: Vec<u64> = (0..n).collect();
+        let store = temp_store("foreign-put");
+        let (cold, _, _) = synthetic_pass(&cells, 2, &store, 1, &synthetic_key);
+        let foreign = ResultStore::open(store.root()).unwrap();
+        let targets: Vec<u64> = (n / 2 - 100..n / 2).chain(n - 100..n).collect();
+
+        let barrier = Barrier::new(3);
+        let writer_done = AtomicBool::new(false);
+        let key_of = |i: &u64| {
+            if *i % (n / 2) == 0 {
+                barrier.wait();
+            }
+            synthetic_key(i)
+        };
+        let before = ledger_len(&store);
+        let (raced, stats) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                barrier.wait();
+                for i in &targets {
+                    // Canonical, and the right index: only the digest
+                    // this handle recorded tells it from the real one.
+                    let mut report = synthetic_report(*i);
+                    report.utility = 0.0;
+                    let blob = serde_json::to_string(&report).unwrap();
+                    foreign.put(&synthetic_key(i), &blob, 2).unwrap();
+                }
+                writer_done.store(true, Ordering::SeqCst);
+            });
+            cached_cell_reports(
+                &cells,
+                2,
+                &|cells| {
+                    // Write-backs start once the writer is done, so
+                    // each key's last `put` line names its last blob.
+                    for _ in 0..5_000 {
+                        if writer_done.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    cells.iter().map(|&i| synthetic_report(i)).collect()
+                },
+                &|&i| i,
+                Some((&store, 3, &key_of)),
+            )
+        });
+        assert_eq!(raced, cold, "a foreign blob was served");
+        assert!(stats.misses <= targets.len() as u64, "{stats:?}");
+        let target_keys: Vec<String> = targets.iter().map(synthetic_key).collect();
+        for (event, key) in ledger_from(&store, before) {
+            assert!(
+                event == LedgerEvent::Hit || target_keys.contains(&key),
+                "{event:?} on a key nobody overwrote"
+            );
+        }
+        assert!(ResultStore::open(store.root())
+            .unwrap()
+            .verify()
+            .unwrap()
+            .is_clean());
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]

@@ -138,9 +138,10 @@ impl CompetitionEvaluator for RegistryCompetition<'_> {
 ///
 /// The calling thread is one of the workers: only the others are
 /// spawned (scoped), so one worker, one item or nothing to do — every
-/// `--threads 1` run, every all-hit cached run — starts no thread, and
-/// a panic in the caller's share unwinds to the caller with its own
-/// message once the scope has joined the rest.
+/// `--threads 1` run, the misses of an all-hit cached run, the lookups
+/// of a run too small to share out — starts no thread, and a panic in
+/// the caller's share unwinds to the caller with its own message once
+/// the scope has joined the rest.
 pub(crate) fn run_each<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -330,10 +331,8 @@ impl SweepRunner {
     ) -> (SweepReport, CacheStats) {
         let cells = spec.expand();
         let keyed = cache.map(|(scheme, c)| {
-            let keys = cells
-                .iter()
-                .map(|cell| sweep_cell_key(cell, scheme, spec, c.policy));
-            (c.store, c.ts, keys.collect::<Vec<String>>())
+            let key = move |cell: &SweepCell| sweep_cell_key(cell, scheme, spec, c.policy);
+            (c.store, c.ts, key)
         });
         let (reports, stats) = cached_cell_reports(
             &cells,
@@ -342,7 +341,7 @@ impl SweepRunner {
             &|c: &SweepCell| c.index,
             keyed
                 .as_ref()
-                .map(|(store, ts, keys)| (*store, *ts, &keys[..])),
+                .map(|(store, ts, key)| (*store, *ts, key as _)),
         );
         (
             SweepReport::new(controller, spec.seed, spec.duration_s, reports),
@@ -364,10 +363,8 @@ impl SweepRunner {
     ) -> (SweepReport, CacheStats) {
         let cells = spec.expand();
         let keyed = cache.map(|c| {
-            let keys = cells
-                .iter()
-                .map(|cell| competition_cell_key(cell, spec, c.policy));
-            (c.store, c.ts, keys.collect::<Vec<String>>())
+            let key = move |cell: &CompetitionCell| competition_cell_key(cell, spec, c.policy);
+            (c.store, c.ts, key)
         });
         let (reports, stats) = cached_cell_reports(
             &cells,
@@ -376,7 +373,7 @@ impl SweepRunner {
             &|c: &CompetitionCell| c.index,
             keyed
                 .as_ref()
-                .map(|(store, ts, keys)| (*store, *ts, &keys[..])),
+                .map(|(store, ts, key)| (*store, *ts, key as _)),
         );
         (
             SweepReport::new(controller, spec.seed, spec.duration_s, reports),
@@ -642,7 +639,8 @@ mod tests {
 
     /// The calling thread is one of the workers and only the others
     /// are spawned: one worker, one item or no item runs `eval` on the
-    /// caller alone (an all-hit cached run starts no thread), and two
+    /// caller alone (the miss phase of an all-hit run, the one chunk of
+    /// lookups of a small one: neither starts a thread), and two
     /// workers are the caller and exactly one thread beside it — held
     /// to that by the first two items each waiting (bounded) for the
     /// other to have started.

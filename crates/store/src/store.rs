@@ -66,10 +66,10 @@ impl Folded {
     /// the file that was folded — it does not hold the last folded line
     /// just before `offset`: it is shorter, or `gc` (this process's or
     /// another's) renamed a compacted ledger into place — and when the
-    /// appended lines hold a bad one: a writer that appends onto
-    /// another's half-written tail loses its first line to it, and if
-    /// that was a `put` of this handle's, the index holds a key the
-    /// ledger does not.
+    /// appended lines hold a bad one: the ledger was damaged while
+    /// this handle had it folded — two processes' appends met on a
+    /// half-written tail, say, and a `put` line this index took in was
+    /// lost to it — so nothing remembered about it is trusted.
     fn catch_up(&mut self, root: &Path) -> io::Result<bool> {
         let mut file = match std::fs::File::open(root.join(LEDGER_FILE)) {
             Ok(file) => file,
@@ -119,11 +119,14 @@ impl Folded {
 /// Writes are atomic (temp file + rename in the same directory), and
 /// ledger appends happen under an in-process lock with one `write`
 /// call per append — one `put` line, or all the lookup lines of one
-/// [`ResultStore::get_each`] — so concurrent runners sharing one store
-/// cannot interleave partial lines. Opening a store after a crash repairs a
-/// half-written ledger tail by truncating the incomplete final line
-/// (its blob, if the rename completed, is re-adopted on the next
-/// `put`; if not, nothing references it and `gc` removes the orphan).
+/// run ([`ResultStore::append_lookups`]) — so concurrent runners
+/// sharing one store cannot interleave partial lines. Opening a store
+/// after a crash repairs a half-written ledger tail by truncating the
+/// incomplete final line (its blob, if the rename completed, is
+/// re-adopted on the next `put`; if not, nothing references it and
+/// `gc` removes the orphan); a handle already open when another
+/// process leaves such a tail ends it with a newline before its own
+/// next line.
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
@@ -228,72 +231,100 @@ impl ResultStore {
         self.len() == 0
     }
 
-    /// Looks up the blob for `key`, verifying its content digest
-    /// before serving it. Appends a `hit` or `miss` ledger line with
-    /// the caller-supplied timestamp. A blob that cannot be read, or
+    /// The one lookup: the blob for `key` read into `bytes` and served
+    /// from there once its content digest is verified, and the
+    /// lookup's `hit` or `miss` line — with the caller-supplied
+    /// timestamp — pushed onto `lines`. A blob that cannot be read, or
     /// whose bytes do not hash to the digest recorded when it was
-    /// written, is treated as a miss — corruption degrades to
-    /// recomputation, never to bad bytes. The one-key case of
-    /// [`ResultStore::get_each`].
+    /// written, is a miss — corruption degrades to recomputation,
+    /// never to bad bytes.
+    ///
+    /// No ledger is touched: the caller hands the lines of its lookups
+    /// to [`ResultStore::append_lookups`], in the order the ledger is
+    /// to read them, whichever threads did the looking up. Both
+    /// buffers are the caller's so that a run of lookups reuses them.
+    ///
+    /// The index lock is held for a map probe and a 64-byte copy —
+    /// never across an allocation, a file read or a digest — so
+    /// concurrent lookups of one store share no I/O wait. A `put` that
+    /// lands between the copy and the read can only turn the lookup
+    /// into a miss (the digest no longer matches).
+    pub fn lookup<'b>(
+        &self,
+        key: &str,
+        ts: u64,
+        bytes: &'b mut Vec<u8>,
+        lines: &mut String,
+    ) -> Option<&'b str> {
+        let mut content = [0u8; 64];
+        let indexed = match self.folded.lock().expect("store lock").index.get(key) {
+            // A recorded digest of any other length is no SHA-256 in
+            // hex: no blob can match it.
+            Some(recorded) if recorded.len() == content.len() => {
+                content.copy_from_slice(recorded.as_bytes());
+                true
+            }
+            _ => false,
+        };
+        bytes.clear();
+        let verified = indexed
+            && std::fs::File::open(self.root.join(object_rel_path(key)))
+                .and_then(|mut file| file.read_to_end(bytes))
+                .is_ok()
+            && sha256_hex(bytes).as_bytes() == content;
+        let blob = if verified {
+            std::str::from_utf8(bytes).ok()
+        } else {
+            None
+        };
+        let event = if blob.is_some() {
+            LedgerEvent::Hit
+        } else {
+            LedgerEvent::Miss
+        };
+        write_entry(lines, key, event, None, None, ts);
+        lines.push('\n');
+        blob
+    }
+
+    /// Appends the lines [`ResultStore::lookup`] wrote, as **one**
+    /// write. Best effort: the lines feed `stats` and `gc`'s
+    /// last-touch time, never correctness, so a caller that stops
+    /// before this — a killed process — or a full disk loses them and
+    /// nothing else. A write cut short leaves only whole lines and the
+    /// half-line tail [`ResultStore::open`] already repairs.
+    pub fn append_lookups(&self, lines: &str) {
+        let _guard = self.folded.lock().expect("store lock");
+        let _ = self.append_locked(lines);
+    }
+
+    /// Looks up the blob for `key` ([`ResultStore::lookup`]) and
+    /// appends the lookup's `hit` or `miss` line.
     pub fn get(&self, key: &str, ts: u64) -> Option<String> {
-        let mut served = None;
-        self.get_each(&[key], ts, |_, blob| served = blob.map(str::to_owned));
+        let (mut bytes, mut line) = (Vec::new(), String::new());
+        let served = self
+            .lookup(key, ts, &mut bytes, &mut line)
+            .map(str::to_owned);
+        self.append_lookups(&line);
         served
     }
 
-    /// Looks up every key of one run: `visit(i, blob)` is called once
-    /// per key, in order, with the verified blob of `keys[i]` or `None`
-    /// for a miss (see [`ResultStore::get`]); the blob is only borrowed,
-    /// from a buffer the next lookup reuses. Then the run's `hit` and
-    /// `miss` lines are appended, in key order, as **one** write.
-    ///
-    /// The index lock is held to copy a key's record and, at the end,
-    /// for the append — never across a file read or a digest, so
-    /// concurrent readers of one store share no I/O wait. A `put` that
-    /// lands between the copy and the read can only turn the lookup
-    /// into a miss (the digest no longer matches).
-    ///
-    /// A caller that stops before this returns — a killed process —
-    /// loses that run's lookup lines. They feed `stats` and `gc`'s
-    /// last-touch time, never correctness. The batched append still
-    /// leaves only whole lines: a write cut short is the half-line
-    /// tail [`ResultStore::open`] already repairs.
+    /// Looks up every key of one run on the calling thread:
+    /// `visit(i, blob)` is called once per key, in order, with what
+    /// [`ResultStore::lookup`] serves for `keys[i]`; the blob is only
+    /// borrowed, from a buffer the next lookup reuses. Then the run's
+    /// `hit` and `miss` lines are appended, in key order, as one write.
     pub fn get_each<K: AsRef<str>>(
         &self,
         keys: &[K],
         ts: u64,
         mut visit: impl FnMut(usize, Option<&str>),
     ) {
-        let mut lines = String::new();
-        let mut bytes = Vec::new();
+        let (mut bytes, mut lines) = (Vec::new(), String::new());
         for (i, key) in keys.iter().enumerate() {
-            let key = key.as_ref();
-            let content = self
-                .folded
-                .lock()
-                .expect("store lock")
-                .index
-                .get(key)
-                .cloned();
-            let blob = content.and_then(|content| {
-                bytes.clear();
-                std::fs::File::open(self.root.join(object_rel_path(key)))
-                    .and_then(|mut file| file.read_to_end(&mut bytes))
-                    .ok()?;
-                (sha256_hex(&bytes) == content).then_some(())?;
-                std::str::from_utf8(&bytes).ok()
-            });
-            let event = if blob.is_some() {
-                LedgerEvent::Hit
-            } else {
-                LedgerEvent::Miss
-            };
-            write_entry(&mut lines, key, event, None, None, ts);
-            lines.push('\n');
-            visit(i, blob);
+            visit(i, self.lookup(key.as_ref(), ts, &mut bytes, &mut lines));
         }
-        let _guard = self.folded.lock().expect("store lock");
-        let _ = self.append_locked(&lines);
+        self.append_lookups(&lines);
     }
 
     /// Stores `blob` under `key` (a 64-char hex digest of the
@@ -334,15 +365,32 @@ impl ResultStore {
     /// hold the index lock, so in-process concurrent writers cannot
     /// interleave; cross-process writers rely on `O_APPEND` whole-write
     /// atomicity).
+    ///
+    /// A ledger that does not end in a newline ends in the half line
+    /// of a writer killed mid-append, in another process and since
+    /// this handle's `open`: the write then starts with the newline
+    /// that ends it, so that the half line is one bad line of its own
+    /// and the first line written here is not fused into it.
     fn append_locked(&self, lines: &str) -> io::Result<()> {
         if lines.is_empty() {
             return Ok(());
         }
         let mut file = std::fs::OpenOptions::new()
+            .read(true)
             .append(true)
             .create(true)
             .open(self.root.join(LEDGER_FILE))?;
-        file.write_all(lines.as_bytes())
+        let mut last = [b'\n'];
+        // An empty ledger has no last byte: the seek to before its
+        // start fails, and there is no tail to end.
+        if file.seek(SeekFrom::End(-1)).is_ok() {
+            file.read_exact(&mut last)?;
+        }
+        if last == [b'\n'] {
+            file.write_all(lines.as_bytes())
+        } else {
+            file.write_all(["\n", lines].concat().as_bytes())
+        }
     }
 
     /// Every object file currently on disk as `(relative path, bytes)`.
@@ -633,6 +681,123 @@ mod tests {
         store.get_each(&[] as &[&str], 10, |_, _| unreachable!("no key to visit"));
         assert_eq!(ledger(), after);
         assert_eq!(store.stats().unwrap().hits, 2);
+    }
+
+    /// The primitive under `get` and `get_each`: a lookup leaves the
+    /// ledger alone and writes its line where the caller says, so
+    /// lookups made in any order — by any thread — are logged in the
+    /// order the caller joins their lines. A recorded digest that is
+    /// no SHA-256 (a hand-edited ledger) serves nothing.
+    #[test]
+    fn lookup_touches_no_ledger_and_the_caller_orders_the_lines() {
+        let store = temp_store("lookup");
+        let (first, second, odd) = (key("first"), key("second"), key("odd"));
+        store.put(&first, "first blob", 1).unwrap();
+        store.put(&second, "second blob", 2).unwrap();
+        let root = store.root().to_path_buf();
+        drop(store);
+        let mut ledger = std::fs::OpenOptions::new()
+            .append(true)
+            .open(root.join(LEDGER_FILE))
+            .unwrap();
+        // A blob on disk whose recorded digest is not 64 characters.
+        let odd_path = root.join(object_rel_path(&odd));
+        std::fs::create_dir_all(odd_path.parent().unwrap()).unwrap();
+        std::fs::write(odd_path, "").unwrap();
+        let entry = LedgerEntry {
+            key: odd.clone(),
+            event: LedgerEvent::Put,
+            content: Some(String::new()),
+            path: None,
+            ts: 3,
+        };
+        ledger
+            .write_all((entry.to_line() + "\n").as_bytes())
+            .unwrap();
+        drop(ledger);
+        let store = ResultStore::open(&root).unwrap();
+        assert_eq!(store.len(), 3);
+        let before = std::fs::read_to_string(root.join(LEDGER_FILE)).unwrap();
+
+        let (mut bytes, mut late, mut early) = (Vec::new(), String::new(), String::new());
+        assert_eq!(
+            store.lookup(&second, 9, &mut bytes, &mut late),
+            Some("second blob")
+        );
+        assert_eq!(store.lookup(&odd, 9, &mut bytes, &mut late), None);
+        assert_eq!(
+            store.lookup(&first, 9, &mut bytes, &mut early),
+            Some("first blob")
+        );
+        let ledger = || std::fs::read_to_string(root.join(LEDGER_FILE)).unwrap();
+        assert_eq!(ledger(), before, "a lookup appends nothing");
+        store.append_lookups(&[early, late].concat());
+        let appended: Vec<(String, LedgerEvent)> = LedgerScan::parse(&ledger()[before.len()..])
+            .entries
+            .into_iter()
+            .map(|e| (e.key, e.event))
+            .collect();
+        assert_eq!(
+            appended,
+            [
+                (first, LedgerEvent::Hit),
+                (second, LedgerEvent::Hit),
+                (odd, LedgerEvent::Miss),
+            ]
+        );
+    }
+
+    /// A writer killed mid-append in another process leaves a half
+    /// line that a handle opened earlier never got to repair: that
+    /// handle's next append ends the half line first, so its own first
+    /// line — a `put`'s or a lookup's — is a line of its own.
+    #[test]
+    fn appending_onto_a_foreign_torn_tail_keeps_the_first_line() {
+        let store = temp_store("foreign-tail");
+        let (a, b) = (key("a"), key("b"));
+        store.put(&a, "blob a", 1).unwrap();
+        let tear = || {
+            // What a second handle's killed `put` leaves behind.
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(store.root().join(LEDGER_FILE))
+                .and_then(|mut f| f.write_all(b"{\"content\":\"dead"))
+                .unwrap();
+        };
+        tear();
+        store.put(&b, "blob b", 2).unwrap();
+        tear();
+        assert_eq!(store.get(&b, 3).as_deref(), Some("blob b"));
+        let text = std::fs::read_to_string(store.root().join(LEDGER_FILE)).unwrap();
+        let scan = LedgerScan::parse(&text);
+        let lines: Vec<(&str, LedgerEvent)> = scan
+            .entries
+            .iter()
+            .map(|e| (e.key.as_str(), e.event))
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                (a.as_str(), LedgerEvent::Put),
+                (b.as_str(), LedgerEvent::Put),
+                (b.as_str(), LedgerEvent::Hit),
+            ]
+        );
+        assert_eq!(
+            scan.bad_lines,
+            [2, 4],
+            "each half line is a line of its own"
+        );
+        assert!(!scan.truncated_tail);
+        let stats = store.stats().unwrap();
+        assert_eq!((stats.keys, stats.puts, stats.hits), (2, 2, 1));
+        // A whole ledger gets no extra byte.
+        let whole = std::fs::read(store.root().join(LEDGER_FILE)).unwrap();
+        store.get(&a, 4);
+        let grown = std::fs::read(store.root().join(LEDGER_FILE)).unwrap();
+        assert!(grown.starts_with(&whole) && grown[whole.len()] == b'{');
+        let reopened = ResultStore::open(store.root()).unwrap();
+        assert_eq!(reopened.len(), 2, "b's put line survived the tail");
     }
 
     #[test]

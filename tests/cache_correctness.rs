@@ -648,6 +648,93 @@ fn store_bytes_match_the_pinned_digests() {
     drop_store(&dir);
 }
 
+/// A cubic sweep large enough that a four-thread warm run splits its
+/// lookups over four workers (2 048 cells, four times the
+/// per-worker floor in `mocc_eval::cache`), and cheap enough — a 1 s
+/// horizon, one steady flow, a constant link — to fill in seconds in a
+/// debug build.
+fn large_sweep() -> ExperimentSpec {
+    let matrix = SweepSpec {
+        bandwidth_mbps: (1..=8).map(|i| 3.0 * i as f64).collect(),
+        owd_ms: (1..=8).map(|i| 5 * i).collect(),
+        queue_pkts: (1..=8).map(|i| 50 * i).collect(),
+        loss: vec![0.0, 0.001, 0.01, 0.02],
+        shapes: vec![TraceShape::Constant],
+        loads: vec![FlowLoad::Steady(1)],
+        duration_s: 1,
+        mss_bytes: 1500,
+        seed: 42,
+        agent_mi: true,
+    };
+    let exp = ExperimentSpec::from_sweep(
+        "pinned-large",
+        SchemeSpec::parse("cubic").expect("scheme parses"),
+        &matrix,
+    );
+    assert_eq!(exp.cell_count(), 2048);
+    exp
+}
+
+/// The pinned bytes of a run whose lookups are shared between workers:
+/// [`large_sweep`] cold into a fresh store with a constant `ts`, then
+/// warm from that filled store at 1, 2 and 4 threads. The literals
+/// were taken at one thread, before lookups ran anywhere but on the
+/// caller: the warm ledger must read every lookup line in cell order
+/// whatever the worker count — equal bytes, not equal counts.
+#[test]
+fn large_run_store_bytes_match_the_pinned_digests_at_any_thread_count() {
+    const TS: u64 = 7;
+    let exp = large_sweep();
+    let (dir, store) = temp_store("pinned-large");
+    let ledger_path = dir.join("ledger.jsonl");
+    let (cold, stats) = run_experiment_cached(&SweepRunner::with_threads(1), &exp, &store, TS)
+        .expect("large sweep fills");
+    assert_eq!((stats.hits, stats.misses), (0, 2048));
+    drop(store);
+    let cold = cold.to_canonical_json();
+    let filled = std::fs::read(&ledger_path).expect("ledger exists");
+    let objects: Vec<u8> = object_paths(&dir)
+        .iter()
+        .flat_map(|p| std::fs::read(p).expect("object reads"))
+        .collect();
+    for (what, got, pinned) in [
+        (
+            "ledger after the fill pass",
+            sha256_hex(&filled),
+            "1af399d2e6a05c5eed1ecce278d4ea4771e74e9542ca3abf9bced4446ad263ae",
+        ),
+        (
+            "objects in key order",
+            sha256_hex(&objects),
+            "55fefe05e751333f4a8002b41968ed77d0c82c59ce17a20eb4061fb7cdda0441",
+        ),
+        (
+            "report",
+            sha256_hex(cold.as_bytes()),
+            "fafa92e012bf82db9618002d196a27771829d2c9a24f15d38aa1ac1138c420c1",
+        ),
+    ] {
+        assert_eq!(got, pinned, "{what} moved");
+    }
+    for threads in [1, 2, 4] {
+        // Every warm pass starts from the store the fill left.
+        std::fs::write(&ledger_path, &filled).expect("ledger resets");
+        let store = ResultStore::open(&dir).expect("filled store opens");
+        let (warm, stats) =
+            run_experiment_cached(&SweepRunner::with_threads(threads), &exp, &store, TS)
+                .expect("large sweep is served");
+        assert_eq!((stats.hits, stats.misses), (2048, 0), "{threads} threads");
+        assert_eq!(warm.to_canonical_json(), cold, "{threads} threads");
+        assert_eq!(
+            sha256_hex(&std::fs::read(&ledger_path).expect("ledger exists")),
+            "81359690e8a9f07e2d1723d982944e2cb50148552838b41db222069a587ef31f",
+            "ledger after the hit pass at {threads} threads moved"
+        );
+        assert!(store.verify().expect("verify runs").is_clean());
+    }
+    drop_store(&dir);
+}
+
 // ---- 6. stats over a moving ledger --------------------------------------
 
 /// What `stats` must report: the whole ledger and the objects
@@ -679,7 +766,8 @@ proptest! {
     /// `put`s and lookups, another handle's (another process's), lines
     /// appended by hand (garbage, and a `put` naming a foreign path),
     /// `gc` through either handle, a cut at any byte, a half-written
-    /// tail left for the next writer to append onto. After every step
+    /// tail left for the next writer to append onto — which costs that
+    /// writer no line of its own. After every step
     /// its `stats` — which read only what was appended — equal a scan
     /// from scratch, its index is no larger than the ledger's keys (no
     /// key is remembered anywhere else), and whenever another process
@@ -706,6 +794,7 @@ proptest! {
             // replaced ledger can resemble the one that was folded.
             let ts = (arg % 3) as u64;
             let key = &keys[arg % keys.len()];
+            let before = std::fs::read_to_string(&ledger).unwrap_or_default();
             match op {
                 0 => store.put(key, &format!("own blob {}", arg % 7), ts).expect("own put"),
                 1 => store.get_each(&keys[..arg % (keys.len() + 1)], ts, |_, _| {}),
@@ -734,6 +823,32 @@ proptest! {
                     }
                 }
                 _ => append(b"{\"event\":\"hi"),
+            }
+            // What this handle wrote is in the ledger whatever it was
+            // written onto: a tail someone tore is ended first, then
+            // come this step's own lines, whole and in order.
+            let own: Vec<(bool, &str)> = match op {
+                0 => vec![(true, key.as_str())],
+                1 => keys[..arg % (keys.len() + 1)].iter().map(|k| (false, k.as_str())).collect(),
+                _ => Vec::new(),
+            };
+            if !own.is_empty() {
+                let mut whole = before;
+                if !whole.is_empty() && !whole.ends_with('\n') {
+                    whole.push('\n');
+                }
+                let after = std::fs::read_to_string(&ledger).expect("ledger exists");
+                prop_assert!(after.starts_with(&whole), "step {n}: earlier bytes moved");
+                let scan = LedgerScan::parse(&after[whole.len()..]);
+                let written: Vec<(bool, &str)> = scan
+                    .entries
+                    .iter()
+                    .map(|e| (e.event == LedgerEvent::Put, e.key.as_str()))
+                    .collect();
+                prop_assert!(
+                    written == own && scan.bad_lines.is_empty() && !scan.truncated_tail,
+                    "step {n}: wrote {own:?}, the ledger gained {:?}", &after[whole.len()..]
+                );
             }
             let got = store.stats().expect("stats");
             let want = stats_from_scratch(&dir);
