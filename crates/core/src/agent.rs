@@ -171,10 +171,11 @@ impl MoccAgent {
     /// every weight matrix holds `rows × cols` values, every bias
     /// matches its weights, consecutive layers chain, the preference
     /// sub-network takes `pref_dim` inputs and feeds a trunk at least
-    /// that wide, and both networks map `cfg.obs_dim()` observations
-    /// to one output. A document that fails one is an error here,
-    /// naming the first disagreement — not a panic at the first
-    /// forward pass.
+    /// that wide, both networks map `cfg.obs_dim()` observations to one
+    /// output, and every Adam moment buffer fits the tensor it moves
+    /// (`Ppo::check_optimizers`). A document that fails one is an error
+    /// here, naming the first disagreement — not a panic at the first
+    /// forward pass or update.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let agent: MoccAgent = serde_json::from_str(json)?;
         agent.validate().map_err(serde_json::Error::custom)?;
@@ -221,7 +222,7 @@ impl MoccAgent {
                 ));
             }
         }
-        Ok(())
+        self.ppo.check_optimizers().map_err(|e| format!("ppo.{e}"))
     }
 
     /// Saves the agent to a file.

@@ -428,6 +428,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint whose critic's first Adam moment is one value
+    /// short parses cleanly, and used to panic the first update on
+    /// resume. It is as unreadable as a torn file: load falls back to
+    /// the previous snapshot, and with that one damaged too, load and
+    /// resume are errors naming the buffer.
+    #[test]
+    fn checkpoint_with_short_adam_moments_is_unreadable() {
+        let dir = std::env::temp_dir().join(format!("mocc-ck-moments-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = TrainSpec {
+            name: "moments".to_string(),
+            seed: 6,
+            omega_step: Some(4),
+            boot_iters: Some(1),
+            traverse_iters: Some(1),
+            traverse_cycles: Some(1),
+            rollout_steps: Some(30),
+            episode_mis: Some(30),
+            batch_envs: 1,
+            checkpoint_every: 1,
+            ..TrainSpec::default()
+        };
+        let opts = TrainOptions {
+            checkpoint_dir: Some(dir.clone()),
+            max_iters: Some(2),
+            ..TrainOptions::default()
+        };
+        train_spec(&spec, &opts).unwrap();
+        let main = dir.join("checkpoint.json");
+        let mut text = std::fs::read_to_string(&main).unwrap();
+        // Drop the first value of `agent.ppo.opt_v.m[0]`.
+        let opt_v = text.find("\"opt_v\":{").unwrap();
+        let first = opt_v + text[opt_v..].find("\"m\":[[").unwrap() + "\"m\":[[".len();
+        let comma = first + text[first..].find(',').unwrap();
+        text.replace_range(first..=comma, "");
+        std::fs::write(&main, &text).unwrap();
+        assert_eq!(load_checkpoint(&dir).unwrap().iteration, 1);
+
+        std::fs::write(dir.join("checkpoint.prev.json"), &text).unwrap();
+        let want = "ppo.opt_v.m[0] holds 2943 values for a tensor of 2944";
+        let err = load_checkpoint(&dir).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        let resume = TrainOptions {
+            resume_from: Some(dir.clone()),
+            ..TrainOptions::default()
+        };
+        let err = train_spec(&spec, &resume).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn resume_refuses_foreign_spec_digest() {
         let dir = std::env::temp_dir().join(format!("mocc-ck-foreign-{}", std::process::id()));

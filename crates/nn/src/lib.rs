@@ -53,4 +53,4 @@ pub use mlp::{Activation, Dense, ForwardCache, Mlp, MlpScratch};
 pub use network::Network;
 pub use optim::Adam;
 pub use rng::{gaussian_entropy, gaussian_log_prob, normal, randn};
-pub use simd::{fast_tanh, fast_tanh_slice, ForwardTier};
+pub use simd::{exact_tanh, exact_tanh_slice, fast_tanh, fast_tanh_slice, ForwardTier};

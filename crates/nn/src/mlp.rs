@@ -26,7 +26,7 @@ pub enum Activation {
 impl Activation {
     pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => simd::exact_tanh(x),
             Activation::Relu => x.max(0.0),
             Activation::Linear => x,
         }
@@ -200,7 +200,7 @@ impl Mlp {
         for layer in &self.layers {
             let mut z = activations.last().unwrap().matmul(&layer.w);
             z.add_row_broadcast(&layer.b);
-            z.map_inplace(|v| layer.act.apply(v));
+            simd::apply_activation(layer.act, ForwardTier::Scalar, &mut z.data);
             activations.push(z);
         }
         ForwardCache { activations }

@@ -46,6 +46,48 @@ impl Adam {
         self.t += 1;
     }
 
+    /// Checks the moment buffers against the parameter tensors they
+    /// move, slot `i` holding `lens[i]` values: every `m`/`v` slot is
+    /// empty or exactly that long, `m` and `v` have the same shape, and
+    /// no slot lies past the last tensor. State restored from outside
+    /// (a checkpoint) that fails one would panic the first
+    /// [`Adam::update_slot_clipped`]; the error names the first
+    /// disagreement as `m[slot]`/`v[slot]`.
+    pub fn check_moments(&self, lens: &[usize]) -> Result<(), String> {
+        if self.m.len() != self.v.len() {
+            return Err(format!(
+                "m has {} slots but v has {}",
+                self.m.len(),
+                self.v.len()
+            ));
+        }
+        if self.m.len() > lens.len() {
+            return Err(format!(
+                "m has {} slots for {} parameter tensors",
+                self.m.len(),
+                lens.len()
+            ));
+        }
+        for (slot, ((m, v), &n)) in self.m.iter().zip(&self.v).zip(lens).enumerate() {
+            for (name, moment) in [("m", m), ("v", v)] {
+                if !moment.is_empty() && moment.len() != n {
+                    return Err(format!(
+                        "{name}[{slot}] holds {} values for a tensor of {n}",
+                        moment.len()
+                    ));
+                }
+            }
+            if m.len() != v.len() {
+                return Err(format!(
+                    "m[{slot}] holds {} values but v[{slot}] {}",
+                    m.len(),
+                    v.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Applies the Adam update to one parameter tensor.
     pub fn update_slot(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
         self.update_slot_clipped(slot, params, grads, None);
@@ -214,6 +256,56 @@ mod tests {
         adam.update_slot(1, &mut [0.0f32; 3], &[1.0; 3]);
         adam.begin_step();
         adam.update_slot(1, &mut [0.0f32; 5], &[1.0; 5]);
+    }
+
+    /// Moment buffers are checked against the tensors they move: each
+    /// slot empty or as long as its tensor, `m` and `v` alike, nothing
+    /// past the last tensor — and state that passes steps without a
+    /// panic.
+    #[test]
+    fn moments_are_checked_against_the_tensors() {
+        let lens = [3, 2, 1];
+        let mut adam = Adam::new(0.1);
+        assert_eq!(adam.check_moments(&lens), Ok(()));
+        adam.begin_step();
+        adam.update_slot(1, &mut [0.0f32; 2], &[1.0; 2]);
+        assert_eq!(
+            adam.check_moments(&lens),
+            Ok(()),
+            "slot 0 empty, slot 1 full"
+        );
+        adam.update_slot(0, &mut [0.0f32; 3], &[1.0; 3]);
+        adam.update_slot(2, &mut [0.0f32; 1], &[1.0; 1]);
+        assert_eq!(adam.check_moments(&lens), Ok(()));
+
+        type Edit = fn(&mut Adam);
+        let table: [(Edit, &str); 5] = [
+            (
+                |a| a.m[0].truncate(2),
+                "m[0] holds 2 values for a tensor of 3",
+            ),
+            (
+                |a| a.v[1].push(0.0),
+                "v[1] holds 3 values for a tensor of 2",
+            ),
+            (|a| a.v[2].clear(), "m[2] holds 1 values but v[2] 0"),
+            (|a| a.v.truncate(2), "m has 3 slots but v has 2"),
+            (
+                |a| {
+                    a.m.push(Vec::new());
+                    a.v.push(Vec::new());
+                },
+                "m has 4 slots for 3 parameter tensors",
+            ),
+        ];
+        for (edit, want) in table {
+            let mut bad = adam.clone();
+            edit(&mut bad);
+            assert_eq!(bad.check_moments(&lens), Err(want.to_string()));
+        }
+        for (slot, &n) in lens.iter().enumerate() {
+            adam.update_slot(slot, &mut vec![0.0f32; n], &vec![1.0; n]);
+        }
     }
 
     #[test]

@@ -285,6 +285,33 @@ fn checkpoint_bytes_identical_across_processes() {
     }
 }
 
+/// Trains `spec` from scratch with checkpoints and saves it into a zoo,
+/// then requires the SHA-256 of `model.json` and of the final
+/// `checkpoint.json` (Adam moments included) to be the literals.
+fn assert_trained_bytes(spec: &TrainSpec, tag: &str, model_sha: &str, checkpoint_sha: &str) {
+    let ck_dir = tmp_dir(&format!("{tag}-ck"));
+    let run = train_spec(
+        spec,
+        &TrainOptions {
+            checkpoint_dir: Some(ck_dir.clone()),
+            ..TrainOptions::default()
+        },
+    )
+    .unwrap();
+    let zoo = tmp_dir(&format!("{tag}-zoo"));
+    let model = save_trained(&zoo, spec, &run.agent, run.outcome.iterations).unwrap();
+    let digest = |p: &std::path::Path| sha256_hex(&std::fs::read(p).unwrap());
+    assert_eq!(digest(&model), model_sha, "{tag}: model.json moved");
+    assert_eq!(
+        digest(&ck_dir.join("checkpoint.json")),
+        checkpoint_sha,
+        "{tag}: final checkpoint.json moved"
+    );
+    for d in [ck_dir, zoo] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 /// Absolute trained bytes: the shipped `train_smoke.json` (two lockstep
 /// envs, so its rollouts run the fast tier) must leave exactly this zoo
 /// model and this final checkpoint (Adam moments included). The other
@@ -294,32 +321,44 @@ fn checkpoint_bytes_identical_across_processes() {
 #[test]
 fn train_smoke_model_and_checkpoint_match_the_pinned_digests() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/specs/train_smoke.json");
-    let spec = TrainSpec::load(&path).unwrap();
-    let ck_dir = tmp_dir("pinned-ck");
-    let run = train_spec(
-        &spec,
-        &TrainOptions {
-            checkpoint_dir: Some(ck_dir.clone()),
-            ..TrainOptions::default()
-        },
-    )
-    .unwrap();
-    let zoo = tmp_dir("pinned-zoo");
-    let model = save_trained(&zoo, &spec, &run.agent, run.outcome.iterations).unwrap();
-    let digest = |p: &std::path::Path| sha256_hex(&std::fs::read(p).unwrap());
-    assert_eq!(
-        digest(&model),
+    assert_trained_bytes(
+        &TrainSpec::load(&path).unwrap(),
+        "pinned",
         "0f008d7142188dc515ffebb8de8ee316cfe9c9ec88f5b99bbe6194513970f52a",
-        "train_smoke model.json moved"
-    );
-    assert_eq!(
-        digest(&ck_dir.join("checkpoint.json")),
         "dbd887d2526d93739685536c4ed613b7d8314d41eafeb190c89384b950fe0c14",
-        "train_smoke final checkpoint.json moved"
     );
-    for d in [ck_dir, zoo] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
+}
+
+/// The second absolute pin, on the paths `train_smoke` leaves out: one
+/// env per rollout (so collection runs the exact tier too), contrast
+/// iterations whose update sees n = 2 × 100 samples (n / 64 is not
+/// whole, so every epoch ends on a short minibatch), and a critic
+/// whose hidden pre-activations reach |x| ≈ 4 by the last update, so
+/// `tanh` runs both of its branches on both sides of |x| = 1. The
+/// literals were read from `mocc train` on this spec written as JSON,
+/// then `sha256sum` of `model.json` and `checkpoints/checkpoint.json`.
+#[test]
+fn single_env_contrast_run_matches_the_pinned_digests() {
+    let spec = TrainSpec {
+        name: "train-pin".to_string(),
+        seed: 5,
+        omega_step: Some(4),
+        boot_iters: Some(2),
+        traverse_iters: Some(1),
+        traverse_cycles: Some(1),
+        rollout_steps: Some(100),
+        episode_mis: Some(50),
+        batch_envs: 1,
+        checkpoint_every: 3,
+        eval_episodes: 1,
+        ..TrainSpec::default()
+    };
+    assert_trained_bytes(
+        &spec,
+        "pin-single",
+        "53c4f35333c30706ff6f91343a40a86238c349c2e9c30b1b2b3ade159e6e16f0",
+        "deef6b981a343695635dfb05bd628eb1f417e2da9bb80809b7136aaacfc86acc",
+    );
 }
 
 /// Dropping `resume_from` into a foreign spec's checkpoint directory is
