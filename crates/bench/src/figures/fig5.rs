@@ -11,14 +11,12 @@
 //! is one declarative [`ExperimentSpec`] per scheme, resolved through
 //! `figure_registry` (baselines plus the cached trained MOCC/Aurora
 //! models as pluggable registry schemes) and executed in parallel by
-//! [`SweepRunner::run_with`] (worker count auto-detected; override with
+//! [`run_experiment_with`] (worker count auto-detected; override with
 //! `MOCC_SWEEP_THREADS`).
 
 use super::{figure_registry, header, row, run_flows, Scheme, HEURISTICS};
-use mocc_core::Preference;
-use mocc_eval::{
-    ExperimentSpec, FlowLoad, RunOptions, SchemeRegistry, SweepRunner, SweepSpec, TraceShape,
-};
+use mocc_core::{run_experiment_with, Preference, RunOptions};
+use mocc_eval::{ExperimentSpec, FlowLoad, SchemeRegistry, SweepRunner, SweepSpec, TraceShape};
 use mocc_netsim::Scenario;
 
 /// The fixed operating point each sweep varies one axis away from.
@@ -91,7 +89,8 @@ fn run_panel(
                 registry: Some(registry),
                 ..RunOptions::default()
             };
-            let (report, _) = runner.run_with(&exp, opts).map_err(|e| e.to_string())?;
+            let (report, _) =
+                run_experiment_with(&runner, &exp, opts).map_err(|e| e.to_string())?;
             let vals: Vec<f64> = report
                 .cells
                 .iter()

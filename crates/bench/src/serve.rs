@@ -470,6 +470,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An `onoff` load of `u64::MAX` cross flows used to abort the
+    /// daemon on the allocation of its flow list (no `catch_unwind`
+    /// catches that); it is one more bad request, and the session keeps
+    /// serving.
+    #[test]
+    fn hostile_flow_count_is_an_error_not_an_abort() {
+        let (dir, store) = temp_store("flows");
+        let input =
+            b"{\"op\":\"run\",\"spec\":{\"kind\":\"sweep\",\"name\":\"h\",\"scheme\":\"cubic\",\
+            \"bandwidth_mbps\":[10.0],\"owd_ms\":[20],\"queue_pkts\":[100],\"duration_s\":2,\
+            \"seed\":1,\"loads\":[\"onoff:18446744073709551615\"]}}\n{\"op\":\"ping\"}\n";
+        let (lines, _) = session(&store, input);
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"bad spec: ExperimentSpec.loads: invalid spec: flow load \
+                 \\\"onoff:18446744073709551615\\\": a cell holds at most 1024 flows\",\"ok\":false}",
+                PING
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A model file whose `cfg.history` was edited away from its
     /// networks used to panic a worker at the first forward pass
     /// (`internal error`); it is a refused model naming the file, and

@@ -629,3 +629,51 @@ fn clock_overflowing_spec_is_an_error_not_a_wrap() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flow count beyond what a cell may hold used to pass `mocc
+/// validate` and then panic `run` on a capacity overflow (exit 101) or
+/// abort it allocating the flow list (exit 134); a hostile incast
+/// panicked `validate` itself. Each is a bad spec: exit 1, one
+/// `error:` line, no panic.
+#[test]
+fn hostile_flow_count_is_an_error_not_a_panic() {
+    let dir = temp_dir("hostile-flows");
+    let sweep = |load: &str| {
+        format!(
+            "{{\"kind\":\"sweep\",\"name\":\"h\",\"scheme\":\"cubic\",\"bandwidth_mbps\":[10.0],\
+             \"owd_ms\":[20],\"queue_pkts\":[100],\"duration_s\":2,\"seed\":1,\"loads\":[\"{load}\"]}}"
+        )
+    };
+    for (name, doc) in [
+        ("steady", sweep("steady:18446744073709551615")),
+        ("onoff", sweep("onoff:18446744073709551615")),
+        (
+            "incast",
+            "{\"kind\":\"competition\",\"name\":\"h\",\
+             \"mixes\":[\"incast:cubic:18446744073709551615x0.5\"],\"bandwidth_mbps\":[10.0],\
+             \"owd_ms\":[20],\"queue_pkts\":[100],\"duration_s\":20,\"seed\":1}"
+                .to_string(),
+        ),
+    ] {
+        let spec = dir.join(format!("{name}.json"));
+        std::fs::write(&spec, doc).expect("write hostile spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        for command in ["validate", "run"] {
+            let result = mocc(&[command, spec_arg]);
+            let stderr = stderr_of(&result);
+            assert_eq!(result.status.code(), Some(1), "{command} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{command} {name}: {stderr}");
+            assert!(
+                stderr.contains("a cell holds at most 1024 flows"),
+                "{stderr}"
+            );
+            let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+            assert_eq!(errors, 1, "{command} {name}: {stderr}");
+            assert!(
+                result.stdout.is_empty(),
+                "{command} {name} printed a result"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

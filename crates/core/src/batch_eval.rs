@@ -1,20 +1,21 @@
-//! MOCC policy evaluation of sweep and competition cells.
+//! The evaluator behind every spec: MOCC policy flows and registry
+//! schemes in sweep and competition cells.
 //!
-//! [`BatchMoccEvaluator`] implements [`mocc_eval::CellEvaluator`] by
-//! running each cell's simulator in external-agent mode: the simulator
-//! pauses at its policy-driven flow's monitor intervals, the flow's
-//! observation goes through one forward pass
+//! [`BatchMoccEvaluator`] implements [`mocc_eval::CellEvaluator`] and
+//! [`mocc_eval::CompetitionEvaluator`]. Every `mocc`/`mocc:<pref>` flow
+//! runs in external-agent mode: the simulator pauses at that flow's
+//! monitor intervals, its observation goes through one forward pass
 //! ([`GaussianPolicy::mean_action_batch_tier`] on a one-row matrix,
 //! which is what the paper's deployment does — one inference per flow
 //! per monitor interval), and the resulting rate is applied before the
-//! simulator resumes. Cells are evaluated one at a time, each to its
-//! horizon; a cell's trajectory depends on nothing but its own events.
-//!
-//! The same evaluator also implements
-//! [`mocc_eval::CompetitionEvaluator`]: in competition cells every
-//! `mocc`/`mocc:<pref>`-labelled flow runs in external-agent mode, so
-//! several preference-conditioned MOCC flows can *compete* on one
-//! bottleneck, each paused and steered at its own monitor intervals.
+//! simulator resumes. Several preference-conditioned MOCC flows can so
+//! *compete* on one bottleneck, each steered at its own intervals.
+//! Every other flow — each flow of a registry-scheme sweep, a
+//! competition's other contenders and its all-TCP friendliness control
+//! — is built by the evaluator's scheme registry, so a cell without a
+//! policy flow is one plain simulation to its horizon. Cells are
+//! evaluated one at a time; a cell's trajectory depends on nothing but
+//! its own events.
 //!
 //! Nothing here batches across cells: stepping a chunk of simulators
 //! in lockstep behind one matmul was measured slower at every chunk
@@ -34,33 +35,87 @@ use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
 use mocc_netsim::{Scenario, SimResult, Simulator};
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
+use std::sync::OnceLock;
 
-/// Evaluates sweep cells under a trained MOCC policy. The policy
-/// drives flow 0 of every cell; any remaining flows are cross traffic
-/// paced by [`FixedRate`] at the cell's peak bandwidth (their
-/// application pattern, e.g. on/off, still limits what they offer).
-pub struct BatchMoccEvaluator {
+/// A trained policy and how it serves its flows.
+struct Served {
     policy: GaussianPolicy<PrefNet>,
     cfg: MoccConfig,
+    /// The preference of bare `mocc` labels.
     pref: Preference,
+    /// A policy flow starts at this fraction of the cell's peak
+    /// bandwidth.
     initial_rate_frac: f64,
     tier: ForwardTier,
-    /// Builds the non-MOCC contenders of competition cells and their
-    /// all-TCP friendliness control: the built-in vocabulary.
-    registry: SchemeRegistry,
 }
 
-impl BatchMoccEvaluator {
-    /// Wraps a trained agent for preference `pref`; flow 0 of each cell
-    /// starts at `initial_rate_frac` of the cell's peak bandwidth.
+/// Evaluates sweep and competition cells: a MOCC policy drives the
+/// `mocc` flows and a scheme registry builds the others. A sweep under
+/// a `mocc` scheme has the policy drive flow 0 of every cell, with any
+/// remaining flows as cross traffic paced by [`FixedRate`] at the
+/// cell's peak bandwidth (their application pattern, e.g. on/off,
+/// still limits what they offer); under a registry scheme every flow
+/// runs that scheme.
+pub struct BatchMoccEvaluator<'r> {
+    /// `None` for a spec without `mocc` flows.
+    served: Option<Served>,
+    /// Builds every flow the policy does not drive, and the all-TCP
+    /// friendliness control of competition cells.
+    registry: &'r SchemeRegistry,
+    /// The scheme of a sweep's flows: bare `mocc` unless set by
+    /// [`BatchMoccEvaluator::sweeping`].
+    sweep_scheme: SchemeSpec,
+}
+
+/// The built-in vocabulary, built once.
+fn builtin_registry() -> &'static SchemeRegistry {
+    static BUILTIN: OnceLock<SchemeRegistry> = OnceLock::new();
+    BUILTIN.get_or_init(SchemeRegistry::builtin)
+}
+
+fn bare_mocc() -> SchemeSpec {
+    SchemeSpec::parse("mocc").expect("`mocc` is a scheme label")
+}
+
+impl BatchMoccEvaluator<'static> {
+    /// Wraps a trained agent for preference `pref`, with the built-in
+    /// registry building every other flow; a policy flow starts at
+    /// `initial_rate_frac` of the cell's peak bandwidth.
     pub fn new(agent: &MoccAgent, pref: Preference, initial_rate_frac: f64) -> Self {
         BatchMoccEvaluator {
-            policy: agent.ppo.policy.clone(),
-            cfg: agent.cfg,
-            pref,
-            initial_rate_frac,
-            tier: ForwardTier::Scalar,
-            registry: SchemeRegistry::builtin(),
+            served: Some(Served {
+                policy: agent.ppo.policy.clone(),
+                cfg: agent.cfg,
+                pref,
+                initial_rate_frac,
+                tier: ForwardTier::Scalar,
+            }),
+            registry: builtin_registry(),
+            sweep_scheme: bare_mocc(),
+        }
+    }
+}
+
+impl<'r> BatchMoccEvaluator<'r> {
+    /// The evaluator of a spec validated against `registry`: the policy
+    /// `policy` serves (`None` for a spec without `mocc` flows) drives
+    /// the `mocc` flows, and `registry` builds every other flow.
+    pub(crate) fn of_spec(
+        registry: &'r SchemeRegistry,
+        policy: Option<BatchMoccEvaluator<'_>>,
+    ) -> Self {
+        BatchMoccEvaluator {
+            served: policy.and_then(|p| p.served),
+            registry,
+            sweep_scheme: bare_mocc(),
+        }
+    }
+
+    /// Runs `scheme` on a sweep's flows.
+    pub(crate) fn sweeping(self, scheme: &SchemeSpec) -> Self {
+        BatchMoccEvaluator {
+            sweep_scheme: scheme.clone(),
+            ..self
         }
     }
 
@@ -77,28 +132,32 @@ impl BatchMoccEvaluator {
     /// knob *does* change report bytes, so callers must carry it in
     /// the cache-key policy identity.
     pub fn with_fast_math(mut self, enabled: bool) -> Self {
-        self.tier = if enabled {
-            ForwardTier::Fast
-        } else {
-            ForwardTier::Scalar
-        };
+        if let Some(served) = &mut self.served {
+            served.tier = if enabled {
+                ForwardTier::Fast
+            } else {
+                ForwardTier::Scalar
+            };
+        }
         self
     }
 
-    /// Resolves a competition contender label through the shared
-    /// scheme grammar: `Ok(Some(pref))` for `mocc` / `mocc:<pref>`
-    /// labels (bare `mocc` uses the evaluator's default preference),
-    /// `Ok(None)` for registry labels, and a typed [`SpecError`] for
-    /// malformed labels — a typo'd preference can neither silently
-    /// fall through to the baseline registry nor panic mid-run when
-    /// the spec was validated up front.
-    fn mocc_pref(&self, label: &str) -> Result<Option<Preference>, SpecError> {
-        let spec = SchemeSpec::parse(label)?;
-        Ok(match spec.kind() {
-            SchemeKind::MoccDefault => Some(self.pref),
+    /// The policy serving this evaluator's `mocc` flows.
+    fn served(&self) -> &Served {
+        self.served
+            .as_ref()
+            .expect("a validated spec with `mocc` flows has a policy")
+    }
+
+    /// The preference the policy drives a `scheme` flow at: bare `mocc`
+    /// the evaluator's default, `mocc:<pref>` its own; `None` for a
+    /// registry scheme.
+    fn mocc_pref(&self, scheme: &SchemeSpec) -> Option<Preference> {
+        match scheme.kind() {
+            SchemeKind::MoccDefault => Some(self.served().pref),
             SchemeKind::Mocc(p) => Some(preference_from_spec(p)),
             SchemeKind::Registry => None,
-        })
+        }
     }
 
     /// The driver behind both evaluator traits. `launch` names a
@@ -108,7 +167,7 @@ impl BatchMoccEvaluator {
     /// *any* of its policy-driven flows, that flow's observation
     /// (conditioned on its preference and history) is forwarded, and
     /// the decision is applied to the flow that asked for it — until
-    /// the horizon.
+    /// the horizon, which a cell without policy flows runs straight to.
     fn drive<'c, C>(
         &self,
         cells: &'c [C],
@@ -117,7 +176,9 @@ impl BatchMoccEvaluator {
     ) -> Vec<CellReport> {
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
-        obs.reshape(1, self.cfg.obs_dim());
+        if let Some(served) = &self.served {
+            obs.reshape(1, served.cfg.obs_dim());
+        }
         let mut means: Vec<f32> = Vec::with_capacity(1);
         cells
             .iter()
@@ -131,9 +192,10 @@ impl BatchMoccEvaluator {
                     .map(|control| -> Box<dyn CongestionControl> {
                         match control {
                             FlowControl::Policy(pref) => {
-                                driven.push(Some(PolicyFlow::new(&self.cfg, Some(pref))));
+                                let served = self.served();
+                                driven.push(Some(PolicyFlow::new(&served.cfg, Some(pref))));
                                 Box::new(ExternalRate {
-                                    initial_rate_bps: self.initial_rate_frac * peak,
+                                    initial_rate_bps: served.initial_rate_frac * peak,
                                 })
                             }
                             FlowControl::Scheme(cc) => {
@@ -157,20 +219,26 @@ impl BatchMoccEvaluator {
                     if departed {
                         continue;
                     }
+                    let served = self.served();
                     let flow = driven[f].as_mut().expect("paused flow is policy-driven");
-                    let next = flow.decide(&self.cfg, stats_features(&stats), sim.rate(f), |row| {
-                        obs.row_mut(0).copy_from_slice(row);
-                        self.policy.mean_action_batch_tier(
-                            &obs,
-                            &mut means,
-                            &mut scratch,
-                            self.tier,
-                        );
-                        means[0]
-                    });
+                    let next =
+                        flow.decide(&served.cfg, stats_features(&stats), sim.rate(f), |row| {
+                            obs.row_mut(0).copy_from_slice(row);
+                            served.policy.mean_action_batch_tier(
+                                &obs,
+                                &mut means,
+                                &mut scratch,
+                                served.tier,
+                            );
+                            means[0]
+                        });
                     sim.set_rate(f, next);
                 }
-                reduce(cell, &sim.result())
+                // The simulator is freed before `reduce`, which may run a
+                // second one (a competition's friendliness control).
+                let result = sim.result();
+                drop(sim);
+                reduce(cell, &result)
             })
             .collect()
     }
@@ -202,16 +270,24 @@ enum FlowControl {
     Scheme(Box<dyn CongestionControl>),
 }
 
-impl CellEvaluator for BatchMoccEvaluator {
+impl CellEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
+        let pref = self.mocc_pref(&self.sweep_scheme);
         self.drive(
             cells,
             |cell| {
-                let peak = cell.scenario.link.trace.max_rate();
+                let ctx = SchemeCtx {
+                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
+                };
                 let controls = (0..cell.scenario.flows.len())
-                    .map(|flow| match flow {
-                        0 => FlowControl::Policy(self.pref),
-                        _ => FlowControl::Scheme(Box::new(FixedRate::new(peak))),
+                    .map(|flow| match pref {
+                        Some(pref) if flow == 0 => FlowControl::Policy(pref),
+                        Some(_) => FlowControl::Scheme(Box::new(FixedRate::new(ctx.peak_rate_bps))),
+                        None => FlowControl::Scheme(
+                            self.registry
+                                .instantiate(&self.sweep_scheme, &ctx)
+                                .unwrap_or_else(unvalidated),
+                        ),
                     })
                     .collect();
                 (&cell.scenario, controls)
@@ -221,13 +297,12 @@ impl CellEvaluator for BatchMoccEvaluator {
     }
 }
 
-/// Competition cells through the same policy: every flow whose label
-/// is `mocc` / `mocc:<pref>` runs in external-agent mode — so one cell
-/// may hold *several* competing MOCC flows with different preferences,
-/// each served at its own monitor intervals. Non-MOCC labels, and the
-/// all-TCP friendliness control, are built by the built-in scheme
-/// registry.
-impl CompetitionEvaluator for BatchMoccEvaluator {
+/// Competition cells: every flow whose label is `mocc` / `mocc:<pref>`
+/// runs in external-agent mode — so one cell may hold *several*
+/// competing MOCC flows with different preferences, each served at its
+/// own monitor intervals. The registry builds every other contender
+/// and the all-TCP friendliness control.
+impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
         self.drive(
             cells,
@@ -238,20 +313,21 @@ impl CompetitionEvaluator for BatchMoccEvaluator {
                 let controls = cell
                     .labels
                     .iter()
-                    .map(
-                        |label| match self.mocc_pref(label).unwrap_or_else(unvalidated) {
+                    .map(|label| {
+                        let scheme = SchemeSpec::parse(label).unwrap_or_else(unvalidated);
+                        match self.mocc_pref(&scheme) {
                             Some(pref) => FlowControl::Policy(pref),
                             None => FlowControl::Scheme(
                                 self.registry
-                                    .instantiate_label(label, &ctx)
+                                    .instantiate(&scheme, &ctx)
                                     .unwrap_or_else(unvalidated),
                             ),
-                        },
-                    )
+                        }
+                    })
                     .collect();
                 (&cell.scenario, controls)
             },
-            |cell, res| competition_report(cell, res, &self.registry),
+            |cell, res| competition_report(cell, res, self.registry),
         )
     }
 }
@@ -278,7 +354,7 @@ mod tests {
         }
     }
 
-    fn evaluator() -> BatchMoccEvaluator {
+    fn evaluator() -> BatchMoccEvaluator<'static> {
         let mut rng = StdRng::seed_from_u64(11);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         BatchMoccEvaluator::new(&agent, Preference::throughput(), 0.3)
@@ -364,28 +440,13 @@ mod tests {
     }
 
     #[test]
-    fn mocc_labels_parse_and_reject() {
+    fn mocc_labels_resolve_to_their_preferences() {
         let ev = evaluator();
-        assert_eq!(ev.mocc_pref("cubic").unwrap(), None);
-        assert_eq!(
-            ev.mocc_pref("mocc").unwrap(),
-            Some(Preference::throughput())
-        );
-        assert_eq!(
-            ev.mocc_pref("mocc:lat").unwrap(),
-            Some(Preference::latency())
-        );
-        let w = ev.mocc_pref("mocc:0.5,0.3,0.2").unwrap().unwrap();
+        let pref = |label: &str| ev.mocc_pref(&SchemeSpec::parse(label).unwrap());
+        assert_eq!(pref("cubic"), None);
+        assert_eq!(pref("mocc"), Some(Preference::throughput()));
+        assert_eq!(pref("mocc:lat"), Some(Preference::latency()));
+        let w = pref("mocc:0.5,0.3,0.2").unwrap();
         assert!((w.thr - 0.5).abs() < 1e-6);
-    }
-
-    /// A typo'd preference is a typed error — it neither panics nor
-    /// silently falls through to the baseline registry.
-    #[test]
-    fn malformed_mocc_label_is_a_typed_error() {
-        match evaluator().mocc_pref("mocc:fast") {
-            Err(SpecError::MalformedMoccPref { label, .. }) => assert_eq!(label, "mocc:fast"),
-            other => panic!("expected MalformedMoccPref, got {other:?}"),
-        }
     }
 }

@@ -1,28 +1,61 @@
-//! The policy-aware experiment runner: every `ExperimentSpec` — MOCC
-//! or not — end to end.
+//! The experiment runner: every `ExperimentSpec` — MOCC or not — end
+//! to end.
 //!
-//! `mocc-eval`'s [`SweepRunner::run_with`] executes any spec whose
-//! schemes the registry can instantiate, but `mocc` / `mocc:<pref>`
-//! labels need a *policy*. [`run_experiment_with`] closes that gap: it
-//! validates the spec, materializes the agent its [`PolicySpec`]
-//! describes (a saved model file or a seeded fresh agent — both
-//! reproducible), wraps it in a [`BatchMoccEvaluator`], and drives the
-//! same sharded runner, one cell per call. Specs without `mocc` schemes
-//! are delegated unchanged, so this is the one entry point a CLI needs;
-//! [`run_experiment`] and [`run_experiment_cached`] are its two common
-//! spellings.
+//! [`run_experiment_with`] is the one spec-level entry point. It
+//! validates the spec against the registry [`RunOptions`] names,
+//! materializes the agent the spec's [`PolicySpec`] describes when a
+//! `mocc` label needs one (a saved model file or a seeded fresh agent —
+//! both reproducible), and hands every cell to one
+//! [`BatchMoccEvaluator`]: the policy drives the `mocc` flows and the
+//! same registry builds every other flow, so a MOCC flow can compete
+//! against any scheme the registry knows. [`run_experiment`] and
+//! [`run_experiment_cached`] are its two common spellings.
+//!
+//! ```
+//! use mocc_core::run_experiment;
+//! use mocc_eval::{ExperimentSpec, SweepRunner};
+//!
+//! let json = r#"{
+//!   "kind": "sweep", "name": "cubic-demo", "scheme": "cubic",
+//!   "bandwidth_mbps": [5.0, 10.0], "owd_ms": [20], "queue_pkts": [500],
+//!   "duration_s": 5, "seed": 7
+//! }"#;
+//! let spec = ExperimentSpec::from_json(json).unwrap();
+//! let report = run_experiment(&SweepRunner::with_threads(2), &spec).unwrap();
+//! assert_eq!(report.controller, "cubic-demo");
+//! assert_eq!(report.cells.len(), 2);
+//! assert!(report.summary.mean_utilization > 0.5);
+//! // Canonical JSON: byte-identical for any worker count.
+//! let serial = run_experiment(&SweepRunner::with_threads(1), &spec).unwrap();
+//! assert_eq!(serial.to_canonical_json(), report.to_canonical_json());
+//! ```
 
 use crate::agent::MoccAgent;
 use crate::batch_eval::{preference_from_spec, BatchMoccEvaluator};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use mocc_eval::{
-    CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, RunOptions, SchemeRegistry,
-    SchemeSpec, SpecError, SweepReport, SweepRunner, Workload,
+    CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, SchemeRegistry, SpecError,
+    SweepReport, SweepRunner, Workload,
 };
 use mocc_store::ResultStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// What a spec-level run ([`run_experiment_with`]) may vary. The
+/// default — built-in registry, no store — is [`run_experiment`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// A custom (pluggable) scheme vocabulary; `None` is
+    /// [`SchemeRegistry::builtin`].
+    pub registry: Option<&'a SchemeRegistry>,
+    /// A result store memoizing cells, and the caller's timestamp for
+    /// its audit ledger (the library never reads a clock); `None`
+    /// simulates every cell. The key does not name the registry: two
+    /// registries binding one label to different behavior would share
+    /// cache entries — point them at separate stores.
+    pub cache: Option<(&'a ResultStore, u64)>,
+}
 
 /// Materializes the agent a [`PolicySpec`] describes: loaded from
 /// `path` when set, otherwise freshly initialized from `seed` under
@@ -50,15 +83,13 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
 
 /// The evaluator serving `agent` as a spec's policy section
 /// configures it (`policy.batch` is accepted by the parser and read by
-/// nothing). The default preference (served to bare `mocc`
-/// labels, and to every competition flow's observation conditioning)
-/// is `policy.preference` unless `pref_override` is given (the sweep
-/// path overrides it with the scheme's explicit `mocc:<pref>`).
+/// nothing). The default preference (served to bare `mocc` labels) is
+/// `policy.preference` unless `pref_override` is given.
 fn evaluator_for(
     agent: &MoccAgent,
     policy: &PolicySpec,
     pref_override: Option<Preference>,
-) -> BatchMoccEvaluator {
+) -> BatchMoccEvaluator<'static> {
     let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
     BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac).with_fast_math(policy.fast_math)
 }
@@ -69,7 +100,7 @@ fn evaluator_for(
 pub fn evaluator_from_policy(
     policy: &PolicySpec,
     pref_override: Option<Preference>,
-) -> Result<BatchMoccEvaluator, SpecError> {
+) -> Result<BatchMoccEvaluator<'static>, SpecError> {
     Ok(evaluator_for(
         &agent_from_policy(policy)?,
         policy,
@@ -104,83 +135,69 @@ pub fn run_experiment_cached(
 }
 
 /// Runs any [`ExperimentSpec`] — the complete entry point behind the
-/// `mocc` CLI. Baseline-only specs delegate to
-/// [`SweepRunner::run_with`]; specs with `mocc` schemes are served by
-/// the policy path ([`BatchMoccEvaluator`]), reproducibly materialized
-/// from the spec's policy section. The report carries the
-/// experiment's name as its controller label and inherits the runner's
-/// byte-identity contract (any thread count, with or without a store).
-/// With a store, `mocc` cells are keyed by the agent's
+/// `mocc` CLI. Validates `exp` against the registry `opts` names, then
+/// hands every cell to one [`BatchMoccEvaluator`]: `mocc` flows are
+/// driven by the policy reproducibly materialized from the spec's
+/// policy section (built only when a `mocc` label needs it), and the
+/// same registry builds every other flow — registry sweeps, competition
+/// contenders and the all-TCP friendliness control alike.
+///
+/// The report carries the experiment's name as its controller label
+/// and is byte-identical for any thread count, with or without a
+/// store: hits are canonical blobs of exactly the reports a cold run
+/// computes, and the counters say how many cells were served and how
+/// many simulated. With a store, `mocc` cells are keyed by the agent's
 /// [`policy_digest`], so a retrained or edited model can never be
 /// served another model's cells.
-///
-/// One restriction on custom registries: in a competition that mixes
-/// `mocc` flows with registry schemes, the non-MOCC contenders (and
-/// the `tcp_baseline`) must be *built-in* schemes — the policy
-/// evaluator resolves them through the built-in vocabulary. Custom
-/// schemes compete freely in policy-free experiments.
 pub fn run_experiment_with(
     runner: &SweepRunner,
     exp: &ExperimentSpec,
     opts: RunOptions<'_>,
 ) -> Result<(SweepReport, CacheStats), SpecError> {
-    if !exp.needs_policy() {
-        return runner.run_with(exp, opts);
-    }
-    match opts.registry {
-        Some(registry) => exp.validate_in(registry)?,
-        None => exp.validate()?,
-    }
-    let policy = exp.policy.as_ref().expect("validation requires a policy");
-    let agent = agent_from_policy(policy)?;
-    let identity = opts.cache.map(|_| PolicyIdentity {
-        digest: policy_digest(&agent),
-        preference: policy.preference.label(),
-        initial_rate_frac: policy.initial_rate_frac,
-        fast_math: policy.fast_math,
-    });
+    let builtin;
+    let registry = match opts.registry {
+        Some(registry) => registry,
+        None => {
+            builtin = SchemeRegistry::builtin();
+            &builtin
+        }
+    };
+    exp.validate_in(registry)?;
+    let policy = match &exp.policy {
+        Some(policy) if exp.needs_policy() => Some((policy, agent_from_policy(policy)?)),
+        _ => None,
+    };
+    let identity = policy
+        .as_ref()
+        .filter(|_| opts.cache.is_some())
+        .map(|(policy, agent)| PolicyIdentity {
+            digest: policy_digest(agent),
+            preference: policy.preference.label(),
+            initial_rate_frac: policy.initial_rate_frac,
+            fast_math: policy.fast_math,
+        });
     let cache = opts.cache.map(|(store, ts)| CellCache {
         store,
         ts,
         policy: identity.as_ref(),
     });
+    let evaluator = BatchMoccEvaluator::of_spec(
+        registry,
+        policy.map(|(policy, agent)| evaluator_for(&agent, policy, None)),
+    );
     Ok(match &exp.workload {
         Workload::Sweep(w) => {
-            let pref = w.scheme.mocc_pref().map(|p| preference_from_spec(&p));
-            let evaluator = evaluator_for(&agent, policy, pref);
             let spec = exp.to_sweep_spec().expect("sweep workload lowers");
             let cache = cache.map(|c| (w.scheme.label(), c));
-            runner.run_cells(&spec, &exp.name, &evaluator, cache)
+            runner.run_cells(&spec, &exp.name, &evaluator.sweeping(&w.scheme), cache)
         }
         Workload::Competition(_) => {
-            check_builtin_contenders(exp)?;
-            let evaluator = evaluator_for(&agent, policy, None);
             let spec = exp
                 .to_competition_spec()
                 .expect("competition workload lowers");
             runner.run_competition_cells(&spec, &exp.name, &evaluator, cache)
         }
     })
-}
-
-/// Competitions mixing `mocc` flows with registry schemes resolve the
-/// non-MOCC contenders (and the `tcp_baseline`) through the built-in
-/// vocabulary only — the policy evaluator has no custom registry.
-fn check_builtin_contenders(exp: &ExperimentSpec) -> Result<(), SpecError> {
-    let builtin = SchemeRegistry::builtin();
-    for label in exp.scheme_labels() {
-        let spec = SchemeSpec::parse(&label)?;
-        if !spec.is_mocc() && builtin.resolve(&spec).is_err() {
-            return Err(SpecError::InvalidSpec {
-                reason: format!(
-                    "scheme {label:?} is registry-custom; competitions with \
-                     `mocc` flows resolve non-MOCC contenders through the \
-                     built-in vocabulary only"
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// The SHA-256 hex digest of an agent's canonical JSON artifact — the
@@ -196,7 +213,12 @@ pub fn policy_digest(agent: &MoccAgent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mocc_eval::{CompetitionSpec, ContenderMix, SweepSpec};
+    use mocc_eval::{
+        competition_report, run_cell, CellReport, CompetitionSpec, ContenderMix, SchemeCtx,
+        SchemeSpec, SweepCell, SweepSpec,
+    };
+    use mocc_netsim::cc::CongestionControl;
+    use mocc_netsim::Simulator;
 
     fn policy() -> PolicySpec {
         PolicySpec {
@@ -265,25 +287,105 @@ mod tests {
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());
     }
 
-    /// Baseline-only specs delegate to the eval-side runner, and the
-    /// full spec→JSON→spec→report loop is lossless.
+    /// A registry-only cell under the spec evaluator is one plain
+    /// simulation to its horizon: a sweep equals [`run_cell`] over a
+    /// hand-written factory, a competition equals the contenders' run
+    /// reduced by [`competition_report`], both byte for byte, at any
+    /// thread count and after a JSON round trip of the spec.
     #[test]
-    fn baseline_specs_delegate_and_round_trip() {
+    fn registry_cells_are_one_plain_simulation() {
+        let registry = SchemeRegistry::builtin();
         let exp = ExperimentSpec::from_sweep(
             "cubic",
             SchemeSpec::parse("cubic").unwrap(),
             &small_sweep(),
         );
-        let runner = SweepRunner::with_threads(2);
-        let direct = runner.run(&exp).unwrap();
-        let via_core = run_experiment(&runner, &exp).unwrap();
-        let via_json = run_experiment(
-            &runner,
-            &ExperimentSpec::from_json(&exp.to_canonical_json()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(direct.to_canonical_json(), via_core.to_canonical_json());
-        assert_eq!(direct.to_canonical_json(), via_json.to_canonical_json());
+        let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
+            let ctx = SchemeCtx {
+                peak_rate_bps: cell.scenario.link.trace.max_rate(),
+            };
+            (0..cell.scenario.flows.len())
+                .map(|_| registry.instantiate_label("cubic", &ctx).unwrap())
+                .collect()
+        };
+        let cells: Vec<CellReport> = small_sweep()
+            .expand()
+            .iter()
+            .map(|c| run_cell(c, &factory))
+            .collect();
+        let by_hand = SweepReport::new("cubic", exp.seed, exp.duration_s, cells);
+
+        let mut cspec = CompetitionSpec::quick();
+        cspec.mixes = vec![
+            ContenderMix::duel("cubic", "vegas"),
+            ContenderMix::staircase("bbr", 2, 2.0),
+        ];
+        cspec.duration_s = 8;
+        let cexp = ExperimentSpec::from_competition("mix", &cspec);
+        let cells: Vec<CellReport> = cspec
+            .expand()
+            .iter()
+            .map(|cell| {
+                let ctx = SchemeCtx {
+                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
+                };
+                let ccs = cell
+                    .labels
+                    .iter()
+                    .map(|l| registry.instantiate_label(l, &ctx).unwrap())
+                    .collect();
+                let res = Simulator::new(cell.scenario.clone(), ccs).run();
+                competition_report(cell, &res, &registry)
+            })
+            .collect();
+        let cby_hand = SweepReport::new("mix", cexp.seed, cexp.duration_s, cells);
+        assert_eq!(cby_hand.cells[0].mix.as_deref(), Some("duel:cubic+vegas"));
+        assert_eq!(cby_hand.cells[1].load, "flows:2");
+
+        for (exp, want) in [(exp, by_hand), (cexp, cby_hand)] {
+            let want = want.to_canonical_json();
+            let json = ExperimentSpec::from_json(&exp.to_canonical_json()).unwrap();
+            for threads in [1, 4] {
+                let runner = SweepRunner::with_threads(threads);
+                for exp in [&exp, &json] {
+                    let got = run_experiment(&runner, exp).unwrap();
+                    assert_eq!(got.to_canonical_json(), want, "{threads} thread(s)");
+                }
+            }
+        }
+    }
+
+    /// A custom scheme serves a spec's flows exactly as a hand-written
+    /// factory building the same controller does; the built-in
+    /// registry rejects the label up front.
+    #[test]
+    fn custom_registry_schemes_run_experiments() {
+        use mocc_netsim::cc::Aimd;
+        let registry =
+            SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
+        let matrix = small_sweep();
+        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &matrix);
+        let opts = RunOptions {
+            registry: Some(&registry),
+            ..RunOptions::default()
+        };
+        let (via_registry, _) =
+            run_experiment_with(&SweepRunner::with_threads(2), &exp, opts).unwrap();
+        let aimd = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
+            (0..cell.scenario.flows.len())
+                .map(|_| Box::new(Aimd::new()) as Box<dyn CongestionControl>)
+                .collect()
+        };
+        let cells = matrix.expand().iter().map(|c| run_cell(c, &aimd)).collect();
+        let via_factory = SweepReport::new("aimd", matrix.seed, matrix.duration_s, cells);
+        assert_eq!(
+            via_registry.to_canonical_json(),
+            via_factory.to_canonical_json()
+        );
+        assert!(matches!(
+            run_experiment(&SweepRunner::with_threads(1), &exp),
+            Err(SpecError::UnknownScheme { .. })
+        ));
     }
 
     #[test]

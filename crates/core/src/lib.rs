@@ -68,7 +68,7 @@ pub use config::MoccConfig;
 pub use env::{MoccEnv, ScenarioSource};
 pub use experiment::{
     agent_from_policy, evaluator_from_policy, policy_digest, run_experiment, run_experiment_cached,
-    run_experiment_with,
+    run_experiment_with, RunOptions,
 };
 pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};

@@ -28,6 +28,7 @@
 
 use crate::config::MoccConfig;
 use crate::train::TrainRegime;
+use mocc_eval::experiment::{opt_field, reject_unknown_keys};
 use mocc_eval::SpecError;
 use mocc_netsim::ScenarioRange;
 use serde::{from_field, Deserialize, Error as SerdeError, Serialize, Value};
@@ -352,41 +353,6 @@ impl<'de> Deserialize<'de> for TrainSpec {
             omega_step: from_field(obj, "omega_step", "TrainSpec")?,
         })
     }
-}
-
-/// A field that may be absent (defaulted by the caller). Unlike
-/// `Option` fields, a *present* `null` is still an error.
-fn opt_field<T: for<'a> Deserialize<'a>>(
-    obj: &BTreeMap<String, Value>,
-    key: &str,
-    type_name: &str,
-) -> Result<Option<T>, SerdeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| SerdeError::custom(format!("{type_name}.{key}: {e}"))),
-    }
-}
-
-/// Rejects keys outside `known`: a misspelled optional field must be
-/// an error, not a silently applied default — otherwise `validate`
-/// would approve a document that trains a different model than its
-/// author wrote.
-fn reject_unknown_keys(
-    obj: &BTreeMap<String, Value>,
-    known: &[&str],
-    type_name: &str,
-) -> Result<(), SerdeError> {
-    for key in obj.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(SerdeError::custom(format!(
-                "{type_name}: unknown field `{key}` (known fields: {})",
-                known.join(", ")
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use crate::report::{round6, CellReport};
 use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeSpec, SpecError};
-use crate::spec::cell_seed;
+use crate::spec::{cell_seed, check_flow_count};
 use mocc_netsim::metrics::{jain_index, time_to_fair_share, window_mbits};
 use mocc_netsim::time::SimDuration;
 use mocc_netsim::{FlowSpec, LinkSpec, MiMode, Scenario, SimResult, Simulator};
@@ -122,7 +122,30 @@ impl ContenderMix {
     /// may not contain `+`, which separates duel contenders.)
     pub fn parse(label: &str) -> Result<Self, SpecError> {
         let bad = |reason: String| SpecError::InvalidSpec { reason };
-        if let Some(names) = label.strip_prefix("duel:") {
+        // The `<scheme>:<n>x<secs>` tail of a `stair:` or `incast:` label.
+        let ramp = |tail: &str, family: &str, noun: &str, param: &str| {
+            let (scheme, shape) = tail.rsplit_once(':').ok_or_else(|| {
+                bad(format!(
+                    "mix {label:?}: expected `{family}:<scheme>:<n>x<{param}_s>`"
+                ))
+            })?;
+            let (n, secs) = shape
+                .split_once('x')
+                .ok_or_else(|| bad(format!("mix {label:?}: bad {noun} shape {shape:?}")))?;
+            let n: usize = n
+                .parse()
+                .ok()
+                .filter(|n| *n >= 1)
+                .ok_or_else(|| bad(format!("mix {label:?}: bad flow count {n:?}")))?;
+            let secs: f64 = secs
+                .parse()
+                .ok()
+                .filter(|p: &f64| p.is_finite() && *p > 0.0)
+                .ok_or_else(|| bad(format!("mix {label:?}: bad {param} {secs:?}")))?;
+            SchemeSpec::parse(scheme)?;
+            Ok::<_, SpecError>((scheme.to_string(), n, secs))
+        };
+        let mix = if let Some(names) = label.strip_prefix("duel:") {
             let schemes: Vec<String> = names.split('+').map(str::to_string).collect();
             if schemes.len() < 2 {
                 return Err(bad(format!(
@@ -132,74 +155,47 @@ impl ContenderMix {
             for s in &schemes {
                 SchemeSpec::parse(s)?;
             }
-            return Ok(ContenderMix::Duel(schemes));
-        }
-        if let Some(spec) = label.strip_prefix("stair:") {
-            let (scheme, shape) = spec.rsplit_once(':').ok_or_else(|| {
-                bad(format!(
-                    "mix {label:?}: expected `stair:<scheme>:<n>x<phase_s>`"
-                ))
-            })?;
-            let (n, phase) = shape
-                .split_once('x')
-                .ok_or_else(|| bad(format!("mix {label:?}: bad staircase shape {shape:?}")))?;
-            let n: usize = n
-                .parse()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| bad(format!("mix {label:?}: bad flow count {n:?}")))?;
-            let phase_s: f64 = phase
-                .parse()
-                .ok()
-                .filter(|p: &f64| p.is_finite() && *p > 0.0)
-                .ok_or_else(|| bad(format!("mix {label:?}: bad phase {phase:?}")))?;
-            SchemeSpec::parse(scheme)?;
-            return Ok(ContenderMix::Staircase {
-                scheme: scheme.to_string(),
-                n,
-                phase_s,
-            });
-        }
-        if let Some(spec) = label.strip_prefix("incast:") {
-            let (scheme, shape) = spec.rsplit_once(':').ok_or_else(|| {
-                bad(format!(
-                    "mix {label:?}: expected `incast:<scheme>:<n>x<stagger_s>`"
-                ))
-            })?;
-            let (n, stagger) = shape
-                .split_once('x')
-                .ok_or_else(|| bad(format!("mix {label:?}: bad incast shape {shape:?}")))?;
-            let n: usize = n
-                .parse()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| bad(format!("mix {label:?}: bad flow count {n:?}")))?;
-            let stagger_s: f64 = stagger
-                .parse()
-                .ok()
-                .filter(|p: &f64| p.is_finite() && *p > 0.0)
-                .ok_or_else(|| bad(format!("mix {label:?}: bad stagger {stagger:?}")))?;
-            SchemeSpec::parse(scheme)?;
-            return Ok(ContenderMix::Incast {
-                scheme: scheme.to_string(),
+            ContenderMix::Duel(schemes)
+        } else if let Some(tail) = label.strip_prefix("stair:") {
+            let (scheme, n, phase_s) = ramp(tail, "stair", "staircase", "phase")?;
+            ContenderMix::Staircase { scheme, n, phase_s }
+        } else if let Some(tail) = label.strip_prefix("incast:") {
+            let (scheme, n, stagger_s) = ramp(tail, "incast", "incast", "stagger")?;
+            ContenderMix::Incast {
+                scheme,
                 n,
                 stagger_s,
-            });
-        }
-        Err(bad(format!(
-            "unknown mix {label:?}: expected `duel:<a>+<b>[+…]`, \
-             `stair:<scheme>:<n>x<phase_s>`, or `incast:<scheme>:<n>x<stagger_s>`"
-        )))
+            }
+        } else {
+            return Err(bad(format!(
+                "unknown mix {label:?}: expected `duel:<a>+<b>[+…]`, \
+                 `stair:<scheme>:<n>x<phase_s>`, or `incast:<scheme>:<n>x<stagger_s>`"
+            )));
+        };
+        mix.check_flow_count()?;
+        Ok(mix)
     }
 
-    /// Typed lifecycle validation at a given horizon: every flow's
-    /// window must be non-empty and the full-overlap plateau must
-    /// contain at least one whole second (otherwise fairness would be
-    /// scored on the horizon fallback and solo phases would read as
-    /// unfairness). This is what [`CompetitionSpec::expand`] enforces;
-    /// spec-driven paths surface it as a [`SpecError`] at validation
-    /// time instead of a panic mid-run.
+    /// Rejects a mix of more flows than a cell may hold.
+    fn check_flow_count(&self) -> Result<(), SpecError> {
+        let flows = match self {
+            ContenderMix::Duel(names) => names.len(),
+            ContenderMix::Staircase { n, .. } | ContenderMix::Incast { n, .. } => *n,
+        };
+        check_flow_count(flows, || format!("mix {:?}", self.label()))
+    }
+
+    /// Typed lifecycle validation at a given horizon: the mix must fit
+    /// in a cell (at most 1 024 flows, checked before the lineup is
+    /// built), every flow's window must be non-empty and the full-overlap
+    /// plateau must contain at least one whole second (otherwise
+    /// fairness would be scored on the horizon fallback and solo phases
+    /// would read as unfairness). This is what
+    /// [`CompetitionSpec::expand`] enforces; spec-driven paths surface
+    /// it as a [`SpecError`] at validation time instead of a panic
+    /// mid-run.
     pub fn validate_windows(&self, duration_s: u64) -> Result<(), SpecError> {
+        self.check_flow_count()?;
         let dur = duration_s as f64;
         let lineup = self.lineup(duration_s);
         for (flow, &(_, start, stop)) in lineup.iter().enumerate() {
@@ -527,39 +523,6 @@ pub trait CompetitionEvaluator: Sync {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport>;
 }
 
-/// Simulates `cell`'s scenario with flow `i` running the registry
-/// scheme `label_of(i)`.
-///
-/// # Panics
-///
-/// Panics (with the typed error's message) on a label `registry`
-/// cannot instantiate; spec-driven paths reject those before any
-/// simulation starts ([`CompetitionSpec::validate_schemes`] /
-/// `ExperimentSpec::validate`), so hitting this means a spec bypassed
-/// validation.
-fn simulate_lineup<'a>(
-    cell: &'a CompetitionCell,
-    registry: &SchemeRegistry,
-    label_of: impl Fn(usize) -> &'a str,
-) -> SimResult {
-    let ctx = SchemeCtx::of(&cell.scenario);
-    let ccs = (0..cell.labels.len())
-        .map(|flow| {
-            registry
-                .instantiate_label(label_of(flow), &ctx)
-                .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
-        })
-        .collect();
-    Simulator::new(cell.scenario.clone(), ccs).run()
-}
-
-/// Simulates one competition cell with every contender built through
-/// `registry` and reduces it with [`competition_report`].
-pub fn run_competition_cell(cell: &CompetitionCell, registry: &SchemeRegistry) -> CellReport {
-    let res = simulate_lineup(cell, registry, |flow| &cell.labels[flow]);
-    competition_report(cell, &res, registry)
-}
-
 /// Reduces a finished competition simulation to a [`CellReport`],
 /// running the all-TCP friendliness control — the same seeded scenario
 /// with every flow on the cell's `tcp_baseline` scheme — through
@@ -567,6 +530,12 @@ pub fn run_competition_cell(cell: &CompetitionCell, registry: &SchemeRegistry) -
 /// (e.g. a CUBIC staircase with a CUBIC control), the finished
 /// simulation is its own control — seed, lifecycles and controllers
 /// are identical — so the redundant second run is skipped.
+///
+/// # Panics
+///
+/// Panics (with the typed error's message) when `registry` cannot
+/// instantiate the `tcp_baseline`; spec-driven paths reject that before
+/// any simulation starts ([`CompetitionSpec::validate_schemes`]).
 pub fn competition_report(
     cell: &CompetitionCell,
     res: &SimResult,
@@ -575,7 +544,17 @@ pub fn competition_report(
     if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
         return competition_report_with_baseline(cell, res, res);
     }
-    let base = simulate_lineup(cell, registry, |_| &cell.tcp_baseline);
+    let ctx = SchemeCtx::of(&cell.scenario);
+    let ccs = cell
+        .labels
+        .iter()
+        .map(|_| {
+            registry
+                .instantiate_label(&cell.tcp_baseline, &ctx)
+                .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
+        })
+        .collect();
+    let base = Simulator::new(cell.scenario.clone(), ccs).run();
     competition_report_with_baseline(cell, res, &base)
 }
 
@@ -639,6 +618,20 @@ mod tests {
             per_sec_mbits,
             ..FlowResult::default()
         }
+    }
+
+    /// Simulates `cell` with every contender built by the built-in
+    /// registry and reduces it with [`competition_report`].
+    fn run_builtin(cell: &CompetitionCell) -> CellReport {
+        let registry = SchemeRegistry::builtin();
+        let ctx = SchemeCtx::of(&cell.scenario);
+        let ccs = cell
+            .labels
+            .iter()
+            .map(|l| registry.instantiate_label(l, &ctx).unwrap())
+            .collect();
+        let res = Simulator::new(cell.scenario.clone(), ccs).run();
+        competition_report(cell, &res, &registry)
     }
 
     fn result_with_series(series: Vec<Vec<f64>>, duration_s: u64) -> SimResult {
@@ -751,7 +744,7 @@ mod tests {
         let cell = spec.expand().remove(0);
         assert_eq!(cell.labels.len(), 4);
         assert_eq!(cell.overlap_window(), (2, 10));
-        let rep = run_competition_cell(&cell, &SchemeRegistry::builtin());
+        let rep = run_builtin(&cell);
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
     }
@@ -905,7 +898,7 @@ mod tests {
         let mut spec = CompetitionSpec::quick();
         spec.duration_s = 12;
         let cell = spec.expand().remove(0);
-        let rep = run_competition_cell(&cell, &SchemeRegistry::builtin());
+        let rep = run_builtin(&cell);
         assert!(rep.goodput_mbps > 1.0, "{rep:?}");
         assert!(rep.jain > 0.0 && rep.jain <= 1.0, "{rep:?}");
         let f = rep.friendliness.expect("control run delivered");

@@ -18,10 +18,10 @@
 //! anything is simulated. The expansion machinery is unchanged — a
 //! spec lowers onto today's [`SweepSpec`] / [`CompetitionSpec`]
 //! matrices, which is what keeps golden fixtures byte-identical across
-//! the API redesign.
+//! the API redesign. Specs run through `mocc_core::run_experiment`.
 //!
 //! ```
-//! use mocc_eval::{ExperimentSpec, SweepRunner};
+//! use mocc_eval::ExperimentSpec;
 //!
 //! let json = r#"{
 //!   "kind": "sweep", "name": "cubic-demo", "scheme": "cubic",
@@ -29,9 +29,10 @@
 //!   "duration_s": 5, "seed": 7
 //! }"#;
 //! let spec = ExperimentSpec::from_json(json).unwrap();
-//! let report = SweepRunner::with_threads(2).run(&spec).unwrap();
-//! assert_eq!(report.controller, "cubic-demo");
-//! assert_eq!(report.cells.len(), 2);
+//! spec.validate().unwrap();
+//! let cells = spec.to_sweep_spec().unwrap().expand();
+//! assert_eq!(cells.len(), spec.cell_count());
+//! assert_eq!(cells[1].bandwidth_mbps, 10.0);
 //! ```
 
 use crate::competition::{CompetitionSpec, ContenderMix};
@@ -405,6 +406,9 @@ impl ExperimentSpec {
                 {
                     return invalid(format!("loss value {bad} must be in [0, 1)"));
                 }
+                for load in &w.loads {
+                    load.check_flow_count()?;
+                }
                 for shape in &w.shapes {
                     // Parameter sanity first, then (for replay shapes)
                     // the trace file itself: existence, format, and
@@ -551,8 +555,10 @@ impl<'de> Deserialize<'de> for PolicySpec {
 }
 
 /// A field that may be absent (defaulted by the caller). Unlike
-/// `Option` fields, a *present* `null` is still an error.
-fn opt_field<T: for<'a> Deserialize<'a>>(
+/// `Option` fields, a *present* `null` is still an error. Shared by
+/// every hand-written spec codec (this module's, `mocc-core`'s
+/// `TrainSpec`).
+pub fn opt_field<T: for<'a> Deserialize<'a>>(
     obj: &BTreeMap<String, Value>,
     key: &str,
     type_name: &str,
@@ -568,8 +574,9 @@ fn opt_field<T: for<'a> Deserialize<'a>>(
 /// Rejects keys outside `known`: a misspelled optional field
 /// (`"fair_sustain"` for `"fair_sustain_s"`) must be an error, not a
 /// silently applied default — otherwise `validate` would approve a
-/// document that runs a different experiment than its author wrote.
-fn reject_unknown_keys(
+/// document that runs (or trains) something other than its author
+/// wrote.
+pub fn reject_unknown_keys(
     obj: &BTreeMap<String, Value>,
     known: &[&str],
     type_name: &str,
@@ -813,6 +820,18 @@ mod tests {
                     }
                 }),
             ),
+            (
+                "steady:usize::MAX",
+                Box::new(|e| set_loads(e, FlowLoad::Steady(usize::MAX))),
+            ),
+            (
+                "onoff:usize::MAX",
+                Box::new(|e| set_loads(e, FlowLoad::OnOffCross(usize::MAX))),
+            ),
+            (
+                "rpc:1024 (1 025 flows)",
+                Box::new(|e| set_loads(e, FlowLoad::RpcCross(1024))),
+            ),
         ];
         for (what, mutate) in cases {
             let mut exp = sweep_exp();
@@ -849,6 +868,57 @@ mod tests {
         let mut exp = competition_exp();
         exp.policy.as_mut().unwrap().batch = 0;
         assert!(exp.validate().is_err());
+    }
+
+    fn set_loads(exp: &mut ExperimentSpec, load: FlowLoad) {
+        if let Workload::Sweep(w) = &mut exp.workload {
+            w.loads = vec![FlowLoad::Steady(1), load];
+        }
+    }
+
+    /// A cell holds at most 1 024 flows. A larger count built in code
+    /// is a typed error naming the label and the cap, raised before any
+    /// lineup or flow list is allocated (a `usize::MAX` incast would
+    /// abort the process there); from a document it fails the parse.
+    #[test]
+    fn flow_counts_beyond_the_cap_are_rejected() {
+        let mut exp = sweep_exp();
+        set_loads(&mut exp, FlowLoad::OnOffCross(usize::MAX));
+        assert_eq!(
+            exp.validate().unwrap_err().to_string(),
+            "invalid spec: flow load \"onoff:18446744073709551615\": a cell holds at most 1024 flows"
+        );
+        set_loads(&mut exp, FlowLoad::Steady(1024));
+        exp.validate().expect("1 024 flows fit");
+        set_loads(&mut exp, FlowLoad::OnOffCross(1023));
+        exp.validate().expect("1 + 1 023 flows fit");
+
+        for mix in [
+            ContenderMix::incast("cubic", usize::MAX, 0.5),
+            ContenderMix::staircase("cubic", 1025, 0.001),
+            ContenderMix::Duel(vec!["cubic".to_string(); 1025]),
+        ] {
+            let mut exp = competition_exp();
+            let label = mix.label();
+            let Workload::Competition(w) = &mut exp.workload else {
+                unreachable!()
+            };
+            w.mixes.push(mix);
+            let err = exp.validate().unwrap_err().to_string();
+            assert!(
+                err.ends_with(&format!("mix {label:?}: a cell holds at most 1024 flows")),
+                "{err}"
+            );
+        }
+
+        for label in ["steady:1025", "onoff:1024", "rpc:18446744073709551615"] {
+            let err = FlowLoad::parse(label).unwrap_err().to_string();
+            assert!(err.contains("at most 1024 flows"), "{label}: {err}");
+        }
+        let json = r#"{"kind":"competition","name":"x","mixes":["incast:cubic:18446744073709551615x0.5"],
+            "bandwidth_mbps":[10.0],"owd_ms":[20],"queue_pkts":[120],"duration_s":20,"seed":7}"#;
+        let err = ExperimentSpec::from_json(json).unwrap_err().to_string();
+        assert!(err.contains("at most 1024 flows"), "{err}");
     }
 
     /// Times the u64 nanosecond clock cannot hold — the value itself,

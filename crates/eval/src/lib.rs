@@ -28,10 +28,9 @@
 //!   typed [`SpecError`] (no panics on bad input);
 //! - [`experiment`] makes whole experiments declarative:
 //!   [`ExperimentSpec`] is a canonical-JSON document over either
-//!   workload, validated up front and executed by the single
-//!   [`SweepRunner::run`] entry point — or [`SweepRunner::run_with`]
-//!   to name a custom registry or a result store (the `mocc` CLI in
-//!   `mocc-bench` runs spec files end-to-end; see `docs/SPECS.md`).
+//!   workload, validated up front and lowered onto the expansion-level
+//!   matrices. `mocc-core`'s `run_experiment` (and the `mocc` CLI in
+//!   `mocc-bench`) runs spec files end-to-end; see `docs/SPECS.md`.
 //!
 //! [`Scenario`]: mocc_netsim::Scenario
 //! [`CongestionControl`]: mocc_netsim::cc::CongestionControl
@@ -41,25 +40,24 @@
 //!
 //! Experiments are declarative [`ExperimentSpec`] documents — built in
 //! code or loaded from canonical JSON files — validated against the
-//! [`SchemeRegistry`] and executed by one entry point,
-//! [`SweepRunner::run`]:
+//! [`SchemeRegistry`] and expanded into seeded cells:
 //!
 //! ```
-//! use mocc_eval::{ExperimentSpec, SchemeSpec, SweepRunner, SweepSpec};
+//! use mocc_eval::{ExperimentSpec, FlowLoad, SchemeSpec, SweepSpec};
 //!
-//! // CUBIC over a 2-cell bandwidth sweep, on every core.
+//! // CUBIC over a 2-cell bandwidth sweep.
 //! let mut matrix = SweepSpec::single_cell();
 //! matrix.bandwidth_mbps = vec![5.0, 10.0];
 //! matrix.duration_s = 5;
 //! let scheme = SchemeSpec::parse("cubic").unwrap();
 //! let exp = ExperimentSpec::from_sweep("cubic", scheme, &matrix);
-//! let report = SweepRunner::auto().run(&exp).unwrap();
-//! assert_eq!(report.cells.len(), 2);
-//! assert!(report.summary.mean_utilization > 0.5);
-//! // Canonical JSON: byte-identical for any worker count, and the
-//! // spec itself round-trips through its on-disk JSON form.
-//! let a = SweepRunner::with_threads(1).run(&exp).unwrap();
-//! assert_eq!(a.to_canonical_json(), report.to_canonical_json());
+//! exp.validate().unwrap();
+//! let cells = exp.to_sweep_spec().unwrap().expand();
+//! assert_eq!(cells.len(), 2);
+//! assert_eq!(cells[0].load, FlowLoad::Steady(1));
+//! // Every cell has its own seed, and the spec round-trips through its
+//! // on-disk JSON form.
+//! assert_ne!(cells[0].scenario.seed, cells[1].scenario.seed);
 //! assert_eq!(
 //!     ExperimentSpec::from_json(&exp.to_canonical_json()).unwrap(),
 //!     exp
@@ -80,15 +78,13 @@ pub use cache::{
     competition_cell_key, sweep_cell_key, CacheStats, CellCache, PolicyIdentity, CELL_SCHEMA,
 };
 pub use competition::{
-    competition_report, competition_report_with_baseline, run_competition_cell, CompetitionCell,
-    CompetitionEvaluator, CompetitionSpec, ContenderMix,
+    competition_report, competition_report_with_baseline, CompetitionCell, CompetitionEvaluator,
+    CompetitionSpec, ContenderMix,
 };
 pub use experiment::{
     Axes, CompetitionWorkload, ExperimentSpec, PolicySpec, SweepWorkload, Workload,
 };
 pub use report::{fmt_opt_metric, round6, CellCoords, CellReport, SweepReport, SweepSummary};
-pub use runner::{
-    parse_threads, run_cell, CellEvaluator, CellFactory, RunOptions, SweepRunner, THREADS_ENV,
-};
+pub use runner::{parse_threads, run_cell, CellEvaluator, CellFactory, SweepRunner, THREADS_ENV};
 pub use scheme::{MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError};
 pub use spec::{cell_seed, FlowLoad, ReplayTrace, SweepCell, SweepSpec, TraceShape};

@@ -15,6 +15,10 @@
 //! were measured and lost at every size (docs/PERFORMANCE.md, "Why
 //! cells are evaluated one at a time").
 //!
+//! The runner takes expansion-level specs and an evaluator; a
+//! declarative `ExperimentSpec` runs through `mocc_core`'s
+//! `run_experiment_with`, which validates it and picks the evaluator.
+//!
 //! Worker count resolution, highest priority first:
 //! 1. [`SweepRunner::with_threads`],
 //! 2. the `MOCC_SWEEP_THREADS` environment variable (a positive
@@ -25,16 +29,11 @@
 use crate::cache::{
     cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, CellCache,
 };
-use crate::competition::{
-    run_competition_cell, CompetitionCell, CompetitionEvaluator, CompetitionSpec,
-};
-use crate::experiment::{ExperimentSpec, Workload};
+use crate::competition::{CompetitionCell, CompetitionEvaluator, CompetitionSpec};
 use crate::report::{CellReport, SweepReport};
-use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeSpec, SpecError};
 use crate::spec::{SweepCell, SweepSpec};
 use mocc_netsim::cc::CongestionControl;
 use mocc_netsim::Simulator;
-use mocc_store::ResultStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -58,9 +57,9 @@ where
     }
 }
 
-/// Evaluates sweep cells — the hook through which anything other than
-/// a registry scheme (a learned policy, a hand-written factory) drives
-/// a sweep. Implementations must return one report per input cell, in
+/// Evaluates sweep cells — the hook through which every sweep runs
+/// (`mocc-core`'s spec evaluator, a hand-written factory).
+/// Implementations must return one report per input cell, in
 /// order, and must evaluate each cell independently of its neighbours
 /// in the slice: the runner's byte-identity contract (same report for
 /// any thread count) relies on it. The runner always passes one-cell
@@ -69,64 +68,6 @@ pub trait CellEvaluator: Sync {
     /// Evaluates a slice of cells, returning one report per cell in
     /// input order.
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport>;
-}
-
-/// What a spec-level run ([`SweepRunner::run_with`]) may vary. The
-/// default — built-in registry, no store — is [`SweepRunner::run`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunOptions<'a> {
-    /// A custom (pluggable) scheme vocabulary; `None` is
-    /// [`SchemeRegistry::builtin`].
-    pub registry: Option<&'a SchemeRegistry>,
-    /// A result store memoizing cells, and the caller's timestamp for
-    /// its audit ledger (the library never reads a clock); `None`
-    /// simulates every cell. The key does not name the registry: two
-    /// registries binding one label to different behavior would share
-    /// cache entries — point them at separate stores.
-    pub cache: Option<(&'a ResultStore, u64)>,
-}
-
-/// The sweep evaluator of policy-free specs: `scheme`, built through
-/// `registry`, on every flow of every cell.
-///
-/// # Panics
-///
-/// `eval_batch` panics (with the typed error's message) if the scheme
-/// is not instantiable; [`crate::ExperimentSpec::validate_in`] rejects
-/// such specs before any cell runs.
-struct RegistrySweep<'a> {
-    registry: &'a SchemeRegistry,
-    scheme: &'a SchemeSpec,
-}
-
-impl CellEvaluator for RegistrySweep<'_> {
-    fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
-            let ctx = SchemeCtx::of(&cell.scenario);
-            (0..cell.scenario.flows.len())
-                .map(|_| {
-                    self.registry
-                        .instantiate(self.scheme, &ctx)
-                        .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
-                })
-                .collect()
-        };
-        cells.iter().map(|c| run_cell(c, &factory)).collect()
-    }
-}
-
-/// The competition evaluator of policy-free specs: every contender
-/// (and the friendliness control) built through the registry; same
-/// validate-before-run contract as [`RegistrySweep`].
-struct RegistryCompetition<'a>(&'a SchemeRegistry);
-
-impl CompetitionEvaluator for RegistryCompetition<'_> {
-    fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
-        cells
-            .iter()
-            .map(|c| run_competition_cell(c, self.0))
-            .collect()
-    }
 }
 
 /// The shared sharded executor: `threads` workers each pull the next
@@ -241,76 +182,6 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Validates and runs a declarative [`ExperimentSpec`] against the
-    /// built-in scheme registry, uncached, returning the canonical
-    /// report labelled with the experiment's name:
-    /// [`SweepRunner::run_with`] under [`RunOptions::default`].
-    pub fn run(&self, exp: &ExperimentSpec) -> Result<SweepReport, SpecError> {
-        self.run_with(exp, RunOptions::default())
-            .map(|(report, _)| report)
-    }
-
-    /// **The spec-level entry point**: validates `exp` against the
-    /// registry `opts` names and runs it, serving every cell it can
-    /// from the store `opts` names (if any) and simulating only the
-    /// misses. The report is byte-identical with or without a store —
-    /// hits are canonical blobs of exactly the reports a cold run
-    /// would compute, and assembly goes through the same index-sorted
-    /// [`SweepReport::new`]; the counters say how many cells were
-    /// served and how many simulated.
-    ///
-    /// `mocc` schemes need a policy engine this crate does not have:
-    /// they come back as [`SpecError::NeedsPolicyEngine`] — run those
-    /// specs through `mocc_core::run_experiment_with` (or the `mocc`
-    /// CLI), which handles the policy path and delegates everything
-    /// else here.
-    pub fn run_with(
-        &self,
-        exp: &ExperimentSpec,
-        opts: RunOptions<'_>,
-    ) -> Result<(SweepReport, CacheStats), SpecError> {
-        let builtin;
-        let registry = match opts.registry {
-            Some(registry) => registry,
-            None => {
-                builtin = SchemeRegistry::builtin();
-                &builtin
-            }
-        };
-        exp.validate_in(registry)?;
-        if exp.needs_policy() {
-            let label = exp
-                .scheme_labels()
-                .into_iter()
-                .find(|l| SchemeSpec::parse(l).is_ok_and(|s| s.is_mocc()))
-                .expect("needs_policy implies a mocc label");
-            return Err(SpecError::NeedsPolicyEngine { label });
-        }
-        let cache = opts.cache.map(|(store, ts)| CellCache {
-            store,
-            ts,
-            policy: None,
-        });
-        Ok(match &exp.workload {
-            Workload::Sweep(w) => {
-                let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-                let evaluator = RegistrySweep {
-                    registry,
-                    scheme: &w.scheme,
-                };
-                let cache = cache.map(|c| (w.scheme.label(), c));
-                self.run_cells(&spec, &exp.name, &evaluator, cache)
-            }
-            Workload::Competition(_) => {
-                let spec = exp
-                    .to_competition_spec()
-                    .expect("competition workload lowers");
-                let evaluator = RegistryCompetition(registry);
-                self.run_competition_cells(&spec, &exp.name, &evaluator, cache)
-            }
-        })
-    }
-
     /// The evaluator-level entry point for sweeps: runs every cell of
     /// an expansion-level [`SweepSpec`] through a [`CellEvaluator`],
     /// one cell per call. Results are slotted back by cell index: the
@@ -392,26 +263,13 @@ pub fn run_cell(cell: &SweepCell, factory: &dyn CellFactory) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::competition::ContenderMix;
     use crate::spec::{FlowLoad, TraceShape};
     use mocc_netsim::cc::Aimd;
 
-    /// The built-in vocabulary plus a test-only `aimd` scheme.
-    fn aimd_registry() -> SchemeRegistry {
-        SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()))
-    }
-
-    /// Runs `spec` under the plugged-in `aimd` scheme through the
-    /// spec-level entry point.
+    /// Runs `spec` under [`AimdCells`].
     fn run_aimd(threads: usize, spec: &SweepSpec) -> SweepReport {
-        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), spec);
-        let opts = RunOptions {
-            registry: Some(&aimd_registry()),
-            ..RunOptions::default()
-        };
         SweepRunner::with_threads(threads)
-            .run_with(&exp, opts)
-            .unwrap()
+            .run_cells(spec, "aimd", &AimdCells, None)
             .0
     }
 
@@ -448,18 +306,6 @@ mod tests {
         assert_eq!(rep.summary.cells, spec.cell_count() as u64);
     }
 
-    #[test]
-    fn builtin_registry_runs_cubic() {
-        let mut spec = small_spec();
-        spec.bandwidth_mbps = vec![8.0];
-        spec.owd_ms = vec![10];
-        spec.loss = vec![0.0];
-        let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
-        let rep = SweepRunner::with_threads(2).run(&exp).unwrap();
-        assert_eq!(rep.controller, "cubic");
-        assert!(rep.cells[0].utilization > 0.5, "{:?}", rep.cells[0]);
-    }
-
     /// An all-loss cell — configured loss rate 1.0, so every flow acks
     /// zero bytes in every window — must reduce to finite metrics and
     /// NaN-free canonical JSON: Jain degenerates to 1.0 (an all-zero
@@ -473,7 +319,7 @@ mod tests {
         spec.bandwidth_mbps = vec![4.0];
         spec.owd_ms = vec![10];
         spec.loss = vec![1.0];
-        let (rep, _) = SweepRunner::with_threads(1).run_cells(&spec, "aimd", &AimdCells, None);
+        let rep = run_aimd(1, &spec);
         assert_eq!(rep.cells.len(), 1);
         let c = &rep.cells[0];
         assert_eq!(c.goodput_mbps, 0.0, "nothing can be delivered");
@@ -495,8 +341,7 @@ mod tests {
         }
         let json = rep.to_canonical_json();
         assert!(!json.to_ascii_lowercase().contains("nan"), "{json}");
-        let (again, _) = SweepRunner::with_threads(2).run_cells(&spec, "aimd", &AimdCells, None);
-        assert_eq!(json, again.to_canonical_json());
+        assert_eq!(json, run_aimd(2, &spec).to_canonical_json());
     }
 
     #[test]
@@ -514,112 +359,6 @@ mod tests {
             assert!(err.contains(THREADS_ENV), "{err}");
             assert!(err.contains("positive integer"), "{err}");
         }
-    }
-
-    /// Competition sweeps inherit the byte-identity contract: serial
-    /// and 4-way parallel runs of a churning contender matrix produce
-    /// identical canonical JSON, and the mix label rides the report's
-    /// `load` column.
-    #[test]
-    fn competition_parallel_matches_serial_byte_for_byte() {
-        let mut spec = CompetitionSpec::quick();
-        spec.mixes = vec![
-            ContenderMix::duel("cubic", "vegas"),
-            ContenderMix::staircase("bbr", 2, 2.0),
-        ];
-        spec.duration_s = 8;
-        let exp = ExperimentSpec::from_competition("mix", &spec);
-        let serial = SweepRunner::with_threads(1).run(&exp).unwrap();
-        let quad = SweepRunner::with_threads(4).run(&exp).unwrap();
-        assert_eq!(serial.to_canonical_json(), quad.to_canonical_json());
-        assert_eq!(serial.cells.len(), 2);
-        assert_eq!(serial.cells[0].load, "flows:2");
-        assert_eq!(serial.cells[0].mix.as_deref(), Some("duel:cubic+vegas"));
-        assert_eq!(serial.cells[1].load, "flows:2");
-        assert_eq!(serial.cells[1].mix.as_deref(), Some("stair:bbr:2x2"));
-    }
-
-    /// The spec-level entry point adds nothing to the cells: a
-    /// declarative sweep equals the evaluator-level path over a
-    /// hand-written `mocc-cc` factory byte for byte, and a competition
-    /// equals the per-cell function over the built-in registry.
-    #[test]
-    fn experiment_entry_point_matches_the_evaluator_level_paths() {
-        struct Cubic;
-        impl CellEvaluator for Cubic {
-            fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-                let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
-                    (0..cell.scenario.flows.len())
-                        .map(|_| Box::new(mocc_cc::Cubic::new()) as Box<dyn CongestionControl>)
-                        .collect()
-                };
-                cells.iter().map(|c| run_cell(c, &factory)).collect()
-            }
-        }
-        let runner = SweepRunner::with_threads(2);
-        let spec = small_spec();
-        let exp = ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec);
-        let unified = runner.run(&exp).unwrap();
-        let (by_hand, _) = runner.run_cells(&spec, "cubic", &Cubic, None);
-        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
-
-        let mut cspec = CompetitionSpec::quick();
-        cspec.mixes = vec![ContenderMix::duel("cubic", "vegas")];
-        cspec.duration_s = 8;
-        let cexp = ExperimentSpec::from_competition("mix", &cspec);
-        let unified = runner.run(&cexp).unwrap();
-        let (by_hand, _) = runner.run_competition_cells(
-            &cspec,
-            "mix",
-            &RegistryCompetition(&SchemeRegistry::builtin()),
-            None,
-        );
-        assert_eq!(unified.to_canonical_json(), by_hand.to_canonical_json());
-    }
-
-    /// `mocc` schemes cannot run without a policy engine: the unified
-    /// entry point reports it as a typed error, not a panic.
-    #[test]
-    fn mocc_experiments_need_the_policy_engine() {
-        use crate::experiment::PolicySpec;
-        let mut exp = ExperimentSpec::from_sweep(
-            "mocc-thr",
-            SchemeSpec::parse("mocc:thr").unwrap(),
-            &small_spec(),
-        );
-        exp.policy = Some(PolicySpec::default());
-        match SweepRunner::with_threads(1).run(&exp) {
-            Err(SpecError::NeedsPolicyEngine { label }) => assert_eq!(label, "mocc:thr"),
-            other => panic!("expected NeedsPolicyEngine, got {other:?}"),
-        }
-        // And without a policy section it fails validation first.
-        exp.policy = None;
-        assert!(matches!(
-            SweepRunner::with_threads(1).run(&exp),
-            Err(SpecError::InvalidSpec { .. })
-        ));
-    }
-
-    /// Custom registry schemes drive spec-file experiments through
-    /// `run_with`: a plugged-in constructor serves the sweep's flows
-    /// exactly as a hand-written factory building the same controller
-    /// does, and the built-in registry rejects the label up front.
-    #[test]
-    fn custom_registry_schemes_run_experiments() {
-        let spec = small_spec();
-        let via_registry = run_aimd(2, &spec);
-        let reports: Vec<CellReport> = spec
-            .expand()
-            .iter()
-            .map(|c| run_cell(c, &aimd_factory))
-            .collect();
-        let via_factory = SweepReport::new("aimd", spec.seed, spec.duration_s, reports);
-        assert_eq!(
-            via_registry.to_canonical_json(),
-            via_factory.to_canonical_json()
-        );
-        let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
-        assert!(SweepRunner::with_threads(1).run(&exp).is_err());
     }
 
     fn aimd_factory(cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {

@@ -54,9 +54,9 @@ pub enum SpecError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// A `mocc` scheme reached an execution path that has no policy
-    /// engine (e.g. [`crate::SweepRunner::run`] without `mocc-core`'s
-    /// experiment runner).
+    /// A `mocc` label reached [`SchemeRegistry::instantiate`], which
+    /// builds registry schemes only: a `mocc` flow is driven by the
+    /// policy `mocc-core`'s experiment runner materializes.
     NeedsPolicyEngine {
         /// The MOCC label that could not be served.
         label: String,
@@ -97,7 +97,7 @@ impl fmt::Display for SpecError {
                 f,
                 "scheme {label:?} needs a MOCC policy engine: add a `policy` section \
                  to the spec and run it through `mocc_core::run_experiment` \
-                 (or the `mocc` CLI), not the baseline-only runner"
+                 (or the `mocc` CLI); a scheme registry cannot build it"
             ),
             SpecError::Io { path, reason } => write!(f, "{path}: {reason}"),
             SpecError::Json { reason } => write!(f, "spec does not parse: {reason}"),
@@ -326,8 +326,9 @@ struct RegistryEntry {
 /// are *not* registry entries: they need a policy, so
 /// [`SchemeRegistry::resolve`] accepts them (the grammar already
 /// validated the preference) while [`SchemeRegistry::instantiate`]
-/// returns [`SpecError::NeedsPolicyEngine`] — the policy-aware
-/// experiment runner in `mocc-core` serves them instead.
+/// returns [`SpecError::NeedsPolicyEngine`] — `mocc-core`'s
+/// experiment runner drives them by the spec's policy and builds every
+/// other flow of the spec through the registry it was given.
 pub struct SchemeRegistry {
     entries: Vec<RegistryEntry>,
 }

@@ -308,6 +308,25 @@ impl<'de> serde::Deserialize<'de> for TraceShape {
     }
 }
 
+/// The most flows one cell may hold. The simulator scans every flow on
+/// every event and numbers flows with `u32`s, so a larger count — a
+/// hostile `onoff:18446744073709551615` — is a typed error when a load
+/// or mix is parsed or validated, before anything is allocated per flow.
+pub(crate) const MAX_CELL_FLOWS: usize = 1024;
+
+/// `Ok` when `flows` fit one cell, else an error naming `what()`.
+pub(crate) fn check_flow_count(
+    flows: usize,
+    what: impl FnOnce() -> String,
+) -> Result<(), SpecError> {
+    if flows <= MAX_CELL_FLOWS {
+        return Ok(());
+    }
+    Err(SpecError::InvalidSpec {
+        reason: format!("{}: a cell holds at most {MAX_CELL_FLOWS} flows", what()),
+    })
+}
+
 /// Flow population of a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowLoad {
@@ -343,25 +362,32 @@ impl FlowLoad {
                 "unknown flow load {label:?}: expected `steady:<n>`, `onoff:<n>`, or `rpc:<n>`"
             ),
         };
-        if let Some(n) = label.strip_prefix("steady:") {
-            return n.parse().map(FlowLoad::Steady).map_err(|_| bad());
-        }
-        if let Some(n) = label.strip_prefix("onoff:") {
-            return n.parse().map(FlowLoad::OnOffCross).map_err(|_| bad());
-        }
-        if let Some(n) = label.strip_prefix("rpc:") {
-            return n.parse().map(FlowLoad::RpcCross).map_err(|_| bad());
-        }
-        Err(bad())
+        let (kind, n) = label.split_once(':').ok_or_else(bad)?;
+        let n = n.parse().map_err(|_| bad())?;
+        let load = match kind {
+            "steady" => FlowLoad::Steady(n),
+            "onoff" => FlowLoad::OnOffCross(n),
+            "rpc" => FlowLoad::RpcCross(n),
+            _ => return Err(bad()),
+        };
+        load.check_flow_count()?;
+        Ok(load)
     }
 
-    /// Total number of flows (and therefore controllers) in the cell.
+    /// Total number of flows (and therefore controllers) in the cell,
+    /// saturating at `usize::MAX`.
     pub fn flow_count(&self) -> usize {
         match *self {
             FlowLoad::Steady(n) => n.max(1),
-            FlowLoad::OnOffCross(n) => n + 1,
-            FlowLoad::RpcCross(n) => n + 1,
+            FlowLoad::OnOffCross(n) | FlowLoad::RpcCross(n) => n.saturating_add(1),
         }
+    }
+
+    /// Rejects a load of more flows than a cell may hold.
+    pub(crate) fn check_flow_count(&self) -> Result<(), SpecError> {
+        check_flow_count(self.flow_count(), || {
+            format!("flow load {:?}", self.label())
+        })
     }
 
     fn build(&self, peak_bps: f64) -> Vec<FlowSpec> {

@@ -309,24 +309,6 @@ impl ResultStore {
         served
     }
 
-    /// Looks up every key of one run on the calling thread:
-    /// `visit(i, blob)` is called once per key, in order, with what
-    /// [`ResultStore::lookup`] serves for `keys[i]`; the blob is only
-    /// borrowed, from a buffer the next lookup reuses. Then the run's
-    /// `hit` and `miss` lines are appended, in key order, as one write.
-    pub fn get_each<K: AsRef<str>>(
-        &self,
-        keys: &[K],
-        ts: u64,
-        mut visit: impl FnMut(usize, Option<&str>),
-    ) {
-        let (mut bytes, mut lines) = (Vec::new(), String::new());
-        for (i, key) in keys.iter().enumerate() {
-            visit(i, self.lookup(key.as_ref(), ts, &mut bytes, &mut lines));
-        }
-        self.append_lookups(&lines);
-    }
-
     /// Stores `blob` under `key` (a 64-char hex digest of the
     /// canonical request — see `mocc-eval`'s cache-key derivation).
     /// The write is atomic (temp file + rename) and appends a `put`
@@ -641,12 +623,13 @@ mod tests {
         assert!(store.verify().unwrap().is_clean());
     }
 
-    /// One run's lookups: visited in key order with the verified blob
-    /// or `None`, with the index lock free while `visit` runs (it is
-    /// held only to copy a record and for the append), and logged
-    /// afterwards as one batch of whole lines in the same order.
+    /// One run's lookups, as a cached run makes them: each serves the
+    /// verified blob or `None`, with the index lock free between them
+    /// (it is held only to copy a record and for the append), and the
+    /// run's lines are appended afterwards as one batch of whole lines
+    /// in key order.
     #[test]
-    fn get_each_visits_in_key_order_and_appends_the_lookups_together() {
+    fn a_runs_lookups_are_appended_together_in_key_order() {
         let store = temp_store("each");
         let (good, absent, corrupt) = (key("good"), key("absent"), key("corrupt"));
         store.put(&good, "good blob", 1).unwrap();
@@ -654,14 +637,21 @@ mod tests {
         std::fs::write(store.root().join(object_rel_path(&corrupt)), "doomed blXb").unwrap();
         let ledger = || std::fs::read_to_string(store.root().join(LEDGER_FILE)).unwrap();
         let before = ledger();
-        let mut seen = Vec::new();
-        store.get_each(&[&good, &absent, &corrupt, &good], 9, |i, blob| {
-            assert_eq!(store.len(), 2, "the index is not locked during a visit");
-            assert_eq!(ledger(), before, "nothing is logged before the last visit");
-            seen.push((i, blob.map(str::to_owned)));
-        });
+        let (mut bytes, mut lines) = (Vec::new(), String::new());
+        let seen: Vec<Option<String>> = [&good, &absent, &corrupt, &good]
+            .iter()
+            .map(|k| {
+                let blob = store
+                    .lookup(k, 9, &mut bytes, &mut lines)
+                    .map(str::to_owned);
+                assert_eq!(store.len(), 2, "the index is not locked between lookups");
+                assert_eq!(ledger(), before, "nothing is logged before the append");
+                blob
+            })
+            .collect();
+        store.append_lookups(&lines);
         let hit = Some("good blob".to_string());
-        assert_eq!(seen, [(0, hit.clone()), (1, None), (2, None), (3, hit)]);
+        assert_eq!(seen, [hit.clone(), None, None, hit]);
         let appended: Vec<LedgerEntry> = LedgerScan::parse(&ledger()[before.len()..]).entries;
         let lookups: Vec<(&str, LedgerEvent, u64)> = appended
             .iter()
@@ -676,14 +666,14 @@ mod tests {
                 (good.as_str(), LedgerEvent::Hit, 9),
             ]
         );
-        // No keys, no append.
+        // No lines, no append.
         let after = ledger();
-        store.get_each(&[] as &[&str], 10, |_, _| unreachable!("no key to visit"));
+        store.append_lookups("");
         assert_eq!(ledger(), after);
         assert_eq!(store.stats().unwrap().hits, 2);
     }
 
-    /// The primitive under `get` and `get_each`: a lookup leaves the
+    /// The primitive under `get` and a cached run: a lookup leaves the
     /// ledger alone and writes its line where the caller says, so
     /// lookups made in any order — by any thread — are logged in the
     /// order the caller joins their lines. A recorded digest that is

@@ -9,6 +9,7 @@
 //! cargo run --release --example fairness
 //! ```
 
+use mocc::core::run_experiment;
 use mocc::eval::{fmt_opt_metric, CompetitionSpec, ContenderMix, ExperimentSpec, SweepRunner};
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
     // The whole experiment is one declarative document — the same
     // thing `mocc run` executes from a JSON file (docs/SPECS.md).
     let exp = ExperimentSpec::from_competition("baselines", &spec);
-    let report = runner.run(&exp).expect("valid competition spec");
+    let report = run_experiment(&runner, &exp).expect("valid competition spec");
     println!(
         "{:<22} {:>12} {:>8} {:>8} {:>10} {:>8}",
         "mix", "goodput Mb", "util", "J", "friendly", "conv s"

@@ -797,7 +797,13 @@ proptest! {
             let before = std::fs::read_to_string(&ledger).unwrap_or_default();
             match op {
                 0 => store.put(key, &format!("own blob {}", arg % 7), ts).expect("own put"),
-                1 => store.get_each(&keys[..arg % (keys.len() + 1)], ts, |_, _| {}),
+                1 => {
+                    let (mut bytes, mut lines) = (Vec::new(), String::new());
+                    for k in &keys[..arg % (keys.len() + 1)] {
+                        store.lookup(k, ts, &mut bytes, &mut lines);
+                    }
+                    store.append_lookups(&lines);
+                }
                 2 => {
                     let other = ResultStore::open(&dir).expect("second handle");
                     other.put(key, &format!("foreign blob {}", arg % 7), ts).expect("foreign put");

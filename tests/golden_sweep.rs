@@ -15,10 +15,10 @@
 //! `MOCC_SWEEP_THREADS=1` and with the default worker count, so any
 //! scheduling-dependent nondeterminism fails the build.
 
-use mocc::core::{run_experiment, run_experiment_cached};
+use mocc::core::{run_experiment, run_experiment_cached, run_experiment_with, RunOptions};
 use mocc::eval::{
     CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec,
-    RunOptions, SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
+    SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::Aimd;
 use mocc::store::{sha256_hex, ResultStore};
@@ -221,8 +221,7 @@ fn check_golden(name: &str) {
         )
     });
     let want = SweepReport::from_json(&text).expect("fixture parses");
-    let got = SweepRunner::auto()
-        .run(&golden_experiment(name))
+    let got = run_experiment(&SweepRunner::auto(), &golden_experiment(name))
         .expect("golden experiment is valid");
     assert_eq!(
         got.cells.len(),
@@ -261,7 +260,7 @@ fn golden_copa() {
 }
 
 /// The redesign is behavior-preserving (acceptance criterion): the
-/// unified `SweepRunner::run(&ExperimentSpec)` path reproduces every
+/// unified `run_experiment(&runner, &ExperimentSpec)` path reproduces every
 /// classic golden fixture byte for byte, spec document in, canonical
 /// JSON out.
 #[test]
@@ -269,9 +268,7 @@ fn golden_fixtures_byte_identical_via_experiment_spec() {
     for name in CONTROLLERS {
         let fixture = std::fs::read_to_string(fixture_path(name)).expect("fixture present");
         let exp = golden_experiment(name);
-        let got = SweepRunner::auto()
-            .run(&exp)
-            .expect("valid golden experiment");
+        let got = run_experiment(&SweepRunner::auto(), &exp).expect("valid golden experiment");
         assert_eq!(
             got.to_canonical_json(),
             fixture,
@@ -327,8 +324,7 @@ fn golden_competition_baselines() {
             path.display()
         )
     });
-    let got = SweepRunner::auto()
-        .run(&golden_competition_experiment())
+    let got = run_experiment(&SweepRunner::auto(), &golden_competition_experiment())
         .expect("valid golden competition experiment");
     assert_eq!(
         got.to_canonical_json(),
@@ -630,11 +626,8 @@ fn event_order_reports_match_the_pinned_digests() {
     }
 }
 
-/// Acceptance gate for the harness itself: a 64-cell matrix sharded
-/// over 4 threads produces canonical JSON byte-identical to a
-/// single-threaded run of the same spec.
-#[test]
-fn parallel_sweep_is_byte_identical_to_serial() {
+/// The 64-cell matrix of [`parallel_sweep_is_byte_identical_to_serial`].
+fn aimd_sweep() -> ExperimentSpec {
     let spec = SweepSpec {
         bandwidth_mbps: vec![2.0, 4.0],
         owd_ms: vec![10, 30],
@@ -648,25 +641,128 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         agent_mi: false,
     };
     assert_eq!(spec.cell_count(), 64);
+    ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec)
+}
+
+/// Runs `exp` against the built-in vocabulary plus a test-only `aimd`
+/// scheme.
+fn run_aimd(threads: usize, exp: &ExperimentSpec) -> SweepReport {
     let registry =
         SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
-    let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
-    let run = |threads| {
-        let opts = RunOptions {
-            registry: Some(&registry),
-            ..RunOptions::default()
-        };
-        let (report, _) = SweepRunner::with_threads(threads)
-            .run_with(&exp, opts)
-            .expect("aimd is registered");
-        report
+    let opts = RunOptions {
+        registry: Some(&registry),
+        ..RunOptions::default()
     };
-    let (serial, quad) = (run(1), run(4));
+    run_experiment_with(&SweepRunner::with_threads(threads), exp, opts)
+        .expect("aimd is registered")
+        .0
+}
+
+/// Acceptance gate for the harness itself: a 64-cell matrix sharded
+/// over 4 threads produces canonical JSON byte-identical to a
+/// single-threaded run of the same spec.
+#[test]
+fn parallel_sweep_is_byte_identical_to_serial() {
+    let exp = aimd_sweep();
     assert_eq!(
-        serial.to_canonical_json(),
-        quad.to_canonical_json(),
+        run_aimd(1, &exp).to_canonical_json(),
+        run_aimd(4, &exp).to_canonical_json(),
         "parallel execution changed the report"
     );
+}
+
+/// An aimd competition: a duel, a staircase and an incast, with aimd
+/// as the friendliness control.
+fn aimd_competition() -> ExperimentSpec {
+    let spec = CompetitionSpec {
+        mixes: ["duel:aimd+cubic", "stair:aimd:3x4", "incast:aimd:4x0.5"]
+            .iter()
+            .map(|m| ContenderMix::parse(m).expect("mix parses"))
+            .collect(),
+        bandwidth_mbps: vec![12.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100],
+        duration_s: 20,
+        mss_bytes: 1500,
+        seed: 3,
+        agent_mi: true,
+        tcp_baseline: "aimd".to_string(),
+        fair_jain: 0.9,
+        fair_sustain_s: 3,
+    };
+    ExperimentSpec::from_competition("aimd-competition", &spec)
+}
+
+/// Absolute bytes of a custom-registry sweep and competition: each
+/// canonical report hashes to one frozen literal at every worker count.
+#[test]
+fn custom_registry_reports_match_the_pinned_digests() {
+    for (exp, want) in [
+        (
+            aimd_sweep(),
+            "a5d05e3eb21d2c742c020c6fa343d88f0bff5b5b4973edbd3255b46b763443cc",
+        ),
+        (
+            aimd_competition(),
+            "0ad3e0148168af916b6c5f3cc67d0ecbaa95d07851051e296f7fdf0c7ea10ab8",
+        ),
+    ] {
+        for threads in [1, 4] {
+            assert_eq!(
+                sha256_hex(run_aimd(threads, &exp).to_canonical_json().as_bytes()),
+                want,
+                "{} moved at {threads} thread(s)",
+                exp.name
+            );
+        }
+    }
+}
+
+/// A competition of a `mocc` flow against a custom registry scheme runs,
+/// and its answer is known: `cubic-alias` builds exactly what `cubic`
+/// builds, so the report equals the same spec spelled with `cubic` in
+/// every field but `mix` — uncached, and cold and warm through a store.
+#[test]
+fn mixed_policy_and_custom_scheme_competition_equals_its_builtin_spelling() {
+    let registry = SchemeRegistry::builtin().with_scheme("cubic-alias", "cubic, renamed", |_| {
+        Box::new(mocc::cc::Cubic::new())
+    });
+    let spelled = |contender: &str| {
+        let spec = CompetitionSpec {
+            mixes: vec![ContenderMix::duel("mocc:thr", contender)],
+            tcp_baseline: contender.to_string(),
+            ..golden_competition_mocc_spec()
+        };
+        let mut exp = ExperimentSpec::from_competition("mocc-vs-custom", &spec);
+        exp.policy = Some(golden_policy());
+        exp
+    };
+    let without_mix = |mut report: SweepReport| {
+        for cell in &mut report.cells {
+            cell.mix = None;
+        }
+        report.to_canonical_json()
+    };
+    let dir = std::env::temp_dir().join(format!("mocc-mixed-custom-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ResultStore::open(&dir).expect("open store");
+    let runner = SweepRunner::with_threads(2);
+    for cache in [None, Some((&store, 1)), Some((&store, 2))] {
+        let opts = RunOptions {
+            registry: Some(&registry),
+            cache,
+        };
+        let (alias, stats) = run_experiment_with(&runner, &spelled("cubic-alias"), opts)
+            .expect("a custom contender competes with mocc flows");
+        let (cubic, _) = run_experiment_with(&runner, &spelled("cubic"), opts).expect("valid");
+        assert_eq!(
+            alias.cells[0].mix.as_deref(),
+            Some("duel:mocc:thr+cubic-alias")
+        );
+        assert_eq!(without_mix(alias), without_mix(cubic), "cache {cache:?}");
+        assert_eq!(stats.hits > 0, cache.is_some_and(|(_, ts)| ts == 2));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn example_spec_path(name: &str) -> PathBuf {
@@ -771,14 +867,14 @@ fn regen_golden() {
     let runner = SweepRunner::auto();
     let mut regenerated: Vec<(PathBuf, ExperimentSpec, String)> = Vec::new();
     for name in CONTROLLERS {
-        let report = runner.run(&golden_experiment(name)).expect("valid");
+        let report = run_experiment(&runner, &golden_experiment(name)).expect("valid");
         regenerated.push((
             fixture_path(name),
             golden_experiment(name),
             report.to_canonical_json(),
         ));
     }
-    let competition = runner.run(&golden_competition_experiment()).expect("valid");
+    let competition = run_experiment(&runner, &golden_competition_experiment()).expect("valid");
     regenerated.push((
         fixture_path("competition_baselines"),
         golden_competition_experiment(),

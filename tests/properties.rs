@@ -1,9 +1,12 @@
 //! Property-based integration tests over the workspace invariants.
 
-use mocc::core::{landmark_count, landmarks, run_experiment, Preference, TrainRegime, TrainSpec};
+use mocc::core::{
+    landmark_count, landmarks, run_experiment, run_experiment_with, Preference, RunOptions,
+    TrainRegime, TrainSpec,
+};
 use mocc::eval::{
-    CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, PolicySpec, RunOptions,
-    SchemeRegistry, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
+    CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, PolicySpec, SchemeRegistry,
+    SchemeSpec, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::{Aimd, CongestionControl, FixedRate};
 use mocc::netsim::metrics::jain_index;
@@ -233,8 +236,7 @@ proptest! {
         let exp = ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), &spec);
         let run = |threads| {
             let opts = RunOptions { registry: Some(&registry), ..RunOptions::default() };
-            let (report, _) = SweepRunner::with_threads(threads)
-                .run_with(&exp, opts)
+            let (report, _) = run_experiment_with(&SweepRunner::with_threads(threads), &exp, opts)
                 .expect("aimd is registered");
             report.to_canonical_json()
         };
@@ -293,8 +295,8 @@ proptest! {
             ..CompetitionSpec::quick()
         };
         let exp = ExperimentSpec::from_competition("mix", &spec);
-        let serial = SweepRunner::with_threads(1).run(&exp).expect("built-in contenders");
-        let parallel = SweepRunner::with_threads(3).run(&exp).expect("built-in contenders");
+        let serial = run_experiment(&SweepRunner::with_threads(1), &exp).expect("built-in contenders");
+        let parallel = run_experiment(&SweepRunner::with_threads(3), &exp).expect("built-in contenders");
         prop_assert_eq!(serial.to_canonical_json(), parallel.to_canonical_json());
     }
 

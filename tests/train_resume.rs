@@ -6,10 +6,10 @@
 //! and a zoo entry must be loadable and runnable as a registry scheme.
 
 use mocc::core::{
-    load_checkpoint, run_experiment_with, save_trained, train_spec, zoo_registry, TrainOptions,
-    TrainSpec,
+    load_checkpoint, run_experiment_with, save_trained, train_spec, zoo_registry, RunOptions,
+    TrainOptions, TrainSpec,
 };
-use mocc::eval::{ExperimentSpec, RunOptions, SweepRunner, SweepSpec};
+use mocc::eval::{ExperimentSpec, SweepRunner, SweepSpec};
 use mocc::store::sha256_hex;
 use std::path::PathBuf;
 
