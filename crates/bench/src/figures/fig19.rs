@@ -25,8 +25,8 @@ pub fn run() -> Result<(), String> {
         traverse_cycles: Some(2),
         rollout_steps: Some(200),
         episode_mis: Some(200),
-        // Serial rollouts by default; the transfer-parallel regime
-        // raises this to 4 lockstep envs, which is the comparison.
+        // One env per rollout; the third row sets `batch_envs` to 4
+        // lockstep envs, which is the parallelism comparison.
         batch_envs: 1,
         ..TrainSpec::default()
     };
@@ -37,14 +37,15 @@ pub fn run() -> Result<(), String> {
         mocc_core::landmark_count(cfg.omega_step)
     );
     let mut results = Vec::new();
-    for (name, regime) in [
-        ("individual", TrainRegime::Individual),
-        ("transfer", TrainRegime::Transfer),
-        ("transfer+parallel", TrainRegime::TransferParallel),
+    for (name, regime, batch_envs) in [
+        ("individual", TrainRegime::Individual, 1),
+        ("transfer", TrainRegime::Transfer, 1),
+        ("transfer+parallel", TrainRegime::Transfer, 4),
     ] {
         let spec = TrainSpec {
-            name: format!("fig19-{}", mocc_core::regime_label(regime)),
+            name: format!("fig19-{}-x{batch_envs}", mocc_core::regime_label(regime)),
             regime,
+            batch_envs,
             ..base.clone()
         };
         let run = train_mocc(&spec)?;

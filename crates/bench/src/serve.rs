@@ -493,6 +493,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A sweep of four 100-value axes is 10^8 cells; allocating them
+    /// used to abort the daemon. Its expansion is counted before
+    /// anything expands, so it is one more bad request.
+    #[test]
+    fn hostile_expansion_is_an_error_not_an_abort() {
+        let (dir, store) = temp_store("expansion");
+        let axis = |f: fn(u32) -> String| (1..=100).map(f).collect::<Vec<_>>().join(",");
+        let input = format!(
+            "{{\"op\":\"run\",\"spec\":{{\"kind\":\"sweep\",\"name\":\"h\",\"scheme\":\"cubic\",\
+             \"bandwidth_mbps\":[{}],\"owd_ms\":[{}],\"queue_pkts\":[{}],\"loss\":[{}],\
+             \"duration_s\":2,\"seed\":1}}}}\n{{\"op\":\"ping\"}}\n",
+            axis(|v| format!("{v}.0")),
+            axis(|v| v.to_string()),
+            axis(|v| v.to_string()),
+            axis(|v| format!("{}", f64::from(v - 1) / 100.0)),
+        );
+        let (lines, _) = session(&store, input.as_bytes());
+        assert_eq!(
+            lines,
+            [
+                "{\"error\":\"invalid spec: the experiment expands to 100000000 cells holding \
+                 100000000 flows; a run holds at most 262144\",\"ok\":false}",
+                PING
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A model file whose `cfg.history` was edited away from its
     /// networks used to panic a worker at the first forward pass
     /// (`internal error`); it is a refused model naming the file, and

@@ -677,3 +677,79 @@ fn hostile_flow_count_is_an_error_not_a_panic() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A few kilobytes of document used to ask for more than memory holds:
+/// a sweep of 10^8 cells passed `validate` and aborted `run` (exit
+/// 134), six 2 000-value axes wrapped the cell count, and a train spec
+/// with a huge iteration knob or `omega_step` aborted `validate` and
+/// `train` building the schedule (or stalled them for minutes). Each is
+/// a bad spec: exit 1, one `error:` line, no panic.
+#[test]
+fn hostile_sizes_are_errors_not_aborts() {
+    let dir = temp_dir("hostile-sizes");
+    let values =
+        |n: usize, f: &dyn Fn(usize) -> String| (1..=n).map(f).collect::<Vec<_>>().join(",");
+    let sweep = |n: usize, loads_and_shapes: bool| {
+        let extra = if loads_and_shapes {
+            format!(
+                ",\"shapes\":[{}],\"loads\":[{}]",
+                values(n, &|_| "\"constant\"".to_string()),
+                values(n, &|_| "\"steady:1\"".to_string())
+            )
+        } else {
+            String::new()
+        };
+        format!(
+            "{{\"kind\":\"sweep\",\"name\":\"h\",\"scheme\":\"cubic\",\"bandwidth_mbps\":[{}],\
+             \"owd_ms\":[{}],\"queue_pkts\":[{}],\"loss\":[{}],\"duration_s\":2,\"seed\":1{extra}}}",
+            values(n, &|v| format!("{v}.0")),
+            values(n, &|v| v.to_string()),
+            values(n, &|v| v.to_string()),
+            values(n, &|v| format!("{}", (v - 1) as f64 / n as f64)),
+        )
+    };
+    let mut docs = vec![
+        ("cells", "run", sweep(100, false), "a run holds at most"),
+        (
+            "wrap",
+            "run",
+            sweep(2000, true),
+            "more than usize::MAX flows",
+        ),
+    ];
+    let big = u64::MAX.to_string();
+    for (name, knob, value, want) in [
+        ("boot", "boot_iters", "100000000000", "the schedule exceeds"),
+        ("boot-max", "boot_iters", &big, "the schedule exceeds"),
+        ("cycles", "traverse_cycles", &big, "the schedule exceeds"),
+        ("visits", "traverse_iters", &big, "the schedule exceeds"),
+        ("omega", "omega_step", "4294967296", "omega_step 4294967296"),
+        ("omega-800", "omega_step", "800", "omega_step 800"),
+    ] {
+        let doc = format!("{{\"kind\":\"train\",\"name\":\"h\",\"seed\":1,\"{knob}\":{value}}}");
+        docs.push((name, "train", doc, want));
+    }
+    for (name, command, doc, want) in &docs {
+        let spec = dir.join(format!("{name}.json"));
+        std::fs::write(&spec, doc).expect("write hostile spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        let zoo = dir.join("zoo");
+        let zoo_arg = zoo.to_str().expect("utf-8 temp path");
+        let mut args = vec![*command, spec_arg];
+        if *command == "train" {
+            args.extend(["--zoo", zoo_arg]);
+        }
+        for args in [vec!["validate", spec_arg], args] {
+            let result = mocc(&args);
+            let stderr = stderr_of(&result);
+            assert_eq!(result.status.code(), Some(1), "{args:?} {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?} {name}: {stderr}");
+            assert!(stderr.contains(want), "{args:?} {name}: {stderr}");
+            let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+            assert_eq!(errors, 1, "{args:?} {name}: {stderr}");
+            assert!(result.stdout.is_empty(), "{args:?} {name} printed a result");
+        }
+        assert!(!zoo.exists(), "{name}: a refused spec reached the zoo");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

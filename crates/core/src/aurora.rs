@@ -59,10 +59,10 @@ impl AuroraAgent {
             self.ppo.cfg.entropy_coef = self.cfg.entropy_at(i);
             let ep_seed: u64 = rng.gen();
             let mut env = MoccEnv::training(self.cfg, self.pref, range, ep_seed).without_pref_obs();
-            let stats = self
+            let rollout = self
                 .ppo
-                .train_iteration(&mut env, self.cfg.rollout_steps, &mut rng);
-            curve.push(stats.mean_reward);
+                .collect_rollout(&mut env, self.cfg.rollout_steps, &mut rng);
+            curve.push(self.ppo.update(&[rollout], &mut rng).mean_reward);
         }
         curve
     }

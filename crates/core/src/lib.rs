@@ -74,7 +74,7 @@ pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};
 pub use preference::{landmark_count, landmarks, nearest, Preference};
 pub use prefnet::{PrefNet, PrefNetScratch};
-pub use train::{evaluate, train_iteration, train_iteration_contrast, TrainOutcome, TrainRegime};
+pub use train::{evaluate, train_iteration_contrast, TrainOutcome, TrainRegime};
 pub use trainer::{
     build_schedule, load_checkpoint, train_spec, write_checkpoint, ScheduleStep, TrainCheckpoint,
     TrainOptions, TrainRun,

@@ -6,8 +6,8 @@
 //! Algorithm 1, training each for only a few PPO iterations per visit
 //! and cycling until the budget is exhausted — neighboring objectives
 //! have neighboring optima, so each visit starts from an already-good
-//! policy. Rollouts can be collected in parallel (the paper's
-//! Ray/RLlib substitute).
+//! policy. A rollout can step several environments in lockstep
+//! (`TrainSpec::batch_envs`, the paper's Ray/RLlib substitute).
 
 use crate::agent::MoccAgent;
 use crate::env::MoccEnv;
@@ -18,16 +18,15 @@ use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// Which training regime to run (the Fig. 19 comparison).
+/// Which training regime to run (the Fig. 19 comparison). How many
+/// environments a rollout uses is `TrainSpec::batch_envs`, not a regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrainRegime {
     /// Every landmark trained independently from the shared model
     /// without neighborhood ordering (the "Individual Training" bar).
     Individual,
-    /// Two-phase training with neighborhood transfer, serial rollouts.
+    /// Two-phase training with neighborhood transfer.
     Transfer,
-    /// Two-phase training with parallel rollout collection.
-    TransferParallel,
 }
 
 /// Outcome of an offline training run.
@@ -41,75 +40,58 @@ pub struct TrainOutcome {
     pub curve: Vec<f32>,
 }
 
-/// Runs one PPO iteration for `pref`, honouring the agent's parallel
-/// setting, and returns the mean rollout reward.
+/// Runs one PPO iteration for `pref` over `MoccConfig::parallel_envs`
+/// environments and returns the mean reward of the first one's rollout.
 ///
-/// When `contrast` holds extra preferences, each update additionally
-/// consumes one rollout per contrast preference, so a single gradient
-/// step sees *different objectives side by side*. This is the
-/// dynamic-weights minibatch technique of Abels et al. (the MORL
-/// framework the paper builds on, Appendix A) and is what makes the
-/// preference sub-network separate objectives at our reduced training
-/// scale instead of collapsing to one compromise policy.
+/// When `contrast` holds a preference, the update additionally
+/// consumes one rollout for it, so a single gradient step sees
+/// *different objectives side by side*. This is the dynamic-weights
+/// minibatch technique of Abels et al. (the MORL framework the paper
+/// builds on, Appendix A) and is what makes the preference sub-network
+/// separate objectives at our reduced training scale instead of
+/// collapsing to one compromise policy.
 pub fn train_iteration_contrast(
     agent: &mut MoccAgent,
     pref: Preference,
-    contrast: &[Preference],
+    contrast: Option<Preference>,
     range: ScenarioRange,
     global_iter: usize,
     rng: &mut StdRng,
 ) -> f32 {
     agent.ppo.cfg.entropy_coef = agent.cfg.entropy_at(global_iter);
-    let steps = agent.cfg.rollout_steps;
-    let n_envs = agent.cfg.parallel_envs.max(1);
-    let seed = rand::Rng::gen::<u64>(rng);
-    let mut rollouts = if n_envs > 1 {
-        let cfg = agent.cfg;
-        // Parallelism splits the same experience budget across
-        // lockstep environments (the paper's Ray setup): total steps
-        // per iteration stays `rollout_steps`, and each monitor round
-        // costs one batched actor and one batched critic forward
-        // instead of `n_envs` scalar ones. Collection is gradient-free
-        // inference, so it runs on the fast kernel tier — deterministic
-        // (resume stays byte-identical), with means within 4e-6 of the
-        // exact kernels the PPO update itself keeps using.
-        let per_env = (steps / n_envs).max(20);
-        let mut envs: Vec<MoccEnv> = (0..n_envs)
-            .map(|i| MoccEnv::training(cfg, pref, range, seed.wrapping_add(i as u64)))
-            .collect();
-        let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
-        let mut scratch = BatchRolloutScratch::default();
-        collect_rollouts_batched_tier(
-            &agent.ppo.policy,
-            &agent.ppo.value,
-            &mut refs,
-            per_env,
-            rng,
-            &mut scratch,
-            ForwardTier::Fast,
-        )
+    let cfg = agent.cfg;
+    let n_envs = cfg.parallel_envs.max(1);
+    // One env collects `rollout_steps` on the exact tier. More envs
+    // split that budget (the paper's Ray setup) and step in lockstep,
+    // one batched actor and critic forward per monitor round, on the
+    // fast tier: collection is gradient-free inference, deterministic
+    // either way, while the PPO update keeps the exact kernels.
+    let (steps, tier) = if n_envs > 1 {
+        ((cfg.rollout_steps / n_envs).max(20), ForwardTier::Fast)
     } else {
-        let mut env = MoccEnv::training(agent.cfg, pref, range, seed);
-        vec![agent.ppo.collect_rollout(&mut env, steps, rng)]
+        (cfg.rollout_steps, ForwardTier::Scalar)
     };
+    let seed = rand::Rng::gen::<u64>(rng);
+    let mut envs: Vec<MoccEnv> = (0..n_envs)
+        .map(|i| MoccEnv::training(cfg, pref, range, seed.wrapping_add(i as u64)))
+        .collect();
+    let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
+    let mut rollouts = collect_rollouts_batched_tier(
+        &agent.ppo.policy,
+        &agent.ppo.value,
+        &mut refs,
+        steps,
+        rng,
+        &mut BatchRolloutScratch::default(),
+        tier,
+    );
     let main_reward = rollouts[0].mean_reward();
-    for (k, &c) in contrast.iter().enumerate() {
-        let mut env = MoccEnv::training(agent.cfg, c, range, seed.wrapping_add(1000 + k as u64));
-        rollouts.push(agent.ppo.collect_rollout(&mut env, steps, rng));
+    if let Some(c) = contrast {
+        let mut env = MoccEnv::training(cfg, c, range, seed.wrapping_add(1000));
+        rollouts.push(agent.ppo.collect_rollout(&mut env, cfg.rollout_steps, rng));
     }
     let _ = agent.ppo.update(&rollouts, rng);
     main_reward
-}
-
-/// Runs one PPO iteration for `pref` alone (no contrast rollouts).
-pub fn train_iteration(
-    agent: &mut MoccAgent,
-    pref: Preference,
-    range: ScenarioRange,
-    global_iter: usize,
-    rng: &mut StdRng,
-) -> f32 {
-    train_iteration_contrast(agent, pref, &[], range, global_iter, rng)
 }
 
 /// Evaluates the deterministic policy for `pref` on a fixed scenario,
@@ -177,7 +159,7 @@ mod tests {
             loss: (0.0, 0.0),
         };
         for i in 0..30 {
-            let _ = train_iteration(&mut agent, pref, range, i, &mut rng);
+            let _ = train_iteration_contrast(&mut agent, pref, None, range, i, &mut rng);
         }
         let after = evaluate(&agent, pref, eval_sc, 1);
         assert!(

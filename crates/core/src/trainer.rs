@@ -24,12 +24,11 @@
 use crate::agent::MoccAgent;
 use crate::graph::{default_pivots, sort_objectives};
 use crate::preference::{landmarks, Preference};
-use crate::train::{train_iteration, train_iteration_contrast, TrainOutcome, TrainRegime};
+use crate::train::{train_iteration_contrast, TrainOutcome, TrainRegime};
 use crate::trainspec::TrainSpec;
 use mocc_eval::SpecError;
-use mocc_netsim::ScenarioRange;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -46,10 +45,9 @@ pub struct ScheduleStep {
 
 /// Expands a config and regime into the landmark set and the exact
 /// iteration sequence the run will execute: `Individual` gives every
-/// landmark the full bootstrap budget; `Transfer` (and
-/// `TransferParallel`, which only differs in rollout parallelism)
-/// bootstraps the pivots, then cycles the Algorithm-1 traversal order
-/// with `traverse_iters` contrast-augmented visits per landmark.
+/// landmark the full bootstrap budget; `Transfer` bootstraps the
+/// pivots, then cycles the Algorithm-1 traversal order with
+/// `traverse_iters` contrast-augmented visits per landmark.
 pub fn build_schedule(
     cfg: &crate::config::MoccConfig,
     regime: TrainRegime,
@@ -67,7 +65,7 @@ pub fn build_schedule(
                 }
             }
         }
-        TrainRegime::Transfer | TrainRegime::TransferParallel => {
+        TrainRegime::Transfer => {
             let pivots = default_pivots(&points);
             for &p in &pivots {
                 for _ in 0..cfg.boot_iters {
@@ -91,41 +89,6 @@ pub fn build_schedule(
         }
     }
     (points, schedule)
-}
-
-/// The per-iteration checkpoint hook [`run_schedule`] invokes:
-/// `(iterations_done, agent, rng, curve)`.
-type AfterIter<'a> = &'a mut dyn FnMut(usize, &MoccAgent, &StdRng, &[f32]) -> Result<(), SpecError>;
-
-/// Executes `schedule[start..end]`, pushing per-iteration rewards onto
-/// `curve` and invoking `after_iter(iterations_done, agent, rng,
-/// curve)` after each iteration (the checkpoint hook). All randomness
-/// — rollout env seeds, action sampling, minibatch shuffles, contrast
-/// landmark draws — comes from `rng`, so (agent, rng state, iteration)
-/// is a complete resume point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_schedule(
-    agent: &mut MoccAgent,
-    points: &[Preference],
-    schedule: &[ScheduleStep],
-    range: ScenarioRange,
-    start: usize,
-    end: usize,
-    rng: &mut StdRng,
-    curve: &mut Vec<f32>,
-    after_iter: AfterIter<'_>,
-) -> Result<(), SpecError> {
-    for (it, &step) in schedule.iter().enumerate().take(end).skip(start) {
-        let reward = if step.contrast {
-            let other = points[rand::Rng::gen_range(rng, 0..points.len())];
-            train_iteration_contrast(agent, points[step.pref_idx], &[other], range, it, rng)
-        } else {
-            train_iteration(agent, points[step.pref_idx], range, it, rng)
-        };
-        curve.push(reward);
-        after_iter(it + 1, agent, rng, curve)?;
-    }
-    Ok(())
 }
 
 /// A complete training resume point, serialized as canonical JSON.
@@ -249,10 +212,7 @@ pub struct TrainRun {
 /// snapshot left off — byte-identically to the uninterrupted run.
 pub fn train_spec(spec: &TrainSpec, opts: &TrainOptions) -> Result<TrainRun, SpecError> {
     spec.validate()?;
-    let mut cfg = spec.resolved_config()?;
-    if spec.regime == TrainRegime::TransferParallel && cfg.parallel_envs <= 1 {
-        cfg.parallel_envs = 4;
-    }
+    let cfg = spec.resolved_config()?;
     let range = spec.scenario_range()?;
     let digest = spec.digest();
     let (points, schedule) = build_schedule(&cfg, spec.regime);
@@ -313,38 +273,33 @@ pub fn train_spec(spec: &TrainSpec, opts: &TrainOptions) -> Result<TrainRun, Spe
         .max_iters
         .map_or(schedule.len(), |m| schedule.len().min(m));
     let started = opts.clock.map(|c| c());
-    let checkpoint_every = spec.checkpoint_every;
-    let mut after_iter = |done: usize, agent: &MoccAgent, rng: &StdRng, curve: &[f32]| {
-        let Some(dir) = &opts.checkpoint_dir else {
-            return Ok(());
-        };
-        let at_period = checkpoint_every > 0 && done % checkpoint_every == 0;
-        if !(at_period || done == end) {
-            return Ok(());
+    // All randomness — contrast landmark draws, rollout env seeds,
+    // action sampling, minibatch shuffles — comes from `rng`, so
+    // (agent, rng state, iteration) is a complete resume point.
+    for (it, &step) in schedule.iter().enumerate().take(end).skip(start) {
+        let contrast = step
+            .contrast
+            .then(|| points[rng.gen_range(0..points.len())]);
+        let pref = points[step.pref_idx];
+        curve.push(train_iteration_contrast(
+            &mut agent, pref, contrast, range, it, &mut rng,
+        ));
+        let done = it + 1;
+        let due = spec.checkpoint_every > 0 && done % spec.checkpoint_every == 0;
+        if let Some(dir) = opts.checkpoint_dir.as_ref().filter(|_| due || done == end) {
+            write_checkpoint(
+                dir,
+                &TrainCheckpoint {
+                    version: 1,
+                    spec_digest: digest.clone(),
+                    iteration: done,
+                    rng_state: rng.state().to_vec(),
+                    curve: curve.clone(),
+                    agent: agent.clone(),
+                },
+            )?;
         }
-        write_checkpoint(
-            dir,
-            &TrainCheckpoint {
-                version: 1,
-                spec_digest: digest.clone(),
-                iteration: done,
-                rng_state: rng.state().to_vec(),
-                curve: curve.to_vec(),
-                agent: agent.clone(),
-            },
-        )
-    };
-    run_schedule(
-        &mut agent,
-        &points,
-        &schedule,
-        range,
-        start,
-        end,
-        &mut rng,
-        &mut curve,
-        &mut after_iter,
-    )?;
+    }
 
     let iterations = curve.len();
     Ok(TrainRun {
@@ -394,8 +349,6 @@ mod tests {
             "Transfer: pivots × boot + cycles × ω × traverse"
         );
         assert_eq!(tra.iter().filter(|s| s.contrast).count(), 3);
-        let (_, par) = build_schedule(&cfg, TrainRegime::TransferParallel);
-        assert_eq!(tra, par, "parallelism does not change the schedule");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! ```
 
 use crate::config::MoccConfig;
+use crate::preference::landmark_count;
 use crate::train::TrainRegime;
 use mocc_eval::experiment::{opt_field, reject_unknown_keys};
 use mocc_eval::SpecError;
@@ -50,14 +51,15 @@ pub struct TrainSpec {
     /// or `"default"` (default `"fast"`).
     pub config: String,
     /// Training regime (default [`TrainRegime::Transfer`]); the JSON
-    /// labels are `"individual"`, `"transfer"`, `"transfer-parallel"`.
+    /// labels are `"individual"` and `"transfer"`.
     pub regime: TrainRegime,
     /// Scenario range the training envs sample from: `"training"` or
     /// `"testing"` (default `"training"`).
     pub range: String,
     /// Environments driven in lockstep per rollout (default 4; maps to
-    /// `MoccConfig::parallel_envs`). 1 reproduces the scalar path bit
-    /// for bit.
+    /// `MoccConfig::parallel_envs`): the run's one parallelism knob.
+    /// One env collects `rollout_steps` on the exact tier; more split
+    /// that budget and collect on the fast tier.
     pub batch_envs: usize,
     /// Checkpoint every N iterations (default 10; 0 = only at the end
     /// of the run).
@@ -75,7 +77,7 @@ pub struct TrainSpec {
     pub rollout_steps: Option<usize>,
     /// Override of [`MoccConfig::episode_mis`].
     pub episode_mis: Option<usize>,
-    /// Override of [`MoccConfig::omega_step`] (must be >= 3).
+    /// Override of [`MoccConfig::omega_step`] (3 to 100).
     pub omega_step: Option<usize>,
 }
 
@@ -105,17 +107,26 @@ pub fn regime_label(regime: TrainRegime) -> &'static str {
     match regime {
         TrainRegime::Individual => "individual",
         TrainRegime::Transfer => "transfer",
-        TrainRegime::TransferParallel => "transfer-parallel",
     }
 }
+
+/// The largest `omega_step`: ω = 4 851 landmarks, whose Algorithm-1
+/// ordering (quadratic in ω) takes 0.04 s. The paper's finest lattice
+/// is `omega_step` 20; 200 took 0.5 s and 800 over two minutes.
+const MAX_OMEGA_STEP: usize = 100;
+
+/// The most PPO iterations one schedule may hold. The schedule, the
+/// curve and every checkpoint's copy of it grow with the count; a
+/// million is 16 MB of schedule, 200× the largest shipped run (fig16
+/// at full scale, ω = 171: 4 854 iterations).
+const MAX_SCHEDULE_LEN: usize = 1_000_000;
 
 fn parse_regime(s: &str) -> Result<TrainRegime, String> {
     match s {
         "individual" => Ok(TrainRegime::Individual),
         "transfer" => Ok(TrainRegime::Transfer),
-        "transfer-parallel" => Ok(TrainRegime::TransferParallel),
         other => Err(format!(
-            "expected \"individual\", \"transfer\" or \"transfer-parallel\", got {other:?}"
+            "expected \"individual\" or \"transfer\", got {other:?}"
         )),
     }
 }
@@ -166,10 +177,38 @@ impl TrainSpec {
     }
 
     /// Total PPO iterations the spec's schedule expands to — the
-    /// denominator for progress reporting and `--max-iters`.
+    /// denominator for progress reporting and `--max-iters` — counted
+    /// without building the schedule. An `omega_step` outside
+    /// `3..=100` or a count past a million is an error.
     pub fn schedule_len(&self) -> Result<usize, SpecError> {
         let cfg = self.resolved_config()?;
-        Ok(crate::trainer::build_schedule(&cfg, self.regime).1.len())
+        let invalid = |reason: String| Err(SpecError::InvalidSpec { reason });
+        if !(3..=MAX_OMEGA_STEP).contains(&cfg.omega_step) {
+            return invalid(format!(
+                "omega_step {} must be in 3..={MAX_OMEGA_STEP} (the landmark lattice needs \
+                 interior points, and its ordering is quadratic in their number)",
+                cfg.omega_step
+            ));
+        }
+        let omega = landmark_count(cfg.omega_step);
+        let len = match self.regime {
+            TrainRegime::Individual => omega.checked_mul(cfg.boot_iters),
+            // Three pivots (`default_pivots`), then the traversal.
+            TrainRegime::Transfer => cfg
+                .traverse_cycles
+                .checked_mul(omega)
+                .and_then(|n| n.checked_mul(cfg.traverse_iters))
+                .zip(cfg.boot_iters.checked_mul(3))
+                .and_then(|(traverse, boot)| traverse.checked_add(boot)),
+        };
+        match len {
+            Some(n) if n <= MAX_SCHEDULE_LEN => Ok(n),
+            _ => invalid(format!(
+                "the schedule exceeds {MAX_SCHEDULE_LEN} iterations (boot_iters {}, \
+                 traverse_iters {}, traverse_cycles {}, {omega} landmarks)",
+                cfg.boot_iters, cfg.traverse_iters, cfg.traverse_cycles
+            )),
+        }
     }
 
     /// The [`ScenarioRange`] the training environments sample from.
@@ -224,13 +263,7 @@ impl TrainSpec {
                 return invalid(format!("{field} must be >= 1"));
             }
         }
-        let cfg = self.resolved_config()?;
-        if cfg.omega_step < 3 {
-            return invalid(format!(
-                "omega_step {} must be >= 3 (the landmark lattice needs interior points)",
-                cfg.omega_step
-            ));
-        }
+        self.schedule_len()?;
         self.scenario_range()?;
         Ok(())
     }
@@ -386,11 +419,6 @@ mod tests {
                 checkpoint_every: 0,
                 ..TrainSpec::default()
             },
-            TrainSpec {
-                regime: TrainRegime::TransferParallel,
-                name: "par".to_string(),
-                ..TrainSpec::default()
-            },
         ] {
             let json = s.to_canonical_json();
             let back = TrainSpec::from_json(&json).unwrap();
@@ -434,6 +462,39 @@ mod tests {
                 Box::new(|s| s.rollout_steps = Some(0)),
             ),
             ("omega_step 2", Box::new(|s| s.omega_step = Some(2))),
+            ("omega_step 101", Box::new(|s| s.omega_step = Some(101))),
+            (
+                "omega_step 2^32",
+                Box::new(|s| s.omega_step = Some(1 << 32)),
+            ),
+            (
+                "boot_iters 1e11",
+                Box::new(|s| s.boot_iters = Some(100_000_000_000)),
+            ),
+            (
+                "boot_iters usize::MAX",
+                Box::new(|s| s.boot_iters = Some(usize::MAX)),
+            ),
+            (
+                "individual boot_iters usize::MAX",
+                Box::new(|s| {
+                    s.regime = TrainRegime::Individual;
+                    s.boot_iters = Some(usize::MAX);
+                }),
+            ),
+            (
+                "traverse_cycles usize::MAX",
+                Box::new(|s| s.traverse_cycles = Some(usize::MAX)),
+            ),
+            (
+                "traverse_iters usize::MAX",
+                Box::new(|s| s.traverse_iters = Some(usize::MAX)),
+            ),
+            (
+                "one iteration past the schedule cap",
+                // 3 pivots × boot + 1 cycle × 3 landmarks × 1 visit.
+                Box::new(|s| s.boot_iters = Some((MAX_SCHEDULE_LEN - 3) / 3 + 1)),
+            ),
             ("bad config", Box::new(|s| s.config = "huge".to_string())),
             ("bad range", Box::new(|s| s.range = "prod".to_string())),
         ];
@@ -444,6 +505,26 @@ mod tests {
                 matches!(s.validate(), Err(SpecError::InvalidSpec { .. })),
                 "{what} must be rejected"
             );
+        }
+    }
+
+    /// Both caps are inclusive, and the counted length is the built
+    /// schedule's.
+    #[test]
+    fn schedules_at_the_caps_validate() {
+        let at_omega_cap = TrainSpec {
+            omega_step: Some(MAX_OMEGA_STEP),
+            ..spec()
+        };
+        let at_len_cap = TrainSpec {
+            boot_iters: Some((MAX_SCHEDULE_LEN - 3) / 3),
+            ..spec()
+        };
+        for s in [at_omega_cap, at_len_cap] {
+            s.validate().unwrap();
+            let cfg = s.resolved_config().unwrap();
+            let built = crate::trainer::build_schedule(&cfg, s.regime).1.len();
+            assert_eq!(s.schedule_len().unwrap(), built);
         }
     }
 

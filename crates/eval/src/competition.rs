@@ -176,13 +176,17 @@ impl ContenderMix {
         Ok(mix)
     }
 
+    /// Number of flows in the mix's lineup.
+    pub(crate) fn flow_count(&self) -> usize {
+        match self {
+            ContenderMix::Duel(names) => names.len(),
+            ContenderMix::Staircase { n, .. } | ContenderMix::Incast { n, .. } => (*n).max(1),
+        }
+    }
+
     /// Rejects a mix of more flows than a cell may hold.
     fn check_flow_count(&self) -> Result<(), SpecError> {
-        let flows = match self {
-            ContenderMix::Duel(names) => names.len(),
-            ContenderMix::Staircase { n, .. } | ContenderMix::Incast { n, .. } => *n,
-        };
-        check_flow_count(flows, || format!("mix {:?}", self.label()))
+        check_flow_count(self.flow_count(), || format!("mix {:?}", self.label()))
     }
 
     /// Typed lifecycle validation at a given horizon: the mix must fit

@@ -37,7 +37,7 @@
 
 use crate::competition::{CompetitionSpec, ContenderMix};
 use crate::scheme::{SchemeRegistry, SchemeSpec, SpecError};
-use crate::spec::{FlowLoad, SweepSpec, TraceShape};
+use crate::spec::{FlowLoad, SweepSpec, TraceShape, MAX_EXPANDED_FLOWS};
 use serde::{from_field, Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -272,25 +272,6 @@ impl ExperimentSpec {
         })
     }
 
-    /// Every scheme label the experiment references, in document
-    /// order: the sweep scheme, or every contender plus the
-    /// `tcp_baseline`.
-    pub fn scheme_labels(&self) -> Vec<String> {
-        match &self.workload {
-            Workload::Sweep(w) => vec![w.scheme.label().to_string()],
-            Workload::Competition(w) => {
-                let mut out: Vec<String> = w
-                    .mixes
-                    .iter()
-                    .flat_map(|m| m.lineup(self.duration_s))
-                    .map(|(label, _, _)| label)
-                    .collect();
-                out.push(w.tcp_baseline.label().to_string());
-                out
-            }
-        }
-    }
-
     /// True when any referenced scheme is a `mocc` label (and the
     /// experiment therefore needs a policy engine). Labels are
     /// classified through the shared grammar ([`SchemeSpec::is_mocc`]),
@@ -307,14 +288,44 @@ impl ExperimentSpec {
         }
     }
 
-    /// Number of cells the experiment expands to.
+    /// Number of cells the experiment expands to, saturating at
+    /// `usize::MAX`.
     pub fn cell_count(&self) -> usize {
-        let shared =
-            self.axes.bandwidth_mbps.len() * self.axes.owd_ms.len() * self.axes.queue_pkts.len();
-        match &self.workload {
-            Workload::Sweep(w) => shared * w.loss.len() * w.shapes.len() * w.loads.len(),
-            Workload::Competition(w) => shared * w.mixes.len(),
-        }
+        let lineups = match &self.workload {
+            Workload::Sweep(w) => w.loads.len(),
+            Workload::Competition(w) => w.mixes.len(),
+        };
+        self.cells_per_lineup()
+            .and_then(|cells| cells.checked_mul(lineups))
+            .unwrap_or(usize::MAX)
+    }
+
+    /// Cells each load (sweep) or mix (competition) expands to; `None`
+    /// on overflow.
+    fn cells_per_lineup(&self) -> Option<usize> {
+        let a = &self.axes;
+        let shared = [a.bandwidth_mbps.len(), a.owd_ms.len(), a.queue_pkts.len()];
+        let own = match &self.workload {
+            Workload::Sweep(w) => [w.loss.len(), w.shapes.len()],
+            Workload::Competition(_) => [1, 1],
+        };
+        shared
+            .into_iter()
+            .chain(own)
+            .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// Flows the experiment expands to, summed over its cells; `None`
+    /// on overflow.
+    fn expanded_flows(&self) -> Option<usize> {
+        let lineups: Vec<usize> = match &self.workload {
+            Workload::Sweep(w) => w.loads.iter().map(FlowLoad::flow_count).collect(),
+            Workload::Competition(w) => w.mixes.iter().map(ContenderMix::flow_count).collect(),
+        };
+        let cells = self.cells_per_lineup()?;
+        lineups.into_iter().try_fold(0usize, |sum, flows| {
+            sum.checked_add(cells.checked_mul(flows)?)
+        })
     }
 
     /// Validates the document against the built-in registry.
@@ -430,6 +441,17 @@ impl ExperimentSpec {
                     .to_competition_spec()
                     .expect("competition workload lowers");
                 spec.validate_schemes(registry)?;
+            }
+        }
+        match self.expanded_flows() {
+            Some(flows) if flows <= MAX_EXPANDED_FLOWS => {}
+            flows => {
+                return invalid(format!(
+                    "the experiment expands to {} cells holding {} flows; a run holds at \
+                     most {MAX_EXPANDED_FLOWS}",
+                    self.cell_count(),
+                    flows.map_or("more than usize::MAX".to_string(), |n| n.to_string())
+                ))
             }
         }
         if self.needs_policy() {
@@ -832,6 +854,8 @@ mod tests {
                 "rpc:1024 (1 025 flows)",
                 Box::new(|e| set_loads(e, FlowLoad::RpcCross(1024))),
             ),
+            ("10^8 cells", Box::new(|e| widen(e, 100))),
+            ("six 2 000-value axes", Box::new(|e| widen(e, 2000))),
         ];
         for (what, mutate) in cases {
             let mut exp = sweep_exp();
@@ -868,6 +892,48 @@ mod tests {
         let mut exp = competition_exp();
         exp.policy.as_mut().unwrap().batch = 0;
         assert!(exp.validate().is_err());
+    }
+
+    /// Gives every sweep axis but the scheme `n` distinct values.
+    fn widen(exp: &mut ExperimentSpec, n: usize) {
+        exp.axes.bandwidth_mbps = (1..=n).map(|v| v as f64).collect();
+        exp.axes.owd_ms = (1..=n as u64).collect();
+        exp.axes.queue_pkts = (1..=n).collect();
+        if let Workload::Sweep(w) = &mut exp.workload {
+            w.loss = (0..n).map(|v| v as f64 / n as f64).collect();
+            w.shapes = vec![TraceShape::Constant; n];
+            w.loads = vec![FlowLoad::Steady(1); n];
+        }
+    }
+
+    /// A run expands to at most `MAX_EXPANDED_FLOWS` flows, summed over
+    /// its cells and checked without overflow; `cell_count` saturates.
+    #[test]
+    fn expansions_beyond_the_cap_are_rejected() {
+        let mut exp = sweep_exp();
+        widen(&mut exp, 1);
+        exp.axes.bandwidth_mbps = (1..=512).map(f64::from).collect();
+        exp.axes.owd_ms = (1..=512).collect();
+        assert_eq!(exp.cell_count(), MAX_EXPANDED_FLOWS);
+        exp.validate().expect("the cap is inclusive");
+        set_loads(&mut exp, FlowLoad::Steady(1));
+        assert_eq!(
+            exp.validate().unwrap_err().to_string(),
+            "invalid spec: the experiment expands to 524288 cells holding 524288 flows; \
+             a run holds at most 262144"
+        );
+
+        widen(&mut exp, 2000);
+        assert_eq!(exp.cell_count(), usize::MAX);
+        let err = exp.validate().unwrap_err().to_string();
+        assert!(err.contains("holding more than usize::MAX flows"), "{err}");
+
+        // A competition counts every contender of every mix.
+        let mut exp = competition_exp();
+        exp.axes.bandwidth_mbps = (1..=256).map(f64::from).collect();
+        exp.axes.owd_ms = (1..=256).collect();
+        let err = exp.validate().unwrap_err().to_string();
+        assert!(err.contains("131072 cells holding 327680 flows"), "{err}");
     }
 
     fn set_loads(exp: &mut ExperimentSpec, load: FlowLoad) {

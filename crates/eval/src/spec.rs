@@ -314,6 +314,14 @@ impl<'de> serde::Deserialize<'de> for TraceShape {
 /// or mix is parsed or validated, before anything is allocated per flow.
 pub(crate) const MAX_CELL_FLOWS: usize = 1024;
 
+/// The most flows one run may expand to, summed over its cells: 42×
+/// the largest expansion shipped or benchmarked (`cache_cycle`, 4 096
+/// cells holding 6 144 flows). Expansion allocates per cell and per
+/// flow, so a few kilobytes of axes — 10^8 cells — would exhaust
+/// memory; the count is checked in `validate_in` before anything
+/// expands.
+pub(crate) const MAX_EXPANDED_FLOWS: usize = 1 << 18;
+
 /// `Ok` when `flows` fit one cell, else an error naming `what()`.
 pub(crate) fn check_flow_count(
     flows: usize,

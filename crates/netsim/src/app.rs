@@ -41,56 +41,6 @@ impl AppSource for GreedySource {
     }
 }
 
-/// A source producing `bytes_per_interval` every `interval`, e.g. a
-/// video encoder emitting a frame every 33 ms. Backlog accumulates if
-/// the network cannot keep up.
-#[derive(Debug, Clone)]
-pub struct PeriodicSource {
-    /// Bytes produced at each interval boundary.
-    pub bytes_per_interval: u64,
-    /// Production interval.
-    pub interval: crate::time::SimDuration,
-    backlog: u64,
-    next_production: SimTime,
-}
-
-impl PeriodicSource {
-    /// Creates a periodic source starting production at time zero.
-    pub fn new(bytes_per_interval: u64, interval: crate::time::SimDuration) -> Self {
-        PeriodicSource {
-            bytes_per_interval,
-            interval,
-            backlog: 0,
-            next_production: SimTime::ZERO,
-        }
-    }
-
-    fn produce_until(&mut self, now: SimTime) {
-        while self.next_production <= now {
-            self.backlog += self.bytes_per_interval;
-            self.next_production += self.interval;
-        }
-    }
-
-    /// Bytes currently waiting to be sent.
-    pub fn backlog(&self) -> u64 {
-        self.backlog
-    }
-}
-
-impl AppSource for PeriodicSource {
-    fn take(&mut self, now: SimTime, max_bytes: u64) -> u64 {
-        self.produce_until(now);
-        let granted = self.backlog.min(max_bytes);
-        self.backlog -= granted;
-        granted
-    }
-
-    fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
-        Some(self.next_production)
-    }
-}
-
 /// An on/off (burst-idle) source: during each ON window of length `on`
 /// the application produces data at `rate_bps` (as a fluid, granted in
 /// whole-byte chunks); during the following OFF window of length `off`
@@ -283,18 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_accumulates_backlog() {
-        let mut s = PeriodicSource::new(1000, SimDuration::from_millis(10));
-        // At t = 25 ms three intervals have elapsed (t = 0, 10, 20).
-        assert_eq!(s.take(SimTime::from_millis(25), 10_000), 3000);
-        assert_eq!(s.backlog(), 0);
-        // Nothing new until the next boundary.
-        assert_eq!(s.take(SimTime::from_millis(29), 10_000), 0);
-        assert_eq!(s.take(SimTime::from_millis(30), 500), 500);
-        assert_eq!(s.backlog(), 500);
-    }
-
-    #[test]
     fn on_off_produces_only_during_on_windows() {
         // 1 s ON at 8 kbps (1000 B/s), 1 s OFF.
         let mut s = OnOffSource::new(
@@ -379,16 +317,6 @@ mod tests {
         assert_eq!(
             s.next_wakeup(SimTime::from_millis(9)),
             Some(SimTime::from_millis(109))
-        );
-    }
-
-    #[test]
-    fn periodic_reports_wakeup() {
-        let mut s = PeriodicSource::new(100, SimDuration::from_millis(10));
-        let _ = s.take(SimTime::from_millis(5), 1000);
-        assert_eq!(
-            s.next_wakeup(SimTime::from_millis(5)),
-            Some(SimTime::from_millis(10))
         );
     }
 }

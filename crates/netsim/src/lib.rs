@@ -34,7 +34,7 @@ pub mod sim;
 pub mod time;
 pub mod trace;
 
-pub use app::{AppSource, GreedySource, OnOffSource, PeriodicSource, RpcSource};
+pub use app::{AppSource, GreedySource, OnOffSource, RpcSource};
 pub use cc::{
     AckInfo, CongestionControl, LossInfo, LossKind, MonitorStats, RateControl, SenderView,
 };

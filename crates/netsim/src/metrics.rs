@@ -1,6 +1,6 @@
 //! Evaluation metrics used throughout the paper's figures.
 
-use crate::sim::{FlowResult, SimResult};
+use crate::sim::FlowResult;
 
 /// Jain's fairness index over a slice of allocations.
 ///
@@ -39,12 +39,6 @@ pub fn per_second_jain(flows: &[FlowResult]) -> Vec<f64> {
         }
     }
     out
-}
-
-/// Friendliness ratio: delivery rate of the scheme under test over the
-/// delivery rate of the competing CUBIC flow (§6.4, Fig. 15).
-pub fn friendliness_ratio(scheme: &FlowResult, cubic: &FlowResult) -> f64 {
-    scheme.throughput_bps / cubic.throughput_bps.max(1.0)
 }
 
 /// Delivered megabits of each flow within the whole-second window
@@ -109,28 +103,6 @@ pub fn time_to_fair_share(
     None
 }
 
-/// Aggregate link utilization: total delivered bits of all flows over
-/// the link's capacity for the run.
-pub fn total_utilization(res: &SimResult) -> f64 {
-    let total: f64 = res.flows.iter().map(|f| f.throughput_bps).sum();
-    total / res.link_mean_rate_bps.max(1.0)
-}
-
-/// Empirical CDF helper: sorts values and returns `(value, fraction ≤ value)`
-/// pairs, for printing figure-style CDF series.
-pub fn ecdf(values: &[f64]) -> Vec<(f64, f64)> {
-    let mut v: Vec<f64> = values.to_vec();
-    // `total_cmp`, not `partial_cmp().unwrap()`: identical order for
-    // ordinary floats, but a stray NaN (e.g. from a degenerate
-    // all-loss cell) sorts last instead of panicking mid-report.
-    v.sort_by(f64::total_cmp);
-    let n = v.len() as f64;
-    v.iter()
-        .enumerate()
-        .map(|(i, &x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
-
 /// Mean of a slice (0 for empty input).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -154,7 +126,9 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     let mut v = xs.to_vec();
-    // Same NaN-tolerant ordering as [`ecdf`].
+    // `total_cmp`, not `partial_cmp().unwrap()`: identical order for
+    // ordinary floats, but a stray NaN (e.g. from a degenerate
+    // all-loss cell) sorts last instead of panicking mid-report.
     v.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * v.len() as f64).ceil().max(1.0) as usize - 1;
     v[rank.min(v.len() - 1)]
@@ -272,17 +246,9 @@ mod tests {
         assert_eq!(time_to_fair_share(&starved, &windows, 0, 10, 0.9, 2), None);
     }
 
-    #[test]
-    fn ecdf_is_monotone() {
-        let e = ecdf(&[3.0, 1.0, 2.0]);
-        assert_eq!(e[0], (1.0, 1.0 / 3.0));
-        assert_eq!(e[2], (3.0, 1.0));
-    }
-
     /// An all-loss window — every flow acked zero bytes — must keep
-    /// every metric finite and deterministic: Jain degenerates to 1.0,
-    /// the friendliness denominator is clamped away from zero, and
-    /// convergence is `None`, never NaN.
+    /// every metric finite and deterministic: Jain degenerates to 1.0
+    /// and convergence is `None`, never NaN.
     #[test]
     fn all_loss_window_yields_finite_deterministic_metrics() {
         let zeros = vec![0.0; 8];
@@ -291,13 +257,6 @@ mod tests {
             window_mbits(&[flow_with_series(zeros.clone())], 0, 8),
             vec![0.0]
         );
-        let f = FlowResult {
-            throughput_bps: 0.0,
-            ..FlowResult::default()
-        };
-        let r = friendliness_ratio(&f, &f); // 0/0 would be NaN
-        assert_eq!(r, 0.0);
-        assert!(r.is_finite());
         let flows = [
             flow_with_series(vec![0.0; 8]),
             flow_with_series(vec![0.0; 8]),
@@ -309,15 +268,12 @@ mod tests {
         );
     }
 
-    /// The order helpers must not panic when a NaN does sneak into a
+    /// `percentile` must not panic when a NaN does sneak into a
     /// series; it sorts last under `total_cmp` and everything else
     /// keeps its ordinary order.
     #[test]
-    fn ecdf_and_percentile_tolerate_nan_without_panicking() {
+    fn percentile_tolerates_nan_without_panicking() {
         let with_nan = [2.0, f64::NAN, 1.0];
-        let e = ecdf(&with_nan);
-        assert_eq!((e[0].0, e[1].0), (1.0, 2.0));
-        assert!(e[2].0.is_nan(), "NaN sorts last");
         assert_eq!(percentile(&with_nan, 50.0), 2.0);
     }
 

@@ -91,13 +91,6 @@ pub enum AppPattern {
     /// Unlimited bulk data (the classic greedy sender).
     #[default]
     Greedy,
-    /// `bytes_per_interval` produced every `interval` (a paced encoder).
-    Periodic {
-        /// Bytes produced at each interval boundary.
-        bytes_per_interval: u64,
-        /// Production interval.
-        interval: SimDuration,
-    },
     /// On/off cross traffic: `rate_bps` of fluid data during each ON
     /// window of length `on`, nothing during the following OFF window
     /// of length `off`.

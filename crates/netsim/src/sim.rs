@@ -25,7 +25,7 @@
 //! wake-ups go through a heap. A pacing timer that is re-armed replaces
 //! the one before it, so superseded timers are never processed.
 
-use crate::app::{AppSource, GreedySource, OnOffSource, PeriodicSource, RpcSource};
+use crate::app::{AppSource, GreedySource, OnOffSource, RpcSource};
 use crate::cc::{
     AckInfo, CongestionControl, LossInfo, LossKind, MonitorStats, RateControl, SenderView,
 };
@@ -462,10 +462,6 @@ impl FlowState {
     fn new(spec: crate::scenario::FlowSpec, cc: Box<dyn CongestionControl>) -> Self {
         let app: Box<dyn AppSource> = match spec.app {
             crate::scenario::AppPattern::Greedy => Box::new(GreedySource),
-            crate::scenario::AppPattern::Periodic {
-                bytes_per_interval,
-                interval,
-            } => Box::new(PeriodicSource::new(bytes_per_interval, interval)),
             crate::scenario::AppPattern::OnOff { on, off, rate_bps } => {
                 // Accrual starts with the flow: a staggered cross flow
                 // must not open with a burst of pre-start production.
@@ -691,12 +687,6 @@ impl Simulator {
     /// Current pacing rate of `flow`, bps.
     pub fn rate(&self, flow: FlowId) -> f64 {
         self.flows[flow].ctl.pacing_rate_bps
-    }
-
-    /// Sets the congestion window of `flow` in packets.
-    pub fn set_cwnd(&mut self, flow: FlowId, cwnd_pkts: f64) {
-        self.flows[flow].ctl.cwnd_pkts = cwnd_pkts.max(1.0);
-        self.try_send(flow);
     }
 
     /// Current simulated time.

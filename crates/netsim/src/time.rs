@@ -75,11 +75,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Builds a duration from whole microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
     /// Returns the duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -7,7 +7,6 @@
 //! services a packet.
 
 use crate::time::SimTime;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Piecewise-constant bandwidth schedule for a link.
@@ -173,32 +172,6 @@ impl BandwidthTrace {
         BandwidthTrace::from_steps(steps)
     }
 
-    /// A random-walk trace: every `step_s` seconds the rate moves to a
-    /// uniform sample in `[lo_bps, hi_bps]`. Used to generate varied
-    /// training conditions (Table 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_s` is not strictly positive — the generator
-    /// loop advances by `step_s` per iteration, so a zero or negative
-    /// step would never terminate.
-    pub fn random_walk<R: Rng>(
-        rng: &mut R,
-        lo_bps: f64,
-        hi_bps: f64,
-        step_s: f64,
-        total_s: f64,
-    ) -> Self {
-        assert!(step_s > 0.0, "random walk needs a positive step");
-        let mut steps = Vec::new();
-        let mut t = 0.0;
-        while t < total_s {
-            steps.push((SimTime::from_secs_f64(t), rng.gen_range(lo_bps..=hi_bps)));
-            t += step_s;
-        }
-        BandwidthTrace::from_steps(steps)
-    }
-
     /// Returns the rate (bps) active at time `t`.
     pub fn rate_at(&self, t: SimTime) -> f64 {
         match self.steps.binary_search_by_key(&t, |&(s, _)| s) {
@@ -254,8 +227,6 @@ impl BandwidthTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_trace() {
@@ -337,23 +308,6 @@ mod tests {
     #[should_panic(expected = "finite and > 0")]
     fn constant_rejects_zero_rate() {
         let _ = BandwidthTrace::constant(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive step")]
-    fn random_walk_rejects_zero_step() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = BandwidthTrace::random_walk(&mut rng, 1e6, 5e6, 0.0, 30.0);
-    }
-
-    #[test]
-    fn random_walk_in_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let tr = BandwidthTrace::random_walk(&mut rng, 1e6, 5e6, 1.0, 30.0);
-        for s in tr.steps() {
-            assert!(s.1 >= 1e6 && s.1 <= 5e6);
-        }
-        assert!(tr.max_rate() <= 5e6);
     }
 
     #[test]

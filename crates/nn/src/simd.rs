@@ -63,13 +63,6 @@ pub enum ForwardTier {
     Fast,
 }
 
-impl ForwardTier {
-    /// True for the approximate tier.
-    pub fn is_fast(self) -> bool {
-        matches!(self, ForwardTier::Fast)
-    }
-}
-
 /// Saturation threshold of [`fast_tanh`]: beyond this |x| the f32
 /// result of `tanh` is exactly ±1, so inputs are clamped here before
 /// the polynomial (which would otherwise leave its fitted range).
@@ -747,7 +740,5 @@ mod tests {
     #[test]
     fn tier_default_is_scalar() {
         assert_eq!(ForwardTier::default(), ForwardTier::Scalar);
-        assert!(!ForwardTier::Scalar.is_fast());
-        assert!(ForwardTier::Fast.is_fast());
     }
 }

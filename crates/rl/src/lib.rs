@@ -19,7 +19,8 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut ppo = Ppo::new(2, &[16], PpoConfig::default(), &mut rng);
 //! let mut env = TargetEnv::new(0.3, 16);
-//! let stats = ppo.train_iteration(&mut env, 64, &mut rng);
+//! let rollout = ppo.collect_rollout(&mut env, 64, &mut rng);
+//! let stats = ppo.update(&[rollout], &mut rng);
 //! assert!(stats.mean_reward.is_finite());
 //! ```
 

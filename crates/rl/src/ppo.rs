@@ -225,17 +225,6 @@ impl<N: Network> Ppo<N> {
         .expect("one env yields one rollout")
     }
 
-    /// One training iteration: collect a rollout and update on it.
-    pub fn train_iteration(
-        &mut self,
-        env: &mut dyn Env,
-        steps: usize,
-        rng: &mut StdRng,
-    ) -> PpoStats {
-        let rollout = self.collect_rollout(env, steps, rng);
-        self.update(&[rollout], rng)
-    }
-
     /// Runs the PPO update (epochs × minibatches) over the rollouts.
     ///
     /// The actor and the critic share nothing but the samples and the
@@ -740,7 +729,8 @@ mod tests {
         let mut ppo = Ppo::new(2, &[16], cfg, &mut rng);
         let mut env = TargetEnv::new(0.6, 16);
         for _ in 0..120 {
-            ppo.train_iteration(&mut env, 128, &mut rng);
+            let rollout = ppo.collect_rollout(&mut env, 128, &mut rng);
+            ppo.update(&[rollout], &mut rng);
         }
         let mean = ppo.policy.mean_action(&[1.0, 0.0]);
         assert!((mean - 0.6).abs() < 0.15, "learned mean {mean}");
@@ -759,7 +749,8 @@ mod tests {
         let mut env = IntegratorEnv::new(1.5, 32, 0.0);
         let before = mean_reward(&ppo, &mut env, 5, 32);
         for _ in 0..150 {
-            ppo.train_iteration(&mut env, 256, &mut rng);
+            let rollout = ppo.collect_rollout(&mut env, 256, &mut rng);
+            ppo.update(&[rollout], &mut rng);
         }
         let after = mean_reward(&ppo, &mut env, 5, 32);
         assert!(
@@ -774,7 +765,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut ppo = Ppo::new(2, &[8], PpoConfig::default(), &mut rng);
         let mut env = TargetEnv::new(0.0, 8);
-        let stats = ppo.train_iteration(&mut env, 64, &mut rng);
+        let rollout = ppo.collect_rollout(&mut env, 64, &mut rng);
+        let stats = ppo.update(&[rollout], &mut rng);
         assert!(stats.policy_loss.is_finite());
         assert!(stats.value_loss.is_finite());
         assert!(stats.approx_kl.is_finite());

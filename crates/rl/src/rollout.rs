@@ -61,11 +61,6 @@ impl Rollout {
         self.dones.push(done);
     }
 
-    /// The observation at step `i`.
-    pub fn obs_at(&self, i: usize) -> &[f32] {
-        &self.obs[i * self.obs_dim..(i + 1) * self.obs_dim]
-    }
-
     /// Mean reward per step (the training curve metric used by the
     /// paper's Figs. 1c, 7).
     pub fn mean_reward(&self) -> f32 {

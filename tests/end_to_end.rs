@@ -70,8 +70,8 @@ fn training_beats_untrained() {
         loss: (0.0, 0.0),
     };
     for i in 0..40 {
-        let _ =
-            mocc::core::train_iteration(&mut trained, Preference::throughput(), range, i, &mut rng);
+        let pref = Preference::throughput();
+        let _ = mocc::core::train_iteration_contrast(&mut trained, pref, None, range, i, &mut rng);
     }
     let sc = Scenario::single(4e6, 20, 500, 0.0, 60);
     let eval = |a: &MoccAgent| mocc::core::evaluate(a, Preference::throughput(), sc.clone(), 1);

@@ -1,8 +1,8 @@
 //! Property-based integration tests over the workspace invariants.
 
 use mocc::core::{
-    landmark_count, landmarks, run_experiment, run_experiment_with, Preference, RunOptions,
-    TrainRegime, TrainSpec,
+    build_schedule, landmark_count, landmarks, run_experiment, run_experiment_with, Preference,
+    RunOptions, TrainRegime, TrainSpec,
 };
 use mocc::eval::{
     CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, PolicySpec, SchemeRegistry,
@@ -132,11 +132,7 @@ fn random_train_spec(seed: u64) -> TrainSpec {
     } else {
         name
     };
-    let regimes = [
-        TrainRegime::Individual,
-        TrainRegime::Transfer,
-        TrainRegime::TransferParallel,
-    ];
+    let regimes = [TrainRegime::Individual, TrainRegime::Transfer];
     let opt =
         |rng: &mut StdRng, lo: usize, hi: usize| rng.gen_bool(0.5).then(|| rng.gen_range(lo..hi));
     TrainSpec {
@@ -586,9 +582,11 @@ proptest! {
         prop_assert_eq!(&back, &spec);
         prop_assert_eq!(back.to_canonical_json(), json);
         prop_assert!(spec.validate().is_ok(), "generated spec must validate");
-        // The schedule is well-defined (possibly empty when every
-        // iteration knob is zeroed out by the generator).
-        prop_assert!(spec.schedule_len().is_ok());
+        // The counted length is the built schedule's (possibly empty
+        // when every iteration knob is zeroed out by the generator).
+        let cfg = spec.resolved_config().unwrap();
+        let built = build_schedule(&cfg, spec.regime).1.len();
+        prop_assert_eq!(spec.schedule_len().unwrap(), built);
     }
 
     /// The digest is the spec's identity over the generator space:

@@ -7,7 +7,7 @@
 
 use mocc::core::{
     load_checkpoint, run_experiment_with, save_trained, train_spec, zoo_registry, RunOptions,
-    TrainOptions, TrainSpec,
+    TrainOptions, TrainRegime, TrainSpec,
 };
 use mocc::eval::{ExperimentSpec, SweepRunner, SweepSpec};
 use mocc::store::sha256_hex;
@@ -358,6 +358,51 @@ fn single_env_contrast_run_matches_the_pinned_digests() {
         "pin-single",
         "53c4f35333c30706ff6f91343a40a86238c349c2e9c30b1b2b3ade159e6e16f0",
         "deef6b981a343695635dfb05bd628eb1f417e2da9bb80809b7136aaacfc86acc",
+    );
+}
+
+/// The tiny budget of the two pins below: seed 5, `fast`, ω = 3
+/// landmarks, one iteration per bootstrap and per traversal visit.
+fn pin_spec(name: &str, regime: TrainRegime, batch_envs: usize) -> TrainSpec {
+    TrainSpec {
+        name: name.to_string(),
+        seed: 5,
+        regime,
+        omega_step: Some(4),
+        boot_iters: Some(1),
+        traverse_iters: Some(1),
+        traverse_cycles: Some(1),
+        rollout_steps: Some(40),
+        episode_mis: Some(40),
+        batch_envs,
+        ..TrainSpec::default()
+    }
+}
+
+/// Four envs per rollout are set by `batch_envs` alone. The model
+/// literal is also what the removed third regime label (transfer with
+/// four envs) trained with `batch_envs: 1`: the same bits under a
+/// second spec digest. Read from `mocc train` on this spec written as
+/// JSON, then `sha256sum`.
+#[test]
+fn four_env_transfer_run_matches_the_pinned_digests() {
+    assert_trained_bytes(
+        &pin_spec("pin-transfer4", TrainRegime::Transfer, 4),
+        "pin-transfer4",
+        "747bbc350f70266c3d34ab79be484b15282fdbc51da05a6264fa210cc68a708c",
+        "6c52fda0fa01868d3d303e99ffb2c864aba5673eb2714cbd0100e5c1a435d016",
+    );
+}
+
+/// An `individual` schedule holds only bootstraps, so this run takes
+/// the trainer loop's no-contrast arm and nothing else.
+#[test]
+fn individual_run_matches_the_pinned_digests() {
+    assert_trained_bytes(
+        &pin_spec("pin-individual", TrainRegime::Individual, 1),
+        "pin-individual",
+        "ba70d708d689513e2d97239cc7cd363233037a14297d61b0efb473727b809b4c",
+        "b052bf898a6574a94cdcd563dcb1ad3394bb835ab9bc8c3c11aa1260f124675f",
     );
 }
 
