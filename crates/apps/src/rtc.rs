@@ -140,7 +140,7 @@ impl AppSource for RtcSource {
         crate::locked(&self.state).deliveries.push(now);
     }
 
-    fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
+    fn next_wakeup(&self, _now: SimTime, _need_bytes: u64) -> Option<SimTime> {
         Some(crate::locked(&self.state).next_frame)
     }
 }

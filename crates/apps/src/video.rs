@@ -267,7 +267,7 @@ impl AppSource for VideoSource {
         }
     }
 
-    fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
+    fn next_wakeup(&self, _now: SimTime, _need_bytes: u64) -> Option<SimTime> {
         crate::locked(&self.state).wait_until
     }
 }

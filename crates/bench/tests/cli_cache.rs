@@ -725,6 +725,8 @@ fn hostile_sizes_are_errors_not_aborts() {
         ("visits", "traverse_iters", &big, "the schedule exceeds"),
         ("omega", "omega_step", "4294967296", "omega_step 4294967296"),
         ("omega-800", "omega_step", "800", "omega_step 800"),
+        ("steps", "rollout_steps", &big, "rollout_steps must be <="),
+        ("mis", "episode_mis", &big, "episode_mis must be <="),
     ] {
         let doc = format!("{{\"kind\":\"train\",\"name\":\"h\",\"seed\":1,\"{knob}\":{value}}}");
         docs.push((name, "train", doc, want));

@@ -32,7 +32,7 @@ use mocc_eval::{
     MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError, SweepCell,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
-use mocc_netsim::{Scenario, SimResult, Simulator};
+use mocc_netsim::{EventCounts, Scenario, SimResult, Simulator};
 use mocc_nn::{ForwardTier, Matrix};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::sync::OnceLock;
@@ -162,18 +162,19 @@ impl<'r> BatchMoccEvaluator<'r> {
 
     /// The driver behind both evaluator traits. `launch` names a
     /// cell's scenario and how each of its flows is controlled;
-    /// `reduce` turns the finished simulation into the cell's report.
+    /// `finish` takes the simulator at the horizon and returns what the
+    /// caller wants of it (the cell's report, or its event counts).
     /// Each cell's simulator advances to the next monitor interval of
     /// *any* of its policy-driven flows, that flow's observation
     /// (conditioned on its preference and history) is forwarded, and
     /// the decision is applied to the flow that asked for it — until
     /// the horizon, which a cell without policy flows runs straight to.
-    fn drive<'c, C>(
+    fn drive<'c, C, R>(
         &self,
         cells: &'c [C],
         launch: impl Fn(&'c C) -> (&'c Scenario, Vec<FlowControl>),
-        reduce: impl Fn(&C, &SimResult) -> CellReport,
-    ) -> Vec<CellReport> {
+        finish: impl Fn(&C, Simulator) -> R,
+    ) -> Vec<R> {
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
         if let Some(served) = &self.served {
@@ -234,14 +235,53 @@ impl<'r> BatchMoccEvaluator<'r> {
                         });
                     sim.set_rate(f, next);
                 }
-                // The simulator is freed before `reduce`, which may run a
-                // second one (a competition's friendliness control).
-                let result = sim.result();
-                drop(sim);
-                reduce(cell, &result)
+                finish(cell, sim)
             })
             .collect()
     }
+
+    /// The controls of a sweep cell's flows.
+    fn sweep_controls(&self, cell: &SweepCell) -> Vec<FlowControl> {
+        let pref = self.mocc_pref(&self.sweep_scheme);
+        let ctx = SchemeCtx {
+            peak_rate_bps: cell.scenario.link.trace.max_rate(),
+        };
+        (0..cell.scenario.flows.len())
+            .map(|flow| match pref {
+                Some(pref) if flow == 0 => FlowControl::Policy(pref),
+                Some(_) => FlowControl::Scheme(Box::new(FixedRate::new(ctx.peak_rate_bps))),
+                None => FlowControl::Scheme(
+                    self.registry
+                        .instantiate(&self.sweep_scheme, &ctx)
+                        .unwrap_or_else(unvalidated),
+                ),
+            })
+            .collect()
+    }
+
+    /// The events a sweep cell's simulation pops, by kind, driven
+    /// exactly as [`CellEvaluator::eval_batch`] drives it.
+    pub fn sweep_cell_event_counts(&self, cell: &SweepCell) -> EventCounts {
+        let mut counts = self.drive(
+            std::slice::from_ref(cell),
+            |cell| (&cell.scenario, self.sweep_controls(cell)),
+            |_, sim| sim.event_counts(),
+        );
+        counts.remove(0)
+    }
+}
+
+/// A cell's report from its finished simulator. The simulator is freed
+/// before `reduce`, which may run a second one (a competition's
+/// friendliness control).
+fn report_of<C>(
+    cell: &C,
+    sim: Simulator,
+    reduce: impl Fn(&C, &SimResult) -> CellReport,
+) -> CellReport {
+    let result = sim.result();
+    drop(sim);
+    reduce(cell, &result)
 }
 
 /// Maps a declarative [`MoccPrefSpec`] (the parsed `<pref>` part of a
@@ -272,27 +312,10 @@ enum FlowControl {
 
 impl CellEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        let pref = self.mocc_pref(&self.sweep_scheme);
         self.drive(
             cells,
-            |cell| {
-                let ctx = SchemeCtx {
-                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
-                };
-                let controls = (0..cell.scenario.flows.len())
-                    .map(|flow| match pref {
-                        Some(pref) if flow == 0 => FlowControl::Policy(pref),
-                        Some(_) => FlowControl::Scheme(Box::new(FixedRate::new(ctx.peak_rate_bps))),
-                        None => FlowControl::Scheme(
-                            self.registry
-                                .instantiate(&self.sweep_scheme, &ctx)
-                                .unwrap_or_else(unvalidated),
-                        ),
-                    })
-                    .collect();
-                (&cell.scenario, controls)
-            },
-            CellReport::from_sim,
+            |cell| (&cell.scenario, self.sweep_controls(cell)),
+            |cell, sim| report_of(cell, sim, CellReport::from_sim),
         )
     }
 }
@@ -327,7 +350,11 @@ impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
                     .collect();
                 (&cell.scenario, controls)
             },
-            |cell, res| competition_report(cell, res, self.registry),
+            |cell, sim| {
+                report_of(cell, sim, |cell, res| {
+                    competition_report(cell, res, self.registry)
+                })
+            },
         )
     }
 }

@@ -38,6 +38,7 @@ use mocc_eval::{
     CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, SchemeRegistry, SpecError,
     SweepReport, SweepRunner, Workload,
 };
+use mocc_netsim::EventCounts;
 use mocc_store::ResultStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,29 +163,12 @@ pub fn run_experiment_with(
             &builtin
         }
     };
-    exp.validate_in(registry)?;
-    let policy = match &exp.policy {
-        Some(policy) if exp.needs_policy() => Some((policy, agent_from_policy(policy)?)),
-        _ => None,
-    };
-    let identity = policy
-        .as_ref()
-        .filter(|_| opts.cache.is_some())
-        .map(|(policy, agent)| PolicyIdentity {
-            digest: policy_digest(agent),
-            preference: policy.preference.label(),
-            initial_rate_frac: policy.initial_rate_frac,
-            fast_math: policy.fast_math,
-        });
+    let (evaluator, identity) = spec_evaluator(exp, registry, opts.cache.is_some())?;
     let cache = opts.cache.map(|(store, ts)| CellCache {
         store,
         ts,
         policy: identity.as_ref(),
     });
-    let evaluator = BatchMoccEvaluator::of_spec(
-        registry,
-        policy.map(|(policy, agent)| evaluator_for(&agent, policy, None)),
-    );
     Ok(match &exp.workload {
         Workload::Sweep(w) => {
             let spec = exp.to_sweep_spec().expect("sweep workload lowers");
@@ -198,6 +182,59 @@ pub fn run_experiment_with(
             runner.run_competition_cells(&spec, &exp.name, &evaluator, cache)
         }
     })
+}
+
+/// The events cell `index` of a sweep spec pops, by kind, simulated
+/// exactly as [`run_experiment`] simulates it (built-in registry, no
+/// store). The counts are a pure function of the spec — the exact
+/// witness a performance claim can name.
+pub fn cell_event_counts(exp: &ExperimentSpec, index: usize) -> Result<EventCounts, SpecError> {
+    let registry = SchemeRegistry::builtin();
+    let (evaluator, _) = spec_evaluator(exp, &registry, false)?;
+    let (Workload::Sweep(w), Some(spec)) = (&exp.workload, exp.to_sweep_spec()) else {
+        return Err(SpecError::InvalidSpec {
+            reason: format!(
+                "{} is not a sweep; event counts cover sweep cells",
+                exp.name
+            ),
+        });
+    };
+    let cell = spec
+        .expand()
+        .into_iter()
+        .nth(index)
+        .ok_or_else(|| SpecError::InvalidSpec {
+            reason: format!("{} has no cell {index}", exp.name),
+        })?;
+    Ok(evaluator.sweeping(&w.scheme).sweep_cell_event_counts(&cell))
+}
+
+/// Validates `exp` against `registry` and builds the one evaluator of
+/// its cells, with the served policy's cache identity when `keyed`.
+fn spec_evaluator<'r>(
+    exp: &ExperimentSpec,
+    registry: &'r SchemeRegistry,
+    keyed: bool,
+) -> Result<(BatchMoccEvaluator<'r>, Option<PolicyIdentity>), SpecError> {
+    exp.validate_in(registry)?;
+    let policy = match &exp.policy {
+        Some(policy) if exp.needs_policy() => Some((policy, agent_from_policy(policy)?)),
+        _ => None,
+    };
+    let identity = policy
+        .as_ref()
+        .filter(|_| keyed)
+        .map(|(policy, agent)| PolicyIdentity {
+            digest: policy_digest(agent),
+            preference: policy.preference.label(),
+            initial_rate_frac: policy.initial_rate_frac,
+            fast_math: policy.fast_math,
+        });
+    let evaluator = BatchMoccEvaluator::of_spec(
+        registry,
+        policy.map(|(policy, agent)| evaluator_for(&agent, policy, None)),
+    );
+    Ok((evaluator, identity))
 }
 
 /// The SHA-256 hex digest of an agent's canonical JSON artifact — the

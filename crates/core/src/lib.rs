@@ -67,8 +67,8 @@ pub use batch_eval::{preference_from_spec, BatchMoccEvaluator};
 pub use config::MoccConfig;
 pub use env::{MoccEnv, ScenarioSource};
 pub use experiment::{
-    agent_from_policy, evaluator_from_policy, policy_digest, run_experiment, run_experiment_cached,
-    run_experiment_with, RunOptions,
+    agent_from_policy, cell_event_counts, evaluator_from_policy, policy_digest, run_experiment,
+    run_experiment_cached, run_experiment_with, RunOptions,
 };
 pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
 pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};

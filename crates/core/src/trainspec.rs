@@ -121,6 +121,16 @@ const MAX_OMEGA_STEP: usize = 100;
 /// at full scale, ω = 171: 4 854 iterations).
 const MAX_SCHEDULE_LEN: usize = 1_000_000;
 
+/// The most environment steps one rollout may collect, and the most
+/// monitor intervals one episode may last. One iteration of the smoke
+/// spec on one env read 0.45 s / 14 MB at 10 000 steps and 5.3 s /
+/// 68 MB at 200 000 (a two-vCPU Xeon): about 26 µs and 0.3 KB a step,
+/// so the cap costs about half a minute and 0.3 GB per iteration, 2 500×
+/// the largest shipped value (the `default` preset's 400). It also keeps
+/// an episode's horizon, `episode_mis` × a 200 ms monitor interval, far
+/// from overflowing the nanosecond clock.
+const MAX_ROLLOUT_STEPS: usize = 1_000_000;
+
 fn parse_regime(s: &str) -> Result<TrainRegime, String> {
     match s {
         "individual" => Ok(TrainRegime::Individual),
@@ -261,6 +271,14 @@ impl TrainSpec {
         ] {
             if v == Some(0) {
                 return invalid(format!("{field} must be >= 1"));
+            }
+        }
+        for (field, v) in [
+            ("rollout_steps", self.rollout_steps),
+            ("episode_mis", self.episode_mis),
+        ] {
+            if v.is_some_and(|v| v > MAX_ROLLOUT_STEPS) {
+                return invalid(format!("{field} must be <= {MAX_ROLLOUT_STEPS}"));
             }
         }
         self.schedule_len()?;
@@ -495,6 +513,22 @@ mod tests {
                 // 3 pivots × boot + 1 cycle × 3 landmarks × 1 visit.
                 Box::new(|s| s.boot_iters = Some((MAX_SCHEDULE_LEN - 3) / 3 + 1)),
             ),
+            (
+                "rollout_steps past the cap",
+                Box::new(|s| s.rollout_steps = Some(MAX_ROLLOUT_STEPS + 1)),
+            ),
+            (
+                "rollout_steps usize::MAX",
+                Box::new(|s| s.rollout_steps = Some(usize::MAX)),
+            ),
+            (
+                "episode_mis past the cap",
+                Box::new(|s| s.episode_mis = Some(MAX_ROLLOUT_STEPS + 1)),
+            ),
+            (
+                "episode_mis usize::MAX",
+                Box::new(|s| s.episode_mis = Some(usize::MAX)),
+            ),
             ("bad config", Box::new(|s| s.config = "huge".to_string())),
             ("bad range", Box::new(|s| s.range = "prod".to_string())),
         ];
@@ -508,7 +542,7 @@ mod tests {
         }
     }
 
-    /// Both caps are inclusive, and the counted length is the built
+    /// Every cap is inclusive, and the counted length is the built
     /// schedule's.
     #[test]
     fn schedules_at_the_caps_validate() {
@@ -520,6 +554,12 @@ mod tests {
             boot_iters: Some((MAX_SCHEDULE_LEN - 3) / 3),
             ..spec()
         };
+        let at_step_caps = TrainSpec {
+            rollout_steps: Some(MAX_ROLLOUT_STEPS),
+            episode_mis: Some(MAX_ROLLOUT_STEPS),
+            ..spec()
+        };
+        at_step_caps.validate().unwrap();
         for s in [at_omega_cap, at_len_cap] {
             s.validate().unwrap();
             let cfg = s.resolved_config().unwrap();

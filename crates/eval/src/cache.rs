@@ -52,8 +52,10 @@ use std::sync::Mutex;
 /// Schema/version tag baked into every cache key. Bump it whenever the
 /// report schema or any simulation semantics change: old blobs then
 /// miss (and are eventually collected by `gc`) instead of being served
-/// against a different codebase.
-pub const CELL_SCHEMA: &str = "mocc-cell-v1";
+/// against a different codebase. `v2`: app-limited flows send whole
+/// packets and hold one wake-up (docs/EVALUATION.md), which moved the
+/// reports of `onoff` cells.
+pub const CELL_SCHEMA: &str = "mocc-cell-v2";
 
 /// Identity of the policy serving a cell's `mocc` flows — the part of
 /// the cache key that changes when the model does.
@@ -149,9 +151,20 @@ const DOC_CAPACITY: usize = 512;
 
 /// The cache key of one classic sweep cell run under `scheme` (a
 /// shared-grammar label) with `spec`'s global knobs: the SHA-256 of
-/// its request document, a canonical-JSON object streamed in key
-/// order.
+/// its [`sweep_cell_request`].
 pub fn sweep_cell_key(
+    cell: &SweepCell,
+    scheme: &str,
+    spec: &SweepSpec,
+    policy: Option<&PolicyIdentity>,
+) -> String {
+    sha256_hex(sweep_cell_request(cell, scheme, spec, policy).as_bytes())
+}
+
+/// The request document of one classic sweep cell: a canonical-JSON
+/// object streamed in key order, naming everything that determines the
+/// cell's report.
+pub fn sweep_cell_request(
     cell: &SweepCell,
     scheme: &str,
     spec: &SweepSpec,
@@ -183,7 +196,7 @@ pub fn sweep_cell_key(
         w.field("trace_digest", digest);
     }
     w.end();
-    sha256_hex(doc.as_bytes())
+    doc
 }
 
 /// The cache key of one competition cell (the mix, its resolved

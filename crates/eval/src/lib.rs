@@ -75,7 +75,8 @@ pub mod scheme;
 pub mod spec;
 
 pub use cache::{
-    competition_cell_key, sweep_cell_key, CacheStats, CellCache, PolicyIdentity, CELL_SCHEMA,
+    competition_cell_key, sweep_cell_key, sweep_cell_request, CacheStats, CellCache,
+    PolicyIdentity, CELL_SCHEMA,
 };
 pub use competition::{
     competition_report, competition_report_with_baseline, CompetitionCell, CompetitionEvaluator,

@@ -23,10 +23,20 @@ pub trait AppSource: Send {
     /// applications ignore the callback (stale data is not resent).
     fn on_lost(&mut self, _now: SimTime, _bytes: u64) {}
 
-    /// The next time at which the source may produce new data, used by
-    /// the simulator to re-poll an idle sender. `None` means the source
-    /// only changes in response to deliveries.
-    fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
+    /// Whether the sender may emit a packet shorter than it wants now,
+    /// holding bytes already taken. The default (`true`) ships whatever
+    /// the source granted; a source that produces a burst over time
+    /// answers `false` until the burst is over, so its packets are
+    /// whole MSS-sized ones except the burst's last.
+    fn may_flush(&self, _now: SimTime) -> bool {
+        true
+    }
+
+    /// The next time at which the source may have produced `need_bytes`
+    /// more (or otherwise changed), used by the simulator to re-poll an
+    /// idle sender; the source has just been asked to `take` at `now`.
+    /// `None` means the source only changes in response to deliveries.
+    fn next_wakeup(&self, _now: SimTime, _need_bytes: u64) -> Option<SimTime> {
         None
     }
 }
@@ -46,6 +56,10 @@ impl AppSource for GreedySource {
 /// whole-byte chunks); during the following OFF window of length `off`
 /// it produces nothing. The cycle starts in the ON phase at time zero
 /// and repeats forever.
+///
+/// Each ON window is one burst: the sender holds what has accrued until
+/// a whole packet's worth is there, and flushes the short remainder
+/// only once the window has closed.
 ///
 /// This is the classic cross-traffic pattern: a competing flow that
 /// periodically grabs and releases bottleneck capacity, so a controller
@@ -126,15 +140,24 @@ impl AppSource for OnOffSource {
         granted
     }
 
-    fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
+    fn may_flush(&self, now: SimTime) -> bool {
+        !self.is_on(now)
+    }
+
+    fn next_wakeup(&self, now: SimTime, need_bytes: u64) -> Option<SimTime> {
         let cycle = self.on.0 + self.off.0;
+        let cycle_start = now.0 - now.0 % cycle;
         if self.is_on(now) {
-            // Wake when roughly one packet's worth has accumulated.
-            let dt_ns = (1500.0 * 8.0 / self.rate_bps.max(1.0) * 1e9) as u64;
-            Some(SimTime(now.0 + dt_ns.max(1)))
+            // Wake when `need_bytes` more have accrued, or when the
+            // window closes and the short tail may go, whichever is
+            // first.
+            let short = (need_bytes as f64 - self.backlog_bytes).max(0.0);
+            let dt_ns = (short * 8e9 / self.rate_bps.max(1.0)).ceil() as u64;
+            let on_end = cycle_start + self.on.0;
+            Some(SimTime(now.0.saturating_add(dt_ns.max(1)).min(on_end)))
         } else {
             // Wake at the start of the next ON window.
-            Some(SimTime(now.0 - now.0 % cycle + cycle))
+            Some(SimTime(cycle_start + cycle))
         }
     }
 }
@@ -216,7 +239,7 @@ impl AppSource for RpcSource {
         self.backlog += bytes;
     }
 
-    fn next_wakeup(&self, _now: SimTime) -> Option<SimTime> {
+    fn next_wakeup(&self, _now: SimTime, _need_bytes: u64) -> Option<SimTime> {
         self.thinking_until
     }
 }
@@ -270,15 +293,25 @@ mod tests {
         assert!(s.is_on(SimTime::from_millis(1999)));
         assert!(!s.is_on(SimTime::from_secs(2)));
         assert!(s.is_on(SimTime::from_secs(5)));
-        // OFF phase wakes at the next cycle boundary.
+        // OFF phase wakes at the next cycle boundary, and may flush.
         assert_eq!(
-            s.next_wakeup(SimTime::from_secs(3)),
+            s.next_wakeup(SimTime::from_secs(3), 1500),
             Some(SimTime::from_secs(5))
         );
-        // ON phase wakes after about one MSS of accrual time (12 ms at
-        // 1 Mbps).
-        let w = s.next_wakeup(SimTime::ZERO).unwrap();
-        assert_eq!(w, SimTime::from_millis(12));
+        assert!(s.may_flush(SimTime::from_secs(3)));
+        assert!(!s.may_flush(SimTime::from_secs(1)));
+        // ON phase wakes once the bytes asked for have accrued: 12 ms
+        // for 1 500 bytes at 1 Mbps, 4.8 ms for 600.
+        assert_eq!(
+            s.next_wakeup(SimTime::ZERO, 1500),
+            Some(SimTime::from_millis(12))
+        );
+        assert_eq!(s.next_wakeup(SimTime::ZERO, 600), Some(SimTime(4_800_000)));
+        // ...but no later than the end of the ON window.
+        assert_eq!(
+            s.next_wakeup(SimTime::from_millis(1995), 1500),
+            Some(SimTime::from_secs(2))
+        );
     }
 
     #[test]
@@ -290,11 +323,11 @@ mod tests {
         assert_eq!(s.take(SimTime::from_millis(1), 600), 0);
         // Partial delivery: still waiting on the rest, no think yet.
         s.on_delivered(SimTime::from_millis(5), 600);
-        assert_eq!(s.next_wakeup(SimTime::from_millis(5)), None);
+        assert_eq!(s.next_wakeup(SimTime::from_millis(5), 600), None);
         // Full delivery starts the think timer.
         s.on_delivered(SimTime::from_millis(10), 400);
         assert_eq!(
-            s.next_wakeup(SimTime::from_millis(10)),
+            s.next_wakeup(SimTime::from_millis(10), 600),
             Some(SimTime::from_millis(110))
         );
         // Nothing to send while thinking…
@@ -312,10 +345,10 @@ mod tests {
         // complete until every byte is delivered.
         assert_eq!(s.take(SimTime::from_millis(4), 2000), 300);
         s.on_delivered(SimTime::from_millis(8), 700);
-        assert_eq!(s.next_wakeup(SimTime::from_millis(8)), None);
+        assert_eq!(s.next_wakeup(SimTime::from_millis(8), 300), None);
         s.on_delivered(SimTime::from_millis(9), 300);
         assert_eq!(
-            s.next_wakeup(SimTime::from_millis(9)),
+            s.next_wakeup(SimTime::from_millis(9), 300),
             Some(SimTime::from_millis(109))
         );
     }

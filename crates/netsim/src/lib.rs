@@ -39,6 +39,6 @@ pub use cc::{
     AckInfo, CongestionControl, LossInfo, LossKind, MonitorStats, RateControl, SenderView,
 };
 pub use scenario::{AppPattern, FlowSpec, LinkSpec, MiMode, Scenario, ScenarioRange};
-pub use sim::{FlowId, FlowResult, MiRecord, Processed, SimResult, Simulator};
+pub use sim::{EventCounts, FlowId, FlowResult, MiRecord, Processed, SimResult, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use trace::BandwidthTrace;

@@ -21,21 +21,22 @@
 //! of the source that scheduled it — the link's next departure, a
 //! flow's pacing timer, its monitor tick, its ACKs in flight — so each
 //! source keeps its own (a key slot or a FIFO) and the scheduler takes
-//! the minimum across sources. Only flow starts, stops and application
-//! wake-ups go through a heap. A pacing timer that is re-armed replaces
-//! the one before it, so superseded timers are never processed.
+//! the minimum across sources. A pacing timer that is re-armed replaces
+//! the one before it, so superseded timers are never processed; a flow
+//! holds at most one application wake-up, the earliest asked for. Flow
+//! starts and stops are known at construction and sorted once. There is
+//! no heap.
 
 use crate::app::{AppSource, GreedySource, OnOffSource, RpcSource};
 use crate::cc::{
     AckInfo, CongestionControl, LossInfo, LossKind, MonitorStats, RateControl, SenderView,
 };
-use crate::scenario::{MiMode, Scenario};
+use crate::scenario::{FlowSpec, MiMode, Scenario};
 use crate::time::{tx_time, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Index of a flow within a scenario.
 pub type FlowId = usize;
@@ -67,9 +68,8 @@ struct Packet {
 /// [`EventSources::pop`] hands it back. The ACK variant carries only
 /// the flow and sequence number — the packet's size and emission time
 /// live in the flow's [`OutstandingRing`] until the ACK (or a loss
-/// declaration) resolves it. `Ord` exists for the timer heap only,
-/// where the key decides before the kind is ever compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// declaration) resolves it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     FlowStart(u32),
     FlowStop(u32),
@@ -92,6 +92,42 @@ fn event_key(time: u64, order: u64) -> u128 {
 
 /// Key of a slot with nothing pending; it sorts after every real key.
 const IDLE: u128 = u128::MAX;
+
+/// How many events of each kind a simulator has popped: a pure function
+/// of the scenario and its controllers, with no clock in it, kept as
+/// plain fields of the simulator so counting costs one add per event.
+/// A monitor tick that ends a drained flow's chain counts too.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Flow starts.
+    pub flow_start: u64,
+    /// Scheduled flow stops.
+    pub flow_stop: u64,
+    /// Pacing timers (a re-armed timer replaces the one before it, so
+    /// only timers that fire are counted).
+    pub pacing: u64,
+    /// Bottleneck departures.
+    pub departure: u64,
+    /// ACK arrivals.
+    pub ack: u64,
+    /// Monitor-interval ticks.
+    pub monitor: u64,
+    /// Application wake-ups of app-limited flows.
+    pub app_wake: u64,
+}
+
+impl EventCounts {
+    /// Every event popped, of any kind.
+    pub fn total(&self) -> u64 {
+        self.flow_start
+            + self.flow_stop
+            + self.pacing
+            + self.departure
+            + self.ack
+            + self.monitor
+            + self.app_wake
+    }
+}
 
 /// Entries per block of an [`AckFifo`] (3 KiB).
 const ACK_BLOCK: usize = 128;
@@ -159,6 +195,9 @@ struct FlowSources {
     pacing: u128,
     /// Key of the flow's next monitor tick.
     monitor: u128,
+    /// Key of the flow's application wake-up: the earliest asked for
+    /// since the last one fired ([`EventSources::wake`]).
+    wake: u128,
     /// The return delay is constant per flow and departures are serial,
     /// so ACKs are scheduled in key order and the front is the flow's
     /// earliest.
@@ -168,12 +207,13 @@ struct FlowSources {
 /// Every pending event, held by the source that produced it.
 ///
 /// The bottleneck has at most one departure pending, and a flow at most
-/// one pacing timer and one monitor tick that matter: those are plain
-/// key slots. A flow's ACKs are scheduled in key order: a FIFO. Only
-/// flow starts, stops and application wake-ups arrive in no particular
-/// order, and only they go through a heap. [`Self::pop`] takes the
-/// smallest key across all of them — the order one priority queue over
-/// every event would produce, since keys are unique.
+/// one pacing timer, one monitor tick and one application wake-up that
+/// matter: those are plain key slots. A flow's ACKs are scheduled in key
+/// order: a FIFO. Flow starts and stops are all scheduled at
+/// construction: a vector sorted once, read front to back.
+/// [`Self::pop`] takes the smallest key across all of them — the order
+/// one priority queue over every event would produce, since keys are
+/// unique.
 #[derive(Debug)]
 struct EventSources {
     next_order: u64,
@@ -182,23 +222,55 @@ struct EventSources {
     last_popped: Option<u128>,
     departure: u128,
     flows: Vec<FlowSources>,
-    timers: BinaryHeap<Reverse<(u128, EventKind)>>,
+    /// Every flow start and stop, in key order; the first
+    /// `next_lifecycle` have been popped.
+    lifecycle: Vec<(u128, EventKind)>,
+    next_lifecycle: usize,
+    counts: EventCounts,
 }
 
 impl EventSources {
-    fn new(flows: usize) -> Self {
+    /// The sources of `flows`, with each flow's start and (if any) stop
+    /// scheduled in flow order.
+    fn new(flows: &[FlowSpec]) -> Self {
+        let mut lifecycle: Vec<(u128, EventKind)> = Vec::with_capacity(2 * flows.len());
+        let mut push = |time: SimTime, kind| {
+            let order = lifecycle.len() as u64;
+            lifecycle.push((event_key(time.0, order), kind));
+        };
+        for (f, spec) in flows.iter().enumerate() {
+            push(spec.start, EventKind::FlowStart(f as u32));
+            if let Some(stop) = spec.stop {
+                push(stop, EventKind::FlowStop(f as u32));
+            }
+        }
+        lifecycle.sort_unstable_by_key(|&(key, _)| key);
         EventSources {
-            next_order: 0,
+            next_order: lifecycle.len() as u64,
             last_popped: None,
             departure: IDLE,
-            flows: (0..flows)
+            flows: flows
+                .iter()
                 .map(|_| FlowSources {
                     pacing: IDLE,
                     monitor: IDLE,
+                    wake: IDLE,
                     acks: AckFifo::default(),
                 })
                 .collect(),
-            timers: BinaryHeap::new(),
+            lifecycle,
+            next_lifecycle: 0,
+            counts: EventCounts::default(),
+        }
+    }
+
+    /// Asks for an application wake-up of flow `f` at `time`. A flow has
+    /// at most one pending: one no later than `time` stands, a later one
+    /// is replaced.
+    fn wake(&mut self, f: u32, time: SimTime) {
+        let pending = self.flows[f as usize].wake;
+        if pending == IDLE || (pending >> 64) as u64 > time.0 {
+            self.schedule(time, EventKind::AppWake(f));
         }
     }
 
@@ -226,8 +298,16 @@ impl EventSources {
                 );
                 acks.push([time.0, order, seq]);
             }
-            EventKind::FlowStart(_) | EventKind::FlowStop(_) | EventKind::AppWake(_) => {
-                self.timers.push(Reverse((key, kind)));
+            EventKind::AppWake(f) => {
+                let slot = &mut self.flows[f as usize].wake;
+                debug_assert!(
+                    *slot == IDLE || (*slot >> 64) as u64 > time.0,
+                    "one wake-up per flow: a pending one no later than this stands"
+                );
+                *slot = key;
+            }
+            EventKind::FlowStart(_) | EventKind::FlowStop(_) => {
+                unreachable!("flow starts and stops are scheduled at construction")
             }
         }
     }
@@ -246,6 +326,10 @@ impl EventSources {
                 key = fl.monitor;
                 kind = EventKind::Monitor(f as u32);
             }
+            if fl.wake < key {
+                key = fl.wake;
+                kind = EventKind::AppWake(f as u32);
+            }
             if let Some(&[t, o, seq]) = fl.acks.front() {
                 let ack = event_key(t, o);
                 if ack < key {
@@ -257,10 +341,10 @@ impl EventSources {
                 }
             }
         }
-        if let Some(&Reverse((k, timer))) = self.timers.peek() {
+        if let Some(&(k, lifecycle)) = self.lifecycle.get(self.next_lifecycle) {
             if k < key {
                 key = k;
-                kind = timer;
+                kind = lifecycle;
             }
         }
         let time = SimTime((key >> 64) as u64);
@@ -269,13 +353,35 @@ impl EventSources {
         }
         debug_assert!(Some(key) > self.last_popped, "event keys only grow");
         self.last_popped = Some(key);
+        let counts = &mut self.counts;
         match kind {
-            EventKind::Departure => self.departure = IDLE,
-            EventKind::Pacing(f) => self.flows[f as usize].pacing = IDLE,
-            EventKind::Monitor(f) => self.flows[f as usize].monitor = IDLE,
-            EventKind::Ack { flow, .. } => self.flows[flow as usize].acks.pop(),
-            EventKind::FlowStart(_) | EventKind::FlowStop(_) | EventKind::AppWake(_) => {
-                self.timers.pop();
+            EventKind::Departure => {
+                counts.departure += 1;
+                self.departure = IDLE;
+            }
+            EventKind::Pacing(f) => {
+                counts.pacing += 1;
+                self.flows[f as usize].pacing = IDLE;
+            }
+            EventKind::Monitor(f) => {
+                counts.monitor += 1;
+                self.flows[f as usize].monitor = IDLE;
+            }
+            EventKind::Ack { flow, .. } => {
+                counts.ack += 1;
+                self.flows[flow as usize].acks.pop();
+            }
+            EventKind::AppWake(f) => {
+                counts.app_wake += 1;
+                self.flows[f as usize].wake = IDLE;
+            }
+            EventKind::FlowStart(_) => {
+                counts.flow_start += 1;
+                self.next_lifecycle += 1;
+            }
+            EventKind::FlowStop(_) => {
+                counts.flow_stop += 1;
+                self.next_lifecycle += 1;
             }
         }
         Some((time, kind))
@@ -649,10 +755,10 @@ impl Simulator {
             .zip(ccs)
             .map(|(spec, cc)| FlowState::new(spec, cc))
             .collect();
-        let mut sim = Simulator {
+        Simulator {
             now: SimTime::ZERO,
             end: SimTime::ZERO + scenario.duration,
-            events: EventSources::new(flows.len()),
+            events: EventSources::new(&scenario.flows),
             flows,
             bottleneck: Bottleneck {
                 queue: VecDeque::new(),
@@ -661,15 +767,7 @@ impl Simulator {
             scenario,
             rng,
             loss_scratch: Vec::new(),
-        };
-        for f in 0..sim.flows.len() {
-            let start = sim.flows[f].spec.start;
-            sim.events.schedule(start, EventKind::FlowStart(f as u32));
-            if let Some(stop) = sim.flows[f].spec.stop {
-                sim.events.schedule(stop, EventKind::FlowStop(f as u32));
-            }
         }
-        sim
     }
 
     /// Replaces the application source of `flow` (default: greedy bulk).
@@ -697,6 +795,11 @@ impl Simulator {
     /// The scenario being simulated.
     pub fn scenario(&self) -> &Scenario {
         &self.scenario
+    }
+
+    /// The events popped so far, by kind.
+    pub fn event_counts(&self) -> EventCounts {
+        self.events.counts
     }
 
     /// Minimum RTT observed so far by `flow`.
@@ -784,23 +887,29 @@ impl Simulator {
                 // the bookkeeping below would always yield `want`.
                 want
             } else {
-                if self.flows[f].app_bytes_avail < want {
-                    let need = want - self.flows[f].app_bytes_avail;
-                    let now = self.now;
-                    let granted = self.flows[f].app.take(now, need);
-                    self.flows[f].app_bytes_avail += granted;
+                let now = self.now;
+                let fl = &mut self.flows[f];
+                if fl.app_bytes_avail < want {
+                    fl.app_bytes_avail += fl.app.take(now, want - fl.app_bytes_avail);
                 }
-                self.flows[f].app_bytes_avail.min(want)
-            };
-            if size == 0 {
-                // App-limited: wake up when the source produces more.
-                if let Some(when) = self.flows[f].app.next_wakeup(self.now) {
-                    if when > self.now {
-                        self.events.schedule(when, EventKind::AppWake(f as u32));
+                let held = fl.app_bytes_avail;
+                if held >= want {
+                    want
+                } else if held > 0 && fl.app.may_flush(now) {
+                    // The burst's last, short packet.
+                    held
+                } else {
+                    // App-limited: wake when the source may have the
+                    // rest of a packet (docs/EVALUATION.md, "App-limited
+                    // sending").
+                    if let Some(when) = fl.app.next_wakeup(now, want - held) {
+                        if when > now {
+                            self.events.wake(f as u32, when);
+                        }
                     }
+                    return;
                 }
-                return;
-            }
+            };
             if !self.flows[f].greedy {
                 self.flows[f].app_bytes_avail -= size;
             }
@@ -1588,6 +1697,32 @@ mod tests {
             counts,
             [[4001, 3048, 914, 39, 103], [2000, 932, 1068, 0, 58]]
         );
+    }
+
+    /// A source that never has data and asks to be woken 50 ms out on
+    /// even milliseconds, 7 ms out on odd ones, polled by a 3 ms monitor
+    /// tick: a later request never displaces the earlier pending wake,
+    /// an earlier one always does. A slot that kept the latest request
+    /// instead would pop no wake-up at all here: every tick would push
+    /// the pending one out again.
+    #[test]
+    fn a_pending_wake_stands_unless_an_earlier_one_is_asked_for() {
+        struct Empty;
+        impl AppSource for Empty {
+            fn take(&mut self, _now: SimTime, _max_bytes: u64) -> u64 {
+                0
+            }
+            fn next_wakeup(&self, now: SimTime, _need_bytes: u64) -> Option<SimTime> {
+                let ms = if (now.0 / 1_000_000) % 2 == 0 { 50 } else { 7 };
+                Some(now + SimDuration::from_millis(ms))
+            }
+        }
+        let mut sc = Scenario::single(10e6, 10, 100, 0.0, 1);
+        sc.flows[0].mi = MiMode::Fixed(SimDuration::from_millis(3));
+        let mut sim = Simulator::new(sc, vec![Box::new(FixedRate::new(1e6))]);
+        sim.set_app(0, Box::new(Empty));
+        while sim.process_next().is_some() {}
+        assert_eq!(sim.event_counts().app_wake, 83);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 
 use mocc::core::{agent_from_policy, policy_digest, run_experiment, run_experiment_cached};
 use mocc::eval::{
-    competition_cell_key, sweep_cell_key, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad,
-    MoccPrefSpec, PolicyIdentity, PolicySpec, SchemeSpec, SweepRunner, SweepSpec, TraceShape,
-    Workload,
+    competition_cell_key, sweep_cell_key, sweep_cell_request, CompetitionSpec, ContenderMix,
+    ExperimentSpec, FlowLoad, MoccPrefSpec, PolicyIdentity, PolicySpec, SchemeSpec, SweepRunner,
+    SweepSpec, TraceShape, Workload,
 };
 use mocc::store::{sha256_hex, LedgerEvent, LedgerScan, ResultStore, StoreStats};
 use proptest::prelude::*;
@@ -323,20 +323,20 @@ fn shipped_spec_keys_match_the_pinned_literals() {
         (
             "examples/specs/sweep_cubic.json",
             16,
-            "249dedc117590b7a29ceb14eca48d1787aa86e79b4a50a2bfb406ea03fb64ad9",
-            "b1874adca23914b5c8cb240a39bca947be0b6f73ee19f604994f9d25f35a4635",
+            "bdd21b145b79f8e9472d797cdebcc06188f34977192e510e00b299787f581a97",
+            "4d8721b8f2f4c1e5cf83e99ecdc6b1afeb0a6347d745459dcbcfccdbcfd1cdae",
         ),
         (
             "examples/specs/sweep_replay.json",
             8,
-            "6fd470ec6232208c074c6734e15b46dc7c786e70e2f4eb0067dc6229689ac8e3",
-            "db98357143491999d0a24b0d9d3fa8c621d37d61e3cb897c70c49738ba5649eb",
+            "3c4b4d3ff167a4810c5ba660cf356d512f777a2371ea1b5232e7a0f103483edd",
+            "64e5e99a9f49fffd522ef7f4581bf56595a3567b1ba3f5b8e99e3880b0e9b7e2",
         ),
         (
             "examples/specs/competition_mocc.json",
             2,
-            "23328052bfa5e8758168f381c7a432227eed85dbd585fcfa1a952a34773294f9",
-            "c866dc20305909b9f41258f971cf44eff836233c541ef2b954d87ae9042c5fd0",
+            "9342089e99e67782526313ab90eb2d20cee11d4160a8f4e8298c93d5ac56fa58",
+            "3f5ab9a38e5fb4046e6555d62d01b4c90dbfb210f389592421bd5e64fc93bdd4",
         ),
     ];
     for (path, cells, first, digest) in pinned {
@@ -350,6 +350,58 @@ fn shipped_spec_keys_match_the_pinned_literals() {
             "{path}: some cell key moved"
         );
     }
+}
+
+/// A store filled under `mocc-cell-v1` keys — the schema of the
+/// simulator whose on/off flows sent runt packets — serves nothing to a
+/// `mocc-cell-v2` run: every cell misses, the report equals a cold
+/// run's, `verify` stays clean, and `gc` of what the v2 run did not
+/// touch collects exactly the v1 objects. The v1 keys are the v2
+/// request documents with the old tag, and they equal the literals the
+/// previous release pinned for this spec.
+#[test]
+fn a_v1_store_serves_no_hits_to_a_v2_run() {
+    let exp = ExperimentSpec::load(Path::new("examples/specs/sweep_cubic.json")).expect("loads");
+    let Workload::Sweep(w) = &exp.workload else {
+        panic!("sweep_cubic is a sweep");
+    };
+    let spec = exp.to_sweep_spec().expect("sweep workload");
+    let runner = SweepRunner::with_threads(2);
+    let cold = run_experiment(&runner, &exp).expect("spec runs");
+    let v1_keys: Vec<String> = spec
+        .expand()
+        .iter()
+        .map(|cell| {
+            let request = sweep_cell_request(cell, w.scheme.label(), &spec, None);
+            let v1 = request.replace("\"schema\":\"mocc-cell-v2\"", "\"schema\":\"mocc-cell-v1\"");
+            assert_ne!(v1, request, "the request names its schema");
+            sha256_hex(v1.as_bytes())
+        })
+        .collect();
+    assert_eq!(
+        v1_keys[0],
+        "249dedc117590b7a29ceb14eca48d1787aa86e79b4a50a2bfb406ea03fb64ad9"
+    );
+    assert_eq!(
+        sha256_hex(v1_keys.join("\n").as_bytes()),
+        "b1874adca23914b5c8cb240a39bca947be0b6f73ee19f604994f9d25f35a4635"
+    );
+    let (dir, store) = temp_store("v1-schema");
+    for (key, cell) in v1_keys.iter().zip(&cold.cells) {
+        store
+            .put(key, &serde_json::to_string(cell).expect("serializes"), 1)
+            .expect("v1 blob stored");
+    }
+    let (report, stats) = run_experiment_cached(&runner, &exp, &store, 2).expect("v2 run");
+    assert_eq!((stats.hits, stats.misses), (0, 16));
+    assert_eq!(report.to_canonical_json(), cold.to_canonical_json());
+    let verify = store.verify().expect("verify runs");
+    assert!(verify.is_clean(), "{:?}", verify.issues);
+    let gc = store.gc(Some(2)).expect("gc runs");
+    assert_eq!((gc.kept, gc.removed_objects), (16, 16));
+    let (_, stats) = run_experiment_cached(&runner, &exp, &store, 3).expect("warm v2 run");
+    assert!(stats.all_hits(), "{stats:?}");
+    drop_store(&dir);
 }
 
 // ---- 2. byte identity (and 4. concurrency) ----------------------------
@@ -613,17 +665,17 @@ fn store_bytes_match_the_pinned_digests() {
         (
             "ledger after the fill pass",
             ledger_after_fill,
-            "d4b7685e97eb27a1ce80e53b89a14eb6582a33ba906a3cdc1b0e24943adc892e",
+            "918694c48eca0333fe0e06bad63acdc529370f145956c46f5e3a9840115d7ac5",
         ),
         (
             "ledger after the hit pass",
             ledger(),
-            "95e6b031d08d4c8b3f51d18d8caf98beebfa7574dcc8051ea0d87b7c66ba079d",
+            "ae780b7fcf246411df0703d6068f164b312578101b349ff41104633743d462cd",
         ),
         (
             "objects in key order",
             sha256_hex(&objects),
-            "b905e9faaaada1c2488daf268c51a96467a25d407287c68e4a9d1111151e46cd",
+            "3066ddc8aaec24ae6d8e5933db4b68f6f6cddc58a8c1cb7470d6898b621fb6fd",
         ),
         (
             "sweep report",
@@ -701,12 +753,12 @@ fn large_run_store_bytes_match_the_pinned_digests_at_any_thread_count() {
         (
             "ledger after the fill pass",
             sha256_hex(&filled),
-            "1af399d2e6a05c5eed1ecce278d4ea4771e74e9542ca3abf9bced4446ad263ae",
+            "38b30aa045394561a72a0a3c894b3a7c0d6fbfa9c7e45af413241d80bc2ba0ae",
         ),
         (
             "objects in key order",
             sha256_hex(&objects),
-            "55fefe05e751333f4a8002b41968ed77d0c82c59ce17a20eb4061fb7cdda0441",
+            "917155bd24a02b162121a2149a83af215f9a60ed41bf586fc7a22179508b4286",
         ),
         (
             "report",
@@ -727,7 +779,7 @@ fn large_run_store_bytes_match_the_pinned_digests_at_any_thread_count() {
         assert_eq!(warm.to_canonical_json(), cold, "{threads} threads");
         assert_eq!(
             sha256_hex(&std::fs::read(&ledger_path).expect("ledger exists")),
-            "81359690e8a9f07e2d1723d982944e2cb50148552838b41db222069a587ef31f",
+            "cd23c604ed038f6797f9085d13e41766b41cb9df78976a6af75b37bf7eafb635",
             "ledger after the hit pass at {threads} threads moved"
         );
         assert!(store.verify().expect("verify runs").is_clean());

@@ -15,12 +15,15 @@
 //! `MOCC_SWEEP_THREADS=1` and with the default worker count, so any
 //! scheduling-dependent nondeterminism fails the build.
 
-use mocc::core::{run_experiment, run_experiment_cached, run_experiment_with, RunOptions};
+use mocc::core::{
+    cell_event_counts, run_experiment, run_experiment_cached, run_experiment_with, RunOptions,
+};
 use mocc::eval::{
     CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec,
     SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::Aimd;
+use mocc::netsim::EventCounts;
 use mocc::store::{sha256_hex, ResultStore};
 use std::path::PathBuf;
 
@@ -485,8 +488,8 @@ fn policy_reports_match_the_pinned_digests() {
     for (exp, scalar, fast) in [
         (
             pinned_policy_sweep(),
-            "84f4d23e732e3bd8da2114c71809f3ac036f4023bd201637d985a3da28ec9842",
-            "9b230bd745f994d00f79c7574ad8f8b64aa227bf3c81d54e132cfeb7931003e2",
+            "d8ffcdcf5055a6029cd2e2e20f66b2221fd4b132373f1682d6db282a865742e5",
+            "365c20baa0d228bdceccefdb847bc97fb4a92f0d0b0ca5e26cff318276d9913b",
         ),
         (
             pinned_policy_competition(),
@@ -548,6 +551,12 @@ fn pinned_vivace_grid() -> ExperimentSpec {
 
 /// 16 externally paced `mocc:thr` cells against the on/off cross flow.
 fn pinned_onoff_policy_sweep() -> ExperimentSpec {
+    policy_sweep_under(FlowLoad::OnOffCross(1))
+}
+
+/// [`pinned_onoff_policy_sweep`] with `load` in place of the on/off
+/// cross flow: the same cells, indices and seeds.
+fn policy_sweep_under(load: FlowLoad) -> ExperimentSpec {
     let spec = SweepSpec {
         bandwidth_mbps: vec![6.0, 12.0],
         owd_ms: vec![10, 40],
@@ -560,7 +569,7 @@ fn pinned_onoff_policy_sweep() -> ExperimentSpec {
                 dwell_s: 2.0,
             },
         ],
-        loads: vec![FlowLoad::OnOffCross(1)],
+        loads: vec![load],
         duration_s: 2,
         mss_bytes: 1500,
         seed: 1,
@@ -603,11 +612,11 @@ fn event_order_reports_match_the_pinned_digests() {
     for (exp, want) in [
         (
             pinned_vivace_grid(),
-            "3c700995a37f78fe30f8f874fdb29ebee4cdc8696010c7a2571f07ec625db3f5",
+            "207886e75dcc2ee7b61f69cb1de4e319cbaec9449e759915d5de628a6aa00dbd",
         ),
         (
             pinned_onoff_policy_sweep(),
-            "6e5d10ead59afe470092139216d3bc9e34c59d2be521ea5b416c271dd442e7db",
+            "ec4fadcd78414cc214a5b8d2214276c4b8b7dcb2d5840766c5ffbef18e027193",
         ),
         (
             pinned_bbr_churn(),
@@ -623,6 +632,54 @@ fn event_order_reports_match_the_pinned_digests() {
                 exp.name
             );
         }
+    }
+}
+
+/// Exact event counts, which no machine can move: a simulator change
+/// that adds events fails here on any runner. Cell 99 of
+/// [`pinned_vivace_grid`] is cell 100's `steady:1` neighbour (same link,
+/// greedy flows only); cell 100 is the on/off cell whose wake-ups once
+/// set the benchmark's `overdriven_sweep` wall time. Every on/off cell
+/// of [`pinned_onoff_policy_sweep`] costs at most three times the events
+/// of the same cell under `steady:1`.
+#[test]
+fn event_counts_match_the_pinned_literals() {
+    let count = |exp: &ExperimentSpec, cell| cell_event_counts(exp, cell).expect("the cell exists");
+    let grid = pinned_vivace_grid();
+    assert_eq!(
+        count(&grid, 99),
+        EventCounts {
+            flow_start: 1,
+            flow_stop: 0,
+            pacing: 1008,
+            departure: 1017,
+            ack: 1004,
+            monitor: 125,
+            app_wake: 0,
+        }
+    );
+    assert_eq!(
+        count(&grid, 100),
+        EventCounts {
+            flow_start: 2,
+            flow_stop: 0,
+            pacing: 3210,
+            departure: 3268,
+            ack: 3226,
+            monitor: 225,
+            app_wake: 502,
+        }
+    );
+    let (onoff, steady) = (
+        pinned_onoff_policy_sweep(),
+        policy_sweep_under(FlowLoad::Steady(1)),
+    );
+    for cell in 0..onoff.cell_count() {
+        let (onoff, steady) = (count(&onoff, cell).total(), count(&steady, cell).total());
+        assert!(
+            onoff <= 3 * steady,
+            "cell {cell}: {onoff} events under onoff:1 against {steady} under steady:1"
+        );
     }
 }
 
