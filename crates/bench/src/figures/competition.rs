@@ -24,7 +24,7 @@ pub fn run() -> Result<(), String> {
     // Train (or load) the cached agent so the spec's policy path
     // resolves.
     super::trained_mocc()?;
-    let agent_path = crate::cache_dir()?.join(super::MOCC_AGENT_FILE);
+    let agent_path = super::cached(super::MOCC_AGENT_FILE)?;
     let duration_s: u64 = if full { 60 } else { 24 };
 
     let mut mixes = vec![

@@ -7,9 +7,10 @@
 //! trade-off that makes ω = 36 the paper's choice.
 
 use super::{
-    default_train_spec, header, load_or_train, percentile_row, train_mocc, trained_mocc, Cases,
+    cached, default_train_spec, header, load_or_train, percentile_row, train_mocc, trained_mocc,
+    Cases,
 };
-use mocc_core::TrainSpec;
+use mocc_core::{MoccAgent, TrainSpec};
 use mocc_netsim::metrics::mean;
 
 /// Prints Figure 16.
@@ -51,7 +52,8 @@ pub fn run() -> Result<(), String> {
         let agent = if k == default_step {
             trained_mocc()?
         } else {
-            trained = load_or_train(&format!("mocc-omega-{omega}.json"), || {
+            let path = cached(&format!("mocc-omega-{omega}.json"))?;
+            trained = load_or_train(&path, MoccAgent::from_json, || {
                 let run = train_mocc(&spec)?;
                 train_s = run.outcome.wall_secs;
                 Ok(run.agent)

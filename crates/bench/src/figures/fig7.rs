@@ -5,10 +5,15 @@
 //!     far fewer iterations); Aurora re-trains from scratch.
 //! (b) While adapting, MOCC's requirement replay preserves the old
 //!     application's reward; Aurora's fine-tuning forgets it.
+//!
+//! MOCC adapts through the offline trainer's own step
+//! ([`ppo_iteration`]) with the old application as the contrast
+//! preference — the replay loss of Eq. 6 with a one-preference pool —
+//! on the offline model's envs and entropy coefficient.
 
 use super::{trained_aurora, trained_mocc};
 use crate::timing::Stopwatch;
-use mocc_core::{convergence_iter, AuroraAgent, MoccConfig, OnlineAdapter, Preference};
+use mocc_core::{convergence_iter, evaluate, ppo_iteration, AuroraAgent, MoccConfig, Preference};
 use mocc_netsim::{Scenario, ScenarioRange};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,15 +33,17 @@ pub fn run() -> Result<(), String> {
     println!("== Figure 7(a/b): online adaptation to new preference <0.25,0.55,0.20> ==");
 
     // --- MOCC: transfer + requirement replay ---
-    let mut adapter = OnlineAdapter::new(trained_mocc()?.clone(), vec![old_pref], 11);
+    let mut mocc = trained_mocc()?.clone();
+    let mut rng = StdRng::seed_from_u64(11);
     let t0 = Stopwatch::start();
-    let mocc_curve = adapter.adapt(
-        new_pref,
-        range,
-        iters,
-        true,
-        Some((old_pref, eval_sc.clone(), eval_every)),
-    );
+    let (mut mocc_rewards, mut mocc_old) = (Vec::with_capacity(iters), Vec::new());
+    for i in 0..iters {
+        let (ppo, cfg, replay) = (&mut mocc.ppo, &mocc.cfg, Some(old_pref));
+        mocc_rewards.push(ppo_iteration(ppo, cfg, new_pref, replay, range, &mut rng));
+        if i % eval_every == 0 {
+            mocc_old.push(evaluate(ppo, cfg, old_pref, eval_sc.clone(), 1));
+        }
+    }
     let mocc_wall = t0.elapsed_secs();
 
     // --- Aurora: from scratch on the new objective ---
@@ -50,25 +57,21 @@ pub fn run() -> Result<(), String> {
     // objective and watch the old objective's reward collapse ---
     let mut aurora_old = trained_aurora("thr")?.clone();
     aurora_old.pref = new_pref; // Its reward function switches.
-    let mut aurora_old_curve = Vec::new();
+    let mut aurora_old_rewards = Vec::new();
     for i in 0..iters {
-        let c = aurora_old.train(range, 1, 400 + i as u64);
+        let _ = aurora_old.train(range, 1, 400 + i as u64);
         if i % eval_every == 0 {
-            let old_r = aurora_old.evaluate_for(old_pref, eval_sc.clone(), 1);
-            aurora_old_curve.push((i, c[0], old_r));
+            let (ppo, cfg) = (&aurora_old.ppo, &aurora_old.cfg);
+            aurora_old_rewards.push(evaluate(ppo, cfg, old_pref, eval_sc.clone(), 1));
         }
     }
 
     println!("\n-- (a) reward vs iteration (new application) --");
     println!("{:<6}{:>12}{:>12}", "iter", "mocc", "aurora");
     for i in (0..iters).step_by(eval_every) {
-        println!(
-            "{:<6}{:>12.3}{:>12.3}",
-            i, mocc_curve[i].new_reward, aurora_curve[i]
-        );
+        println!("{:<6}{:>12.3}{:>12.3}", i, mocc_rewards[i], aurora_curve[i]);
     }
 
-    let mocc_rewards: Vec<f32> = mocc_curve.iter().map(|p| p.new_reward).collect();
     let mocc_conv = convergence_iter(&smooth(&mocc_rewards), 0.95).unwrap_or(iters);
     let aurora_conv = convergence_iter(&smooth(&aurora_curve), 0.95).unwrap_or(iters);
     let head = |xs: &[f32]| xs.iter().take(5).sum::<f32>() / 5.0;
@@ -104,29 +107,29 @@ pub fn run() -> Result<(), String> {
 
     println!("\n-- (b) old application (thr preference) while adapting --");
     println!(
-        "{:<6}{:>14}{:>14}",
+        "{:<6}{:>16}{:>16}",
         "iter", "mocc old-app", "aurora old-app"
     );
-    let mocc_old: Vec<(usize, f32)> = mocc_curve
-        .iter()
-        .filter_map(|p| p.old_reward.map(|r| (p.iter, r)))
-        .collect();
-    for (k, &(i, _new, aur_old)) in aurora_old_curve.iter().enumerate() {
-        let mocc_o = mocc_old.get(k).map(|&(_, r)| r).unwrap_or(f32::NAN);
-        println!("{i:<6}{mocc_o:>14.3}{aur_old:>14.3}");
+    for (k, (m, a)) in mocc_old.iter().zip(&aurora_old_rewards).enumerate() {
+        println!("{:<6}{m:>16.3}{a:>16.3}", k * eval_every);
     }
-    if let (Some(first), Some(last)) = (mocc_old.first(), mocc_old.last()) {
+    println!();
+    for (scheme, rewards, paper) in [
+        ("mocc", &mocc_old, "<5% loss"),
+        (
+            "aurora",
+            &aurora_old_rewards,
+            "916 -> 156, severe forgetting",
+        ),
+    ] {
+        let Some((k, min)) = rewards.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)) else {
+            continue;
+        };
+        let (first, last) = (rewards[0], rewards[rewards.len() - 1]);
         println!(
-            "\nmocc old-app reward: {:.3} -> {:.3} ({:+.1}% change; paper: <5% loss)",
-            first.1,
-            last.1,
-            (last.1 - first.1) / first.1.max(1e-6) * 100.0
-        );
-    }
-    if let (Some(first), Some(last)) = (aurora_old_curve.first(), aurora_old_curve.last()) {
-        println!(
-            "aurora old-app reward: {:.3} -> {:.3} (paper: 916 -> 156, severe forgetting)",
-            first.2, last.2
+            "{scheme} old-app reward: {first:.3} -> {last:.3} ({:+.1}% change), minimum {min:.3} at iter {} (paper: {paper})",
+            (last - first) / first.max(1e-6) * 100.0,
+            k * eval_every
         );
     }
     Ok(())

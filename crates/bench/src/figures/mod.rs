@@ -1,6 +1,6 @@
 //! The paper's §6 evaluation: one public `run` function per figure,
 //! over the one private copy of everything the figures share — the
-//! trained-model cache (`load_or_train`), the scheme catalogue
+//! trained-model cache ([`load_or_train`]), the scheme catalogue
 //! (`Scheme`), the simulation call (`run_flows`), the objectives ×
 //! conditions reward scorer (`Cases`) and the table printers.
 //!
@@ -35,9 +35,10 @@ use mocc_netsim::scenario::MiMode;
 use mocc_netsim::{FlowResult, MiRecord, Scenario, ScenarioRange, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// File, under the cache root, of the offline-trained MOCC agent —
@@ -45,24 +46,32 @@ use std::sync::OnceLock;
 /// point at.
 const MOCC_AGENT_FILE: &str = "mocc-agent.json";
 
-/// The model cached as `file` under the cache root: parsed from the
-/// file, after `train` has produced and written it when the file is
-/// missing or does not parse. A freshly trained model is returned as
-/// the parse of the bytes just written, so a cold and a warm run
-/// compute with the same value.
-fn load_or_train<T>(file: &str, train: impl FnOnce() -> Result<T, String>) -> Result<T, String>
-where
-    T: Serialize + for<'a> Deserialize<'a>,
-{
-    let path = crate::cache_dir()?.join(file);
-    let cached = std::fs::read_to_string(&path).ok();
-    if let Some(model) = cached.and_then(|json| serde_json::from_str(&json).ok()) {
+/// The model cached at `path`, read through `decode` — the model's
+/// shape-checked decoder ([`MoccAgent::from_json`],
+/// [`AuroraAgent::from_json`], [`AuroraBank::from_json`]) — after
+/// `train` has produced and written it when the file is missing or
+/// `decode` refuses it: a damaged model is retrained and overwritten,
+/// never deployed. A freshly trained model is returned as the decode
+/// of the bytes just written, so a cold and a warm run compute with
+/// the same value.
+pub fn load_or_train<T: Serialize>(
+    path: &Path,
+    decode: fn(&str) -> Result<T, serde_json::Error>,
+    train: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    let cached = std::fs::read_to_string(path).ok();
+    if let Some(model) = cached.and_then(|json| decode(&json).ok()) {
         return Ok(model);
     }
     let at_path = |e: &dyn Display| format!("{}: {e}", path.display());
     let json = serde_json::to_string(&train()?).map_err(|e| at_path(&e))?;
-    std::fs::write(&path, &json).map_err(|e| at_path(&e))?;
-    serde_json::from_str(&json).map_err(|e| at_path(&e))
+    std::fs::write(path, &json).map_err(|e| at_path(&e))?;
+    decode(&json).map_err(|e| at_path(&e))
+}
+
+/// `file` under the cache root.
+fn cached(file: &str) -> Result<PathBuf, String> {
+    Ok(crate::cache_dir()?.join(file))
 }
 
 /// `cell`'s value, produced by `load` on the first call of the process.
@@ -115,7 +124,9 @@ fn trained_mocc() -> Result<&'static MoccAgent, String> {
         );
         Ok(run.agent)
     };
-    once(&MODEL, || load_or_train(MOCC_AGENT_FILE, train))
+    once(&MODEL, || {
+        load_or_train(&cached(MOCC_AGENT_FILE)?, MoccAgent::from_json, train)
+    })
 }
 
 /// Iterations used when training cached Aurora models.
@@ -143,13 +154,17 @@ fn trained_aurora(tag: &str) -> Result<&'static AuroraAgent, String> {
         let _ = agent.train(ScenarioRange::training(), aurora_iters(), 13);
         Ok(agent)
     };
-    once(cell, || load_or_train(&format!("aurora-{tag}.json"), train))
+    once(cell, || {
+        let path = cached(&format!("aurora-{tag}.json"))?;
+        load_or_train(&path, AuroraAgent::from_json, train)
+    })
 }
 
 /// The cached "enhanced Aurora" bank of `n` fixed-objective models
 /// (Fig. 6 uses 10).
 fn aurora_bank(n: usize) -> Result<AuroraBank, String> {
-    load_or_train(&format!("aurora-bank-{n}.json"), || {
+    let path = cached(&format!("aurora-bank-{n}.json"))?;
+    load_or_train(&path, AuroraBank::from_json, || {
         eprintln!("[cache] training enhanced-Aurora bank of {n} models...");
         let mut rng = StdRng::seed_from_u64(29);
         // Spread the bank's objectives over the simplex like the paper's

@@ -5,7 +5,7 @@ use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_netsim::MonitorStats;
 use mocc_nn::{Mlp, Network};
-use mocc_rl::{GaussianPolicy, Ppo, PpoConfig};
+use mocc_rl::{GaussianPolicy, Ppo};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -138,16 +138,9 @@ impl MoccAgent {
         let hist_dim = 3 * cfg.history;
         let actor = PrefNet::new(3, cfg.pn_features, hist_dim, &cfg.hidden, 1, rng);
         let critic = PrefNet::new(3, cfg.pn_features, hist_dim, &cfg.hidden, 1, rng);
-        let ppo_cfg = PpoConfig {
-            gamma: cfg.gamma,
-            lr: cfg.lr,
-            value_lr: cfg.lr,
-            entropy_coef: cfg.entropy_start,
-            ..Default::default()
-        };
         MoccAgent {
             cfg,
-            ppo: Ppo::from_nets(GaussianPolicy::from_net(actor), critic, ppo_cfg),
+            ppo: Ppo::from_nets(GaussianPolicy::from_net(actor), critic, cfg.ppo_config()),
         }
     }
 
@@ -240,7 +233,7 @@ impl MoccAgent {
 /// The internal consistency of one decoded [`Mlp`]: at least one
 /// layer, `rows × cols` values per weight matrix, one bias per output,
 /// and each layer as wide as the next one's input.
-fn check_mlp(name: &str, mlp: &Mlp) -> Result<(), String> {
+pub(crate) fn check_mlp(name: &str, mlp: &Mlp) -> Result<(), String> {
     if mlp.layers.is_empty() {
         return Err(format!("{name} has no layers"));
     }

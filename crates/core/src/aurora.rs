@@ -6,11 +6,12 @@
 //! (Fig. 6) is a bank of such models dispatched by nearest preference.
 //! Deployment is [`crate::PolicyCc::aurora`].
 
+use crate::agent::check_mlp;
 use crate::config::MoccConfig;
-use crate::env::MoccEnv;
 use crate::preference::Preference;
+use crate::train::ppo_iteration;
 use mocc_nn::Mlp;
-use mocc_rl::{Ppo, PpoConfig};
+use mocc_rl::Ppo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -29,23 +30,17 @@ pub struct AuroraAgent {
 impl AuroraAgent {
     /// Builds an untrained Aurora model for a fixed objective.
     pub fn new<R: Rng>(cfg: MoccConfig, pref: Preference, rng: &mut R) -> Self {
-        let obs_dim = 3 * cfg.history;
-        let ppo_cfg = PpoConfig {
-            gamma: cfg.gamma,
-            lr: cfg.lr,
-            value_lr: cfg.lr,
-            entropy_coef: cfg.entropy_start,
-            ..Default::default()
-        };
         AuroraAgent {
             cfg,
             pref,
-            ppo: Ppo::new(obs_dim, &cfg.hidden, ppo_cfg, rng),
+            ppo: Ppo::new(3 * cfg.history, &cfg.hidden, cfg.ppo_config(), rng),
         }
     }
 
-    /// Runs `iters` PPO iterations (training from scratch is exactly
-    /// what the paper's Figs. 1c and 7a measure), returning the mean
+    /// Runs `iters` [`ppo_iteration`]s for this model's objective from
+    /// a generator seeded with `seed`, the entropy coefficient decaying
+    /// as in offline training (training from scratch is exactly what
+    /// the paper's Figs. 1c and 7a measure), and returns the mean
     /// rollout reward per iteration.
     pub fn train(
         &mut self,
@@ -54,35 +49,43 @@ impl AuroraAgent {
         seed: u64,
     ) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut curve = Vec::with_capacity(iters);
-        for i in 0..iters {
-            self.ppo.cfg.entropy_coef = self.cfg.entropy_at(i);
-            let ep_seed: u64 = rng.gen();
-            let mut env = MoccEnv::training(self.cfg, self.pref, range, ep_seed).without_pref_obs();
-            let rollout = self
-                .ppo
-                .collect_rollout(&mut env, self.cfg.rollout_steps, &mut rng);
-            curve.push(self.ppo.update(&[rollout], &mut rng).mean_reward);
+        (0..iters)
+            .map(|i| {
+                self.ppo.cfg.entropy_coef = self.cfg.entropy_at(i);
+                ppo_iteration(&mut self.ppo, &self.cfg, self.pref, None, range, &mut rng)
+            })
+            .collect()
+    }
+
+    /// Restores a model from its JSON, checking what the derived
+    /// decoder cannot, as [`crate::MoccAgent::from_json`] does: both
+    /// networks are well-formed MLPs mapping the η × 3 history to one
+    /// output, and every Adam moment buffer fits its tensor.
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        let agent: AuroraAgent = serde_json::from_str(json)?;
+        agent.validate().map_err(serde_json::Error::custom)?;
+        Ok(agent)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let history = self.cfg.history;
+        let Some(inputs) = history.checked_mul(3).filter(|&n| n > 0) else {
+            return Err(format!(
+                "cfg.history is {history}; it must be >= 1 and fit 3x in usize"
+            ));
+        };
+        for (name, net) in [("policy", &self.ppo.policy.net), ("value", &self.ppo.value)] {
+            check_mlp(name, net)?;
+            if net.in_dim() != inputs || net.out_dim() != 1 {
+                return Err(format!(
+                    "the {name} network maps {} inputs to {}; cfg.history {history} needs \
+                     {inputs} to 1",
+                    net.in_dim(),
+                    net.out_dim(),
+                ));
+            }
         }
-        curve
-    }
-
-    /// Deterministic evaluation on a fixed scenario (mean Eq. 2 reward
-    /// under this model's own objective).
-    pub fn evaluate(&self, scenario: mocc_netsim::Scenario, episodes: usize) -> f32 {
-        self.evaluate_for(self.pref, scenario, episodes)
-    }
-
-    /// Deterministic evaluation scored under an arbitrary preference
-    /// (how well this fixed model serves someone else's objective).
-    pub fn evaluate_for(
-        &self,
-        pref: Preference,
-        scenario: mocc_netsim::Scenario,
-        episodes: usize,
-    ) -> f32 {
-        let env = MoccEnv::fixed(self.cfg, pref, scenario, 7).without_pref_obs();
-        crate::train::mean_step_reward(env, episodes, |obs| self.ppo.policy.mean_action(obs))
+        self.ppo.check_optimizers().map_err(|e| format!("ppo.{e}"))
     }
 }
 
@@ -128,6 +131,21 @@ impl AuroraBank {
                 a.total_cmp(&b)
             })
             .expect("nonempty bank")
+    }
+
+    /// Restores a bank from its JSON: at least one model, each one
+    /// checked as [`AuroraAgent::from_json`] checks it.
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        let bank: AuroraBank = serde_json::from_str(json)?;
+        if bank.models.is_empty() {
+            return Err(serde_json::Error::custom("the bank holds no model"));
+        }
+        for (i, model) in bank.models.iter().enumerate() {
+            model
+                .validate()
+                .map_err(|e| serde_json::Error::custom(format!("models[{i}]: {e}")))?;
+        }
+        Ok(bank)
     }
 
     /// The model [`AuroraBank::index_for`] selects.

@@ -1,5 +1,6 @@
 //! MOCC hyperparameters (Table 2 of the paper) and training-scale knobs.
 
+use mocc_rl::PpoConfig;
 use serde::{Deserialize, Serialize};
 
 /// All tunables of the MOCC agent and its training pipeline.
@@ -118,6 +119,20 @@ impl MoccConfig {
             rate_bps * (1.0 + alpha * a)
         } else {
             rate_bps / (1.0 - alpha * a)
+        }
+    }
+
+    /// The PPO hyperparameters of a fresh MOCC or Aurora learner: γ and
+    /// one learning rate for actor and critic from this config, the
+    /// entropy coefficient at its schedule's start, the rest PPO's
+    /// defaults.
+    pub(crate) fn ppo_config(&self) -> PpoConfig {
+        PpoConfig {
+            gamma: self.gamma,
+            lr: self.lr,
+            value_lr: self.lr,
+            entropy_coef: self.entropy_start,
+            ..Default::default()
         }
     }
 

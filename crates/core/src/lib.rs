@@ -13,8 +13,9 @@
 //!    phases — bootstrapping plus neighborhood-ordered fast traversal
 //!    ([`train`], §4.2, Appendix B);
 //! 4. online adaptation fine-tunes for new applications with
-//!    requirement replay so old ones are not forgotten ([`online`],
-//!    §4.3).
+//!    requirement replay so old ones are not forgotten (§4.3): the
+//!    same [`ppo_iteration`] as offline training, with the old
+//!    application's preference as its contrast.
 //!
 //! Wherever a policy drives a flow — [`PolicyCc`] inside the
 //! simulator, [`MoccLib`] beside an external datapath, the sweep
@@ -51,7 +52,6 @@ pub mod env;
 pub mod experiment;
 pub mod graph;
 pub mod hunt;
-pub mod online;
 pub mod preference;
 pub mod prefnet;
 pub mod train;
@@ -71,10 +71,9 @@ pub use experiment::{
     run_experiment_cached, run_experiment_with, RunOptions,
 };
 pub use hunt::{hunt, HuntFinding, HuntOptions, HuntOutcome};
-pub use online::{convergence_iter, AdaptationPoint, OnlineAdapter};
 pub use preference::{landmark_count, landmarks, nearest, Preference};
 pub use prefnet::{PrefNet, PrefNetScratch};
-pub use train::{evaluate, train_iteration_contrast, TrainOutcome, TrainRegime};
+pub use train::{convergence_iter, evaluate, ppo_iteration, TrainOutcome, TrainRegime};
 pub use trainer::{
     build_schedule, load_checkpoint, train_spec, write_checkpoint, ScheduleStep, TrainCheckpoint,
     TrainOptions, TrainRun,

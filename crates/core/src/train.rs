@@ -8,13 +8,18 @@
 //! have neighboring optima, so each visit starts from an already-good
 //! policy. A rollout can step several environments in lockstep
 //! (`TrainSpec::batch_envs`, the paper's Ray/RLlib substitute).
+//!
+//! Each of those iterations is a [`ppo_iteration`], the one PPO step
+//! every learner takes — online adaptation (§4.3) and the Aurora
+//! baseline included — and [`evaluate`] is the one deterministic
+//! scorer of a trained model.
 
-use crate::agent::MoccAgent;
+use crate::config::MoccConfig;
 use crate::env::MoccEnv;
 use crate::preference::Preference;
-use mocc_netsim::ScenarioRange;
-use mocc_nn::ForwardTier;
-use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env};
+use mocc_netsim::{Scenario, ScenarioRange};
+use mocc_nn::{ForwardTier, Network};
+use mocc_rl::{collect_rollouts_batched_tier, BatchRolloutScratch, Env, Ppo};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -40,26 +45,34 @@ pub struct TrainOutcome {
     pub curve: Vec<f32>,
 }
 
-/// Runs one PPO iteration for `pref` over `MoccConfig::parallel_envs`
-/// environments and returns the mean reward of the first one's rollout.
+/// One PPO iteration — the only one in the product, behind offline
+/// training (`train_spec`), online adaptation with requirement replay
+/// (§4.3, Eq. 6) and the Aurora baseline ([`crate::AuroraAgent::train`])
+/// alike. It rolls `pref` out on `cfg.parallel_envs` environments,
+/// adds one rollout for `contrast` when there is one, updates once,
+/// and returns the mean reward of the first environment's rollout.
 ///
-/// When `contrast` holds a preference, the update additionally
-/// consumes one rollout for it, so a single gradient step sees
-/// *different objectives side by side*. This is the dynamic-weights
-/// minibatch technique of Abels et al. (the MORL framework the paper
-/// builds on, Appendix A) and is what makes the preference sub-network
-/// separate objectives at our reduced training scale instead of
-/// collapsing to one compromise policy.
-pub fn train_iteration_contrast(
-    agent: &mut MoccAgent,
+/// All of its randomness comes from `rng`, in one order: the env seed,
+/// the main rollouts' actions, the contrast rollout's actions (its env
+/// seeded `seed + 1000`), the update's shuffles. A caller that draws
+/// the contrast preference from `rng` draws it before calling. The
+/// entropy coefficient is `ppo.cfg.entropy_coef` as the caller's
+/// schedule left it. The observation carries the preference when the
+/// networks take `cfg.obs_dim()` inputs (MOCC) and leaves it out
+/// otherwise (Aurora).
+///
+/// The contrast rollout makes one gradient step see *different
+/// objectives side by side*: the dynamic-weights minibatch of Abels et
+/// al. (the MORL framework the paper builds on, Appendix A) in offline
+/// training, and the ½(L(w_i) + L(w_j)) replay loss of Eq. 6 online.
+pub fn ppo_iteration<N: Network>(
+    ppo: &mut Ppo<N>,
+    cfg: &MoccConfig,
     pref: Preference,
     contrast: Option<Preference>,
     range: ScenarioRange,
-    global_iter: usize,
     rng: &mut StdRng,
 ) -> f32 {
-    agent.ppo.cfg.entropy_coef = agent.cfg.entropy_at(global_iter);
-    let cfg = agent.cfg;
     let n_envs = cfg.parallel_envs.max(1);
     // One env collects `rollout_steps` on the exact tier. More envs
     // split that budget (the paper's Ray setup) and step in lockstep,
@@ -72,13 +85,14 @@ pub fn train_iteration_contrast(
         (cfg.rollout_steps, ForwardTier::Scalar)
     };
     let seed = rand::Rng::gen::<u64>(rng);
+    let env = |p, seed| observed_by(ppo, cfg, MoccEnv::training(*cfg, p, range, seed));
     let mut envs: Vec<MoccEnv> = (0..n_envs)
-        .map(|i| MoccEnv::training(cfg, pref, range, seed.wrapping_add(i as u64)))
+        .map(|i| env(pref, seed.wrapping_add(i as u64)))
         .collect();
     let mut refs: Vec<&mut dyn Env> = envs.iter_mut().map(|e| e as &mut dyn Env).collect();
     let mut rollouts = collect_rollouts_batched_tier(
-        &agent.ppo.policy,
-        &agent.ppo.value,
+        &ppo.policy,
+        &ppo.value,
         &mut refs,
         steps,
         rng,
@@ -87,39 +101,30 @@ pub fn train_iteration_contrast(
     );
     let main_reward = rollouts[0].mean_reward();
     if let Some(c) = contrast {
-        let mut env = MoccEnv::training(cfg, c, range, seed.wrapping_add(1000));
-        rollouts.push(agent.ppo.collect_rollout(&mut env, cfg.rollout_steps, rng));
+        let mut env = env(c, seed.wrapping_add(1000));
+        rollouts.push(ppo.collect_rollout(&mut env, cfg.rollout_steps, rng));
     }
-    let _ = agent.ppo.update(&rollouts, rng);
+    let _ = ppo.update(&rollouts, rng);
     main_reward
 }
 
-/// Evaluates the deterministic policy for `pref` on a fixed scenario,
-/// returning the mean per-step Eq. 2 reward.
-pub fn evaluate(
-    agent: &MoccAgent,
+/// Mean per-step Eq. 2 reward under `pref` of `episodes` episodes of
+/// `ppo`'s deterministic policy on a fixed scenario — MOCC and Aurora
+/// models alike, the observation decided as in [`ppo_iteration`].
+pub fn evaluate<N: Network>(
+    ppo: &Ppo<N>,
+    cfg: &MoccConfig,
     pref: Preference,
-    scenario: mocc_netsim::Scenario,
+    scenario: Scenario,
     episodes: usize,
 ) -> f32 {
-    let env = MoccEnv::fixed(agent.cfg, pref, scenario, 7);
-    mean_step_reward(env, episodes, |obs| agent.ppo.policy.mean_action(obs))
-}
-
-/// Mean per-step reward of `episodes` episodes of the deterministic
-/// policy `act` in `env` — the one evaluation loop behind [`evaluate`]
-/// and `AuroraAgent::evaluate_for`.
-pub(crate) fn mean_step_reward(
-    mut env: MoccEnv,
-    episodes: usize,
-    act: impl Fn(&[f32]) -> f32,
-) -> f32 {
+    let mut env = observed_by(ppo, cfg, MoccEnv::fixed(*cfg, pref, scenario, 7));
     let mut total = 0.0f32;
     let mut count = 0usize;
     for _ in 0..episodes {
         let mut obs = env.reset();
         loop {
-            let (next, r, done) = env.step(act(&obs));
+            let (next, r, done) = env.step(ppo.policy.mean_action(&obs));
             total += r;
             count += 1;
             obs = next;
@@ -131,12 +136,47 @@ pub(crate) fn mean_step_reward(
     total / count.max(1) as f32
 }
 
+/// `env` with the preference left out of its observation unless
+/// `ppo`'s networks take it (`cfg.obs_dim()` inputs).
+fn observed_by<N: Network>(ppo: &Ppo<N>, cfg: &MoccConfig, env: MoccEnv) -> MoccEnv {
+    if ppo.policy.net.in_dim() == cfg.obs_dim() {
+        env
+    } else {
+        env.without_pref_obs()
+    }
+}
+
+/// Iteration at which a curve first reaches `frac` of its maximum gain
+/// over its starting value — the paper's convergence criterion
+/// ("99 % of the maximum reward gain", §6.2).
+pub fn convergence_iter(rewards: &[f32], frac: f32) -> Option<usize> {
+    if rewards.is_empty() {
+        return None;
+    }
+    let start = rewards[0];
+    let max = rewards.iter().cloned().fold(f32::MIN, f32::max);
+    if max <= start {
+        return Some(0);
+    }
+    let threshold = start + frac * (max - start);
+    rewards.iter().position(|&r| r >= threshold)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MoccConfig;
-    use mocc_netsim::Scenario;
+    use crate::agent::MoccAgent;
     use rand::SeedableRng;
+
+    #[test]
+    fn convergence_iter_on_known_curve() {
+        let curve = [0.0, 0.2, 0.5, 0.9, 0.99, 1.0, 1.0];
+        assert_eq!(convergence_iter(&curve, 0.99), Some(4));
+        assert_eq!(convergence_iter(&curve, 0.5), Some(2));
+        assert_eq!(convergence_iter(&[], 0.99), None);
+        // Flat curve converges immediately.
+        assert_eq!(convergence_iter(&[1.0, 1.0], 0.99), Some(0));
+    }
 
     /// End-to-end smoke test: a few iterations must improve the agent's
     /// throughput-preference reward on a fixed link.
@@ -151,7 +191,7 @@ mod tests {
         let mut agent = MoccAgent::new(cfg, &mut rng);
         let pref = Preference::throughput();
         let eval_sc = Scenario::single(4e6, 20, 500, 0.0, 120);
-        let before = evaluate(&agent, pref, eval_sc.clone(), 1);
+        let before = evaluate(&agent.ppo, &cfg, pref, eval_sc.clone(), 1);
         let range = ScenarioRange {
             bandwidth_bps: (3e6, 5e6),
             owd_ms: (15, 25),
@@ -159,9 +199,10 @@ mod tests {
             loss: (0.0, 0.0),
         };
         for i in 0..30 {
-            let _ = train_iteration_contrast(&mut agent, pref, None, range, i, &mut rng);
+            agent.ppo.cfg.entropy_coef = cfg.entropy_at(i);
+            let _ = ppo_iteration(&mut agent.ppo, &cfg, pref, None, range, &mut rng);
         }
-        let after = evaluate(&agent, pref, eval_sc, 1);
+        let after = evaluate(&agent.ppo, &cfg, pref, eval_sc, 1);
         assert!(
             after > before - 0.05,
             "training regressed: before {before}, after {after}"

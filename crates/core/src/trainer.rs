@@ -24,7 +24,7 @@
 use crate::agent::MoccAgent;
 use crate::graph::{default_pivots, sort_objectives};
 use crate::preference::{landmarks, Preference};
-use crate::train::{train_iteration_contrast, TrainOutcome, TrainRegime};
+use crate::train::{ppo_iteration, TrainOutcome, TrainRegime};
 use crate::trainspec::TrainSpec;
 use mocc_eval::SpecError;
 use rand::rngs::StdRng;
@@ -281,9 +281,9 @@ pub fn train_spec(spec: &TrainSpec, opts: &TrainOptions) -> Result<TrainRun, Spe
             .contrast
             .then(|| points[rng.gen_range(0..points.len())]);
         let pref = points[step.pref_idx];
-        curve.push(train_iteration_contrast(
-            &mut agent, pref, contrast, range, it, &mut rng,
-        ));
+        agent.ppo.cfg.entropy_coef = agent.cfg.entropy_at(it);
+        let reward = ppo_iteration(&mut agent.ppo, &agent.cfg, pref, contrast, range, &mut rng);
+        curve.push(reward);
         let done = it + 1;
         let due = spec.checkpoint_every > 0 && done % spec.checkpoint_every == 0;
         if let Some(dir) = opts.checkpoint_dir.as_ref().filter(|_| due || done == end) {

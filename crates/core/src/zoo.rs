@@ -89,7 +89,7 @@ pub fn final_eval(agent: &MoccAgent, episodes: usize) -> Vec<EvalPoint> {
     .into_iter()
     .map(|(label, pref)| EvalPoint {
         preference: label.to_string(),
-        reward: evaluate(agent, pref, eval_scenario(), episodes),
+        reward: evaluate(&agent.ppo, &agent.cfg, pref, eval_scenario(), episodes),
     })
     .collect()
 }

@@ -6,8 +6,10 @@
 //! cargo run --release --example multi_objective
 //! ```
 
-use mocc::core::{convergence_iter, OnlineAdapter, Preference, TrainOptions, TrainSpec};
+use mocc::core::{convergence_iter, evaluate, ppo_iteration, Preference, TrainOptions, TrainSpec};
 use mocc::netsim::{Scenario, ScenarioRange};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     // Trimmed two-phase offline training, declared as a TrainSpec:
@@ -35,35 +37,32 @@ fn main() {
         "  {} iterations in {:.1}s (bootstrap 3 pivots + neighborhood traversal)",
         run.outcome.iterations, run.outcome.wall_secs
     );
-    let agent = run.agent;
+    let mut agent = run.agent;
 
-    // A new application with an unforeseen requirement arrives.
+    // A new application with an unforeseen requirement arrives. Each
+    // online iteration is the offline trainer's own PPO step, with the
+    // served application as the contrast preference: requirement
+    // replay (the Eq. 6 loss) over a one-preference pool.
     let new_pref = Preference::new(0.3, 0.55, 0.15);
     let old_pref = Preference::new(0.67, 0.17, 0.17); // A served landmark.
     println!("\nadapting online to unseen preference <0.30,0.55,0.15>...");
-    let mut adapter = OnlineAdapter::new(agent, vec![old_pref], 11);
+    let mut rng = StdRng::seed_from_u64(11);
     let eval_sc = Scenario::single(4e6, 20, 600, 0.0, 120);
-    let curve = adapter.adapt(
-        new_pref,
-        ScenarioRange::training(),
-        30,
-        true, // requirement replay on
-        Some((old_pref, eval_sc, 10)),
-    );
-    for p in curve.iter().step_by(5) {
-        println!(
-            "  iter {:>3}: new-app reward {:.3}{}",
-            p.iter,
-            p.new_reward,
-            p.old_reward
-                .map(|r| format!("   old-app eval {r:.3}"))
-                .unwrap_or_default()
-        );
+    let (range, replay) = (ScenarioRange::training(), Some(old_pref));
+    let mut rewards = Vec::new();
+    for iter in 0..30 {
+        let (ppo, cfg) = (&mut agent.ppo, &agent.cfg);
+        rewards.push(ppo_iteration(ppo, cfg, new_pref, replay, range, &mut rng));
+        let line = format!("  iter {iter:>3}: new-app reward {:.3}", rewards[iter]);
+        if iter % 10 == 0 {
+            let old = evaluate(ppo, cfg, old_pref, eval_sc.clone(), 1);
+            println!("{line}   old-app eval {old:.3}");
+        } else if iter % 5 == 0 {
+            println!("{line}");
+        }
     }
-    let rewards: Vec<f32> = curve.iter().map(|p| p.new_reward).collect();
     println!(
-        "\nconvergence (95% of max gain) at iteration {:?}; replay pool now holds {} preferences",
-        convergence_iter(&rewards, 0.95),
-        adapter.pool.len()
+        "\nconvergence (95% of max gain) at iteration {:?}",
+        convergence_iter(&rewards, 0.95)
     );
 }

@@ -71,10 +71,13 @@ fn training_beats_untrained() {
     };
     for i in 0..40 {
         let pref = Preference::throughput();
-        let _ = mocc::core::train_iteration_contrast(&mut trained, pref, None, range, i, &mut rng);
+        trained.ppo.cfg.entropy_coef = cfg.entropy_at(i);
+        let _ = mocc::core::ppo_iteration(&mut trained.ppo, &cfg, pref, None, range, &mut rng);
     }
     let sc = Scenario::single(4e6, 20, 500, 0.0, 60);
-    let eval = |a: &MoccAgent| mocc::core::evaluate(a, Preference::throughput(), sc.clone(), 1);
+    let eval = |a: &MoccAgent| {
+        mocc::core::evaluate(&a.ppo, &a.cfg, Preference::throughput(), sc.clone(), 1)
+    };
     let (before, after) = (eval(&untrained), eval(&trained));
     assert!(
         after > before - 0.02,
