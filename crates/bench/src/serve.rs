@@ -42,7 +42,9 @@ const MAX_REQUEST_BYTES: usize = 1 << 20;
 pub struct Server<'a> {
     /// Executes the cells a `run` request misses.
     pub runner: &'a SweepRunner,
-    /// The store every client's requests are memoized through.
+    /// The store every client's requests are memoized through; the
+    /// daemon's handle keeps the blobs it verified
+    /// ([`ResultStore::with_verified_blobs`]).
     pub store: &'a ResultStore,
     /// Unix seconds for the store's audit ledger, read once per `run`
     /// request; timestamps never reach a report.
@@ -251,12 +253,20 @@ mod tests {
             .join(rel)
     }
 
-    /// A fresh store in a per-test temp directory.
+    /// A fresh store in a per-test temp directory, opened as the
+    /// daemon opens it.
     fn temp_store(name: &str) -> (PathBuf, ResultStore) {
         let dir = std::env::temp_dir().join(format!("mocc-serve-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).expect("open store");
+        let store = daemon_store(&dir);
         (dir, store)
+    }
+
+    /// The store in `dir` as `mocc serve` opens it.
+    fn daemon_store(dir: &Path) -> ResultStore {
+        ResultStore::open(dir)
+            .expect("open store")
+            .with_verified_blobs()
     }
 
     /// The fake clock: every ledger line a session writes carries it.
@@ -396,6 +406,92 @@ mod tests {
             stats_after("{\"op\":\"stats\"}\n"),
             "{\"hits\":30,\"keys\":17,\"misses\":10,\"objects\":17,\"ok\":true,\"puts\":17}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `run` request line for a shipped spec file, and the response
+    /// line of its all-hit repeat.
+    fn cubic_run_and_hit_line() -> (String, String) {
+        let golden = std::fs::read_to_string(repo_file("tests/fixtures/golden_cubic.json"))
+            .expect("golden fixture");
+        (
+            format!(
+                "{{\"op\":\"run\",\"path\":\"{}\"}}\n",
+                repo_file("examples/specs/sweep_cubic.json").display()
+            ),
+            format!("{{\"hits\":16,\"misses\":0,\"ok\":true,\"report\":{golden}}}"),
+        )
+    }
+
+    /// The witness of the daemon's verified blobs,
+    /// `ResultStore::blob_reads`: a daemon that wrote a spec's 16 blobs
+    /// reads none of them over four repeats; a fresh daemon on the
+    /// filled store reads each once over five identical requests; a
+    /// `mocc run` handle reads each on every request. The response
+    /// lines are the same throughout.
+    #[test]
+    fn a_daemon_reads_each_blob_once() {
+        let (dir, store) = temp_store("reads");
+        let (run, hit) = cubic_run_and_hit_line();
+        let (lines, _) = session(&store, run.as_bytes());
+        assert!(lines[0].starts_with("{\"hits\":0,\"misses\":16,"));
+        let (lines, _) = session(&store, run.repeat(4).as_bytes());
+        assert_eq!(lines, vec![hit.clone(); 4]);
+        assert_eq!(store.blob_reads(), 0, "the cold request's puts were kept");
+        drop(store);
+        let plain = ResultStore::open(&dir).expect("open store");
+        for (handle, reads) in [(daemon_store(&dir), 16), (plain, 5 * 16)] {
+            let (lines, _) = session(&handle, run.repeat(5).as_bytes());
+            assert_eq!(lines, vec![hit.clone(); 5]);
+            assert_eq!(handle.blob_reads(), reads);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Damage done to an object's file after the daemon verified it:
+    /// the daemon serves the bytes it verified — the same line, no
+    /// miss — and never the damaged ones. A fresh handle sees the
+    /// damage as every handle did: `verify` names it, and a run misses
+    /// that cell, writes it again and is whole.
+    #[test]
+    fn damage_after_verification_is_never_served() {
+        let (dir, store) = temp_store("damage");
+        let (run, hit) = cubic_run_and_hit_line();
+        session(&store, run.as_bytes());
+        let shard = std::fs::read_dir(dir.join("objects"))
+            .expect("objects")
+            .next()
+            .expect("a shard")
+            .expect("shard entry")
+            .path();
+        let object = std::fs::read_dir(shard)
+            .expect("shard")
+            .next()
+            .expect("an object")
+            .expect("object entry")
+            .path();
+        let mut bytes = std::fs::read(&object).expect("object bytes");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x20;
+        std::fs::write(&object, &bytes).expect("damage");
+        let (lines, _) = session(&store, run.repeat(2).as_bytes());
+        assert_eq!(lines, vec![hit.clone(); 2]);
+        assert_eq!(store.blob_reads(), 0);
+
+        let fresh = ResultStore::open(&dir).expect("fresh handle");
+        let issues = fresh.verify().expect("verify").issues;
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert!(issues[0].contains("content digest mismatch"), "{issues:?}");
+        let (lines, _) = session(&fresh, run.as_bytes());
+        assert_eq!(
+            lines,
+            [hit.replacen(
+                "{\"hits\":16,\"misses\":0,",
+                "{\"hits\":15,\"misses\":1,",
+                1
+            )]
+        );
+        assert!(fresh.verify().expect("verify").is_clean());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,4 +34,4 @@ mod store;
 
 pub use ledger::{LedgerEntry, LedgerEvent, LedgerScan};
 pub use sha256::{sha256, sha256_hex};
-pub use store::{object_rel_path, GcReport, ResultStore, StoreStats, VerifyReport};
+pub use store::{object_rel_path, GcReport, ResultStore, StoreStats, VerifyReport, MAX_BLOB_BYTES};

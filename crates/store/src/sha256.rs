@@ -104,13 +104,44 @@ fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
 /// The SHA-256 digest of `data` as a 64-character lowercase hex string
 /// — the store's canonical key/content-digest form.
 pub fn sha256_hex(data: &[u8]) -> String {
+    to_hex(&sha256(data))
+}
+
+/// A digest in the store's canonical form: 64 lowercase hex characters.
+pub(crate) fn to_hex(digest: &[u8; 32]) -> String {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
-    for byte in sha256(data) {
+    for &byte in digest {
         out.push(HEX[usize::from(byte >> 4)] as char);
         out.push(HEX[usize::from(byte & 0xf)] as char);
     }
     out
+}
+
+/// The digest a canonical hex form spells; `None` for anything that is
+/// not 64 lowercase hex characters — no SHA-256 the store computes
+/// prints as that. Every `put` line a store folds decodes its key and
+/// content digest here, so it is one table lookup per character.
+pub(crate) fn from_hex(hex: &str) -> Option<[u8; 32]> {
+    const NOT_HEX: u8 = 0xff;
+    const NIBBLES: [u8; 256] = {
+        let mut table = [NOT_HEX; 256];
+        let mut c = 0;
+        while c < 16 {
+            table[b"0123456789abcdef"[c] as usize] = c as u8;
+            c += 1;
+        }
+        table
+    };
+    let hex: &[u8; 64] = hex.as_bytes().try_into().ok()?;
+    let (mut out, mut seen) = ([0u8; 32], 0u8);
+    for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        let (hi, lo) = (NIBBLES[usize::from(pair[0])], NIBBLES[usize::from(pair[1])]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
+    }
+    // A character that is no hex digit set the high bits.
+    (seen < 16).then_some(out)
 }
 
 #[cfg(test)]
@@ -165,6 +196,23 @@ mod tests {
             sha256_hex(&vec![b'a'; 1_000_000]),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
+    }
+
+    #[test]
+    fn hex_parses_back_only_from_the_canonical_form() {
+        let digest = sha256(b"mocc");
+        let hex = sha256_hex(b"mocc");
+        assert_eq!(from_hex(&hex), Some(digest));
+        assert_eq!(to_hex(&digest), hex);
+        for other in [
+            String::new(),
+            hex[1..].to_string(),
+            format!("{hex}0"),
+            hex.to_uppercase(),
+            format!("g{}", &hex[1..]),
+        ] {
+            assert_eq!(from_hex(&other), None, "{other:?}");
+        }
     }
 
     #[test]

@@ -1,20 +1,40 @@
 //! The content-addressed object store: sharded blobs + audit ledger.
 
 use crate::ledger::{write_entry, LedgerEntry, LedgerEvent, LedgerScan};
-use crate::sha256::sha256_hex;
+use crate::sha256::{from_hex, sha256, sha256_hex, to_hex};
 use std::collections::BTreeMap;
+use std::fs::DirEntry;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Name of the ledger file inside the store root.
 const LEDGER_FILE: &str = "ledger.jsonl";
 /// Name of the objects directory inside the store root.
 const OBJECTS_DIR: &str = "objects";
 
+/// The largest object file any reader of the store takes in: `lookup`
+/// misses a larger one, `verify` reports it and `gc` removes it, none
+/// of them reading a byte of it, and `put` refuses a larger blob. A
+/// cell report is a fixed set of fields — every shipped spec writes
+/// blobs of 355–390 bytes — so this is thousands of times the largest.
+pub const MAX_BLOB_BYTES: u64 = 1 << 20;
+
+/// The byte budget of a daemon's verified blobs
+/// ([`ResultStore::with_verified_blobs`]): blob bytes plus
+/// [`VERIFIED_ENTRY_BYTES`] per blob.
+const VERIFIED_BLOB_BUDGET: usize = 32 << 20;
+
+/// What one verified blob costs beyond its bytes: its digest, the
+/// shared pointer and its counts, and the map's share of a node.
+const VERIFIED_ENTRY_BYTES: usize = 96;
+
 /// Monotone counter making temp-file names unique within a process.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// A SHA-256 digest: a store key, or a blob's content digest.
+type Digest = [u8; 32];
 
 /// The ledger as far as this handle has read it: the key index (each
 /// key's latest `put`, as its blob's content digest — the blob's place
@@ -22,7 +42,10 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// `stats` reports, with where the reading stopped.
 #[derive(Debug, Default)]
 struct Folded {
-    index: BTreeMap<String, String>,
+    /// Key → content digest, both binary. A `put` line whose `content`
+    /// is not a digest's canonical hex records `None`: no blob can
+    /// match it.
+    index: BTreeMap<Digest, Option<Digest>>,
     puts: u64,
     hits: u64,
     misses: u64,
@@ -42,8 +65,11 @@ impl Folded {
         let scan = LedgerScan::visit(text, |entry| match entry.event {
             LedgerEvent::Put => {
                 self.puts += 1;
-                self.index
-                    .insert(entry.key, entry.content.unwrap_or_default());
+                // A `put` line reaches here only with a store key.
+                if let Some(key) = from_hex(&entry.key) {
+                    self.index
+                        .insert(key, entry.content.as_deref().and_then(from_hex));
+                }
             }
             LedgerEvent::Hit => self.hits += 1,
             LedgerEvent::Miss => self.misses += 1,
@@ -100,6 +126,57 @@ impl Folded {
     }
 }
 
+/// A daemon's verified blobs: content digest → bytes that hash to it,
+/// within a byte budget.
+#[derive(Debug)]
+struct VerifiedBlobs {
+    blobs: BTreeMap<Digest, Arc<[u8]>>,
+    /// What the blobs held cost against `budget`: their bytes plus
+    /// [`VERIFIED_ENTRY_BYTES`] each.
+    bytes: usize,
+    budget: usize,
+}
+
+impl VerifiedBlobs {
+    fn new(budget: usize) -> Self {
+        VerifiedBlobs {
+            blobs: BTreeMap::new(),
+            bytes: 0,
+            budget,
+        }
+    }
+
+    /// Keeps `blob`, whose SHA-256 is `digest`. To make room, blobs are
+    /// dropped smallest digest first — digests are uniform, so what
+    /// stays is a fair sample of what was kept — and a blob that alone
+    /// exceeds the budget is not kept.
+    fn insert(&mut self, digest: Digest, blob: Arc<[u8]>) {
+        let cost = blob.len() + VERIFIED_ENTRY_BYTES;
+        if cost > self.budget || self.blobs.contains_key(&digest) {
+            return;
+        }
+        while self.bytes + cost > self.budget {
+            let Some((_, dropped)) = self.blobs.pop_first() else {
+                break;
+            };
+            self.bytes -= dropped.len() + VERIFIED_ENTRY_BYTES;
+        }
+        self.bytes += cost;
+        self.blobs.insert(digest, blob);
+    }
+}
+
+/// What the store's one lock guards.
+#[derive(Debug, Default)]
+struct Locked {
+    folded: Folded,
+    /// `Some` on a daemon's handle only
+    /// ([`ResultStore::with_verified_blobs`]).
+    verified: Option<VerifiedBlobs>,
+    /// Lookups this handle sent to an object's file.
+    blob_reads: u64,
+}
+
 /// A content-addressed on-disk result store.
 ///
 /// Layout under the root directory:
@@ -112,9 +189,11 @@ impl Folded {
 /// Blobs are opaque to the store (the experiment layer stores
 /// canonical `CellReport` JSON). Every blob's SHA-256 **content
 /// digest** is recorded in the ledger's `put` line; [`ResultStore::get`]
-/// re-reads and re-hashes the blob on every lookup and refuses to
-/// serve bytes that do not match — a corrupted object degrades to a
-/// miss (recompute), never to wrong results.
+/// re-reads and re-hashes the blob on every lookup — a daemon's handle
+/// ([`ResultStore::with_verified_blobs`]) on the first lookup of each
+/// digest only, serving the bytes it verified then to later ones — and
+/// refuses to serve bytes that do not match: a corrupted object
+/// degrades to a miss (recompute), never to wrong results.
 ///
 /// Writes are atomic (temp file + rename in the same directory), and
 /// ledger appends happen under an in-process lock with one `write`
@@ -130,7 +209,7 @@ impl Folded {
 #[derive(Debug)]
 pub struct ResultStore {
     root: PathBuf,
-    folded: Mutex<Folded>,
+    state: Mutex<Locked>,
     repaired_tail: bool,
 }
 
@@ -205,9 +284,28 @@ impl ResultStore {
         }
         Ok(ResultStore {
             root,
-            folded: Mutex::new(folded),
+            state: Mutex::new(Locked {
+                folded,
+                ..Locked::default()
+            }),
             repaired_tail,
         })
+    }
+
+    /// This handle, keeping the blobs its lookups verify and its
+    /// `put`s write, by content digest, within a fixed byte budget
+    /// (32 MiB): a later lookup whose recorded digest is kept copies
+    /// those bytes and writes the same `hit` line, with no file opened,
+    /// read or hashed. Every byte served still hashes to the digest the
+    /// index records. What this handle no longer notices is damage
+    /// done to an object's file after it verified that file; `verify`,
+    /// `gc` and every other handle still do. For the long-lived
+    /// `mocc serve` only (docs/CACHING.md, "The daemon's verified
+    /// blobs").
+    pub fn with_verified_blobs(mut self) -> Self {
+        self.state.get_mut().expect("store lock").verified =
+            Some(VerifiedBlobs::new(VERIFIED_BLOB_BUDGET));
+        self
     }
 
     /// The store's root directory.
@@ -223,7 +321,7 @@ impl ResultStore {
 
     /// Number of keys with a live blob record.
     pub fn len(&self) -> usize {
-        self.folded.lock().expect("store lock").index.len()
+        self.state.lock().expect("store lock").folded.index.len()
     }
 
     /// True when no key has a live blob record.
@@ -231,24 +329,36 @@ impl ResultStore {
         self.len() == 0
     }
 
+    /// Object files this handle's lookups went to — opened, or tried
+    /// to — since [`ResultStore::open`]: one per lookup of a recorded
+    /// blob, except on a daemon's handle, which reads a blob only until
+    /// it has verified it ([`ResultStore::with_verified_blobs`]).
+    pub fn blob_reads(&self) -> u64 {
+        self.state.lock().expect("store lock").blob_reads
+    }
+
     /// The one lookup: the blob for `key` read into `bytes` and served
     /// from there once its content digest is verified, and the
     /// lookup's `hit` or `miss` line — with the caller-supplied
-    /// timestamp — pushed onto `lines`. A blob that cannot be read, or
-    /// whose bytes do not hash to the digest recorded when it was
-    /// written, is a miss — corruption degrades to recomputation,
-    /// never to bad bytes.
+    /// timestamp — pushed onto `lines`. A blob that cannot be read, is
+    /// over [`MAX_BLOB_BYTES`], or whose bytes do not hash to the
+    /// digest recorded when it was written, is a miss — corruption
+    /// degrades to recomputation, never to bad bytes. On a daemon's
+    /// handle, a recorded digest whose bytes it has verified before is
+    /// served from them instead of from the file.
     ///
     /// No ledger is touched: the caller hands the lines of its lookups
     /// to [`ResultStore::append_lookups`], in the order the ledger is
     /// to read them, whichever threads did the looking up. Both
     /// buffers are the caller's so that a run of lookups reuses them.
     ///
-    /// The index lock is held for a map probe and a 64-byte copy —
-    /// never across an allocation, a file read or a digest — so
-    /// concurrent lookups of one store share no I/O wait. A `put` that
-    /// lands between the copy and the read can only turn the lookup
-    /// into a miss (the digest no longer matches).
+    /// The index lock is held for a map probe and a 32-byte copy — on a
+    /// daemon's handle also a second probe and a reference count, and
+    /// once per digest, after the digest is checked, an insert — never
+    /// across a file read or a digest, so concurrent lookups of one
+    /// store share no I/O wait. A `put` that lands between the copy
+    /// and the read can only turn the lookup into a miss (the digest
+    /// no longer matches).
     pub fn lookup<'b>(
         &self,
         key: &str,
@@ -256,22 +366,37 @@ impl ResultStore {
         bytes: &'b mut Vec<u8>,
         lines: &mut String,
     ) -> Option<&'b str> {
-        let mut content = [0u8; 64];
-        let indexed = match self.folded.lock().expect("store lock").index.get(key) {
-            // A recorded digest of any other length is no SHA-256 in
-            // hex: no blob can match it.
-            Some(recorded) if recorded.len() == content.len() => {
-                content.copy_from_slice(recorded.as_bytes());
+        let index_key = from_hex(key);
+        let (recorded, kept, keeps) = {
+            let mut state = self.state.lock().expect("store lock");
+            let recorded = index_key.and_then(|key| state.folded.index.get(&key).copied()?);
+            let kept =
+                recorded.and_then(|digest| state.verified.as_ref()?.blobs.get(&digest).cloned());
+            if recorded.is_some() && kept.is_none() {
+                state.blob_reads += 1;
+            }
+            (recorded, kept, state.verified.is_some())
+        };
+        let verified = match (recorded, kept) {
+            (Some(_), Some(blob)) => {
+                bytes.clear();
+                bytes.extend_from_slice(&blob);
                 true
             }
-            _ => false,
+            (Some(digest), None) => {
+                let matches = read_blob(&self.root.join(object_rel_path(key)), bytes).is_ok()
+                    && sha256(bytes) == digest;
+                if matches && keeps {
+                    let blob: Arc<[u8]> = Arc::from(&bytes[..]);
+                    let mut state = self.state.lock().expect("store lock");
+                    if let Some(verified) = state.verified.as_mut() {
+                        verified.insert(digest, blob);
+                    }
+                }
+                matches
+            }
+            (None, _) => false,
         };
-        bytes.clear();
-        let verified = indexed
-            && std::fs::File::open(self.root.join(object_rel_path(key)))
-                .and_then(|mut file| file.read_to_end(bytes))
-                .is_ok()
-            && sha256_hex(bytes).as_bytes() == content;
         let blob = if verified {
             std::str::from_utf8(bytes).ok()
         } else {
@@ -294,7 +419,7 @@ impl ResultStore {
     /// nothing else. A write cut short leaves only whole lines and the
     /// half-line tail [`ResultStore::open`] already repairs.
     pub fn append_lookups(&self, lines: &str) {
-        let _guard = self.folded.lock().expect("store lock");
+        let _guard = self.state.lock().expect("store lock");
         let _ = self.append_locked(lines);
     }
 
@@ -312,9 +437,19 @@ impl ResultStore {
     /// Stores `blob` under `key` (a 64-char hex digest of the
     /// canonical request — see `mocc-eval`'s cache-key derivation).
     /// The write is atomic (temp file + rename) and appends a `put`
-    /// ledger line carrying the blob's content digest.
+    /// ledger line carrying the blob's content digest. A blob over
+    /// [`MAX_BLOB_BYTES`] is refused: no lookup would serve it.
     pub fn put(&self, key: &str, blob: &str, ts: u64) -> io::Result<()> {
-        validate_key(key)?;
+        let index_key = validate_key(key)?;
+        if blob.len() as u64 > MAX_BLOB_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "a {}-byte blob is over the {MAX_BLOB_BYTES}-byte cap on an object",
+                    blob.len()
+                ),
+            ));
+        }
         let rel = object_rel_path(key);
         let path = self.root.join(&rel);
         let dir = path.parent().expect("object path has a shard directory");
@@ -326,20 +461,23 @@ impl ResultStore {
         ));
         std::fs::write(&tmp, blob)?;
         std::fs::rename(&tmp, &path)?;
-        let content = sha256_hex(blob.as_bytes());
+        let digest = sha256(blob.as_bytes());
         let mut line = String::new();
         write_entry(
             &mut line,
             key,
             LedgerEvent::Put,
-            Some(&content),
+            Some(&to_hex(&digest)),
             Some(&rel),
             ts,
         );
         line.push('\n');
-        let mut guard = self.folded.lock().expect("store lock");
+        let mut state = self.state.lock().expect("store lock");
         self.append_locked(&line)?;
-        guard.index.insert(key.to_string(), content);
+        state.folded.index.insert(index_key, Some(digest));
+        if let Some(verified) = state.verified.as_mut() {
+            verified.insert(digest, Arc::from(blob.as_bytes()));
+        }
         Ok(())
     }
 
@@ -375,34 +513,40 @@ impl ResultStore {
         }
     }
 
-    /// Every object file currently on disk as `(relative path, bytes)`.
-    fn walk_objects(&self) -> io::Result<Vec<(String, u64)>> {
-        let mut out = Vec::new();
-        let objects = self.root.join(OBJECTS_DIR);
-        for shard in std::fs::read_dir(&objects)? {
-            let shard = shard?.path();
-            if !shard.is_dir() {
+    /// Calls `visit(shard, object, bytes)` for every object file on
+    /// disk — every entry of a shard directory under `objects/` that is
+    /// a file once symlinks are followed — in directory order. The
+    /// listing says what an entry is (`DirEntry::file_type`); a file's
+    /// length costs one `stat` relative to its shard directory
+    /// (`DirEntry::metadata`), and only a symlink is looked up by path,
+    /// to follow it. No path is built for a file.
+    fn walk_objects(&self, mut visit: impl FnMut(&DirEntry, &DirEntry, u64)) -> io::Result<()> {
+        for shard in std::fs::read_dir(self.root.join(OBJECTS_DIR))? {
+            let shard = shard?;
+            let is_dir = match shard.file_type() {
+                Ok(kind) if kind.is_symlink() => {
+                    std::fs::metadata(shard.path()).is_ok_and(|meta| meta.is_dir())
+                }
+                Ok(kind) => kind.is_dir(),
+                Err(_) => false,
+            };
+            if !is_dir {
                 continue;
             }
-            for obj in std::fs::read_dir(&shard)? {
-                let path = obj?.path();
-                // One stat per blob, symlinks followed as `is_file`
-                // follows them; anything it cannot stat is not a file.
-                let Ok(meta) = std::fs::metadata(&path) else {
-                    continue;
+            for object in std::fs::read_dir(shard.path())? {
+                let object = object?;
+                let meta = match object.file_type() {
+                    Ok(kind) if kind.is_symlink() => std::fs::metadata(object.path()),
+                    Ok(kind) if kind.is_file() => object.metadata(),
+                    _ => continue,
                 };
-                if meta.is_file() {
-                    let rel = path
-                        .strip_prefix(&self.root)
-                        .expect("object under root")
-                        .to_string_lossy()
-                        .replace('\\', "/");
-                    out.push((rel, meta.len()));
+                // Anything that cannot be stat'ed is not a file.
+                if let Some(meta) = meta.ok().filter(|meta| meta.is_file()) {
+                    visit(&shard, &object, meta.len());
                 }
             }
         }
-        out.sort();
-        Ok(out)
+        Ok(())
     }
 
     /// Aggregate counters over the ledger, as of its current end, and
@@ -422,12 +566,17 @@ impl ResultStore {
     pub fn stats(&self) -> io::Result<StoreStats> {
         // Walked before the lock is taken: lookups wait for the
         // catch-up only.
-        let objects = self.walk_objects()?;
-        let mut folded = self.folded.lock().expect("store lock");
-        let truncated_ledger_tail = folded.catch_up(&self.root)?;
+        let (mut objects, mut object_bytes) = (0, 0);
+        self.walk_objects(|_, _, len| {
+            objects += 1;
+            object_bytes += len;
+        })?;
+        let mut state = self.state.lock().expect("store lock");
+        let truncated_ledger_tail = state.folded.catch_up(&self.root)?;
+        let folded = &state.folded;
         Ok(StoreStats {
-            objects: objects.len() as u64,
-            object_bytes: objects.iter().map(|(_, n)| n).sum(),
+            objects,
+            object_bytes,
             keys: folded.index.len() as u64,
             puts: folded.puts,
             hits: folded.hits,
@@ -440,7 +589,8 @@ impl ResultStore {
     /// Verifies the whole store from disk: every ledger line parses,
     /// every recorded blob exists and hashes to its recorded content
     /// digest, and every object file is referenced by the ledger.
-    /// Detects truncation, bit flips, and half-written ledger tails.
+    /// Detects truncation, bit flips, oversized objects and
+    /// half-written ledger tails.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let scan = LedgerScan::parse(&read_ledger(&self.root)?);
         let mut report = VerifyReport::default();
@@ -455,11 +605,15 @@ impl ResultStore {
             ));
         }
         let puts = scan.latest_puts();
+        let mut bytes = Vec::new();
         for (key, entry) in &puts {
             let rel = object_rel_path(key);
-            match std::fs::read(self.root.join(&rel)) {
+            match read_blob(&self.root.join(&rel), &mut bytes) {
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    report.issues.push(format!("object {rel}: {e}"));
+                }
                 Err(_) => report.issues.push(format!("object {rel}: missing blob")),
-                Ok(bytes) => {
+                Ok(()) => {
                     report.objects_checked += 1;
                     let want = entry.content.as_deref().unwrap_or("");
                     let got = sha256_hex(&bytes);
@@ -474,36 +628,43 @@ impl ResultStore {
         }
         let referenced: std::collections::BTreeSet<String> =
             puts.keys().map(|k| object_rel_path(k)).collect();
-        for (rel, _) in self.walk_objects()? {
+        let mut orphans = Vec::new();
+        self.walk_objects(|shard, object, _| {
+            let rel = walked_rel_path(shard, object);
             if !referenced.contains(&rel) {
-                report
-                    .issues
-                    .push(format!("object {rel}: orphan (no ledger put entry)"));
+                orphans.push(rel);
             }
+        })?;
+        orphans.sort();
+        for rel in orphans {
+            report
+                .issues
+                .push(format!("object {rel}: orphan (no ledger put entry)"));
         }
         Ok(report)
     }
 
-    /// Garbage-collects the store: deletes objects that are corrupt,
-    /// orphaned, or (when `before` is given) whose key was last
-    /// touched strictly before that timestamp, then compacts the
-    /// ledger to one `put` line per surviving key (original put
-    /// timestamps preserved; hit/miss history is dropped — that is
-    /// the space the collection reclaims). The rewrite is atomic.
+    /// Garbage-collects the store: deletes objects that are corrupt
+    /// (oversized ones included), orphaned, or (when `before` is given)
+    /// whose key was last touched strictly before that timestamp, then
+    /// compacts the ledger to one `put` line per surviving key
+    /// (original put timestamps preserved; hit/miss history is dropped
+    /// — that is the space the collection reclaims). The rewrite is
+    /// atomic.
     pub fn gc(&self, before: Option<u64>) -> io::Result<GcReport> {
-        let mut guard = self.folded.lock().expect("store lock");
+        let mut state = self.state.lock().expect("store lock");
         let scan = LedgerScan::parse(&read_ledger(&self.root)?);
         let puts = scan.latest_puts();
         let touch = scan.last_touch();
         let mut survivors: BTreeMap<String, LedgerEntry> = BTreeMap::new();
         let mut removed_objects = 0u64;
+        let mut bytes = Vec::new();
         for (key, entry) in &puts {
             let full = self.root.join(object_rel_path(key));
             let expired = before.is_some_and(|b| touch.get(key).copied().unwrap_or(0) < b);
             let live = !expired
-                && std::fs::read(&full)
-                    .map(|bytes| Some(sha256_hex(&bytes)) == entry.content)
-                    .unwrap_or(false);
+                && read_blob(&full, &mut bytes).is_ok()
+                && entry.content.as_deref().and_then(from_hex) == Some(sha256(&bytes));
             if live {
                 survivors.insert(key.clone(), entry.clone());
             } else if std::fs::remove_file(&full).is_ok() {
@@ -512,8 +673,14 @@ impl ResultStore {
         }
         let kept_paths: std::collections::BTreeSet<String> =
             survivors.keys().map(|k| object_rel_path(k)).collect();
-        for (rel, _) in self.walk_objects()? {
-            if !kept_paths.contains(&rel) && std::fs::remove_file(self.root.join(&rel)).is_ok() {
+        let mut strays = Vec::new();
+        self.walk_objects(|shard, object, _| {
+            if !kept_paths.contains(&walked_rel_path(shard, object)) {
+                strays.push(object.path());
+            }
+        })?;
+        for path in strays {
+            if std::fs::remove_file(path).is_ok() {
                 removed_objects += 1;
             }
         }
@@ -531,14 +698,49 @@ impl ResultStore {
         std::fs::rename(&tmp, self.root.join(LEDGER_FILE))?;
         let before_lines =
             scan.entries.len() + scan.bad_lines.len() + usize::from(scan.truncated_tail);
-        *guard = Folded::default();
-        guard.fold(&compacted);
+        state.folded = Folded::default();
+        state.folded.fold(&compacted);
         Ok(GcReport {
             kept: survivors.len() as u64,
             removed_objects,
             removed_ledger_lines: before_lines.saturating_sub(survivors.len()) as u64,
         })
     }
+}
+
+/// Reads the object file at `path` into `buf` with one `read` call:
+/// the length its open handle reports sizes the buffer, and a short
+/// read ends the blob — a truncated blob fails its digest. A file over
+/// [`MAX_BLOB_BYTES`] is an error of kind `InvalidData` (the only one
+/// of that kind), and none of it is read. `lookup`, `verify` and `gc`
+/// all read through here.
+fn read_blob(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+    let mut file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    if len > MAX_BLOB_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{len} bytes, over the {MAX_BLOB_BYTES}-byte cap on an object"),
+        ));
+    }
+    buf.clear();
+    buf.resize(len as usize, 0);
+    let n = file.read(buf)?;
+    buf.truncate(n);
+    Ok(())
+}
+
+/// A walked object's path relative to the store root, spelled as
+/// [`object_rel_path`] spells a key's.
+fn walked_rel_path(shard: &DirEntry, object: &DirEntry) -> String {
+    [
+        OBJECTS_DIR,
+        "/",
+        &shard.file_name().to_string_lossy(),
+        "/",
+        &object.file_name().to_string_lossy(),
+    ]
+    .concat()
 }
 
 /// The whole ledger text of the store at `root`, empty when there is
@@ -581,22 +783,19 @@ pub(crate) fn is_object_rel_path(path: &str, key: &str) -> bool {
 
 /// Keys must be 64-char lowercase hex (a SHA-256 digest): anything
 /// else would be a caller bug and could escape the objects directory.
-pub(crate) fn validate_key(key: &str) -> io::Result<()> {
-    let ok = key.len() == 64 && key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
-    if ok {
-        Ok(())
-    } else {
-        Err(io::Error::new(
+/// Returns the digest the key spells.
+pub(crate) fn validate_key(key: &str) -> io::Result<Digest> {
+    from_hex(key).ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("store key {key:?} is not a 64-char lowercase hex digest"),
-        ))
-    }
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::sha256_hex;
 
     fn temp_store(name: &str) -> ResultStore {
         let dir =
@@ -1033,6 +1232,189 @@ mod tests {
         for bad in ["", "abc", &key("x").to_uppercase(), "../../etc/passwd"] {
             assert!(store.put(bad, "blob", 1).is_err(), "{bad:?}");
         }
+    }
+
+    /// A daemon's handle serves only bytes that hash to the digest its
+    /// index records. Another handle's `put` of a different blob for a
+    /// key enters that index when the daemon catches up (`stats`);
+    /// from then on the daemon serves the new blob — read and verified
+    /// once, then kept — and never the old one.
+    #[test]
+    fn a_daemon_serves_the_digest_its_index_records() {
+        let daemon = temp_store("daemon-foreign").with_verified_blobs();
+        let k = key("cell");
+        daemon.put(&k, "old blob", 1).unwrap();
+        assert_eq!(daemon.get(&k, 2).as_deref(), Some("old blob"));
+        assert_eq!(daemon.blob_reads(), 0, "a blob the daemon wrote is kept");
+        let other = ResultStore::open(daemon.root()).unwrap();
+        other.put(&k, "new blob", 3).unwrap();
+        assert_eq!(
+            daemon.get(&k, 4).as_deref(),
+            Some("old blob"),
+            "not caught up: the index still records the old digest"
+        );
+        assert_eq!(daemon.stats().unwrap().puts, 2);
+        for ts in 5..9 {
+            assert_eq!(daemon.get(&k, ts).as_deref(), Some("new blob"));
+        }
+        assert_eq!(daemon.blob_reads(), 1);
+        // A plain handle reads on every lookup.
+        for ts in 9..12 {
+            assert_eq!(other.get(&k, ts).as_deref(), Some("new blob"));
+        }
+        assert_eq!(other.blob_reads(), 3);
+    }
+
+    /// However many blobs are kept, their cost stays within the
+    /// budget, the blob just kept is among them, and a blob that alone
+    /// exceeds the budget is not kept and drops nothing.
+    #[test]
+    fn verified_blobs_stay_within_their_budget() {
+        let budget = 5 * (VERIFIED_ENTRY_BYTES + 100);
+        let mut kept = VerifiedBlobs::new(budget);
+        for i in 0..200usize {
+            let blob = format!("{i:0>width$}", width = 1 + i % 160);
+            let digest = sha256(blob.as_bytes());
+            kept.insert(digest, Arc::from(blob.as_bytes()));
+            let cost: usize = kept
+                .blobs
+                .values()
+                .map(|blob| blob.len() + VERIFIED_ENTRY_BYTES)
+                .sum();
+            assert_eq!(kept.bytes, cost, "insert {i}");
+            assert!(kept.bytes <= budget, "insert {i}: {} bytes", kept.bytes);
+            assert_eq!(
+                kept.blobs.get(&digest).map(|b| &b[..]),
+                Some(blob.as_bytes())
+            );
+        }
+        let before = kept.blobs.clone();
+        let huge = vec![b'x'; budget];
+        kept.insert(sha256(&huge), Arc::from(huge));
+        assert_eq!(kept.blobs, before);
+    }
+
+    /// An object file far over the cap — sparse, so it costs no disk —
+    /// is never read: a lookup misses it at once, `verify` names it,
+    /// and `gc` removes it as corrupt. `put` refuses such a blob.
+    #[test]
+    fn an_oversized_object_is_never_read() {
+        let store = temp_store("oversized");
+        let (big, small) = (key("big"), key("small"));
+        store.put(&big, "a blob", 1).unwrap();
+        store.put(&small, "small blob", 2).unwrap();
+        let path = store.root().join(object_rel_path(&big));
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|file| file.set_len(3 << 30))
+            .unwrap();
+        assert_eq!(store.get(&big, 3), None);
+        assert_eq!(store.blob_reads(), 1, "opened, never read");
+        let issues = store.verify().unwrap().issues;
+        assert_eq!(
+            issues,
+            [format!(
+                "object {}: 3221225472 bytes, over the 1048576-byte cap on an object",
+                object_rel_path(&big)
+            )]
+        );
+        let report = store.gc(None).unwrap();
+        assert_eq!((report.kept, report.removed_objects), (1, 1));
+        assert!(!path.exists());
+        let over = "x".repeat(MAX_BLOB_BYTES as usize + 1);
+        let refused = store.put(&big, &over, 4).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        let at_cap = "x".repeat(MAX_BLOB_BYTES as usize);
+        store.put(&big, &at_cap, 5).unwrap();
+        assert_eq!(
+            store.get(&big, 6).map(|blob| blob.len()),
+            Some(at_cap.len())
+        );
+        assert!(store.verify().unwrap().is_clean());
+    }
+
+    /// The objects walk as it was: a full-path `metadata` per entry
+    /// (symlinks followed), a relative path string per object, sorted.
+    /// The reference `stats`, `verify` and `gc` are held to.
+    fn walk_by_path(root: &Path) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        for shard in std::fs::read_dir(root.join(OBJECTS_DIR)).unwrap() {
+            let shard = shard.unwrap().path();
+            if !shard.is_dir() {
+                continue;
+            }
+            for obj in std::fs::read_dir(&shard).unwrap() {
+                let path = obj.unwrap().path();
+                let Ok(meta) = std::fs::metadata(&path) else {
+                    continue;
+                };
+                if meta.is_file() {
+                    let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+                    out.push((rel.replace('\\', "/"), meta.len()));
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// `stats` counts what the walk by path counted, and `verify`
+    /// names the same orphans in the same order, over every kind of
+    /// entry an objects directory can hold: blobs, a symlinked shard,
+    /// a symlinked object, a dangling symlink, a stray file and a
+    /// stray directory under `objects/`, and a directory in a shard.
+    #[test]
+    fn the_objects_walk_counts_what_a_walk_by_path_counts() {
+        let store = temp_store("walk");
+        let root = store.root().to_path_buf();
+        for i in 0..6 {
+            store
+                .put(&key(&format!("cell-{i}")), &"b".repeat(10 + i), 1)
+                .unwrap();
+        }
+        let outside = root.join("elsewhere");
+        std::fs::create_dir_all(outside.join("shard")).unwrap();
+        std::fs::write(outside.join("shard").join("linked.json"), "twelve bytes").unwrap();
+        std::fs::write(outside.join("target.json"), "seventeen bytes!!").unwrap();
+        let objects = root.join(OBJECTS_DIR);
+        std::os::unix::fs::symlink(outside.join("shard"), objects.join("zz")).unwrap();
+        let shard = objects.join(&key("cell-0")[..2]);
+        std::os::unix::fs::symlink(outside.join("target.json"), shard.join("link.json")).unwrap();
+        std::os::unix::fs::symlink(outside.join("nothing"), shard.join("dangling.json")).unwrap();
+        std::fs::create_dir(shard.join("subdir")).unwrap();
+        std::fs::write(objects.join("stray-file"), "stray").unwrap();
+        std::fs::create_dir(objects.join("stray-dir")).unwrap();
+        std::fs::write(objects.join("stray-dir").join("deep.json"), "deep").unwrap();
+
+        let reference = walk_by_path(&root);
+        assert_eq!(
+            reference.len(),
+            6 + 2 + 1,
+            "blobs, two links, stray-dir's file"
+        );
+        let stats = store.stats().unwrap();
+        assert_eq!(stats.objects, reference.len() as u64);
+        assert_eq!(
+            stats.object_bytes,
+            reference.iter().map(|(_, n)| n).sum::<u64>()
+        );
+        let owned: Vec<String> = (0..6)
+            .map(|i| object_rel_path(&key(&format!("cell-{i}"))))
+            .collect();
+        let orphans: Vec<String> = reference
+            .iter()
+            .filter(|(rel, _)| !owned.contains(rel))
+            .map(|(rel, _)| format!("object {rel}: orphan (no ledger put entry)"))
+            .collect();
+        assert_eq!(store.verify().unwrap().issues, orphans);
+        let report = store.gc(None).unwrap();
+        assert_eq!((report.kept, report.removed_objects), (6, 3));
+        assert_eq!(walk_by_path(&root).len(), 6);
+        assert!(
+            outside.join("target.json").exists(),
+            "a link is removed, not its target"
+        );
     }
 
     #[test]

@@ -561,6 +561,38 @@ fn corrupted_objects_degrade_to_recompute_not_wrong_bytes() {
     drop_store(&dir);
 }
 
+/// A 3 GiB object file — sparse, at a live key's object path — is
+/// never read: a warm run misses that one cell at once, recomputes it
+/// to the reference bytes and writes it back. `verify` names the file
+/// before, and the store is whole after.
+#[test]
+fn a_huge_object_file_is_a_miss_not_a_gigabyte_read() {
+    let exp = small_experiment(2);
+    let (dir, store) = temp_store("huge");
+    let runner = SweepRunner::with_threads(1);
+    let (cold, _) = run_experiment_cached(&runner, &exp, &store, 1).expect("cold run");
+    let huge = &object_paths(&dir)[0];
+    std::fs::File::options()
+        .write(true)
+        .open(huge)
+        .and_then(|file| file.set_len(3 << 30))
+        .expect("sparse object");
+    let issues = store.verify().expect("verify runs").issues;
+    assert_eq!(issues.len(), 1, "{issues:?}");
+    assert!(
+        issues[0].ends_with(": 3221225472 bytes, over the 1048576-byte cap on an object"),
+        "{issues:?}"
+    );
+    let reads = store.blob_reads();
+    let (warm, stats) = run_experiment_cached(&runner, &exp, &store, 2).expect("warm run");
+    assert_eq!((stats.hits, stats.misses), (exp.cell_count() as u64 - 1, 1));
+    assert_eq!(store.blob_reads() - reads, exp.cell_count() as u64);
+    assert_eq!(warm.to_canonical_json(), cold.to_canonical_json());
+    assert!(std::fs::metadata(huge).expect("rewritten").len() < 4096);
+    assert!(store.verify().expect("verify runs").is_clean());
+    drop_store(&dir);
+}
+
 /// A crash mid-append leaves a half-written last ledger line; reopen
 /// truncates it away, the surviving index still serves every blob,
 /// and the warm report is unchanged. A garbled interior line (torn
