@@ -2,7 +2,7 @@
 //! experiments end to end, no recompilation.
 //!
 //! ```text
-//! mocc run <spec.json> [--threads N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
+//! mocc run <spec.json> [--threads N] [--out FILE] [--cache] [--cache-dir DIR]
 //! mocc hunt <spec.json> [--budget N] [--baseline SCHEME] [--out-dir DIR] [--seed N] [--threads N]
 //! mocc train <spec.json> [--zoo DIR] [--resume DIR] [--out FILE] [--max-iters N]
 //! mocc validate <spec.json>...
@@ -66,7 +66,7 @@ const USAGE: &str = "\
 mocc — run declarative MOCC experiment specs (docs/SPECS.md)
 
 USAGE:
-    mocc run <spec.json> [--threads N] [--fast-math] [--out FILE] [--cache] [--cache-dir DIR]
+    mocc run <spec.json> [--threads N] [--out FILE] [--cache] [--cache-dir DIR]
     mocc hunt <spec.json> [--budget N] [--baseline SCHEME] [--out-dir DIR] [--seed N] [--threads N]
     mocc train <spec.json> [--zoo DIR] [--resume DIR] [--out FILE] [--max-iters N]
     mocc validate <spec.json>...
@@ -77,8 +77,6 @@ USAGE:
 
 OPTIONS (run):
     --threads N   worker threads (default: MOCC_SWEEP_THREADS or all cores)
-    --fast-math   select the approximate-tanh inference tier (docs/PERFORMANCE.md);
-                  changes report bytes, so it is part of the cache key
     --out FILE    write the canonical-JSON report to FILE instead of stdout
     --cache       memoize cells through the result store (docs/CACHING.md)
     --cache-dir DIR  store location (implies --cache; default: the `store`
@@ -160,7 +158,6 @@ enum Takes {
 /// it names in its [`parse_args`] call.
 const FLAGS: &[(&str, Takes)] = &[
     ("--threads", Takes::Number(1)),
-    ("--fast-math", Takes::Nothing),
     ("--out", Takes::Text("a file path")),
     ("--cache", Takes::Nothing),
     ("--cache-dir", Takes::Text("a directory path")),
@@ -329,7 +326,7 @@ fn load_spec(path: &str) -> Result<ExperimentSpec, String> {
 /// return `None` and fall through to the full parser, which owns the
 /// real error message.
 fn spec_kind(path: &str) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
+    let text = mocc_store::read_text(Path::new(path)).ok()?;
     let Value::Obj(obj) = serde_json::from_str(&text).ok()? else {
         return None;
     };
@@ -340,13 +337,7 @@ fn spec_kind(path: &str) -> Option<String> {
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let accepts = [
-        "--threads",
-        "--fast-math",
-        "--out",
-        "--cache",
-        "--cache-dir",
-    ];
+    let accepts = ["--threads", "--out", "--cache", "--cache-dir"];
     let (positional, flags) = parse_args("run", &accepts, args)?;
     let &[path] = positional.as_slice() else {
         return Err(format!("`mocc run` takes exactly one spec file\n\n{USAGE}"));
@@ -356,18 +347,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "{path} is a training spec — run it with `mocc train {path}`"
         ));
     }
-    let mut exp = load_spec(path)?;
-    if flags.has("--fast-math") {
-        match &mut exp.policy {
-            Some(policy) => policy.fast_math = true,
-            None => {
-                return Err(format!(
-                    "{path}: --fast-math selects the policy's inference tier, \
-                     but this spec has no policy section (no `mocc` schemes)"
-                ))
-            }
-        }
-    }
+    let exp = load_spec(path)?;
     let runner = runner(&flags)?;
     eprintln!(
         "[mocc] {}: {} cells over {} worker threads",

@@ -59,7 +59,7 @@ pub fn load_or_train<T: Serialize>(
     decode: fn(&str) -> Result<T, serde_json::Error>,
     train: impl FnOnce() -> Result<T, String>,
 ) -> Result<T, String> {
-    let cached = std::fs::read_to_string(path).ok();
+    let cached = mocc_store::read_text(path).ok();
     if let Some(model) = cached.and_then(|json| decode(&json).ok()) {
         return Ok(model);
     }

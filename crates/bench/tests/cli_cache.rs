@@ -381,11 +381,6 @@ fn foreign_flags_are_rejected_not_ignored() {
         ),
         (
             "serve",
-            &["--cache-dir", store_arg, "--fast-math"],
-            "--fast-math",
-        ),
-        (
-            "serve",
             &["--cache-dir", store_arg, "--out", out_arg],
             "--out",
         ),
@@ -406,15 +401,37 @@ fn foreign_flags_are_rejected_not_ignored() {
             assert!(!path.exists(), "{args:?} created {}", path.display());
         }
     }
-    // A flag no subcommand has (`--batch` selected lockstep inference
-    // until cells were evaluated one at a time) is the plain
-    // unknown-option error, and equally writes nothing.
+    // A flag no subcommand has is the plain unknown-option error, and
+    // equally writes nothing: `--batch` selected lockstep inference
+    // until cells were evaluated one at a time, `--fast-math` the
+    // approximate inference tier until evaluation had one.
     let policy_spec = "examples/specs/competition_mocc.json";
-    let result = mocc(&["run", policy_spec, "--out", out_arg, "--batch", "4"]);
-    assert!(!result.status.success(), "--batch was accepted");
-    let stderr = stderr_of(&result);
-    assert!(stderr.contains("unknown option \"--batch\""), "{stderr}");
-    assert!(!out.exists(), "--batch run wrote {}", out.display());
+    let removed: &[(&[&str], &str)] = &[
+        (
+            &["run", policy_spec, "--out", out_arg, "--batch", "4"],
+            "--batch",
+        ),
+        (
+            &["run", policy_spec, "--out", out_arg, "--fast-math"],
+            "--fast-math",
+        ),
+        (
+            &["serve", "--cache-dir", store_arg, "--fast-math"],
+            "--fast-math",
+        ),
+    ];
+    for (args, flag) in removed {
+        let result = mocc(args);
+        assert!(!result.status.success(), "{args:?} was accepted");
+        let stderr = stderr_of(&result);
+        assert!(
+            stderr.contains(&format!("unknown option \"{flag}\"")),
+            "{args:?}: {stderr}"
+        );
+        for path in [&out, &store] {
+            assert!(!path.exists(), "{args:?} created {}", path.display());
+        }
+    }
     // The rejection says what the subcommand does take.
     let train_err = stderr_of(&mocc(&["train", train, "--seed", "9"]));
     assert!(
@@ -752,6 +769,148 @@ fn hostile_sizes_are_errors_not_aborts() {
             assert!(result.stdout.is_empty(), "{args:?} {name} printed a result");
         }
         assert!(!zoo.exists(), "{name}: a refused spec reached the zoo");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `policy.fast_math` named the approximate inference tier, which is
+/// gone: a document that still sets it `true` is an invalid spec naming
+/// the field for every subcommand that reads one — exit 1, one
+/// `error:` line, no cell run — and a daemon answers it with an error
+/// line and keeps serving.
+#[test]
+fn fast_math_true_is_an_invalid_spec() {
+    let dir = temp_dir("fast-math");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf-8 temp path");
+    let hunt_dir = dir.join("hunt");
+    let hunt_arg = hunt_dir.to_str().expect("utf-8 temp path");
+    let mut served = String::new();
+    for name in ["competition_mocc", "hunt_smoke"] {
+        let shipped =
+            std::fs::read_to_string(repo_root().join(format!("examples/specs/{name}.json")))
+                .expect("shipped spec");
+        assert!(
+            shipped.contains("\"fast_math\":false"),
+            "{name} lost the field"
+        );
+        let doc = shipped.replace("\"fast_math\":false", "\"fast_math\":true");
+        let spec = dir.join(format!("{name}.json"));
+        std::fs::write(&spec, &doc).expect("write spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        let mut commands = vec![
+            vec!["validate", spec_arg],
+            vec!["run", spec_arg],
+            vec!["run", spec_arg, "--cache-dir", store_arg],
+        ];
+        if name == "hunt_smoke" {
+            commands.push(vec![
+                "hunt",
+                spec_arg,
+                "--budget",
+                "1",
+                "--out-dir",
+                hunt_arg,
+            ]);
+        }
+        for args in commands {
+            let result = mocc(&args);
+            let stderr = stderr_of(&result);
+            assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("policy.fast_math must be false"),
+                "{args:?}: {stderr}"
+            );
+            let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+            assert_eq!(errors, 1, "{args:?}: {stderr}");
+            assert!(result.stdout.is_empty(), "{args:?} printed a result");
+        }
+        served.push_str(&format!("{{\"op\":\"run\",\"spec\":{}}}\n", doc.trim()));
+    }
+    served.push_str("{\"op\":\"ping\"}\n");
+    let mut child = mocc_command(&["serve", "--cache-dir", store_arg])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("serve starts");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(served.as_bytes())
+        .expect("requests written");
+    let out = child.wait_with_output().expect("serve exits");
+    let lines: Vec<&str> = std::str::from_utf8(&out.stdout)
+        .expect("utf-8 responses")
+        .lines()
+        .collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    for line in &lines[..2] {
+        assert!(line.contains("\"ok\":false"), "{line}");
+        assert!(line.contains("policy.fast_math"), "{line}");
+    }
+    assert_eq!(lines[2], "{\"ok\":true,\"op\":\"ping\"}");
+    assert!(!hunt_dir.exists(), "a refused hunt wrote specs");
+    let ledger = std::fs::read_to_string(store.join("ledger.jsonl")).unwrap_or_default();
+    assert!(
+        ledger.is_empty(),
+        "a refused spec reached the store: {ledger}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file a document or the command line names is read through one
+/// bounded reader: a sparse 3 GiB replay trace or model is refused by
+/// its length, naming the file and the cap, and an endless device
+/// reads as the empty file its handle reports. Each is exit 1 with one
+/// `error:` line, in well under the time a read of it would take.
+#[test]
+fn huge_or_endless_files_are_errors_not_reads() {
+    let dir = temp_dir("huge-files");
+    let huge = dir.join("huge.json");
+    std::fs::File::create(&huge)
+        .and_then(|file| file.set_len(3 << 30))
+        .expect("sparse file");
+    let huge_arg = huge.to_str().expect("utf-8 temp path");
+    let cap = "over the 67108864-byte cap";
+    let replay = |trace: &str| {
+        format!(
+            "{{\"kind\":\"sweep\",\"name\":\"h\",\"scheme\":\"cubic\",\"bandwidth_mbps\":[10.0],\
+             \"owd_ms\":[20],\"queue_pkts\":[100],\"duration_s\":2,\"seed\":1,\
+             \"shapes\":[\"replay:{trace}\"]}}"
+        )
+    };
+    let shipped = std::fs::read_to_string(repo_root().join("examples/specs/competition_mocc.json"))
+        .expect("shipped spec");
+    let model = shipped.replace("\"path\":null", &format!("\"path\":{huge_arg:?}"));
+    let cases = [
+        ("trace", "validate", replay(huge_arg), cap),
+        ("model", "run", model, cap),
+        (
+            "endless-trace",
+            "validate",
+            replay("/dev/zero"),
+            "trace file /dev/zero",
+        ),
+    ];
+    for (name, command, doc, want) in cases {
+        let spec = dir.join(format!("{name}.spec.json"));
+        std::fs::write(&spec, doc).expect("write spec");
+        let spec_arg = spec.to_str().expect("utf-8 temp path");
+        let result = mocc(&[command, spec_arg]);
+        let stderr = stderr_of(&result);
+        assert_eq!(result.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{name}: {stderr}");
+    }
+    for args in [["validate", "/dev/zero"], ["run", "/dev/zero"]] {
+        let result = mocc(&args);
+        let stderr = stderr_of(&result);
+        assert_eq!(result.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("/dev/zero"), "{args:?}: {stderr}");
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{args:?}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,8 +8,9 @@
 //!    the same 16 384 pre-activations. Both write the same bits (the
 //!    `simd` module's tests); the learner's forward pays this ratio on
 //!    every hidden unit.
-//! 2. **Tier** (asserted, ≥ 1.5×): the fast-math tier forwards a
-//!    256-row batch faster per row than the scalar tier. Isolates the
+//! 2. **Tier** (asserted, ≥ 1.5×): the fast tier, which training
+//!    rollouts over more than one env run, forwards a 256-row batch
+//!    faster per row than the scalar tier. Isolates the
 //!    tanh kernel; nothing else differs between the two sides. It read
 //!    about 3.4× while the scalar tier called libm per element, and
 //!    about 1.9× once it ran the exact kernel.

@@ -223,9 +223,11 @@ impl MoccAgent {
         std::fs::write(path, self.to_json())
     }
 
-    /// Loads an agent from a file.
+    /// Loads an agent from a file; a file over
+    /// [`mocc_store::MAX_FILE_BYTES`] is an `InvalidData` error, not a
+    /// read.
     pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
+        let json = mocc_store::read_text(path)?;
         Self::from_json(&json).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }

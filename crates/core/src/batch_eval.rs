@@ -5,7 +5,7 @@
 //! [`mocc_eval::CompetitionEvaluator`]. Every `mocc`/`mocc:<pref>` flow
 //! runs in external-agent mode: the simulator pauses at that flow's
 //! monitor intervals, its observation goes through one forward pass
-//! ([`GaussianPolicy::mean_action_batch_tier`] on a one-row matrix,
+//! ([`GaussianPolicy::mean_action_batch`] on a one-row matrix,
 //! which is what the paper's deployment does — one inference per flow
 //! per monitor interval), and the resulting rate is applied before the
 //! simulator resumes. Several preference-conditioned MOCC flows can so
@@ -33,7 +33,7 @@ use mocc_eval::{
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
 use mocc_netsim::{EventCounts, Scenario, SimResult, Simulator};
-use mocc_nn::{ForwardTier, Matrix};
+use mocc_nn::Matrix;
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::sync::OnceLock;
 
@@ -46,7 +46,6 @@ struct Served {
     /// A policy flow starts at this fraction of the cell's peak
     /// bandwidth.
     initial_rate_frac: f64,
-    tier: ForwardTier,
 }
 
 /// Evaluates sweep and competition cells: a MOCC policy drives the
@@ -88,7 +87,6 @@ impl BatchMoccEvaluator<'static> {
                 cfg: agent.cfg,
                 pref,
                 initial_rate_frac,
-                tier: ForwardTier::Scalar,
             }),
             registry: builtin_registry(),
             sweep_scheme: bare_mocc(),
@@ -123,22 +121,6 @@ impl<'r> BatchMoccEvaluator<'r> {
     /// argument. Kept only because the frozen benchmark harness calls
     /// it (`benchmark/src/layers/sweep.rs`, `policy_metrics`).
     pub fn with_batch_size(self, _batch: usize) -> Self {
-        self
-    }
-
-    /// Selects the approximate fast-math forward tier
-    /// (`mocc_nn::simd`) for this evaluator's inference. Off (the
-    /// bit-exact scalar reference) by default; unlike `--threads` this
-    /// knob *does* change report bytes, so callers must carry it in
-    /// the cache-key policy identity.
-    pub fn with_fast_math(mut self, enabled: bool) -> Self {
-        if let Some(served) = &mut self.served {
-            served.tier = if enabled {
-                ForwardTier::Fast
-            } else {
-                ForwardTier::Scalar
-            };
-        }
         self
     }
 
@@ -225,12 +207,9 @@ impl<'r> BatchMoccEvaluator<'r> {
                     let next =
                         flow.decide(&served.cfg, stats_features(&stats), sim.rate(f), |row| {
                             obs.row_mut(0).copy_from_slice(row);
-                            served.policy.mean_action_batch_tier(
-                                &obs,
-                                &mut means,
-                                &mut scratch,
-                                served.tier,
-                            );
+                            served
+                                .policy
+                                .mean_action_batch(&obs, &mut means, &mut scratch);
                             means[0]
                         });
                     sim.set_rate(f, next);

@@ -92,12 +92,12 @@ fn evaluator_for(
     pref_override: Option<Preference>,
 ) -> BatchMoccEvaluator<'static> {
     let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
-    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac).with_fast_math(policy.fast_math)
+    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac)
 }
 
 /// Builds the evaluator a spec's policy section describes:
 /// [`agent_from_policy`], wrapped for `policy.preference` (or
-/// `pref_override`) with the section's inference tier.
+/// `pref_override`).
 pub fn evaluator_from_policy(
     policy: &PolicySpec,
     pref_override: Option<Preference>,
@@ -228,7 +228,6 @@ fn spec_evaluator<'r>(
             digest: policy_digest(agent),
             preference: policy.preference.label(),
             initial_rate_frac: policy.initial_rate_frac,
-            fast_math: policy.fast_math,
         });
     let evaluator = BatchMoccEvaluator::of_spec(
         registry,

@@ -146,7 +146,7 @@ pub fn load_checkpoint(dir: &Path) -> Result<TrainCheckpoint, SpecError> {
     let mut last_reason = "no checkpoint.json or checkpoint.prev.json".to_string();
     for name in ["checkpoint.json", "checkpoint.prev.json"] {
         let path = dir.join(name);
-        match std::fs::read_to_string(&path) {
+        match mocc_store::read_text(&path) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => last_reason = format!("{name}: {e}"),
             // The derived decoder checks no shapes; an agent that

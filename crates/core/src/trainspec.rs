@@ -303,9 +303,10 @@ impl TrainSpec {
         })
     }
 
-    /// Loads and parses a spec file from disk.
+    /// Loads and parses a spec file from disk; a file over
+    /// [`mocc_store::MAX_FILE_BYTES`] is an I/O error, not a read.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
+        let text = mocc_store::read_text(path).map_err(|e| SpecError::Io {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;

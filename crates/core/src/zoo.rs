@@ -131,12 +131,12 @@ pub fn save_trained(
 pub fn load_model(zoo_dir: &Path, name: &str) -> Result<(MoccAgent, ModelProvenance), SpecError> {
     let dir = zoo_dir.join(name);
     let model_path = dir.join("model.json");
-    let model_json = std::fs::read_to_string(&model_path).map_err(|e| io_err(&model_path, e))?;
+    let model_json = mocc_store::read_text(&model_path).map_err(|e| io_err(&model_path, e))?;
     let agent = MoccAgent::from_json(&model_json).map_err(|e| SpecError::Json {
         reason: format!("{}: {e}", model_path.display()),
     })?;
     let prov_path = dir.join("provenance.json");
-    let prov_json = std::fs::read_to_string(&prov_path).map_err(|e| io_err(&prov_path, e))?;
+    let prov_json = mocc_store::read_text(&prov_path).map_err(|e| io_err(&prov_path, e))?;
     let provenance: ModelProvenance =
         serde_json::from_str(&prov_json).map_err(|e| SpecError::Json {
             reason: format!("{}: {e}", prov_path.display()),

@@ -72,13 +72,6 @@ pub struct PolicyIdentity {
     /// Flow 0's initial rate as a fraction of the cell's peak
     /// bandwidth.
     pub initial_rate_frac: f64,
-    /// Whether inference ran on the approximate fast-math kernel tier
-    /// (`mocc_nn::simd`). Fast-tier reports are deterministic but not
-    /// byte-identical to the scalar reference, so the tier is part of
-    /// the key. Serialized *only when true*: scalar-tier documents are
-    /// byte-identical to the pre-`fast_math` key schema, so every
-    /// existing store keeps hitting.
-    pub fast_math: bool,
 }
 
 impl Serialize for PolicyIdentity {
@@ -90,18 +83,12 @@ impl Serialize for PolicyIdentity {
             "initial_rate_frac".to_string(),
             self.initial_rate_frac.to_value(),
         );
-        if self.fast_math {
-            obj.insert("fast_math".to_string(), self.fast_math.to_value());
-        }
         Value::Obj(obj)
     }
 
     fn write_json(&self, out: &mut String) {
         let mut w = ObjectWriter::begin(out);
         w.field("digest", &self.digest);
-        if self.fast_math {
-            w.field("fast_math", &self.fast_math);
-        }
         w.field("initial_rate_frac", &self.initial_rate_frac);
         w.field("preference", &self.preference);
         w.end();
@@ -645,7 +632,6 @@ mod tests {
             digest: "d".repeat(64),
             preference: "bal".to_string(),
             initial_rate_frac: 0.3,
-            fast_math: false,
         };
         let with_pol = sweep_cell_key(cell, "mocc", &s, Some(&pol));
         assert_ne!(with_pol, base);
@@ -653,7 +639,6 @@ mod tests {
             |p: &mut PolicyIdentity| p.digest = "e".repeat(64),
             |p: &mut PolicyIdentity| p.preference = "thr".to_string(),
             |p: &mut PolicyIdentity| p.initial_rate_frac = 0.5,
-            |p: &mut PolicyIdentity| p.fast_math = true,
         ] {
             let mut p = pol.clone();
             mutate(&mut p);
@@ -661,31 +646,6 @@ mod tests {
         }
         // And the derivation itself is stable (same inputs, same key).
         assert_eq!(sweep_cell_key(cell, "cubic", &s, None), base);
-    }
-
-    /// The scalar tier serializes to the pre-`fast_math` key schema —
-    /// the field appears in the request document only when true — so
-    /// stores filled before the tier existed keep hitting.
-    #[test]
-    fn scalar_tier_keys_match_the_legacy_schema() {
-        let mut pol = PolicyIdentity {
-            digest: "d".repeat(64),
-            preference: "bal".to_string(),
-            initial_rate_frac: 0.3,
-            fast_math: false,
-        };
-        let Value::Obj(scalar) = pol.to_value() else {
-            panic!("policy identity serializes to an object");
-        };
-        assert!(
-            !scalar.contains_key("fast_math"),
-            "scalar tier must keep the legacy key document"
-        );
-        pol.fast_math = true;
-        let Value::Obj(fast) = pol.to_value() else {
-            panic!("policy identity serializes to an object");
-        };
-        assert_eq!(fast.get("fast_math"), Some(&Value::Bool(true)));
     }
 
     /// A replay cell's key must move when the trace file's *content*

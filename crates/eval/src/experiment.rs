@@ -115,11 +115,10 @@ pub struct PolicySpec {
     /// validated and serialized because committed and third-party
     /// documents carry it and the parser rejects unknown keys.
     pub batch: usize,
-    /// Run inference on the approximate fast-math kernel tier
-    /// (`mocc_nn::simd`; default `false`). This is a *semantic* knob:
-    /// reports are still deterministic but not byte-identical to the
-    /// scalar reference, so it participates in cache-key identity (see
-    /// `docs/CACHING.md`).
+    /// Must be `false` (the default): every report comes from the one
+    /// exact inference forward. Parsed and serialized so documents that
+    /// carry it keep loading; [`ExperimentSpec::validate_in`] refuses
+    /// `true`.
     pub fast_math: bool,
 }
 
@@ -454,6 +453,11 @@ impl ExperimentSpec {
                 ))
             }
         }
+        if self.policy.as_ref().is_some_and(|policy| policy.fast_math) {
+            return invalid(
+                "policy.fast_math must be false: evaluation has one inference tier".to_string(),
+            );
+        }
         if self.needs_policy() {
             let Some(policy) = &self.policy else {
                 return invalid(
@@ -499,9 +503,10 @@ impl ExperimentSpec {
         })
     }
 
-    /// Loads and parses a spec file from disk.
+    /// Loads and parses a spec file from disk; a file over
+    /// [`mocc_store::MAX_FILE_BYTES`] is an I/O error, not a read.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path).map_err(|e| SpecError::Io {
+        let text = mocc_store::read_text(path).map_err(|e| SpecError::Io {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;
@@ -892,6 +897,26 @@ mod tests {
         let mut exp = competition_exp();
         exp.policy.as_mut().unwrap().batch = 0;
         assert!(exp.validate().is_err());
+    }
+
+    /// `policy.fast_math` still parses, so old documents load, but
+    /// `true` — the deleted approximate inference tier — is an error
+    /// naming the field, whether or not a `mocc` flow reads the policy.
+    #[test]
+    fn fast_math_true_is_refused_by_name() {
+        for mut exp in [competition_exp(), sweep_exp()] {
+            let mut policy = exp.policy.take().unwrap_or_default();
+            policy.fast_math = true;
+            exp.policy = Some(policy);
+            let doc = exp.to_canonical_json();
+            assert!(doc.contains("\"fast_math\":true"), "{doc}");
+            let err = ExperimentSpec::from_json(&doc)
+                .expect("the field parses")
+                .validate()
+                .unwrap_err();
+            assert!(matches!(err, SpecError::InvalidSpec { .. }), "{err}");
+            assert!(err.to_string().contains("policy.fast_math"), "{err}");
+        }
     }
 
     /// Gives every sweep axis but the scheme `n` distinct values.

@@ -52,7 +52,13 @@ impl ReplayTrace {
     /// Loads, digests, and validates the trace file, returning a
     /// resolved copy. All failures are typed errors, never panics.
     fn resolve(&self) -> Result<ReplayTrace, SpecError> {
-        let bytes = std::fs::read(&self.path).map_err(|e| SpecError::Io {
+        let mut bytes = Vec::new();
+        mocc_store::read_capped(
+            std::path::Path::new(&self.path),
+            mocc_store::MAX_FILE_BYTES,
+            &mut bytes,
+        )
+        .map_err(|e| SpecError::Io {
             path: self.path.clone(),
             reason: e.to_string(),
         })?;

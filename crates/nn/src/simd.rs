@@ -1,5 +1,5 @@
 //! The kernel layer: the row kernel every matrix product is built on,
-//! the exact `tanh`, and the opt-in fast-math forward tier.
+//! the exact `tanh`, and the fast forward tier of training rollouts.
 //!
 //! ## Tiers
 //!
@@ -8,7 +8,8 @@
 //!
 //! - [`ForwardTier::Scalar`] is the bit-exact golden reference — the
 //!   exact kernels the goldens, the content-addressed cache, and the
-//!   training path were frozen against. `tanh` is [`exact_tanh`], a
+//!   training path were frozen against, and the only tier evaluation
+//!   runs. `tanh` is [`exact_tanh`], a
 //!   port of fdlibm's `tanhf` as glibc 2.36 ships it, run eight lanes
 //!   at a time by [`exact_tanh_slice`]; it equals that libm on every
 //!   one of the 2^32 `f32` inputs (an `#[ignore]`d release test in this
@@ -18,7 +19,9 @@
 //!   [`fast_tanh`], a rational-polynomial approximation (documented
 //!   error bound below). Everything else — accumulation order, bias
 //!   handling, zero-skip — is unchanged, so pre-activation values are
-//!   bitwise identical to the scalar tier.
+//!   bitwise identical to the scalar tier. Only training rollouts
+//!   over more than one env select it (docs/PERFORMANCE.md, "The
+//!   training-rollout tier").
 //!
 //! ## Determinism model
 //!
@@ -30,8 +33,7 @@
 //! loops are written so the compiler may vectorise *across* elements
 //! (each element is its own accumulator), which cannot move a bit, so
 //! results do not depend on the CPU the run landed on or on slice
-//! alignment. Cached blobs produced under `fast_math` are byte-stable
-//! across machines.
+//! alignment. Models trained on it are byte-stable across machines.
 //!
 //! There is one backend, plain safe Rust. A hand-written vector backend
 //! behind a cargo feature was measured end to end and deleted
@@ -47,7 +49,7 @@
 //! the output is always in `[-1, 1]`. That is ~2 decimal digits
 //! tighter than the control loop's own rounding (reports round to
 //! 1e-6) but far looser than the 0-ULP scalar contract — which is why
-//! the tier is opt-in and carried in the cache key.
+//! no report is computed on it.
 
 /// Which forward-pass kernel tier an inference path runs. See the
 /// module docs for the contract; `Scalar` is the default everywhere.

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Reusable buffers for allocation-free (batched) policy inference:
 /// the network's own scratch plus the batched-mean output matrix. One
 /// scratch serves any number of [`GaussianPolicy::act_batch_tier`] /
-/// [`GaussianPolicy::mean_action_batch_tier`] calls.
+/// [`GaussianPolicy::mean_action_batch`] calls.
 pub struct PolicyScratch<N: Network> {
     net: N::Scratch,
     means: Matrix,
@@ -143,32 +143,22 @@ impl<N: Network> GaussianPolicy<N> {
         self.net.forward(obs)[0]
     }
 
-    /// Deterministic actions on the scalar tier: one observation per
-    /// row of `obs`, one mean per entry of `out`. Each entry depends on
-    /// its own row alone — batching flows or sweep cells cannot perturb
-    /// a trajectory.
+    /// Deterministic actions on the scalar tier, the one evaluation
+    /// forward: one observation per row of `obs`, one mean per entry
+    /// of `out`. Each entry depends on its own row alone — batching
+    /// flows or sweep cells cannot perturb a trajectory.
     pub fn mean_action_batch(
         &self,
         obs: &Matrix,
         out: &mut Vec<f32>,
         scratch: &mut PolicyScratch<N>,
     ) {
-        self.mean_action_batch_tier(obs, out, scratch, ForwardTier::Scalar);
-    }
-
-    /// [`GaussianPolicy::mean_action_batch`] under an explicit forward
-    /// kernel tier (see `mocc_nn::simd`): `Scalar` is the bit-exact
-    /// reference, `Fast` permits the approximate tanh kernels for
-    /// networks that implement them (others fall back to scalar).
-    pub fn mean_action_batch_tier(
-        &self,
-        obs: &Matrix,
-        out: &mut Vec<f32>,
-        scratch: &mut PolicyScratch<N>,
-        tier: ForwardTier,
-    ) {
-        self.net
-            .forward_batch_into_tier(obs, &mut scratch.means, &mut scratch.net, tier);
+        self.net.forward_batch_into_tier(
+            obs,
+            &mut scratch.means,
+            &mut scratch.net,
+            ForwardTier::Scalar,
+        );
         out.clear();
         out.extend((0..scratch.means.rows).map(|r| scratch.means.get(r, 0)));
     }
@@ -176,11 +166,12 @@ impl<N: Network> GaussianPolicy<N> {
     /// Samples one `(action, log_prob)` per row of `obs`, rows in
     /// order from `rng` — so one call over *n* rows consumes the stream
     /// exactly like *n* one-row calls in sequence. The affine sampling
-    /// around each row's mean is identical in both tiers, and each
-    /// mean follows the tier contract of
-    /// [`GaussianPolicy::mean_action_batch_tier`]. Both tiers are fully
-    /// deterministic; `Fast` trades ≤ 4e-6 of mean accuracy for the
-    /// approximate tanh kernels on networks that implement them.
+    /// around each row's mean is identical in both tiers: `Scalar`
+    /// computes [`GaussianPolicy::mean_action_batch`]'s means, `Fast`
+    /// (training rollouts only) permits the approximate tanh kernels of
+    /// `mocc_nn::simd` on networks that implement them (others fall
+    /// back to scalar). Both tiers are fully deterministic; `Fast`
+    /// trades ≤ 4e-6 of mean accuracy for speed.
     pub fn act_batch_tier<R: Rng>(
         &self,
         obs: &Matrix,
@@ -271,9 +262,10 @@ mod tests {
     }
 
     /// Row *r* of an *n*-row call equals that row sent alone, on both
-    /// tiers: the same action, log-probability and mean bits, and the
-    /// same RNG stream as the one-row calls made in row order. A
-    /// second pass through the warm scratch does not drift.
+    /// tiers: the same action and log-probability bits, the same RNG
+    /// stream as the one-row calls made in row order, and on the
+    /// scalar tier the same mean bits. A second pass through the warm
+    /// scratch does not drift.
     #[test]
     fn each_row_equals_that_row_sent_alone() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -294,19 +286,17 @@ mod tests {
             let mut rng_a = StdRng::seed_from_u64(42);
             let mut rng_b = StdRng::seed_from_u64(42);
             pol.act_batch_tier(&obs, &mut rng_a, &mut acts, &mut scratch, tier);
-            pol.mean_action_batch_tier(&obs, &mut means, &mut scratch, tier);
+            pol.mean_action_batch(&obs, &mut means, &mut scratch);
             assert_eq!((acts.len(), means.len()), (rows, rows));
             for r in 0..rows {
                 row.reshape(1, 4);
                 row.row_mut(0).copy_from_slice(obs.row(r));
                 pol.act_batch_tier(&row, &mut rng_b, &mut act1, &mut lone, tier);
-                pol.mean_action_batch_tier(&row, &mut one, &mut lone, tier);
+                pol.mean_action_batch(&row, &mut one, &mut lone);
                 assert_eq!(acts[r].0.to_bits(), act1[0].0.to_bits(), "action row {r}");
                 assert_eq!(acts[r].1.to_bits(), act1[0].1.to_bits(), "log_prob row {r}");
                 assert_eq!(means[r].to_bits(), one[0].to_bits(), "mean row {r}");
-                if tier == ForwardTier::Scalar {
-                    assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
-                }
+                assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
             }
             assert_eq!(rng_a.state(), rng_b.state());
         }

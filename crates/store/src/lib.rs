@@ -34,4 +34,7 @@ mod store;
 
 pub use ledger::{LedgerEntry, LedgerEvent, LedgerScan};
 pub use sha256::{sha256, sha256_hex};
-pub use store::{object_rel_path, GcReport, ResultStore, StoreStats, VerifyReport, MAX_BLOB_BYTES};
+pub use store::{
+    object_rel_path, read_capped, read_text, GcReport, ResultStore, StoreStats, VerifyReport,
+    MAX_BLOB_BYTES, MAX_FILE_BYTES,
+};

@@ -384,8 +384,10 @@ impl ResultStore {
                 true
             }
             (Some(digest), None) => {
-                let matches = read_blob(&self.root.join(object_rel_path(key)), bytes).is_ok()
-                    && sha256(bytes) == digest;
+                let matches =
+                    read_capped(&self.root.join(object_rel_path(key)), MAX_BLOB_BYTES, bytes)
+                        .is_ok()
+                        && sha256(bytes) == digest;
                 if matches && keeps {
                     let blob: Arc<[u8]> = Arc::from(&bytes[..]);
                     let mut state = self.state.lock().expect("store lock");
@@ -608,7 +610,7 @@ impl ResultStore {
         let mut bytes = Vec::new();
         for (key, entry) in &puts {
             let rel = object_rel_path(key);
-            match read_blob(&self.root.join(&rel), &mut bytes) {
+            match read_capped(&self.root.join(&rel), MAX_BLOB_BYTES, &mut bytes) {
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     report.issues.push(format!("object {rel}: {e}"));
                 }
@@ -663,7 +665,7 @@ impl ResultStore {
             let full = self.root.join(object_rel_path(key));
             let expired = before.is_some_and(|b| touch.get(key).copied().unwrap_or(0) < b);
             let live = !expired
-                && read_blob(&full, &mut bytes).is_ok()
+                && read_capped(&full, MAX_BLOB_BYTES, &mut bytes).is_ok()
                 && entry.content.as_deref().and_then(from_hex) == Some(sha256(&bytes));
             if live {
                 survivors.insert(key.clone(), entry.clone());
@@ -708,19 +710,29 @@ impl ResultStore {
     }
 }
 
-/// Reads the object file at `path` into `buf` with one `read` call:
-/// the length its open handle reports sizes the buffer, and a short
-/// read ends the blob — a truncated blob fails its digest. A file over
-/// [`MAX_BLOB_BYTES`] is an error of kind `InvalidData` (the only one
-/// of that kind), and none of it is read. `lookup`, `verify` and `gc`
-/// all read through here.
-fn read_blob(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
+/// The largest file a loader takes in: a spec document, a replay
+/// trace, a trained model, a training checkpoint or a figure's cached
+/// model. The largest the repository writes is a figure's cached Aurora
+/// bank, 3.6 MB at the default scale and about 6 MB at paper scale; a
+/// larger file than this cap is refused without a byte of it read.
+pub const MAX_FILE_BYTES: u64 = 64 << 20;
+
+/// Reads the file at `path` into `buf` with one open, one `fstat` of
+/// the handle and one `read` of the length it reports. A short read
+/// ends the contents (a truncated object then fails its digest). A
+/// file over `cap` bytes is an error of kind `InvalidData` — the only
+/// one of that kind — naming its length and the cap, and none of it is
+/// read. A handle that is not a regular file reads as the length it
+/// reports, so `/dev/zero` or a pipe reads as empty. The store's
+/// `lookup`, `verify` and `gc` read objects through here under
+/// [`MAX_BLOB_BYTES`], and every loader under [`MAX_FILE_BYTES`].
+pub fn read_capped(path: &Path, cap: u64, buf: &mut Vec<u8>) -> io::Result<()> {
     let mut file = std::fs::File::open(path)?;
     let len = file.metadata()?.len();
-    if len > MAX_BLOB_BYTES {
+    if len > cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("{len} bytes, over the {MAX_BLOB_BYTES}-byte cap on an object"),
+            format!("{len} bytes, over the {cap}-byte cap"),
         ));
     }
     buf.clear();
@@ -728,6 +740,15 @@ fn read_blob(path: &Path, buf: &mut Vec<u8>) -> io::Result<()> {
     let n = file.read(buf)?;
     buf.truncate(n);
     Ok(())
+}
+
+/// The text of the file at `path`, read by [`read_capped`] under
+/// [`MAX_FILE_BYTES`]; contents that are not UTF-8 are an error of kind
+/// `InvalidData`, as they are to `std::fs::read_to_string`.
+pub fn read_text(path: &Path) -> io::Result<String> {
+    let mut bytes = Vec::new();
+    read_capped(path, MAX_FILE_BYTES, &mut bytes)?;
+    String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// A walked object's path relative to the store root, spelled as
@@ -1315,7 +1336,7 @@ mod tests {
         assert_eq!(
             issues,
             [format!(
-                "object {}: 3221225472 bytes, over the 1048576-byte cap on an object",
+                "object {}: 3221225472 bytes, over the 1048576-byte cap",
                 object_rel_path(&big)
             )]
         );

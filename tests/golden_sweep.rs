@@ -401,25 +401,6 @@ fn competition_report_identical_across_threads() {
     }
 }
 
-/// Absolute bytes of the *fast* tier, which the scalar-tier fixtures do
-/// not cover: the shipped MOCC competition spec with
-/// `policy.fast_math = true` hashes to one frozen literal at every
-/// thread count. A kernel change that moves a bit of `fast_tanh_slice`
-/// or of the forward accumulate shows up here.
-#[test]
-fn fast_tier_competition_report_matches_the_pinned_digest() {
-    let mut exp = ExperimentSpec::load(&example_spec_path("competition_mocc")).expect("spec loads");
-    exp.policy.as_mut().unwrap().fast_math = true;
-    for threads in [1, 4] {
-        let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
-        assert_eq!(
-            sha256_hex(report.to_canonical_json().as_bytes()),
-            "5b241686de97e7bdaa87921172f54f9a8ebabf9288dcf4e2b182eea8fd6656b8",
-            "fast-tier report moved at {threads} thread(s)"
-        );
-    }
-}
-
 /// A `mocc:thr` policy *sweep* — steady, on/off and RPC loads over a
 /// constant and an oscillating link, so cells finish at different
 /// monitor intervals — under [`golden_policy`]. The goldens pin policy
@@ -479,38 +460,32 @@ fn pinned_policy_competition() -> ExperimentSpec {
     exp
 }
 
-/// Absolute bytes of the policy path on both inference tiers: each
-/// canonical report hashes to one frozen literal at every worker count,
-/// and whatever `policy.batch` says — the field is parsed and carried
-/// but nothing reads it.
+/// Absolute bytes of the policy path: each canonical report hashes to
+/// one frozen literal at every worker count, and whatever
+/// `policy.batch` says — the field is parsed and carried but nothing
+/// reads it.
 #[test]
 fn policy_reports_match_the_pinned_digests() {
-    for (exp, scalar, fast) in [
+    for (exp, want) in [
         (
             pinned_policy_sweep(),
             "d8ffcdcf5055a6029cd2e2e20f66b2221fd4b132373f1682d6db282a865742e5",
-            "365c20baa0d228bdceccefdb847bc97fb4a92f0d0b0ca5e26cff318276d9913b",
         ),
         (
             pinned_policy_competition(),
             "eebf51f83b5529a67a6fac427d0386f88bcb24f97b738f3400b2c0dfa65e5d6c",
-            "45eb3c33158460616c49ef41ce3ecac08b45ccfcb3b7c1fac261fe5b657eb7c7",
         ),
     ] {
-        for (fast_math, want) in [(false, scalar), (true, fast)] {
-            for (threads, batch) in [(1, 1), (4, 32)] {
-                let mut exp = exp.clone();
-                let policy = exp.policy.as_mut().unwrap();
-                policy.fast_math = fast_math;
-                policy.batch = batch;
-                let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
-                assert_eq!(
-                    sha256_hex(report.to_canonical_json().as_bytes()),
-                    want,
-                    "{} (fast_math {fast_math}) moved at {threads} thread(s), policy.batch {batch}",
-                    exp.name
-                );
-            }
+        for (threads, batch) in [(1, 1), (4, 32)] {
+            let mut exp = exp.clone();
+            exp.policy.as_mut().unwrap().batch = batch;
+            let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
+            assert_eq!(
+                sha256_hex(report.to_canonical_json().as_bytes()),
+                want,
+                "{} moved at {threads} thread(s), policy.batch {batch}",
+                exp.name
+            );
         }
     }
 }

@@ -428,8 +428,9 @@ proptest! {
     }
 
     /// Row *r* of an *n*-row policy call equals that row sent alone —
-    /// action, log-probability, mean and RNG stream — across layer
-    /// shapes, batch sizes, both tiers and RNG seeds. This pins the
+    /// action, log-probability and RNG stream on both sampling tiers,
+    /// and the evaluation mean — across layer shapes, batch sizes and
+    /// RNG seeds. This pins the
     /// contract that batching flows, cells or environments can never
     /// perturb a trajectory.
     #[test]
@@ -454,19 +455,17 @@ proptest! {
         let (mut acts, mut means, mut act1, mut mean1) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut rng_all = StdRng::seed_from_u64(rng_seed);
         pol.act_batch_tier(&obs, &mut rng_all, &mut acts, &mut scratch, tier);
-        pol.mean_action_batch_tier(&obs, &mut means, &mut scratch, tier);
+        pol.mean_action_batch(&obs, &mut means, &mut scratch);
         let mut rng_rows = StdRng::seed_from_u64(rng_seed);
         prop_assert_eq!(acts.len(), rows);
         for r in 0..rows {
             let row = Matrix::from_vec(1, obs_dim, obs.row(r).to_vec());
             pol.act_batch_tier(&row, &mut rng_rows, &mut act1, &mut lone, tier);
-            pol.mean_action_batch_tier(&row, &mut mean1, &mut lone, tier);
+            pol.mean_action_batch(&row, &mut mean1, &mut lone);
             prop_assert_eq!(acts[r].0.to_bits(), act1[0].0.to_bits());
             prop_assert_eq!(acts[r].1.to_bits(), act1[0].1.to_bits());
             prop_assert_eq!(means[r].to_bits(), mean1[0].to_bits());
-            if tier == ForwardTier::Scalar {
-                prop_assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
-            }
+            prop_assert_eq!(means[r].to_bits(), pol.mean_action(obs.row(r)).to_bits());
         }
         prop_assert_eq!(rng_all.state(), rng_rows.state());
     }
