@@ -699,9 +699,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         ));
     }
     let runner = runner(&flags)?;
-    // The one handle that keeps the blobs it verified: a daemon serves
-    // the same cells again and again (docs/CACHING.md, "The daemon's
-    // verified blobs").
+    // The one handle that keeps the reports of the blobs it verified: a
+    // daemon serves the same cells again and again (docs/CACHING.md,
+    // "The daemon's verified blobs").
     let store = open_store(&flags)?.with_verified_blobs();
     let server = Server {
         runner: &runner,

@@ -43,8 +43,8 @@ pub struct Server<'a> {
     /// Executes the cells a `run` request misses.
     pub runner: &'a SweepRunner,
     /// The store every client's requests are memoized through; the
-    /// daemon's handle keeps the blobs it verified
-    /// ([`ResultStore::with_verified_blobs`]).
+    /// daemon's handle keeps the reports its lookups verified and its
+    /// runs wrote ([`ResultStore::with_verified_blobs`]).
     pub store: &'a ResultStore,
     /// Unix seconds for the store's audit ledger, read once per `run`
     /// request; timestamps never reach a report.
@@ -423,11 +423,12 @@ mod tests {
         )
     }
 
-    /// The witness of the daemon's verified blobs,
-    /// `ResultStore::blob_reads`: a daemon that wrote a spec's 16 blobs
-    /// reads none of them over four repeats; a fresh daemon on the
-    /// filled store reads each once over five identical requests; a
-    /// `mocc run` handle reads each on every request. The response
+    /// The witnesses of the daemon's verified blobs,
+    /// `ResultStore::blob_reads` and `ResultStore::blob_checks`: a
+    /// daemon that wrote a spec's 16 blobs reads and decodes none of
+    /// them over four repeats; a fresh daemon on the filled store reads
+    /// and decodes each once over five identical requests; a `mocc run`
+    /// handle reads and decodes each on every request. The response
     /// lines are the same throughout.
     #[test]
     fn a_daemon_reads_each_blob_once() {
@@ -438,12 +439,14 @@ mod tests {
         let (lines, _) = session(&store, run.repeat(4).as_bytes());
         assert_eq!(lines, vec![hit.clone(); 4]);
         assert_eq!(store.blob_reads(), 0, "the cold request's puts were kept");
+        assert_eq!(store.blob_checks(), 0, "and so were their reports");
         drop(store);
         let plain = ResultStore::open(&dir).expect("open store");
         for (handle, reads) in [(daemon_store(&dir), 16), (plain, 5 * 16)] {
             let (lines, _) = session(&handle, run.repeat(5).as_bytes());
             assert_eq!(lines, vec![hit.clone(); 5]);
             assert_eq!(handle.blob_reads(), reads);
+            assert_eq!(handle.blob_checks(), reads);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

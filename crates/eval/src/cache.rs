@@ -35,7 +35,10 @@
 //! [`CellReport`], requires the canonical re-serialization to be a
 //! byte-level fixed point, and requires the report's `index` to match
 //! the requested cell. Anything less is demoted to a miss and
-//! recomputed — a cache can cost time, never correctness.
+//! recomputed — a cache can cost time, never correctness. A daemon's
+//! store handle keeps the report that passed, by content digest, and
+//! serves it again without a decode; the `index` check runs on every
+//! lookup all the same.
 
 use crate::competition::CompetitionCell;
 use crate::report::CellReport;
@@ -269,13 +272,16 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
             let (cells, out) = &mut *chunk;
             let (mut bytes, mut canonical, mut lines) = (Vec::new(), String::new(), String::new());
             for (cell, slot) in cells.iter().zip(out.iter_mut()) {
-                let blob = store.lookup(&key_of(cell), ts, &mut bytes, &mut lines);
-                *slot = blob.and_then(|blob| {
+                let index = cell_index(cell);
+                let check = |blob: &str| {
                     let report: CellReport = serde_json::from_str(blob).ok()?;
                     canonical.clear();
                     report.write_json(&mut canonical);
-                    (canonical == blob && report.index == cell_index(cell)).then_some(report)
-                });
+                    (canonical == blob && report.index == index).then_some(report)
+                };
+                *slot = store
+                    .lookup(&key_of(cell), ts, &mut bytes, &mut lines, check)
+                    .filter(|report| report.index == index);
             }
             lines
         });
@@ -307,7 +313,7 @@ pub(crate) fn cached_cell_reports<T: Sync + Clone>(
     for (&slot, report) in missing.iter().zip(computed) {
         if let Some((store, ts, key_of)) = cache {
             let blob = serde_json::to_string(&report).expect("report serializes");
-            let _ = store.put(&key_of(&cells[slot]), &blob, ts);
+            let _ = store.put_value(&key_of(&cells[slot]), &blob, ts, || report.clone());
         }
         out[slot] = Some(report);
     }
@@ -591,6 +597,52 @@ mod tests {
             .verify()
             .unwrap()
             .is_clean());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A daemon's handle keeps only reports that pass the hit
+    /// discipline, and checks the `index` of every report it serves.
+    /// Another handle overwrites one cell's blob with its report
+    /// spelled non-canonically, another's with the canonical report of
+    /// an index no cell has, and a third's with a fourth cell's blob,
+    /// whose report the daemon has kept. All three verify against the
+    /// digests the daemon catches up to, all three are demoted and
+    /// simulated again, and each writes the `hit` line any handle
+    /// writes before its miss's `put`. The first two are read and
+    /// checked, the third is served its kept report and refused by its
+    /// `index`. Nothing demoted is kept: when the same blobs are put
+    /// again, the next pass reads and checks the first two again.
+    #[test]
+    fn a_demoted_blob_is_never_kept() {
+        let cells: Vec<u64> = (0..8).collect();
+        let store = temp_store("demoted").with_verified_blobs();
+        let (cold, _, _) = synthetic_pass(&cells, 1, &store, 1, &synthetic_key);
+        assert_eq!((store.blob_reads(), store.blob_checks()), (0, 0));
+        let foreign = ResultStore::open(store.root()).unwrap();
+        let (spaced, moved, twin) = (2, 5, 7);
+        let blob = |index| serde_json::to_string(&synthetic_report(index)).unwrap();
+        for pass in 1..=2 {
+            let overwrite = |cell: u64, blob: String| {
+                foreign.put(&synthetic_key(&cell), &blob, 2).unwrap();
+            };
+            overwrite(spaced, blob(spaced).replacen(',', ", ", 1));
+            overwrite(moved, blob(100));
+            overwrite(twin, blob(6));
+            store.stats().unwrap();
+            let before = ledger_len(&store);
+            let (reports, stats, simulated) = synthetic_pass(&cells, 1, &store, 3, &synthetic_key);
+            assert_eq!(reports, cold);
+            assert_eq!((stats.hits, stats.misses), (5, 3));
+            assert_eq!(simulated, [spaced, moved, twin]);
+            let want: Vec<(LedgerEvent, String)> = cells
+                .iter()
+                .map(|i| (LedgerEvent::Hit, synthetic_key(i)))
+                .chain([spaced, moved, twin].map(|i| (LedgerEvent::Put, synthetic_key(&i))))
+                .collect();
+            assert_eq!(ledger_from(&store, before), want);
+            assert_eq!(store.blob_reads(), 2 * pass, "pass {pass}");
+            assert_eq!(store.blob_checks(), 2 * pass, "pass {pass}");
+        }
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -2,9 +2,11 @@
 
 use crate::ledger::{write_entry, LedgerEntry, LedgerEvent, LedgerScan};
 use crate::sha256::{from_hex, sha256, sha256_hex, to_hex};
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::fs::DirEntry;
+use std::fs::{DirEntry, Metadata};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileTypeExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,11 +24,11 @@ const OBJECTS_DIR: &str = "objects";
 pub const MAX_BLOB_BYTES: u64 = 1 << 20;
 
 /// The byte budget of a daemon's verified blobs
-/// ([`ResultStore::with_verified_blobs`]): blob bytes plus
-/// [`VERIFIED_ENTRY_BYTES`] per blob.
+/// ([`ResultStore::with_verified_blobs`]): the length of each blob a
+/// kept value was made from, plus [`VERIFIED_ENTRY_BYTES`] per value.
 const VERIFIED_BLOB_BUDGET: usize = 32 << 20;
 
-/// What one verified blob costs beyond its bytes: its digest, the
+/// What one kept value costs beyond its blob's length: its digest, the
 /// shared pointer and its counts, and the map's share of a node.
 const VERIFIED_ENTRY_BYTES: usize = 96;
 
@@ -97,13 +99,9 @@ impl Folded {
     /// half-written tail, say, and a `put` line this index took in was
     /// lost to it — so nothing remembered about it is trusted.
     fn catch_up(&mut self, root: &Path) -> io::Result<bool> {
-        let mut file = match std::fs::File::open(root.join(LEDGER_FILE)) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                *self = Folded::default();
-                return Ok(false);
-            }
-            Err(e) => return Err(e),
+        let Some(mut file) = open_ledger(root)? else {
+            *self = Folded::default();
+            return Ok(false);
         };
         // Nothing folded or indexed yet (every `open`): the first fold
         // below is the fold from the start.
@@ -126,43 +124,69 @@ impl Folded {
     }
 }
 
-/// A daemon's verified blobs: content digest → bytes that hash to it,
-/// within a byte budget.
-#[derive(Debug)]
+/// A daemon's verified blobs, kept as the values made of them: content
+/// digest → what a lookup's check made of bytes that hash to it, or
+/// what a `put`'s caller handed over with them, within a byte budget.
 struct VerifiedBlobs {
-    blobs: BTreeMap<Digest, Arc<[u8]>>,
-    /// What the blobs held cost against `budget`: their bytes plus
-    /// [`VERIFIED_ENTRY_BYTES`] each.
+    values: BTreeMap<Digest, Kept>,
+    /// What the values held cost against `budget`.
     bytes: usize,
     budget: usize,
+}
+
+/// One kept value and its cost: the length of the blob it was made
+/// from, plus [`VERIFIED_ENTRY_BYTES`].
+struct Kept {
+    value: Arc<dyn Any + Send + Sync>,
+    cost: usize,
+}
+
+impl std::fmt::Debug for VerifiedBlobs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VerifiedBlobs")
+            .field("values", &self.values.len())
+            .field("bytes", &self.bytes)
+            .field("budget", &self.budget)
+            .finish()
+    }
 }
 
 impl VerifiedBlobs {
     fn new(budget: usize) -> Self {
         VerifiedBlobs {
-            blobs: BTreeMap::new(),
+            values: BTreeMap::new(),
             bytes: 0,
             budget,
         }
     }
 
-    /// Keeps `blob`, whose SHA-256 is `digest`. To make room, blobs are
-    /// dropped smallest digest first — digests are uniform, so what
-    /// stays is a fair sample of what was kept — and a blob that alone
-    /// exceeds the budget is not kept.
-    fn insert(&mut self, digest: Digest, blob: Arc<[u8]>) {
-        let cost = blob.len() + VERIFIED_ENTRY_BYTES;
-        if cost > self.budget || self.blobs.contains_key(&digest) {
+    /// The value kept for `digest`, if it is a `V`.
+    fn get<V: Any>(&self, digest: &Digest) -> Option<Arc<dyn Any + Send + Sync>> {
+        let kept = self.values.get(digest)?;
+        kept.value.is::<V>().then(|| Arc::clone(&kept.value))
+    }
+
+    /// Keeps `value`, made from a `blob_len`-byte blob whose SHA-256 is
+    /// `digest`, in place of whatever was kept for it. To make room,
+    /// values are dropped smallest digest first — digests are uniform,
+    /// so what stays is a fair sample of what was kept — and a value
+    /// that alone exceeds the budget is not kept.
+    fn insert(&mut self, digest: Digest, blob_len: usize, value: Arc<dyn Any + Send + Sync>) {
+        let cost = blob_len + VERIFIED_ENTRY_BYTES;
+        if cost > self.budget {
             return;
         }
+        if let Some(replaced) = self.values.remove(&digest) {
+            self.bytes -= replaced.cost;
+        }
         while self.bytes + cost > self.budget {
-            let Some((_, dropped)) = self.blobs.pop_first() else {
+            let Some((_, dropped)) = self.values.pop_first() else {
                 break;
             };
-            self.bytes -= dropped.len() + VERIFIED_ENTRY_BYTES;
+            self.bytes -= dropped.cost;
         }
         self.bytes += cost;
-        self.blobs.insert(digest, blob);
+        self.values.insert(digest, Kept { value, cost });
     }
 }
 
@@ -175,6 +199,8 @@ struct Locked {
     verified: Option<VerifiedBlobs>,
     /// Lookups this handle sent to an object's file.
     blob_reads: u64,
+    /// Lookups that ran their caller's check on verified bytes.
+    blob_checks: u64,
 }
 
 /// A content-addressed on-disk result store.
@@ -188,12 +214,13 @@ struct Locked {
 ///
 /// Blobs are opaque to the store (the experiment layer stores
 /// canonical `CellReport` JSON). Every blob's SHA-256 **content
-/// digest** is recorded in the ledger's `put` line; [`ResultStore::get`]
+/// digest** is recorded in the ledger's `put` line; [`ResultStore::lookup`]
 /// re-reads and re-hashes the blob on every lookup — a daemon's handle
 /// ([`ResultStore::with_verified_blobs`]) on the first lookup of each
-/// digest only, serving the bytes it verified then to later ones — and
-/// refuses to serve bytes that do not match: a corrupted object
-/// degrades to a miss (recompute), never to wrong results.
+/// digest only, serving the value its caller's check made of the bytes
+/// it verified then to later ones — and refuses to serve bytes that do
+/// not match: a corrupted object degrades to a miss (recompute), never
+/// to wrong results.
 ///
 /// Writes are atomic (temp file + rename in the same directory), and
 /// ledger appends happen under an in-process lock with one `write`
@@ -218,7 +245,8 @@ pub struct ResultStore {
 pub struct StoreStats {
     /// Blobs on disk.
     pub objects: u64,
-    /// Total blob bytes on disk.
+    /// Total blob bytes on disk; 0 from a daemon's handle, which
+    /// counts objects without a `stat` each ([`ResultStore::stats`]).
     pub object_bytes: u64,
     /// Distinct keys with a live `put` entry.
     pub keys: u64,
@@ -292,16 +320,20 @@ impl ResultStore {
         })
     }
 
-    /// This handle, keeping the blobs its lookups verify and its
-    /// `put`s write, by content digest, within a fixed byte budget
-    /// (32 MiB): a later lookup whose recorded digest is kept copies
-    /// those bytes and writes the same `hit` line, with no file opened,
-    /// read or hashed. Every byte served still hashes to the digest the
-    /// index records. What this handle no longer notices is damage
-    /// done to an object's file after it verified that file; `verify`,
-    /// `gc` and every other handle still do. For the long-lived
-    /// `mocc serve` only (docs/CACHING.md, "The daemon's verified
-    /// blobs").
+    /// This handle, keeping — by content digest, within a fixed byte
+    /// budget (32 MiB, charged each value's blob length) — the value
+    /// its lookups' checks make of the blobs they verify, and the value
+    /// each `put`'s caller hands over with the blob it writes: a later
+    /// lookup whose recorded digest has a kept value of the type it asks
+    /// for clones that value and writes the same `hit` line, with no
+    /// file opened, read or hashed and no check run. Every value served
+    /// was made from bytes that hash to the digest the index records
+    /// now. A blob whose check fails is never kept. What this handle no
+    /// longer notices is damage done to an object's file after it
+    /// verified that file; `verify`, `gc` and every other handle still
+    /// do. Its `stats` counts objects from the directory listing alone.
+    /// For the long-lived `mocc serve` only (docs/CACHING.md, "The
+    /// daemon's verified blobs").
     pub fn with_verified_blobs(mut self) -> Self {
         self.state.get_mut().expect("store lock").verified =
             Some(VerifiedBlobs::new(VERIFIED_BLOB_BUDGET));
@@ -332,20 +364,29 @@ impl ResultStore {
     /// Object files this handle's lookups went to — opened, or tried
     /// to — since [`ResultStore::open`]: one per lookup of a recorded
     /// blob, except on a daemon's handle, which reads a blob only until
-    /// it has verified it ([`ResultStore::with_verified_blobs`]).
+    /// it has kept a value of it ([`ResultStore::with_verified_blobs`]).
     pub fn blob_reads(&self) -> u64 {
         self.state.lock().expect("store lock").blob_reads
     }
 
-    /// The one lookup: the blob for `key` read into `bytes` and served
-    /// from there once its content digest is verified, and the
-    /// lookup's `hit` or `miss` line — with the caller-supplied
-    /// timestamp — pushed onto `lines`. A blob that cannot be read, is
-    /// over [`MAX_BLOB_BYTES`], or whose bytes do not hash to the
-    /// digest recorded when it was written, is a miss — corruption
-    /// degrades to recomputation, never to bad bytes. On a daemon's
-    /// handle, a recorded digest whose bytes it has verified before is
-    /// served from them instead of from the file.
+    /// Checks this handle's lookups ran since [`ResultStore::open`]:
+    /// one per lookup whose blob's bytes verified, except on a daemon's
+    /// handle, which serves a value it kept without a check.
+    pub fn blob_checks(&self) -> u64 {
+        self.state.lock().expect("store lock").blob_checks
+    }
+
+    /// The one lookup: the blob for `key` read into `bytes`, its content
+    /// digest verified, and what `check` makes of the verified text
+    /// served; the lookup's `hit` or `miss` line — with the
+    /// caller-supplied timestamp — is pushed onto `lines`. A blob that
+    /// cannot be read, is over [`MAX_BLOB_BYTES`], is not UTF-8, or
+    /// whose bytes do not hash to the digest recorded when it was
+    /// written, is a miss — corruption degrades to recomputation, never
+    /// to bad bytes. A blob that verifies is a `hit` line whatever
+    /// `check` returns. On a daemon's handle, a recorded digest with a
+    /// `V` kept for it is served a clone of that value instead, with no
+    /// file read and no check; a `Some` that `check` returns is kept.
     ///
     /// No ledger is touched: the caller hands the lines of its lookups
     /// to [`ResultStore::append_lookups`], in the order the ledger is
@@ -353,65 +394,56 @@ impl ResultStore {
     /// buffers are the caller's so that a run of lookups reuses them.
     ///
     /// The index lock is held for a map probe and a 32-byte copy — on a
-    /// daemon's handle also a second probe and a reference count, and
-    /// once per digest, after the digest is checked, an insert — never
-    /// across a file read or a digest, so concurrent lookups of one
-    /// store share no I/O wait. A `put` that lands between the copy
-    /// and the read can only turn the lookup into a miss (the digest
-    /// no longer matches).
-    pub fn lookup<'b>(
+    /// daemon's handle also a second probe and a reference count — and,
+    /// after a check, to count it and on a daemon's handle to keep its
+    /// value; never across a file read, a digest or a check, so
+    /// concurrent lookups of one store share no I/O wait. A `put` that
+    /// lands between the copy and the read can only turn the lookup
+    /// into a miss (the digest no longer matches).
+    pub fn lookup<V: Clone + Send + Sync + 'static>(
         &self,
         key: &str,
         ts: u64,
-        bytes: &'b mut Vec<u8>,
+        bytes: &mut Vec<u8>,
         lines: &mut String,
-    ) -> Option<&'b str> {
+        check: impl FnOnce(&str) -> Option<V>,
+    ) -> Option<V> {
         let index_key = from_hex(key);
         let (recorded, kept, keeps) = {
             let mut state = self.state.lock().expect("store lock");
             let recorded = index_key.and_then(|key| state.folded.index.get(&key).copied()?);
-            let kept =
-                recorded.and_then(|digest| state.verified.as_ref()?.blobs.get(&digest).cloned());
+            let kept = recorded.and_then(|digest| state.verified.as_ref()?.get::<V>(&digest));
             if recorded.is_some() && kept.is_none() {
                 state.blob_reads += 1;
             }
             (recorded, kept, state.verified.is_some())
         };
-        let verified = match (recorded, kept) {
-            (Some(_), Some(blob)) => {
-                bytes.clear();
-                bytes.extend_from_slice(&blob);
-                true
-            }
+        let (event, served) = match (recorded, kept) {
+            (Some(_), Some(kept)) => (LedgerEvent::Hit, kept.downcast_ref::<V>().cloned()),
             (Some(digest), None) => {
-                let matches =
+                let verified =
                     read_capped(&self.root.join(object_rel_path(key)), MAX_BLOB_BYTES, bytes)
                         .is_ok()
                         && sha256(bytes) == digest;
-                if matches && keeps {
-                    let blob: Arc<[u8]> = Arc::from(&bytes[..]);
-                    let mut state = self.state.lock().expect("store lock");
-                    if let Some(verified) = state.verified.as_mut() {
-                        verified.insert(digest, blob);
+                match verified.then(|| std::str::from_utf8(bytes).ok()).flatten() {
+                    None => (LedgerEvent::Miss, None),
+                    Some(blob) => {
+                        let served = check(blob);
+                        let keep = if keeps { served.clone() } else { None };
+                        let mut state = self.state.lock().expect("store lock");
+                        state.blob_checks += 1;
+                        if let (Some(value), Some(verified)) = (keep, state.verified.as_mut()) {
+                            verified.insert(digest, bytes.len(), Arc::new(value));
+                        }
+                        (LedgerEvent::Hit, served)
                     }
                 }
-                matches
             }
-            (None, _) => false,
-        };
-        let blob = if verified {
-            std::str::from_utf8(bytes).ok()
-        } else {
-            None
-        };
-        let event = if blob.is_some() {
-            LedgerEvent::Hit
-        } else {
-            LedgerEvent::Miss
+            (None, _) => (LedgerEvent::Miss, None),
         };
         write_entry(lines, key, event, None, None, ts);
         lines.push('\n');
-        blob
+        served
     }
 
     /// Appends the lines [`ResultStore::lookup`] wrote, as **one**
@@ -425,23 +457,37 @@ impl ResultStore {
         let _ = self.append_locked(lines);
     }
 
-    /// Looks up the blob for `key` ([`ResultStore::lookup`]) and
-    /// appends the lookup's `hit` or `miss` line.
+    /// Looks up the blob for `key` ([`ResultStore::lookup`]), served as
+    /// its text, and appends the lookup's `hit` or `miss` line.
     pub fn get(&self, key: &str, ts: u64) -> Option<String> {
         let (mut bytes, mut line) = (Vec::new(), String::new());
-        let served = self
-            .lookup(key, ts, &mut bytes, &mut line)
-            .map(str::to_owned);
+        let served = self.lookup(key, ts, &mut bytes, &mut line, |blob| Some(blob.to_owned()));
         self.append_lookups(&line);
         served
+    }
+
+    /// Stores `blob` under `key` ([`ResultStore::put_value`]); a
+    /// daemon's handle keeps its text, the value [`ResultStore::get`]
+    /// serves.
+    pub fn put(&self, key: &str, blob: &str, ts: u64) -> io::Result<()> {
+        self.put_value(key, blob, ts, || blob.to_owned())
     }
 
     /// Stores `blob` under `key` (a 64-char hex digest of the
     /// canonical request — see `mocc-eval`'s cache-key derivation).
     /// The write is atomic (temp file + rename) and appends a `put`
     /// ledger line carrying the blob's content digest. A blob over
-    /// [`MAX_BLOB_BYTES`] is refused: no lookup would serve it.
-    pub fn put(&self, key: &str, blob: &str, ts: u64) -> io::Result<()> {
+    /// [`MAX_BLOB_BYTES`] is refused: no lookup would serve it. A
+    /// daemon's handle keeps `value()` — what a lookup's check would
+    /// make of `blob` — for the lookups that follow; any other handle
+    /// never calls it.
+    pub fn put_value<V: Send + Sync + 'static>(
+        &self,
+        key: &str,
+        blob: &str,
+        ts: u64,
+        value: impl FnOnce() -> V,
+    ) -> io::Result<()> {
         let index_key = validate_key(key)?;
         if blob.len() as u64 > MAX_BLOB_BYTES {
             return Err(io::Error::new(
@@ -478,7 +524,7 @@ impl ResultStore {
         self.append_locked(&line)?;
         state.folded.index.insert(index_key, Some(digest));
         if let Some(verified) = state.verified.as_mut() {
-            verified.insert(digest, Arc::from(blob.as_bytes()));
+            verified.insert(digest, blob.len(), Arc::new(value()));
         }
         Ok(())
     }
@@ -497,11 +543,25 @@ impl ResultStore {
         if lines.is_empty() {
             return Ok(());
         }
-        let mut file = std::fs::OpenOptions::new()
+        let path = self.root.join(LEDGER_FILE);
+        // Read and write: a FIFO's open then waits for no one, and its
+        // handle is refused here before anything is written into it.
+        let opened = std::fs::OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
-            .open(self.root.join(LEDGER_FILE))?;
+            .open(&path);
+        let mut file = match opened {
+            Ok(file) => file,
+            // A socket or a directory cannot be opened so.
+            Err(_) if std::fs::metadata(&path).is_ok_and(|meta| !meta.is_file()) => {
+                return Err(not_a_regular_ledger(&path))
+            }
+            Err(e) => return Err(e),
+        };
+        if !file.metadata()?.is_file() {
+            return Err(not_a_regular_ledger(&path));
+        }
         let mut last = [b'\n'];
         // An empty ledger has no last byte: the seek to before its
         // start fails, and there is no tail to end.
@@ -515,14 +575,14 @@ impl ResultStore {
         }
     }
 
-    /// Calls `visit(shard, object, bytes)` for every object file on
-    /// disk — every entry of a shard directory under `objects/` that is
-    /// a file once symlinks are followed — in directory order. The
-    /// listing says what an entry is (`DirEntry::file_type`); a file's
-    /// length costs one `stat` relative to its shard directory
-    /// (`DirEntry::metadata`), and only a symlink is looked up by path,
-    /// to follow it. No path is built for a file.
-    fn walk_objects(&self, mut visit: impl FnMut(&DirEntry, &DirEntry, u64)) -> io::Result<()> {
+    /// Calls `visit` for every object file on disk — every entry of a
+    /// shard directory under `objects/` that is a file once symlinks
+    /// are followed — in directory order. The listing says what an
+    /// entry is (`DirEntry::file_type`); only a symlink is looked up by
+    /// path, to follow it. A plain file costs no `stat` unless the
+    /// visitor asks for its length ([`WalkedObject::len`]), and no path
+    /// is built for it unless the visitor asks for one.
+    fn walk_objects(&self, mut visit: impl FnMut(&WalkedObject<'_>)) -> io::Result<()> {
         for shard in std::fs::read_dir(self.root.join(OBJECTS_DIR))? {
             let shard = shard?;
             let is_dir = match shard.file_type() {
@@ -537,15 +597,20 @@ impl ResultStore {
             }
             for object in std::fs::read_dir(shard.path())? {
                 let object = object?;
-                let meta = match object.file_type() {
-                    Ok(kind) if kind.is_symlink() => std::fs::metadata(object.path()),
-                    Ok(kind) if kind.is_file() => object.metadata(),
+                let linked = match object.file_type() {
+                    Ok(kind) if kind.is_file() => None,
+                    Ok(kind) if kind.is_symlink() => match std::fs::metadata(object.path()) {
+                        Ok(meta) if meta.is_file() => Some(meta),
+                        // Dangling, or not a file once followed.
+                        _ => continue,
+                    },
                     _ => continue,
                 };
-                // Anything that cannot be stat'ed is not a file.
-                if let Some(meta) = meta.ok().filter(|meta| meta.is_file()) {
-                    visit(&shard, &object, meta.len());
-                }
+                visit(&WalkedObject {
+                    shard: &shard,
+                    object,
+                    linked,
+                });
             }
         }
         Ok(())
@@ -565,13 +630,24 @@ impl ResultStore {
     /// line no longer sitting where it did, so a compacted ledger that
     /// happens to hold those same bytes there is taken for the old one
     /// until the next `open`.
+    ///
+    /// `object_bytes` costs one `stat` per object. A daemon's handle
+    /// ([`ResultStore::with_verified_blobs`]), whose `stats` line names
+    /// no byte count, counts objects from the directory listing alone
+    /// and reports `object_bytes` as 0.
     pub fn stats(&self) -> io::Result<StoreStats> {
-        // Walked before the lock is taken: lookups wait for the
+        let sized = self.state.lock().expect("store lock").verified.is_none();
+        // Walked before the lock is taken again: lookups wait for the
         // catch-up only.
         let (mut objects, mut object_bytes) = (0, 0);
-        self.walk_objects(|_, _, len| {
-            objects += 1;
-            object_bytes += len;
+        self.walk_objects(|object| {
+            if !sized {
+                objects += 1;
+            } else if let Some(len) = object.len() {
+                // A file that cannot be stat'ed is not counted.
+                objects += 1;
+                object_bytes += len;
+            }
         })?;
         let mut state = self.state.lock().expect("store lock");
         let truncated_ledger_tail = state.folded.catch_up(&self.root)?;
@@ -631,8 +707,8 @@ impl ResultStore {
         let referenced: std::collections::BTreeSet<String> =
             puts.keys().map(|k| object_rel_path(k)).collect();
         let mut orphans = Vec::new();
-        self.walk_objects(|shard, object, _| {
-            let rel = walked_rel_path(shard, object);
+        self.walk_objects(|object| {
+            let rel = object.rel_path();
             if !referenced.contains(&rel) {
                 orphans.push(rel);
             }
@@ -676,9 +752,9 @@ impl ResultStore {
         let kept_paths: std::collections::BTreeSet<String> =
             survivors.keys().map(|k| object_rel_path(k)).collect();
         let mut strays = Vec::new();
-        self.walk_objects(|shard, object, _| {
-            if !kept_paths.contains(&walked_rel_path(shard, object)) {
-                strays.push(object.path());
+        self.walk_objects(|object| {
+            if !kept_paths.contains(&object.rel_path()) {
+                strays.push(object.object.path());
             }
         })?;
         for path in strays {
@@ -717,18 +793,19 @@ impl ResultStore {
 /// larger file than this cap is refused without a byte of it read.
 pub const MAX_FILE_BYTES: u64 = 64 << 20;
 
-/// Reads the file at `path` into `buf` with one open, one `fstat` of
-/// the handle and one `read` of the length it reports. A short read
-/// ends the contents (a truncated object then fails its digest). A
-/// file over `cap` bytes is an error of kind `InvalidData` — the only
-/// one of that kind — naming its length and the cap, and none of it is
-/// read. A handle that is not a regular file reads as the length it
-/// reports, so `/dev/zero` or a pipe reads as empty. The store's
-/// `lookup`, `verify` and `gc` read objects through here under
+/// Reads the file at `path` into `buf` with one `stat` of the path, one
+/// open and one `read` of the length the `stat` reports. A short read
+/// ends the contents (a truncated object then fails its digest). A file
+/// over `cap` bytes is an error of kind `InvalidData` — the only one of
+/// that kind — naming its length and the cap, and none of it is read. A
+/// file that is not a regular file reads as the length it reports, so
+/// `/dev/zero` reads as empty; a FIFO or a socket, whose open could
+/// wait for a writer forever, reads as empty without being opened. The
+/// store's `lookup`, `verify` and `gc` read objects through here under
 /// [`MAX_BLOB_BYTES`], and every loader under [`MAX_FILE_BYTES`].
 pub fn read_capped(path: &Path, cap: u64, buf: &mut Vec<u8>) -> io::Result<()> {
-    let mut file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
+    let meta = std::fs::metadata(path)?;
+    let len = meta.len();
     if len > cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -736,8 +813,12 @@ pub fn read_capped(path: &Path, cap: u64, buf: &mut Vec<u8>) -> io::Result<()> {
         ));
     }
     buf.clear();
+    let kind = meta.file_type();
+    if kind.is_fifo() || kind.is_socket() {
+        return Ok(());
+    }
     buf.resize(len as usize, 0);
-    let n = file.read(buf)?;
+    let n = std::fs::File::open(path)?.read(buf)?;
     buf.truncate(n);
     Ok(())
 }
@@ -751,28 +832,75 @@ pub fn read_text(path: &Path) -> io::Result<String> {
     String::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// A walked object's path relative to the store root, spelled as
-/// [`object_rel_path`] spells a key's.
-fn walked_rel_path(shard: &DirEntry, object: &DirEntry) -> String {
-    [
-        OBJECTS_DIR,
-        "/",
-        &shard.file_name().to_string_lossy(),
-        "/",
-        &object.file_name().to_string_lossy(),
-    ]
-    .concat()
+/// An object file the objects walk found ([`ResultStore::walk_objects`]).
+struct WalkedObject<'a> {
+    shard: &'a DirEntry,
+    object: DirEntry,
+    /// A symlinked object's target, which the walk stat'ed to see that
+    /// it is a file; `None` for a plain file.
+    linked: Option<Metadata>,
+}
+
+impl WalkedObject<'_> {
+    /// The object's length: a symlink's from the walk's `stat` of its
+    /// target, a plain file's from one `stat` relative to its shard
+    /// directory (`DirEntry::metadata`); `None` when that fails.
+    fn len(&self) -> Option<u64> {
+        match &self.linked {
+            Some(meta) => Some(meta.len()),
+            None => self.object.metadata().ok().map(|meta| meta.len()),
+        }
+    }
+
+    /// The object's path relative to the store root, spelled as
+    /// [`object_rel_path`] spells a key's.
+    fn rel_path(&self) -> String {
+        [
+            OBJECTS_DIR,
+            "/",
+            &self.shard.file_name().to_string_lossy(),
+            "/",
+            &self.object.file_name().to_string_lossy(),
+        ]
+        .concat()
+    }
+}
+
+/// The store's ledger at `root`, opened for reading once a `stat` has
+/// shown it is a regular file (symlinks followed); `None` when there is
+/// no ledger yet. Anything else is an error of kind `InvalidData`
+/// naming it, and is not opened: a FIFO's open waits for a writer
+/// forever, and a device such as `/dev/zero` reads without end.
+fn open_ledger(root: &Path) -> io::Result<Option<std::fs::File>> {
+    let path = root.join(LEDGER_FILE);
+    match std::fs::metadata(&path) {
+        Ok(meta) if meta.is_file() => std::fs::File::open(&path).map(Some),
+        Ok(_) => Err(not_a_regular_ledger(&path)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// The error naming a ledger at `path` that is not a regular file.
+fn not_a_regular_ledger(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{}: the store's ledger is not a regular file",
+            path.display()
+        ),
+    )
 }
 
 /// The whole ledger text of the store at `root`, empty when there is
 /// no ledger yet. `verify` and `gc` read it from disk, not from the
 /// in-memory fold, so damage inflicted after `open` is visible to them.
 fn read_ledger(root: &Path) -> io::Result<String> {
-    match std::fs::read_to_string(root.join(LEDGER_FILE)) {
-        Ok(text) => Ok(text),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(String::new()),
-        Err(e) => Err(e),
+    let mut text = String::new();
+    if let Some(mut file) = open_ledger(root)? {
+        file.read_to_string(&mut text)?;
     }
+    Ok(text)
 }
 
 /// Ledger bytes as text; a ledger that is not UTF-8 is an error, as it
@@ -829,6 +957,11 @@ mod tests {
         sha256_hex(tag.as_bytes())
     }
 
+    /// The check that serves a verified blob as its text.
+    fn text(blob: &str) -> Option<String> {
+        Some(blob.to_owned())
+    }
+
     #[test]
     fn put_get_round_trip_with_ledger_audit() {
         let store = temp_store("roundtrip");
@@ -861,9 +994,7 @@ mod tests {
         let seen: Vec<Option<String>> = [&good, &absent, &corrupt, &good]
             .iter()
             .map(|k| {
-                let blob = store
-                    .lookup(k, 9, &mut bytes, &mut lines)
-                    .map(str::to_owned);
+                let blob = store.lookup(k, 9, &mut bytes, &mut lines, text);
                 assert_eq!(store.len(), 2, "the index is not locked between lookups");
                 assert_eq!(ledger(), before, "nothing is logged before the append");
                 blob
@@ -931,12 +1062,16 @@ mod tests {
 
         let (mut bytes, mut late, mut early) = (Vec::new(), String::new(), String::new());
         assert_eq!(
-            store.lookup(&second, 9, &mut bytes, &mut late),
+            store
+                .lookup(&second, 9, &mut bytes, &mut late, text)
+                .as_deref(),
             Some("second blob")
         );
-        assert_eq!(store.lookup(&odd, 9, &mut bytes, &mut late), None);
+        assert_eq!(store.lookup(&odd, 9, &mut bytes, &mut late, text), None);
         assert_eq!(
-            store.lookup(&first, 9, &mut bytes, &mut early),
+            store
+                .lookup(&first, 9, &mut bytes, &mut early, text)
+                .as_deref(),
             Some("first blob")
         );
         let ledger = || std::fs::read_to_string(root.join(LEDGER_FILE)).unwrap();
@@ -1255,11 +1390,13 @@ mod tests {
         }
     }
 
-    /// A daemon's handle serves only bytes that hash to the digest its
-    /// index records. Another handle's `put` of a different blob for a
-    /// key enters that index when the daemon catches up (`stats`);
-    /// from then on the daemon serves the new blob — read and verified
-    /// once, then kept — and never the old one.
+    /// A daemon's handle serves only values made of bytes that hash to
+    /// the digest its index records. Another handle's `put` of a
+    /// different blob for a key enters that index when the daemon
+    /// catches up (`stats`); from then on the daemon serves the new
+    /// blob — read, verified and checked once, then kept — and never
+    /// the old one. A lookup asking for another type than the one kept
+    /// reads the file again, and a check that fails keeps nothing.
     #[test]
     fn a_daemon_serves_the_digest_its_index_records() {
         let daemon = temp_store("daemon-foreign").with_verified_blobs();
@@ -1278,41 +1415,71 @@ mod tests {
         for ts in 5..9 {
             assert_eq!(daemon.get(&k, ts).as_deref(), Some("new blob"));
         }
-        assert_eq!(daemon.blob_reads(), 1);
-        // A plain handle reads on every lookup.
+        assert_eq!((daemon.blob_reads(), daemon.blob_checks()), (1, 1));
+        let (mut bytes, mut lines) = (Vec::new(), String::new());
+        for _ in 0..2 {
+            let len = daemon.lookup(&k, 9, &mut bytes, &mut lines, |blob| Some(blob.len()));
+            assert_eq!(len, Some(8));
+        }
+        for _ in 0..2 {
+            assert_eq!(
+                daemon.lookup(&k, 9, &mut bytes, &mut lines, |_| None::<u32>),
+                None
+            );
+        }
+        assert_eq!((daemon.blob_reads(), daemon.blob_checks()), (4, 4));
+        let events: Vec<LedgerEvent> = LedgerScan::parse(&lines)
+            .entries
+            .iter()
+            .map(|e| e.event)
+            .collect();
+        assert_eq!(
+            events,
+            [LedgerEvent::Hit; 4],
+            "a failed check is a hit line"
+        );
+        // A plain handle reads and checks on every lookup.
         for ts in 9..12 {
             assert_eq!(other.get(&k, ts).as_deref(), Some("new blob"));
         }
-        assert_eq!(other.blob_reads(), 3);
+        assert_eq!((other.blob_reads(), other.blob_checks()), (3, 3));
     }
 
-    /// However many blobs are kept, their cost stays within the
-    /// budget, the blob just kept is among them, and a blob that alone
-    /// exceeds the budget is not kept and drops nothing.
+    /// However many values are kept, their cost — each one's blob
+    /// length plus the entry — stays within the budget, the value just
+    /// kept is among them, a value kept again for its digest replaces
+    /// the one kept before, and a value whose blob alone exceeds the
+    /// budget is not kept and drops nothing.
     #[test]
     fn verified_blobs_stay_within_their_budget() {
         let budget = 5 * (VERIFIED_ENTRY_BYTES + 100);
         let mut kept = VerifiedBlobs::new(budget);
+        let charged = |kept: &VerifiedBlobs| -> Vec<(Digest, usize)> {
+            kept.values.iter().map(|(d, v)| (*d, v.cost)).collect()
+        };
         for i in 0..200usize {
             let blob = format!("{i:0>width$}", width = 1 + i % 160);
             let digest = sha256(blob.as_bytes());
-            kept.insert(digest, Arc::from(blob.as_bytes()));
-            let cost: usize = kept
-                .blobs
-                .values()
-                .map(|blob| blob.len() + VERIFIED_ENTRY_BYTES)
-                .sum();
+            kept.insert(digest, blob.len(), Arc::new(blob.clone()));
+            if i % 3 == 0 {
+                kept.insert(digest, blob.len(), Arc::new(i));
+            }
+            let cost: usize = charged(&kept).iter().map(|(_, cost)| cost).sum();
             assert_eq!(kept.bytes, cost, "insert {i}");
             assert!(kept.bytes <= budget, "insert {i}: {} bytes", kept.bytes);
-            assert_eq!(
-                kept.blobs.get(&digest).map(|b| &b[..]),
-                Some(blob.as_bytes())
-            );
+            assert!(charged(&kept).contains(&(digest, blob.len() + VERIFIED_ENTRY_BYTES)));
+            let value = kept.values[&digest].value.as_ref();
+            if i % 3 == 0 {
+                assert_eq!(value.downcast_ref::<usize>(), Some(&i));
+                assert!(kept.get::<String>(&digest).is_none());
+            } else {
+                assert_eq!(value.downcast_ref::<String>(), Some(&blob));
+            }
         }
-        let before = kept.blobs.clone();
-        let huge = vec![b'x'; budget];
-        kept.insert(sha256(&huge), Arc::from(huge));
-        assert_eq!(kept.blobs, before);
+        let before = charged(&kept);
+        let huge = "x".repeat(budget);
+        kept.insert(sha256(huge.as_bytes()), huge.len(), Arc::new(huge));
+        assert_eq!(charged(&kept), before);
     }
 
     /// An object file far over the cap — sparse, so it costs no disk —
@@ -1380,11 +1547,12 @@ mod tests {
         out
     }
 
-    /// `stats` counts what the walk by path counted, and `verify`
-    /// names the same orphans in the same order, over every kind of
-    /// entry an objects directory can hold: blobs, a symlinked shard,
-    /// a symlinked object, a dangling symlink, a stray file and a
-    /// stray directory under `objects/`, and a directory in a shard.
+    /// `stats` counts what the walk by path counted — with lengths, and
+    /// from the listing alone on a daemon's handle — and `verify` names
+    /// the same orphans in the same order, over every kind of entry an
+    /// objects directory can hold: blobs, a symlinked shard, a
+    /// symlinked object, a dangling symlink, a socket, a stray file and
+    /// a stray directory under `objects/`, and a directory in a shard.
     #[test]
     fn the_objects_walk_counts_what_a_walk_by_path_counts() {
         let store = temp_store("walk");
@@ -1404,6 +1572,7 @@ mod tests {
         std::os::unix::fs::symlink(outside.join("target.json"), shard.join("link.json")).unwrap();
         std::os::unix::fs::symlink(outside.join("nothing"), shard.join("dangling.json")).unwrap();
         std::fs::create_dir(shard.join("subdir")).unwrap();
+        let _socket = std::os::unix::net::UnixListener::bind(shard.join("socket.json")).unwrap();
         std::fs::write(objects.join("stray-file"), "stray").unwrap();
         std::fs::create_dir(objects.join("stray-dir")).unwrap();
         std::fs::write(objects.join("stray-dir").join("deep.json"), "deep").unwrap();
@@ -1420,6 +1589,15 @@ mod tests {
             stats.object_bytes,
             reference.iter().map(|(_, n)| n).sum::<u64>()
         );
+        let daemon = ResultStore::open(&root).unwrap().with_verified_blobs();
+        let counted = daemon.stats().unwrap();
+        assert_eq!(
+            counted,
+            StoreStats {
+                object_bytes: 0,
+                ..stats.clone()
+            }
+        );
         let owned: Vec<String> = (0..6)
             .map(|i| object_rel_path(&key(&format!("cell-{i}"))))
             .collect();
@@ -1429,13 +1607,61 @@ mod tests {
             .map(|(rel, _)| format!("object {rel}: orphan (no ledger put entry)"))
             .collect();
         assert_eq!(store.verify().unwrap().issues, orphans);
+        assert_eq!(daemon.verify().unwrap().issues, orphans);
         let report = store.gc(None).unwrap();
         assert_eq!((report.kept, report.removed_objects), (6, 3));
         assert_eq!(walk_by_path(&root).len(), 6);
+        assert_eq!(daemon.stats().unwrap().objects, 6);
         assert!(
             outside.join("target.json").exists(),
             "a link is removed, not its target"
         );
+    }
+
+    /// A ledger that is not a regular file once symlinks are followed
+    /// is an `InvalidData` error naming it — at `open`, and at `stats`,
+    /// `verify`, `gc` and the next append of a handle opened before it
+    /// was swapped in — and is never read or written. (A FIFO or an
+    /// endless device would hang or exhaust a test, so the CLI's tests
+    /// take those in a subprocess; a socket and a directory stand in
+    /// here.)
+    #[test]
+    fn a_ledger_that_is_not_a_regular_file_is_an_error() {
+        let store = temp_store("ledger-kind");
+        let k = key("cell");
+        store.put(&k, "blob", 1).unwrap();
+        let ledger = store.root().join(LEDGER_FILE);
+        let refused = |result: io::Result<()>| {
+            let err = result.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "{}: the store's ledger is not a regular file",
+                    ledger.display()
+                )
+            );
+        };
+        for swap in ["socket", "directory"] {
+            std::fs::remove_file(&ledger)
+                .or_else(|_| std::fs::remove_dir(&ledger))
+                .unwrap();
+            let _socket = if swap == "socket" {
+                Some(std::os::unix::net::UnixListener::bind(&ledger).unwrap())
+            } else {
+                std::fs::create_dir(&ledger).unwrap();
+                None
+            };
+            refused(ResultStore::open(store.root()).map(drop));
+            refused(store.stats().map(drop));
+            refused(store.verify().map(drop));
+            refused(store.gc(None).map(drop));
+            refused(store.put(&k, "blob", 2));
+            assert_eq!(store.get(&k, 3).as_deref(), Some("blob"), "{swap}");
+        }
+        std::fs::remove_dir(&ledger).unwrap();
+        let reopened = ResultStore::open(store.root()).unwrap();
+        assert!(reopened.is_empty(), "no ledger is an empty one");
     }
 
     #[test]

@@ -878,7 +878,7 @@ proptest! {
                 1 => {
                     let (mut bytes, mut lines) = (Vec::new(), String::new());
                     for k in &keys[..arg % (keys.len() + 1)] {
-                        store.lookup(k, ts, &mut bytes, &mut lines);
+                        store.lookup(k, ts, &mut bytes, &mut lines, |blob| Some(blob.to_owned()));
                     }
                     store.append_lookups(&lines);
                 }
