@@ -32,7 +32,7 @@ use mocc_eval::{
     MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError, SweepCell,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
-use mocc_netsim::{EventCounts, Scenario, SimResult, Simulator};
+use mocc_netsim::{Scenario, SimResult, Simulator};
 use mocc_nn::Matrix;
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::sync::OnceLock;
@@ -238,15 +238,16 @@ impl<'r> BatchMoccEvaluator<'r> {
             .collect()
     }
 
-    /// The events a sweep cell's simulation pops, by kind, driven
-    /// exactly as [`CellEvaluator::eval_batch`] drives it.
-    pub fn sweep_cell_event_counts(&self, cell: &SweepCell) -> EventCounts {
-        let mut counts = self.drive(
+    /// What `probe` reads off a sweep cell's finished simulator —
+    /// [`Simulator::event_counts`], say — driven exactly as
+    /// [`CellEvaluator::eval_batch`] drives it.
+    pub fn sweep_cell_probe<T>(&self, cell: &SweepCell, probe: impl Fn(&Simulator) -> T) -> T {
+        let mut probed = self.drive(
             std::slice::from_ref(cell),
             |cell| (&cell.scenario, self.sweep_controls(cell)),
-            |_, sim| sim.event_counts(),
+            |_, sim| probe(&sim),
         );
-        counts.remove(0)
+        probed.remove(0)
     }
 }
 

@@ -38,7 +38,7 @@ use mocc_eval::{
     CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, SchemeRegistry, SpecError,
     SweepReport, SweepRunner, Workload,
 };
-use mocc_netsim::EventCounts;
+use mocc_netsim::{EventCounts, Simulator};
 use mocc_store::ResultStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,6 +189,23 @@ pub fn run_experiment_with(
 /// store). The counts are a pure function of the spec — the exact
 /// witness a performance claim can name.
 pub fn cell_event_counts(exp: &ExperimentSpec, index: usize) -> Result<EventCounts, SpecError> {
+    cell_probe(exp, index, Simulator::event_counts)
+}
+
+/// The link service times and pacing gaps cell `index` of a sweep spec
+/// computes ([`Simulator::tx_divisions`]), simulated as
+/// [`cell_event_counts`] simulates it.
+pub fn cell_tx_divisions(exp: &ExperimentSpec, index: usize) -> Result<u64, SpecError> {
+    cell_probe(exp, index, Simulator::tx_divisions)
+}
+
+/// What `probe` reads off the finished simulator of cell `index` of a
+/// sweep spec.
+fn cell_probe<T>(
+    exp: &ExperimentSpec,
+    index: usize,
+    probe: fn(&Simulator) -> T,
+) -> Result<T, SpecError> {
     let registry = SchemeRegistry::builtin();
     let (evaluator, _) = spec_evaluator(exp, &registry, false)?;
     let (Workload::Sweep(w), Some(spec)) = (&exp.workload, exp.to_sweep_spec()) else {
@@ -206,7 +223,7 @@ pub fn cell_event_counts(exp: &ExperimentSpec, index: usize) -> Result<EventCoun
         .ok_or_else(|| SpecError::InvalidSpec {
             reason: format!("{} has no cell {index}", exp.name),
         })?;
-    Ok(evaluator.sweeping(&w.scheme).sweep_cell_event_counts(&cell))
+    Ok(evaluator.sweeping(&w.scheme).sweep_cell_probe(&cell, probe))
 }
 
 /// Validates `exp` against `registry` and builds the one evaluator of

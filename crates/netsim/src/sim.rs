@@ -187,33 +187,33 @@ impl AckFifo {
     }
 }
 
-/// The pending events of one flow.
-#[derive(Debug)]
-struct FlowSources {
-    /// Key of the flow's pacing timer. Re-arming overwrites it: only
-    /// the latest timer of a flow ever does anything.
-    pacing: u128,
-    /// Key of the flow's next monitor tick.
-    monitor: u128,
-    /// Key of the flow's application wake-up: the earliest asked for
-    /// since the last one fired ([`EventSources::wake`]).
-    wake: u128,
-    /// The return delay is constant per flow and departures are serial,
-    /// so ACKs are scheduled in key order and the front is the flow's
-    /// earliest.
-    acks: AckFifo,
-}
+/// Where a flow's pending events sit in its row of
+/// [`EventSources::slots`]: its pacing timer (re-arming overwrites it:
+/// only the latest timer of a flow ever does anything), its next
+/// monitor tick, its application wake-up (the earliest asked for since
+/// the last one fired, [`EventSources::wake`]) and the key of the front
+/// of its ACK FIFO.
+const PACING: usize = 0;
+const MONITOR: usize = 1;
+const WAKE: usize = 2;
+const ACK: usize = 3;
+
+/// The source of the smallest key in [`EventSources::pop`], besides
+/// `4 · flow + slot` for a flow's slot.
+const DEPARTURE_SOURCE: usize = usize::MAX;
+const LIFECYCLE_SOURCE: usize = usize::MAX - 1;
 
 /// Every pending event, held by the source that produced it.
 ///
 /// The bottleneck has at most one departure pending, and a flow at most
 /// one pacing timer, one monitor tick and one application wake-up that
 /// matter: those are plain key slots. A flow's ACKs are scheduled in key
-/// order: a FIFO. Flow starts and stops are all scheduled at
-/// construction: a vector sorted once, read front to back.
-/// [`Self::pop`] takes the smallest key across all of them — the order
-/// one priority queue over every event would produce, since keys are
-/// unique.
+/// order: a FIFO, whose front key is copied into a fourth slot, so a
+/// flow's four keys lie side by side and [`Self::pop`] scans one dense
+/// array. Flow starts and stops are all scheduled at construction: a
+/// vector sorted once, read front to back. [`Self::pop`] takes the
+/// smallest key across all of them — the order one priority queue over
+/// every event would produce, since keys are unique.
 #[derive(Debug)]
 struct EventSources {
     next_order: u64,
@@ -221,7 +221,13 @@ struct EventSources {
     /// only grow).
     last_popped: Option<u128>,
     departure: u128,
-    flows: Vec<FlowSources>,
+    /// Per flow, the keys at [`PACING`], [`MONITOR`], [`WAKE`] and
+    /// [`ACK`]; [`IDLE`] where nothing is pending.
+    slots: Vec<[u128; 4]>,
+    /// Per flow, its ACKs in flight. The return delay is constant per
+    /// flow and departures are serial, so ACKs are scheduled in key
+    /// order and the front is the flow's earliest.
+    acks: Vec<AckFifo>,
     /// Every flow start and stop, in key order; the first
     /// `next_lifecycle` have been popped.
     lifecycle: Vec<(u128, EventKind)>,
@@ -249,15 +255,8 @@ impl EventSources {
             next_order: lifecycle.len() as u64,
             last_popped: None,
             departure: IDLE,
-            flows: flows
-                .iter()
-                .map(|_| FlowSources {
-                    pacing: IDLE,
-                    monitor: IDLE,
-                    wake: IDLE,
-                    acks: AckFifo::default(),
-                })
-                .collect(),
+            slots: vec![[IDLE; 4]; flows.len()],
+            acks: flows.iter().map(|_| AckFifo::default()).collect(),
             lifecycle,
             next_lifecycle: 0,
             counts: EventCounts::default(),
@@ -268,7 +267,7 @@ impl EventSources {
     /// at most one pending: one no later than `time` stands, a later one
     /// is replaced.
     fn wake(&mut self, f: u32, time: SimTime) {
-        let pending = self.flows[f as usize].wake;
+        let pending = self.slots[f as usize][WAKE];
         if pending == IDLE || (pending >> 64) as u64 > time.0 {
             self.schedule(time, EventKind::AppWake(f));
         }
@@ -283,23 +282,27 @@ impl EventSources {
                 debug_assert_eq!(self.departure, IDLE, "the link serves one packet at a time");
                 self.departure = key;
             }
-            EventKind::Pacing(f) => self.flows[f as usize].pacing = key,
+            EventKind::Pacing(f) => self.slots[f as usize][PACING] = key,
             EventKind::Monitor(f) => {
-                let slot = &mut self.flows[f as usize].monitor;
+                let slot = &mut self.slots[f as usize][MONITOR];
                 debug_assert_eq!(*slot, IDLE, "one monitor tick per flow");
                 *slot = key;
             }
             EventKind::Ack { flow, seq } => {
-                let acks = &mut self.flows[flow as usize].acks;
+                let acks = &mut self.acks[flow as usize];
                 debug_assert!(
                     acks.last_pushed()
                         .map_or(true, |&[t, o, _]| event_key(t, o) < key),
                     "a flow's ACKs are scheduled in key order"
                 );
                 acks.push([time.0, order, seq]);
+                let front = &mut self.slots[flow as usize][ACK];
+                if *front == IDLE {
+                    *front = key;
+                }
             }
             EventKind::AppWake(f) => {
-                let slot = &mut self.flows[f as usize].wake;
+                let slot = &mut self.slots[f as usize][WAKE];
                 debug_assert!(
                     *slot == IDLE || (*slot >> 64) as u64 > time.0,
                     "one wake-up per flow: a pending one no later than this stands"
@@ -316,35 +319,19 @@ impl EventSources {
     /// none or it lies beyond `end`.
     fn pop(&mut self, end: SimTime) -> Option<(SimTime, EventKind)> {
         let mut key = self.departure;
-        let mut kind = EventKind::Departure;
-        for (f, fl) in self.flows.iter().enumerate() {
-            if fl.pacing < key {
-                key = fl.pacing;
-                kind = EventKind::Pacing(f as u32);
-            }
-            if fl.monitor < key {
-                key = fl.monitor;
-                kind = EventKind::Monitor(f as u32);
-            }
-            if fl.wake < key {
-                key = fl.wake;
-                kind = EventKind::AppWake(f as u32);
-            }
-            if let Some(&[t, o, seq]) = fl.acks.front() {
-                let ack = event_key(t, o);
-                if ack < key {
-                    key = ack;
-                    kind = EventKind::Ack {
-                        flow: f as u32,
-                        seq,
-                    };
+        let mut source = DEPARTURE_SOURCE;
+        for (f, keys) in self.slots.iter().enumerate() {
+            for (slot, &k) in keys.iter().enumerate() {
+                if k < key {
+                    key = k;
+                    source = 4 * f + slot;
                 }
             }
         }
-        if let Some(&(k, lifecycle)) = self.lifecycle.get(self.next_lifecycle) {
+        if let Some(&(k, _)) = self.lifecycle.get(self.next_lifecycle) {
             if k < key {
                 key = k;
-                kind = lifecycle;
+                source = LIFECYCLE_SOURCE;
             }
         }
         let time = SimTime((key >> 64) as u64);
@@ -354,36 +341,52 @@ impl EventSources {
         debug_assert!(Some(key) > self.last_popped, "event keys only grow");
         self.last_popped = Some(key);
         let counts = &mut self.counts;
-        match kind {
-            EventKind::Departure => {
+        let kind = match source {
+            DEPARTURE_SOURCE => {
                 counts.departure += 1;
                 self.departure = IDLE;
+                EventKind::Departure
             }
-            EventKind::Pacing(f) => {
-                counts.pacing += 1;
-                self.flows[f as usize].pacing = IDLE;
-            }
-            EventKind::Monitor(f) => {
-                counts.monitor += 1;
-                self.flows[f as usize].monitor = IDLE;
-            }
-            EventKind::Ack { flow, .. } => {
-                counts.ack += 1;
-                self.flows[flow as usize].acks.pop();
-            }
-            EventKind::AppWake(f) => {
-                counts.app_wake += 1;
-                self.flows[f as usize].wake = IDLE;
-            }
-            EventKind::FlowStart(_) => {
-                counts.flow_start += 1;
+            LIFECYCLE_SOURCE => {
+                let (_, kind) = self.lifecycle[self.next_lifecycle];
+                match kind {
+                    EventKind::FlowStart(_) => counts.flow_start += 1,
+                    _ => counts.flow_stop += 1,
+                }
                 self.next_lifecycle += 1;
+                kind
             }
-            EventKind::FlowStop(_) => {
-                counts.flow_stop += 1;
-                self.next_lifecycle += 1;
+            i => {
+                let (f, slot) = (i / 4, i % 4);
+                let slots = &mut self.slots[f];
+                slots[slot] = IDLE;
+                let flow = f as u32;
+                match slot {
+                    PACING => {
+                        counts.pacing += 1;
+                        EventKind::Pacing(flow)
+                    }
+                    MONITOR => {
+                        counts.monitor += 1;
+                        EventKind::Monitor(flow)
+                    }
+                    WAKE => {
+                        counts.app_wake += 1;
+                        EventKind::AppWake(flow)
+                    }
+                    _ => {
+                        counts.ack += 1;
+                        let acks = &mut self.acks[f];
+                        let &[_, _, seq] = acks.front().expect("a keyed ACK is queued");
+                        acks.pop();
+                        if let Some(&[t, o, _]) = acks.front() {
+                            slots[ACK] = event_key(t, o);
+                        }
+                        EventKind::Ack { flow, seq }
+                    }
+                }
             }
-        }
+        };
         Some((time, kind))
     }
 }
@@ -534,6 +537,8 @@ struct FlowState {
     next_seq: u64,
     outstanding: OutstandingRing,
     next_send_time: SimTime,
+    /// The pacing gap of the last packet sent.
+    pacing_gap: TxMemo,
     app_bytes_avail: u64,
     inflight_bytes: u64,
     // RTT estimation (RFC 6298).
@@ -590,6 +595,7 @@ impl FlowState {
             next_seq: 0,
             outstanding: OutstandingRing::default(),
             next_send_time: SimTime::ZERO,
+            pacing_gap: TxMemo::new(),
             app_bytes_avail: 0,
             inflight_bytes: 0,
             min_rtt: None,
@@ -649,6 +655,48 @@ impl FlowState {
 struct Bottleneck {
     queue: VecDeque<Packet>,
     busy: bool,
+    /// The service time of the last packet served.
+    service: TxMemo,
+}
+
+/// The last [`tx_time`] asked of one clock — the link's service or a
+/// flow's pacing gap — with its operands. A constant link, or a pacing
+/// rate held for a monitor interval, asks the same question packet
+/// after packet, and the answer is a pure function of the packet's size
+/// and the rate's bits, so it is computed once per change of either.
+#[derive(Debug, Clone, Copy)]
+struct TxMemo {
+    size_bytes: u32,
+    rate_bits: u64,
+    time: SimDuration,
+}
+
+impl TxMemo {
+    /// The memo of a zero-byte packet at rate `0.0`, which is correct as
+    /// it stands and so needs no "empty" state.
+    fn new() -> Self {
+        TxMemo {
+            size_bytes: 0,
+            rate_bits: 0f64.to_bits(),
+            time: tx_time(0.0, 0.0),
+        }
+    }
+
+    /// `tx_time(size_bytes · 8, rate_bps)`, counting in `divisions` each
+    /// time it is computed rather than recalled.
+    #[inline]
+    fn get(&mut self, size_bytes: u32, rate_bps: f64, divisions: &mut u64) -> SimDuration {
+        let rate_bits = rate_bps.to_bits();
+        if size_bytes != self.size_bytes || rate_bits != self.rate_bits {
+            *divisions += 1;
+            *self = TxMemo {
+                size_bytes,
+                rate_bits,
+                time: tx_time(size_bytes as f64 * 8.0, rate_bps),
+            };
+        }
+        self.time
+    }
 }
 
 /// The result of one simulated flow.
@@ -732,6 +780,9 @@ pub struct Simulator {
     /// Reusable buffer for reorder/timeout loss collection — reused
     /// across the whole run so the per-ACK path is allocation-free.
     loss_scratch: Vec<u64>,
+    /// Service times and pacing gaps computed, not recalled
+    /// ([`Self::tx_divisions`]).
+    tx_divisions: u64,
 }
 
 impl Simulator {
@@ -763,10 +814,12 @@ impl Simulator {
             bottleneck: Bottleneck {
                 queue: VecDeque::new(),
                 busy: false,
+                service: TxMemo::new(),
             },
             scenario,
             rng,
             loss_scratch: Vec::new(),
+            tx_divisions: 0,
         }
     }
 
@@ -800,6 +853,14 @@ impl Simulator {
     /// The events popped so far, by kind.
     pub fn event_counts(&self) -> EventCounts {
         self.events.counts
+    }
+
+    /// How many link service times and pacing gaps the simulator has
+    /// computed: one per change of packet size or rate, each other
+    /// packet recalls the last. Like [`Self::event_counts`], a pure
+    /// function of the scenario and its controllers.
+    pub fn tx_divisions(&self) -> u64 {
+        self.tx_divisions
     }
 
     /// Minimum RTT observed so far by `flow`.
@@ -941,7 +1002,9 @@ impl Simulator {
             fl.mi_sent_bytes += size_bytes as u64;
             // Advance the pacing clock.
             if fl.ctl.pacing_rate_bps.is_finite() {
-                let gap = tx_time(size_bytes as f64 * 8.0, fl.ctl.pacing_rate_bps);
+                let gap =
+                    fl.pacing_gap
+                        .get(size_bytes, fl.ctl.pacing_rate_bps, &mut self.tx_divisions);
                 let base = fl.next_send_time.max(self.now);
                 fl.next_send_time = base + gap;
             }
@@ -961,7 +1024,10 @@ impl Simulator {
     fn start_service(&mut self) {
         if let Some(head) = self.bottleneck.queue.front() {
             let rate = self.scenario.link.trace.rate_at(self.now);
-            let t = tx_time(head.size_bytes as f64 * 8.0, rate);
+            let t = self
+                .bottleneck
+                .service
+                .get(head.size_bytes, rate, &mut self.tx_divisions);
             self.bottleneck.busy = true;
             self.events.schedule(self.now + t, EventKind::Departure);
         } else {

@@ -32,7 +32,7 @@ impl SimTime {
 
     /// Builds a time from fractional seconds (saturating at zero).
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1e9).round() as u64)
+        SimTime(round_u64(s.max(0.0) * 1e9))
     }
 
     /// Builds a time from whole milliseconds.
@@ -67,7 +67,7 @@ impl SimDuration {
 
     /// Builds a duration from fractional seconds (saturating at zero).
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_u64(s.max(0.0) * 1e9))
     }
 
     /// Builds a duration from whole milliseconds.
@@ -87,7 +87,7 @@ impl SimDuration {
 
     /// Scales the duration by a non-negative factor.
     pub fn mul_f64(self, k: f64) -> Self {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * k.max(0.0)))
     }
 
     /// True when the duration is zero.
@@ -135,6 +135,25 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `y.round() as u64` — nearest integer, halves away from zero,
+/// saturating at `0` and `u64::MAX`, NaN to `0` — without the `round`
+/// call, which the baseline x86-64 target has no instruction for. On
+/// `[0, 2^63)` the truncation `t` is exact and so is `y − t`, so
+/// comparing that fraction with one half decides exactly what `round`
+/// does, and both conversions are single `i64` instructions. Anywhere
+/// else the saturating cast is the answer: NaN and negatives go to `0`,
+/// and from 2^63 up every `f64` is an integer.
+#[inline]
+pub(crate) fn round_u64(y: f64) -> u64 {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if (0.0..TWO_POW_63).contains(&y) {
+        let t = y as i64;
+        (if y - t as f64 >= 0.5 { t + 1 } else { t }) as u64
+    } else {
+        y as u64
+    }
+}
+
 /// Converts a transmission of `bits` at `rate_bps` into a duration.
 ///
 /// Rates at or below zero yield an effectively infinite duration so that
@@ -146,7 +165,7 @@ pub fn tx_time(bits: f64, rate_bps: f64) -> SimDuration {
     if rate_bps <= 0.0 {
         return SimDuration(FOREVER);
     }
-    SimDuration((((bits / rate_bps) * 1e9).round() as u64).min(FOREVER))
+    SimDuration(round_u64((bits / rate_bps) * 1e9).min(FOREVER))
 }
 
 #[cfg(test)]
@@ -181,6 +200,66 @@ mod tests {
         // A vanishing rate is the same thing, not `u64::MAX` — which
         // wrapped `now + tx_time` into the past.
         assert_eq!(tx_time(12_000.0, 1e-294), tx_time(8.0, 0.0));
+    }
+
+    /// `round_u64` is `x.round() as u64` on ±0, the largest `f64` below
+    /// one half and one half itself, halves and the powers of two where
+    /// `f64` stops having fractions (2^52, 2^53) and where the casts
+    /// change (2^63, 2^64) with their neighbours, the extremes, NaN,
+    /// ±∞ and subnormals, each with both signs; and on 10^7 seeded bit
+    /// patterns, each also scaled into the range where the fraction
+    /// matters.
+    #[test]
+    fn round_u64_equals_round_then_cast() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let check = |x: f64| {
+            assert_eq!(
+                round_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#018x})",
+                x.to_bits()
+            );
+        };
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            two(52),
+            two(52) - 0.5,
+            two(52) + 1.0,
+            two(53),
+            two(53) - 1.0,
+            two(63),
+            two(63) - 1024.0,
+            two(64),
+            two(64) - 2048.0,
+            two(65),
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ];
+        edges.extend(edges.clone().iter().map(|x| -x));
+        edges.iter().copied().for_each(check);
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for _ in 0..10_000_000 {
+            let bits: u64 = rng.gen();
+            check(f64::from_bits(bits));
+            // The same bits as a value of magnitude 2^-113 .. 2^67, and
+            // as a half-integer tie.
+            let x = (bits >> 11) as f64 * two((bits & 127) as i32 - 60 - 53);
+            check(if bits >> 63 == 0 { x } else { -x });
+            check((bits >> 40) as f64 + 0.5);
+        }
     }
 
     #[test]

@@ -6,23 +6,16 @@
 //! product is one floating-point dependency chain the compiler may not
 //! reorder, and it dominated the PPO update until the products were
 //! rewritten (docs/PERFORMANCE.md, "The training update path"). Every
-//! product here therefore updates whole output rows through the
-//! `simd::axpy` row kernel, which the compiler vectorises across
-//! columns: each output element is still one accumulator updated in
-//! ascending `k`, so results are bitwise equal to the naive triple
-//! loops, which survive as the test oracle.
+//! product here therefore fills each output row through the one
+//! register-blocked row kernel, `simd::add_products`, which the
+//! compiler vectorises across columns: each output element is still one
+//! accumulator updated in ascending `k`, so results are bitwise equal
+//! to the naive triple loops, which survive as the test oracle.
 
 use crate::simd;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// Depth-blocking edge for the blocked matmul kernels: a 64-deep slice
-/// of the right-hand operand (≤ 64 × 64 × 4 B = 16 KiB) stays resident
-/// in L1 while every output row streams over it. Blocks are visited in
-/// ascending order, so per-element accumulation order — and therefore
-/// every bit of the result — is identical to the naive triple loop.
-const K_BLOCK: usize = 64;
 
 /// A dense `rows × cols` matrix of `f32` in row-major order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,11 +125,8 @@ impl Matrix {
     }
 
     /// Matrix product `self · other` written into `out` (reshaped to
-    /// fit, allocation-free at steady state). Inner loops are blocked
-    /// over the shared dimension in ascending `K_BLOCK` tiles, which
-    /// keeps the active slice of `other` cache-resident while leaving
-    /// the per-element accumulation order — and hence every result bit
-    /// — identical to the naive loop.
+    /// fit, allocation-free at steady state), through the one tiled row
+    /// kernel: every result bit is the naive loop's.
     ///
     /// # Panics
     ///
@@ -159,14 +149,13 @@ impl Matrix {
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         out.reshape_zeroed(self.cols, other.cols);
-        for r in 0..self.rows {
-            let orow = other.row(r);
-            for (k, &a) in self.row(r).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                simd::axpy(out.row_mut(k), a, orow);
-            }
+        if self.rows == 0 {
+            return; // No column to slice below.
+        }
+        for k in 0..self.cols {
+            // Column `k` of `self` weighs the rows of `other`.
+            let column = self.data[k..].iter().step_by(self.cols).copied();
+            simd::add_products(out.row_mut(k), column, &other.data, true);
         }
     }
 
@@ -211,10 +200,8 @@ impl Matrix {
             }
         }
         for r in 0..self.rows {
-            let out_row = out.row_mut(r);
-            for (k, &g) in self.row(r).iter().enumerate() {
-                simd::axpy(out_row, g, other_t.row(k));
-            }
+            let coeffs = self.row(r).iter().copied();
+            simd::add_products(out.row_mut(r), coeffs, &other_t.data, false);
         }
     }
 
@@ -245,26 +232,16 @@ impl Matrix {
     /// (zero-initialized `out`) and the bias-initialized dense-layer
     /// forward in `mlp.rs` — a single implementation is what keeps the
     /// "batched == scalar, bitwise" contract from depending on two
-    /// hand-synchronized copies of the same loop. Blocks the shared
-    /// dimension in ascending `K_BLOCK` tiles so the active slice of
-    /// `w` stays cache-resident across rows; per-element accumulation
-    /// order is ascending `k` with zero entries of `x` skipped,
-    /// identical to the naive triple loop.
+    /// hand-synchronized copies of the same loop. Per-element
+    /// accumulation order is ascending `k` with zero entries of `x`
+    /// skipped, identical to the naive triple loop.
     pub(crate) fn accumulate(x: &Matrix, w: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(x.cols, w.rows);
         debug_assert_eq!(out.rows, x.rows);
         debug_assert_eq!(out.cols, w.cols);
-        for kk in (0..x.cols).step_by(K_BLOCK) {
-            let kend = (kk + K_BLOCK).min(x.cols);
-            for r in 0..x.rows {
-                let out_row = &mut out.data[r * w.cols..(r + 1) * w.cols];
-                for (dk, &a) in x.row(r)[kk..kend].iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    simd::axpy(out_row, a, w.row(kk + dk));
-                }
-            }
+        for r in 0..x.rows {
+            let coeffs = x.row(r).iter().copied();
+            simd::add_products(out.row_mut(r), coeffs, &w.data, true);
         }
     }
 
@@ -343,6 +320,22 @@ impl Matrix {
 #[cfg(test)]
 pub(crate) mod naive {
     use super::Matrix;
+
+    /// `out += a · b`, skipping zero entries of `a`.
+    pub(crate) fn matmul_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        for r in 0..a.rows {
+            for k in 0..a.cols {
+                let x = a.get(r, k);
+                if x == 0.0 {
+                    continue;
+                }
+                for c in 0..b.cols {
+                    let v = out.get(r, c) + x * b.get(k, c);
+                    out.set(r, c, v);
+                }
+            }
+        }
+    }
 
     pub(crate) fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.cols, b.cols);
@@ -561,31 +554,81 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// The blocked kernel must agree with the naive triple loop to the
-    /// last bit, including across the K_BLOCK boundary and over the
-    /// `0.0`/`-0.0` entries it skips (from a `+0.0` start, adding their
-    /// zero products changes no bit).
+    /// Output widths on both sides of every tile width (32, 16, 8, 4
+    /// and 1) and of their sums, and reduction lengths from empty to
+    /// past two 64-deep blocks.
+    const WIDTHS: [usize; 18] = [
+        1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 46, 63, 64, 65,
+    ];
+    const DEPTHS: [usize; 7] = [0, 1, 2, 63, 64, 65, 130];
+
+    /// Seeded values in (-1, 1) with `0.0` and `-0.0` mixed in, and,
+    /// when `special`, NaN, `∞` and `−∞` at about one entry in 64.
+    fn hostile(rows: usize, cols: usize, special: bool, rng: &mut StdRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| match rng.gen_range(0..192u32) {
+            0..=7 => 0.0,
+            8..=15 => -0.0,
+            16 if special => f32::NAN,
+            17 if special => f32::INFINITY,
+            18 if special => f32::NEG_INFINITY,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+    }
+
+    /// `got` is `want` bit for bit, element by element, or both are NaN
+    /// (IEEE 754 leaves the sign and payload of a NaN result to the
+    /// implementation).
+    fn assert_same(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!(
+            (got.rows, got.cols),
+            (want.rows, want.cols),
+            "{what}: shape"
+        );
+        for (i, (g, w)) in got.data.iter().zip(&want.data).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i}: {g} vs {w}"
+            );
+        }
+    }
+
+    /// Every product through the blocked row kernel — `matmul_into`,
+    /// `accumulate` over a stale non-zero `out`, `t_matmul_into` and
+    /// `matmul_t_into` — equals its naive reference to the last bit at
+    /// every width and reduction length above, over inputs holding exact
+    /// `0.0` and `-0.0` (skipped by the first three, added by the last)
+    /// and, in a second pass, NaN and infinities.
     #[test]
-    fn matmul_into_bitwise_matches_naive() {
-        let mut rng = StdRng::seed_from_u64(9);
-        for (m, k, n) in [(3, 5, 4), (2, K_BLOCK + 7, 9), (1, 200, 33)] {
-            let a = with_zeros(m, k, &mut rng);
-            let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-1.0f32..1.0));
-            // Naive reference with the documented accumulation order.
-            let mut naive = Matrix::zeros(m, n);
-            for r in 0..m {
-                for kk in 0..k {
-                    let x = a.get(r, kk);
-                    for c in 0..n {
-                        let v = naive.get(r, c) + x * b.get(kk, c);
-                        naive.set(r, c, v);
+    fn every_product_bitwise_matches_naive_at_every_tile_edge() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut out, mut other_t) = (Matrix::default(), Matrix::default());
+        for special in [false, true] {
+            for n in WIDTHS {
+                for k in DEPTHS {
+                    for m in [1, 3] {
+                        let what = format!("{m}x{k} by {k}x{n}, special {special}");
+                        let a = hostile(m, k, special, &mut rng);
+                        let b = hostile(k, n, special, &mut rng);
+                        let mut want = Matrix::zeros(m, n);
+                        naive::matmul_acc(&a, &b, &mut want);
+                        a.matmul_into(&b, &mut out);
+                        assert_same(&out, &want, &format!("matmul {what}"));
+
+                        let init = hostile(m, n, special, &mut rng);
+                        let (mut got, mut want) = (init.clone(), init);
+                        Matrix::accumulate(&a, &b, &mut got);
+                        naive::matmul_acc(&a, &b, &mut want);
+                        assert_same(&got, &want, &format!("accumulate {what}"));
+
+                        let at = hostile(k, m, special, &mut rng);
+                        at.t_matmul_into(&b, &mut out);
+                        assert_same(&out, &naive::t_matmul(&at, &b), &format!("t_matmul {what}"));
+
+                        let bt = hostile(n, k, special, &mut rng);
+                        a.matmul_t_into(&bt, 0..n, &mut other_t, &mut out);
+                        assert_same(&out, &naive::matmul_t(&a, &bt), &format!("matmul_t {what}"));
                     }
                 }
-            }
-            let mut out = Matrix::default();
-            a.matmul_into(&b, &mut out);
-            for (x, y) in out.data.iter().zip(&naive.data) {
-                assert_eq!(x.to_bits(), y.to_bits(), "blocked kernel drifted");
             }
         }
     }

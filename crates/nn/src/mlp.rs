@@ -518,7 +518,7 @@ mod tests {
 
     /// The kernel equals the naive reference bit for bit on both tiers
     /// at 1, 3 and 70 rows — over the paper's trunk, layers wider than
-    /// `K_BLOCK` on either side, a single-layer network and inputs
+    /// 64 columns on either side, a single-layer network and inputs
     /// holding exact `0.0` and `-0.0` — through one warm scratch of
     /// the wrong shape; and row *r* of an *n*-row call equals that row
     /// sent alone.

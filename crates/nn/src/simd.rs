@@ -394,7 +394,9 @@ fn exact_tanh_lanes(v: &mut [f32; LANES]) {
         );
         let em1 = select(mask(ha < EXPM1_TINY), a, em1);
         // tanh from expm1, then x's sign (z > 0 on this domain).
-        let z = select(big, 1.0 - 2.0 / (em1 + 2.0), -em1 / (em1 + 2.0));
+        // `1 − 2/(em1 + 2)` above 1, `−em1/(em1 + 2)` below: one division.
+        let q = select(big, 2.0, -em1) / (em1 + 2.0);
+        let z = select(big, 1.0 - q, q);
         *x = f32::from_bits(z.to_bits() | (bits & 0x8000_0000));
     }
 }
@@ -424,17 +426,73 @@ pub fn exact_tanh_slice(xs: &mut [f32]) {
     }
 }
 
-/// `out[i] += a * w[i]` with one rounding per element (mul then add,
-/// no FMA) — the inner kernel of every `Matrix` product, the dense
-/// layers' forward among them. Each output element is an independent
-/// accumulator, so the compiler vectorising across elements preserves
-/// the scalar accumulation order exactly.
+/// `out[c] += Σᵢ aᵢ · b[i][c]`, the `aᵢ` drawn from `coeffs` and `b[i]`
+/// the `i`-th row of the row-major `b`, whose rows are as wide as `out`
+/// — the one kernel behind every `Matrix` product, the dense layers'
+/// forward among them. With `skip_zeros`, a term whose `aᵢ == 0.0` is
+/// not added.
+///
+/// `out` is cut into tiles 32, 16, 8, 4 or 1 columns wide. A tile's
+/// elements are copied into a local array, which holds them across the
+/// whole reduction, so the compiler keeps them in registers; then they
+/// are stored once. A 32-wide tile is eight SSE accumulators, enough
+/// independent sums to hide the latency of each add. Each element is
+/// still one accumulator that takes the same products in ascending `i`,
+/// each rounded once (mul then add, no FMA), so the result is bitwise
+/// the naive triple loop's.
 #[inline]
-pub(crate) fn axpy(out: &mut [f32], a: f32, w: &[f32]) {
-    debug_assert_eq!(out.len(), w.len());
-    for (o, &b) in out.iter_mut().zip(w) {
-        *o += a * b;
+pub(crate) fn add_products(
+    out: &mut [f32],
+    coeffs: impl Iterator<Item = f32> + Clone,
+    b: &[f32],
+    skip_zeros: bool,
+) {
+    let width = out.len();
+    let mut c = 0;
+    while width - c >= 32 {
+        add_products_tile::<32>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 32;
     }
+    if width - c >= 16 {
+        add_products_tile::<16>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 16;
+    }
+    if width - c >= 8 {
+        add_products_tile::<8>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 8;
+    }
+    if width - c >= 4 {
+        add_products_tile::<4>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 4;
+    }
+    while c < width {
+        add_products_tile::<1>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 1;
+    }
+}
+
+/// Columns `c .. c + W` of [`add_products`].
+#[inline(always)]
+fn add_products_tile<const W: usize>(
+    out: &mut [f32],
+    c: usize,
+    coeffs: impl Iterator<Item = f32>,
+    b: &[f32],
+    skip_zeros: bool,
+) {
+    let width = out.len();
+    let tile: &mut [f32; W] = (&mut out[c..c + W]).try_into().expect("a tile of W");
+    let mut acc = *tile;
+    for (a, row) in coeffs.zip(b.chunks_exact(width)) {
+        if skip_zeros && a == 0.0 {
+            continue;
+        }
+        let row: &[f32; W] = row[c..c + W].try_into().expect("a tile of W");
+        for (o, &w) in acc.iter_mut().zip(row) {
+            *o += a * w;
+        }
+    }
+    *tile = acc;
 }
 
 /// Applies `act` elementwise under a tier — the one activation path of

@@ -6,7 +6,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fs::{DirEntry, Metadata};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::FileTypeExt;
+use std::os::unix::fs::{FileTypeExt, OpenOptionsExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -793,33 +793,92 @@ impl ResultStore {
 /// larger file than this cap is refused without a byte of it read.
 pub const MAX_FILE_BYTES: u64 = 64 << 20;
 
-/// Reads the file at `path` into `buf` with one `stat` of the path, one
-/// open and one `read` of the length the `stat` reports. A short read
-/// ends the contents (a truncated object then fails its digest). A file
-/// over `cap` bytes is an error of kind `InvalidData` — the only one of
-/// that kind — naming its length and the cap, and none of it is read. A
-/// file that is not a regular file reads as the length it reports, so
-/// `/dev/zero` reads as empty; a FIFO or a socket, whose open could
-/// wait for a writer forever, reads as empty without being opened. The
-/// store's `lookup`, `verify` and `gc` read objects through here under
-/// [`MAX_BLOB_BYTES`], and every loader under [`MAX_FILE_BYTES`].
+/// `O_NONBLOCK` on the Linux targets where it is `0o4000` (`None`
+/// elsewhere): opened with it, a FIFO without a writer opens at once
+/// instead of waiting for one.
+const O_NONBLOCK: Option<i32> = if cfg!(all(
+    target_os = "linux",
+    any(
+        target_arch = "x86_64",
+        target_arch = "x86",
+        target_arch = "aarch64",
+        target_arch = "arm",
+        target_arch = "riscv64"
+    )
+)) {
+    Some(0o4000)
+} else {
+    None
+};
+
+/// Reads the file at `path` into `buf` with one open, one `fstat` of
+/// the handle and one `read` of the length it reports: one walk of the
+/// path. A short read ends the contents (a truncated object then fails
+/// its digest). A file over `cap` bytes is an error of kind
+/// `InvalidData` — the only one of that kind — naming its length and the
+/// cap, and none of it is read. A file that is not a regular file reads
+/// as the length it reports, so `/dev/zero` reads as empty. A FIFO or a
+/// socket reads as empty and never blocks: the open is non-blocking, so
+/// it does not wait for a FIFO's writer, and a socket, which cannot be
+/// opened, is recognised by a `stat` of the path once its open has
+/// failed. Where `O_NONBLOCK` is not known, the path is `stat`ed first
+/// and a FIFO or socket is never opened. The store's `lookup`, `verify` and
+/// `gc` read objects through here under [`MAX_BLOB_BYTES`], and every
+/// loader under [`MAX_FILE_BYTES`].
 pub fn read_capped(path: &Path, cap: u64, buf: &mut Vec<u8>) -> io::Result<()> {
-    let meta = std::fs::metadata(path)?;
-    let len = meta.len();
+    buf.clear();
+    let Some((mut file, len)) = open_capped(path, cap)? else {
+        return Ok(());
+    };
+    buf.resize(len as usize, 0);
+    let n = file.read(buf)?;
+    buf.truncate(n);
+    Ok(())
+}
+
+/// The open file at `path` and its length; `None` for a FIFO or a
+/// socket; the over-`cap` error of [`read_capped`].
+fn open_capped(path: &Path, cap: u64) -> io::Result<Option<(std::fs::File, u64)>> {
+    let Some(nonblocking) = O_NONBLOCK else {
+        let meta = std::fs::metadata(path)?;
+        check_cap(meta.len(), cap)?;
+        let kind = meta.file_type();
+        if kind.is_fifo() || kind.is_socket() {
+            return Ok(None);
+        }
+        return Ok(Some((std::fs::File::open(path)?, meta.len())));
+    };
+    let file = match std::fs::OpenOptions::new()
+        .read(true)
+        .custom_flags(nonblocking)
+        .open(path)
+    {
+        Ok(file) => file,
+        Err(e) => {
+            return match std::fs::metadata(path) {
+                Ok(meta) if meta.file_type().is_socket() => {
+                    check_cap(meta.len(), cap).map(|()| None)
+                }
+                _ => Err(e),
+            }
+        }
+    };
+    let meta = file.metadata()?;
+    check_cap(meta.len(), cap)?;
+    if meta.file_type().is_fifo() {
+        return Ok(None);
+    }
+    Ok(Some((file, meta.len())))
+}
+
+/// The error of a file `len` bytes long when the cap is `cap`.
+fn check_cap(len: u64, cap: u64) -> io::Result<()> {
     if len > cap {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("{len} bytes, over the {cap}-byte cap"),
         ));
     }
-    buf.clear();
-    let kind = meta.file_type();
-    if kind.is_fifo() || kind.is_socket() {
-        return Ok(());
-    }
-    buf.resize(len as usize, 0);
-    let n = std::fs::File::open(path)?.read(buf)?;
-    buf.truncate(n);
     Ok(())
 }
 
@@ -1545,6 +1604,50 @@ mod tests {
         }
         out.sort();
         out
+    }
+
+    /// `read_capped` on each kind of path: a file reads whole, over the
+    /// cap it is the one `InvalidData` error, a missing path is
+    /// `NotFound`, and `/dev/zero`, a FIFO without a writer and a
+    /// socket each read as empty at once. The reads run on a thread
+    /// with a deadline, so a reader that blocks fails instead of
+    /// hanging the suite.
+    #[test]
+    fn read_capped_reads_files_and_never_blocks_on_a_fifo_or_socket() {
+        let dir = std::env::temp_dir().join(format!("mocc-read-capped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("file.json"), "twelve bytes").unwrap();
+        let fifo = dir.join("fifo.json");
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status();
+        assert!(made.is_ok_and(|s| s.success()), "mkfifo");
+        let _socket = std::os::unix::net::UnixListener::bind(dir.join("socket.json")).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader_dir = dir.clone();
+        std::thread::spawn(move || {
+            let read = |name: &str, cap: u64| {
+                let mut buf = b"stale".to_vec();
+                read_capped(&reader_dir.join(name), cap, &mut buf).map(|()| buf)
+            };
+            let kind = |r: io::Result<Vec<u8>>| r.unwrap_err().kind();
+            tx.send((
+                read("file.json", 12).unwrap(),
+                kind(read("file.json", 11)),
+                kind(read("missing.json", 12)),
+                read("/dev/zero", 12).unwrap(), // An absolute path joins as itself.
+                read("fifo.json", 12).unwrap(),
+                read("socket.json", 12).unwrap(),
+            ))
+            .unwrap();
+        });
+        let (file, over, missing, zero, fifo, socket) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("every read returns at once");
+        assert_eq!(file, b"twelve bytes");
+        assert_eq!(over, io::ErrorKind::InvalidData);
+        assert_eq!(missing, io::ErrorKind::NotFound);
+        assert!(zero.is_empty() && fifo.is_empty() && socket.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `stats` counts what the walk by path counted — with lengths, and

@@ -1,11 +1,11 @@
 //! Every file a document or the command line names — a spec, a replay
 //! trace, a model at `policy.path`, a zoo model, a checkpoint, a
 //! figure's cached model — is read by `mocc_store::read_capped`: one
-//! `stat` of the path, one open, one read of the length it reports,
+//! open, one `fstat` of the handle, one read of the length it reports,
 //! and nothing read at all past `MAX_FILE_BYTES`. A sparse 3 GiB file
 //! is a typed error naming the file and the cap, an endless device
 //! reads as the empty file it reports, and a FIFO reads as empty
-//! without being opened. A store's ledger is read whole, so one that
+//! without waiting for a writer. A store's ledger is read whole, so one that
 //! is not a regular file is refused by name.
 //!
 //! The cases that would hang or read without end if they regressed run

@@ -16,7 +16,8 @@
 //! scheduling-dependent nondeterminism fails the build.
 
 use mocc::core::{
-    cell_event_counts, run_experiment, run_experiment_cached, run_experiment_with, RunOptions,
+    cell_event_counts, cell_tx_divisions, run_experiment, run_experiment_cached,
+    run_experiment_with, RunOptions,
 };
 use mocc::eval::{
     CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec,
@@ -656,6 +657,43 @@ fn event_counts_match_the_pinned_literals() {
             "cell {cell}: {onoff} events under onoff:1 against {steady} under steady:1"
         );
     }
+}
+
+/// One cubic flow alone on a constant 12 Mbps link for 5 s.
+fn constant_cubic_cell() -> ExperimentSpec {
+    let spec = SweepSpec {
+        bandwidth_mbps: vec![12.0],
+        owd_ms: vec![20],
+        queue_pkts: vec![100],
+        loss: vec![0.0],
+        shapes: vec![TraceShape::Constant],
+        loads: vec![FlowLoad::Steady(1)],
+        duration_s: 5,
+        mss_bytes: 1500,
+        seed: 3,
+        agent_mi: false,
+    };
+    ExperimentSpec::from_sweep("cubic", SchemeSpec::parse("cubic").unwrap(), &spec)
+}
+
+/// Exact counts of the link service times and pacing gaps a cell
+/// computes (`Simulator::tx_divisions`): one per change of packet size
+/// or rate. Before the simulator recalled the last one, every service
+/// start and every paced emission divided: 6 538 times in cell 100 of
+/// [`pinned_vivace_grid`] (3 268 departures, 3 269 paced packets and
+/// the departure pending at the horizon), 4 948 times in the
+/// constant-link cubic cell (its 4 947 departures and the pending one;
+/// cubic does not pace). The event counts are those of
+/// [`event_counts_match_the_pinned_literals`]: recalling a service time
+/// moves no event.
+#[test]
+fn tx_divisions_match_the_pinned_literals() {
+    let grid = pinned_vivace_grid();
+    assert_eq!(cell_tx_divisions(&grid, 100).unwrap(), 188);
+    assert_eq!(cell_event_counts(&grid, 100).unwrap().departure, 3268);
+    let cubic = constant_cubic_cell();
+    assert_eq!(cell_tx_divisions(&cubic, 0).unwrap(), 1);
+    assert_eq!(cell_event_counts(&cubic, 0).unwrap().departure, 4947);
 }
 
 /// The 64-cell matrix of [`parallel_sweep_is_byte_identical_to_serial`].
