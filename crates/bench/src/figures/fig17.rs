@@ -49,7 +49,7 @@ pub fn run() -> Result<(), String> {
         now: SimTime::from_secs(1),
         mss_bytes: 1500,
         min_rtt: Some(SimDuration::from_millis(20)),
-        srtt: Some(SimDuration::from_millis(25)),
+        srtt_s: Some(0.025),
         inflight_pkts: 10,
         total_sent: 1000,
         total_acked: 990,

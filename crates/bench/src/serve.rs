@@ -723,16 +723,25 @@ mod tests {
     /// session offers, so the clock runs the sweep that panics.
     #[test]
     fn panic_on_the_serving_threads_share_of_a_run_is_an_internal_error() {
-        use mocc_eval::{CellEvaluator, CellReport, SweepCell, SweepSpec};
+        use mocc_eval::{
+            CellEvaluator, CellReport, CompetitionCell, CompetitionEvaluator, SchemeSpec,
+            SweepCell, SweepSpec,
+        };
         struct Exploding;
         impl CellEvaluator for Exploding {
             fn eval_batch(&self, _: &[SweepCell]) -> Vec<CellReport> {
                 panic!("cell exploded")
             }
         }
+        impl CompetitionEvaluator for Exploding {
+            fn eval_batch(&self, _: &[CompetitionCell]) -> Vec<CellReport> {
+                panic!("cell exploded")
+            }
+        }
         fn clock_running_a_sweep() -> u64 {
-            let spec = SweepSpec::single_cell();
-            SweepRunner::with_threads(1).run_cells(&spec, "boom", &Exploding, None);
+            let scheme = SchemeSpec::parse("cubic").unwrap();
+            let exp = ExperimentSpec::from_sweep("boom", scheme, &SweepSpec::single_cell());
+            SweepRunner::with_threads(1).run(&exp, &Exploding, None);
             unreachable!("the evaluator panics")
         }
         let (dir, store) = temp_store("panic-run");

@@ -195,7 +195,7 @@ mod tests {
             now: SimTime::from_secs_f64(now_s),
             mss_bytes: 1500,
             min_rtt: Some(SimDuration::from_millis(min_rtt_ms)),
-            srtt: Some(SimDuration::from_millis(min_rtt_ms)),
+            srtt_s: Some(min_rtt_ms as f64 / 1e3),
             inflight_pkts: inflight,
             total_sent: 0,
             total_acked: 0,

@@ -91,7 +91,7 @@ impl CongestionControl for Copa {
 
     fn on_loss(&mut self, view: &SenderView, _loss: &LossInfo, ctl: &mut RateControl) {
         // React at most once per RTT (one congestion event per window).
-        if let (Some(cut), Some(srtt)) = (self.last_cut, view.srtt) {
+        if let (Some(cut), Some(srtt)) = (self.last_cut, view.srtt()) {
             if view.now - cut < srtt {
                 return;
             }
@@ -115,7 +115,7 @@ mod tests {
             now: SimTime::from_secs(1),
             mss_bytes: 1500,
             min_rtt: Some(SimDuration::from_millis(min_rtt_ms)),
-            srtt: Some(SimDuration::from_millis(min_rtt_ms)),
+            srtt_s: Some(min_rtt_ms as f64 / 1e3),
             inflight_pkts: 10,
             total_sent: 0,
             total_acked: 0,

@@ -83,7 +83,7 @@ impl CongestionControl for Cubic {
             let t = (view.now - epoch).as_secs_f64();
             // TCP-friendly region (RFC 8312 §4.2): never grow slower
             // than an AIMD flow with the same loss response.
-            let rtt = view.srtt.map(|r| r.as_secs_f64()).unwrap_or(0.04).max(1e-4);
+            let rtt = view.srtt().map_or(0.04, |r| r.as_secs_f64()).max(1e-4);
             let w_tcp = self.w_max * BETA + 3.0 * (1.0 - BETA) / (1.0 + BETA) * (t / rtt);
             let target = self.w_cubic(t).max(w_tcp);
             if target > self.cwnd {
@@ -100,7 +100,7 @@ impl CongestionControl for Cubic {
     fn on_loss(&mut self, view: &SenderView, _loss: &LossInfo, ctl: &mut RateControl) {
         // React at most once per RTT: losses inside one window belong to
         // the same congestion event (TCP's fast-recovery behaviour).
-        if let (Some(cut), Some(srtt)) = (self.last_cut, view.srtt) {
+        if let (Some(cut), Some(srtt)) = (self.last_cut, view.srtt()) {
             if view.now - cut < srtt {
                 return;
             }
@@ -126,7 +126,7 @@ mod tests {
             now: SimTime::from_secs_f64(now_s),
             mss_bytes: 1500,
             min_rtt: Some(SimDuration::from_millis(20)),
-            srtt: Some(SimDuration::from_millis(25)),
+            srtt_s: Some(0.025),
             inflight_pkts: 10,
             total_sent: 100,
             total_acked: 90,

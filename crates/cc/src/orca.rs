@@ -102,7 +102,7 @@ mod tests {
             now: SimTime::from_secs(1),
             mss_bytes: 1500,
             min_rtt: Some(SimDuration::from_millis(20)),
-            srtt: Some(SimDuration::from_millis(22)),
+            srtt_s: Some(0.022),
             inflight_pkts: 10,
             total_sent: 100,
             total_acked: 90,

@@ -196,7 +196,7 @@ mod tests {
             now: SimTime::from_secs(1),
             mss_bytes: 1500,
             min_rtt: Some(SimDuration::from_millis(20)),
-            srtt: Some(SimDuration::from_millis(20)),
+            srtt_s: Some(0.020),
             inflight_pkts: 10,
             total_sent: 0,
             total_acked: 0,

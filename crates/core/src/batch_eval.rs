@@ -2,20 +2,22 @@
 //! schemes in sweep and competition cells.
 //!
 //! [`BatchMoccEvaluator`] implements [`mocc_eval::CellEvaluator`] and
-//! [`mocc_eval::CompetitionEvaluator`]. Every `mocc`/`mocc:<pref>` flow
-//! runs in external-agent mode: the simulator pauses at that flow's
-//! monitor intervals, its observation goes through one forward pass
-//! ([`GaussianPolicy::mean_action_batch`] on a one-row matrix,
-//! which is what the paper's deployment does — one inference per flow
-//! per monitor interval), and the resulting rate is applied before the
-//! simulator resumes. Several preference-conditioned MOCC flows can so
-//! *compete* on one bottleneck, each steered at its own intervals.
-//! Every other flow — each flow of a registry-scheme sweep, a
-//! competition's other contenders and its all-TCP friendliness control
-//! — is built by the evaluator's scheme registry, so a cell without a
-//! policy flow is one plain simulation to its horizon. Cells are
-//! evaluated one at a time; a cell's trajectory depends on nothing but
-//! its own events.
+//! [`mocc_eval::CompetitionEvaluator`]; `run_experiment_with` builds
+//! one from the spec and hands it to `SweepRunner::run`. Every
+//! `mocc`/`mocc:<pref>` flow runs in external-agent mode: the simulator
+//! pauses at that flow's monitor intervals, its observation goes
+//! through one forward pass ([`GaussianPolicy::mean_action_batch`] on a
+//! one-row matrix, which is what the paper's deployment does — one
+//! inference per flow per monitor interval), and the resulting rate is
+//! applied before the simulator resumes. Several preference-conditioned
+//! MOCC flows can so *compete* on one bottleneck, each steered at its
+//! own intervals. Every other flow — each flow of a registry-scheme
+//! sweep, a competition's other contenders and its all-TCP friendliness
+//! control — is built by the evaluator's scheme registry, so a cell
+//! without a policy flow is one plain simulation to its horizon. Both
+//! workloads simulate a cell the same way
+//! (`BatchMoccEvaluator::simulate`); a cell's trajectory depends on
+//! nothing but its own events.
 //!
 //! Nothing here batches across cells: stepping a chunk of simulators
 //! in lockstep behind one matmul was measured slower at every chunk
@@ -25,14 +27,16 @@
 
 use crate::agent::{stats_features, MoccAgent, PolicyFlow};
 use crate::config::MoccConfig;
+use crate::experiment::{agent_from_policy, policy_digest};
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_eval::{
     competition_report, CellEvaluator, CellReport, CompetitionCell, CompetitionEvaluator,
-    MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError, SweepCell,
+    ExperimentSpec, MoccPrefSpec, PolicyIdentity, SchemeCtx, SchemeKind, SchemeRegistry,
+    SchemeSpec, SpecError, SweepCell, Workload,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
-use mocc_netsim::{Scenario, SimResult, Simulator};
+use mocc_netsim::{Scenario, Simulator};
 use mocc_nn::Matrix;
 use mocc_rl::{GaussianPolicy, PolicyScratch};
 use std::sync::OnceLock;
@@ -48,6 +52,17 @@ struct Served {
     initial_rate_frac: f64,
 }
 
+impl Served {
+    fn new(agent: &MoccAgent, pref: Preference, initial_rate_frac: f64) -> Self {
+        Served {
+            policy: agent.ppo.policy.clone(),
+            cfg: agent.cfg,
+            pref,
+            initial_rate_frac,
+        }
+    }
+}
+
 /// Evaluates sweep and competition cells: a MOCC policy drives the
 /// `mocc` flows and a scheme registry builds the others. A sweep under
 /// a `mocc` scheme has the policy drive flow 0 of every cell, with any
@@ -61,8 +76,8 @@ pub struct BatchMoccEvaluator<'r> {
     /// Builds every flow the policy does not drive, and the all-TCP
     /// friendliness control of competition cells.
     registry: &'r SchemeRegistry,
-    /// The scheme of a sweep's flows: bare `mocc` unless set by
-    /// [`BatchMoccEvaluator::sweeping`].
+    /// The scheme of a sweep's flows: the spec's, or bare `mocc` for an
+    /// evaluator built by [`BatchMoccEvaluator::new`].
     sweep_scheme: SchemeSpec,
 }
 
@@ -82,12 +97,7 @@ impl BatchMoccEvaluator<'static> {
     /// `initial_rate_frac` of the cell's peak bandwidth.
     pub fn new(agent: &MoccAgent, pref: Preference, initial_rate_frac: f64) -> Self {
         BatchMoccEvaluator {
-            served: Some(Served {
-                policy: agent.ppo.policy.clone(),
-                cfg: agent.cfg,
-                pref,
-                initial_rate_frac,
-            }),
+            served: Some(Served::new(agent, pref, initial_rate_frac)),
             registry: builtin_registry(),
             sweep_scheme: bare_mocc(),
         }
@@ -95,26 +105,37 @@ impl BatchMoccEvaluator<'static> {
 }
 
 impl<'r> BatchMoccEvaluator<'r> {
-    /// The evaluator of a spec validated against `registry`: the policy
-    /// `policy` serves (`None` for a spec without `mocc` flows) drives
-    /// the `mocc` flows, and `registry` builds every other flow.
-    pub(crate) fn of_spec(
+    /// The evaluator of `exp`, validated against `registry`: the agent
+    /// its policy section describes drives the `mocc` flows (built only
+    /// when a `mocc` label needs one), `registry` builds every other
+    /// flow, and a sweep's flows run the sweep's scheme. With `keyed`,
+    /// also the served policy's cache identity.
+    pub(crate) fn for_experiment(
+        exp: &ExperimentSpec,
         registry: &'r SchemeRegistry,
-        policy: Option<BatchMoccEvaluator<'_>>,
-    ) -> Self {
-        BatchMoccEvaluator {
-            served: policy.and_then(|p| p.served),
+        keyed: bool,
+    ) -> Result<(Self, Option<PolicyIdentity>), SpecError> {
+        let (mut served, mut identity) = (None, None);
+        if let Some(policy) = exp.policy.as_ref().filter(|_| exp.needs_policy()) {
+            let agent = agent_from_policy(policy)?;
+            identity = keyed.then(|| PolicyIdentity {
+                digest: policy_digest(&agent),
+                preference: policy.preference.label(),
+                initial_rate_frac: policy.initial_rate_frac,
+            });
+            let pref = preference_from_spec(&policy.preference);
+            served = Some(Served::new(&agent, pref, policy.initial_rate_frac));
+        }
+        let sweep_scheme = match &exp.workload {
+            Workload::Sweep(w) => w.scheme.clone(),
+            Workload::Competition(_) => bare_mocc(),
+        };
+        let evaluator = BatchMoccEvaluator {
+            served,
             registry,
-            sweep_scheme: bare_mocc(),
-        }
-    }
-
-    /// Runs `scheme` on a sweep's flows.
-    pub(crate) fn sweeping(self, scheme: &SchemeSpec) -> Self {
-        BatchMoccEvaluator {
-            sweep_scheme: scheme.clone(),
-            ..self
-        }
+            sweep_scheme,
+        };
+        Ok((evaluator, identity))
     }
 
     /// Does nothing: cells are evaluated one at a time whatever the
@@ -142,81 +163,65 @@ impl<'r> BatchMoccEvaluator<'r> {
         }
     }
 
-    /// The driver behind both evaluator traits. `launch` names a
-    /// cell's scenario and how each of its flows is controlled;
-    /// `finish` takes the simulator at the horizon and returns what the
-    /// caller wants of it (the cell's report, or its event counts).
-    /// Each cell's simulator advances to the next monitor interval of
-    /// *any* of its policy-driven flows, that flow's observation
-    /// (conditioned on its preference and history) is forwarded, and
-    /// the decision is applied to the flow that asked for it — until
-    /// the horizon, which a cell without policy flows runs straight to.
-    fn drive<'c, C, R>(
-        &self,
-        cells: &'c [C],
-        launch: impl Fn(&'c C) -> (&'c Scenario, Vec<FlowControl>),
-        finish: impl Fn(&C, Simulator) -> R,
-    ) -> Vec<R> {
+    /// Simulates one cell to its horizon, `controls` saying how each
+    /// of the scenario's flows is controlled, and returns the finished
+    /// simulator. It advances to the next monitor interval of *any* of
+    /// the cell's policy-driven flows, forwards that flow's observation
+    /// (conditioned on its preference and history) and applies the
+    /// decision to the flow that asked for it — until the horizon,
+    /// which a cell without policy flows runs straight to.
+    fn simulate(&self, scenario: &Scenario, controls: Vec<FlowControl>) -> Simulator {
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
         if let Some(served) = &self.served {
             obs.reshape(1, served.cfg.obs_dim());
         }
         let mut means: Vec<f32> = Vec::with_capacity(1);
-        cells
-            .iter()
-            .map(|cell| {
-                let (scenario, controls) = launch(cell);
-                let peak = scenario.link.trace.max_rate();
-                // By flow id: `Some` for every policy-driven flow.
-                let mut driven = Vec::with_capacity(controls.len());
-                let ccs = controls
-                    .into_iter()
-                    .map(|control| -> Box<dyn CongestionControl> {
-                        match control {
-                            FlowControl::Policy(pref) => {
-                                let served = self.served();
-                                driven.push(Some(PolicyFlow::new(&served.cfg, Some(pref))));
-                                Box::new(ExternalRate {
-                                    initial_rate_bps: served.initial_rate_frac * peak,
-                                })
-                            }
-                            FlowControl::Scheme(cc) => {
-                                driven.push(None);
-                                cc
-                            }
-                        }
-                    })
-                    .collect();
-                let mut sim = Simulator::new(scenario.clone(), ccs);
-                while let Some((f, stats)) =
-                    sim.advance_until_monitor_where(|f| driven[f].is_some())
-                {
-                    // A departed flow's monitor intervals keep firing
-                    // until the horizon; steering it would be a no-op
-                    // (it never sends again), so its pauses are drained
-                    // here instead of spending inference on them.
-                    let departed = sim.scenario().flows[f]
-                        .stop
-                        .is_some_and(|stop| sim.now() >= stop);
-                    if departed {
-                        continue;
+        let peak = scenario.link.trace.max_rate();
+        // By flow id: `Some` for every policy-driven flow.
+        let mut driven = Vec::with_capacity(controls.len());
+        let ccs = controls
+            .into_iter()
+            .map(|control| -> Box<dyn CongestionControl> {
+                match control {
+                    FlowControl::Policy(pref) => {
+                        let served = self.served();
+                        driven.push(Some(PolicyFlow::new(&served.cfg, Some(pref))));
+                        Box::new(ExternalRate {
+                            initial_rate_bps: served.initial_rate_frac * peak,
+                        })
                     }
-                    let served = self.served();
-                    let flow = driven[f].as_mut().expect("paused flow is policy-driven");
-                    let next =
-                        flow.decide(&served.cfg, stats_features(&stats), sim.rate(f), |row| {
-                            obs.row_mut(0).copy_from_slice(row);
-                            served
-                                .policy
-                                .mean_action_batch(&obs, &mut means, &mut scratch);
-                            means[0]
-                        });
-                    sim.set_rate(f, next);
+                    FlowControl::Scheme(cc) => {
+                        driven.push(None);
+                        cc
+                    }
                 }
-                finish(cell, sim)
             })
-            .collect()
+            .collect();
+        let mut sim = Simulator::new(scenario.clone(), ccs);
+        while let Some((f, stats)) = sim.advance_until_monitor_where(|f| driven[f].is_some()) {
+            // A departed flow's monitor intervals keep firing until the
+            // horizon; steering it would be a no-op (it never sends
+            // again), so its pauses are drained here instead of
+            // spending inference on them.
+            let departed = sim.scenario().flows[f]
+                .stop
+                .is_some_and(|stop| sim.now() >= stop);
+            if departed {
+                continue;
+            }
+            let served = self.served();
+            let flow = driven[f].as_mut().expect("paused flow is policy-driven");
+            let next = flow.decide(&served.cfg, stats_features(&stats), sim.rate(f), |row| {
+                obs.row_mut(0).copy_from_slice(row);
+                served
+                    .policy
+                    .mean_action_batch(&obs, &mut means, &mut scratch);
+                means[0]
+            });
+            sim.set_rate(f, next);
+        }
+        sim
     }
 
     /// The controls of a sweep cell's flows.
@@ -239,29 +244,11 @@ impl<'r> BatchMoccEvaluator<'r> {
     }
 
     /// What `probe` reads off a sweep cell's finished simulator —
-    /// [`Simulator::event_counts`], say — driven exactly as
-    /// [`CellEvaluator::eval_batch`] drives it.
+    /// [`Simulator::event_counts`], say — simulated exactly as
+    /// [`CellEvaluator::eval_batch`] simulates it.
     pub fn sweep_cell_probe<T>(&self, cell: &SweepCell, probe: impl Fn(&Simulator) -> T) -> T {
-        let mut probed = self.drive(
-            std::slice::from_ref(cell),
-            |cell| (&cell.scenario, self.sweep_controls(cell)),
-            |_, sim| probe(&sim),
-        );
-        probed.remove(0)
+        probe(&self.simulate(&cell.scenario, self.sweep_controls(cell)))
     }
-}
-
-/// A cell's report from its finished simulator. The simulator is freed
-/// before `reduce`, which may run a second one (a competition's
-/// friendliness control).
-fn report_of<C>(
-    cell: &C,
-    sim: Simulator,
-    reduce: impl Fn(&C, &SimResult) -> CellReport,
-) -> CellReport {
-    let result = sim.result();
-    drop(sim);
-    reduce(cell, &result)
 }
 
 /// Maps a declarative [`MoccPrefSpec`] (the parsed `<pref>` part of a
@@ -290,13 +277,20 @@ enum FlowControl {
     Scheme(Box<dyn CongestionControl>),
 }
 
+// In both impls the simulator is a temporary of the `let`, freed
+// before the reduction, which may run a second one (a competition's
+// friendliness control).
 impl CellEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
-        self.drive(
-            cells,
-            |cell| (&cell.scenario, self.sweep_controls(cell)),
-            |cell, sim| report_of(cell, sim, CellReport::from_sim),
-        )
+        cells
+            .iter()
+            .map(|cell| {
+                let res = self
+                    .simulate(&cell.scenario, self.sweep_controls(cell))
+                    .result();
+                CellReport::from_sim(cell, &res)
+            })
+            .collect()
     }
 }
 
@@ -307,9 +301,9 @@ impl CellEvaluator for BatchMoccEvaluator<'_> {
 /// and the all-TCP friendliness control.
 impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[CompetitionCell]) -> Vec<CellReport> {
-        self.drive(
-            cells,
-            |cell| {
+        cells
+            .iter()
+            .map(|cell| {
                 let ctx = SchemeCtx {
                     peak_rate_bps: cell.scenario.link.trace.max_rate(),
                 };
@@ -328,14 +322,10 @@ impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
                         }
                     })
                     .collect();
-                (&cell.scenario, controls)
-            },
-            |cell, sim| {
-                report_of(cell, sim, |cell, res| {
-                    competition_report(cell, res, self.registry)
-                })
-            },
-        )
+                let res = self.simulate(&cell.scenario, controls).result();
+                competition_report(cell, &res, self.registry)
+            })
+            .collect()
     }
 }
 
@@ -374,8 +364,10 @@ mod tests {
     fn thread_count_cannot_change_the_report() {
         let spec = spec();
         let run = |threads| {
-            let runner = SweepRunner::with_threads(threads);
-            runner.run_cells(&spec, "mocc", &evaluator(), None).0
+            let exp = ExperimentSpec::from_sweep("mocc", bare_mocc(), &spec);
+            SweepRunner::with_threads(threads)
+                .run(&exp, &evaluator(), None)
+                .0
         };
         let (single, quad) = (run(1), run(4));
         assert_eq!(single.to_canonical_json(), quad.to_canonical_json());
@@ -419,9 +411,9 @@ mod tests {
     fn competition_thread_count_cannot_change_the_report() {
         let spec = competition_spec();
         let run = |threads| {
-            let runner = SweepRunner::with_threads(threads);
-            runner
-                .run_competition_cells(&spec, "mocc-competition", &evaluator(), None)
+            let exp = ExperimentSpec::from_competition("mocc-competition", &spec);
+            SweepRunner::with_threads(threads)
+                .run(&exp, &evaluator(), None)
                 .0
         };
         let (single, quad) = (run(1), run(4));

@@ -2,14 +2,15 @@
 //! to end.
 //!
 //! [`run_experiment_with`] is the one spec-level entry point. It
-//! validates the spec against the registry [`RunOptions`] names,
-//! materializes the agent the spec's [`PolicySpec`] describes when a
-//! `mocc` label needs one (a saved model file or a seeded fresh agent —
-//! both reproducible), and hands every cell to one
-//! [`BatchMoccEvaluator`]: the policy drives the `mocc` flows and the
-//! same registry builds every other flow, so a MOCC flow can compete
-//! against any scheme the registry knows. [`run_experiment`] and
-//! [`run_experiment_cached`] are its two common spellings.
+//! validates the spec against the registry [`RunOptions`] names, builds
+//! one [`BatchMoccEvaluator`] of the spec — materializing the agent the
+//! spec's [`PolicySpec`] describes when a `mocc` label needs one (a
+//! saved model file or a seeded fresh agent, both reproducible) — and
+//! hands spec and evaluator to one [`SweepRunner::run`] call: the policy
+//! drives the `mocc` flows and the same registry builds every other
+//! flow, so a MOCC flow can compete against any scheme the registry
+//! knows. [`run_experiment`] and [`run_experiment_cached`] are its two
+//! common spellings.
 //!
 //! ```
 //! use mocc_core::run_experiment;
@@ -35,8 +36,7 @@ use crate::batch_eval::{preference_from_spec, BatchMoccEvaluator};
 use crate::config::MoccConfig;
 use crate::preference::Preference;
 use mocc_eval::{
-    CacheStats, CellCache, ExperimentSpec, PolicyIdentity, PolicySpec, SchemeRegistry, SpecError,
-    SweepReport, SweepRunner, Workload,
+    CacheStats, ExperimentSpec, PolicySpec, SchemeRegistry, SpecError, SweepReport, SweepRunner,
 };
 use mocc_netsim::{EventCounts, Simulator};
 use mocc_store::ResultStore;
@@ -82,30 +82,19 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
     Ok(MoccAgent::new(cfg, &mut rng))
 }
 
-/// The evaluator serving `agent` as a spec's policy section
-/// configures it (`policy.batch` is accepted by the parser and read by
-/// nothing). The default preference (served to bare `mocc` labels) is
-/// `policy.preference` unless `pref_override` is given.
-fn evaluator_for(
-    agent: &MoccAgent,
-    policy: &PolicySpec,
-    pref_override: Option<Preference>,
-) -> BatchMoccEvaluator<'static> {
-    let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
-    BatchMoccEvaluator::new(agent, pref, policy.initial_rate_frac)
-}
-
 /// Builds the evaluator a spec's policy section describes:
-/// [`agent_from_policy`], wrapped for `policy.preference` (or
-/// `pref_override`).
+/// [`agent_from_policy`], serving bare `mocc` labels at
+/// `policy.preference` (or `pref_override`). `policy.batch` is accepted
+/// by the parser and read by nothing.
 pub fn evaluator_from_policy(
     policy: &PolicySpec,
     pref_override: Option<Preference>,
 ) -> Result<BatchMoccEvaluator<'static>, SpecError> {
-    Ok(evaluator_for(
+    let pref = pref_override.unwrap_or_else(|| preference_from_spec(&policy.preference));
+    Ok(BatchMoccEvaluator::new(
         &agent_from_policy(policy)?,
-        policy,
-        pref_override,
+        pref,
+        policy.initial_rate_frac,
     ))
 }
 
@@ -137,11 +126,12 @@ pub fn run_experiment_cached(
 
 /// Runs any [`ExperimentSpec`] — the complete entry point behind the
 /// `mocc` CLI. Validates `exp` against the registry `opts` names, then
-/// hands every cell to one [`BatchMoccEvaluator`]: `mocc` flows are
-/// driven by the policy reproducibly materialized from the spec's
-/// policy section (built only when a `mocc` label needs it), and the
-/// same registry builds every other flow — registry sweeps, competition
-/// contenders and the all-TCP friendliness control alike.
+/// builds one [`BatchMoccEvaluator`] of it and hands both to
+/// [`SweepRunner::run`]: `mocc` flows are driven by the policy
+/// reproducibly materialized from the spec's policy section (built only
+/// when a `mocc` label needs it), and the same registry builds every
+/// other flow — registry sweeps, competition contenders and the all-TCP
+/// friendliness control alike.
 ///
 /// The report carries the experiment's name as its controller label
 /// and is byte-identical for any thread count, with or without a
@@ -163,25 +153,11 @@ pub fn run_experiment_with(
             &builtin
         }
     };
-    let (evaluator, identity) = spec_evaluator(exp, registry, opts.cache.is_some())?;
-    let cache = opts.cache.map(|(store, ts)| CellCache {
-        store,
-        ts,
-        policy: identity.as_ref(),
-    });
-    Ok(match &exp.workload {
-        Workload::Sweep(w) => {
-            let spec = exp.to_sweep_spec().expect("sweep workload lowers");
-            let cache = cache.map(|c| (w.scheme.label(), c));
-            runner.run_cells(&spec, &exp.name, &evaluator.sweeping(&w.scheme), cache)
-        }
-        Workload::Competition(_) => {
-            let spec = exp
-                .to_competition_spec()
-                .expect("competition workload lowers");
-            runner.run_competition_cells(&spec, &exp.name, &evaluator, cache)
-        }
-    })
+    exp.validate_in(registry)?;
+    let (evaluator, identity) =
+        BatchMoccEvaluator::for_experiment(exp, registry, opts.cache.is_some())?;
+    let cache = opts.cache.map(|(store, ts)| (store, ts, identity.as_ref()));
+    Ok(runner.run(exp, &evaluator, cache))
 }
 
 /// The events cell `index` of a sweep spec pops, by kind, simulated
@@ -207,8 +183,9 @@ fn cell_probe<T>(
     probe: fn(&Simulator) -> T,
 ) -> Result<T, SpecError> {
     let registry = SchemeRegistry::builtin();
-    let (evaluator, _) = spec_evaluator(exp, &registry, false)?;
-    let (Workload::Sweep(w), Some(spec)) = (&exp.workload, exp.to_sweep_spec()) else {
+    exp.validate_in(&registry)?;
+    let (evaluator, _) = BatchMoccEvaluator::for_experiment(exp, &registry, false)?;
+    let Some(spec) = exp.to_sweep_spec() else {
         return Err(SpecError::InvalidSpec {
             reason: format!(
                 "{} is not a sweep; event counts cover sweep cells",
@@ -223,34 +200,7 @@ fn cell_probe<T>(
         .ok_or_else(|| SpecError::InvalidSpec {
             reason: format!("{} has no cell {index}", exp.name),
         })?;
-    Ok(evaluator.sweeping(&w.scheme).sweep_cell_probe(&cell, probe))
-}
-
-/// Validates `exp` against `registry` and builds the one evaluator of
-/// its cells, with the served policy's cache identity when `keyed`.
-fn spec_evaluator<'r>(
-    exp: &ExperimentSpec,
-    registry: &'r SchemeRegistry,
-    keyed: bool,
-) -> Result<(BatchMoccEvaluator<'r>, Option<PolicyIdentity>), SpecError> {
-    exp.validate_in(registry)?;
-    let policy = match &exp.policy {
-        Some(policy) if exp.needs_policy() => Some((policy, agent_from_policy(policy)?)),
-        _ => None,
-    };
-    let identity = policy
-        .as_ref()
-        .filter(|_| keyed)
-        .map(|(policy, agent)| PolicyIdentity {
-            digest: policy_digest(agent),
-            preference: policy.preference.label(),
-            initial_rate_frac: policy.initial_rate_frac,
-        });
-    let evaluator = BatchMoccEvaluator::of_spec(
-        registry,
-        policy.map(|(policy, agent)| evaluator_for(&agent, policy, None)),
-    );
-    Ok((evaluator, identity))
+    Ok(evaluator.sweep_cell_probe(&cell, probe))
 }
 
 /// The SHA-256 hex digest of an agent's canonical JSON artifact — the
@@ -308,7 +258,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let evaluator = BatchMoccEvaluator::new(&agent, Preference::throughput(), 0.3);
-        let (via_code, _) = runner.run_cells(&matrix, "mocc-thr", &evaluator, None);
+        let (via_code, _) = runner.run(&exp, &evaluator, None);
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());
     }
 
@@ -335,8 +285,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let agent = MoccAgent::new(MoccConfig::fast(), &mut rng);
         let evaluator = BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3);
-        let (via_code, _) =
-            runner.run_competition_cells(&matrix, "mocc-competition", &evaluator, None);
+        let (via_code, _) = runner.run(&exp, &evaluator, None);
         assert_eq!(via_spec.to_canonical_json(), via_code.to_canonical_json());
     }
 
@@ -482,7 +431,7 @@ mod tests {
         let runner = SweepRunner::with_threads(1);
         let via_file = run_experiment(&runner, &exp).unwrap();
         let evaluator = BatchMoccEvaluator::new(&agent, Preference::balanced(), 0.3);
-        let (via_mem, _) = runner.run_cells(&matrix, "mocc-file", &evaluator, None);
+        let (via_mem, _) = runner.run(&exp, &evaluator, None);
         assert_eq!(via_file.to_canonical_json(), via_mem.to_canonical_json());
         std::fs::remove_file(&path).ok();
     }

@@ -8,7 +8,8 @@
 //! cell from disk. This module derives the **cache key** — the
 //! SHA-256 of a canonical-JSON *request document* capturing everything
 //! that determines the cell's bytes — and implements the one cell
-//! executor every run goes through, with the store as an optional
+//! executor every run goes through ([`crate::SweepRunner::run`], for
+//! sweeps and competitions alike), with the store as an optional
 //! argument: an uncached run is a cached run in which every cell
 //! misses and nothing is read or written.
 //!
@@ -118,21 +119,6 @@ impl CacheStats {
     pub fn total(&self) -> u64 {
         self.hits + self.misses
     }
-}
-
-/// The cache context of an evaluator-level run
-/// ([`crate::SweepRunner::run_cells`],
-/// [`crate::SweepRunner::run_competition_cells`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CellCache<'a> {
-    /// Where hits are served from and fresh blobs are written to.
-    pub store: &'a ResultStore,
-    /// The caller's timestamp for the store's audit ledger (the
-    /// library never reads a clock).
-    pub ts: u64,
-    /// Identity of the policy serving the cells' `mocc` flows; `None`
-    /// for policy-free evaluators.
-    pub policy: Option<&'a PolicyIdentity>,
 }
 
 /// Room for a typical request document (≈300 bytes), so writing one

@@ -8,9 +8,10 @@
 //! - [`SweepSpec`] expands six axes (bandwidth, one-way delay, queue,
 //!   loss, trace shape, flow load) into an ordered list of seeded
 //!   [`Scenario`]s ([`SweepCell`]s);
-//! - [`SweepRunner`] shards the cells across `std::thread::scope`
-//!   workers (auto-detected count, `MOCC_SWEEP_THREADS` override) and
-//!   runs any [`CongestionControl`] factory on each;
+//! - [`SweepRunner`] shards an experiment's cells across
+//!   `std::thread::scope` workers (auto-detected count,
+//!   `MOCC_SWEEP_THREADS` override) and runs each through one
+//!   evaluator, serving what it can from a result store;
 //! - [`SweepReport`] aggregates per-cell [`MonitorStats`]-derived
 //!   metrics (goodput, mean/p95 RTT, loss, utilization, a scalar
 //!   utility) and serializes to **canonical JSON** — two runs of the
@@ -33,7 +34,6 @@
 //!   `mocc-bench`) runs spec files end-to-end; see `docs/SPECS.md`.
 //!
 //! [`Scenario`]: mocc_netsim::Scenario
-//! [`CongestionControl`]: mocc_netsim::cc::CongestionControl
 //! [`MonitorStats`]: mocc_netsim::cc::MonitorStats
 //!
 //! ## Example
@@ -75,8 +75,8 @@ pub mod scheme;
 pub mod spec;
 
 pub use cache::{
-    competition_cell_key, sweep_cell_key, sweep_cell_request, CacheStats, CellCache,
-    PolicyIdentity, CELL_SCHEMA,
+    competition_cell_key, sweep_cell_key, sweep_cell_request, CacheStats, PolicyIdentity,
+    CELL_SCHEMA,
 };
 pub use competition::{
     competition_report, competition_report_with_baseline, CompetitionCell, CompetitionEvaluator,
@@ -86,6 +86,6 @@ pub use experiment::{
     Axes, CompetitionWorkload, ExperimentSpec, PolicySpec, SweepWorkload, Workload,
 };
 pub use report::{fmt_opt_metric, round6, CellCoords, CellReport, SweepReport, SweepSummary};
-pub use runner::{parse_threads, run_cell, CellEvaluator, CellFactory, SweepRunner, THREADS_ENV};
+pub use runner::{parse_threads, run_cell, CellEvaluator, SweepRunner, THREADS_ENV};
 pub use scheme::{MoccPrefSpec, SchemeCtx, SchemeKind, SchemeRegistry, SchemeSpec, SpecError};
 pub use spec::{cell_seed, FlowLoad, ReplayTrace, SweepCell, SweepSpec, TraceShape};

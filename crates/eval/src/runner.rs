@@ -1,23 +1,24 @@
 //! The sharded sweep executor.
 //!
-//! A [`SweepRunner`] expands a [`SweepSpec`] and distributes the cells
-//! over workers — the calling thread and `std::thread::scope` threads
-//! beside it — pulling from a shared atomic work queue. Each cell is
-//! simulated independently with its own derived seed, so the
-//! *execution* order is irrelevant: results are slotted back by cell
-//! index and the assembled [`SweepReport`] is identical — byte for byte
-//! in canonical JSON — whatever the worker count.
+//! [`SweepRunner::run`] lowers an [`ExperimentSpec`] onto its workload's
+//! cells and distributes them over workers — the calling thread and
+//! `std::thread::scope` threads beside it — pulling from a shared
+//! atomic work queue. Each cell is simulated independently with its own
+//! derived seed, so the *execution* order is irrelevant: results are
+//! slotted back by cell index and the assembled [`SweepReport`] is
+//! identical — byte for byte in canonical JSON — whatever the worker
+//! count.
 //!
-//! Work is pulled one cell at a time, whatever the [`CellEvaluator`]:
-//! a worker that finishes a cell takes the next unclaimed index, so a
-//! run with no more cells than workers gives every cell its own worker
-//! and a straggler cell delays nothing but itself. Larger work units
-//! were measured and lost at every size (docs/PERFORMANCE.md, "Why
-//! cells are evaluated one at a time").
+//! Work is pulled one cell at a time, whatever the evaluator: a worker
+//! that finishes a cell takes the next unclaimed index, so a run with
+//! no more cells than workers gives every cell its own worker and a
+//! straggler cell delays nothing but itself. Larger work units were
+//! measured and lost at every size (docs/PERFORMANCE.md, "Why cells are
+//! evaluated one at a time").
 //!
-//! The runner takes expansion-level specs and an evaluator; a
-//! declarative `ExperimentSpec` runs through `mocc_core`'s
-//! `run_experiment_with`, which validates it and picks the evaluator.
+//! The runner does not validate: `mocc_core`'s `run_experiment_with`
+//! validates a spec, builds the evaluator its cells need and hands both
+//! to [`SweepRunner::run`].
 //!
 //! Worker count resolution, highest priority first:
 //! 1. [`SweepRunner::with_threads`],
@@ -27,38 +28,23 @@
 //! 3. [`std::thread::available_parallelism`].
 
 use crate::cache::{
-    cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, CellCache,
+    cached_cell_reports, competition_cell_key, sweep_cell_key, CacheStats, PolicyIdentity,
 };
-use crate::competition::{CompetitionCell, CompetitionEvaluator, CompetitionSpec};
+use crate::competition::{CompetitionCell, CompetitionEvaluator};
+use crate::experiment::{ExperimentSpec, Workload};
 use crate::report::{CellReport, SweepReport};
-use crate::spec::{SweepCell, SweepSpec};
+use crate::spec::SweepCell;
 use mocc_netsim::cc::CongestionControl;
 use mocc_netsim::Simulator;
+use mocc_store::ResultStore;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the auto-detected worker count.
 pub const THREADS_ENV: &str = "MOCC_SWEEP_THREADS";
 
-/// Builds the controllers for one cell — one per flow of the cell's
-/// scenario, in flow order. Shared by reference across workers, so it
-/// must be [`Sync`].
-pub trait CellFactory: Sync {
-    /// Instantiates one controller per flow of `cell`.
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>>;
-}
-
-impl<F> CellFactory for F
-where
-    F: Fn(&SweepCell) -> Vec<Box<dyn CongestionControl>> + Sync,
-{
-    fn make(&self, cell: &SweepCell) -> Vec<Box<dyn CongestionControl>> {
-        self(cell)
-    }
-}
-
 /// Evaluates sweep cells — the hook through which every sweep runs
-/// (`mocc-core`'s spec evaluator, a hand-written factory).
+/// (`mocc-core`'s spec evaluator).
 /// Implementations must return one report per input cell, in
 /// order, and must evaluate each cell independently of its neighbours
 /// in the slice: the runner's byte-identity contract (same report for
@@ -182,80 +168,63 @@ impl SweepRunner {
         self.threads
     }
 
-    /// The evaluator-level entry point for sweeps: runs every cell of
-    /// an expansion-level [`SweepSpec`] through a [`CellEvaluator`],
-    /// one cell per call. Results are slotted back by cell index: the
-    /// report is byte-identical for any worker count.
+    /// Runs every cell of `exp` through `evaluator`, one cell per
+    /// call, and assembles the report under the experiment's name.
+    /// Results are slotted back by cell index: the report is
+    /// byte-identical for any worker count.
     ///
-    /// With `cache` — the shared-grammar scheme label keying the cells
-    /// (the report's `controller` name deliberately is not part of the
-    /// key) and the [`CellCache`] context — hits are served from the
-    /// store, only missing cells are simulated, and fresh blobs are
-    /// written back; pass the policy identity whenever the evaluator
-    /// serves `mocc` flows.
-    pub fn run_cells(
+    /// With `cache` — the store, the caller's ledger timestamp (the
+    /// library never reads a clock) and the identity of the policy
+    /// serving the cells' `mocc` flows, if any — hits are served from
+    /// the store, only missing cells are simulated, and fresh blobs are
+    /// written back. A sweep's cells are keyed by its scheme label; the
+    /// experiment's name is in no key.
+    pub fn run(
         &self,
-        spec: &SweepSpec,
-        controller: &str,
-        evaluator: &dyn CellEvaluator,
-        cache: Option<(&str, CellCache<'_>)>,
+        exp: &ExperimentSpec,
+        evaluator: &(impl CellEvaluator + CompetitionEvaluator),
+        cache: Option<(&ResultStore, u64, Option<&PolicyIdentity>)>,
     ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keyed = cache.map(|(scheme, c)| {
-            let key = move |cell: &SweepCell| sweep_cell_key(cell, scheme, spec, c.policy);
-            (c.store, c.ts, key)
-        });
-        let (reports, stats) = cached_cell_reports(
-            &cells,
-            self.threads,
-            &|cells| evaluator.eval_batch(cells),
-            &|c: &SweepCell| c.index,
-            keyed
-                .as_ref()
-                .map(|(store, ts, key)| (*store, *ts, key as _)),
-        );
+        let policy = cache.and_then(|(_, _, policy)| policy);
+        let (reports, stats) = match &exp.workload {
+            Workload::Sweep(w) => {
+                let spec = exp.to_sweep_spec().expect("a sweep workload lowers");
+                let key = |cell: &SweepCell| sweep_cell_key(cell, w.scheme.label(), &spec, policy);
+                cached_cell_reports(
+                    &spec.expand(),
+                    self.threads,
+                    &|cells| CellEvaluator::eval_batch(evaluator, cells),
+                    &|cell: &SweepCell| cell.index,
+                    cache.map(|(store, ts, _)| (store, ts, &key as _)),
+                )
+            }
+            Workload::Competition(_) => {
+                let spec = exp
+                    .to_competition_spec()
+                    .expect("a competition workload lowers");
+                let key = |cell: &CompetitionCell| competition_cell_key(cell, &spec, policy);
+                cached_cell_reports(
+                    &spec.expand(),
+                    self.threads,
+                    &|cells| CompetitionEvaluator::eval_batch(evaluator, cells),
+                    &|cell: &CompetitionCell| cell.index,
+                    cache.map(|(store, ts, _)| (store, ts, &key as _)),
+                )
+            }
+        };
         (
-            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
-            stats,
-        )
-    }
-
-    /// The evaluator-level entry point for competitions — the hook
-    /// that lets a learned policy serve *competing* flows. Same
-    /// contract as [`SweepRunner::run_cells`]
-    /// (competition cells carry their scheme lineup themselves, so the
-    /// cache context needs no separate label).
-    pub fn run_competition_cells(
-        &self,
-        spec: &CompetitionSpec,
-        controller: &str,
-        evaluator: &dyn CompetitionEvaluator,
-        cache: Option<CellCache<'_>>,
-    ) -> (SweepReport, CacheStats) {
-        let cells = spec.expand();
-        let keyed = cache.map(|c| {
-            let key = move |cell: &CompetitionCell| competition_cell_key(cell, spec, c.policy);
-            (c.store, c.ts, key)
-        });
-        let (reports, stats) = cached_cell_reports(
-            &cells,
-            self.threads,
-            &|cells| evaluator.eval_batch(cells),
-            &|c: &CompetitionCell| c.index,
-            keyed
-                .as_ref()
-                .map(|(store, ts, key)| (*store, *ts, key as _)),
-        );
-        (
-            SweepReport::new(controller, spec.seed, spec.duration_s, reports),
+            SweepReport::new(&exp.name, exp.seed, exp.duration_s, reports),
             stats,
         )
     }
 }
 
 /// Simulates one cell to its horizon and reduces it to metrics.
-pub fn run_cell(cell: &SweepCell, factory: &dyn CellFactory) -> CellReport {
-    let ccs = factory.make(cell);
+pub fn run_cell(
+    cell: &SweepCell,
+    factory: &dyn Fn(&SweepCell) -> Vec<Box<dyn CongestionControl>>,
+) -> CellReport {
+    let ccs = factory(cell);
     let res = Simulator::new(cell.scenario.clone(), ccs).run();
     CellReport::from_sim(cell, &res)
 }
@@ -263,13 +232,20 @@ pub fn run_cell(cell: &SweepCell, factory: &dyn CellFactory) -> CellReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FlowLoad, TraceShape};
+    use crate::scheme::SchemeSpec;
+    use crate::spec::{FlowLoad, SweepSpec, TraceShape};
     use mocc_netsim::cc::Aimd;
+
+    /// `spec` as an experiment of the tests' `aimd` scheme (a label no
+    /// registry is asked to resolve: the runner does not validate).
+    fn aimd_experiment(spec: &SweepSpec) -> ExperimentSpec {
+        ExperimentSpec::from_sweep("aimd", SchemeSpec::parse("aimd").unwrap(), spec)
+    }
 
     /// Runs `spec` under [`AimdCells`].
     fn run_aimd(threads: usize, spec: &SweepSpec) -> SweepReport {
         SweepRunner::with_threads(threads)
-            .run_cells(spec, "aimd", &AimdCells, None)
+            .run(&aimd_experiment(spec), &AimdCells, None)
             .0
     }
 
@@ -312,7 +288,7 @@ mod tests {
     /// share vector is trivially "fair"), friendliness/convergence
     /// stay `None`, and the bytes are deterministic across thread
     /// counts like any other cell. (Spec validation rejects a loss of
-    /// 1.0, so this drives the evaluator-level entry point.)
+    /// 1.0, so this drives the runner, which does not validate.)
     #[test]
     fn all_loss_cell_reduces_without_nan() {
         let mut spec = small_spec();
@@ -367,12 +343,18 @@ mod tests {
             .collect()
     }
 
-    /// A hand-written evaluator running [`aimd_factory`].
+    /// A hand-written evaluator running [`aimd_factory`] on sweeps.
     struct AimdCells;
 
     impl CellEvaluator for AimdCells {
         fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
             cells.iter().map(|c| run_cell(c, &aimd_factory)).collect()
+        }
+    }
+
+    impl CompetitionEvaluator for AimdCells {
+        fn eval_batch(&self, _: &[CompetitionCell]) -> Vec<CellReport> {
+            unreachable!("the runner's tests run sweeps only")
         }
     }
 
@@ -452,13 +434,18 @@ mod tests {
                     .collect()
             }
         }
+        impl CompetitionEvaluator for Rendezvous {
+            fn eval_batch(&self, _: &[CompetitionCell]) -> Vec<CellReport> {
+                unreachable!("a sweep has no competition cells")
+            }
+        }
         let mut spec = small_spec();
         spec.owd_ms = vec![10];
         spec.loss = vec![0.0];
         spec.duration_s = 1;
         assert_eq!(spec.cell_count(), 2);
         let evaluator = Rendezvous::default();
-        SweepRunner::with_threads(2).run_cells(&spec, "aimd", &evaluator, None);
+        SweepRunner::with_threads(2).run(&aimd_experiment(&spec), &evaluator, None);
         assert_eq!(
             *evaluator.seen.lock().unwrap(),
             [2, 2],

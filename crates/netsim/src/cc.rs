@@ -40,8 +40,9 @@ pub struct SenderView {
     pub mss_bytes: u32,
     /// Minimum RTT observed so far (the best base-RTT estimate).
     pub min_rtt: Option<SimDuration>,
-    /// Smoothed RTT (EWMA, gain 1/8).
-    pub srtt: Option<SimDuration>,
+    /// Smoothed RTT in seconds (EWMA, gain 1/8), as the sender keeps
+    /// it; [`SenderView::srtt`] puts it on the clock.
+    pub srtt_s: Option<f64>,
     /// Packets currently in flight.
     pub inflight_pkts: u64,
     /// Cumulative packets sent.
@@ -50,6 +51,14 @@ pub struct SenderView {
     pub total_acked: u64,
     /// Cumulative packets declared lost.
     pub total_lost: u64,
+}
+
+impl SenderView {
+    /// The smoothed RTT on the simulator's clock (whole nanoseconds),
+    /// converted on demand: most controllers never read it.
+    pub fn srtt(&self) -> Option<SimDuration> {
+        self.srtt_s.map(SimDuration::from_secs_f64)
+    }
 }
 
 /// Information delivered with each acknowledgment.
@@ -248,7 +257,7 @@ mod tests {
             now: SimTime::ZERO,
             mss_bytes: 1500,
             min_rtt: None,
-            srtt: None,
+            srtt_s: None,
             inflight_pkts: 0,
             total_sent: 0,
             total_acked: 0,

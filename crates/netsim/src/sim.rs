@@ -874,7 +874,7 @@ impl Simulator {
             now: self.now,
             mss_bytes: self.scenario.mss_bytes,
             min_rtt: fl.min_rtt,
-            srtt: fl.srtt(),
+            srtt_s: fl.have_srtt.then_some(fl.srtt_s),
             inflight_pkts: fl.outstanding.len() as u64,
             total_sent: fl.total_sent,
             total_acked: fl.total_acked,

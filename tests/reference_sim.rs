@@ -233,7 +233,7 @@ impl Reference {
             now: self.now,
             mss_bytes: self.sc.mss_bytes,
             min_rtt: fl.min_rtt,
-            srtt: fl.srtt(),
+            srtt_s: fl.have_srtt.then_some(fl.srtt_s),
             inflight_pkts: fl.in_flight.len() as u64,
             total_sent: fl.sent,
             total_acked: fl.acked,
