@@ -95,6 +95,15 @@ impl MoccConfig {
         }
     }
 
+    /// The preset a spec names: `"fast"` or `"default"`.
+    pub fn preset(name: &str) -> Option<Self> {
+        match name {
+            "fast" => Some(MoccConfig::fast()),
+            "default" => Some(MoccConfig::default()),
+            _ => None,
+        }
+    }
+
     /// Observation dimensionality: preference (3) ⊕ η × (l, p, q).
     pub fn obs_dim(&self) -> usize {
         3 + 3 * self.history

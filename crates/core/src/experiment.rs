@@ -69,15 +69,12 @@ pub fn agent_from_policy(policy: &PolicySpec) -> Result<MoccAgent, SpecError> {
             reason: e.to_string(),
         });
     }
-    let cfg = match policy.config.as_str() {
-        "fast" => MoccConfig::fast(),
-        "default" => MoccConfig::default(),
-        other => {
-            return Err(SpecError::InvalidSpec {
-                reason: format!("policy.config {other:?} must be \"fast\" or \"default\""),
-            })
-        }
-    };
+    let cfg = MoccConfig::preset(&policy.config).ok_or_else(|| SpecError::InvalidSpec {
+        reason: format!(
+            "policy.config {:?} must be \"fast\" or \"default\"",
+            policy.config
+        ),
+    })?;
     let mut rng = StdRng::seed_from_u64(policy.seed);
     Ok(MoccAgent::new(cfg, &mut rng))
 }

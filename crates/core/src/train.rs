@@ -25,12 +25,15 @@ use serde::{Deserialize, Serialize};
 
 /// Which training regime to run (the Fig. 19 comparison). How many
 /// environments a rollout uses is `TrainSpec::batch_envs`, not a regime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The JSON labels are `"individual"` and `"transfer"`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum TrainRegime {
     /// Every landmark trained independently from the shared model
     /// without neighborhood ordering (the "Individual Training" bar).
     Individual,
-    /// Two-phase training with neighborhood transfer.
+    /// Two-phase training with neighborhood transfer (the default).
+    #[default]
     Transfer,
 }
 

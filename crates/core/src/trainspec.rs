@@ -3,8 +3,8 @@
 //!
 //! A [`TrainSpec`] mirrors `mocc-eval`'s `ExperimentSpec` discipline
 //! for the training side of the pipeline: a kind-tagged (`"kind":
-//! "train"`) JSON document with hand-written serde, unknown-field
-//! rejection, defaulted-but-explicit canonical serialization, typed
+//! "train"`) JSON document with derived serde, unknown-field rejection,
+//! defaulted-but-explicit canonical serialization, typed
 //! [`SpecError`] validation, and a lossless `parse → serialize →
 //! parse` round trip. The spec pins *everything* the run depends on —
 //! config preset, hyperparameter overrides, regime, scenario range,
@@ -29,16 +29,15 @@
 use crate::config::MoccConfig;
 use crate::preference::landmark_count;
 use crate::train::TrainRegime;
-use mocc_eval::experiment::{opt_field, reject_unknown_keys};
 use mocc_eval::SpecError;
 use mocc_netsim::ScenarioRange;
-use serde::{from_field, Deserialize, Error as SerdeError, Serialize, Value};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
 
 /// One declarative offline training run. See the module docs for the
 /// document format; every field not listed as required in
 /// [`TrainSpec::from_json`] has a default and is serialized explicitly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename = "train", deny_unknown_fields)]
 pub struct TrainSpec {
     /// Model name: becomes the zoo directory, so it is restricted to
     /// `[A-Za-z0-9._-]` (required).
@@ -49,23 +48,29 @@ pub struct TrainSpec {
     pub seed: u64,
     /// Config preset the hyperparameter overrides apply to: `"fast"`
     /// or `"default"` (default `"fast"`).
+    #[serde(default = "default_config")]
     pub config: String,
     /// Training regime (default [`TrainRegime::Transfer`]); the JSON
     /// labels are `"individual"` and `"transfer"`.
+    #[serde(default)]
     pub regime: TrainRegime,
     /// Scenario range the training envs sample from: `"training"` or
     /// `"testing"` (default `"training"`).
+    #[serde(default = "default_range")]
     pub range: String,
     /// Environments driven in lockstep per rollout (default 4; maps to
     /// `MoccConfig::parallel_envs`): the run's one parallelism knob.
     /// One env collects `rollout_steps` on the exact tier; more split
     /// that budget and collect on the fast tier.
+    #[serde(default = "default_batch_envs")]
     pub batch_envs: usize,
     /// Checkpoint every N iterations (default 10; 0 = only at the end
     /// of the run).
+    #[serde(default = "default_checkpoint_every")]
     pub checkpoint_every: usize,
     /// Episodes per preference when recording final eval metrics for
     /// the zoo provenance (default 1).
+    #[serde(default = "default_eval_episodes")]
     pub eval_episodes: usize,
     /// Override of [`MoccConfig::boot_iters`] (default: the preset's).
     pub boot_iters: Option<usize>,
@@ -86,12 +91,12 @@ impl Default for TrainSpec {
         TrainSpec {
             name: String::new(),
             seed: 7,
-            config: "fast".to_string(),
-            regime: TrainRegime::Transfer,
-            range: "training".to_string(),
-            batch_envs: 4,
-            checkpoint_every: 10,
-            eval_episodes: 1,
+            config: default_config(),
+            regime: TrainRegime::default(),
+            range: default_range(),
+            batch_envs: default_batch_envs(),
+            checkpoint_every: default_checkpoint_every(),
+            eval_episodes: default_eval_episodes(),
             boot_iters: None,
             traverse_iters: None,
             traverse_cycles: None,
@@ -100,6 +105,27 @@ impl Default for TrainSpec {
             omega_step: None,
         }
     }
+}
+
+// The values an absent optional field reads as.
+fn default_config() -> String {
+    "fast".to_string()
+}
+
+fn default_range() -> String {
+    "training".to_string()
+}
+
+fn default_batch_envs() -> usize {
+    4
+}
+
+fn default_checkpoint_every() -> usize {
+    10
+}
+
+fn default_eval_episodes() -> usize {
+    1
 }
 
 /// The JSON label of a [`TrainRegime`].
@@ -131,16 +157,6 @@ const MAX_SCHEDULE_LEN: usize = 1_000_000;
 /// from overflowing the nanosecond clock.
 const MAX_ROLLOUT_STEPS: usize = 1_000_000;
 
-fn parse_regime(s: &str) -> Result<TrainRegime, String> {
-    match s {
-        "individual" => Ok(TrainRegime::Individual),
-        "transfer" => Ok(TrainRegime::Transfer),
-        other => Err(format!(
-            "expected \"individual\" or \"transfer\", got {other:?}"
-        )),
-    }
-}
-
 impl TrainSpec {
     /// The spec's identity: SHA-256 hex digest of the canonical JSON.
     /// Every semantic field participates (the canonical form spells
@@ -155,15 +171,9 @@ impl TrainSpec {
     /// the spec's overrides applied and `parallel_envs` set from
     /// `batch_envs`.
     pub fn resolved_config(&self) -> Result<MoccConfig, SpecError> {
-        let mut cfg = match self.config.as_str() {
-            "fast" => MoccConfig::fast(),
-            "default" => MoccConfig::default(),
-            other => {
-                return Err(SpecError::InvalidSpec {
-                    reason: format!("config {other:?} must be \"fast\" or \"default\""),
-                })
-            }
-        };
+        let mut cfg = MoccConfig::preset(&self.config).ok_or_else(|| SpecError::InvalidSpec {
+            reason: format!("config {:?} must be \"fast\" or \"default\"", self.config),
+        })?;
         if let Some(v) = self.boot_iters {
             cfg.boot_iters = v;
         }
@@ -311,99 +321,6 @@ impl TrainSpec {
             reason: e.to_string(),
         })?;
         Self::from_json(&text)
-    }
-}
-
-// ---- serde (hand-written: the vendored derive handles neither kind
-// tags nor defaulted fields) -------------------------------------------
-
-impl Serialize for TrainSpec {
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        let mut put = |k: &str, v: Value| {
-            obj.insert(k.to_string(), v);
-        };
-        put("kind", Value::Str("train".to_string()));
-        put("name", self.name.to_value());
-        put("seed", self.seed.to_value());
-        put("config", self.config.to_value());
-        put("regime", Value::Str(regime_label(self.regime).to_string()));
-        put("range", self.range.to_value());
-        put("batch_envs", self.batch_envs.to_value());
-        put("checkpoint_every", self.checkpoint_every.to_value());
-        put("eval_episodes", self.eval_episodes.to_value());
-        put("boot_iters", self.boot_iters.to_value());
-        put("traverse_iters", self.traverse_iters.to_value());
-        put("traverse_cycles", self.traverse_cycles.to_value());
-        put("rollout_steps", self.rollout_steps.to_value());
-        put("episode_mis", self.episode_mis.to_value());
-        put("omega_step", self.omega_step.to_value());
-        Value::Obj(obj)
-    }
-}
-
-impl<'de> Deserialize<'de> for TrainSpec {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Obj(obj) = v else {
-            return Err(SerdeError::custom(format!(
-                "expected train object, got {v:?}"
-            )));
-        };
-        reject_unknown_keys(
-            obj,
-            &[
-                "kind",
-                "name",
-                "seed",
-                "config",
-                "regime",
-                "range",
-                "batch_envs",
-                "checkpoint_every",
-                "eval_episodes",
-                "boot_iters",
-                "traverse_iters",
-                "traverse_cycles",
-                "rollout_steps",
-                "episode_mis",
-                "omega_step",
-            ],
-            "TrainSpec",
-        )?;
-        let kind: String = from_field(obj, "kind", "TrainSpec")?;
-        if kind != "train" {
-            return Err(SerdeError::custom(format!(
-                "TrainSpec.kind: expected \"train\", got {kind:?}"
-            )));
-        }
-        let d = TrainSpec::default();
-        let regime = match obj.get("regime") {
-            None => d.regime,
-            Some(Value::Str(s)) => parse_regime(s)
-                .map_err(|reason| SerdeError::custom(format!("TrainSpec.regime: {reason}")))?,
-            Some(other) => {
-                return Err(SerdeError::custom(format!(
-                    "TrainSpec.regime: expected regime label string, got {other:?}"
-                )))
-            }
-        };
-        Ok(TrainSpec {
-            name: from_field(obj, "name", "TrainSpec")?,
-            seed: from_field(obj, "seed", "TrainSpec")?,
-            config: opt_field(obj, "config", "TrainSpec")?.unwrap_or(d.config),
-            regime,
-            range: opt_field(obj, "range", "TrainSpec")?.unwrap_or(d.range),
-            batch_envs: opt_field(obj, "batch_envs", "TrainSpec")?.unwrap_or(d.batch_envs),
-            checkpoint_every: opt_field(obj, "checkpoint_every", "TrainSpec")?
-                .unwrap_or(d.checkpoint_every),
-            eval_episodes: opt_field(obj, "eval_episodes", "TrainSpec")?.unwrap_or(d.eval_episodes),
-            boot_iters: from_field(obj, "boot_iters", "TrainSpec")?,
-            traverse_iters: from_field(obj, "traverse_iters", "TrainSpec")?,
-            traverse_cycles: from_field(obj, "traverse_cycles", "TrainSpec")?,
-            rollout_steps: from_field(obj, "rollout_steps", "TrainSpec")?,
-            episode_mis: from_field(obj, "episode_mis", "TrainSpec")?,
-            omega_step: from_field(obj, "omega_step", "TrainSpec")?,
-        })
     }
 }
 

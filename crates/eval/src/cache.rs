@@ -48,9 +48,8 @@ use crate::spec::SweepCell;
 use crate::{CompetitionSpec, SweepSpec};
 use mocc_store::{sha256_hex, ResultStore};
 use serde::json::ObjectWriter;
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Schema/version tag baked into every cache key. Bump it whenever the
@@ -63,7 +62,7 @@ pub const CELL_SCHEMA: &str = "mocc-cell-v2";
 
 /// Identity of the policy serving a cell's `mocc` flows — the part of
 /// the cache key that changes when the model does.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PolicyIdentity {
     /// SHA-256 hex digest of the agent's canonical JSON artifact
     /// (`mocc_core::policy_digest`); retraining or editing the model
@@ -76,27 +75,6 @@ pub struct PolicyIdentity {
     /// Flow 0's initial rate as a fraction of the cell's peak
     /// bandwidth.
     pub initial_rate_frac: f64,
-}
-
-impl Serialize for PolicyIdentity {
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("digest".to_string(), self.digest.to_value());
-        obj.insert("preference".to_string(), self.preference.to_value());
-        obj.insert(
-            "initial_rate_frac".to_string(),
-            self.initial_rate_frac.to_value(),
-        );
-        Value::Obj(obj)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let mut w = ObjectWriter::begin(out);
-        w.field("digest", &self.digest);
-        w.field("initial_rate_frac", &self.initial_rate_frac);
-        w.field("preference", &self.preference);
-        w.end();
-    }
 }
 
 /// Hit/miss counters of one cached run (the *eval-level* view: a blob

@@ -260,6 +260,7 @@ impl ContenderMix {
     }
 }
 
+// Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for ContenderMix {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.label())

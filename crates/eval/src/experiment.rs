@@ -91,10 +91,22 @@ pub enum Workload {
     Competition(CompetitionWorkload),
 }
 
+/// The highest peak packet rate a link may have, packets per second
+/// (`bandwidth_mbps · 10^6 / (8 · mss_bytes)`). Rate-paced senders
+/// have no window to stop them: far above this rate one packet's pacing
+/// gap rounds to 0 ns, the simulator never leaves `try_send`, and the
+/// queue grows until the process aborts (10^9 Mbps asked for a 3 GiB
+/// `VecDeque`; 10^6 Mbps did not finish a 5 s cell in a minute). At
+/// 1 500 B the bound is 120 000 Mbps, 600× the 200 Mbps `hunt` clamps
+/// to; figures, shipped specs and the benchmark use at most 30 Mbps.
+const MAX_PEAK_PACKET_RATE: f64 = 1e7;
+
 /// How to obtain the MOCC policy serving the spec's `mocc` labels.
 /// Declarative data only — `mocc-core`'s experiment runner interprets
-/// it; this crate just validates and round-trips it.
-#[derive(Debug, Clone, PartialEq)]
+/// it; this crate just validates and round-trips it. Every field has
+/// a default and unknown keys are refused.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default, deny_unknown_fields)]
 pub struct PolicySpec {
     /// Path to a saved agent JSON (e.g. `target/mocc-cache/
     /// mocc-agent.json`). When set, `seed`/`config` are ignored.
@@ -395,6 +407,20 @@ impl ExperimentSpec {
         {
             return invalid(format!("bandwidth_mbps value {bad} must be finite and > 0"));
         }
+        let packet_rate = |mbps: f64| mbps * 1e6 / (8.0 * f64::from(self.mss_bytes));
+        if let Some(bad) = self
+            .axes
+            .bandwidth_mbps
+            .iter()
+            .find(|b| packet_rate(**b) > MAX_PEAK_PACKET_RATE)
+        {
+            return invalid(format!(
+                "bandwidth_mbps value {bad} at mss_bytes {} is {:.0} packets/s; a link \
+                 carries at most {MAX_PEAK_PACKET_RATE:e}",
+                self.mss_bytes,
+                packet_rate(*bad)
+            ));
+        }
         if self.axes.queue_pkts.contains(&0) {
             return invalid("queue_pkts values must be >= 1".to_string());
         }
@@ -514,78 +540,9 @@ impl ExperimentSpec {
     }
 }
 
-// ---- serde (hand-written: the vendored derive handles neither tagged
-// enums nor defaulted fields) ------------------------------------------
-
-impl Serialize for PolicySpec {
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("path".to_string(), self.path.to_value());
-        obj.insert("seed".to_string(), self.seed.to_value());
-        obj.insert("config".to_string(), self.config.to_value());
-        obj.insert(
-            "preference".to_string(),
-            Value::Str(self.preference.label()),
-        );
-        obj.insert(
-            "initial_rate_frac".to_string(),
-            self.initial_rate_frac.to_value(),
-        );
-        obj.insert("batch".to_string(), self.batch.to_value());
-        obj.insert("fast_math".to_string(), self.fast_math.to_value());
-        Value::Obj(obj)
-    }
-}
-
-impl<'de> Deserialize<'de> for PolicySpec {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Obj(obj) = v else {
-            return Err(SerdeError::custom(format!(
-                "expected policy object, got {v:?}"
-            )));
-        };
-        reject_unknown_keys(
-            obj,
-            &[
-                "path",
-                "seed",
-                "config",
-                "preference",
-                "initial_rate_frac",
-                "batch",
-                "fast_math",
-            ],
-            "PolicySpec",
-        )?;
-        let d = PolicySpec::default();
-        let preference = match obj.get("preference") {
-            None => d.preference,
-            Some(Value::Str(s)) => crate::MoccPrefSpec::parse(s)
-                .map_err(|reason| SerdeError::custom(format!("policy.preference: {reason}")))?,
-            Some(other) => {
-                return Err(SerdeError::custom(format!(
-                    "policy.preference: expected preference label string, got {other:?}"
-                )))
-            }
-        };
-        Ok(PolicySpec {
-            path: from_field(obj, "path", "PolicySpec")?,
-            seed: opt_field(obj, "seed", "PolicySpec")?.unwrap_or(d.seed),
-            config: opt_field(obj, "config", "PolicySpec")?.unwrap_or(d.config),
-            preference,
-            initial_rate_frac: opt_field(obj, "initial_rate_frac", "PolicySpec")?
-                .unwrap_or(d.initial_rate_frac),
-            batch: opt_field(obj, "batch", "PolicySpec")?.unwrap_or(d.batch),
-            fast_math: opt_field(obj, "fast_math", "PolicySpec")?.unwrap_or(d.fast_math),
-        })
-    }
-}
-
 /// A field that may be absent (defaulted by the caller). Unlike
-/// `Option` fields, a *present* `null` is still an error. Shared by
-/// every hand-written spec codec (this module's, `mocc-core`'s
-/// `TrainSpec`).
-pub fn opt_field<T: for<'a> Deserialize<'a>>(
+/// `Option` fields, a *present* `null` is still an error.
+fn opt_field<T: for<'a> Deserialize<'a>>(
     obj: &BTreeMap<String, Value>,
     key: &str,
     type_name: &str,
@@ -598,27 +555,7 @@ pub fn opt_field<T: for<'a> Deserialize<'a>>(
     }
 }
 
-/// Rejects keys outside `known`: a misspelled optional field
-/// (`"fair_sustain"` for `"fair_sustain_s"`) must be an error, not a
-/// silently applied default — otherwise `validate` would approve a
-/// document that runs (or trains) something other than its author
-/// wrote.
-pub fn reject_unknown_keys(
-    obj: &BTreeMap<String, Value>,
-    known: &[&str],
-    type_name: &str,
-) -> Result<(), SerdeError> {
-    for key in obj.keys() {
-        if !known.contains(&key.as_str()) {
-            return Err(SerdeError::custom(format!(
-                "{type_name}: unknown field `{key}` (known fields: {})",
-                known.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
+// Hand-written: the axes are flattened and each `kind` has its own key set.
 impl Serialize for ExperimentSpec {
     fn to_value(&self) -> Value {
         let mut obj = BTreeMap::new();
@@ -686,7 +623,7 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
                 .copied()
                 .collect(),
         };
-        reject_unknown_keys(obj, &keys, "ExperimentSpec")?;
+        serde::deny_unknown_fields(obj, &keys, "ExperimentSpec")?;
         let workload = match kind.as_str() {
             "sweep" => Workload::Sweep(SweepWorkload {
                 scheme: from_field(obj, "scheme", "ExperimentSpec")?,
@@ -1045,6 +982,37 @@ mod tests {
             let mut exp = base.clone();
             exp.duration_s = 6_000_000_000;
             exp.validate().expect("3 * 6e18 ns fits");
+        }
+    }
+
+    /// A link too fast to pace — rate-paced senders would queue packets
+    /// until the process aborts — is a typed error naming the axis,
+    /// judged per packet: the same bandwidth passes with larger packets.
+    #[test]
+    fn packet_rates_beyond_the_bound_are_rejected() {
+        let json = r#"{"kind":"sweep","name":"huge","scheme":"mocc","bandwidth_mbps":[1e9],
+            "owd_ms":[20],"queue_pkts":[100],"duration_s":5,"seed":1,"policy":{}}"#;
+        let err = ExperimentSpec::from_json(json)
+            .unwrap()
+            .validate()
+            .unwrap_err();
+        assert!(matches!(err, SpecError::InvalidSpec { .. }), "{err}");
+        assert!(
+            err.to_string().contains("bandwidth_mbps value 1000000000 "),
+            "{err}"
+        );
+        for base in [sweep_exp(), competition_exp()] {
+            let mut exp = base.clone();
+            exp.axes.bandwidth_mbps = vec![10.0, 120_000.0];
+            exp.validate().expect("1e7 packets/s at 1 500 B");
+            exp.axes.bandwidth_mbps.push(120_001.0);
+            let err = exp.validate().unwrap_err().to_string();
+            assert!(
+                err.contains("bandwidth_mbps value 120001 at mss_bytes 1500"),
+                "{err}"
+            );
+            exp.mss_bytes = 3000;
+            exp.validate().expect("half the packet rate");
         }
     }
 

@@ -43,14 +43,13 @@ pub fn round6(x: f64) -> f64 {
 
 /// Summary metrics of one simulated sweep cell.
 ///
-/// Serialization is hand-written (not derived) for one reason: the
-/// competition-only `mix` column is *omitted* when `None`, so the
+/// The competition-only `mix` column is *omitted* when `None`, so the
 /// schema change that introduced it stayed additive — classic sweep
 /// fixtures are byte-identical with and without it. (`friendliness` /
 /// `convergence_s` predate that policy and keep serializing as
 /// explicit `null`s; goldens depend on it.) Reading needs no such
-/// care: an absent `Option` is `None` under the derive.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+/// care: an absent `Option` is `None`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellReport {
     /// Cell index in spec expansion order.
     pub index: u64,
@@ -74,6 +73,7 @@ pub struct CellReport {
     /// ([`crate::ContenderMix::label`]). `None` for classic sweep
     /// cells, and omitted from the canonical JSON so classic fixtures
     /// are untouched by the column's existence.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub mix: Option<String>,
     /// Total delivered goodput over all flows, Mbps.
     pub goodput_mbps: f64,
@@ -104,65 +104,6 @@ pub struct CellReport {
     /// share is sustained ([`mocc_netsim::metrics::time_to_fair_share`]).
     /// `None` for classic sweep cells and when never reached.
     pub convergence_s: Option<f64>,
-}
-
-impl Serialize for CellReport {
-    fn to_value(&self) -> serde::Value {
-        let mut obj = std::collections::BTreeMap::new();
-        let mut put = |k: &str, v: serde::Value| {
-            obj.insert(k.to_string(), v);
-        };
-        put("index", self.index.to_value());
-        put("seed", self.seed.to_value());
-        put("bandwidth_mbps", self.bandwidth_mbps.to_value());
-        put("owd_ms", self.owd_ms.to_value());
-        put("queue_pkts", self.queue_pkts.to_value());
-        put("loss_cfg", self.loss_cfg.to_value());
-        put("shape", self.shape.to_value());
-        put("load", self.load.to_value());
-        if let Some(mix) = &self.mix {
-            put("mix", mix.to_value());
-        }
-        put("goodput_mbps", self.goodput_mbps.to_value());
-        put("mean_rtt_ms", self.mean_rtt_ms.to_value());
-        put("p95_rtt_ms", self.p95_rtt_ms.to_value());
-        put("loss_rate", self.loss_rate.to_value());
-        put("utilization", self.utilization.to_value());
-        put("latency_ratio", self.latency_ratio.to_value());
-        put("jain", self.jain.to_value());
-        put("utility", self.utility.to_value());
-        put("friendliness", self.friendliness.to_value());
-        put("convergence_s", self.convergence_s.to_value());
-        serde::Value::Obj(obj)
-    }
-
-    /// The same object streamed: keys in the order the tree's map
-    /// sorts them into.
-    fn write_json(&self, out: &mut String) {
-        let mut w = serde::json::ObjectWriter::begin(out);
-        w.field("bandwidth_mbps", &self.bandwidth_mbps);
-        w.field("convergence_s", &self.convergence_s);
-        w.field("friendliness", &self.friendliness);
-        w.field("goodput_mbps", &self.goodput_mbps);
-        w.field("index", &self.index);
-        w.field("jain", &self.jain);
-        w.field("latency_ratio", &self.latency_ratio);
-        w.field("load", &self.load);
-        w.field("loss_cfg", &self.loss_cfg);
-        w.field("loss_rate", &self.loss_rate);
-        w.field("mean_rtt_ms", &self.mean_rtt_ms);
-        if let Some(mix) = &self.mix {
-            w.field("mix", mix);
-        }
-        w.field("owd_ms", &self.owd_ms);
-        w.field("p95_rtt_ms", &self.p95_rtt_ms);
-        w.field("queue_pkts", &self.queue_pkts);
-        w.field("seed", &self.seed);
-        w.field("shape", &self.shape);
-        w.field("utility", &self.utility);
-        w.field("utilization", &self.utilization);
-        w.end();
-    }
 }
 
 /// The identifying coordinates of one report row — everything a

@@ -274,6 +274,7 @@ impl std::str::FromStr for SchemeSpec {
     }
 }
 
+// Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for SchemeSpec {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.raw.clone())
@@ -286,6 +287,24 @@ impl<'de> serde::Deserialize<'de> for SchemeSpec {
             serde::Value::Str(s) => SchemeSpec::parse(s).map_err(serde::Error::custom),
             _ => Err(serde::Error::custom(format!(
                 "expected scheme label string, got {v:?}"
+            ))),
+        }
+    }
+}
+
+// Hand-written: the JSON form is the label text, which no derive attribute spells.
+impl serde::Serialize for MoccPrefSpec {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.label())
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for MoccPrefSpec {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        match v {
+            serde::Value::Str(s) => MoccPrefSpec::parse(s).map_err(serde::Error::custom),
+            _ => Err(serde::Error::custom(format!(
+                "expected preference label string, got {v:?}"
             ))),
         }
     }

@@ -297,6 +297,7 @@ impl TraceShape {
     }
 }
 
+// Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for TraceShape {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.label())
@@ -426,6 +427,7 @@ impl FlowLoad {
     }
 }
 
+// Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for FlowLoad {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.label())

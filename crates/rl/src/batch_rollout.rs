@@ -22,6 +22,7 @@ use rand::Rng;
 /// batched-inference scratch, the critic's scratch, and the lockstep
 /// observation/value matrices. One scratch serves any number of calls;
 /// buffers reach steady-state size after the first step.
+#[derive(Clone)]
 pub struct BatchRolloutScratch<N: Network> {
     policy: PolicyScratch<N>,
     critic: N::Scratch,
@@ -38,18 +39,6 @@ impl<N: Network> Default for BatchRolloutScratch<N> {
             obs: Matrix::default(),
             values: Matrix::default(),
             acts: Vec::new(),
-        }
-    }
-}
-
-impl<N: Network> Clone for BatchRolloutScratch<N> {
-    fn clone(&self) -> Self {
-        BatchRolloutScratch {
-            policy: self.policy.clone(),
-            critic: self.critic.clone(),
-            obs: self.obs.clone(),
-            values: self.values.clone(),
-            acts: self.acts.clone(),
         }
     }
 }

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 /// the network's own scratch plus the batched-mean output matrix. One
 /// scratch serves any number of [`GaussianPolicy::act_batch_tier`] /
 /// [`GaussianPolicy::mean_action_batch`] calls.
+#[derive(Clone)]
 pub struct PolicyScratch<N: Network> {
     net: N::Scratch,
     means: Matrix,
@@ -30,75 +31,16 @@ impl<N: Network> Default for PolicyScratch<N> {
     }
 }
 
-impl<N: Network> Clone for PolicyScratch<N> {
-    fn clone(&self) -> Self {
-        PolicyScratch {
-            net: self.net.clone(),
-            means: self.means.clone(),
-        }
-    }
-}
-
 /// A diagonal-Gaussian policy with learned state-independent log-std.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GaussianPolicy<N: Network = Mlp> {
     /// The mean network (obs → scalar mean).
     pub net: N,
     /// Log standard deviation of the action distribution.
     pub log_std: f32,
     /// Accumulated gradient of the log-std (not serialized).
+    #[serde(skip)]
     pub g_log_std: f32,
-}
-
-// Hand-written impls: the vendored serde derive does not support
-// generic types (vendor/README.md), so the generic policy spells out
-// what `#[derive]` with `#[serde(bound = ...)]` and `#[serde(skip)]`
-// on `g_log_std` would generate.
-impl<N: Network + Serialize> Serialize for GaussianPolicy<N> {
-    fn to_value(&self) -> serde::Value {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("net".to_string(), self.net.to_value());
-        m.insert("log_std".to_string(), self.log_std.to_value());
-        serde::Value::Obj(m)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let mut w = serde::json::ObjectWriter::begin(out);
-        w.field("log_std", &self.log_std);
-        w.field("net", &self.net);
-        w.end();
-    }
-}
-
-impl<'de, N: Network + for<'a> Deserialize<'a>> Deserialize<'de> for GaussianPolicy<N> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Obj(m) => Ok(GaussianPolicy {
-                net: serde::from_field(m, "net", "GaussianPolicy")?,
-                log_std: serde::from_field(m, "log_std", "GaussianPolicy")?,
-                g_log_std: 0.0,
-            }),
-            _ => Err(serde::Error::custom("expected object for GaussianPolicy")),
-        }
-    }
-
-    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
-        use serde::json::take_field;
-        if p.peek_token() != Some(b'{') {
-            return serde::json::from_tree(p);
-        }
-        let (mut net, mut log_std) = (None, None);
-        p.object(|key, p| match &*key {
-            "net" => p.field(&mut net),
-            "log_std" => p.field(&mut log_std),
-            _ => p.skip_value(),
-        })?;
-        Ok(GaussianPolicy {
-            net: take_field(net, "net", "GaussianPolicy")?,
-            log_std: take_field(log_std, "log_std", "GaussianPolicy")?,
-            g_log_std: 0.0,
-        })
-    }
 }
 
 impl GaussianPolicy<Mlp> {

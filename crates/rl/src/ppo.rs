@@ -75,7 +75,7 @@ pub struct PpoStats {
 
 /// An actor-critic PPO learner, generic over the network architecture
 /// (MOCC plugs in its preference-sub-network composite here).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ppo<N: Network = Mlp> {
     /// The Gaussian actor.
     pub policy: GaussianPolicy<N>,
@@ -85,69 +85,6 @@ pub struct Ppo<N: Network = Mlp> {
     pub cfg: PpoConfig,
     opt_pi: Adam,
     opt_v: Adam,
-}
-
-// Hand-written impls: the vendored serde derive does not support
-// generic types (vendor/README.md).
-impl<N: Network + Serialize> Serialize for Ppo<N> {
-    fn to_value(&self) -> serde::Value {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("policy".to_string(), self.policy.to_value());
-        m.insert("value".to_string(), self.value.to_value());
-        m.insert("cfg".to_string(), self.cfg.to_value());
-        m.insert("opt_pi".to_string(), self.opt_pi.to_value());
-        m.insert("opt_v".to_string(), self.opt_v.to_value());
-        serde::Value::Obj(m)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let mut w = serde::json::ObjectWriter::begin(out);
-        w.field("cfg", &self.cfg);
-        w.field("opt_pi", &self.opt_pi);
-        w.field("opt_v", &self.opt_v);
-        w.field("policy", &self.policy);
-        w.field("value", &self.value);
-        w.end();
-    }
-}
-
-impl<'de, N: Network + Serialize + for<'a> Deserialize<'a>> Deserialize<'de> for Ppo<N> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Obj(m) => Ok(Ppo {
-                policy: serde::from_field(m, "policy", "Ppo")?,
-                value: serde::from_field(m, "value", "Ppo")?,
-                cfg: serde::from_field(m, "cfg", "Ppo")?,
-                opt_pi: serde::from_field(m, "opt_pi", "Ppo")?,
-                opt_v: serde::from_field(m, "opt_v", "Ppo")?,
-            }),
-            _ => Err(serde::Error::custom("expected object for Ppo")),
-        }
-    }
-
-    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
-        use serde::json::take_field;
-        if p.peek_token() != Some(b'{') {
-            return serde::json::from_tree(p);
-        }
-        let (mut policy, mut value, mut cfg, mut opt_pi, mut opt_v) =
-            (None, None, None, None, None);
-        p.object(|key, p| match &*key {
-            "policy" => p.field(&mut policy),
-            "value" => p.field(&mut value),
-            "cfg" => p.field(&mut cfg),
-            "opt_pi" => p.field(&mut opt_pi),
-            "opt_v" => p.field(&mut opt_v),
-            _ => p.skip_value(),
-        })?;
-        Ok(Ppo {
-            policy: take_field(policy, "policy", "Ppo")?,
-            value: take_field(value, "value", "Ppo")?,
-            cfg: take_field(cfg, "cfg", "Ppo")?,
-            opt_pi: take_field(opt_pi, "opt_pi", "Ppo")?,
-            opt_v: take_field(opt_v, "opt_v", "Ppo")?,
-        })
-    }
 }
 
 impl Ppo<Mlp> {

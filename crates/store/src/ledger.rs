@@ -21,8 +21,10 @@ use serde::json::{self, ObjectWriter, Parser};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::BTreeMap;
 
-/// What happened to a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What happened to a key. Its ledger label is the variant's name in
+/// lowercase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
+#[serde(rename_all = "lowercase")]
 pub enum LedgerEvent {
     /// A blob was written for the key (entry carries its content
     /// digest and object path).
@@ -41,34 +43,6 @@ impl LedgerEvent {
             LedgerEvent::Put => "put",
             LedgerEvent::Hit => "hit",
             LedgerEvent::Miss => "miss",
-        }
-    }
-
-    /// Parses a canonical label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "put" => Some(LedgerEvent::Put),
-            "hit" => Some(LedgerEvent::Hit),
-            "miss" => Some(LedgerEvent::Miss),
-            _ => None,
-        }
-    }
-
-    fn from_label(s: &str) -> Result<Self, SerdeError> {
-        Self::parse(s).ok_or_else(|| SerdeError::custom(format!("unknown ledger event {s:?}")))
-    }
-}
-
-/// An event reads from its canonical label.
-impl<'de> Deserialize<'de> for LedgerEvent {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        Self::from_label(&String::from_value(v)?)
-    }
-
-    fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
-        match p.peek_token() {
-            Some(b'"') => Self::from_label(&p.parse_str()?),
-            _ => json::from_tree(p),
         }
     }
 }
@@ -91,6 +65,7 @@ pub struct LedgerEntry {
     pub ts: u64,
 }
 
+// Hand-written: the decoder refuses a present `null`, and `write_entry` is the lookup hot path.
 impl Serialize for LedgerEntry {
     fn to_value(&self) -> Value {
         let mut obj = BTreeMap::new();
@@ -142,6 +117,7 @@ pub(crate) fn write_entry(
     w.end();
 }
 
+// Hand-written: a present `null` `content` or `path` is refused, unlike an `Option` field.
 impl<'de> Deserialize<'de> for LedgerEntry {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
         let Value::Obj(obj) = v else {

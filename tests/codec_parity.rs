@@ -2,10 +2,12 @@
 //! workspace's real types and real files.
 //!
 //! `vendor/serde_json/tests/parity.rs` holds the std impls and the
-//! derive to the `Value` tree on generated data; this suite holds the
-//! hand-written overrides (`CellReport`, `LedgerEntry`, `Ppo`,
-//! `GaussianPolicy`, the cache-key identity) and everything the
-//! derive generates for the shipped schemas to the same two rules:
+//! derive, with each attribute it supports, to the `Value` tree on
+//! generated data; this suite holds what the derive generates for the
+//! shipped schemas — reports, `TrainSpec` and its tag and defaults,
+//! `PolicySpec` inside every experiment spec, `Ppo` and
+//! `GaussianPolicy` inside a checkpoint, the cache-key identity — and
+//! the hand-written `LedgerEntry` to the same two rules:
 //!
 //! - **out**: `serde_json::to_string(x)` is the tree rendering of
 //!   `x.to_value()`;
