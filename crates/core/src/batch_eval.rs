@@ -5,19 +5,29 @@
 //! [`mocc_eval::CompetitionEvaluator`]; `run_experiment_with` builds
 //! one from the spec and hands it to `SweepRunner::run`. Every
 //! `mocc`/`mocc:<pref>` flow runs in external-agent mode: the simulator
-//! pauses at that flow's monitor intervals, its observation goes
-//! through one forward pass ([`GaussianPolicy::mean_action_batch`] on a
-//! one-row matrix, which is what the paper's deployment does — one
-//! inference per flow per monitor interval), and the resulting rate is
-//! applied before the simulator resumes. Several preference-conditioned
-//! MOCC flows can so *compete* on one bottleneck, each steered at its
-//! own intervals. Every other flow — each flow of a registry-scheme
-//! sweep, a competition's other contenders and its all-TCP friendliness
-//! control — is built by the evaluator's scheme registry, so a cell
-//! without a policy flow is one plain simulation to its horizon. Both
-//! workloads simulate a cell the same way
-//! (`BatchMoccEvaluator::simulate`); a cell's trajectory depends on
-//! nothing but its own events.
+//! pauses at that flow's monitor intervals, its history goes through
+//! one forward pass ([`GaussianPolicy::mean_action_batch`] on a one-row
+//! matrix, which is what the paper's deployment does — one inference
+//! per flow per monitor interval), and the resulting rate is applied
+//! before the simulator resumes. The preference is a constant of the
+//! flow, so the forward is the policy with that preference folded into
+//! its trunk ([`PrefNet::fold_preference`], once per preference per
+//! evaluator), whose mean equals the full forward's bit for bit.
+//! Several preference-conditioned MOCC flows can so *compete* on one
+//! bottleneck, each steered at its own intervals. Every other flow —
+//! each flow of a registry-scheme sweep, a competition's other
+//! contenders and its all-TCP friendliness control — is built by the
+//! evaluator's scheme registry, so a cell without a policy flow is one
+//! plain simulation to its horizon. Both workloads simulate a cell the
+//! same way (`BatchMoccEvaluator::simulate`); a cell's trajectory
+//! depends on nothing but its own events.
+//!
+//! A friendliness control depends on a cell only through its scenario
+//! up to the end of the overlap window, and not on the cell seed at
+//! zero loss, so the evaluator's [`ControlMemo`] simulates each
+//! distinct control of a run once, cut at that end, and keeps its
+//! window shares; [`mocc_eval::competition_report`] stays the per-cell
+//! reference the shared path is held to.
 //!
 //! Nothing here batches across cells: stepping a chunk of simulators
 //! in lockstep behind one matmul was measured slower at every chunk
@@ -31,15 +41,18 @@ use crate::experiment::{agent_from_policy, policy_digest};
 use crate::preference::Preference;
 use crate::prefnet::PrefNet;
 use mocc_eval::{
-    competition_report, CellEvaluator, CellReport, CompetitionCell, CompetitionEvaluator,
+    CellEvaluator, CellReport, CompetitionCell, CompetitionEvaluator, ControlMemo, ControlRuns,
     ExperimentSpec, MoccPrefSpec, PolicyIdentity, SchemeCtx, SchemeKind, SchemeRegistry,
     SchemeSpec, SpecError, SweepCell, Workload,
 };
 use mocc_netsim::cc::{CongestionControl, ExternalRate, FixedRate};
 use mocc_netsim::{Scenario, Simulator};
-use mocc_nn::Matrix;
+use mocc_nn::{Matrix, Mlp};
 use mocc_rl::{GaussianPolicy, PolicyScratch};
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// A policy folded for one preference ([`PrefNet::fold_preference`]).
+type Folded = Arc<GaussianPolicy<Mlp>>;
 
 /// A trained policy and how it serves its flows.
 struct Served {
@@ -50,6 +63,9 @@ struct Served {
     /// A policy flow starts at this fraction of the cell's peak
     /// bandwidth.
     initial_rate_frac: f64,
+    /// `policy` folded for each preference served so far, by the
+    /// preference's bits: the sub-network runs once per preference.
+    folded: Mutex<Vec<([u32; 3], Folded)>>,
 }
 
 impl Served {
@@ -59,7 +75,21 @@ impl Served {
             cfg: agent.cfg,
             pref,
             initial_rate_frac,
+            folded: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The policy with `pref` folded in, folded on first use.
+    fn folded(&self, pref: Preference) -> Folded {
+        let pref = pref.as_array();
+        let bits = pref.map(f32::to_bits);
+        let mut folded = self.folded.lock().expect("fold lock");
+        if let Some((_, policy)) = folded.iter().find(|(b, _)| *b == bits) {
+            return Arc::clone(policy);
+        }
+        let policy = Arc::new(PrefNet::fold_preference(&self.policy, &pref));
+        folded.push((bits, Arc::clone(&policy)));
+        policy
     }
 }
 
@@ -79,6 +109,9 @@ pub struct BatchMoccEvaluator<'r> {
     /// The scheme of a sweep's flows: the spec's, or bare `mocc` for an
     /// evaluator built by [`BatchMoccEvaluator::new`].
     sweep_scheme: SchemeSpec,
+    /// The friendliness controls of the competition cells evaluated so
+    /// far.
+    controls: ControlMemo,
 }
 
 /// The built-in vocabulary, built once.
@@ -100,6 +133,7 @@ impl BatchMoccEvaluator<'static> {
             served: Some(Served::new(agent, pref, initial_rate_frac)),
             registry: builtin_registry(),
             sweep_scheme: bare_mocc(),
+            controls: ControlMemo::default(),
         }
     }
 }
@@ -134,6 +168,7 @@ impl<'r> BatchMoccEvaluator<'r> {
             served,
             registry,
             sweep_scheme,
+            controls: ControlMemo::default(),
         };
         Ok((evaluator, identity))
     }
@@ -143,6 +178,19 @@ impl<'r> BatchMoccEvaluator<'r> {
     /// it (`benchmark/src/layers/sweep.rs`, `policy_metrics`).
     pub fn with_batch_size(self, _batch: usize) -> Self {
         self
+    }
+
+    /// The friendliness control simulations this evaluator has run.
+    pub fn control_runs(&self) -> ControlRuns {
+        self.controls.runs()
+    }
+
+    /// How many preferences this evaluator has folded into its policy
+    /// — each one forward of the preference sub-network.
+    pub fn preference_folds(&self) -> usize {
+        self.served
+            .as_ref()
+            .map_or(0, |served| served.folded.lock().expect("fold lock").len())
     }
 
     /// The policy serving this evaluator's `mocc` flows.
@@ -166,15 +214,15 @@ impl<'r> BatchMoccEvaluator<'r> {
     /// Simulates one cell to its horizon, `controls` saying how each
     /// of the scenario's flows is controlled, and returns the finished
     /// simulator. It advances to the next monitor interval of *any* of
-    /// the cell's policy-driven flows, forwards that flow's observation
-    /// (conditioned on its preference and history) and applies the
+    /// the cell's policy-driven flows, forwards that flow's history
+    /// through the policy folded for its preference and applies the
     /// decision to the flow that asked for it — until the horizon,
     /// which a cell without policy flows runs straight to.
     fn simulate(&self, scenario: &Scenario, controls: Vec<FlowControl>) -> Simulator {
         let mut scratch = PolicyScratch::default();
         let mut obs = Matrix::default();
         if let Some(served) = &self.served {
-            obs.reshape(1, served.cfg.obs_dim());
+            obs.reshape(1, 3 * served.cfg.history);
         }
         let mut means: Vec<f32> = Vec::with_capacity(1);
         let peak = scenario.link.trace.max_rate();
@@ -186,7 +234,8 @@ impl<'r> BatchMoccEvaluator<'r> {
                 match control {
                     FlowControl::Policy(pref) => {
                         let served = self.served();
-                        driven.push(Some(PolicyFlow::new(&served.cfg, Some(pref))));
+                        let flow = PolicyFlow::new(&served.cfg, None);
+                        driven.push(Some((flow, served.folded(pref))));
                         Box::new(ExternalRate {
                             initial_rate_bps: served.initial_rate_frac * peak,
                         })
@@ -210,15 +259,17 @@ impl<'r> BatchMoccEvaluator<'r> {
             if departed {
                 continue;
             }
-            let served = self.served();
-            let flow = driven[f].as_mut().expect("paused flow is policy-driven");
-            let next = flow.decide(&served.cfg, stats_features(&stats), sim.rate(f), |row| {
-                obs.row_mut(0).copy_from_slice(row);
-                served
-                    .policy
-                    .mean_action_batch(&obs, &mut means, &mut scratch);
-                means[0]
-            });
+            let (flow, policy) = driven[f].as_mut().expect("paused flow is policy-driven");
+            let next = flow.decide(
+                &self.served().cfg,
+                stats_features(&stats),
+                sim.rate(f),
+                |row| {
+                    obs.row_mut(0).copy_from_slice(row);
+                    policy.mean_action_batch(&obs, &mut means, &mut scratch);
+                    means[0]
+                },
+            );
             sim.set_rate(f, next);
         }
         sim
@@ -227,9 +278,7 @@ impl<'r> BatchMoccEvaluator<'r> {
     /// The controls of a sweep cell's flows.
     fn sweep_controls(&self, cell: &SweepCell) -> Vec<FlowControl> {
         let pref = self.mocc_pref(&self.sweep_scheme);
-        let ctx = SchemeCtx {
-            peak_rate_bps: cell.scenario.link.trace.max_rate(),
-        };
+        let ctx = SchemeCtx::of(&cell.scenario);
         (0..cell.scenario.flows.len())
             .map(|flow| match pref {
                 Some(pref) if flow == 0 => FlowControl::Policy(pref),
@@ -239,6 +288,25 @@ impl<'r> BatchMoccEvaluator<'r> {
                         .instantiate(&self.sweep_scheme, &ctx)
                         .unwrap_or_else(unvalidated),
                 ),
+            })
+            .collect()
+    }
+
+    /// The controls of a competition cell's flows.
+    fn competition_controls(&self, cell: &CompetitionCell) -> Vec<FlowControl> {
+        let ctx = SchemeCtx::of(&cell.scenario);
+        cell.labels
+            .iter()
+            .map(|label| {
+                let scheme = SchemeSpec::parse(label).unwrap_or_else(unvalidated);
+                match self.mocc_pref(&scheme) {
+                    Some(pref) => FlowControl::Policy(pref),
+                    None => FlowControl::Scheme(
+                        self.registry
+                            .instantiate(&scheme, &ctx)
+                            .unwrap_or_else(unvalidated),
+                    ),
+                }
             })
             .collect()
     }
@@ -304,26 +372,10 @@ impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
         cells
             .iter()
             .map(|cell| {
-                let ctx = SchemeCtx {
-                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
-                };
-                let controls = cell
-                    .labels
-                    .iter()
-                    .map(|label| {
-                        let scheme = SchemeSpec::parse(label).unwrap_or_else(unvalidated);
-                        match self.mocc_pref(&scheme) {
-                            Some(pref) => FlowControl::Policy(pref),
-                            None => FlowControl::Scheme(
-                                self.registry
-                                    .instantiate(&scheme, &ctx)
-                                    .unwrap_or_else(unvalidated),
-                            ),
-                        }
-                    })
-                    .collect();
-                let res = self.simulate(&cell.scenario, controls).result();
-                competition_report(cell, &res, self.registry)
+                let res = self
+                    .simulate(&cell.scenario, self.competition_controls(cell))
+                    .result();
+                self.controls.report(cell, &res, self.registry)
             })
             .collect()
     }
@@ -434,6 +486,98 @@ mod tests {
             assert!(r.jain > 0.0 && r.jain <= 1.0, "{r:?}");
             if let Some(f) = r.friendliness {
                 assert!(f.is_finite() && f >= 0.0, "{r:?}");
+            }
+        }
+    }
+
+    /// Shared controls are per-cell controls: at 1, 2 and 4 workers
+    /// every report equals the cell simulated alone and reduced by
+    /// [`competition_report`], which runs its own control to the full
+    /// horizon — policy duels and staircases, a mix of baseline flows
+    /// (its own control), under the built-in `cubic` baseline and a
+    /// custom registry's `aimd`. Each run simulates each distinct
+    /// control once and folds each preference once.
+    #[test]
+    fn shared_controls_equal_per_cell_controls() {
+        use mocc_eval::{
+            competition_report, CompetitionSpec, ContenderMix, ControlRuns, PolicySpec,
+        };
+        use mocc_netsim::cc::Aimd;
+        let registry =
+            SchemeRegistry::builtin().with_scheme("aimd", "test AIMD", |_| Box::new(Aimd::new()));
+        for (baseline, mixes) in [
+            (
+                "cubic",
+                [
+                    "duel:mocc:thr+cubic",
+                    "duel:bbr+mocc:lat",
+                    "stair:cubic:3x1",
+                    "stair:mocc:thr:3x1",
+                ],
+            ),
+            (
+                "aimd",
+                [
+                    "duel:mocc:thr+aimd",
+                    "duel:cubic+mocc:thr",
+                    "stair:aimd:3x1",
+                    "incast:mocc:lat:3x1",
+                ],
+            ),
+        ] {
+            let spec = CompetitionSpec {
+                mixes: mixes
+                    .iter()
+                    .map(|m| ContenderMix::parse(m).unwrap())
+                    .collect(),
+                bandwidth_mbps: vec![8.0],
+                owd_ms: vec![10, 30],
+                duration_s: 5,
+                seed: 5,
+                tcp_baseline: baseline.to_string(),
+                ..CompetitionSpec::quick()
+            };
+            let mut exp = ExperimentSpec::from_competition("shared-controls", &spec);
+            exp.policy = Some(PolicySpec::default());
+            let fresh = || {
+                BatchMoccEvaluator::for_experiment(&exp, &registry, false)
+                    .unwrap()
+                    .0
+            };
+            let ev = fresh();
+            let cells: Vec<CellReport> = spec
+                .expand()
+                .iter()
+                .map(|cell| {
+                    let res = ev
+                        .simulate(&cell.scenario, ev.competition_controls(cell))
+                        .result();
+                    competition_report(cell, &res, &registry)
+                })
+                .collect();
+            let want = mocc_eval::SweepReport::new(&exp.name, exp.seed, exp.duration_s, cells)
+                .to_canonical_json();
+            for threads in [1, 2, 4] {
+                let ev = fresh();
+                let (got, _) = SweepRunner::with_threads(threads).run(&exp, &ev, None);
+                assert_eq!(
+                    got.to_canonical_json(),
+                    want,
+                    "{baseline}, {threads} thread(s)"
+                );
+                // Per network: one 2-flow duel control (5 s) and one
+                // 3-flow control (cut at the staircase's first leave,
+                // 3 s, or the incast's 5 s horizon).
+                let horizon_s = if baseline == "cubic" { 16 } else { 20 };
+                assert_eq!(
+                    ev.control_runs(),
+                    ControlRuns {
+                        simulations: 4,
+                        horizon_s
+                    },
+                    "{baseline}, {threads} thread(s)"
+                );
+                assert_eq!(ev.preference_folds(), 2, "{baseline}, {threads} thread(s)");
             }
         }
     }

@@ -300,9 +300,7 @@ mod tests {
             &small_sweep(),
         );
         let factory = |cell: &SweepCell| -> Vec<Box<dyn CongestionControl>> {
-            let ctx = SchemeCtx {
-                peak_rate_bps: cell.scenario.link.trace.max_rate(),
-            };
+            let ctx = SchemeCtx::of(&cell.scenario);
             (0..cell.scenario.flows.len())
                 .map(|_| registry.instantiate_label("cubic", &ctx).unwrap())
                 .collect()
@@ -325,9 +323,7 @@ mod tests {
             .expand()
             .iter()
             .map(|cell| {
-                let ctx = SchemeCtx {
-                    peak_rate_bps: cell.scenario.link.trace.max_rate(),
-                };
+                let ctx = SchemeCtx::of(&cell.scenario);
                 let ccs = cell
                     .labels
                     .iter()

@@ -9,7 +9,8 @@
 //! one model correlate preferences with control policies (§4.1).
 
 use mocc_nn::mlp::ForwardCache;
-use mocc_nn::{Activation, ForwardTier, Matrix, Mlp, MlpScratch, Network};
+use mocc_nn::{Activation, Dense, ForwardTier, Matrix, Mlp, MlpScratch, Network};
+use mocc_rl::GaussianPolicy;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +76,57 @@ impl PrefNet {
 
     fn rest_dim(&self) -> usize {
         self.main.in_dim() - self.pn.out_dim()
+    }
+
+    /// `policy` with the preference `pref` folded into its trunk: a
+    /// preference-free policy whose mean on a history row `h` equals
+    /// `policy`'s mean on `[pref | h]` bit for bit.
+    ///
+    /// The preference features are computed once, by the kernel of the
+    /// full forward. Each trunk input row they feed is then added into
+    /// the first layer's bias in the order of that layer's own
+    /// accumulation — bias first, inputs ascending, zero inputs skipped,
+    /// one rounding per product and per sum — and the rows are dropped.
+    /// What is left of the first layer's sum, the history rows, then
+    /// continues from exactly the partial sum the full forward reaches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pref` is not `pref_dim` long.
+    pub fn fold_preference(policy: &GaussianPolicy<PrefNet>, pref: &[f32]) -> GaussianPolicy<Mlp> {
+        let net = &policy.net;
+        assert_eq!(pref.len(), net.pref_dim, "preference dimension mismatch");
+        let mut features = Matrix::default();
+        net.pn.forward_batch_into_tier(
+            &Matrix::from_vec(1, net.pref_dim, pref.to_vec()),
+            &mut features,
+            &mut MlpScratch::default(),
+            ForwardTier::Scalar,
+        );
+        let mut trunk = net.main.clone();
+        let first = &trunk.layers[0];
+        let (pnf, cols) = (net.pn.out_dim(), first.w.cols);
+        let mut b = first.b.clone();
+        for (i, &f) in features.row(0).iter().enumerate() {
+            if f != 0.0 {
+                for (acc, &w) in b.iter_mut().zip(first.w.row(i)) {
+                    *acc += f * w;
+                }
+            }
+        }
+        let rest = first.w.rows - pnf;
+        trunk.layers[0] = Dense {
+            w: Matrix::from_vec(rest, cols, first.w.data[pnf * cols..].to_vec()),
+            b,
+            act: first.act,
+            gw: None,
+            gb: None,
+        };
+        GaussianPolicy {
+            net: trunk,
+            log_std: policy.log_std,
+            g_log_std: 0.0,
+        }
     }
 }
 
@@ -273,6 +325,74 @@ mod tests {
                         assert_eq!(bits(&alone.data), bits(&want), "row {r} alone, {tier:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The folded policy's mean equals the full forward's on
+    /// `[pref | h]` bit for bit: simplex corners and interior
+    /// preferences, all-zero, `-0.0` and mixed history rows, untrained
+    /// weights and weights after PPO updates.
+    #[test]
+    fn fold_preference_matches_the_full_forward_bit_for_bit() {
+        use crate::{MoccAgent, MoccConfig, Preference};
+        use mocc_rl::{PolicyScratch, Rollout};
+
+        let mut rng = StdRng::seed_from_u64(9);
+        let untrained = MoccAgent::new(MoccConfig::default(), &mut rng);
+        let obs_dim = untrained.cfg.obs_dim();
+        let mut trained = untrained.clone();
+        for _ in 0..3 {
+            let mut rollout = Rollout::new(obs_dim);
+            for step in 0..64 {
+                let obs: Vec<f32> = (0..obs_dim).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+                let action = rng.gen_range(-1.0f32..1.0);
+                rollout
+                    .log_probs
+                    .push(trained.ppo.policy.log_prob(&obs, action));
+                rollout.obs.extend_from_slice(&obs);
+                rollout.actions.push(action);
+                rollout.rewards.push(rng.gen_range(-1.0f32..1.0));
+                rollout.values.push(0.0);
+                rollout.dones.push(step % 16 == 15);
+            }
+            trained.ppo.update(&[rollout], &mut rng);
+        }
+        assert_ne!(
+            trained.ppo.policy.net.main.layers[0].b, untrained.ppo.policy.net.main.layers[0].b,
+            "the updates moved the trunk"
+        );
+
+        let hist_dim = obs_dim - 3;
+        let histories = Matrix::from_fn(5, hist_dim, |r, c| match r {
+            0 => 0.0,
+            1 => -0.0,
+            2 if c % 3 == 0 => -0.0,
+            _ => rng.gen_range(-1.0f32..5.0),
+        });
+        let prefs = [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            Preference::balanced().as_array(),
+            Preference::new(0.5, 0.3, 0.2).as_array(),
+            Preference::new(0.1, 0.1, 0.8).as_array(),
+        ];
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for agent in [&untrained, &trained] {
+            let policy = &agent.ppo.policy;
+            for pref in prefs {
+                let full = Matrix::from_fn(histories.rows, obs_dim, |r, c| match c {
+                    0..=2 => pref[c],
+                    _ => histories.get(r, c - 3),
+                });
+                policy.mean_action_batch(&full, &mut want, &mut PolicyScratch::default());
+                let folded = PrefNet::fold_preference(policy, &pref);
+                assert_eq!(folded.net.in_dim(), hist_dim);
+                assert_eq!(folded.log_std.to_bits(), policy.log_std.to_bits());
+                folded.mean_action_batch(&histories, &mut got, &mut PolicyScratch::default());
+                assert_eq!(bits(&got), bits(&want), "preference {pref:?}");
             }
         }
     }

@@ -26,9 +26,14 @@
 //!   leave), so churn transients do not dilute the fairness score;
 //! - **friendliness**: flow 0's bandwidth share divided by the share
 //!   the same flow slot receives when *every* flow runs the spec's
-//!   `tcp_baseline` scheme (an all-TCP control run of the same seeded
+//!   `tcp_baseline` scheme (an all-TCP control run of the cell's
 //!   scenario). 1.0 means "takes exactly what TCP would take"; `None`
-//!   when the control share is zero (undefined);
+//!   when the control share is zero (undefined). Both shares are read
+//!   over the full-overlap window, so a [`ControlMemo`] simulates a
+//!   control only to the window's end, once per run for all cells
+//!   whose scenarios agree up to there — at zero loss, whatever their
+//!   seeds — with the bytes of one full-horizon control per cell
+//!   ([`competition_report`]);
 //! - **time to fair share** ([`time_to_fair_share`]): seconds from the
 //!   last join until the per-second Jain index over scheduled-active
 //!   flows sustains the spec's `fair_jain` threshold for
@@ -40,6 +45,9 @@ use crate::spec::{cell_seed, check_flow_count};
 use mocc_netsim::metrics::{jain_index, time_to_fair_share, window_mbits};
 use mocc_netsim::time::SimDuration;
 use mocc_netsim::{FlowSpec, LinkSpec, MiMode, Scenario, SimResult, Simulator};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One family of competing flows sharing the bottleneck.
 #[derive(Debug, Clone, PartialEq)]
@@ -502,6 +510,12 @@ impl CompetitionCell {
         }
     }
 
+    /// Whether every contender runs the `tcp_baseline`, which makes the
+    /// cell's own simulation its friendliness control.
+    fn is_own_control(&self) -> bool {
+        self.labels.iter().all(|l| *l == self.tcp_baseline)
+    }
+
     /// Per-flow scheduled lifetimes `(start_s, end_s)`, clamped to the
     /// horizon — the windows [`time_to_fair_share`] scores against.
     pub fn flow_windows(&self) -> Vec<(f64, f64)> {
@@ -536,6 +550,9 @@ pub trait CompetitionEvaluator: Sync {
 /// simulation is its own control — seed, lifecycles and controllers
 /// are identical — so the redundant second run is skipped.
 ///
+/// This is the per-cell reference: [`ControlMemo::report`] shares one
+/// control among the cells of a run and must agree with it bit for bit.
+///
 /// # Panics
 ///
 /// Panics (with the typed error's message) when `registry` cannot
@@ -546,9 +563,28 @@ pub fn competition_report(
     res: &SimResult,
     registry: &SchemeRegistry,
 ) -> CellReport {
-    if cell.labels.iter().all(|l| *l == cell.tcp_baseline) {
+    if cell.is_own_control() {
         return competition_report_with_baseline(cell, res, res);
     }
+    let base = control_run(cell, cell.scenario.clone(), registry);
+    competition_report_with_baseline(cell, res, &base)
+}
+
+/// [`competition_report`] with an explicitly supplied control run
+/// (unit tests inject crafted results; production callers let
+/// [`competition_report`] or [`ControlMemo::report`] run the control).
+pub fn competition_report_with_baseline(
+    cell: &CompetitionCell,
+    res: &SimResult,
+    base: &SimResult,
+) -> CellReport {
+    let (lo, hi) = cell.overlap_window();
+    report_with_control_shares(cell, res, &window_mbits(&base.flows, lo, hi))
+}
+
+/// Simulates `scenario` with every flow on `cell`'s `tcp_baseline`,
+/// each controller built from the context of the cell's own scenario.
+fn control_run(cell: &CompetitionCell, scenario: Scenario, registry: &SchemeRegistry) -> SimResult {
     let ctx = SchemeCtx::of(&cell.scenario);
     let ccs = cell
         .labels
@@ -559,17 +595,15 @@ pub fn competition_report(
                 .unwrap_or_else(|e| panic!("{e} (spec not validated?)"))
         })
         .collect();
-    let base = Simulator::new(cell.scenario.clone(), ccs).run();
-    competition_report_with_baseline(cell, res, &base)
+    Simulator::new(scenario, ccs).run()
 }
 
-/// [`competition_report`] with an explicitly supplied control run
-/// (unit tests inject crafted results; production callers let
-/// [`competition_report`] run the control itself).
-pub fn competition_report_with_baseline(
+/// The reduction behind both report paths: `base_shares` is the
+/// control's megabits per flow over the cell's overlap window.
+fn report_with_control_shares(
     cell: &CompetitionCell,
     res: &SimResult,
-    base: &SimResult,
+    base_shares: &[f64],
 ) -> CellReport {
     let mut rep = CellReport::reduce(
         crate::report::CellCoords {
@@ -591,7 +625,6 @@ pub fn competition_report_with_baseline(
     let (lo, hi) = cell.overlap_window();
     let shares = window_mbits(&res.flows, lo, hi);
     rep.jain = round6(jain_index(&shares));
-    let base_shares = window_mbits(&base.flows, lo, hi);
     let total: f64 = shares.iter().sum();
     let base_total: f64 = base_shares.iter().sum();
     let share0 = if total > 0.0 { shares[0] / total } else { 0.0 };
@@ -611,6 +644,92 @@ pub fn competition_report_with_baseline(
     )
     .map(round6);
     rep
+}
+
+/// The friendliness controls of one run, each simulated once.
+///
+/// A control's report input is its megabits per flow over the cell's
+/// overlap window `[lo, hi)`, and two facts make that a constant shared
+/// by many cells:
+///
+/// - the simulator draws from its RNG only for random loss, so at
+///   `loss_rate == 0` the cell seed cannot change the control (a
+///   competition link is always zero-loss);
+/// - the simulator is causal, so a control cut at `hi` delivers the
+///   same bytes in every second before `hi` as one run to the horizon.
+///
+/// A control is therefore keyed by the cell's scenario with its
+/// horizon cut to `hi` and, at zero loss, its seed dropped, together
+/// with the window and the `tcp_baseline` label. The first cell of a
+/// run that misses simulates it; later cells with the same key reuse
+/// it, and concurrent workers wait for that one simulation instead of
+/// repeating it. Only the window shares are kept — one `f64` per flow,
+/// never a [`SimResult`].
+#[derive(Debug, Default)]
+pub struct ControlMemo {
+    shares: Mutex<BTreeMap<String, Arc<OnceLock<Vec<f64>>>>>,
+    simulations: AtomicU64,
+    horizon_s: AtomicU64,
+}
+
+/// The control simulations a [`ControlMemo`] ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ControlRuns {
+    /// Control simulations.
+    pub simulations: u64,
+    /// Their summed horizons, seconds.
+    pub horizon_s: u64,
+}
+
+impl ControlMemo {
+    /// [`competition_report`] with the cell's control taken from the
+    /// memo, simulated through `registry` on a miss: the same report,
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`competition_report`].
+    pub fn report(
+        &self,
+        cell: &CompetitionCell,
+        res: &SimResult,
+        registry: &SchemeRegistry,
+    ) -> CellReport {
+        if cell.is_own_control() {
+            return competition_report_with_baseline(cell, res, res);
+        }
+        let (lo, hi) = cell.overlap_window();
+        let mut scenario = cell.scenario.clone();
+        scenario.duration = SimDuration::from_secs(hi);
+        if scenario.link.loss_rate == 0.0 {
+            scenario.seed = 0;
+        }
+        // Derived `Debug` prints every field, each float in its
+        // shortest round-trip form: equal text, equal control.
+        let key = format!("{}|{lo}..{hi}|{scenario:?}", cell.tcp_baseline);
+        let slot = self
+            .shares
+            .lock()
+            .expect("memo lock")
+            .entry(key)
+            .or_default()
+            .clone();
+        let base_shares = slot.get_or_init(|| {
+            let base = control_run(cell, scenario, registry);
+            self.simulations.fetch_add(1, Ordering::Relaxed);
+            self.horizon_s.fetch_add(hi, Ordering::Relaxed);
+            window_mbits(&base.flows, lo, hi)
+        });
+        report_with_control_shares(cell, res, base_shares)
+    }
+
+    /// The control simulations run so far.
+    pub fn runs(&self) -> ControlRuns {
+        ControlRuns {
+            simulations: self.simulations.load(Ordering::Relaxed),
+            horizon_s: self.horizon_s.load(Ordering::Relaxed),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -896,6 +1015,106 @@ mod tests {
         let fair = result_with_series(vec![vec![5.0; 20], vec![5.0; 20]], 20);
         let rep = competition_report_with_baseline(&cell, &fair, &base);
         assert_eq!(rep.convergence_s, Some(0.0));
+    }
+
+    /// The invariant a control's key rests on: at zero loss the seed
+    /// reaches no simulated byte, for every built-in scheme, so one
+    /// control serves every seed; at `loss_rate > 0` it does, so a
+    /// lossy control is never shared across seeds.
+    #[test]
+    fn only_random_loss_reads_the_seed() {
+        let registry = SchemeRegistry::builtin();
+        for name in registry.names() {
+            let run = |loss: f64, seed: u64| {
+                let mut scenario = Scenario::dumbbell(12e6, 10, 100, 2, 0.0, 3);
+                scenario.link.loss_rate = loss;
+                scenario.seed = seed;
+                let ctx = SchemeCtx::of(&scenario);
+                let ccs = (0..2)
+                    .map(|_| registry.instantiate_label(name, &ctx).unwrap())
+                    .collect();
+                format!("{:?}", Simulator::new(scenario, ccs).run())
+            };
+            assert_eq!(
+                run(0.0, 1),
+                run(0.0, 2),
+                "{name} read the seed at zero loss"
+            );
+            assert_ne!(
+                run(0.02, 1),
+                run(0.02, 2),
+                "{name} ignored the seed under loss"
+            );
+        }
+    }
+
+    /// Shared controls are per-cell controls: every report through the
+    /// memo equals [`competition_report`]'s, which runs the cell's own
+    /// control to the full horizon. Duels of one lineup share a
+    /// control across networks' seeds, a staircase's control stops at
+    /// its first leave, a mix of baseline flows needs none — and a
+    /// lossy cell keys its seed.
+    #[test]
+    fn memo_reports_equal_per_cell_reports() {
+        let registry = SchemeRegistry::builtin();
+        let spec = CompetitionSpec {
+            mixes: [
+                "duel:cubic+bbr",
+                "duel:vegas+copa",
+                "stair:bbr:3x2",
+                "stair:cubic:3x2",
+            ]
+            .iter()
+            .map(|m| ContenderMix::parse(m).unwrap())
+            .collect(),
+            owd_ms: vec![10, 30],
+            duration_s: 10,
+            ..CompetitionSpec::quick()
+        };
+        let json = |rep: &CellReport| serde_json::to_string(rep).unwrap();
+        let memo = ControlMemo::default();
+        let mut cells = spec.expand();
+        for cell in &cells {
+            let ctx = SchemeCtx::of(&cell.scenario);
+            let ccs = cell
+                .labels
+                .iter()
+                .map(|l| registry.instantiate_label(l, &ctx).unwrap())
+                .collect();
+            let res = Simulator::new(cell.scenario.clone(), ccs).run();
+            let want = competition_report(cell, &res, &registry);
+            assert_eq!(
+                json(&memo.report(cell, &res, &registry)),
+                json(&want),
+                "cell {}",
+                cell.index
+            );
+        }
+        // Per network: one duel control (10 s) and one staircase control
+        // cut at the first leave (6 s); the cubic staircase is its own.
+        let runs = ControlRuns {
+            simulations: 4,
+            horizon_s: 32,
+        };
+        assert_eq!(memo.runs(), runs);
+
+        let res = result_with_series(vec![vec![5.0; 10], vec![5.0; 10]], 10);
+        for cell in &mut cells[..2] {
+            cell.scenario.link.loss_rate = 0.01;
+        }
+        for cell in &cells[..2] {
+            memo.report(cell, &res, &registry);
+        }
+        cells[1].scenario.seed = cells[0].scenario.seed;
+        memo.report(&cells[1], &res, &registry);
+        assert_eq!(
+            memo.runs(),
+            ControlRuns {
+                simulations: runs.simulations + 2,
+                horizon_s: runs.horizon_s + 20,
+            },
+            "a lossy control is shared only under the same seed"
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use cache::{
 };
 pub use competition::{
     competition_report, competition_report_with_baseline, CompetitionCell, CompetitionEvaluator,
-    CompetitionSpec, ContenderMix,
+    CompetitionSpec, ContenderMix, ControlMemo, ControlRuns,
 };
 pub use experiment::{
     Axes, CompetitionWorkload, ExperimentSpec, PolicySpec, SweepWorkload, Workload,

@@ -321,7 +321,7 @@ pub struct SchemeCtx {
 
 impl SchemeCtx {
     /// The context of a controller about to run in `scenario`.
-    pub(crate) fn of(scenario: &mocc_netsim::Scenario) -> Self {
+    pub fn of(scenario: &mocc_netsim::Scenario) -> Self {
         SchemeCtx {
             peak_rate_bps: scenario.link.trace.max_rate(),
         }

@@ -16,12 +16,12 @@
 //! scheduling-dependent nondeterminism fails the build.
 
 use mocc::core::{
-    cell_event_counts, cell_tx_divisions, run_experiment, run_experiment_cached,
-    run_experiment_with, RunOptions,
+    cell_event_counts, cell_tx_divisions, evaluator_from_policy, run_experiment,
+    run_experiment_cached, run_experiment_with, RunOptions,
 };
 use mocc::eval::{
-    CellReport, CompetitionSpec, ContenderMix, ExperimentSpec, FlowLoad, MoccPrefSpec, PolicySpec,
-    SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
+    CellReport, CompetitionSpec, ContenderMix, ControlRuns, ExperimentSpec, FlowLoad, MoccPrefSpec,
+    PolicySpec, SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
 };
 use mocc::netsim::cc::Aimd;
 use mocc::netsim::EventCounts;
@@ -488,6 +488,125 @@ fn policy_reports_match_the_pinned_digests() {
                 exp.name
             );
         }
+    }
+}
+
+/// A competition document shaped like the benchmark's (`benchmark/src/
+/// gen.rs`, `competition_doc`): 2 bandwidths × 2 delays × 2 queues ×
+/// the four `mixes`, 30 s, the policy section `{config: default,
+/// batch: 32}` when a `mocc` label needs it.
+fn benchmark_competition(name: &str, mixes: &[&str], seed: u64) -> ExperimentSpec {
+    let spec = CompetitionSpec {
+        mixes: mixes
+            .iter()
+            .map(|m| ContenderMix::parse(m).expect("mix parses"))
+            .collect(),
+        bandwidth_mbps: vec![12.0, 24.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100, 400],
+        duration_s: 30,
+        seed,
+        ..CompetitionSpec::quick()
+    };
+    let mut exp = ExperimentSpec::from_competition(name, &spec);
+    if exp.needs_policy() {
+        exp.policy = Some(PolicySpec {
+            seed: 11,
+            config: "default".to_string(),
+            batch: 32,
+            ..PolicySpec::default()
+        });
+    }
+    exp
+}
+
+/// The benchmark's `mocc-competition` document at `seed`.
+fn benchmark_mocc_competition(seed: u64) -> ExperimentSpec {
+    benchmark_competition(
+        "mocc-competition",
+        &[
+            "duel:mocc:thr+mocc:lat",
+            "duel:mocc:bal+cubic",
+            "duel:mocc:thr+mocc:lat+mocc:bal",
+            "stair:mocc:bal:3x4",
+        ],
+        seed,
+    )
+}
+
+/// The benchmark's `classic-competition` document at `seed`.
+fn benchmark_classic_competition(seed: u64) -> ExperimentSpec {
+    benchmark_competition(
+        "classic-competition",
+        &[
+            "duel:cubic+bbr",
+            "duel:vegas+copa",
+            "stair:cubic:3x4",
+            "incast:cubic:8x0.5",
+        ],
+        seed,
+    )
+}
+
+/// Absolute bytes of the benchmark's two competition documents at seed
+/// 1: each report hashes to the literal `mocc run --out FILE` writes
+/// for that document, at one worker and at two.
+#[test]
+fn benchmark_competitions_match_the_pinned_digests() {
+    for (exp, want) in [
+        (
+            benchmark_mocc_competition(1),
+            "e6b0542535bddb185055345379437dbe342ece5d11a8cba1886527118d1d7904",
+        ),
+        (
+            benchmark_classic_competition(1),
+            "e4a4f81004fc8c5f4e87a257d5167c535ac941b3d35a64668698a2ea96c7eb92",
+        ),
+    ] {
+        for threads in [1, 2] {
+            let report = run_experiment(&SweepRunner::with_threads(threads), &exp).unwrap();
+            assert_eq!(
+                sha256_hex(report.to_canonical_json().as_bytes()),
+                want,
+                "{} moved at {threads} thread(s)",
+                exp.name
+            );
+        }
+    }
+}
+
+/// The exact witness of shared friendliness controls, on the shapes of
+/// the benchmark's competition documents. Per network the per-cell
+/// path simulated one 30 s control for each mix that is not all
+/// `cubic`: 4 × 8 = 32 (960 s) for `mocc-competition` and 2 × 8 = 16
+/// (480 s) for `classic-competition`. Shared, the two 2-flow duels of
+/// a network run one control, and a `stair:…:3x4` control stops at the
+/// first leave, 22 s. Each policy preference is folded once per run.
+#[test]
+fn benchmark_competitions_share_their_controls() {
+    for (exp, controls, folds) in [
+        (
+            benchmark_mocc_competition(1),
+            ControlRuns {
+                simulations: 24,
+                horizon_s: 656,
+            },
+            3,
+        ),
+        (
+            benchmark_classic_competition(1),
+            ControlRuns {
+                simulations: 8,
+                horizon_s: 240,
+            },
+            0,
+        ),
+    ] {
+        let policy = exp.policy.clone().unwrap_or_default();
+        let evaluator = evaluator_from_policy(&policy, None).unwrap();
+        SweepRunner::with_threads(1).run(&exp, &evaluator, None);
+        assert_eq!(evaluator.control_runs(), controls, "{}", exp.name);
+        assert_eq!(evaluator.preference_folds(), folds, "{}", exp.name);
     }
 }
 
