@@ -79,33 +79,35 @@ impl BandwidthTrace {
     /// bad trace files to the user.
     ///
     /// Requirements: at least one sample; times finite, non-negative,
-    /// and strictly increasing; rates finite and strictly positive.
-    /// The first sample's rate extends back to `t = 0` (the
+    /// and strictly increasing on the simulator's nanosecond clock (two
+    /// steps at one instant would leave the link's rate there to the
+    /// search); rates finite and strictly positive. The first sample's rate extends back to `t = 0` (the
     /// [`BandwidthTrace::from_steps`] zero-prepend contract) and the
     /// last sample's rate holds forever past the end of the recording.
     pub fn from_samples(samples: &[(f64, f64)]) -> Result<Self, String> {
         if samples.is_empty() {
             return Err("a replay trace needs at least one sample".to_string());
         }
-        let mut steps = Vec::with_capacity(samples.len());
-        let mut prev_t = f64::NEG_INFINITY;
+        let mut steps: Vec<(SimTime, f64)> = Vec::with_capacity(samples.len());
         for (i, &(t, rate)) in samples.iter().enumerate() {
             if !t.is_finite() || t < 0.0 {
                 return Err(format!(
                     "sample {i}: time {t} must be finite and >= 0 seconds"
                 ));
             }
-            if t <= prev_t {
-                return Err(format!(
-                    "sample {i}: time {t} does not increase (previous sample at {prev_t}); \
-                     sample times must be strictly increasing"
-                ));
-            }
             if !rate.is_finite() || rate <= 0.0 {
                 return Err(format!("sample {i}: rate {rate} must be finite and > 0"));
             }
-            prev_t = t;
-            steps.push((SimTime::from_secs_f64(t), rate));
+            let at = SimTime::from_secs_f64(t);
+            if steps.last().is_some_and(|&(prev_at, _)| at <= prev_at) {
+                let prev_t = samples[i - 1].0;
+                return Err(format!(
+                    "samples {} and {i}: time {t} is not after {prev_t} on the simulator's \
+                     nanosecond clock; sample times must be strictly increasing",
+                    i - 1
+                ));
+            }
+            steps.push((at, rate));
         }
         Ok(BandwidthTrace::from_steps(steps))
     }
@@ -286,6 +288,10 @@ mod tests {
             (vec![], "at least one sample"),
             (vec![(0.0, 1e6), (0.0, 2e6)], "strictly increasing"),
             (vec![(1.0, 1e6), (0.5, 2e6)], "strictly increasing"),
+            (
+                vec![(0.0, 1e6), (1e-10, 2e6)],
+                "samples 0 and 1: time 0.0000000001 is not after 0 on the simulator's nanosecond",
+            ),
             (vec![(-1.0, 1e6)], "finite and >= 0"),
             (vec![(f64::NAN, 1e6)], "finite and >= 0"),
             (vec![(0.0, 0.0)], "finite and > 0"),

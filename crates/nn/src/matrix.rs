@@ -554,11 +554,11 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// Output widths on both sides of every tile width (32, 16, 8, 4
-    /// and 1) and of their sums, and reduction lengths from empty to
+    /// Output widths on both sides of every tile width (64, 32, 16, 8,
+    /// 4 and 1) and of their sums, and reduction lengths from empty to
     /// past two 64-deep blocks.
-    const WIDTHS: [usize; 18] = [
-        1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 46, 63, 64, 65,
+    const WIDTHS: [usize; 24] = [
+        1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 46, 63, 64, 65, 95, 96, 97, 127, 128, 129,
     ];
     const DEPTHS: [usize; 7] = [0, 1, 2, 63, 64, 65, 130];
 

@@ -432,14 +432,17 @@ pub fn exact_tanh_slice(xs: &mut [f32]) {
 /// forward among them. With `skip_zeros`, a term whose `aᵢ == 0.0` is
 /// not added.
 ///
-/// `out` is cut into tiles 32, 16, 8, 4 or 1 columns wide. A tile's
+/// `out` is cut into tiles 64, 32, 16, 8, 4 or 1 columns wide. A tile's
 /// elements are copied into a local array, which holds them across the
 /// whole reduction, so the compiler keeps them in registers; then they
-/// are stored once. A 32-wide tile is eight SSE accumulators, enough
-/// independent sums to hide the latency of each add. Each element is
-/// still one accumulator that takes the same products in ascending `i`,
-/// each rounded once (mul then add, no FMA), so the result is bitwise
-/// the naive triple loop's.
+/// are stored once. A 64-wide tile is eight 256-bit AVX accumulators on
+/// the x86-64-v3 release baseline (a 32-wide one is eight 128-bit SSE
+/// accumulators on the portable x86-64 build), enough independent sums
+/// to hide the latency of each add. Each element is still one
+/// accumulator that takes the same products in ascending `i`, each
+/// rounded once (mul then add, no FMA: Rust never contracts `a * b + c`
+/// on its own), so the result is bitwise the naive triple loop's on
+/// either instruction set.
 #[inline]
 pub(crate) fn add_products(
     out: &mut [f32],
@@ -449,7 +452,11 @@ pub(crate) fn add_products(
 ) {
     let width = out.len();
     let mut c = 0;
-    while width - c >= 32 {
+    while width - c >= 64 {
+        add_products_tile::<64>(out, c, coeffs.clone(), b, skip_zeros);
+        c += 64;
+    }
+    if width - c >= 32 {
         add_products_tile::<32>(out, c, coeffs.clone(), b, skip_zeros);
         c += 32;
     }
@@ -728,14 +735,6 @@ mod tests {
         }
     }
 
-    /// All 2^32 inputs, the scalar port and the slice kernel each
-    /// against the host's `f32::tanh` (a glibc 2.36 `tanhf` on the
-    /// machines this was written against). About a minute per core in
-    /// release:
-    ///
-    /// ```text
-    /// cargo test --release -p mocc-nn exact_tanh_matches_host_on_every_input -- --ignored
-    /// ```
     /// How many inputs of bit patterns `block·len … block·len + len − 1`
     /// the slice kernel or the port maps off the host's `f32::tanh`
     /// (the first one is printed).
