@@ -57,7 +57,6 @@ use mocc_bench::serve::Server;
 use mocc_core::{TrainOptions, TrainSpec};
 use mocc_eval::{ExperimentSpec, SchemeRegistry, SpecError, SweepRunner};
 use mocc_store::ResultStore;
-use serde::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -326,14 +325,13 @@ fn load_spec(path: &str) -> Result<ExperimentSpec, String> {
 /// return `None` and fall through to the full parser, which owns the
 /// real error message.
 fn spec_kind(path: &str) -> Option<String> {
-    let text = mocc_store::read_text(Path::new(path)).ok()?;
-    let Value::Obj(obj) = serde_json::from_str(&text).ok()? else {
-        return None;
-    };
-    match obj.get("kind") {
-        Some(Value::Str(kind)) => Some(kind.clone()),
-        _ => None,
+    /// A document's `kind` tag; every other key is skipped.
+    #[derive(serde::Deserialize)]
+    struct Tag {
+        kind: Option<String>,
     }
+    let text = mocc_store::read_text(Path::new(path)).ok()?;
+    serde_json::from_str::<Tag>(&text).ok()?.kind
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {

@@ -16,9 +16,11 @@
 //! `{"ok":false,"error":"..."}`. Malformed requests answer an error
 //! and keep the session alive; `shutdown` ends the daemon.
 //!
-//! Response lines are streamed, keys in canonical (byte) order, the
-//! report written straight into its line; building each line as a
-//! `Value` tree instead is the reference the tests hold them to.
+//! Each request line is decoded in one streamed pass, an inline spec
+//! included: no `Value` tree is built for it. Response lines are
+//! streamed too, keys in canonical (byte) order, the report written
+//! straight into its line; building each line as a `Value` tree
+//! instead is the reference the tests hold them to.
 //!
 //! The module is transport- and clock-free: [`Server::session`] is
 //! generic over `BufRead`/`Write` and takes its ledger timestamps from
@@ -28,8 +30,7 @@
 
 use mocc_eval::{CacheStats, ExperimentSpec, SweepReport, SweepRunner};
 use mocc_store::{ResultStore, StoreStats};
-use serde::json::ObjectWriter;
-use serde::{Deserialize, Value};
+use serde::json::{ObjectWriter, Parser};
 use std::io::{BufRead, Read, Write};
 use std::path::Path;
 
@@ -116,18 +117,14 @@ impl Server<'_> {
 
     /// Handles one protocol line; returns `(response line, shutdown?)`.
     fn dispatch(&self, line: &str) -> (String, bool) {
-        let request: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(e) => return (error_response(&format!("bad request JSON: {e}")), false),
+        let request = match Request::parse(line) {
+            Ok(request) => request,
+            Err(e) => return (error_response(&e), false),
         };
-        let Value::Obj(request) = request else {
-            return (error_response("request must be a JSON object"), false);
+        let Some(Ok(op)) = request.op else {
+            return (error_response("request needs a string `op` field"), false);
         };
-        let op = match request.get("op") {
-            Some(Value::Str(op)) => op.as_str(),
-            _ => return (error_response("request needs a string `op` field"), false),
-        };
-        match op {
+        match op.as_str() {
             "ping" => (ack_response("ping"), false),
             "shutdown" => (ack_response("shutdown"), true),
             "stats" => match self.store.stats() {
@@ -135,12 +132,10 @@ impl Server<'_> {
                 Ok(stats) => (stats_response(&stats), false),
             },
             "run" => {
-                let exp = match (request.get("spec"), request.get("path")) {
-                    (Some(spec), None) => {
-                        ExperimentSpec::from_value(spec).map_err(|e| format!("bad spec: {e}"))
-                    }
-                    (None, Some(Value::Str(path))) => {
-                        ExperimentSpec::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))
+                let exp = match (request.spec, request.path) {
+                    (Some(spec), None) => spec.map_err(|e| format!("bad spec: {e}")),
+                    (None, Some(Ok(path))) => {
+                        ExperimentSpec::load(Path::new(&path)).map_err(|e| format!("{path}: {e}"))
                     }
                     _ => Err("run needs exactly one of `spec` (inline) or `path`".to_string()),
                 };
@@ -156,6 +151,42 @@ impl Server<'_> {
             }
             other => (error_response(&format!("unknown op {other:?}")), false),
         }
+    }
+}
+
+/// The keys of one request line that dispatch reads, each as
+/// [`Parser::field`] leaves it: absent, or the last value given,
+/// decoded or refused. An inline `spec` is decoded in the same pass.
+#[derive(Default)]
+struct Request {
+    op: Option<Result<String, serde::Error>>,
+    spec: Option<Result<ExperimentSpec, serde::Error>>,
+    path: Option<Result<String, serde::Error>>,
+}
+
+impl Request {
+    /// Reads one line; `Err` is the response's error text. A line that
+    /// is not JSON is refused before one that is not an object.
+    fn parse(line: &str) -> Result<Self, String> {
+        let mut p = Parser::new(line);
+        let mut request = Request::default();
+        let object = p.peek_token() == Some(b'{');
+        let read = if object {
+            p.object(|key, p| match &*key {
+                "op" => p.field(&mut request.op),
+                "spec" => p.field(&mut request.spec),
+                "path" => p.field(&mut request.path),
+                _ => p.skip_value(),
+            })
+        } else {
+            p.skip_value()
+        };
+        read.and_then(|()| p.finish())
+            .map_err(|e| format!("bad request JSON: {e}"))?;
+        if !object {
+            return Err("request must be a JSON object".to_string());
+        }
+        Ok(request)
     }
 }
 
@@ -242,6 +273,7 @@ fn run_response(report: &SweepReport, stats: CacheStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
     use std::path::PathBuf;
 
     const PING: &str = "{\"ok\":true,\"op\":\"ping\"}";

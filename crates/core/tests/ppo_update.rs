@@ -15,7 +15,7 @@ use mocc_rl::{normalize, GaussianPolicy, Ppo, PpoConfig, PpoStats, Rollout};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 /// What the serial loop steps: a learner's public parts and its two
 /// optimizers.
@@ -33,7 +33,7 @@ impl<N: Network + Serialize> Serial<N> {
         let Value::Obj(fields) = ppo.to_value() else {
             panic!("a learner serializes to an object")
         };
-        let opt = |key| serde::from_field(&fields, key, "Ppo").expect("optimizer state");
+        let opt = |key: &str| Adam::from_value(&fields[key]).expect("optimizer state");
         Serial {
             policy: ppo.policy.clone(),
             value: ppo.value.clone(),

@@ -270,19 +270,14 @@ impl ContenderMix {
 
 // Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for ContenderMix {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(&self.label(), out);
     }
 }
 
 impl<'de> serde::Deserialize<'de> for ContenderMix {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => ContenderMix::parse(s).map_err(serde::Error::custom),
-            _ => Err(serde::Error::custom(format!(
-                "expected contender-mix label string, got {v:?}"
-            ))),
-        }
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        serde::json::read_label(p, "contender-mix", ContenderMix::parse)
     }
 }
 

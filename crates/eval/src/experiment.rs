@@ -38,8 +38,9 @@
 use crate::competition::{CompetitionSpec, ContenderMix};
 use crate::scheme::{SchemeRegistry, SchemeSpec, SpecError};
 use crate::spec::{FlowLoad, SweepSpec, TraceShape, MAX_EXPANDED_FLOWS};
-use serde::{from_field, Deserialize, Error as SerdeError, Serialize, Value};
-use std::collections::BTreeMap;
+use serde::json::{self, ObjectWriter, Parser};
+use serde::{Deserialize, Error as SerdeError, Serialize};
+use std::collections::BTreeSet;
 
 /// The shared scenario axes every workload sweeps over.
 #[derive(Debug, Clone, PartialEq)]
@@ -450,7 +451,7 @@ impl ExperimentSpec {
                     // the trace file itself: existence, format, and
                     // sample validity all surface as typed errors here
                     // instead of panics mid-expansion.
-                    shape.validate()?;
+                    shape.validate(self.duration_s)?;
                     shape.resolved()?;
                 }
                 registry.resolve(&w.scheme)?;
@@ -540,106 +541,165 @@ impl ExperimentSpec {
     }
 }
 
-/// A field that may be absent (defaulted by the caller). Unlike
-/// `Option` fields, a *present* `null` is still an error.
-fn opt_field<T: for<'a> Deserialize<'a>>(
-    obj: &BTreeMap<String, Value>,
+/// The type name experiment-document errors are prefixed with.
+const TYPE: &str = "ExperimentSpec";
+
+/// The keys every experiment document may hold, then each workload's.
+const SHARED_KEYS: &[&str] = &[
+    "kind",
+    "name",
+    "bandwidth_mbps",
+    "owd_ms",
+    "queue_pkts",
+    "duration_s",
+    "mss_bytes",
+    "seed",
+    "agent_mi",
+    "policy",
+];
+const SWEEP_KEYS: [&str; 4] = ["scheme", "loss", "shapes", "loads"];
+const COMPETITION_KEYS: [&str; 4] = ["mixes", "tcp_baseline", "fair_jain", "fair_sustain_s"];
+
+/// One key's value as [`Parser::field`] reads it.
+type Slot<T> = Option<Result<T, SerdeError>>;
+
+/// Every key of either kind, filled as the document streams by.
+#[derive(Default)]
+struct Slots {
+    kind: Slot<String>,
+    name: Slot<String>,
+    bandwidth_mbps: Slot<Vec<f64>>,
+    owd_ms: Slot<Vec<u64>>,
+    queue_pkts: Slot<Vec<usize>>,
+    duration_s: Slot<u64>,
+    mss_bytes: Slot<u32>,
+    seed: Slot<u64>,
+    agent_mi: Slot<bool>,
+    policy: Slot<Option<PolicySpec>>,
+    scheme: Slot<SchemeSpec>,
+    loss: Slot<Vec<f64>>,
+    shapes: Slot<Vec<TraceShape>>,
+    loads: Slot<Vec<FlowLoad>>,
+    mixes: Slot<Vec<ContenderMix>>,
+    tcp_baseline: Slot<SchemeSpec>,
+    fair_jain: Slot<f64>,
+    fair_sustain_s: Slot<u64>,
+}
+
+/// A field whose absence reads as `default`. Unlike an `Option` field,
+/// a *present* `null` is still an error.
+fn or_default<T: for<'a> Deserialize<'a>>(
+    slot: Slot<T>,
     key: &str,
-    type_name: &str,
-) -> Result<Option<T>, SerdeError> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| SerdeError::custom(format!("{type_name}.{key}: {e}"))),
+    default: impl FnOnce() -> T,
+) -> Result<T, SerdeError> {
+    match slot {
+        None => Ok(default()),
+        read => json::take_field(read, key, TYPE),
     }
 }
 
 // Hand-written: the axes are flattened and each `kind` has its own key set.
 impl Serialize for ExperimentSpec {
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        let mut put = |k: &str, v: Value| {
-            obj.insert(k.to_string(), v);
-        };
-        put("name", self.name.to_value());
-        put("bandwidth_mbps", self.axes.bandwidth_mbps.to_value());
-        put("owd_ms", self.axes.owd_ms.to_value());
-        put("queue_pkts", self.axes.queue_pkts.to_value());
-        put("duration_s", self.duration_s.to_value());
-        put("mss_bytes", self.mss_bytes.to_value());
-        put("seed", self.seed.to_value());
-        put("agent_mi", self.agent_mi.to_value());
-        put("policy", self.policy.to_value());
+    fn write_json(&self, out: &mut String) {
+        let mut fields: Vec<(&'static str, &dyn Serialize)> = vec![
+            ("name", &self.name),
+            ("bandwidth_mbps", &self.axes.bandwidth_mbps),
+            ("owd_ms", &self.axes.owd_ms),
+            ("queue_pkts", &self.axes.queue_pkts),
+            ("duration_s", &self.duration_s),
+            ("mss_bytes", &self.mss_bytes),
+            ("seed", &self.seed),
+            ("agent_mi", &self.agent_mi),
+            ("policy", &self.policy),
+        ];
         match &self.workload {
-            Workload::Sweep(w) => {
-                put("kind", Value::Str("sweep".to_string()));
-                put("scheme", w.scheme.to_value());
-                put("loss", w.loss.to_value());
-                put("shapes", w.shapes.to_value());
-                put("loads", w.loads.to_value());
-            }
-            Workload::Competition(w) => {
-                put("kind", Value::Str("competition".to_string()));
-                put("mixes", w.mixes.to_value());
-                put("tcp_baseline", w.tcp_baseline.to_value());
-                put("fair_jain", w.fair_jain.to_value());
-                put("fair_sustain_s", w.fair_sustain_s.to_value());
-            }
+            Workload::Sweep(w) => fields.extend([
+                ("kind", &"sweep" as &dyn Serialize),
+                ("scheme", &w.scheme),
+                ("loss", &w.loss),
+                ("shapes", &w.shapes),
+                ("loads", &w.loads),
+            ]),
+            Workload::Competition(w) => fields.extend([
+                ("kind", &"competition" as &dyn Serialize),
+                ("mixes", &w.mixes),
+                ("tcp_baseline", &w.tcp_baseline),
+                ("fair_jain", &w.fair_jain),
+                ("fair_sustain_s", &w.fair_sustain_s),
+            ]),
         }
-        Value::Obj(obj)
+        fields.sort_unstable_by_key(|&(key, _)| key);
+        let mut w = ObjectWriter::begin(out);
+        for (key, value) in fields {
+            w.field(key, value);
+        }
+        w.end();
     }
 }
 
+/// Reads every key in one pass, then judges the document in a fixed
+/// order whatever the order of its keys: `kind`, then the first key
+/// (in byte order) that `kind` does not know, then the workload's
+/// fields, then the shared ones.
 impl<'de> Deserialize<'de> for ExperimentSpec {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Obj(obj) = v else {
-            return Err(SerdeError::custom(format!(
-                "expected experiment object, got {v:?}"
-            )));
+    fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
+        if p.peek_token() != Some(b'{') {
+            return json::mismatch(p, |v| format!("expected experiment object, got {v:?}"));
+        }
+        let mut s = Slots::default();
+        let mut keys = BTreeSet::new();
+        p.object(|key, p| {
+            let read = match &*key {
+                "kind" => p.field(&mut s.kind),
+                "name" => p.field(&mut s.name),
+                "bandwidth_mbps" => p.field(&mut s.bandwidth_mbps),
+                "owd_ms" => p.field(&mut s.owd_ms),
+                "queue_pkts" => p.field(&mut s.queue_pkts),
+                "duration_s" => p.field(&mut s.duration_s),
+                "mss_bytes" => p.field(&mut s.mss_bytes),
+                "seed" => p.field(&mut s.seed),
+                "agent_mi" => p.field(&mut s.agent_mi),
+                "policy" => p.field(&mut s.policy),
+                "scheme" => p.field(&mut s.scheme),
+                "loss" => p.field(&mut s.loss),
+                "shapes" => p.field(&mut s.shapes),
+                "loads" => p.field(&mut s.loads),
+                "mixes" => p.field(&mut s.mixes),
+                "tcp_baseline" => p.field(&mut s.tcp_baseline),
+                "fair_jain" => p.field(&mut s.fair_jain),
+                "fair_sustain_s" => p.field(&mut s.fair_sustain_s),
+                _ => p.skip_value(),
+            };
+            keys.insert(key);
+            read
+        })?;
+        let kind: String = json::take_field(s.kind, "kind", TYPE)?;
+        // Any kind but "sweep" is judged by the competition key set
+        // before it is refused.
+        let own = if kind == "sweep" {
+            SWEEP_KEYS
+        } else {
+            COMPETITION_KEYS
         };
-        const SHARED_KEYS: &[&str] = &[
-            "kind",
-            "name",
-            "bandwidth_mbps",
-            "owd_ms",
-            "queue_pkts",
-            "duration_s",
-            "mss_bytes",
-            "seed",
-            "agent_mi",
-            "policy",
-        ];
-        let kind: String = from_field(obj, "kind", "ExperimentSpec")?;
-        let keys: Vec<&str> = match kind.as_str() {
-            "sweep" => SHARED_KEYS
-                .iter()
-                .chain(&["scheme", "loss", "shapes", "loads"])
-                .copied()
-                .collect(),
-            _ => SHARED_KEYS
-                .iter()
-                .chain(&["mixes", "tcp_baseline", "fair_jain", "fair_sustain_s"])
-                .copied()
-                .collect(),
-        };
-        serde::deny_unknown_fields(obj, &keys, "ExperimentSpec")?;
+        let known: Vec<&str> = SHARED_KEYS.iter().chain(&own).copied().collect();
+        if let Some(key) = keys.iter().find(|key| !known.contains(&key.as_ref())) {
+            return Err(serde::unknown_field(key, &known, TYPE));
+        }
         let workload = match kind.as_str() {
             "sweep" => Workload::Sweep(SweepWorkload {
-                scheme: from_field(obj, "scheme", "ExperimentSpec")?,
-                loss: opt_field(obj, "loss", "ExperimentSpec")?.unwrap_or_else(|| vec![0.0]),
-                shapes: opt_field(obj, "shapes", "ExperimentSpec")?
-                    .unwrap_or_else(|| vec![TraceShape::Constant]),
-                loads: opt_field(obj, "loads", "ExperimentSpec")?
-                    .unwrap_or_else(|| vec![FlowLoad::Steady(1)]),
+                scheme: json::take_field(s.scheme, "scheme", TYPE)?,
+                loss: or_default(s.loss, "loss", || vec![0.0])?,
+                shapes: or_default(s.shapes, "shapes", || vec![TraceShape::Constant])?,
+                loads: or_default(s.loads, "loads", || vec![FlowLoad::Steady(1)])?,
             }),
             "competition" => Workload::Competition(CompetitionWorkload {
-                mixes: from_field(obj, "mixes", "ExperimentSpec")?,
-                tcp_baseline: opt_field(obj, "tcp_baseline", "ExperimentSpec")?.unwrap_or_else(
-                    || SchemeSpec::parse("cubic").expect("default tcp_baseline parses"),
-                ),
-                fair_jain: opt_field(obj, "fair_jain", "ExperimentSpec")?.unwrap_or(0.9),
-                fair_sustain_s: opt_field(obj, "fair_sustain_s", "ExperimentSpec")?.unwrap_or(3),
+                mixes: json::take_field(s.mixes, "mixes", TYPE)?,
+                tcp_baseline: or_default(s.tcp_baseline, "tcp_baseline", || {
+                    SchemeSpec::parse("cubic").expect("default tcp_baseline parses")
+                })?,
+                fair_jain: or_default(s.fair_jain, "fair_jain", || 0.9)?,
+                fair_sustain_s: or_default(s.fair_sustain_s, "fair_sustain_s", || 3)?,
             }),
             other => {
                 return Err(SerdeError::custom(format!(
@@ -648,18 +708,18 @@ impl<'de> Deserialize<'de> for ExperimentSpec {
             }
         };
         Ok(ExperimentSpec {
-            name: from_field(obj, "name", "ExperimentSpec")?,
+            name: json::take_field(s.name, "name", TYPE)?,
             axes: Axes {
-                bandwidth_mbps: from_field(obj, "bandwidth_mbps", "ExperimentSpec")?,
-                owd_ms: from_field(obj, "owd_ms", "ExperimentSpec")?,
-                queue_pkts: from_field(obj, "queue_pkts", "ExperimentSpec")?,
+                bandwidth_mbps: json::take_field(s.bandwidth_mbps, "bandwidth_mbps", TYPE)?,
+                owd_ms: json::take_field(s.owd_ms, "owd_ms", TYPE)?,
+                queue_pkts: json::take_field(s.queue_pkts, "queue_pkts", TYPE)?,
             },
-            duration_s: from_field(obj, "duration_s", "ExperimentSpec")?,
-            mss_bytes: opt_field(obj, "mss_bytes", "ExperimentSpec")?.unwrap_or(1500),
-            seed: from_field(obj, "seed", "ExperimentSpec")?,
-            agent_mi: opt_field(obj, "agent_mi", "ExperimentSpec")?.unwrap_or(true),
+            duration_s: json::take_field(s.duration_s, "duration_s", TYPE)?,
+            mss_bytes: or_default(s.mss_bytes, "mss_bytes", || 1500)?,
+            seed: json::take_field(s.seed, "seed", TYPE)?,
+            agent_mi: or_default(s.agent_mi, "agent_mi", || true)?,
             workload,
-            policy: from_field(obj, "policy", "ExperimentSpec")?,
+            policy: json::take_field(s.policy, "policy", TYPE)?,
         })
     }
 }
@@ -981,6 +1041,17 @@ mod tests {
             }
             let mut exp = base.clone();
             exp.duration_s = 6_000_000_000;
+            // The sweep's generated shapes would emit more steps than a
+            // trace holds over that horizon; a constant link fits.
+            if let Workload::Sweep(w) = &exp.workload {
+                assert!(w.shapes.iter().any(|s| s.validate(exp.duration_s).is_err()));
+                let err = exp.validate().unwrap_err().to_string();
+                assert!(err.contains("a generated trace holds at most"), "{err}");
+                exp.workload = Workload::Sweep(SweepWorkload {
+                    shapes: vec![TraceShape::Constant],
+                    ..w.clone()
+                });
+            }
             exp.validate().expect("3 * 6e18 ns fits");
         }
     }

@@ -276,37 +276,27 @@ impl std::str::FromStr for SchemeSpec {
 
 // Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for SchemeSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.raw.clone())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(&self.raw, out);
     }
 }
 
 impl<'de> serde::Deserialize<'de> for SchemeSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => SchemeSpec::parse(s).map_err(serde::Error::custom),
-            _ => Err(serde::Error::custom(format!(
-                "expected scheme label string, got {v:?}"
-            ))),
-        }
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        serde::json::read_label(p, "scheme", SchemeSpec::parse)
     }
 }
 
 // Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for MoccPrefSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(&self.label(), out);
     }
 }
 
 impl<'de> serde::Deserialize<'de> for MoccPrefSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => MoccPrefSpec::parse(s).map_err(serde::Error::custom),
-            _ => Err(serde::Error::custom(format!(
-                "expected preference label string, got {v:?}"
-            ))),
-        }
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        serde::json::read_label(p, "preference", MoccPrefSpec::parse)
     }
 }
 

@@ -48,6 +48,17 @@ impl PartialEq for ReplayTrace {
     }
 }
 
+/// A replay trace file as it is on disk.
+#[derive(serde::Deserialize)]
+#[serde(deny_unknown_fields)]
+struct TraceFile {
+    /// Free text for readers, of any JSON type; never read.
+    #[allow(dead_code)]
+    description: Option<serde::Value>,
+    /// `[time_s, rate_mbps]` pairs.
+    samples: Vec<(f64, f64)>,
+}
+
 impl ReplayTrace {
     /// Loads, digests, and validates the trace file, returning a
     /// resolved copy. All failures are typed errors, never panics.
@@ -66,44 +77,17 @@ impl ReplayTrace {
         let text = String::from_utf8(bytes).map_err(|e| SpecError::Json {
             reason: format!("trace file {}: {e}", self.path),
         })?;
-        let doc: serde::Value = serde_json::from_str(&text).map_err(|e| SpecError::Json {
-            reason: format!("trace file {}: {e}", self.path),
-        })?;
-        let invalid = |reason: String| SpecError::InvalidSpec {
-            reason: format!("trace file {}: {reason}", self.path),
-        };
-        let serde::Value::Obj(obj) = &doc else {
-            return Err(invalid("expected a JSON object".to_string()));
-        };
-        for key in obj.keys() {
-            if !matches!(key.as_str(), "samples" | "description") {
-                return Err(invalid(format!(
-                    "unknown field `{key}` (known fields: description, samples)"
-                )));
-            }
-        }
-        let Some(serde::Value::Arr(rows)) = obj.get("samples") else {
-            return Err(invalid(
-                "expected a `samples` array of [time_s, rate_mbps] pairs".to_string(),
-            ));
-        };
-        let mut samples = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let pair = match row {
-                serde::Value::Arr(p) if p.len() == 2 => p[0].as_f64().zip(p[1].as_f64()),
-                _ => None,
-            };
-            let Some((t, rate)) = pair else {
-                return Err(invalid(format!(
-                    "sample {i}: expected a [time_s, rate_mbps] number pair, got {row:?}"
-                )));
-            };
-            samples.push((t, rate));
-        }
+        let samples = serde_json::from_str::<TraceFile>(&text)
+            .map_err(|e| SpecError::Json {
+                reason: format!("trace file {}: {e}", self.path),
+            })?
+            .samples;
         // Reuse the netsim-level sample validation (monotone times,
         // positive finite rates); the built trace is discarded — the
         // real one is built per cell, normalized to the cell peak.
-        BandwidthTrace::from_samples(&samples).map_err(invalid)?;
+        BandwidthTrace::from_samples(&samples).map_err(|reason| SpecError::InvalidSpec {
+            reason: format!("trace file {}: {reason}", self.path),
+        })?;
         Ok(ReplayTrace {
             path: self.path.clone(),
             digest,
@@ -111,6 +95,22 @@ impl ReplayTrace {
         })
     }
 }
+
+/// The shortest square period or oscillation dwell, seconds. Generated
+/// step times must be strictly increasing on the simulator's nanosecond
+/// clock, as replayed sample times are
+/// ([`BandwidthTrace::from_samples`]); two nanoseconds keep rounding
+/// from merging neighbours.
+pub const MIN_TRACE_STEP_S: f64 = 2e-9;
+
+/// The most steps a generated trace shape may hold: its emitted steps
+/// `⌈duration_s / period⌉`, and an oscillation's steps per ramp. Every
+/// cell builds its own trace at 16 bytes a step, so a million steps is
+/// 16 MB per cell in flight — a new rate every microsecond of a
+/// one-second cell, finer than any controller's monitor interval can
+/// follow. Past it, `square:1e-9` asked for 2 GiB and
+/// `osc:100000000000x1` for 800 GB, and the process aborted.
+pub const MAX_TRACE_STEPS: u64 = 1_000_000;
 
 /// Shape of the bottleneck bandwidth trace in a sweep cell. The cell's
 /// bandwidth value is always the trace's *peak* rate.
@@ -205,23 +205,26 @@ impl TraceShape {
         )))
     }
 
-    /// Validates shape parameters — the same constraints
+    /// Validates shape parameters — the constraints
     /// [`TraceShape::parse`] enforces, for programmatically built
     /// specs (a zero oscillation dwell or negative square period must
     /// surface as a typed error from spec validation, not a
-    /// mid-expansion panic). Replay shapes only need a nonempty path
-    /// here; [`TraceShape::resolved`] does the file-level checks.
-    pub fn validate(&self) -> Result<(), SpecError> {
+    /// mid-expansion panic) — and what a generated trace costs over a
+    /// `duration_s` horizon: a step of at least [`MIN_TRACE_STEP_S`]
+    /// and at most [`MAX_TRACE_STEPS`] steps. Replay shapes only need
+    /// a nonempty path here; [`TraceShape::resolved`] does the
+    /// file-level checks.
+    pub fn validate(&self, duration_s: u64) -> Result<(), SpecError> {
         let invalid = |reason: String| SpecError::InvalidSpec { reason };
-        match self {
-            TraceShape::Constant => Ok(()),
+        let step_s = match self {
+            TraceShape::Constant => return Ok(()),
             TraceShape::Square { period_s } => {
                 if !period_s.is_finite() || *period_s <= 0.0 {
                     return Err(invalid(format!(
                         "trace shape square: period {period_s} must be finite and > 0"
                     )));
                 }
-                Ok(())
+                *period_s
             }
             TraceShape::Oscillating { steps, dwell_s } => {
                 if *steps == 0 {
@@ -232,21 +235,45 @@ impl TraceShape {
                         "trace shape osc: dwell {dwell_s} must be finite and > 0"
                     )));
                 }
-                Ok(())
+                if *steps as u64 > MAX_TRACE_STEPS {
+                    return Err(invalid(format!(
+                        "trace shape {:?}: a ramp of {steps} steps; a generated trace holds \
+                         at most {MAX_TRACE_STEPS}",
+                        self.label()
+                    )));
+                }
+                *dwell_s
             }
             TraceShape::Replay(r) => {
                 if r.path.is_empty() {
                     return Err(invalid("replay trace path must be nonempty".into()));
                 }
-                Ok(())
+                return Ok(());
             }
+        };
+        if step_s < MIN_TRACE_STEP_S {
+            return Err(invalid(format!(
+                "trace shape {:?}: a step of {step_s:e} s; the simulator's nanosecond clock \
+                 needs at least {MIN_TRACE_STEP_S:e} s",
+                self.label()
+            )));
         }
+        let emitted = (duration_s as f64 / step_s).ceil();
+        if emitted > MAX_TRACE_STEPS as f64 {
+            return Err(invalid(format!(
+                "trace shape {:?} emits {emitted} steps over duration_s {duration_s}; a \
+                 generated trace holds at most {MAX_TRACE_STEPS}",
+                self.label()
+            )));
+        }
+        Ok(())
     }
 
     /// Returns a copy with any replay trace file loaded, digested, and
     /// validated; non-replay shapes come back unchanged. Failures are
-    /// typed: a missing file is [`SpecError::Io`], malformed JSON is
-    /// [`SpecError::Json`], bad samples are [`SpecError::InvalidSpec`]
+    /// typed: a missing file is [`SpecError::Io`], malformed JSON or a
+    /// document of the wrong shape is [`SpecError::Json`], bad samples
+    /// are [`SpecError::InvalidSpec`]
     /// — never a panic, so spec validation can report them.
     pub fn resolved(&self) -> Result<TraceShape, SpecError> {
         match self {
@@ -299,19 +326,14 @@ impl TraceShape {
 
 // Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for TraceShape {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(&self.label(), out);
     }
 }
 
 impl<'de> serde::Deserialize<'de> for TraceShape {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => TraceShape::parse(s).map_err(serde::Error::custom),
-            _ => Err(serde::Error::custom(format!(
-                "expected trace-shape label string, got {v:?}"
-            ))),
-        }
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        serde::json::read_label(p, "trace-shape", TraceShape::parse)
     }
 }
 
@@ -429,19 +451,14 @@ impl FlowLoad {
 
 // Hand-written: the JSON form is the label text, which no derive attribute spells.
 impl serde::Serialize for FlowLoad {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
+    fn write_json(&self, out: &mut String) {
+        serde::json::write_str(&self.label(), out);
     }
 }
 
 impl<'de> serde::Deserialize<'de> for FlowLoad {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => FlowLoad::parse(s).map_err(serde::Error::custom),
-            _ => Err(serde::Error::custom(format!(
-                "expected flow-load label string, got {v:?}"
-            ))),
-        }
+    fn from_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        serde::json::read_label(p, "flow-load", FlowLoad::parse)
     }
 }
 
@@ -748,10 +765,36 @@ mod tests {
             },
             TraceShape::replay(""),
         ] {
-            assert!(bad.validate().is_err(), "{bad:?}");
+            assert!(bad.validate(1).is_err(), "{bad:?}");
         }
-        assert!(TraceShape::Constant.validate().is_ok());
-        assert!(TraceShape::replay("some/file.json").validate().is_ok());
+        // What a generated trace costs over its horizon: a step under
+        // 2 ns, more emitted steps than the cap, a ramp longer than it.
+        for (label, duration_s) in [
+            ("square:1e-9", 1),
+            ("osc:4x1e-9", 1),
+            ("square:2e-9", 1),
+            ("square:0.001", 1_001),
+            ("osc:2x0.5", 500_001),
+            ("osc:100000000000x1", 1),
+            ("osc:1000001x1", 1),
+        ] {
+            let shape = TraceShape::parse(label).unwrap();
+            let err = shape.validate(duration_s).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("{:?}", shape.label())),
+                "{label}: {err}"
+            );
+        }
+        for (label, duration_s) in [
+            ("square:0.001", 1_000),
+            ("osc:1000000x1", 1),
+            ("osc:2x0.5", 500_000),
+        ] {
+            let shape = TraceShape::parse(label).unwrap();
+            assert!(shape.validate(duration_s).is_ok(), "{label}");
+        }
+        assert!(TraceShape::Constant.validate(u64::MAX).is_ok());
+        assert!(TraceShape::replay("some/file.json").validate(1).is_ok());
     }
 
     #[test]
@@ -818,21 +861,33 @@ mod tests {
         assert!(matches!(err, Err(SpecError::Json { .. })), "{err:?}");
         std::fs::remove_file(&not_json).ok();
 
-        for (body, what) in [
-            (r#"{"samples":[]}"#, "empty samples"),
-            (r#"{"samples":[[0.0,5.0],[0.0,6.0]]}"#, "non-monotone times"),
-            (r#"{"samples":[[0.0,0.0]]}"#, "zero rate"),
-            (r#"{"samples":[[0.0,5.0]],"smaples":1}"#, "unknown field"),
-            (r#"{"samples":[[0.0]]}"#, "short row"),
-            (r#"{"samples":"x"}"#, "samples not an array"),
-            (r#"[]"#, "not an object"),
+        // A document the trace file's schema refuses does not parse;
+        // samples it accepts but the simulator cannot replay are invalid.
+        for (body, what, invalid) in [
+            (r#"{"samples":[]}"#, "empty samples", true),
+            (
+                r#"{"samples":[[0.0,5.0],[0.0,6.0]]}"#,
+                "non-monotone times",
+                true,
+            ),
+            (r#"{"samples":[[0.0,0.0]]}"#, "zero rate", true),
+            (
+                r#"{"samples":[[0.0,5.0]],"smaples":1}"#,
+                "unknown field",
+                false,
+            ),
+            (r#"{"samples":[[0.0]]}"#, "short row", false),
+            (r#"{"samples":"x"}"#, "samples not an array", false),
+            (r#"[]"#, "not an object", false),
         ] {
             let path = temp_trace_file(body);
             let err = TraceShape::replay(path.to_str().unwrap()).resolved();
-            assert!(
-                matches!(err, Err(SpecError::InvalidSpec { .. })),
-                "{what}: {err:?}"
-            );
+            let typed = if invalid {
+                matches!(err, Err(SpecError::InvalidSpec { .. }))
+            } else {
+                matches!(err, Err(SpecError::Json { .. }))
+            };
+            assert!(typed, "{what}: {err:?}");
             std::fs::remove_file(&path).ok();
         }
     }

@@ -159,15 +159,19 @@ impl BandwidthTrace {
         assert!(dwell_s > 0.0, "oscillating trace needs a positive dwell");
         let n = steps_per_ramp.max(1);
         let level = |i: usize| lo_bps + (hi_bps - lo_bps) * i as f64 / n as f64;
-        // One period: lo → hi inclusive, then back down exclusive of
-        // both endpoints (they belong to the neighbouring ramps).
-        let mut cycle: Vec<f64> = (0..=n).map(level).collect();
-        cycle.extend((1..n).rev().map(level));
+        // One period is 2n levels: lo → hi inclusive, then back down
+        // exclusive of both endpoints (they belong to the neighbouring
+        // ramps). Step k holds the (k mod 2n)-th, computed from k, so a
+        // trace costs the steps it emits whatever n is.
+        let level_of = |k: usize| {
+            let j = n.checked_mul(2).map_or(k, |period| k % period);
+            level(if j <= n { j } else { 2 * n - j })
+        };
         let mut steps = Vec::new();
         let mut t = 0.0;
         let mut k = 0usize;
         while t < total_s {
-            steps.push((SimTime::from_secs_f64(t), cycle[k % cycle.len()]));
+            steps.push((SimTime::from_secs_f64(t), level_of(k)));
             k += 1;
             t += dwell_s;
         }
@@ -328,6 +332,27 @@ mod tests {
         assert_eq!(at(3.5), 15e6);
         assert_eq!(at(4.5), 10e6, "period restarts at lo");
         assert_eq!(tr.max_rate(), 20e6);
+    }
+
+    /// Each level is computed from its step's index: the same rates as
+    /// walking the materialized 2n-level cycle, and a ramp of
+    /// `usize::MAX` steps costs only the steps the horizon holds.
+    #[test]
+    fn oscillating_levels_follow_the_cycle_without_building_it() {
+        let (lo, hi) = (10e6, 20e6);
+        for n in 1..=6usize {
+            let level = |i: usize| lo + (hi - lo) * i as f64 / n as f64;
+            let mut cycle: Vec<f64> = (0..=n).map(level).collect();
+            cycle.extend((1..n).rev().map(level));
+            let tr = BandwidthTrace::oscillating(lo, hi, n, 1.0, 40.0);
+            for k in 0..40 {
+                let at = SimTime::from_secs_f64(k as f64 + 0.5);
+                assert_eq!(tr.rate_at(at).to_bits(), cycle[k % cycle.len()].to_bits());
+            }
+        }
+        let tr = BandwidthTrace::oscillating(lo, hi, usize::MAX, 1.0, 3.0);
+        assert_eq!(tr.steps.len(), 3);
+        assert_eq!(tr.rate_at(SimTime::ZERO), lo);
     }
 
     #[test]

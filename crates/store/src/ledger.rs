@@ -18,7 +18,7 @@
 
 use crate::store::{is_object_rel_path, validate_key};
 use serde::json::{self, ObjectWriter, Parser};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize};
 use std::collections::BTreeMap;
 
 /// What happened to a key. Its ledger label is the variant's name in
@@ -67,20 +67,6 @@ pub struct LedgerEntry {
 
 // Hand-written: the decoder refuses a present `null`, and `write_entry` is the lookup hot path.
 impl Serialize for LedgerEntry {
-    fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        if let Some(content) = &self.content {
-            obj.insert("content".to_string(), content.to_value());
-        }
-        obj.insert("event".to_string(), Value::Str(self.event.label().into()));
-        obj.insert("key".to_string(), self.key.to_value());
-        if let Some(path) = &self.path {
-            obj.insert("path".to_string(), path.to_value());
-        }
-        obj.insert("ts".to_string(), self.ts.to_value());
-        Value::Obj(obj)
-    }
-
     fn write_json(&self, out: &mut String) {
         write_entry(
             out,
@@ -94,8 +80,8 @@ impl Serialize for LedgerEntry {
 }
 
 /// Streams one entry from borrowed fields (the store appends lookup
-/// lines without building a [`LedgerEntry`]): the keys of
-/// [`LedgerEntry::to_value`], in its map's order.
+/// lines without building a [`LedgerEntry`]): its keys in byte order,
+/// `content` and `path` only when present.
 pub(crate) fn write_entry(
     out: &mut String,
     key: &str,
@@ -119,34 +105,11 @@ pub(crate) fn write_entry(
 
 // Hand-written: a present `null` `content` or `path` is refused, unlike an `Option` field.
 impl<'de> Deserialize<'de> for LedgerEntry {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let Value::Obj(obj) = v else {
-            return Err(SerdeError::custom(format!(
-                "expected ledger entry object, got {v:?}"
-            )));
-        };
-        let content: Option<String> = match obj.get("content") {
-            None => None,
-            Some(v) => Some(String::from_value(v).map_err(SerdeError::custom)?),
-        };
-        let path: Option<String> = match obj.get("path") {
-            None => None,
-            Some(v) => Some(String::from_value(v).map_err(SerdeError::custom)?),
-        };
-        Ok(LedgerEntry {
-            key: serde::from_field(obj, "key", "LedgerEntry")?,
-            event: serde::from_field(obj, "event", "LedgerEntry")?,
-            content,
-            path,
-            ts: serde::from_field(obj, "ts", "LedgerEntry")?,
-        })
-    }
-
-    /// The same rules without the tree: `content` and `path` may be
-    /// absent but, when present, must be strings (not `null`).
+    /// `content` and `path` may be absent but, when present, must be
+    /// strings (not `null`).
     fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
         if p.peek_token() != Some(b'{') {
-            return json::from_tree(p);
+            return json::mismatch(p, |v| format!("expected ledger entry object, got {v:?}"));
         }
         let (mut key, mut event, mut ts) = (None, None, None);
         let (mut content, mut path) = (None::<Result<String, _>>, None::<Result<String, _>>);

@@ -1,4 +1,4 @@
-//! The streaming JSON codec against the tree it replaces, over the
+//! The streamed JSON codec against the tree derived from it, over the
 //! workspace's real types and real files.
 //!
 //! `vendor/serde_json/tests/parity.rs` holds the std impls and the
@@ -7,7 +7,8 @@
 //! shipped schemas — reports, `TrainSpec` and its tag and defaults,
 //! `PolicySpec` inside every experiment spec, `Ppo` and
 //! `GaussianPolicy` inside a checkpoint, the cache-key identity — and
-//! the hand-written `LedgerEntry` to the same two rules:
+//! the hand-written `ExperimentSpec` and `LedgerEntry` to the same two
+//! rules:
 //!
 //! - **out**: `serde_json::to_string(x)` is the tree rendering of
 //!   `x.to_value()`;
