@@ -3,8 +3,7 @@
 //! Each name runs one figure; no name runs them all, in order, in this
 //! process, so the models the first figure trains (cached under
 //! `target/mocc-cache/`, or `$MOCC_CACHE_DIR`) are parsed once and
-//! shared by the rest. `MOCC_BENCH_FULL=1` selects the paper-scale
-//! (slow) experiments. A failure is one `error: …` line and exit
+//! shared by the rest. A failure is one `error: …` line and exit
 //! status 1.
 
 use mocc_bench::figures as f;

@@ -11,7 +11,7 @@
 //! the other figures); the first run trains it once, and the
 //! experiment itself is a declarative [`ExperimentSpec`] whose policy
 //! section points at that cache file — the same document `mocc run`
-//! would accept. Set `MOCC_BENCH_FULL=1` for longer horizons.
+//! would accept.
 
 use mocc_eval::{
     fmt_opt_metric, CompetitionSpec, ContenderMix, ExperimentSpec, MoccPrefSpec, PolicySpec,
@@ -20,14 +20,13 @@ use mocc_eval::{
 
 /// Prints the competition matrix.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
     // Train (or load) the cached agent so the spec's policy path
     // resolves.
     super::trained_mocc()?;
     let agent_path = super::cached(super::MOCC_AGENT_FILE)?;
-    let duration_s: u64 = if full { 60 } else { 24 };
+    let duration_s: u64 = 24;
 
-    let mut mixes = vec![
+    let mixes = vec![
         // Mixed-preference MOCC pairs (Figs. 13-14 methodology).
         ContenderMix::duel("mocc:thr", "mocc:lat"),
         ContenderMix::duel("mocc:thr", "mocc:bal"),
@@ -41,10 +40,6 @@ pub fn run() -> Result<(), String> {
         ContenderMix::staircase("mocc:bal", 3, 4.0),
         ContenderMix::staircase("cubic", 3, 4.0),
     ];
-    if full {
-        mixes.push(ContenderMix::staircase("mocc:bal", 4, 6.0));
-        mixes.push(ContenderMix::staircase("cubic", 4, 6.0));
-    }
     let spec = CompetitionSpec {
         mixes,
         bandwidth_mbps: vec![12.0],

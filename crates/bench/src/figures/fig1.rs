@@ -73,7 +73,7 @@ pub fn run() -> Result<(), String> {
     }
 
     println!("\n== Figure 1(c): Aurora re-training from scratch ==");
-    let iters = if crate::full_scale() { 600 } else { 250 };
+    let iters = 250;
     let mut rng = StdRng::seed_from_u64(5);
     let mut aurora = AuroraAgent::new(MoccConfig::default(), Preference::latency(), &mut rng);
     let t0 = Stopwatch::start();

@@ -21,10 +21,7 @@ fn compete(schemes: &[Scheme], sc: Scenario) -> Vec<FlowResult> {
 
 /// Prints Figures 11 to 15.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
-    let stagger = if full { 100.0 } else { 40.0 };
-    let dur: u64 = if full { 400 } else { 160 };
-    let duel_s = if full { 60 } else { 30 };
+    let (stagger, dur, duel_s) = (40.0, 160, 30);
     let (thr, balance, latency) = (
         Scheme::mocc(Preference::throughput())?,
         Scheme::mocc(Preference::balanced())?,

@@ -2,9 +2,9 @@
 //!
 //! Pre-trains MOCC with different landmark counts (simplex steps 1/4,
 //! 1/5, 1/6, 1/10 → ω = 3, 6, 10, 36; the paper's ω = 171 point is
-//! enabled at full scale) and reports the reward distribution over
-//! random objectives plus the training cost — the quality/cost
-//! trade-off that makes ω = 36 the paper's choice.
+//! not run) and reports the reward distribution over random objectives
+//! plus the training cost — the quality/cost trade-off that makes
+//! ω = 36 the paper's choice.
 
 use super::{
     cached, default_train_spec, header, load_or_train, percentile_row, train_mocc, trained_mocc,
@@ -15,16 +15,7 @@ use mocc_netsim::metrics::mean;
 
 /// Prints Figure 16.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
-    let steps: &[usize] = if full {
-        &[4, 5, 6, 10, 20]
-    } else {
-        &[4, 5, 6, 10]
-    };
-    let n_objectives = if full { 60 } else { 25 };
-    let n_conditions = if full { 6 } else { 3 };
-
-    let cases = Cases::draw(99, n_objectives, n_conditions, 20);
+    let cases = Cases::draw(99, 25, 3, 20);
 
     println!("== Figure 16: reward vs number of landmark objectives (omega) ==");
     let cols = ["p25", "p50", "p75", "mean", "train s", "iters"];
@@ -36,7 +27,7 @@ pub fn run() -> Result<(), String> {
     // hence the same bytes.
     let default_cfg = default_train_spec().resolved_config();
     let default_step = default_cfg.map_err(|e| e.to_string())?.omega_step;
-    for &k in steps {
+    for k in [4, 5, 6, 10] {
         let omega = mocc_core::landmark_count(k);
         let spec = TrainSpec {
             name: format!("fig16-omega-{omega}"),

@@ -17,10 +17,7 @@ use std::sync::Arc;
 
 /// Prints Figure 18.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
-    let episodes = if full { 600 } else { 250 };
-    let n_objectives = if full { 40 } else { 20 };
-    let n_conditions = if full { 5 } else { 3 };
+    let (episodes, n_objectives, n_conditions) = (250, 20, 3);
 
     let ppo_agent = trained_mocc()?;
 

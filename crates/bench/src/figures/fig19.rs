@@ -12,15 +12,14 @@ use mocc_core::{TrainRegime, TrainSpec};
 
 /// Prints Figure 19.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
     // A reduced-but-proportional budget: individual training gives each
     // of the ω landmarks the full bootstrap budget; transfer gives it
     // only to the 3 pivots plus a few traversal iterations per landmark.
     let base = TrainSpec {
         seed: 7,
         config: "default".to_string(),
-        omega_step: Some(if full { 10 } else { 6 }), // ω = 36 or 10
-        boot_iters: Some(if full { 100 } else { 40 }),
+        omega_step: Some(6), // ω = 10
+        boot_iters: Some(40),
         traverse_iters: Some(2),
         traverse_cycles: Some(2),
         rollout_steps: Some(200),
@@ -43,7 +42,8 @@ pub fn run() -> Result<(), String> {
         ("transfer+parallel", TrainRegime::Transfer, 4),
     ] {
         let spec = TrainSpec {
-            name: format!("fig19-{}-x{batch_envs}", mocc_core::regime_label(regime)),
+            // `+` is outside the spec-name alphabet.
+            name: format!("fig19-{}", name.replace('+', "-")),
             regime,
             batch_envs,
             ..base.clone()

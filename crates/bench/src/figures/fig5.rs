@@ -107,7 +107,7 @@ fn run_panel(
 
 /// Prints Figure 5.
 pub fn run() -> Result<(), String> {
-    let dur: u64 = if crate::full_scale() { 60 } else { 30 };
+    let dur: u64 = 30;
     // Building the registry trains/loads every cached model once, up
     // front, before the parallel sweep workers need them.
     let registry = figure_registry()?;

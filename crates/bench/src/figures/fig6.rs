@@ -1,11 +1,12 @@
 //! Figure 6 — the 100-objective experiment.
 //!
-//! Draws N uniformly random objectives and M network conditions,
-//! scores every scheme's behaviour with the Eq. 2 reward under each
-//! objective, and prints the reward CDF per scheme. MOCC (offline model
-//! only, no online adaptation) should dominate; "enhanced Aurora" (a
-//! bank of fixed-objective models with nearest-preference dispatch)
-//! comes second; single-model Aurora and the heuristics trail.
+//! Draws 40 uniformly random objectives and 5 network conditions (the
+//! paper draws 100 and 10), scores every scheme's behaviour with the
+//! Eq. 2 reward under each objective, and prints the reward CDF per
+//! scheme. MOCC (offline model only, no online adaptation) should
+//! dominate; "enhanced Aurora" (a bank of fixed-objective models with
+//! nearest-preference dispatch) comes second; single-model Aurora and
+//! the heuristics trail.
 
 use super::{aurora_bank, header, percentile_row, trained_mocc, Cases, Scheme, HEURISTICS};
 use mocc_core::PolicyCc;
@@ -13,16 +14,12 @@ use mocc_netsim::metrics::mean;
 
 /// Prints Figure 6.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
-    let n_objectives = if full { 100 } else { 40 };
-    let n_conditions = if full { 10 } else { 5 };
-    let dur: u64 = if full { 30 } else { 20 };
-    let bank_size = if full { 10 } else { 6 };
+    let (n_objectives, n_conditions) = (40, 5);
 
     let mocc = trained_mocc()?;
-    let bank = aurora_bank(bank_size)?;
+    let bank = aurora_bank()?;
 
-    let cases = Cases::draw(2024, n_objectives, n_conditions, dur);
+    let cases = Cases::draw(2024, n_objectives, n_conditions, 20);
 
     println!(
         "== Figure 6: reward CDF over {n_objectives} objectives x {n_conditions} conditions = {} cases ==",
@@ -46,7 +43,7 @@ pub fn run() -> Result<(), String> {
     // the model (and hence the run) depends on the objective's nearest
     // bank member, so one run per (condition, bank member) pair.
     results.push((
-        format!("enhanced-aurora({bank_size})"),
+        format!("enhanced-aurora({})", bank.models.len()),
         cases.score(
             |_, w| bank.index_for(w),
             |w, rate| Box::new(PolicyCc::aurora(bank.best_for(w), rate)),

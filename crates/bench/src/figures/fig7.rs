@@ -20,7 +20,7 @@ use rand::SeedableRng;
 
 /// Prints Figure 7.
 pub fn run() -> Result<(), String> {
-    let iters = if crate::full_scale() { 400 } else { 240 };
+    let iters = 240;
     let eval_every = 8usize; // The paper snapshots every 8 iterations.
 
     // The "new application": an off-lattice preference never used as a

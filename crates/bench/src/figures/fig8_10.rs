@@ -31,12 +31,10 @@ fn run_app(scheme: &Scheme, initial_rate_bps: f64, sc: Scenario, app: impl AppSo
 
 /// Prints Figures 8, 9 and 10.
 pub fn run() -> Result<(), String> {
-    let full = crate::full_scale();
-
     // ---------------- Fig. 8: video streaming ----------------
     println!("== Figure 8: ABR video streaming (6 Mbps access link, 20 ms) ==");
     let cfg = VideoConfig {
-        total_chunks: if full { 25 } else { 15 },
+        total_chunks: 15,
         ..Default::default()
     };
     let cols = [
@@ -84,7 +82,7 @@ pub fn run() -> Result<(), String> {
     // ---------------- Fig. 10: bulk transfer ----------------
     println!("\n== Figure 10: bulk transfer FCT (12.5 MB file, 0.5% loss) ==");
     let cfg = BulkConfig {
-        trials: if full { 50 } else { 15 },
+        trials: 15,
         ..Default::default()
     };
     header("scheme", &["mean s", "std s", "incomplete"], 12);

@@ -129,14 +129,11 @@ fn trained_mocc() -> Result<&'static MoccAgent, String> {
     })
 }
 
-/// Iterations used when training cached Aurora models.
-fn aurora_iters() -> usize {
-    if crate::full_scale() {
-        800
-    } else {
-        400
-    }
-}
+/// Iterations used when training the cached Aurora models.
+const AURORA_ITERS: usize = 400;
+
+/// Models in the cached enhanced-Aurora bank.
+const AURORA_BANK_SIZE: usize = 6;
 
 /// The cached single-objective Aurora model `thr` (throughput
 /// preference) or `lat` (latency preference), parsed once per process.
@@ -151,7 +148,7 @@ fn trained_aurora(tag: &str) -> Result<&'static AuroraAgent, String> {
         eprintln!("[cache] training Aurora ({tag})...");
         let mut rng = StdRng::seed_from_u64(13);
         let mut agent = AuroraAgent::new(MoccConfig::default(), pref, &mut rng);
-        let _ = agent.train(ScenarioRange::training(), aurora_iters(), 13);
+        let _ = agent.train(ScenarioRange::training(), AURORA_ITERS, 13);
         Ok(agent)
     };
     once(cell, || {
@@ -160,9 +157,10 @@ fn trained_aurora(tag: &str) -> Result<&'static AuroraAgent, String> {
     })
 }
 
-/// The cached "enhanced Aurora" bank of `n` fixed-objective models
-/// (Fig. 6 uses 10).
-fn aurora_bank(n: usize) -> Result<AuroraBank, String> {
+/// The cached "enhanced Aurora" bank of [`AURORA_BANK_SIZE`]
+/// fixed-objective models (Fig. 6).
+fn aurora_bank() -> Result<AuroraBank, String> {
+    let n = AURORA_BANK_SIZE;
     let path = cached(&format!("aurora-bank-{n}.json"))?;
     load_or_train(&path, AuroraBank::from_json, || {
         eprintln!("[cache] training enhanced-Aurora bank of {n} models...");
@@ -176,7 +174,7 @@ fn aurora_bank(n: usize) -> Result<AuroraBank, String> {
             MoccConfig::default(),
             &prefs,
             ScenarioRange::training(),
-            aurora_iters() / 2,
+            AURORA_ITERS / 2,
             &mut rng,
         ))
     })

@@ -601,6 +601,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A spec `name` of 100 000 integers used to be quoted whole in its
+    /// type error, an answer twice the size of the request; the quote
+    /// is cut, and the session keeps serving.
+    #[test]
+    fn type_error_on_a_huge_value_is_shorter_than_the_request() {
+        let (dir, store) = temp_store("huge-value");
+        let ints = (0..100_000).map(|i| i.to_string()).collect::<Vec<_>>();
+        let request = format!(
+            "{{\"op\":\"run\",\"spec\":{{\"kind\":\"sweep\",\"name\":[{}],\"scheme\":\"cubic\",\
+             \"bandwidth_mbps\":[10],\"owd_ms\":[20],\"queue_pkts\":[100],\"duration_s\":2,\
+             \"seed\":1}}}}",
+            ints.join(",")
+        );
+        let input = format!("{request}\n{{\"op\":\"ping\"}}\n");
+        let (lines, _) = session(&store, input.as_bytes());
+        assert_eq!(lines.len(), 2, "{lines:#?}");
+        assert!(lines[0].len() < request.len(), "{} bytes", lines[0].len());
+        assert_eq!(
+            lines[0],
+            "{\"error\":\"bad spec: ExperimentSpec.name: expected string, got Arr([U64(0), \
+             U64(1), U64(2), U64(3), U64(4), U64(5), U64(6), U64…\",\"ok\":false}"
+        );
+        assert_eq!(lines[1], PING);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// An `onoff` load of `u64::MAX` cross flows used to abort the
     /// daemon on the allocation of its flow list (no `catch_unwind`
     /// catches that); it is one more bad request, and the session keeps

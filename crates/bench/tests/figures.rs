@@ -50,7 +50,6 @@ fn figures(args: &[&str], cache: &Path) -> Output {
         .args(args)
         .env("MOCC_CACHE_DIR", cache)
         .env("MOCC_SWEEP_THREADS", "2")
-        .env_remove("MOCC_BENCH_FULL")
         .output()
         .expect("spawn figures")
 }

@@ -78,7 +78,7 @@ pub use trainer::{
     build_schedule, load_checkpoint, train_spec, write_checkpoint, ScheduleStep, TrainCheckpoint,
     TrainOptions, TrainRun,
 };
-pub use trainspec::{regime_label, TrainSpec};
+pub use trainspec::TrainSpec;
 pub use zoo::{
     final_eval, list_models, load_model, save_trained, zoo_registry, EvalPoint, ModelProvenance,
 };

@@ -128,14 +128,6 @@ fn default_eval_episodes() -> usize {
     1
 }
 
-/// The JSON label of a [`TrainRegime`].
-pub fn regime_label(regime: TrainRegime) -> &'static str {
-    match regime {
-        TrainRegime::Individual => "individual",
-        TrainRegime::Transfer => "transfer",
-    }
-}
-
 /// The largest `omega_step`: ω = 4 851 landmarks, whose Algorithm-1
 /// ordering (quadratic in ω) takes 0.04 s. The paper's finest lattice
 /// is `omega_step` 20; 200 took 0.5 s and 800 over two minutes.
@@ -143,8 +135,9 @@ const MAX_OMEGA_STEP: usize = 100;
 
 /// The most PPO iterations one schedule may hold. The schedule, the
 /// curve and every checkpoint's copy of it grow with the count; a
-/// million is 16 MB of schedule, 200× the largest shipped run (fig16
-/// at full scale, ω = 171: 4 854 iterations).
+/// million is 16 MB of schedule, 620× the largest shipped run (the
+/// default spec, ω = 36, that the figures' MOCC agent and fig16's
+/// ω = 36 row train: 1 614 iterations by `build_schedule`).
 const MAX_SCHEDULE_LEN: usize = 1_000_000;
 
 /// The most environment steps one rollout may collect, and the most

@@ -645,7 +645,7 @@ impl Serialize for ExperimentSpec {
 impl<'de> Deserialize<'de> for ExperimentSpec {
     fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
         if p.peek_token() != Some(b'{') {
-            return json::mismatch(p, |v| format!("expected experiment object, got {v:?}"));
+            return json::mismatch(p, |v| format!("expected experiment object, got {v}"));
         }
         let mut s = Slots::default();
         let mut keys = BTreeSet::new();

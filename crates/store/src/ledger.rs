@@ -109,7 +109,7 @@ impl<'de> Deserialize<'de> for LedgerEntry {
     /// strings (not `null`).
     fn from_json(p: &mut Parser<'_>) -> Result<Self, SerdeError> {
         if p.peek_token() != Some(b'{') {
-            return json::mismatch(p, |v| format!("expected ledger entry object, got {v:?}"));
+            return json::mismatch(p, |v| format!("expected ledger entry object, got {v}"));
         }
         let (mut key, mut event, mut ts) = (None, None, None);
         let (mut content, mut path) = (None::<Result<String, _>>, None::<Result<String, _>>);

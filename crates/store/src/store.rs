@@ -788,9 +788,9 @@ impl ResultStore {
 
 /// The largest file a loader takes in: a spec document, a replay
 /// trace, a trained model, a training checkpoint or a figure's cached
-/// model. The largest the repository writes is a figure's cached Aurora
-/// bank, 3.6 MB at the default scale and about 6 MB at paper scale; a
-/// larger file than this cap is refused without a byte of it read.
+/// model. The largest file a cold `figures` run writes is Fig. 6's
+/// cached Aurora bank, 3 599 176 bytes, about an eighteenth of the cap;
+/// a larger file than this cap is refused without a byte of it read.
 pub const MAX_FILE_BYTES: u64 = 64 << 20;
 
 /// `O_NONBLOCK` on the Linux targets where it is `0o4000` (`None`

@@ -93,6 +93,45 @@ fn spec_documents_fail_with_pinned_messages() {
             sweep(r#","agent_mi":1"#),
             "spec does not parse: ExperimentSpec.agent_mi: expected bool, got U64(1)",
         ),
+        // Numbers follow RFC 8259: no leading zero, and a digit after
+        // `.` and after the exponent mark and its sign.
+        (
+            sweep(r#","bandwidth_mbps":[10.]"#),
+            "spec does not parse: bad number `10.`",
+        ),
+        (
+            sweep(r#","owd_ms":[020]"#),
+            "spec does not parse: bad number `020`",
+        ),
+        (
+            sweep(r#","owd_ms":[-01]"#),
+            "spec does not parse: bad number `-01`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[1.e5]"#),
+            "spec does not parse: bad number `1.e5`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[1e]"#),
+            "spec does not parse: bad number `1e`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[1E+]"#),
+            "spec does not parse: bad number `1E+`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[-]"#),
+            "spec does not parse: bad number `-`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[1.5.2]"#),
+            "spec does not parse: bad number `1.5.2`",
+        ),
+        (
+            sweep(r#","bandwidth_mbps":[0,0.5,10,1e1,1E+1,2.5e-1,-0.0e0]"#),
+            "ok",
+        ),
+        (sweep(r#","owd_ms":[0,20,100]"#), "ok"),
         (
             sweep(r#","name":5"#),
             "spec does not parse: ExperimentSpec.name: expected string, got U64(5)",
@@ -394,6 +433,28 @@ fn serve_request_lines_fail_with_pinned_messages() {
         (
             r#"{"op":"run","spec":[1]}"#.to_string(),
             error("bad spec: expected experiment object, got Arr([U64(1)])"),
+        ),
+        (
+            format!(
+                r#"{{"op":"run","spec":{}}}"#,
+                sweep("").replace("[10]", "[10.]").replace("[20]", "[020]")
+            ),
+            error("bad request JSON: bad number `10.`"),
+        ),
+        (
+            format!(
+                r#"{{"op":"run","spec":{}}}"#,
+                sweep("").replace("[20]", "[020]")
+            ),
+            error("bad request JSON: bad number `020`"),
+        ),
+        (
+            r#"{"op":"ping","x":[0,-0,0.5,1e1,1E+1,2.5e-1]}"#.to_string(),
+            r#"{"ok":true,"op":"ping"}"#.to_string(),
+        ),
+        (
+            r#"{"op":"ping","x":01}"#.to_string(),
+            error("bad request JSON: bad number `01`"),
         ),
         (
             r#"{"op":"nonsense","op":"ping"}"#.to_string(),
