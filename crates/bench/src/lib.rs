@@ -1,11 +1,11 @@
 //! # mocc-bench — the experiment harness
 //!
-//! Two binaries: the `mocc` CLI (`src/bin/mocc.rs`) and `figures`
-//! (`src/bin/figures.rs`), which regenerates every table and figure of
-//! the paper's §6 from the functions in [`figures`]. Performance is
-//! measured by the repository's one instrument, `benchmark/`
-//! (docs/PERFORMANCE.md), not here; this crate keeps only the two
-//! kernel-ratio gates (`tests/kernel_ratios.rs`).
+//! Two binaries: the `mocc` CLI ([`cli`], run by `src/bin/mocc.rs`)
+//! and `figures` (`src/bin/figures.rs`), which regenerates every table
+//! and figure of the paper's §6 from the functions in [`figures`].
+//! Performance is measured by the repository's one instrument,
+//! `benchmark/` (docs/PERFORMANCE.md), not here; this crate keeps only
+//! the two kernel-ratio gates (`tests/kernel_ratios.rs`).
 //!
 //! Trained models are cached under `target/mocc-cache/` so the figures
 //! share one offline training run. Delete the directory to retrain.
@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod figures;
 pub mod serve;
 pub mod timing;

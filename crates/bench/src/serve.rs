@@ -642,7 +642,7 @@ mod tests {
         assert_eq!(
             lines,
             [
-                "{\"error\":\"bad spec: ExperimentSpec.loads: invalid spec: flow load \
+                "{\"error\":\"bad spec: ExperimentSpec.loads[0]: invalid spec: flow load \
                  \\\"onoff:18446744073709551615\\\": a cell holds at most 1024 flows\",\"ok\":false}",
                 PING
             ]
