@@ -271,7 +271,8 @@ fn open_store(flags: &Flags) -> Result<ResultStore, String> {
         Some(dir) => PathBuf::from(dir),
         None => crate::cache_dir()?.join("store"),
     };
-    let store = ResultStore::open(&root).map_err(|e| format!("{}: {e}", root.display()))?;
+    // A store error names its file.
+    let store = ResultStore::open(&root).map_err(|e| e.to_string())?;
     if store.repaired_tail() {
         eprintln!(
             "[mocc] cache: repaired a half-written ledger line in {}",

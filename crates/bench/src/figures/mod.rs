@@ -279,9 +279,10 @@ fn simulator(ccs: Vec<Box<dyn CongestionControl>>, mut sc: Scenario) -> Simulato
 }
 
 /// Runs `ccs`, one per flow of `sc`, to the horizon, under the learning
-/// agents' monitor-interval convention.
+/// agents' monitor-interval convention, keeping every interval's record
+/// for [`mean_reward`].
 fn run_flows(ccs: Vec<Box<dyn CongestionControl>>, sc: Scenario) -> Vec<FlowResult> {
-    simulator(ccs, sc).run().flows
+    simulator(ccs, sc).with_mi_records().run().flows
 }
 
 /// Mean Eq. 2 reward of a run's monitor intervals under `pref`

@@ -345,9 +345,9 @@ enum FlowControl {
     Scheme(Box<dyn CongestionControl>),
 }
 
-// In both impls the simulator is a temporary of the `let`, freed
-// before the reduction, which may run a second one (a competition's
-// friendliness control).
+// In both impls the simulator is consumed by the `let`, its result
+// moved out, before the reduction, which may run a second one (a
+// competition's friendliness control).
 impl CellEvaluator for BatchMoccEvaluator<'_> {
     fn eval_batch(&self, cells: &[SweepCell]) -> Vec<CellReport> {
         cells
@@ -355,7 +355,7 @@ impl CellEvaluator for BatchMoccEvaluator<'_> {
             .map(|cell| {
                 let res = self
                     .simulate(&cell.scenario, self.sweep_controls(cell))
-                    .result();
+                    .into_result();
                 CellReport::from_sim(cell, &res)
             })
             .collect()
@@ -374,7 +374,7 @@ impl CompetitionEvaluator for BatchMoccEvaluator<'_> {
             .map(|cell| {
                 let res = self
                     .simulate(&cell.scenario, self.competition_controls(cell))
-                    .result();
+                    .into_result();
                 self.controls.report(cell, &res, self.registry)
             })
             .collect()

@@ -172,6 +172,13 @@ pub fn cell_tx_divisions(exp: &ExperimentSpec, index: usize) -> Result<u64, Spec
     cell_probe(exp, index, Simulator::tx_divisions)
 }
 
+/// The bytes of per-interval data cell `index` of a sweep spec retains
+/// at its horizon ([`Simulator::record_bytes`]), simulated as
+/// [`cell_event_counts`] simulates it.
+pub fn cell_record_bytes(exp: &ExperimentSpec, index: usize) -> Result<u64, SpecError> {
+    cell_probe(exp, index, Simulator::record_bytes)
+}
+
 /// What `probe` reads off the finished simulator of cell `index` of a
 /// sweep spec.
 fn cell_probe<T>(

@@ -181,8 +181,7 @@ impl CellReport {
         let mi_rtts: Vec<f64> = res
             .flows
             .iter()
-            .flat_map(|f| f.mi_records.iter())
-            .map(|r| r.mean_rtt_ms)
+            .flat_map(|f| f.mi_rtt_ms.iter().copied())
             .filter(|&r| r > 0.0)
             .collect();
         let p95_rtt_ms = percentile(&mi_rtts, 95.0);

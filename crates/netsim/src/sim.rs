@@ -500,6 +500,9 @@ impl OutstandingRing {
 }
 
 /// One monitor-interval record kept for post-hoc analysis and plotting.
+/// A flow keeps one per interval only in a simulator built with
+/// [`Simulator::with_mi_records`]; every simulator keeps each
+/// interval's [`Self::mean_rtt_ms`] ([`FlowResult::mi_rtt_ms`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MiRecord {
     /// Interval end time, seconds.
@@ -566,6 +569,8 @@ struct FlowState {
     mi_rtt_samples: Vec<(f64, f64)>,
     // Outputs.
     per_sec_acked_bits: Vec<f64>,
+    mi_rtt_ms: Vec<f64>,
+    /// Empty unless the simulator keeps records.
     mi_records: Vec<MiRecord>,
 }
 
@@ -619,6 +624,7 @@ impl FlowState {
             mi_acked_bytes: 0,
             mi_rtt_samples: Vec::new(),
             per_sec_acked_bits: Vec::new(),
+            mi_rtt_ms: Vec::new(),
             mi_records: Vec::new(),
         }
     }
@@ -722,7 +728,16 @@ pub struct FlowResult {
     pub fct: Option<SimDuration>,
     /// Delivered megabits in each whole second of simulated time.
     pub per_sec_mbits: Vec<f64>,
-    /// Per-monitor-interval records.
+    /// Mean RTT of each monitor interval, milliseconds (0 for an
+    /// interval with no ACKs): the [`MiRecord::mean_rtt_ms`] series,
+    /// kept by every simulator. The codec skips it: a result's JSON
+    /// holds these values in its records, when it has them.
+    #[serde(skip)]
+    pub mi_rtt_ms: Vec<f64>,
+    /// Per-monitor-interval records, kept only by a simulator built with
+    /// [`Simulator::with_mi_records`] and moved out by
+    /// [`Simulator::into_result`] (or [`Simulator::run`]); empty
+    /// otherwise, and in every [`Simulator::result`].
     pub mi_records: Vec<MiRecord>,
     /// Total packets sent.
     pub total_sent: u64,
@@ -783,6 +798,9 @@ pub struct Simulator {
     /// Service times and pacing gaps computed, not recalled
     /// ([`Self::tx_divisions`]).
     tx_divisions: u64,
+    /// Whether flows keep a [`MiRecord`] per monitor interval
+    /// ([`Self::with_mi_records`]).
+    keep_mi_records: bool,
 }
 
 impl Simulator {
@@ -820,7 +838,17 @@ impl Simulator {
             rng,
             loss_scratch: Vec::new(),
             tx_divisions: 0,
+            keep_mi_records: false,
         }
+    }
+
+    /// This simulator, with every flow keeping a full [`MiRecord`] per
+    /// monitor interval for its result ([`FlowResult::mi_records`]), 72
+    /// bytes each beside the 8 of the mean-RTT series every flow keeps.
+    /// For callers that read more of an interval than its mean RTT.
+    pub fn with_mi_records(mut self) -> Self {
+        self.keep_mi_records = true;
+        self
     }
 
     /// Replaces the application source of `flow` (default: greedy bulk).
@@ -861,6 +889,20 @@ impl Simulator {
     /// function of the scenario and its controllers.
     pub fn tx_divisions(&self) -> u64 {
         self.tx_divisions
+    }
+
+    /// The bytes of per-interval data the flows retain so far: 8 per
+    /// monitor interval for the mean-RTT series, and 72 more with
+    /// [`Self::with_mi_records`]. Like [`Self::event_counts`], a pure
+    /// function of the scenario and its controllers.
+    pub fn record_bytes(&self) -> u64 {
+        self.flows
+            .iter()
+            .map(|fl| {
+                fl.mi_rtt_ms.len() * std::mem::size_of::<f64>()
+                    + fl.mi_records.len() * std::mem::size_of::<MiRecord>()
+            })
+            .sum::<usize>() as u64
     }
 
     /// Minimum RTT observed so far by `flow`.
@@ -1176,18 +1218,22 @@ impl Simulator {
         }
         self.check_timeouts(f);
         let stats = self.compute_mi_stats(f);
-        let pacing_rate_bps = self.flows[f].ctl.pacing_rate_bps;
-        self.flows[f].mi_records.push(MiRecord {
-            t_s: stats.end.as_secs_f64(),
-            throughput_bps: stats.throughput_bps,
-            sending_rate_bps: stats.sending_rate_bps,
-            mean_rtt_ms: stats.mean_rtt.map(|r| r.as_millis_f64()).unwrap_or(0.0),
-            loss_rate: stats.loss_rate,
-            send_ratio: stats.send_ratio,
-            latency_ratio: stats.latency_ratio,
-            latency_gradient: stats.latency_gradient,
-            pacing_rate_bps,
-        });
+        let mean_rtt_ms = stats.mean_rtt.map(|r| r.as_millis_f64()).unwrap_or(0.0);
+        let fl = &mut self.flows[f];
+        fl.mi_rtt_ms.push(mean_rtt_ms);
+        if self.keep_mi_records {
+            fl.mi_records.push(MiRecord {
+                t_s: stats.end.as_secs_f64(),
+                throughput_bps: stats.throughput_bps,
+                sending_rate_bps: stats.sending_rate_bps,
+                mean_rtt_ms,
+                loss_rate: stats.loss_rate,
+                send_ratio: stats.send_ratio,
+                latency_ratio: stats.latency_ratio,
+                latency_gradient: stats.latency_gradient,
+                pacing_rate_bps: fl.ctl.pacing_rate_bps,
+            });
+        }
         if self.flows[f].active {
             self.with_cc(f, |cc, v, ctl| cc.on_monitor(v, &stats, ctl));
             self.try_send(f);
@@ -1313,7 +1359,7 @@ impl Simulator {
     /// Runs the simulation to the horizon and returns per-flow results.
     pub fn run(mut self) -> SimResult {
         while self.process_next().is_some() {}
-        self.result()
+        self.into_result()
     }
 
     /// Advances until the next monitor interval of `flow` completes.
@@ -1341,8 +1387,31 @@ impl Simulator {
         }
     }
 
-    /// Builds the final [`SimResult`] from the current state.
+    /// The [`SimResult`] of the current state, each flow's mean-RTT
+    /// series copied. Records stay in the simulator: a result's
+    /// [`FlowResult::mi_records`] comes only from [`Self::into_result`].
     pub fn result(&self) -> SimResult {
+        let mut res = self.totals();
+        for (r, fl) in res.flows.iter_mut().zip(&self.flows) {
+            r.mi_rtt_ms = fl.mi_rtt_ms.clone();
+        }
+        res
+    }
+
+    /// The [`SimResult`] of the current state, each flow's per-interval
+    /// series moved out rather than copied.
+    pub fn into_result(mut self) -> SimResult {
+        let mut res = self.totals();
+        for (r, fl) in res.flows.iter_mut().zip(&mut self.flows) {
+            r.mi_rtt_ms = std::mem::take(&mut fl.mi_rtt_ms);
+            r.mi_records = std::mem::take(&mut fl.mi_records);
+        }
+        res
+    }
+
+    /// The [`SimResult`] of the current state without its per-interval
+    /// series.
+    fn totals(&self) -> SimResult {
         let horizon = SimTime::ZERO + self.scenario.duration;
         let link_mean = self.scenario.link.trace.mean_rate(horizon);
         let base_rtt = self.scenario.link.base_rtt();
@@ -1385,7 +1454,8 @@ impl Simulator {
                     },
                     fct: fl.finish_time.map(|t| t - fl.spec.start),
                     per_sec_mbits: fl.per_sec_acked_bits.iter().map(|b| b / 1e6).collect(),
-                    mi_records: fl.mi_records.clone(),
+                    mi_rtt_ms: Vec::new(),
+                    mi_records: Vec::new(),
                     total_sent: fl.total_sent,
                     total_acked: fl.total_acked,
                     total_lost: fl.total_lost,
@@ -1745,6 +1815,7 @@ mod tests {
                 Box::new(FixedRate::new(12e6)),
             ],
         )
+        .with_mi_records()
         .run();
         let counts: Vec<[u64; 5]> = res
             .flows
@@ -1763,6 +1834,31 @@ mod tests {
             counts,
             [[4001, 3048, 914, 39, 103], [2000, 932, 1068, 0, 58]]
         );
+    }
+
+    /// The 161 intervals of the scenario above retain 8 bytes each, and
+    /// 80 with records: the mean-RTT series and one [`MiRecord`].
+    #[test]
+    fn record_bytes_count_what_the_flows_keep() {
+        let run = |records: bool| {
+            let mut sc = Scenario::dumbbell(12e6, 10, 20, 2, 0.0, 4);
+            sc.flows[1].stop = Some(SimTime::from_secs(2));
+            let ccs: Vec<Box<dyn CongestionControl>> = vec![
+                Box::new(FixedRate::new(12e6)),
+                Box::new(FixedRate::new(12e6)),
+            ];
+            let mut sim = Simulator::new(sc, ccs);
+            if records {
+                sim = sim.with_mi_records();
+            }
+            while sim.process_next().is_some() {}
+            sim
+        };
+        assert_eq!(run(false).record_bytes(), 8 * 161);
+        assert_eq!(run(true).record_bytes(), 80 * 161);
+        let snapshot = run(true).result();
+        assert_eq!(snapshot.flows[0].mi_rtt_ms.len(), 103);
+        assert!(snapshot.flows[0].mi_records.is_empty());
     }
 
     /// A source that never has data and asks to be woken 50 ms out on

@@ -98,11 +98,20 @@ impl Folded {
     /// this handle had it folded — two processes' appends met on a
     /// half-written tail, say, and a `put` line this index took in was
     /// lost to it — so nothing remembered about it is trusted.
+    /// Every error names the ledger.
     fn catch_up(&mut self, root: &Path) -> io::Result<bool> {
-        let Some(mut file) = open_ledger(root)? else {
-            *self = Folded::default();
-            return Ok(false);
-        };
+        let path = root.join(LEDGER_FILE);
+        match open_ledger(&path)? {
+            Some(file) => self.fold_from(file).map_err(naming(&path)),
+            None => {
+                *self = Folded::default();
+                Ok(false)
+            }
+        }
+    }
+
+    /// [`Self::catch_up`] with the ledger open.
+    fn fold_from(&mut self, mut file: std::fs::File) -> io::Result<bool> {
         // Nothing folded or indexed yet (every `open`): the first fold
         // below is the fold from the start.
         let from_start = self.offset == 0 && self.index.is_empty();
@@ -294,10 +303,11 @@ impl ResultStore {
     /// Opens (creating if necessary) a store rooted at `root`: folds
     /// the whole ledger once, into the key index and the counts
     /// [`ResultStore::stats`] reports, and repairs a crash-truncated
-    /// ledger tail.
+    /// ledger tail. An error names the file or directory it is about.
     pub fn open(root: impl AsRef<Path>) -> io::Result<Self> {
         let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(root.join(OBJECTS_DIR))?;
+        let objects = root.join(OBJECTS_DIR);
+        std::fs::create_dir_all(&objects).map_err(naming(&objects))?;
         let mut folded = Folded::default();
         let repaired_tail = folded.catch_up(&root)?;
         if repaired_tail {
@@ -305,10 +315,12 @@ impl ResultStore {
             // appends start on a fresh line. Cut in place — the lines
             // before it are never rewritten, so a second crash here
             // cannot lose them.
+            let ledger = root.join(LEDGER_FILE);
             std::fs::OpenOptions::new()
                 .write(true)
-                .open(root.join(LEDGER_FILE))?
-                .set_len(folded.offset)?;
+                .open(&ledger)
+                .and_then(|file| file.set_len(folded.offset))
+                .map_err(naming(&ledger))?;
         }
         Ok(ResultStore {
             root,
@@ -925,19 +937,25 @@ impl WalkedObject<'_> {
     }
 }
 
-/// The store's ledger at `root`, opened for reading once a `stat` has
+/// The store's ledger at `path`, opened for reading once a `stat` has
 /// shown it is a regular file (symlinks followed); `None` when there is
 /// no ledger yet. Anything else is an error of kind `InvalidData`
 /// naming it, and is not opened: a FIFO's open waits for a writer
-/// forever, and a device such as `/dev/zero` reads without end.
-fn open_ledger(root: &Path) -> io::Result<Option<std::fs::File>> {
-    let path = root.join(LEDGER_FILE);
-    match std::fs::metadata(&path) {
-        Ok(meta) if meta.is_file() => std::fs::File::open(&path).map(Some),
-        Ok(_) => Err(not_a_regular_ledger(&path)),
+/// forever, and a device such as `/dev/zero` reads without end. Every
+/// error names the ledger.
+fn open_ledger(path: &Path) -> io::Result<Option<std::fs::File>> {
+    match std::fs::metadata(path) {
+        Ok(meta) if meta.is_file() => std::fs::File::open(path).map(Some).map_err(naming(path)),
+        Ok(_) => Err(not_a_regular_ledger(path)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
+        Err(e) => Err(naming(path)(e)),
     }
+}
+
+/// `e`, of the same kind, prefixed with `path`: how a store error names
+/// the file it is about, once.
+fn naming(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 /// The error naming a ledger at `path` that is not a regular file.
@@ -955,9 +973,10 @@ fn not_a_regular_ledger(path: &Path) -> io::Error {
 /// no ledger yet. `verify` and `gc` read it from disk, not from the
 /// in-memory fold, so damage inflicted after `open` is visible to them.
 fn read_ledger(root: &Path) -> io::Result<String> {
+    let path = root.join(LEDGER_FILE);
     let mut text = String::new();
-    if let Some(mut file) = open_ledger(root)? {
-        file.read_to_string(&mut text)?;
+    if let Some(mut file) = open_ledger(&path)? {
+        file.read_to_string(&mut text).map_err(naming(&path))?;
     }
     Ok(text)
 }

@@ -179,6 +179,7 @@ fn deployed_policy_results_match_the_pinned_digests() {
         Scenario::single(6e6, 15, 120, 0.01, 8),
         vec![Box::new(PolicyCc::mocc(&agent, Preference::latency(), 1e6))],
     )
+    .with_mi_records()
     .run();
     assert!(one.flows[0].mi_records.len() > 100);
     let two = Simulator::new(
@@ -188,11 +189,13 @@ fn deployed_policy_results_match_the_pinned_digests() {
             Box::new(PolicyCc::mocc(&agent, Preference::latency(), 2e6)),
         ],
     )
+    .with_mi_records()
     .run();
     let plain = Simulator::new(
         Scenario::single(4e6, 25, 300, 0.0, 8),
         vec![Box::new(PolicyCc::aurora(&aurora, 1e6))],
     )
+    .with_mi_records()
     .run();
 
     // The library facade, fed a fixed integer-derived status sequence

@@ -16,15 +16,16 @@
 //! scheduling-dependent nondeterminism fails the build.
 
 use mocc::core::{
-    cell_event_counts, cell_tx_divisions, evaluator_from_policy, run_experiment,
+    cell_event_counts, cell_record_bytes, cell_tx_divisions, evaluator_from_policy, run_experiment,
     run_experiment_cached, run_experiment_with, RunOptions,
 };
 use mocc::eval::{
     CellReport, CompetitionSpec, ContenderMix, ControlRuns, ExperimentSpec, FlowLoad, MoccPrefSpec,
-    PolicySpec, SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec, TraceShape,
+    PolicySpec, SchemeCtx, SchemeRegistry, SchemeSpec, SweepReport, SweepRunner, SweepSpec,
+    TraceShape,
 };
 use mocc::netsim::cc::Aimd;
-use mocc::netsim::EventCounts;
+use mocc::netsim::{EventCounts, Scenario, SimResult, Simulator};
 use mocc::store::{sha256_hex, ResultStore};
 use std::path::PathBuf;
 
@@ -813,6 +814,100 @@ fn tx_divisions_match_the_pinned_literals() {
     let cubic = constant_cubic_cell();
     assert_eq!(cell_tx_divisions(&cubic, 0).unwrap(), 1);
     assert_eq!(cell_event_counts(&cubic, 0).unwrap().departure, 4947);
+}
+
+/// Exact bytes of per-interval data a sweep cell retains at its horizon
+/// (`Simulator::record_bytes`): 8 per monitor interval, the mean RTT
+/// that `p95_rtt_ms` reads, over the 225 intervals of cell 100 of
+/// [`pinned_vivace_grid`] and the 44 of the constant-link cubic cell.
+/// While every flow kept a 72-byte `MiRecord` per interval, these read
+/// 16 200 and 3 168.
+#[test]
+fn record_bytes_match_the_pinned_literals() {
+    assert_eq!(cell_record_bytes(&pinned_vivace_grid(), 100).unwrap(), 1800);
+    assert_eq!(cell_record_bytes(&constant_cubic_cell(), 0).unwrap(), 352);
+}
+
+/// A flow's mean-RTT series is its records' `mean_rtt_ms`, bit for bit,
+/// and a simulator that keeps no records gives every other field of
+/// every flow result unchanged: every registry scheme on a seeded grid,
+/// every cell of [`pinned_vivace_grid`] and one competition cell.
+#[test]
+fn the_mean_rtt_series_is_the_records_own() {
+    let registry = SchemeRegistry::builtin();
+    let mut cases: Vec<(String, Scenario, Vec<String>)> = Vec::new();
+    let grid = SweepSpec {
+        bandwidth_mbps: vec![6.0, 24.0],
+        owd_ms: vec![10, 40],
+        queue_pkts: vec![100],
+        loss: vec![0.0, 0.01],
+        shapes: vec![
+            TraceShape::Constant,
+            TraceShape::Oscillating {
+                steps: 2,
+                dwell_s: 1.0,
+            },
+        ],
+        loads: vec![FlowLoad::Steady(2), FlowLoad::OnOffCross(1)],
+        duration_s: 3,
+        mss_bytes: 1500,
+        seed: 17,
+        agent_mi: true,
+    };
+    for name in registry.names() {
+        for cell in grid.expand() {
+            let flows = cell.scenario.flows.len();
+            cases.push((
+                format!("{name} cell {}", cell.index),
+                cell.scenario,
+                vec![name.to_string(); flows],
+            ));
+        }
+    }
+    let vivace = pinned_vivace_grid().to_sweep_spec().expect("a sweep");
+    for cell in vivace.expand() {
+        let flows = cell.scenario.flows.len();
+        cases.push((
+            format!("pcc-vivace grid cell {}", cell.index),
+            cell.scenario,
+            vec!["pcc-vivace".to_string(); flows],
+        ));
+    }
+    let competition = CompetitionSpec {
+        mixes: vec![ContenderMix::staircase("bbr", 3, 1.0)],
+        duration_s: 6,
+        ..CompetitionSpec::quick()
+    };
+    let cell = competition.expand().swap_remove(0);
+    cases.push((cell.mix.label(), cell.scenario, cell.labels));
+    for (what, scenario, labels) in cases {
+        let run = |records: bool| -> SimResult {
+            let ctx = SchemeCtx::of(&scenario);
+            let ccs = labels
+                .iter()
+                .map(|l| registry.instantiate_label(l, &ctx).unwrap())
+                .collect();
+            let sim = Simulator::new(scenario.clone(), ccs);
+            if records {
+                sim.with_mi_records().run()
+            } else {
+                sim.run()
+            }
+        };
+        let (mut with, without) = (run(true), run(false));
+        for (f, flow) in with.flows.iter_mut().enumerate() {
+            let from_records: Vec<u64> = flow
+                .mi_records
+                .iter()
+                .map(|r| r.mean_rtt_ms.to_bits())
+                .collect();
+            let series: Vec<u64> = flow.mi_rtt_ms.iter().map(|r| r.to_bits()).collect();
+            assert_eq!(series, from_records, "{what}, flow {f}");
+            assert!(!series.is_empty(), "{what}, flow {f} kept no interval");
+            flow.mi_records.clear();
+        }
+        assert_eq!(format!("{with:?}"), format!("{without:?}"), "{what}");
+    }
 }
 
 /// The 64-cell matrix of [`parallel_sweep_is_byte_identical_to_serial`].

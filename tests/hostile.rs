@@ -494,7 +494,7 @@ fn files(rows: &mut Vec<Case>) {
             &["run", SWEEP_CUBIC, "--out", "{out}", "--cache-dir", "{store}"],
             &["serve", "--cache-dir", "{store}"],
         ];
-        let case = Case::new(format!("files::ledger_{kind}"), surfaces, "{store}/ledger.jsonl: the store's ledger is not a regular file");
+        let case = Case::new(format!("files::ledger_{kind}"), surfaces, "error: {store}/ledger.jsonl: the store's ledger is not a regular file");
         rows.push(case.with("store", Make::Dir).with("store/objects", Make::Dir).with("store/ledger.jsonl", ledger));
     }
 }

@@ -100,6 +100,7 @@ struct Flow {
     mi_acked_bytes: u64,
     mi_rtts: Vec<(f64, f64)>,
     per_sec_bits: Vec<f64>,
+    mean_rtts_ms: Vec<f64>,
     records: Vec<MiRecord>,
 }
 
@@ -175,6 +176,7 @@ impl Reference {
                     mi_acked_bytes: 0,
                     mi_rtts: Vec::new(),
                     per_sec_bits: Vec::new(),
+                    mean_rtts_ms: Vec::new(),
                     records: Vec::new(),
                 }
             })
@@ -468,6 +470,8 @@ impl Reference {
         }
         let stats = self.mi_stats(f);
         let fl = &mut self.flows[f];
+        fl.mean_rtts_ms
+            .push(stats.mean_rtt.map(|r| r.as_millis_f64()).unwrap_or(0.0));
         fl.records.push(MiRecord {
             t_s: stats.end.as_secs_f64(),
             throughput_bps: stats.throughput_bps,
@@ -623,6 +627,7 @@ impl Reference {
                     },
                     fct: fl.finish.map(|t| t - fl.spec.start),
                     per_sec_mbits: fl.per_sec_bits.iter().map(|b| b / 1e6).collect(),
+                    mi_rtt_ms: fl.mean_rtts_ms.clone(),
                     mi_records: fl.records.clone(),
                     total_sent: fl.sent,
                     total_acked: fl.acked,
@@ -761,7 +766,7 @@ fn generated(seed: u64, app_limited: bool) -> (Scenario, Vec<Ctl>) {
 fn differ(seed: u64, app_limited: bool) -> Result<(), String> {
     let (sc, ctls) = generated(seed, app_limited);
     let build = || ctls.iter().map(|c| c.build()).collect::<Vec<_>>();
-    let mut sim = Simulator::new(sc.clone(), build());
+    let mut sim = Simulator::new(sc.clone(), build()).with_mi_records();
     while sim.process_next().is_some() {}
     let (want, counts, _, _) = Reference::new(sc, build()).run();
     if sim.event_counts() != counts {
@@ -770,7 +775,7 @@ fn differ(seed: u64, app_limited: bool) -> Result<(), String> {
             sim.event_counts()
         ));
     }
-    let got = sim.result();
+    let got = sim.into_result();
     for (f, (a, b)) in got.flows.iter().zip(&want.flows).enumerate() {
         let (a, b) = (format!("{a:?}"), format!("{b:?}"));
         if a != b {
